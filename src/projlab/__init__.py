@@ -6,6 +6,8 @@ analytic R-linear rate certificates, trajectory runs with empirical rate
 fits, and an affine reduction for the two-set DR operator.
 """
 
+from types import ModuleType as _ModuleType
+
 from .affine import (
     AffineReductionReport,
     affine_hull,
@@ -120,104 +122,6 @@ from .sets import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineReductionReport",
-    "AffineSubspaceSet",
-    "Ball",
-    "Box",
-    "CertificateViolated",
-    "ClosedSet",
-    "ConfigError",
-    "ContainmentViolated",
-    "CycleReport",
-    "CyclicTuple",
-    "DimensionMismatch",
-    "DomainError",
-    "Enlargement",
-    "FejerConstants",
-    "FinitePointSet",
-    "GeneralizedDR",
-    "Halfspace",
-    "Hyperplane",
-    "InsufficientData",
-    "IntersectionHandle",
-    "MoreThanOneFullIntrepid",
-    "MoreThanOneReflection",
-    "Orthant",
-    "PolyhedralCone",
-    "ProjlabError",
-    "PropertyReport",
-    "RateCertificate",
-    "RateFit",
-    "RegularityEstimate",
-    "RelaxedProjector",
-    "SamplingFailure",
-    "Scenario",
-    "SemiIntrepidProjector",
-    "ShadowRecursionViolated",
-    "Sphere",
-    "StrongRegularityFailed",
-    "Trajectory",
-    "Translate",
-    "UnionOfSets",
-    "UnsupportedSet",
-    "affine_hull",
-    "apply",
-    "averaged_constants",
-    "bundled_scenario_names",
-    "check_fejer_trace",
-    "check_injectable",
-    "check_k_step_reduction",
-    "check_quasi_coercive",
-    "check_quasi_firm_fejer",
-    "check_rlinear_envelope",
-    "check_strong_regularity",
-    "compare_certificate",
-    "detect_cycle",
-    "distance",
-    "dr_coercivity",
-    "dr_constants",
-    "estimate_eps_regularity",
-    "estimate_linear_regularity",
-    "estimate_theta_bar",
-    "eta",
-    "exact_intersection",
-    "execute_scenario",
-    "export_shadow_csv",
-    "export_trajectory_csv",
-    "fit_rlinear",
-    "is_obtuse_cone",
-    "list_catalog",
-    "load_bundled",
-    "load_scenario",
-    "main",
-    "membership",
-    "operator_from_config",
-    "operator_to_config",
-    "oracle_intersection",
-    "project",
-    "proximal_normals",
-    "rate_convex_cyclic",
-    "rate_cyclic_dr",
-    "rate_cyclic_overrelaxed",
-    "rate_cyclic_projections",
-    "rate_cyclic_relaxed",
-    "rate_cyclic_semi_intrepid",
-    "rate_dist_qf",
-    "rate_dist_qff",
-    "rate_refined",
-    "reflect",
-    "relaxed_projector_constants",
-    "run",
-    "run_scenario",
-    "save_scenario",
-    "scenario_from_config",
-    "scenario_to_config",
-    "semi_intrepid_constants",
-    "semi_intrepid_effective_relaxation",
-    "set_from_config",
-    "shadow_run",
-    "uniform_ball",
-    "verify_affine_identities",
-    "verify_suite",
-]
+# Everything imported above is the public API.
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, _ModuleType))

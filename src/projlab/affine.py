@@ -15,108 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import PropertyReport
-from .errors import (
-    ContainmentViolated,
-    DomainError,
-    ShadowRecursionViolated,
-    UnsupportedSet,
-)
+from .errors import ContainmentViolated, DomainError, ShadowRecursionViolated
 from .operators import RelaxedProjector
 from .runner import Trajectory
-from .sets import (
-    AffineSubspaceSet,
-    Ball,
-    Box,
-    ClosedSet,
-    Enlargement,
-    FinitePointSet,
-    Halfspace,
-    Hyperplane,
-    Orthant,
-    PolyhedralCone,
-    Sphere,
-    Translate,
-    UnionOfSets,
-    as_vector,
-)
-
-RANK_TOL = 1e-9
-
-
-def _full_space_points(anchor):
-    anchor = as_vector(anchor)
-    d = anchor.size
-    return [anchor] + [anchor + np.eye(d)[i] for i in range(d)]
-
-
-def _hull_points(s: ClosedSet, rng, probe_count):
-    """Points whose affine hull equals aff(s); sampling fallback for sets
-    without a closed form."""
-    if isinstance(s, Translate):
-        return [p + s.shift for p in _hull_points(s.inner, rng, probe_count)]
-    if isinstance(s, Halfspace):
-        return _full_space_points(s.a * (s.b / float(np.dot(s.a, s.a))))
-    if isinstance(s, Hyperplane):
-        anchor = s.a * (s.b / float(np.dot(s.a, s.a)))
-        null = [v for v in np.eye(anchor.size)
-                if np.linalg.norm(v - np.dot(v, s.a) / np.dot(s.a, s.a) * s.a) > RANK_TOL]
-        pts = [anchor]
-        for v in null:
-            proj = v - (np.dot(v, s.a) / np.dot(s.a, s.a)) * s.a
-            pts.append(anchor + proj)
-        return pts
-    if isinstance(s, AffineSubspaceSet):
-        return [s.anchor] + [s.anchor + b for b in s.basis]
-    if isinstance(s, Ball):
-        if s.radius == 0.0:
-            return [s.center]
-        return _full_space_points(s.center)
-    if isinstance(s, Sphere):
-        if s.center.size == 1:
-            return [s.center - s.radius, s.center + s.radius]
-        return _full_space_points(s.center)
-    if isinstance(s, Box):
-        mid = (s.lower + s.upper) / 2.0
-        pts = [mid]
-        for i in range(mid.size):
-            if s.upper[i] - s.lower[i] > RANK_TOL:
-                e = np.zeros(mid.size)
-                e[i] = (s.upper[i] - s.lower[i]) / 2.0
-                pts.append(mid + e)
-        return pts
-    if isinstance(s, Orthant):
-        anchor = np.zeros(len(s.signs))
-        pts = [anchor]
-        for i, sign in enumerate(s.signs):
-            e = np.zeros(len(s.signs))
-            e[i] = float(sign) if sign != 0 else 1.0
-            pts.append(e)
-            if sign == 0:
-                pts.append(-e)
-        return pts
-    if isinstance(s, PolyhedralCone):
-        origin = np.zeros(s.generators.shape[1])
-        return [origin] + [np.asarray(g, dtype=float) for g in s.generators]
-    if isinstance(s, Enlargement):
-        inner_pts = _hull_points(s.inner, rng, probe_count)
-        if s.tau == 0.0:
-            return inner_pts
-        return _full_space_points(inner_pts[0])
-    if isinstance(s, UnionOfSets):
-        pts = []
-        for member in s.members:
-            pts.extend(_hull_points(member, rng, probe_count))
-        return pts
-    if isinstance(s, FinitePointSet):
-        return [np.asarray(p, dtype=float) for p in s.points]
-    # fallback: project random probes onto the set
-    dim = None
-    try:
-        dim = s.dim
-    except AttributeError as exc:
-        raise UnsupportedSet(f"cannot determine hull of {type(s).__name__}") from exc
-    probes = rng.standard_normal((probe_count, dim)) * 4.0
-    return [s.project(z).canonical for z in probes]
+from .sets import RANK_TOL, AffineSubspaceSet, ClosedSet, svd_rank
 
 
 def affine_hull(sets, probe_count=64, seed=0) -> AffineSubspaceSet:
@@ -128,7 +30,7 @@ def affine_hull(sets, probe_count=64, seed=0) -> AffineSubspaceSet:
     rng = np.random.default_rng(seed)
     pts = []
     for s in sets:
-        pts.extend(_hull_points(s, rng, probe_count))
+        pts.extend(s.hull_points(rng, probe_count))
     if not pts:
         raise DomainError("no points available to span a hull")
     P = np.array(pts)
@@ -137,8 +39,7 @@ def affine_hull(sets, probe_count=64, seed=0) -> AffineSubspaceSet:
     if D.size == 0:
         basis = np.zeros((0, anchor.size))
     else:
-        _, sv, vt = np.linalg.svd(D, full_matrices=False)
-        rank = int(np.sum(sv > RANK_TOL * max(1.0, sv[0] if sv.size else 1.0)))
+        vt, rank = svd_rank(D, RANK_TOL, full_matrices=False)
         basis = vt[:rank]
     return AffineSubspaceSet(anchor=anchor, basis=basis)
 

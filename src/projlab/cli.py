@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -22,8 +25,8 @@ from . import affine as affine_mod
 from . import analysis as analysis_mod
 from . import rates as rates_mod
 from . import runner as runner_mod
-from .errors import ConfigError, ProjlabError
-from .operators import GeneralizedDR, RelaxedProjector, SemiIntrepidProjector
+from .errors import ConfigError, ProjlabError, at_key, check_keys, table_entry
+from .operators import OPERATOR_TYPES, RelaxedProjector, operator_type
 from .rates import RateCertificate
 from .scenario import (
     Scenario,
@@ -31,9 +34,7 @@ from .scenario import (
     load_bundled,
     load_scenario,
 )
-from .sets import is_obtuse_cone
-
-_MISSING = object()
+from .sets import SET_TYPES, is_obtuse_cone
 
 
 # ---------------------------------------------------------------------------
@@ -58,44 +59,18 @@ def _jsonable(obj):
     return obj
 
 
-def _estimate_dict(est):
-    return _jsonable({
-        "kind": est.kind, "value": est.value, "delta": est.delta,
-        "samples": est.samples, "seed": est.seed, "bound": est.bound,
-        "extra": est.extra,
-    })
-
-
-def _report_dict(rep):
-    return _jsonable({
-        "name": rep.name, "samples": rep.samples, "violations": rep.violations,
-        "worst_margin": rep.worst_margin, "seed": rep.seed,
-        "check_tol": rep.check_tol, "passed": rep.passed, "extra": rep.extra,
-    })
-
-
-def _cert_dict(cert: RateCertificate):
-    return _jsonable({
-        "theorem": cert.theorem, "inputs": cert.inputs,
-        "gamma_total": cert.gamma_total, "rho_block": cert.rho_block,
-        "block_len": cert.block_len, "rho_per_iterate": cert.rho_per_iterate,
-        "rho_stated": cert.rho_stated, "applicable": cert.applicable,
-        "delta0_over_delta": cert.delta0_over_delta,
-        "start_radius_over_delta0": cert.start_radius_over_delta0,
-        "start_prefactor": cert.start_prefactor, "provenance": cert.provenance,
-    })
-
-
-def _fit_dict(fit):
-    return _jsonable({
-        "rho": fit.rho, "sigma": fit.sigma, "window": list(fit.window),
-        "n_points": fit.n_points, "r_squared": fit.r_squared,
-        "censored": fit.censored, "non_convergent": fit.non_convergent,
-    })
+def _fields_dict(obj, drop=(), **more):
+    """A result dataclass as JSON-ready data, less the fields in `drop`."""
+    out = {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in drop}
+    return _jsonable({**out, **more})
 
 
 # ---------------------------------------------------------------------------
 # value resolution inside analysis records
+
+# Arithmetic on a resolved value, applied in this order.
+_ARITHMETIC = (("times", operator.mul), ("plus", operator.add),
+               ("clamp_min", max), ("clamp_max", min))
 
 
 def _resolve(value, ctx, path):
@@ -107,34 +82,24 @@ def _resolve(value, ctx, path):
     if isinstance(value, (int, float)):
         return float(value)
     if isinstance(value, str):
-        if not value.startswith("@"):
-            raise ConfigError(f"{path}: string values must be '@label' references")
-        label = value[1:]
-        if label not in ctx:
-            raise ConfigError(f"{path}: unknown reference '@{label}'")
-        obj = ctx[label]
-        if isinstance(obj, analysis_mod.RegularityEstimate):
-            return float(obj.value)
-        if isinstance(obj, (int, float)):
-            return float(obj)
-        raise ConfigError(f"{path}: '@{label}' is not a numeric result")
+        return float(_reference(value, ctx, path, analysis_mod.RegularityEstimate).value)
     if isinstance(value, dict):
+        check_keys(value, path, ("ref", "value") + tuple(k for k, _ in _ARITHMETIC))
         if "ref" in value:
             base = _resolve(value["ref"], ctx, f"{path}.ref")
         elif "value" in value:
             base = _resolve(value["value"], ctx, f"{path}.value")
         else:
             raise ConfigError(f"{path}: need 'ref' or 'value'")
-        if "times" in value:
-            base *= float(value["times"])
-        if "plus" in value:
-            base += float(value["plus"])
-        if "clamp_min" in value:
-            base = max(base, float(value["clamp_min"]))
-        if "clamp_max" in value:
-            base = min(base, float(value["clamp_max"]))
+        for key, op in _ARITHMETIC:
+            if key in value:
+                base = op(base, float(value[key]))
         return base
     raise ConfigError(f"{path}: cannot resolve {value!r}")
+
+
+def _resolve_int(value, ctx, path):
+    return int(_resolve(value, ctx, path))
 
 
 def _resolve_list(value, ctx, path):
@@ -143,120 +108,448 @@ def _resolve_list(value, ctx, path):
     return [_resolve(v, ctx, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-def _resolve_certificate(value, ctx, path) -> RateCertificate:
+def _reference(value, ctx, path, cls=RateCertificate):
+    """The earlier result an "@label" string names, which must be a `cls`."""
     if not (isinstance(value, str) and value.startswith("@")):
-        raise ConfigError(f"{path}: expected an '@label' certificate reference")
-    label = value[1:]
-    obj = ctx.get(label)
-    if not isinstance(obj, RateCertificate):
-        raise ConfigError(f"{path}: '@{label}' is not a certificate")
-    return obj
+        raise ConfigError(f"{path}: expected an '@label' reference")
+    if not isinstance(ctx.get(value[1:]), cls):
+        raise ConfigError(f"{path}: '{value}' is not a {cls.__name__} result")
+    return ctx[value[1:]]
 
 
-def _build_certificate(record, ctx, path):
-    theorem = record.get("theorem")
+# ---------------------------------------------------------------------------
+# rate theorems a certificate analysis can invoke
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """`args` lists (key, resolver) in call order, or (key, resolver,
+    default) for an optional argument.  `build` takes the resolved arguments
+    and returns (certificate, derived constants); without it the function of
+    the theorem's name in `rates` gives the certificate."""
+
+    args: tuple
+    about: str
+    build: Callable | None = None
+
+
+def _rate_dr_pair(lam, mu, alpha, eps1, eps2, theta, kappa):
+    """rate_cyclic_dr for one generalized DR operator, its Fejér constants
+    from dr_constants and its coercivity from dr_coercivity."""
+    consts = rates_mod.dr_constants(lam, mu, alpha, eps1, eps2)
+    nu = rates_mod.dr_coercivity(lam, mu, alpha, theta, kappa)
+    cert = rates_mod.rate_cyclic_dr([consts.gamma], [consts.beta], nu, kappa)
+    return cert, {"gamma": consts.gamma, "beta": consts.beta, "nu": nu, "theta": theta}
+
+
+_EPS, _KAPPA, _NU = ("eps", _resolve), ("kappa", _resolve), ("nu", _resolve)
+_GAMMAS, _BETAS = ("gammas", _resolve_list), ("betas", _resolve_list)
+_LAMBDAS = ("lambdas", _resolve_list)
+THEOREMS = {
+    "rate_cyclic_projections": Theorem((("m", _resolve_int), _EPS, _KAPPA),
+                                       "m >= 2 projectors, eps in [0,1)"),
+    "rate_convex_cyclic": Theorem((_LAMBDAS, _KAPPA), "eps = 0, global on the start ball"),
+    "rate_cyclic_relaxed": Theorem((_LAMBDAS, _EPS, _KAPPA),
+                                   "lambdas in (0,2]^m, at most one reflector"),
+    "rate_cyclic_overrelaxed": Theorem((_LAMBDAS, _EPS, _KAPPA),
+                                       "lambdas in [1,2)^m, m >= 2, block m-1"),
+    "rate_cyclic_semi_intrepid": Theorem((("alphas", _resolve_list), _EPS, _KAPPA),
+                                         "alphas in [0,1]^m, at most one full step"),
+    "rate_refined": Theorem((_GAMMAS, _BETAS, _KAPPA), "firm lists, block length m-1"),
+    "rate_dist_qff": Theorem((_GAMMAS, _BETAS, _NU, _KAPPA),
+                             "quasi-firm lists, nu in (0,1], kappa > 0"),
+    "rate_cyclic_dr": Theorem((_GAMMAS, _BETAS, _NU, _KAPPA),
+                              "per-block quasi-firm constants + coercivity nu"),
+    "rate_dr_pair": Theorem(
+        (("lambda", _resolve), ("mu", _resolve), ("alpha", _resolve), ("eps1", _resolve, 0.0),
+         ("eps2", _resolve, 0.0), ("theta", _resolve), _KAPPA),
+        "rate_cyclic_dr of one generalized DR operator, constants derived", _rate_dr_pair),
+}
+
+
+def _check_certificate(record):
+    theorem = table_entry(record, THEOREMS, "certificate", tag="theorem")
     args = record.get("args", {})
+    if not isinstance(args, dict):
+        raise ConfigError("args: must be an object")
+    check_keys(args, "args", [a[0] for a in theorem.args],
+               required=[a[0] for a in theorem.args if len(a) == 2])
 
-    def num(key, default=_MISSING):
-        if key not in args:
-            if default is _MISSING:
-                raise ConfigError(f"{path}.args: missing '{key}'")
-            return default
-        return _resolve(args[key], ctx, f"{path}.args.{key}")
 
-    def lst(key):
-        if key not in args:
-            raise ConfigError(f"{path}.args: missing '{key}'")
-        return _resolve_list(args[key], ctx, f"{path}.args.{key}")
+# ---------------------------------------------------------------------------
+# analysis kinds
 
-    extra = {}
-    if theorem == "rate_cyclic_projections":
-        cert = rates_mod.rate_cyclic_projections(int(num("m")), num("eps"),
-                                                 num("kappa"))
-    elif theorem == "rate_convex_cyclic":
-        cert = rates_mod.rate_convex_cyclic(lst("lambdas"), num("kappa"))
-    elif theorem == "rate_cyclic_relaxed":
-        cert = rates_mod.rate_cyclic_relaxed(lst("lambdas"), num("eps"),
-                                             num("kappa"))
-    elif theorem == "rate_cyclic_overrelaxed":
-        cert = rates_mod.rate_cyclic_overrelaxed(lst("lambdas"), num("eps"),
-                                                 num("kappa"))
-    elif theorem == "rate_cyclic_semi_intrepid":
-        cert = rates_mod.rate_cyclic_semi_intrepid(lst("alphas"), num("eps"),
-                                                   num("kappa"))
-    elif theorem == "rate_refined":
-        cert = rates_mod.rate_refined(lst("gammas"), lst("betas"), num("kappa"))
-    elif theorem == "rate_dist_qff":
-        cert = rates_mod.rate_dist_qff(lst("gammas"), lst("betas"), num("nu"),
-                                       num("kappa"))
-    elif theorem == "rate_cyclic_dr":
-        cert = rates_mod.rate_cyclic_dr(lst("gammas"), lst("betas"), num("nu"),
-                                        num("kappa"))
-    elif theorem == "rate_dr_pair":
-        lam, mu, alpha = num("lambda"), num("mu"), num("alpha")
-        eps1, eps2 = num("eps1", 0.0), num("eps2", 0.0)
-        theta, kappa = num("theta"), num("kappa")
-        consts = rates_mod.dr_constants(lam, mu, alpha, eps1, eps2)
-        nu = rates_mod.dr_coercivity(lam, mu, alpha, theta, kappa)
-        cert = rates_mod.rate_cyclic_dr([consts.gamma], [consts.beta], nu, kappa)
-        extra = {"gamma": consts.gamma, "beta": consts.beta, "nu": nu,
-                 "theta": theta}
+
+class _Run:
+    """One scenario run: its trajectory and what its analyses produced."""
+
+    def __init__(self, sc: Scenario, traj, seed):
+        self.sc, self.traj, self.seed = sc, traj, seed
+        self.ctx = {}  # label -> estimate, certificate or fit, for '@label'
+        self.constants, self.certificates, self.fits = {}, {}, {}
+        self.comparisons, self.checks = [], []
+        self.shadow_points = None
+        self._hull = None
+
+    def hull(self):
+        if self._hull is None:
+            self._hull = affine_mod.affine_hull(self.sc.sets, seed=self.seed)
+        return self._hull
+
+    def sampling(self, record, samples):
+        """(samples, seed, delta) of a sampled analysis record."""
+        return (record.get("samples") or samples, int(record.get("seed", self.seed)),
+                float(record.get("delta", self.sc.delta)))
+
+    def store(self, label, obj, path):
+        if not isinstance(label, str) or not label:
+            raise ConfigError(f"{path}.label: must be a nonempty string")
+        if label in self.ctx:
+            raise ConfigError(f"{path}.label: duplicate label '{label}'")
+        self.ctx[label] = obj
+
+    def constant(self, label, est, path):
+        self.store(label, est, path)
+        self.constants[label] = _fields_dict(est, drop=("anchor",))
+
+    def pick_set(self, value, path):
+        if not isinstance(value, int) or not 0 <= value < len(self.sc.sets):
+            raise ConfigError(f"{path}: set index out of range")
+        return self.sc.sets[value]
+
+    def pick_operator(self, value, path):
+        members = self.sc.operators.members
+        if not isinstance(value, int) or not 0 <= value < len(members):
+            raise ConfigError(f"{path}: operator index out of range")
+        return members[value]
+
+    def pick_target(self, op, value, path):
+        """A set by index, "intersection", or "target" (the operator's set)."""
+        if value == "intersection":
+            return self.sc.intersection
+        if value == "target":
+            if not hasattr(op, "target"):
+                raise ConfigError(f"{path}: operator has no single target")
+            return op.target
+        return self.pick_set(value, path)
+
+
+# Each handler runs one record and returns None or (PropertyReport or None,
+# further check fields); execute_scenario turns the latter into a check.
+
+
+def _estimate_eps(run, rec, path, label):
+    samples, seed, delta = run.sampling(rec, 600)
+    s = run.pick_set(rec["set"], f"{path}.set")
+    run.constant(label, analysis_mod.estimate_eps_regularity(
+        s, run.sc.anchor, delta, samples=samples, seed=seed), path)
+
+
+def _estimate_kappa(run, rec, path, label):
+    samples, seed, delta = run.sampling(rec, 2000)
+    run.constant(label, analysis_mod.estimate_linear_regularity(
+        run.sc.sets, run.sc.intersection, run.sc.anchor, delta,
+        samples=samples, seed=seed), path)
+
+
+def _estimate_theta_bar(run, rec, path, label):
+    samples, seed, delta = run.sampling(rec, 256)
+    pair = rec.get("sets", [0, 1])
+    a = run.pick_set(pair[0], f"{path}.sets[0]")
+    b = run.pick_set(pair[1], f"{path}.sets[1]")
+    run.constant(label, analysis_mod.estimate_theta_bar(
+        a, b, run.sc.anchor, samples=samples, seed=seed, delta=delta), path)
+
+
+def _strong_regularity(run, rec, path, label):
+    samples, seed, delta = run.sampling(rec, 2000)
+    idxs = rec.get("sets", list(range(len(run.sc.sets))))
+    system = [run.pick_set(j, f"{path}.sets") for j in idxs]
+    est = analysis_mod.check_strong_regularity(
+        system, run.sc.anchor, delta, samples=samples, seed=seed)
+    run.constant(label, est, path)
+    entry = {"sets": list(idxs), "value": est.value, "strong": est.extra["strong"]}
+    strong = est.extra["strong"]
+    passed = {"fail": not strong, "pass": strong}.get(rec.get("expect"), True)
+    if "expect_min" in rec:
+        entry["expect_min"] = rec["expect_min"]
+        passed = passed and est.value >= float(rec["expect_min"])
+    entry["passed"] = passed
+    return None, entry
+
+
+def _quasi_firm_fejer(run, rec, path, label):
+    samples, seed, delta = run.sampling(rec, 1000)
+    op = run.pick_operator(rec["operator"], f"{path}.operator")
+    refset = run.pick_target(op, rec.get("refset", "target"), f"{path}.refset")
+    tag = operator_type(op)
+    spec = OPERATOR_TYPES[tag]
+    for key in _FEJER_KEYS:
+        if key in rec and key not in spec.fejer_keys:
+            raise ConfigError(f"{path}.{key}: not a constant of a {tag} operator")
+    eps = [_resolve(rec.get(key, 0.0), run.ctx, f"{path}.{key}") for key in spec.fejer_keys]
+    consts = spec.fejer(op, *eps)
+    rep = analysis_mod.check_quasi_firm_fejer(
+        op, refset, consts.gamma, consts.beta, run.sc.anchor, delta,
+        samples=samples, seed=seed)
+    return rep, {"eps": _jsonable(eps[0] if len(eps) == 1 else tuple(eps)),
+                 "gamma": consts.gamma, "beta": consts.beta}
+
+
+def _quasi_coercive(run, rec, path, label):
+    samples, seed, delta = run.sampling(rec, 1000)
+    op = run.pick_operator(rec["operator"], f"{path}.operator")
+    cset = run.pick_target(op, rec.get("cset", "target"), f"{path}.cset")
+    nu_spec = rec.get("nu", "lambda")
+    if nu_spec == "lambda":
+        if not isinstance(op, RelaxedProjector):
+            raise ConfigError(f"{path}.nu: 'lambda' needs a relaxed projector")
+        nu = op.lam
     else:
-        raise ConfigError(f"{path}.theorem: unknown theorem '{theorem}'")
-    return cert, extra
+        nu = _resolve(nu_spec, run.ctx, f"{path}.nu")
+    rep = analysis_mod.check_quasi_coercive(
+        op, cset, nu, run.sc.anchor, delta, samples=samples, seed=seed)
+    if not rec.get("expect_equality"):
+        return rep, {}
+    eq_tol = float(rec.get("equality_tol", 1e-12))
+    return rep, {"equality_tol": eq_tol,
+                 "passed": bool(rep.passed and rep.extra["max_abs_gap"] <= eq_tol)}
+
+
+def _injectable(run, rec, path, label):
+    samples, seed, delta = run.sampling(rec, 1000)
+    s = run.pick_set(rec["set"], f"{path}.set")
+    tau = _resolve(rec["tau"], run.ctx, f"{path}.tau")
+    rep = analysis_mod.check_injectable(s, tau, run.sc.anchor, delta,
+                                        samples=samples, seed=seed)
+    if rec.get("expect") == "fail":
+        return rep, {"tau": tau, "expected_failure": True, "passed": rep.violations >= 1}
+    return rep, {"tau": tau}
+
+
+def _obtuse_cone(run, rec, path, label):
+    samples, seed, _ = run.sampling(rec, 256)
+    s = run.pick_set(rec["set"], f"{path}.set")
+    result = is_obtuse_cone(s, samples=samples, seed=seed)
+    # result["name"] ("is_obtuse_cone") takes the place of the label.
+    return None, {"passed": bool(result["obtuse"]) == bool(rec.get("expect", True)),
+                  **_jsonable(result)}
+
+
+def _certificate(run, rec, path, label):
+    name = rec["theorem"]
+    theorem = THEOREMS[name]
+    args = rec.get("args", {})
+    values = []
+    for key, resolve, *default in theorem.args:
+        values.append(resolve(args[key], run.ctx, f"{path}.args.{key}")
+                      if key in args else default[0])
+    if theorem.build is None:
+        cert, derived = getattr(rates_mod, name)(*values), {}
+    else:
+        cert, derived = theorem.build(*values)
+    run.store(label, cert, path)
+    entry = _fields_dict(cert)
+    if derived:
+        entry["derived"] = _jsonable(derived)
+    run.certificates[label] = entry
+
+
+def _rate_fit(run, rec, path, label):
+    kwargs = {}
+    if "tail_fraction" in rec:
+        kwargs["tail_fraction"] = float(rec["tail_fraction"])
+    if "burn_in" in rec:
+        kwargs["burn_in"] = int(rec["burn_in"])
+    fit = runner_mod.fit_rlinear(run.traj.cycle_errors(), **kwargs)
+    run.store(label, fit, path)
+    run.fits[label] = _fields_dict(fit)
+    if "expect_rho" not in rec and not rec.get("expect_non_convergent"):
+        return None
+    entry = {"rho": fit.rho, "passed": True}
+    if "expect_rho" in rec:
+        want = float(rec["expect_rho"])
+        tol = float(rec.get("expect_tol", 1e-3))
+        entry.update({"expect_rho": want, "expect_tol": tol,
+                      "passed": abs(fit.rho - want) <= tol})
+    if rec.get("expect_non_convergent"):
+        entry["expect_non_convergent"] = True
+        entry["passed"] = bool(entry["passed"] and fit.non_convergent)
+    return None, entry
+
+
+def _k_step(run, rec, path, label):
+    if "certificate" in rec:
+        cert = _reference(rec["certificate"], run.ctx, f"{path}.certificate")
+        k, rho_bound = cert.block_len, cert.rho_block
+    else:
+        k = int(rec.get("k", 1))
+        rho_bound = _resolve(rec.get("rho_bound"), run.ctx, f"{path}.rho_bound")
+    return runner_mod.check_k_step_reduction(run.traj, k, rho_bound), {}
+
+
+def _compare(run, rec, path, label):
+    cert = _reference(rec["certificate"], run.ctx, f"{path}.certificate")
+    result = runner_mod.compare_certificate(
+        run.traj, cert, slack=float(rec.get("slack", 0.02)), raise_on_violation=False)
+    result["name"] = label
+    run.comparisons.append(_jsonable(result))
+
+
+def _envelope(run, rec, path, label):
+    cert = _reference(rec["certificate"], run.ctx, f"{path}.certificate")
+    return runner_mod.check_rlinear_envelope(run.traj, cert), {}
+
+
+def _states_match(want, got, tol):
+    """Whether `got` pairs off with `want`, each within tol of a distinct one."""
+    if len(want) != len(got):
+        return False
+    used = [False] * len(got)
+    for wst in want:
+        hit = next((j for j, g in enumerate(got)
+                    if not used[j] and np.linalg.norm(g - wst) <= tol), None)
+        if hit is None:
+            return False
+        used[hit] = True
+    return True
+
+
+def _cycle_detect(run, rec, path, label):
+    tol = float(rec.get("tol", 1e-12))
+    found = runner_mod.detect_cycle(run.traj, tol=tol)
+    if found is None:
+        return None, {"passed": "expect_period" not in rec, "period": None}
+    entry = {"period": found.period, "start_index": found.start_index,
+             "states": _jsonable(found.states),
+             "max_deviation": found.max_deviation, "passed": True}
+    if "expect_period" in rec:
+        entry["expect_period"] = rec["expect_period"]
+        entry["passed"] = found.period == int(rec["expect_period"])
+    if entry["passed"] and "expect_states" in rec:
+        want = [np.asarray(s, dtype=float) for s in rec["expect_states"]]
+        entry["passed"] = _states_match(want, list(found.states), tol)
+    return None, entry
+
+
+def _affine_reduction(run, rec, path, label):
+    run.shadow_points, rep = affine_mod.shadow_run(run.traj, run.hull())
+    entry = {
+        "eta": rep.eta, "classification": rep.classification,
+        "recursion_residual": rep.recursion_residual,
+        "gap_law_residual": rep.gap_law_residual,
+        "limit_detected": rep.limit_detected,
+        "fix_residual": rep.fix_residual,
+        "shadow_limit": _jsonable(rep.shadow_limit),
+        "full_limit": _jsonable(rep.full_limit),
+        "extra": _jsonable(rep.extra),
+    }
+    passed = rep.gap_law_residual <= 1e-9
+    expect = rec.get("expect")
+    if expect is not None:
+        entry["expect"] = expect
+        passed = passed and rep.classification == expect
+    if rep.classification == "FixedPointShadow":
+        passed = passed and rep.fix_residual <= 1e-8
+    else:
+        final_dc = float(run.traj.c_dist[-1])
+        entry["final_dC"] = final_dc
+        passed = passed and final_dc <= 1e-8
+    entry["passed"] = passed
+    return None, entry
+
+
+def _affine_identities(run, rec, path, label):
+    samples, seed, _ = run.sampling(rec, 200)
+    s = run.pick_set(rec["set"], f"{path}.set")
+    lam = _resolve(rec.get("lambda", 1.0), run.ctx, f"{path}.lambda")
+    return affine_mod.verify_affine_identities(
+        s, run.hull(), lam, samples=samples, seed=seed), {}
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """`execute(run, record, path, label)` is the handler; `label` the
+    default label, "{}" standing for the record index.  `keys` are the keys
+    a record may carry besides kind and label, `modifiers` (modifier, key)
+    pairs, and `check(record)` any further parse-time validation."""
+
+    execute: Callable
+    label: str
+    about: str
+    keys: tuple = ()
+    required: tuple = ()
+    modifiers: tuple = ()
+    check: Callable | None = None
+
+
+_SAMPLED = ("samples", "seed", "delta")
+_FEJER_KEYS = tuple(dict.fromkeys(k for spec in OPERATOR_TYPES.values() for k in spec.fejer_keys))
+ANALYSES = {
+    "estimate_eps": Analysis(
+        _estimate_eps, "eps", "sampled eps-regularity of one set (lower bound)",
+        ("set",) + _SAMPLED, ("set",)),
+    "estimate_kappa": Analysis(
+        _estimate_kappa, "kappa", "sampled linear-regularity constant of the system (lower bound)",
+        _SAMPLED),
+    "estimate_theta_bar": Analysis(
+        _estimate_theta_bar, "theta", "sampled normal-cone angle bound of two sets (lower bound)",
+        ("sets",) + _SAMPLED),
+    "strong_regularity": Analysis(
+        _strong_regularity, "zeta_{}", "sampled strong-regularity constant zeta (upper bound)",
+        ("sets", "expect", "expect_min") + _SAMPLED),
+    "quasi_firm_fejer": Analysis(
+        _quasi_firm_fejer, "qff_{}", "quasi-firm Fejér inequality, constants from the operator type",
+        ("operator", "refset") + _FEJER_KEYS + _SAMPLED, ("operator",)),
+    "quasi_coercive": Analysis(
+        _quasi_coercive, "coercive_{}", "quasi coercivity of an operator with constant nu",
+        ("operator", "cset", "nu", "expect_equality", "equality_tol") + _SAMPLED, ("operator",),
+        (("equality_tol", "expect_equality"),)),
+    "injectable": Analysis(
+        _injectable, "injectable_{}", "inward segments of depth tau stay in the set",
+        ("set", "tau", "expect") + _SAMPLED, ("set", "tau")),
+    "obtuse_cone": Analysis(
+        _obtuse_cone, "obtuse_{}", "-polar(K) in K for an orthant or polyhedral cone",
+        ("set", "expect", "samples", "seed"), ("set",)),
+    "certificate": Analysis(
+        _certificate, "cert_{}", "R-linear rate certificate of a theorem",
+        ("theorem", "args"), ("theorem",), check=_check_certificate),
+    "rate_fit": Analysis(
+        _rate_fit, "fit", "per-cycle R-linear rate fitted to the trajectory",
+        ("tail_fraction", "burn_in", "expect_rho", "expect_tol", "expect_non_convergent"),
+        modifiers=(("expect_tol", "expect_rho"),)),
+    "k_step": Analysis(
+        _k_step, "k_step_{}", "k-step error reduction by rho_bound or a certificate",
+        ("certificate", "k", "rho_bound"), modifiers=(("k", "rho_bound"),)),
+    "compare": Analysis(
+        _compare, "compare_{}", "a certificate's rate dominates the fitted rate",
+        ("certificate", "slack"), ("certificate",)),
+    "envelope": Analysis(
+        _envelope, "envelope_{}", "errors stay under a certificate's R-linear envelope",
+        ("certificate",), ("certificate",)),
+    "cycle_detect": Analysis(
+        _cycle_detect, "cycle_{}", "exactly repeating states of the trajectory",
+        ("tol", "expect_period", "expect_states")),
+    "affine_reduction": Analysis(
+        _affine_reduction, "affine_{}", "shadow split of a one-operator generalized DR run",
+        ("expect",)),
+    "affine_identities": Analysis(
+        _affine_identities, "identities_{}", "relaxed projection commutes with the hull projection",
+        ("set", "lambda", "samples", "seed"), ("set",)),
+}
+
+
+def check_analysis(record, path):
+    """Validate one analysis record against its kind's table entry."""
+    with at_key(path):
+        spec = table_entry(record, ANALYSES, "analysis", tag="kind")
+        check_keys(record, "", ("kind", "label") + spec.keys, spec.required, spec.modifiers)
+        if spec.check is not None:
+            spec.check(record)
 
 
 # ---------------------------------------------------------------------------
 # scenario execution
-
-
-def _pick_set(sc: Scenario, value, path):
-    if not isinstance(value, int) or not 0 <= value < len(sc.sets):
-        raise ConfigError(f"{path}: set index out of range")
-    return sc.sets[value]
-
-
-def _pick_operator(sc: Scenario, value, path):
-    members = sc.operators.members
-    if not isinstance(value, int) or not 0 <= value < len(members):
-        raise ConfigError(f"{path}: operator index out of range")
-    return members[value]
-
-
-def _store(ctx, record, default_label, obj, path):
-    label = record.get("label", default_label)
-    if not isinstance(label, str) or not label:
-        raise ConfigError(f"{path}.label: must be a nonempty string")
-    if label in ctx:
-        raise ConfigError(f"{path}.label: duplicate label '{label}'")
-    ctx[label] = obj
-    return label
-
-
-def _qff_constants(record, op, ctx, path):
-    """Constants for a quasi-firm check from the operator's own parameters."""
-    rule = record.get("rule", "relaxed")
-    if rule == "relaxed":
-        if not isinstance(op, RelaxedProjector):
-            raise ConfigError(f"{path}: rule 'relaxed' needs a relaxed projector")
-        eps = _resolve(record.get("eps", 0.0), ctx, f"{path}.eps")
-        c = rates_mod.relaxed_projector_constants(op.lam, eps)
-    elif rule == "semi_intrepid":
-        if not isinstance(op, SemiIntrepidProjector):
-            raise ConfigError(
-                f"{path}: rule 'semi_intrepid' needs a semi-intrepid projector")
-        eps = _resolve(record.get("eps", 0.0), ctx, f"{path}.eps")
-        c = rates_mod.semi_intrepid_constants(op.alpha, eps)
-    elif rule == "dr":
-        if not isinstance(op, GeneralizedDR):
-            raise ConfigError(f"{path}: rule 'dr' needs a generalized DR operator")
-        eps1 = _resolve(record.get("eps1", 0.0), ctx, f"{path}.eps1")
-        eps2 = _resolve(record.get("eps2", 0.0), ctx, f"{path}.eps2")
-        eps = (eps1, eps2)
-        c = rates_mod.dr_constants(op.lam, op.mu, op.alpha, eps1, eps2)
-    else:
-        raise ConfigError(f"{path}.rule: unknown constants rule '{rule}'")
-    return c, eps
 
 
 def execute_scenario(sc: Scenario, out_dir=None, seed_override=None) -> dict:
@@ -270,22 +563,9 @@ def execute_scenario(sc: Scenario, out_dir=None, seed_override=None) -> dict:
     t0 = time.perf_counter()
     traj = runner_mod.run(sc.operators, sc.x0, sc.sets, sc.intersection,
                           max_cycles=sc.max_cycles, tol=sc.tol, seed=seed)
-    constants = {}
-    certificates = {}
-    fits = {}
-    comparisons = []
-    checks = []
-    ctx = {}
-    hull_cache = {}
-    shadow_points = None
-
-    def hull():
-        if "L" not in hull_cache:
-            hull_cache["L"] = affine_mod.affine_hull(sc.sets, seed=seed)
-        return hull_cache["L"]
-
+    run = _Run(sc, traj, seed)
     if "stop_reason" in sc.expected:
-        checks.append({
+        run.checks.append({
             "name": "stop_reason", "kind": "expected",
             "expected": sc.expected["stop_reason"], "actual": traj.stop_reason,
             "passed": traj.stop_reason == sc.expected["stop_reason"],
@@ -293,272 +573,16 @@ def execute_scenario(sc: Scenario, out_dir=None, seed_override=None) -> dict:
 
     for i, record in enumerate(sc.analyses):
         kind = record["kind"]
-        path = f"analyses[{i}]"
-        rseed = int(record.get("seed", seed))
-        samples = record.get("samples")
-        delta = float(record.get("delta", sc.delta))
+        spec = ANALYSES[kind]
+        label = record.get("label", spec.label.format(i))
+        out = spec.execute(run, record, f"analyses[{i}]", label)
+        if out is not None:
+            rep, extra = out
+            entry = {} if rep is None else _fields_dict(rep, ("witness",), passed=rep.passed)
+            run.checks.append({**entry, "name": label, "kind": kind, **extra})
 
-        if kind == "estimate_eps":
-            s = _pick_set(sc, record.get("set"), f"{path}.set")
-            est = analysis_mod.estimate_eps_regularity(
-                s, sc.anchor, delta, samples=samples or 600, seed=rseed)
-            label = _store(ctx, record, "eps", est, path)
-            constants[label] = _estimate_dict(est)
-
-        elif kind == "estimate_kappa":
-            est = analysis_mod.estimate_linear_regularity(
-                sc.sets, sc.intersection, sc.anchor, delta,
-                samples=samples or 2000, seed=rseed)
-            label = _store(ctx, record, "kappa", est, path)
-            constants[label] = _estimate_dict(est)
-
-        elif kind == "estimate_theta_bar":
-            pair = record.get("sets", [0, 1])
-            a = _pick_set(sc, pair[0], f"{path}.sets[0]")
-            b = _pick_set(sc, pair[1], f"{path}.sets[1]")
-            est = analysis_mod.estimate_theta_bar(
-                a, b, sc.anchor, samples=samples or 256, seed=rseed,
-                delta=delta)
-            label = _store(ctx, record, "theta", est, path)
-            constants[label] = _estimate_dict(est)
-
-        elif kind == "strong_regularity":
-            idxs = record.get("sets", list(range(len(sc.sets))))
-            system = [_pick_set(sc, j, f"{path}.sets") for j in idxs]
-            est = analysis_mod.check_strong_regularity(
-                system, sc.anchor, delta, samples=samples or 2000, seed=rseed)
-            label = _store(ctx, record, f"zeta_{i}", est, path)
-            constants[label] = _estimate_dict(est)
-            entry = {"name": label, "kind": kind, "sets": list(idxs),
-                     "value": est.value, "strong": est.extra["strong"]}
-            expect = record.get("expect")
-            passed = True
-            if expect == "fail":
-                passed = not est.extra["strong"]
-            elif expect == "pass":
-                passed = est.extra["strong"]
-            if "expect_min" in record:
-                entry["expect_min"] = record["expect_min"]
-                passed = passed and est.value >= float(record["expect_min"])
-            entry["passed"] = passed
-            checks.append(entry)
-
-        elif kind == "quasi_firm_fejer":
-            op = _pick_operator(sc, record.get("operator"), f"{path}.operator")
-            refsel = record.get("refset", "target")
-            if refsel == "intersection":
-                refset = sc.intersection
-            elif refsel == "target":
-                if not hasattr(op, "target"):
-                    raise ConfigError(f"{path}.refset: operator has no single target")
-                refset = op.target
-            else:
-                refset = _pick_set(sc, refsel, f"{path}.refset")
-            consts, eps = _qff_constants(record, op, ctx, path)
-            rep = analysis_mod.check_quasi_firm_fejer(
-                op, refset, consts.gamma, consts.beta, sc.anchor, delta,
-                samples=samples or 1000, seed=rseed)
-            entry = _report_dict(rep)
-            entry.update({"name": record.get("label", f"qff_{i}"),
-                          "kind": kind, "eps": _jsonable(eps),
-                          "gamma": consts.gamma, "beta": consts.beta})
-            checks.append(entry)
-
-        elif kind == "quasi_coercive":
-            op = _pick_operator(sc, record.get("operator"), f"{path}.operator")
-            csel = record.get("cset", "target")
-            if csel == "intersection":
-                cset = sc.intersection
-            elif csel == "target":
-                if not hasattr(op, "target"):
-                    raise ConfigError(f"{path}.cset: operator has no single target")
-                cset = op.target
-            else:
-                cset = _pick_set(sc, csel, f"{path}.cset")
-            nu_spec = record.get("nu", "lambda")
-            if nu_spec == "lambda":
-                if not isinstance(op, RelaxedProjector):
-                    raise ConfigError(f"{path}.nu: 'lambda' needs a relaxed projector")
-                nu = op.lam
-            else:
-                nu = _resolve(nu_spec, ctx, f"{path}.nu")
-            rep = analysis_mod.check_quasi_coercive(
-                op, cset, nu, sc.anchor, delta, samples=samples or 1000,
-                seed=rseed)
-            entry = _report_dict(rep)
-            entry.update({"name": record.get("label", f"coercive_{i}"),
-                          "kind": kind})
-            if record.get("expect_equality"):
-                eq_tol = float(record.get("equality_tol", 1e-12))
-                entry["equality_tol"] = eq_tol
-                entry["passed"] = bool(entry["passed"]
-                                       and rep.extra["max_abs_gap"] <= eq_tol)
-            checks.append(entry)
-
-        elif kind == "injectable":
-            s = _pick_set(sc, record.get("set"), f"{path}.set")
-            tau = _resolve(record.get("tau"), ctx, f"{path}.tau")
-            rep = analysis_mod.check_injectable(
-                s, tau, sc.anchor, delta, samples=samples or 1000, seed=rseed)
-            entry = _report_dict(rep)
-            entry.update({"name": record.get("label", f"injectable_{i}"),
-                          "kind": kind, "tau": tau})
-            if record.get("expect") == "fail":
-                entry["expected_failure"] = True
-                entry["passed"] = rep.violations >= 1
-            checks.append(entry)
-
-        elif kind == "obtuse_cone":
-            s = _pick_set(sc, record.get("set"), f"{path}.set")
-            result = is_obtuse_cone(s, samples=samples or 256, seed=rseed)
-            expect = bool(record.get("expect", True))
-            entry = {"name": record.get("label", f"obtuse_{i}"), "kind": kind,
-                     "passed": bool(result["obtuse"]) == expect}
-            entry.update(_jsonable(result))
-            checks.append(entry)
-
-        elif kind == "certificate":
-            cert, extra = _build_certificate(record, ctx, path)
-            label = _store(ctx, record, f"cert_{i}", cert, path)
-            entry = _cert_dict(cert)
-            if extra:
-                entry["derived"] = _jsonable(extra)
-            certificates[label] = entry
-
-        elif kind == "rate_fit":
-            kwargs = {}
-            if "tail_fraction" in record:
-                kwargs["tail_fraction"] = float(record["tail_fraction"])
-            if "burn_in" in record:
-                kwargs["burn_in"] = int(record["burn_in"])
-            fit = runner_mod.fit_rlinear(traj.cycle_errors(), **kwargs)
-            label = _store(ctx, record, "fit", fit, path)
-            fits[label] = _fit_dict(fit)
-            if "expect_rho" in record or record.get("expect_non_convergent"):
-                entry = {"name": label, "kind": kind, "rho": fit.rho,
-                         "passed": True}
-                if "expect_rho" in record:
-                    want = float(record["expect_rho"])
-                    tol = float(record.get("expect_tol", 1e-3))
-                    entry.update({"expect_rho": want, "expect_tol": tol})
-                    entry["passed"] = abs(fit.rho - want) <= tol
-                if record.get("expect_non_convergent"):
-                    entry["expect_non_convergent"] = True
-                    entry["passed"] = bool(entry["passed"] and fit.non_convergent)
-                checks.append(entry)
-
-        elif kind == "k_step":
-            if "certificate" in record:
-                cert = _resolve_certificate(record["certificate"], ctx,
-                                            f"{path}.certificate")
-                k = cert.block_len
-                rho_bound = cert.rho_block
-            else:
-                k = int(record.get("k", 1))
-                rho_bound = _resolve(record.get("rho_bound"), ctx,
-                                     f"{path}.rho_bound")
-            rep = runner_mod.check_k_step_reduction(traj, k, rho_bound)
-            entry = _report_dict(rep)
-            entry.update({"name": record.get("label", f"k_step_{i}"),
-                          "kind": kind})
-            checks.append(entry)
-
-        elif kind == "compare":
-            cert = _resolve_certificate(record.get("certificate"), ctx,
-                                        f"{path}.certificate")
-            slack = float(record.get("slack", 0.02))
-            result = runner_mod.compare_certificate(
-                traj, cert, slack=slack, raise_on_violation=False)
-            result["name"] = record.get("label", f"compare_{i}")
-            comparisons.append(_jsonable(result))
-
-        elif kind == "envelope":
-            cert = _resolve_certificate(record.get("certificate"), ctx,
-                                        f"{path}.certificate")
-            rep = runner_mod.check_rlinear_envelope(traj, cert)
-            entry = _report_dict(rep)
-            entry.update({"name": record.get("label", f"envelope_{i}"),
-                          "kind": kind})
-            checks.append(entry)
-
-        elif kind == "cycle_detect":
-            tol = float(record.get("tol", 1e-12))
-            found = runner_mod.detect_cycle(traj, tol=tol)
-            entry = {"name": record.get("label", f"cycle_{i}"), "kind": kind}
-            if found is None:
-                entry.update({"passed": "expect_period" not in record,
-                              "period": None})
-            else:
-                entry.update({"period": found.period,
-                              "start_index": found.start_index,
-                              "states": _jsonable(found.states),
-                              "max_deviation": found.max_deviation,
-                              "passed": True})
-                if "expect_period" in record:
-                    entry["expect_period"] = record["expect_period"]
-                    entry["passed"] = found.period == int(record["expect_period"])
-                if entry["passed"] and "expect_states" in record:
-                    want = [np.asarray(s, dtype=float)
-                            for s in record["expect_states"]]
-                    got = list(found.states)
-                    matched = len(want) == len(got)
-                    if matched:
-                        used = [False] * len(got)
-                        for wst in want:
-                            hit = next(
-                                (j for j, g in enumerate(got)
-                                 if not used[j]
-                                 and np.linalg.norm(g - wst) <= tol), None)
-                            if hit is None:
-                                matched = False
-                                break
-                            used[hit] = True
-                    entry["passed"] = matched
-            checks.append(entry)
-
-        elif kind == "affine_reduction":
-            L = hull()
-            shadow_points, rep = affine_mod.shadow_run(traj, L)
-            entry = {
-                "name": record.get("label", f"affine_{i}"), "kind": kind,
-                "eta": rep.eta, "classification": rep.classification,
-                "recursion_residual": rep.recursion_residual,
-                "gap_law_residual": rep.gap_law_residual,
-                "limit_detected": rep.limit_detected,
-                "fix_residual": rep.fix_residual,
-                "shadow_limit": _jsonable(rep.shadow_limit),
-                "full_limit": _jsonable(rep.full_limit),
-                "extra": _jsonable(rep.extra),
-            }
-            passed = rep.gap_law_residual <= 1e-9
-            expect = record.get("expect")
-            if expect is not None:
-                entry["expect"] = expect
-                passed = passed and rep.classification == expect
-            if rep.classification == "FixedPointShadow":
-                passed = passed and rep.fix_residual <= 1e-8
-            else:
-                final_dc = float(traj.c_dist[-1])
-                entry["final_dC"] = final_dc
-                passed = passed and final_dc <= 1e-8
-            entry["passed"] = passed
-            checks.append(entry)
-
-        elif kind == "affine_identities":
-            s = _pick_set(sc, record.get("set"), f"{path}.set")
-            lam = _resolve(record.get("lambda", 1.0), ctx, f"{path}.lambda")
-            rep = affine_mod.verify_affine_identities(
-                s, hull(), lam, samples=samples or 200, seed=rseed)
-            entry = _report_dict(rep)
-            entry.update({"name": record.get("label", f"identities_{i}"),
-                          "kind": kind})
-            checks.append(entry)
-
-        else:  # pragma: no cover - scenario validation rejects unknown kinds
-            raise ConfigError(f"{path}.kind: unhandled analysis '{kind}'")
-
-    passed = (all(c.get("passed", True) for c in checks)
-              and all(c.get("ok", True) for c in comparisons))
+    passed = (all(c.get("passed", True) for c in run.checks)
+              and all(c.get("ok", True) for c in run.comparisons))
     report = {
         "scenario": {
             "name": sc.name,
@@ -570,11 +594,11 @@ def execute_scenario(sc: Scenario, out_dir=None, seed_override=None) -> dict:
             "final_dC": float(traj.c_dist[-1]),
             "tol": sc.tol,
         },
-        "constants": constants,
-        "certificates": certificates,
-        "fit": fits,
-        "comparisons": comparisons,
-        "checks": checks,
+        "constants": run.constants,
+        "certificates": run.certificates,
+        "fit": run.fits,
+        "comparisons": run.comparisons,
+        "checks": run.checks,
         "passed": passed,
         "timing": {
             "wall_time_s": time.perf_counter() - t0,
@@ -584,8 +608,8 @@ def execute_scenario(sc: Scenario, out_dir=None, seed_override=None) -> dict:
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         runner_mod.export_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"))
-        if shadow_points is not None:
-            affine_mod.export_shadow_csv(traj, shadow_points,
+        if run.shadow_points is not None:
+            affine_mod.export_shadow_csv(traj, run.shadow_points,
                                          os.path.join(out_dir, "shadow.csv"))
         with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
@@ -658,8 +682,10 @@ def run_scenario(config_path, out_root="out", force=False, seed=None,
     return 0 if report["passed"] else 1
 
 
-def verify_suite(workers=None, out_root=None, seed=None) -> dict:
-    """Execute every bundled scenario (concurrently) and collect reports."""
+def verify_suite(workers=1, out_root=None, seed=None) -> dict:
+    """Execute every bundled scenario on `workers` threads and collect the
+    reports.  Threads do not speed the suite up (small numpy calls hold the
+    GIL), so the default is one."""
     t0 = time.perf_counter()
     names = bundled_scenario_names()
 
@@ -678,18 +704,13 @@ def verify_suite(workers=None, out_root=None, seed=None) -> dict:
                 "timing": {"wall_time_s": 0.0},
             }
 
-    max_workers = workers or min(8, max(1, len(names)))
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         reports = list(pool.map(one, names))
-    suite = {r["scenario"]["name"]: r for r in reports}
-    passed = all(r["passed"] for r in reports)
+    failed = sum(1 for r in reports if not r["passed"])
     return {
-        "suite": {name: suite[name] for name in sorted(suite)},
-        "passed": passed,
-        "counts": {
-            "scenarios": len(names),
-            "failed": sum(1 for r in reports if not r["passed"]),
-        },
+        "suite": dict(zip(names, reports)),  # names come sorted
+        "passed": failed == 0,
+        "counts": {"scenarios": len(names), "failed": failed},
         "timing": {"wall_time_s": time.perf_counter() - t0},
     }
 
@@ -719,59 +740,31 @@ def _format_suite_text(summary) -> str:
     return "\n".join(lines)
 
 
-_CATALOG = {
-    "sets": [
-        ("halfspace", "{x : <a, x> <= b}, a != 0"),
-        ("hyperplane", "{x : <a, x> = b}, a != 0"),
-        ("affine", "anchor + span(orthonormal basis rows)"),
-        ("ball", "closed ball, radius >= 0"),
-        ("sphere", "distance sphere, radius > 0 (nonconvex)"),
-        ("box", "componentwise bounds lower <= upper"),
-        ("orthant", "sign-constrained orthant, signs in {-1, 0, 1}"),
-        ("cone", "finitely generated polyhedral cone (<= 12 generators)"),
-        ("enlargement", "inner set + ball of radius tau"),
-        ("union", "finite union, ties -> lowest member index (nonconvex)"),
-        ("finite_points", "finite point set, ties -> lexicographically smallest"),
-        ("translate", "inner set shifted by a vector"),
-    ],
-    "operators": [
-        ("relaxed", "relaxed projector (lambda in (0,2]); 1 = projector, 2 = reflector"),
-        ("semi-intrepid", "projection extrapolated into the set (alpha in [0,1], tau >= 0)"),
-        ("generalized-dr", "lambda, mu in (0,2], alpha in (0,1]; blended two-set step"),
-        ("cyclic tuple", "flat nonempty list applied in order (one cycle)"),
-    ],
-    "theorems": [
-        ("relaxed_projector_constants", "lambda in (0,2], eps in [0,1)"),
-        ("averaged_constants", "gamma >= 1, beta >= 0, lambda in (0, 1+beta]"),
-        ("semi_intrepid_constants", "alpha in [0,1], eps in [0,1)"),
-        ("dr_constants", "lambda, mu in (0,2], alpha in (0,1], eps1 in [0,1/3], eps2 in [0,1)"),
-        ("dr_coercivity", "alpha > 0, theta in (-1,1), kappa > 0"),
-        ("rate_dist_qff", "quasi-firm lists, nu in (0,1], kappa > 0"),
-        ("rate_dist_qf", "one non-firm member j, remaining firm"),
-        ("rate_refined", "firm lists, block length m-1"),
-        ("rate_cyclic_relaxed", "lambda_list in (0,2]^m, at most one reflector"),
-        ("rate_cyclic_overrelaxed", "lambda_list in [1,2)^m, m >= 2, block m-1"),
-        ("rate_cyclic_projections", "m >= 2 projectors, eps in [0,1)"),
-        ("rate_convex_cyclic", "eps = 0, global on the start ball"),
-        ("rate_cyclic_semi_intrepid", "alpha_list in [0,1]^m, at most one full step"),
-        ("rate_cyclic_dr", "per-block quasi-firm constants + coercivity nu"),
-    ],
-}
-
-
 def list_catalog(fmt="text") -> str:
-    """Supported set variants, operators, and rate theorems."""
+    """Set types, operator types, rate theorems and analysis kinds, named by
+    their config tags, with the keys their records take."""
+    catalog = {  # section -> (name, description, config keys) per table entry
+        "sets": [(tag, cls.about, [f.name for f in fields(cls)])
+                 for tag, cls in SET_TYPES.items()],
+        "operators": [(tag, spec.about, list(spec.keys))
+                      for tag, spec in OPERATOR_TYPES.items()],
+        "theorems": [(name, th.about, [a[0] for a in th.args])
+                     for name, th in THEOREMS.items()],
+        "analyses": [(kind, spec.about, list(spec.keys))
+                     for kind, spec in ANALYSES.items()],
+    }
     if fmt == "json":
         payload = {
-            section: [{"name": name, "params": desc} for name, desc in rows]
-            for section, rows in _CATALOG.items()
+            section: [{"name": name, "params": about, "keys": keys}
+                      for name, about, keys in rows]
+            for section, rows in catalog.items()
         }
         return json.dumps(payload, indent=2, sort_keys=True)
     lines = []
-    for section in ("sets", "operators", "theorems"):
+    for section, rows in catalog.items():
         lines.append(f"{section}:")
-        for name, desc in _CATALOG[section]:
-            lines.append(f"  {name} ({desc})")
+        for name, about, keys in rows:
+            lines.append(f"  {name} ({about}); keys: {', '.join(keys)}")
     return "\n".join(lines)
 
 
@@ -801,11 +794,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="overwrite existing output files")
     p_verify.add_argument("--seed", type=int, default=None,
                           help="override every scenario seed")
-    p_verify.add_argument("--workers", type=int, default=None,
-                          help="concurrent scenario cap")
+    p_verify.add_argument("--workers", type=int, default=1,
+                          help="scenarios run concurrently (default 1)")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
-    p_cat = sub.add_parser("catalog", help="list sets, operators, theorems")
+    p_cat = sub.add_parser("catalog", help="list set, operator, theorem and analysis tags")
     p_cat.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
@@ -832,11 +825,8 @@ def main(argv=None) -> int:
         else:
             print(_format_suite_text(summary))
         return 0 if summary["passed"] else 1
-    if args.command == "catalog":
-        print(list_catalog(args.format))
-        return 0
-    parser.error(f"unknown command {args.command!r}")  # pragma: no cover
-    return 2
+    print(list_catalog(args.format))  # args.command == "catalog"
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

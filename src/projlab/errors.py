@@ -1,4 +1,8 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the key checks that raise
+ConfigError for every config record."""
+
+import re
+from contextlib import contextmanager
 
 
 class ProjlabError(Exception):
@@ -51,3 +55,46 @@ class ShadowRecursionViolated(ProjlabError):
 
 class ConfigError(ProjlabError):
     """A scenario configuration failed to parse or validate."""
+
+
+# A message that starts with a key path, e.g. "members[1].radius: ...".
+_KEY_PATH = re.compile(r"\w+(\[\d+\])*(\.\w+(\[\d+\])*)*: ")
+
+
+@contextmanager
+def at_key(prefix):
+    """Report a ConfigError raised in the block from the enclosing record,
+    where the value read sits at key path `prefix`: a message that starts
+    with a key path extends it."""
+    try:
+        yield
+    except ConfigError as exc:
+        msg = str(exc)
+        raise ConfigError(f"{prefix}.{msg}" if _KEY_PATH.match(msg)
+                          else f"{prefix}: {msg}") from exc
+
+
+def check_keys(record, path, allowed, required=(), modifiers=()):
+    """Reject a key of `record` outside `allowed`, a missing `required` key,
+    and a modifier given without the key it modifies (`modifiers` holds
+    (modifier, key) pairs).  Messages start with the key's path below
+    `path`."""
+    at = f"{path}." if path else ""
+    for key in record:
+        if key not in allowed:
+            raise ConfigError(f"{at}{key}: unknown key")
+    for key in required:
+        if key not in record:
+            raise ConfigError(f"{at}{key}: missing required key")
+    for key, base in modifiers:
+        if key in record and base not in record:
+            raise ConfigError(f"{at}{key}: given without '{base}'")
+
+
+def table_entry(record, table, what, tag="type"):
+    """The entry of `table` that a tagged config record names."""
+    if not isinstance(record, dict) or tag not in record:
+        raise ConfigError(f"{what} record must be an object with a '{tag}' tag")
+    if record[tag] not in table:
+        raise ConfigError(f"{tag}: unknown {what} {tag} '{record[tag]}'")
+    return table[record[tag]]

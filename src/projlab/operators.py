@@ -7,11 +7,13 @@ application replays exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from . import rates
+from .errors import ConfigError, DomainError, check_keys, table_entry
 from .sets import ClosedSet, as_vector
 
 
@@ -148,57 +150,76 @@ def semi_intrepid_effective_relaxation(x, p, alpha, tau) -> float:
     return 1.0 + min(float(alpha), float(tau) / gap)
 
 
+@dataclass(frozen=True)
+class OperatorType:
+    """One operator family as configs name it.
+
+    `sets` are the config keys holding set indices and `params` the scalar
+    keys, both in constructor order, so they pair up with the dataclass
+    fields of `cls`.  `fejer(op, *eps)` gives the quasi-firm Fejér constants
+    of an operator from the error levels named by `fejer_keys`.
+    """
+
+    cls: type
+    sets: tuple
+    params: tuple
+    fejer_keys: tuple
+    fejer: Callable
+    about: str
+
+    @property
+    def keys(self):
+        return self.sets + self.params
+
+
+OPERATOR_TYPES = {
+    "relaxed": OperatorType(
+        RelaxedProjector, ("set",), ("lambda",), ("eps",),
+        lambda op, eps: rates.relaxed_projector_constants(op.lam, eps),
+        "relaxed projector (lambda in (0,2]); 1 = projector, 2 = reflector"),
+    "semi_intrepid": OperatorType(
+        SemiIntrepidProjector, ("set",), ("alpha", "tau"), ("eps",),
+        lambda op, eps: rates.semi_intrepid_constants(op.alpha, eps),
+        "projection extrapolated into the set (alpha in [0,1], tau >= 0)"),
+    "generalized_dr": OperatorType(
+        GeneralizedDR, ("set_a", "set_b"), ("lambda", "mu", "alpha"), ("eps1", "eps2"),
+        lambda op, eps1, eps2: rates.dr_constants(op.lam, op.mu, op.alpha, eps1, eps2),
+        "lambda, mu in (0,2], alpha in (0,1]; blended two-set step"),
+}
+_TAGS = {spec.cls: tag for tag, spec in OPERATOR_TYPES.items()}
+
+
+def operator_type(op) -> str:
+    """The config tag of an operator's family."""
+    if type(op) not in _TAGS:
+        raise ConfigError(f"no config form for operator {type(op).__name__}")
+    return _TAGS[type(op)]
+
+
 def operator_from_config(record: dict, sets) -> object:
     """Build an operator from a tagged record, resolving set indices."""
-    if not isinstance(record, dict) or "type" not in record:
-        raise ConfigError("operator record must be a dict with a 'type' tag")
-    kind = record["type"]
-
-    def pick(key):
+    spec = table_entry(record, OPERATOR_TYPES, "operator")
+    check_keys(record, "", ("type",) + spec.keys, required=spec.keys)
+    args = []
+    for key in spec.sets:
         idx = record[key]
         if not isinstance(idx, int) or not 0 <= idx < len(sets):
-            raise ConfigError(f"operator field '{key}' must index the scenario sets, got {idx!r}")
-        return sets[idx]
-
-    try:
-        if kind == "relaxed":
-            return RelaxedProjector(pick("set"), record["lambda"])
-        if kind == "semi_intrepid":
-            return SemiIntrepidProjector(pick("set"), record["alpha"], record["tau"])
-        if kind == "generalized_dr":
-            return GeneralizedDR(
-                pick("set_a"), pick("set_b"), record["lambda"], record["mu"], record["alpha"]
-            )
-    except KeyError as exc:
-        raise ConfigError(f"operator record '{kind}' is missing field {exc}") from exc
-    raise ConfigError(f"unknown operator type '{kind}'")
+            raise ConfigError(f"{key}: must index the scenario sets, got {idx!r}")
+        args.append(sets[idx])
+    return spec.cls(*args, *(record[key] for key in spec.params))
 
 
 def operator_to_config(op, sets) -> dict:
     """Serialize an operator back to its tagged record (set-index form)."""
+    tag = operator_type(op)
+    spec = OPERATOR_TYPES[tag]
     index = {id(s): i for i, s in enumerate(sets)}
-
-    def ref(s):
-        if id(s) not in index:
-            raise ConfigError("operator references a set outside the scenario list")
-        return index[id(s)]
-
-    if isinstance(op, RelaxedProjector):
-        return {"type": "relaxed", "set": ref(op.target), "lambda": op.lam}
-    if isinstance(op, SemiIntrepidProjector):
-        return {
-            "type": "semi_intrepid",
-            "set": ref(op.target),
-            "alpha": op.alpha,
-            "tau": op.tau,
-        }
-    if isinstance(op, GeneralizedDR):
-        return {
-            "type": "generalized_dr",
-            "set_a": ref(op.set_a),
-            "set_b": ref(op.set_b),
-            "lambda": op.lam,
-            "mu": op.mu,
-            "alpha": op.alpha,
-        }
-    raise ConfigError(f"cannot serialize operator {type(op).__name__}")
+    cfg = {"type": tag}
+    for key, f in zip(spec.keys, fields(op)):
+        value = getattr(op, f.name)
+        if key in spec.sets:
+            if id(value) not in index:
+                raise ConfigError("operator references a set outside the scenario list")
+            value = index[id(value)]
+        cfg[key] = value
+    return cfg

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, at_key, check_keys
 from .intersection import IntersectionHandle
 from .intersection import exact as exact_intersection
 from .intersection import oracle as oracle_intersection
@@ -23,24 +24,9 @@ from .sets import set_from_config
 
 MAX_DIMENSION = 16
 
-ANALYSIS_KINDS = frozenset({
-    "estimate_eps",
-    "estimate_kappa",
-    "estimate_theta_bar",
-    "strong_regularity",
-    "quasi_firm_fejer",
-    "quasi_coercive",
-    "injectable",
-    "obtuse_cone",
-    "certificate",
-    "rate_fit",
-    "k_step",
-    "compare",
-    "envelope",
-    "cycle_detect",
-    "affine_reduction",
-    "affine_identities",
-})
+# Top-level keys of a scenario; all but the last two are required.
+_KEYS = ("name", "dimension", "seed", "sets", "intersection", "anchor", "delta",
+         "operators", "x0", "max_cycles", "tol", "analyses", "expected")
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,12 +49,6 @@ class Scenario:
     intersection_config: object = "oracle"
 
 
-def _require(cfg, key, path):
-    if key not in cfg:
-        raise ConfigError(f"{path}: missing required key '{key}'")
-    return cfg[key]
-
-
 def _vector(value, dim, path):
     try:
         v = np.asarray(value, dtype=float)
@@ -83,75 +63,70 @@ def _vector(value, dim, path):
 
 def scenario_from_config(cfg: dict) -> Scenario:
     """Validate a raw config dict into a Scenario (ConfigError on any defect)."""
+    from .cli import check_analysis  # the analysis table; cli imports this module
+
     if not isinstance(cfg, dict):
         raise ConfigError("scenario: top level must be a JSON object")
-    name = _require(cfg, "name", "scenario")
+    check_keys(cfg, "", _KEYS, required=_KEYS[:-2])
+    name = cfg["name"]
     if not isinstance(name, str) or not name:
         raise ConfigError("name: must be a nonempty string")
-    dim = _require(cfg, "dimension", "scenario")
+    dim = cfg["dimension"]
     if not isinstance(dim, int) or not 1 <= dim <= MAX_DIMENSION:
         raise ConfigError(f"dimension: must be an integer in [1, {MAX_DIMENSION}]")
-    if "seed" not in cfg:
-        raise ConfigError("seed: mandatory (reproducibility contract)")
     seed = cfg["seed"]
     if not isinstance(seed, int) or seed < 0:
         raise ConfigError("seed: must be a nonnegative integer")
 
-    raw_sets = _require(cfg, "sets", "scenario")
+    raw_sets = cfg["sets"]
     if not isinstance(raw_sets, list) or not raw_sets:
         raise ConfigError("sets: must be a nonempty list")
     sets = []
     for i, record in enumerate(raw_sets):
-        try:
+        with at_key(f"sets[{i}]"):
             s = set_from_config(record)
-        except ConfigError as exc:
-            raise ConfigError(f"sets[{i}]: {exc}") from exc
         if s.dim != dim:
             raise ConfigError(f"sets[{i}]: dimension {s.dim} != scenario dimension {dim}")
         sets.append(s)
     sets = tuple(sets)
 
-    raw_inter = _require(cfg, "intersection", "scenario")
+    raw_inter = cfg["intersection"]
     if raw_inter == "oracle":
         intersection = oracle_intersection(sets)
         inter_config = "oracle"
     else:
-        try:
+        with at_key("intersection"):
             descriptor = set_from_config(raw_inter)
-        except ConfigError as exc:
-            raise ConfigError(f"intersection: {exc}") from exc
         if descriptor.dim != dim:
             raise ConfigError(f"intersection: dimension {descriptor.dim} != {dim}")
         intersection = exact_intersection(descriptor, sets)
         inter_config = descriptor.to_config()
 
-    anchor = _vector(_require(cfg, "anchor", "scenario"), dim, "anchor")
+    anchor = _vector(cfg["anchor"], dim, "anchor")
     for i, s in enumerate(sets):
         d = s.distance(anchor)
         if d > 1e-10:
             raise ConfigError(
                 f"anchor: w must belong to every set; distance to sets[{i}] is {d:.3e}")
 
-    delta = _require(cfg, "delta", "scenario")
+    delta = cfg["delta"]
     if not isinstance(delta, (int, float)) or not delta > 0:
         raise ConfigError("delta: must be a positive number")
 
-    raw_ops = _require(cfg, "operators", "scenario")
+    raw_ops = cfg["operators"]
     if not isinstance(raw_ops, list) or not raw_ops:
         raise ConfigError("operators: must be a nonempty list")
     ops = []
     for i, record in enumerate(raw_ops):
-        try:
+        with at_key(f"operators[{i}]"):
             ops.append(operator_from_config(record, sets))
-        except ConfigError as exc:
-            raise ConfigError(f"operators[{i}]: {exc}") from exc
     operators = CyclicTuple(tuple(ops))
 
-    x0 = _vector(_require(cfg, "x0", "scenario"), dim, "x0")
-    max_cycles = _require(cfg, "max_cycles", "scenario")
+    x0 = _vector(cfg["x0"], dim, "x0")
+    max_cycles = cfg["max_cycles"]
     if not isinstance(max_cycles, int) or max_cycles < 1:
         raise ConfigError("max_cycles: must be a positive integer")
-    tol = _require(cfg, "tol", "scenario")
+    tol = cfg["tol"]
     if not isinstance(tol, (int, float)) or not tol > 0:
         raise ConfigError("tol: must be a positive number")
 
@@ -159,14 +134,11 @@ def scenario_from_config(cfg: dict) -> Scenario:
     if not isinstance(analyses, list):
         raise ConfigError("analyses: must be a list")
     for i, record in enumerate(analyses):
-        if not isinstance(record, dict) or "kind" not in record:
-            raise ConfigError(f"analyses[{i}]: must be an object with a 'kind'")
-        if record["kind"] not in ANALYSIS_KINDS:
-            raise ConfigError(
-                f"analyses[{i}].kind: unknown analysis '{record['kind']}'")
+        check_analysis(record, f"analyses[{i}]")
     expected = cfg.get("expected", {})
     if not isinstance(expected, dict):
         raise ConfigError("expected: must be an object")
+    check_keys(expected, "expected", ("stop_reason",))
 
     return Scenario(name, dim, sets, intersection, anchor, float(delta),
                     operators, x0, max_cycles, float(tol), seed,
@@ -218,8 +190,6 @@ def save_scenario(sc: Scenario, path) -> None:
 
 def bundled_scenario_names() -> list:
     """Names of the scenarios shipped with the package, sorted."""
-    from importlib import resources
-
     names = []
     for entry in resources.files("projlab.scenarios").iterdir():
         if entry.name.endswith(".json"):
@@ -229,8 +199,6 @@ def bundled_scenario_names() -> list:
 
 def load_bundled(name: str) -> Scenario:
     """Load a bundled scenario by name."""
-    from importlib import resources
-
     ref = resources.files("projlab.scenarios") / f"{name}.json"
     if not ref.is_file():
         raise ConfigError(f"no bundled scenario named '{name}'")

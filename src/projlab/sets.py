@@ -12,15 +12,24 @@ center + radius * e1).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import nnls
 
-from .errors import DimensionMismatch, DomainError, UnsupportedSet
+from .errors import (
+    DimensionMismatch,
+    DomainError,
+    UnsupportedSet,
+    at_key,
+    check_keys,
+    table_entry,
+)
 
 MEMBERSHIP_TOL = 1e-10
 TIE_TOL = 1e-12
+# Relative singular-value cut-off that ranks affine-hull directions.
+RANK_TOL = 1e-9
 
 # Cone feasibility tolerance used by the face-enumeration projector.
 _CONE_FEAS_TOL = 1e-9
@@ -38,13 +47,17 @@ def as_vector(x, dim=None) -> np.ndarray:
     return v
 
 
-def _lex_min(points):
-    """Lexicographically smallest vector of a nonempty list."""
-    best = points[0]
-    for p in points[1:]:
-        if tuple(p) < tuple(best):
-            best = p
-    return best
+def svd_rank(M, tol, full_matrices=True):
+    """Right singular vectors of M (rows of V^T) and its numerical rank: the
+    count of singular values above tol * max(1, largest).  vt[:rank] spans the
+    row space; with full_matrices, vt[rank:] spans the null space."""
+    _, s, vt = np.linalg.svd(M, full_matrices=full_matrices)
+    return vt, int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
+
+
+def _full_space_points(anchor):
+    """anchor and anchor + e_i: points whose affine hull is all of R^d."""
+    return [anchor] + list(anchor + np.eye(anchor.size))
 
 
 def _dedupe(points, tol=TIE_TOL):
@@ -79,7 +92,12 @@ class NormalSample:
 
 
 class ClosedSet:
-    """Base class for catalog sets; subclasses fill in `project`."""
+    """Base class for catalog sets; subclasses fill in `project`.
+
+    A catalog variant is a frozen dataclass with a `tag` (its config `type`)
+    and `about` (its catalog line).  Its config keys are its field names, so
+    `to_config` and `set_from_config` need nothing per variant.
+    """
 
     dim: int
 
@@ -97,7 +115,16 @@ class ClosedSet:
         raise UnsupportedSet(f"{type(self).__name__} has no closed-form normal cone")
 
     def to_config(self) -> dict:
-        raise NotImplementedError
+        cfg = {"type": self.tag}
+        for f in fields(self):
+            cfg[f.name] = _encode(getattr(self, f.name))
+        return cfg
+
+    def hull_points(self, rng, probe_count):
+        """Points whose affine hull is aff(self).  This fallback projects
+        random probes; variants with a closed form override it."""
+        probes = rng.standard_normal((probe_count, self.dim)) * 4.0
+        return [self.project(z).canonical for z in probes]
 
     def _single(self, x, p) -> ProjectionResult:
         p = np.asarray(p, dtype=float)
@@ -109,8 +136,8 @@ class ClosedSet:
 
 
 @dataclass(frozen=True, eq=False)
-class Halfspace(ClosedSet):
-    """{x : <a, x> <= b} with a != 0."""
+class _LinearSet(ClosedSet):
+    """Fields and validation shared by halfspaces and hyperplanes."""
 
     a: np.ndarray
     b: float
@@ -118,10 +145,17 @@ class Halfspace(ClosedSet):
     def __post_init__(self):
         a = as_vector(self.a)
         if np.linalg.norm(a) == 0.0:
-            raise DomainError("halfspace normal must be nonzero")
+            raise DomainError(f"{self.tag} normal must be nonzero")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "dim", a.size)
+
+
+@dataclass(frozen=True, eq=False)
+class Halfspace(_LinearSet):
+    """{x : <a, x> <= b} with a != 0."""
+
+    tag, about = "halfspace", "{x : <a, x> <= b}, a != 0"
 
     def project(self, x):
         x = as_vector(x, self.dim)
@@ -138,24 +172,15 @@ class Halfspace(ClosedSet):
             return []  # interior: zero cone
         return [NormalSample(p, self.a / na)]
 
-    def to_config(self):
-        return {"type": "halfspace", "a": self.a.tolist(), "b": self.b}
+    def hull_points(self, rng, probe_count):
+        return _full_space_points(self.a * (self.b / float(np.dot(self.a, self.a))))
 
 
 @dataclass(frozen=True, eq=False)
-class Hyperplane(ClosedSet):
+class Hyperplane(_LinearSet):
     """{x : <a, x> = b} with a != 0."""
 
-    a: np.ndarray
-    b: float
-
-    def __post_init__(self):
-        a = as_vector(self.a)
-        if np.linalg.norm(a) == 0.0:
-            raise DomainError("hyperplane normal must be nonzero")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "dim", a.size)
+    tag, about = "hyperplane", "{x : <a, x> = b}, a != 0"
 
     def project(self, x):
         x = as_vector(x, self.dim)
@@ -168,16 +193,22 @@ class Hyperplane(ClosedSet):
         u = self.a / float(np.linalg.norm(self.a))
         return [NormalSample(p, u), NormalSample(p, -u)]
 
-    def to_config(self):
-        return {"type": "hyperplane", "a": self.a.tolist(), "b": self.b}
+    def hull_points(self, rng, probe_count):
+        a, aa = self.a, np.dot(self.a, self.a)
+        anchor = a * (self.b / float(aa))
+        pts = [anchor]
+        for v in np.eye(anchor.size):
+            proj = v - (np.dot(v, a) / aa) * a
+            if np.linalg.norm(proj) > RANK_TOL:
+                pts.append(anchor + proj)
+        return pts
 
 
 def _orthonormal_complement(basis, dim):
     """Orthonormal basis of the orthogonal complement of the row space."""
     if basis.shape[0] == 0:
         return np.eye(dim)
-    _, s, vt = np.linalg.svd(np.vstack([basis, np.zeros((0, dim))]), full_matrices=True)
-    rank = int(np.sum(s > 1e-12 * max(1.0, s[0] if s.size else 1.0)))
+    vt, rank = svd_rank(basis, 1e-12)
     return vt[rank:]
 
 
@@ -185,6 +216,7 @@ def _orthonormal_complement(basis, dim):
 class AffineSubspaceSet(ClosedSet):
     """anchor + span(basis rows); basis rows orthonormal, possibly empty."""
 
+    tag, about = "affine", "anchor + span(orthonormal basis rows)"
     anchor: np.ndarray
     basis: np.ndarray
 
@@ -221,12 +253,8 @@ class AffineSubspaceSet(ClosedSet):
             out.append(NormalSample(p, -row))
         return out[:max_count] if max_count is not None else out
 
-    def to_config(self):
-        return {
-            "type": "affine",
-            "anchor": self.anchor.tolist(),
-            "basis": self.basis.tolist(),
-        }
+    def hull_points(self, rng, probe_count):
+        return [self.anchor] + [self.anchor + b for b in self.basis]
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +263,7 @@ class AffineSubspaceSet(ClosedSet):
 
 @dataclass(frozen=True, eq=False)
 class Ball(ClosedSet):
+    tag, about = "ball", "closed ball, radius >= 0"
     center: np.ndarray
     radius: float
 
@@ -265,12 +294,15 @@ class Ball(ClosedSet):
             return []
         return [NormalSample(p, (p - self.center) / rr)]
 
-    def to_config(self):
-        return {"type": "ball", "center": self.center.tolist(), "radius": self.radius}
+    def hull_points(self, rng, probe_count):
+        if self.radius == 0.0:
+            return [self.center]
+        return _full_space_points(self.center)
 
 
 @dataclass(frozen=True, eq=False)
 class Sphere(ClosedSet):
+    tag, about = "sphere", "distance sphere, radius > 0 (nonconvex)"
     center: np.ndarray
     radius: float
 
@@ -300,12 +332,15 @@ class Sphere(ClosedSet):
         u = (p - self.center) / float(np.linalg.norm(p - self.center))
         return [NormalSample(p, u), NormalSample(p, -u)]
 
-    def to_config(self):
-        return {"type": "sphere", "center": self.center.tolist(), "radius": self.radius}
+    def hull_points(self, rng, probe_count):
+        if self.center.size == 1:
+            return [self.center - self.radius, self.center + self.radius]
+        return _full_space_points(self.center)
 
 
 @dataclass(frozen=True, eq=False)
 class Box(ClosedSet):
+    tag, about = "box", "componentwise bounds lower <= upper"
     lower: np.ndarray
     upper: np.ndarray
 
@@ -335,8 +370,15 @@ class Box(ClosedSet):
                 out.append(NormalSample(p, e))
         return out[:max_count] if max_count is not None else out
 
-    def to_config(self):
-        return {"type": "box", "lower": self.lower.tolist(), "upper": self.upper.tolist()}
+    def hull_points(self, rng, probe_count):
+        mid = (self.lower + self.upper) / 2.0
+        pts = [mid]
+        for i in range(mid.size):
+            if self.upper[i] - self.lower[i] > RANK_TOL:
+                e = np.zeros(mid.size)
+                e[i] = (self.upper[i] - self.lower[i]) / 2.0
+                pts.append(mid + e)
+        return pts
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +392,7 @@ class Orthant(ClosedSet):
     A sign of 0 leaves the coordinate unconstrained.
     """
 
+    tag, about = "orthant", "sign-constrained orthant, signs in {-1, 0, 1}"
     signs: tuple
 
     def __post_init__(self):
@@ -394,8 +437,15 @@ class Orthant(ClosedSet):
                 rows.append(e)
         return np.array(rows)
 
-    def to_config(self):
-        return {"type": "orthant", "signs": list(self.signs)}
+    def hull_points(self, rng, probe_count):
+        pts = [np.zeros(self.dim)]
+        for i, sign in enumerate(self.signs):
+            e = np.zeros(self.dim)
+            e[i] = float(sign) if sign != 0 else 1.0
+            pts.append(e)
+            if sign == 0:
+                pts.append(-e)
+        return pts
 
 
 def _inequality_cone_generators(M, tol=1e-9):
@@ -408,8 +458,7 @@ def _inequality_cone_generators(M, tol=1e-9):
     d = M.shape[1]
     # lineality space = null(M)
     if M.shape[0]:
-        _, s, vt = np.linalg.svd(M)
-        rank = int(np.sum(s > tol * max(1.0, s[0])))
+        vt, rank = svd_rank(M, tol)
         lin = vt[rank:]
     else:
         lin = np.eye(d)
@@ -417,7 +466,7 @@ def _inequality_cone_generators(M, tol=1e-9):
     if lin.shape[0] == d:
         return _dedupe(rays, 1e-9)
     # pointed part lives in the orthogonal complement of the lineality space
-    Q = _orthonormal_complement(lin, d) if lin.shape[0] else np.eye(d)
+    Q = _orthonormal_complement(lin, d)
     dprime = Q.shape[0]
     Mp = M @ Q.T
     found = []
@@ -427,8 +476,7 @@ def _inequality_cone_generators(M, tol=1e-9):
         if size == 0:
             null = np.eye(dprime)
         else:
-            _, s, vt = np.linalg.svd(np.vstack([A, np.zeros((0, dprime))]), full_matrices=True)
-            rank = int(np.sum(s > tol * max(1.0, s[0] if s.size else 1.0)))
+            vt, rank = svd_rank(A, tol)
             null = vt[rank:]
         if null.shape[0] != 1:
             continue
@@ -451,6 +499,7 @@ class PolyhedralCone(ClosedSet):
     membership oracle.
     """
 
+    tag, about = "cone", "finitely generated polyhedral cone (<= 12 generators)"
     generators: np.ndarray
 
     def __post_init__(self):
@@ -508,8 +557,8 @@ class PolyhedralCone(ClosedSet):
         """Generating unit rays of the polar cone {v : <v, g_i> <= 0}."""
         return _inequality_cone_generators(self.generators)
 
-    def to_config(self):
-        return {"type": "cone", "generators": self.generators.tolist()}
+    def hull_points(self, rng, probe_count):
+        return [np.zeros(self.dim)] + list(self.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +569,7 @@ class PolyhedralCone(ClosedSet):
 class Enlargement(ClosedSet):
     """inner + closed ball of radius tau: {x : dist(x, inner) <= tau}."""
 
+    tag, about = "enlargement", "inner set + ball of radius tau"
     inner: ClosedSet
     tau: float
 
@@ -556,14 +606,18 @@ class Enlargement(ClosedSet):
                 out.append(NormalSample(p, u / nu))
         return out[:max_count] if max_count is not None else out
 
-    def to_config(self):
-        return {"type": "enlargement", "inner": self.inner.to_config(), "tau": self.tau}
+    def hull_points(self, rng, probe_count):
+        inner_pts = self.inner.hull_points(rng, probe_count)
+        if self.tau == 0.0:
+            return inner_pts
+        return _full_space_points(inner_pts[0])
 
 
 @dataclass(frozen=True, eq=False)
 class UnionOfSets(ClosedSet):
     """Finite union; ties within TIE_TOL resolve to the lowest member index."""
 
+    tag, about = "union", "finite union, ties -> lowest member index (nonconvex)"
     members: tuple
 
     def __post_init__(self):
@@ -586,12 +640,13 @@ class UnionOfSets(ClosedSet):
         multi = len(minimizers) > 1 or any(r.multivalued for r in tied)
         return ProjectionResult(canon, tuple(minimizers), multi, dmin)
 
-    def to_config(self):
-        return {"type": "union", "members": [m.to_config() for m in self.members]}
+    def hull_points(self, rng, probe_count):
+        return [p for m in self.members for p in m.hull_points(rng, probe_count)]
 
 
 @dataclass(frozen=True, eq=False)
 class FinitePointSet(ClosedSet):
+    tag, about = "finite_points", "finite point set, ties -> lexicographically smallest"
     points: np.ndarray
 
     def __post_init__(self):
@@ -608,17 +663,18 @@ class FinitePointSet(ClosedSet):
         dists = np.linalg.norm(self.points - x, axis=1)
         dmin = float(dists.min())
         tied = _dedupe([self.points[i].copy() for i in np.flatnonzero(dists <= dmin + TIE_TOL)])
-        canon = _lex_min(tied)
+        canon = min(tied, key=tuple)  # lexicographically smallest
         return ProjectionResult(canon, tuple(tied), len(tied) > 1, dmin)
 
-    def to_config(self):
-        return {"type": "finite_points", "points": self.points.tolist()}
+    def hull_points(self, rng, probe_count):
+        return list(self.points)
 
 
 @dataclass(frozen=True, eq=False)
 class Translate(ClosedSet):
     """inner + shift."""
 
+    tag, about = "translate", "inner set shifted by a vector"
     inner: ClosedSet
     shift: np.ndarray
 
@@ -638,8 +694,8 @@ class Translate(ClosedSet):
         inner = self.inner.normal_generators(p - self.shift, max_count)
         return [NormalSample(p, n.direction) for n in inner]
 
-    def to_config(self):
-        return {"type": "translate", "inner": self.inner.to_config(), "shift": self.shift.tolist()}
+    def hull_points(self, rng, probe_count):
+        return [p + self.shift for p in self.inner.hull_points(rng, probe_count)]
 
 
 # ---------------------------------------------------------------------------
@@ -668,14 +724,12 @@ def proximal_normals(s: ClosedSet, p, max_count=8):
     return s.normal_generators(p, max_count)
 
 
-def _cone_parts(s):
-    """(cone descriptor, generator matrix) for obtuseness checks."""
+def _cone_of(s):
+    """The cone under any translates, for obtuseness checks."""
     if isinstance(s, Translate):
-        return _cone_parts(s.inner)
-    if isinstance(s, Orthant):
-        return s, s.cone_generators()
-    if isinstance(s, PolyhedralCone):
-        return s, s.generators
+        return _cone_of(s.inner)
+    if isinstance(s, (Orthant, PolyhedralCone)):
+        return s
     raise UnsupportedSet("obtuseness is defined for Orthant/PolyhedralCone variants")
 
 
@@ -687,7 +741,7 @@ def is_obtuse_cone(s: ClosedSet, samples=256, seed=0):
     the polar.  Returns a PropertyReport-like dict; violations count sampled
     polar directions v with -v outside K.
     """
-    cone, gens = _cone_parts(s)
+    cone = _cone_of(s)
     if isinstance(cone, Orthant):
         polar_rays = [-r for r in cone.cone_generators()]
     else:
@@ -728,41 +782,36 @@ def is_obtuse_cone(s: ClosedSet, samples=256, seed=0):
     }
 
 
-_VARIANTS = {}
+SET_TYPES = {cls.tag: cls for cls in (
+    Halfspace, Hyperplane, AffineSubspaceSet, Ball, Sphere, Box, Orthant,
+    PolyhedralCone, Enlargement, UnionOfSets, FinitePointSet, Translate)}
+
+
+def _encode(value):
+    if isinstance(value, ClosedSet):
+        return value.to_config()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _decode(value, path):
+    """A field value from its config form: a record is a nested set and a
+    nonempty list of records a tuple of sets; anything else is left to the
+    variant's own validation."""
+    if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+        return tuple(_decode(v, f"{path}[{i}]") for i, v in enumerate(value))
+    if not isinstance(value, dict):
+        return value
+    with at_key(path):
+        return set_from_config(value)
 
 
 def set_from_config(cfg: dict) -> ClosedSet:
     """Build a catalog set from its tagged-record form."""
-    from .errors import ConfigError
-
-    if not isinstance(cfg, dict) or "type" not in cfg:
-        raise ConfigError("set record must be a dict with a 'type' tag")
-    kind = cfg["type"]
-    try:
-        if kind == "halfspace":
-            return Halfspace(cfg["a"], cfg["b"])
-        if kind == "hyperplane":
-            return Hyperplane(cfg["a"], cfg["b"])
-        if kind == "affine":
-            return AffineSubspaceSet(cfg["anchor"], cfg["basis"])
-        if kind == "ball":
-            return Ball(cfg["center"], cfg["radius"])
-        if kind == "sphere":
-            return Sphere(cfg["center"], cfg["radius"])
-        if kind == "box":
-            return Box(cfg["lower"], cfg["upper"])
-        if kind == "orthant":
-            return Orthant(tuple(cfg["signs"]))
-        if kind == "cone":
-            return PolyhedralCone(cfg["generators"])
-        if kind == "enlargement":
-            return Enlargement(set_from_config(cfg["inner"]), cfg["tau"])
-        if kind == "union":
-            return UnionOfSets(tuple(set_from_config(m) for m in cfg["members"]))
-        if kind == "finite_points":
-            return FinitePointSet(cfg["points"])
-        if kind == "translate":
-            return Translate(set_from_config(cfg["inner"]), cfg["shift"])
-    except KeyError as exc:
-        raise ConfigError(f"set record '{kind}' is missing field {exc}") from exc
-    raise ConfigError(f"unknown set type '{kind}'")
+    cls = table_entry(cfg, SET_TYPES, "set")
+    keys = [f.name for f in fields(cls)]
+    check_keys(cfg, "", ["type"] + keys, required=keys)
+    return cls(**{key: _decode(cfg[key], key) for key in keys})

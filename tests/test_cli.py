@@ -231,16 +231,16 @@ class TestCatalogCommand:
         rc = P.main(["catalog"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "generalized-dr (lambda, mu in (0,2], alpha in (0,1]" in out
-        for word in ("halfspace", "sphere", "enlargement", "semi-intrepid"):
+        assert "generalized_dr (lambda, mu in (0,2], alpha in (0,1]" in out
+        for word in ("halfspace", "sphere", "enlargement", "semi_intrepid"):
             assert word in out
 
     def test_json_structure(self, capsys):
         rc = P.main(["catalog", "--format", "json"])
         data = json.loads(capsys.readouterr().out)
         assert rc == 0
-        assert set(data) == {"sets", "operators", "theorems"}
-        assert "generalized-dr" in [entry["name"] for entry in data["operators"]]
+        assert set(data) == {"sets", "operators", "theorems", "analyses"}
+        assert "generalized_dr" in [entry["name"] for entry in data["operators"]]
 
 
 class TestUsageErrors:

@@ -1,0 +1,254 @@
+"""Config schema: every record rejects unknown keys with their key path,
+modifiers need the key they modify, and the catalog names exactly the tags
+that configs accept."""
+
+import copy
+import json
+import os
+import subprocess
+import sys
+from importlib import resources
+
+import numpy as np
+import pytest
+
+import projlab as P
+from projlab import ConfigError
+from projlab.cli import ANALYSES, THEOREMS, check_analysis
+from projlab.operators import OPERATOR_TYPES
+from projlab.sets import SET_TYPES
+
+from test_scenario import BUNDLED, minimal_config
+
+
+def _bundled_config(name):
+    ref = resources.files("projlab.scenarios") / f"{name}.json"
+    return json.loads(ref.read_text(encoding="utf-8"))
+
+
+def _set_records(path, record):
+    yield path, record
+    for key, value in record.items():
+        if isinstance(value, dict):
+            yield from _set_records(f"{path}.{key}", value)
+        elif isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+            for i, member in enumerate(value):
+                yield from _set_records(f"{path}.{key}[{i}]", member)
+
+
+def _records(cfg):
+    """(key path, record) of every object a scenario config holds."""
+    yield "", cfg
+    if "expected" in cfg:
+        yield "expected", cfg["expected"]
+    for i, record in enumerate(cfg["sets"]):
+        yield from _set_records(f"sets[{i}]", record)
+    if isinstance(cfg["intersection"], dict):
+        yield from _set_records("intersection", cfg["intersection"])
+    for i, record in enumerate(cfg["operators"]):
+        yield f"operators[{i}]", record
+    for i, record in enumerate(cfg.get("analyses", [])):
+        yield f"analyses[{i}]", record
+        if "args" in record:
+            yield f"analyses[{i}].args", record["args"]
+
+
+def _error(cfg):
+    with pytest.raises(ConfigError) as exc:
+        P.scenario_from_config(cfg)
+    return str(exc.value)
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_every_record_level_names_the_key_path(self, name):
+        cfg = _bundled_config(name)
+        P.scenario_from_config(cfg)
+        n_records = len(list(_records(cfg)))
+        assert n_records >= 4
+        for j in range(n_records):
+            broken = copy.deepcopy(cfg)
+            path, record = list(_records(broken))[j]
+            record["bogus_key"] = 1
+            key_path = f"{path}.bogus_key" if path else "bogus_key"
+            assert _error(broken) == f"{key_path}: unknown key"
+
+    def test_misspelled_expectation_no_longer_drops_the_check(self):
+        cfg = _bundled_config("two_lines_angle_60")
+        fit = cfg["analyses"][6]
+        assert fit["kind"] == "rate_fit"
+        fit["expect_rh"] = fit.pop("expect_rho")
+        assert _error(cfg) == "analyses[6].expect_rh: unknown key"
+
+    def test_bogus_set_key_and_misspelled_samples(self):
+        cfg = _bundled_config("two_lines_angle_60")
+        cfg["sets"][1]["bogus"] = True
+        assert _error(cfg) == "sets[1].bogus: unknown key"
+        cfg = _bundled_config("two_lines_angle_60")
+        cfg["analyses"][0]["sampels"] = cfg["analyses"][0].pop("samples")
+        assert _error(cfg) == "analyses[0].sampels: unknown key"
+
+    def test_fejer_rule_key_is_gone(self):
+        cfg = minimal_config(analyses=[
+            {"kind": "quasi_firm_fejer", "operator": 0, "rule": "relaxed"}])
+        assert _error(cfg) == "analyses[0].rule: unknown key"
+
+    def test_nested_set_paths(self):
+        cfg = minimal_config()
+        cfg["sets"][0] = {"type": "union", "members": [
+            {"type": "hyperplane", "a": [0.0, 1.0], "b": 0.0},
+            {"type": "enlargement", "tau": 0.5,
+             "inner": {"type": "ball", "center": [0.0, 0.0], "radius": 1.0, "r": 2}}]}
+        assert _error(cfg) == "sets[0].members[1].inner.r: unknown key"
+
+
+class TestModifiersAndRequiredKeys:
+    @pytest.mark.parametrize("record, message", [
+        ({"kind": "rate_fit", "expect_tol": 0.01},
+         "analyses[0].expect_tol: given without 'expect_rho'"),
+        ({"kind": "quasi_coercive", "operator": 0, "equality_tol": 1e-9},
+         "analyses[0].equality_tol: given without 'expect_equality'"),
+        ({"kind": "k_step", "k": 2},
+         "analyses[0].k: given without 'rho_bound'"),
+        ({"kind": "injectable", "set": 0},
+         "analyses[0].tau: missing required key"),
+        ({"kind": "certificate", "theorem": "rate_dist_qf"},
+         "analyses[0].theorem: unknown certificate theorem 'rate_dist_qf'"),
+        ({"kind": "certificate", "theorem": "rate_convex_cyclic",
+          "args": {"lambdas": [1.0, 1.0], "kappa": 2.0, "eps": 0.0}},
+         "analyses[0].args.eps: unknown key"),
+        ({"kind": "certificate", "theorem": "rate_convex_cyclic", "args": {"lambdas": [1.0]}},
+         "analyses[0].args.kappa: missing required key"),
+    ])
+    def test_rejected_at_parse_time(self, record, message):
+        assert _error(minimal_config(analyses=[record])) == message
+
+    def test_operator_record_keys(self):
+        cfg = minimal_config()
+        cfg["operators"][1]["lam"] = cfg["operators"][1].pop("lambda")
+        assert _error(cfg) == "operators[1].lam: unknown key"
+
+    def test_expected_keys(self):
+        assert _error(minimal_config(expected={"stop": "Converged"})) == \
+            "expected.stop: unknown key"
+
+    def test_arithmetic_keys_checked_when_resolved(self):
+        sc = P.scenario_from_config(minimal_config(analyses=[
+            {"kind": "k_step", "rho_bound": {"value": 0.5, "tims": 2}}]))
+        with pytest.raises(ConfigError, match=r"analyses\[0\]\.rho_bound\.tims: unknown key"):
+            P.execute_scenario(sc)
+
+    def test_fejer_constants_follow_the_operator_type(self):
+        sc = P.scenario_from_config(minimal_config(analyses=[
+            {"kind": "quasi_firm_fejer", "operator": 0, "eps1": 0.1}]))
+        with pytest.raises(ConfigError, match=r"analyses\[0\]\.eps1: not a constant of a relaxed"):
+            P.execute_scenario(sc)
+
+
+# One buildable record per catalog name.
+SET_SAMPLES = {
+    "halfspace": {"a": [1.0, 0.0], "b": 1.0},
+    "hyperplane": {"a": [0.0, 1.0], "b": 0.0},
+    "affine": {"anchor": [0.0, 0.0], "basis": [[1.0, 0.0]]},
+    "ball": {"center": [0.0, 0.0], "radius": 1.0},
+    "sphere": {"center": [0.0, 0.0], "radius": 1.0},
+    "box": {"lower": [0.0, 0.0], "upper": [1.0, 2.0]},
+    "orthant": {"signs": [1, 0]},
+    "cone": {"generators": [[1.0, 0.0], [1.0, 1.0]]},
+    "enlargement": {"inner": {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}, "tau": 0.5},
+    "union": {"members": [{"type": "ball", "center": [0.0, 0.0], "radius": 1.0},
+                          {"type": "finite_points", "points": [[3.0, 0.0]]}]},
+    "finite_points": {"points": [[0.0, 0.0], [1.0, 1.0]]},
+    "translate": {"inner": {"type": "orthant", "signs": [1, 1]}, "shift": [1.0, 2.0]},
+}
+OPERATOR_SAMPLES = {
+    "relaxed": {"set": 0, "lambda": 1.5},
+    "semi_intrepid": {"set": 1, "alpha": 0.5, "tau": 0.3},
+    "generalized_dr": {"set_a": 0, "set_b": 1, "lambda": 2.0, "mu": 1.0, "alpha": 0.5},
+}
+THEOREM_SAMPLES = {
+    "rate_cyclic_projections": {"m": 2, "eps": 0.0, "kappa": 2.0},
+    "rate_convex_cyclic": {"lambdas": [1.0, 1.0], "kappa": 2.0},
+    "rate_cyclic_relaxed": {"lambdas": [1.0, 1.0], "eps": 0.0, "kappa": 2.0},
+    "rate_cyclic_overrelaxed": {"lambdas": [1.5, 1.5], "eps": 0.0, "kappa": 2.0},
+    "rate_cyclic_semi_intrepid": {"alphas": [0.5, 0.5], "eps": 0.0, "kappa": 2.0},
+    "rate_refined": {"gammas": [1.0, 1.0], "betas": [1.0, 1.0], "kappa": 2.0},
+    "rate_dist_qff": {"gammas": [1.0, 1.0], "betas": [1.0, 1.0], "nu": 0.5, "kappa": 2.0},
+    "rate_cyclic_dr": {"gammas": [1.0], "betas": [1.0], "nu": 0.5, "kappa": 2.0},
+    "rate_dr_pair": {"lambda": 1.0, "mu": 1.0, "alpha": 0.5, "theta": 0.5, "kappa": 2.0},
+}
+
+
+class TestCatalog:
+    @pytest.fixture(scope="class")
+    def catalog(self):
+        return json.loads(P.list_catalog("json"))
+
+    def test_names_are_the_table_tags(self, catalog):
+        assert [e["name"] for e in catalog["sets"]] == list(SET_TYPES) == list(SET_SAMPLES)
+        assert [e["name"] for e in catalog["operators"]] == list(OPERATOR_TYPES) \
+            == list(OPERATOR_SAMPLES)
+        assert [e["name"] for e in catalog["theorems"]] == list(THEOREMS) == list(THEOREM_SAMPLES)
+        assert [e["name"] for e in catalog["analyses"]] == list(ANALYSES)
+
+    def test_every_set_builds(self, catalog):
+        for entry in catalog["sets"]:
+            record = {"type": entry["name"], **SET_SAMPLES[entry["name"]]}
+            assert sorted(entry["keys"]) == sorted(SET_SAMPLES[entry["name"]])
+            cfg = P.set_from_config(record).to_config()
+            assert json.loads(json.dumps(cfg)) == cfg
+            assert P.set_from_config(cfg).to_config() == cfg
+
+    def test_every_operator_builds(self, catalog):
+        sets = [P.Hyperplane(np.array([0.0, 1.0]), 0.0), P.Ball(np.zeros(2), 1.0)]
+        for entry in catalog["operators"]:
+            record = {"type": entry["name"], **OPERATOR_SAMPLES[entry["name"]]}
+            assert entry["keys"] == list(OPERATOR_SAMPLES[entry["name"]])
+            op = P.operator_from_config(record, sets)
+            assert P.operator_to_config(op, sets) == record
+
+    def test_every_theorem_builds(self, catalog):
+        analyses = [{"kind": "certificate", "label": e["name"], "theorem": e["name"],
+                     "args": THEOREM_SAMPLES[e["name"]]} for e in catalog["theorems"]]
+        report = P.execute_scenario(P.scenario_from_config(minimal_config(analyses=analyses)))
+        assert sorted(report["certificates"]) == sorted(THEOREMS)
+        for label, cert in report["certificates"].items():
+            assert cert["applicable"] and 0.0 < cert["rho_block"] < 1.0, label
+            assert ("derived" in cert) == (label == "rate_dr_pair")
+
+    def test_every_analysis_kind_validates(self, catalog):
+        for entry in catalog["analyses"]:
+            spec = ANALYSES[entry["name"]]
+            record = {"kind": entry["name"], **{key: 0 for key in spec.required}}
+            if entry["name"] == "certificate":
+                record.update(theorem="rate_convex_cyclic", args={"lambdas": [1.0], "kappa": 1.0})
+            check_analysis(record, "analysis")
+
+
+def test_verify_is_serial_by_default():
+    assert P.cli.build_parser().parse_args(["verify"]).workers == 1
+
+
+def test_probe_fallback_spans_a_custom_set():
+    class Segment(P.ClosedSet):
+        """[0, 1] x {0} in the plane; no closed-form hull."""
+
+        dim = 2
+
+        def project(self, x):
+            return self._single(x, np.array([min(max(x[0], 0.0), 1.0), 0.0]))
+
+    L = P.affine_hull([Segment()], seed=1)
+    assert L.subspace_dim == 1
+    assert np.allclose(np.abs(L.basis), [[1.0, 0.0]])
+
+
+def test_module_entry_point_runs_cleanly():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(P.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "projlab", "catalog"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert "generalized_dr" in done.stdout
