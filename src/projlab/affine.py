@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import PropertyReport
+from .analysis import PropertyReport, margin_report
 from .errors import ContainmentViolated, DomainError, ShadowRecursionViolated
 from .operators import RelaxedProjector
 from .runner import Trajectory
-from .sets import RANK_TOL, AffineSubspaceSet, ClosedSet, svd_rank
+from .sets import RANK_TOL, AffineSubspaceSet, ClosedSet, row_norms, svd_rank
 
 
 def affine_hull(sets, probe_count=64, seed=0) -> AffineSubspaceSet:
@@ -58,30 +58,19 @@ def verify_affine_identities(s: ClosedSet, L: AffineSubspaceSet, lam,
     dim = L.anchor.size
     op = RelaxedProjector(s, lam)
     probes = rng.standard_normal((max(16, samples // 8), dim)) * 3.0
-    for z in probes:
-        p = s.project(z).canonical
-        if L.distance(p) > 1e-8:
-            raise ContainmentViolated(
-                f"set sample at distance {L.distance(p):.3e} from the subspace")
+    gaps = L.distance_many(s.project_many(probes))
+    if np.any(gaps > 1e-8):
+        raise ContainmentViolated(
+            f"set sample at distance {gaps[np.argmax(gaps > 1e-8)]:.3e} from the subspace")
     xs = rng.standard_normal((samples, dim)) * 3.0
-    violations = 0
-    worst = np.inf
-    witness = None
-    for x in xs:
-        px = op.apply(x)
-        plx = L.project(x).canonical
-        plpx = L.project(px).canonical
-        dev1 = float(np.linalg.norm((px - plpx) - (1.0 - lam) * (x - plx)))
-        dev2 = float(np.linalg.norm(plpx - op.apply(plx)))
-        margin = -max(dev1, dev2)
-        if margin < worst:
-            worst = margin
-            witness = (x, dev1, dev2)
-        if margin < -check_tol:
-            violations += 1
-    return PropertyReport("affine_identities", samples, violations,
-                          float(worst), witness, seed, check_tol,
-                          {"lambda": float(lam)})
+    pxs = op.apply_many(xs)
+    plxs = L.project_many(xs)
+    plpxs = L.project_many(pxs)
+    dev1 = row_norms((pxs - plpxs) - (1.0 - lam) * (xs - plxs))
+    dev2 = row_norms(plpxs - op.apply_many(plxs))
+    return margin_report("affine_identities", -np.maximum(dev1, dev2),
+                         lambda i: (xs[i].copy(), float(dev1[i]), float(dev2[i])), seed,
+                         check_tol, {"lambda": float(lam)})
 
 
 def eta(lam, mu, alpha) -> float:
@@ -131,14 +120,10 @@ def shadow_run(traj: Trajectory, L: AffineSubspaceSet, check_tol=1e-10):
     op = traj.operators.members[0]
     eta_value = eta(op.lam, op.mu, op.alpha)
     x = traj.cycle_iterates()
-    y = np.array([L.project(p).canonical for p in x])
+    y = L.project_many(x)
     gaps = x - y
     g0 = gaps[0]
-    recursion_residual = 0.0
-    for n in range(y.shape[0] - 1):
-        pred = op.apply(y[n])
-        recursion_residual = max(recursion_residual,
-                                 float(np.linalg.norm(pred - y[n + 1])))
+    recursion_residual = float(np.max(row_norms(op.apply_many(y[:-1]) - y[1:]), initial=0.0))
     if recursion_residual > check_tol:
         raise ShadowRecursionViolated(
             f"shadow recursion residual {recursion_residual:.3e} "

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, SamplingFailure, UnsupportedSet
 from .intersection import IntersectionHandle
-from .sets import ClosedSet, as_vector, proximal_normals
+from .sets import ClosedSet, as_vector, proximal_normals, row_norms
 
 CHECK_TOL = 1e-9
 STRONG_TOL = 1e-6
@@ -41,6 +41,25 @@ class PropertyReport:
     @property
     def passed(self) -> bool:
         return self.violations == 0
+
+
+def margin_report(name, margins, witness, seed, check_tol, extra, samples=None,
+                  empty_margin=np.inf) -> PropertyReport:
+    """The PropertyReport of a sampled inequality from its margins.
+
+    A margin below -check_tol is a violation.  The worst margin is the
+    smallest (empty_margin when there are none) and the witness is
+    witness(i) for the first i attaining it.  samples defaults to the
+    number of margins.
+    """
+    margins = np.asarray(margins, dtype=float)
+    worst, found = empty_margin, None
+    if margins.size:
+        i = int(np.argmin(margins))
+        worst, found = margins[i], witness(i)
+    return PropertyReport(name, margins.size if samples is None else samples,
+                          int(np.count_nonzero(margins < -check_tol)), float(worst),
+                          found, seed, check_tol, extra)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,32 +87,27 @@ def uniform_ball(rng, center, radius, n) -> np.ndarray:
     return center + (g / norms[:, None]) * radii[:, None]
 
 
-def _nearest_member(target, z):
-    """Nearest point of a catalog set or an intersection handle."""
-    if hasattr(target, "project"):
-        return target.project(z).canonical
-    return target.nearest(z)
-
-
 def _member_pool(refset, w, delta, rng, want, max_attempts=100_000):
-    """Members of refset within B(w, delta) via projection of ball samples."""
-    out = []
+    """The first `want` members of refset (a catalog set or an intersection
+    handle) within B(w, delta), in draw order, found by projecting ball
+    samples."""
+    nearest = refset.project_many if isinstance(refset, ClosedSet) else refset.nearest_many
+    found = []
+    count = 0
     attempts = 0
     chunk = max(64, want)
-    while len(out) < want and attempts < max_attempts:
+    while count < want and attempts < max_attempts:
         zs = uniform_ball(rng, w, delta, chunk)
         attempts += chunk
-        for z in zs:
-            xbar = _nearest_member(refset, z)
-            if np.linalg.norm(xbar - w) <= delta + 1e-12:
-                out.append(xbar)
-                if len(out) >= want:
-                    break
-    if len(out) < 10:
+        xbars = nearest(zs)
+        near = xbars[row_norms(xbars - w) <= delta + 1e-12][:want - count]
+        found.append(near)
+        count += near.shape[0]
+    if count < 10:
         raise SamplingFailure(
-            f"only {len(out)} reference points found in {attempts} attempts"
+            f"only {count} reference points found in {attempts} attempts"
         )
-    return out
+    return np.concatenate(found)
 
 
 # ---------------------------------------------------------------------------
@@ -110,28 +124,16 @@ def check_quasi_firm_fejer(op, refset, gamma, beta, w, delta, samples=1000,
         raise DomainError("need gamma > 0 and beta >= 0")
     w = as_vector(w)
     rng = np.random.default_rng(seed)
-    xbars = _member_pool(refset, w, delta, rng, min(samples, 256))
+    pool = _member_pool(refset, w, delta, rng, min(samples, 256))
     xs = uniform_ball(rng, w, delta / 2.0, samples)
-    violations = 0
-    worst = np.inf
-    witness = None
-    for k in range(samples):
-        x = xs[k]
-        xbar = xbars[k % len(xbars)]
-        xp = op.apply(x)
-        margin = (
-            gamma * float(np.dot(x - xbar, x - xbar))
-            - float(np.dot(xp - xbar, xp - xbar))
-            - beta * float(np.dot(x - xp, x - xp))
-        )
-        if margin < worst:
-            worst = margin
-            witness = (x, xbar, xp)
-        if margin < -check_tol:
-            violations += 1
-    return PropertyReport("quasi_firm_fejer", samples, violations, float(worst),
-                          witness, seed, check_tol,
-                          {"gamma": gamma, "beta": beta})
+    xbars = pool[np.arange(samples) % pool.shape[0]]
+    xps = op.apply_many(xs)
+    to_ref, step_to_ref, step = xs - xbars, xps - xbars, xs - xps
+    margins = (gamma * np.vecdot(to_ref, to_ref) - np.vecdot(step_to_ref, step_to_ref)
+               - beta * np.vecdot(step, step))
+    return margin_report("quasi_firm_fejer", margins,
+                         lambda i: (xs[i].copy(), xbars[i].copy(), xps[i].copy()), seed, check_tol,
+                         {"gamma": gamma, "beta": beta})
 
 
 def check_quasi_coercive(op, cset, nu, w, delta, samples=1000, seed=0,
@@ -143,22 +145,11 @@ def check_quasi_coercive(op, cset, nu, w, delta, samples=1000, seed=0,
     w = as_vector(w)
     rng = np.random.default_rng(seed)
     xs = uniform_ball(rng, w, delta / 2.0, samples)
-    violations = 0
-    worst = np.inf
-    max_abs = 0.0
-    witness = None
-    for x in xs:
-        xp = op.apply(x)
-        margin = float(np.linalg.norm(x - xp)) - nu * cset.distance(x)
-        max_abs = max(max_abs, abs(margin))
-        if margin < worst:
-            worst = margin
-            witness = (x, xp)
-        if margin < -check_tol:
-            violations += 1
-    return PropertyReport("quasi_coercive", samples, violations, float(worst),
-                          witness, seed, check_tol,
-                          {"nu": nu, "max_abs_gap": max_abs})
+    xps = op.apply_many(xs)
+    margins = row_norms(xs - xps) - nu * cset.distance_many(xs)
+    return margin_report("quasi_coercive", margins, lambda i: (xs[i].copy(), xps[i].copy()),
+                         seed, check_tol,
+                         {"nu": nu, "max_abs_gap": float(np.max(np.abs(margins), initial=0.0))})
 
 
 def check_injectable(s: ClosedSet, tau, w, delta, samples=1000, seed=0,
@@ -167,7 +158,7 @@ def check_injectable(s: ClosedSet, tau, w, delta, samples=1000, seed=0,
 
     For x sampled in the ball and p its projection, the inward segment
     [p, p + tau (p - x)/||p - x||] must stay in the set; each segment is
-    probed at `segment_points` evenly spaced points.
+    probed at `segment_points` evenly spaced points, all in one batch.
     """
     tau = float(tau)
     if tau < 0.0:
@@ -175,27 +166,18 @@ def check_injectable(s: ClosedSet, tau, w, delta, samples=1000, seed=0,
     w = as_vector(w)
     rng = np.random.default_rng(seed)
     xs = uniform_ball(rng, w, delta, samples)
-    steps = np.linspace(0.0, 1.0, segment_points)
-    violations = 0
-    worst = np.inf
-    witness = None
-    for x in xs:
-        p = s.project(x).canonical
-        d = p - x
-        n = float(np.linalg.norm(d))
-        if n <= _DIRECTION_FLOOR:
-            margin = 0.0
-        else:
-            u = d / n
-            dists = [s.distance(p + t * tau * u) for t in steps]
-            margin = -max(dists)
-        if margin < worst:
-            worst = margin
-            witness = (x, p)
-        if margin < -check_tol:
-            violations += 1
-    return PropertyReport("injectable", samples, violations, float(worst),
-                          witness, seed, check_tol, {"tau": tau})
+    ps = s.project_many(xs)
+    gaps = ps - xs
+    n = row_norms(gaps)
+    moved = n > _DIRECTION_FLOOR
+    units = gaps[moved] / n[moved, None]
+    depths = np.linspace(0.0, 1.0, segment_points) * tau
+    probes = ps[moved, None, :] + depths[:, None] * units[:, None, :]
+    dists = s.distance_many(probes.reshape(-1, s.dim)).reshape(-1, segment_points)
+    margins = np.zeros(samples)
+    margins[moved] = -dists.max(axis=1)
+    return margin_report("injectable", margins, lambda i: (xs[i].copy(), ps[i].copy()), seed,
+                         check_tol, {"tau": tau})
 
 
 # ---------------------------------------------------------------------------
@@ -217,25 +199,19 @@ def estimate_eps_regularity(s: ClosedSet, w, delta, samples=600, seed=0,
     rng = np.random.default_rng(seed)
     zs = uniform_ball(rng, w, delta / 2.0, samples) if points is None \
         else np.asarray(points, dtype=float)
-    members = [w]
+    xs = s.project_many(zs)
+    near = row_norms(xs - w) <= delta + 1e-9
+    xs, preimages = xs[near], (zs - xs)[near]
     normal_sites = []
-    for z in zs:
-        x = s.project(z).canonical
-        if np.linalg.norm(x - w) > delta + 1e-9:
-            continue
-        members.append(x)
-        us = []
-        u = z - x
-        nu = float(np.linalg.norm(u))
-        if nu > _DIRECTION_FLOOR:
-            us.append(u / nu)
+    for x, u, nu in zip(xs, preimages, row_norms(preimages)):
+        us = [u / nu] if nu > _DIRECTION_FLOOR else []
         try:
             us.extend(n.direction for n in s.normal_generators(x, max_count=8))
         except UnsupportedSet:
             pass
         if us:
             normal_sites.append((x, us))
-    M = np.array(members)
+    M = np.vstack([w, xs])
     eps_hat = 0.0
     pair_count = 0
     for x, us in normal_sites:
@@ -263,14 +239,10 @@ def estimate_linear_regularity(system, intersection: IntersectionHandle, w,
     rng = np.random.default_rng(seed)
     xs = uniform_ball(rng, w, delta / 2.0, samples) if points is None \
         else np.asarray(points, dtype=float)
-    kappa_hat = 1.0
-    used = 0
-    for x in xs:
-        dmax = max(s.distance(x) for s in system)
-        if dmax < _DIRECTION_FLOOR:
-            continue
-        used += 1
-        kappa_hat = max(kappa_hat, intersection.distance(x) / dmax)
+    dmax = np.max([s.distance_many(xs) for s in system], axis=0)
+    live = dmax >= _DIRECTION_FLOOR
+    kappa_hat = np.max(intersection.distance_many(xs[live]) / dmax[live], initial=1.0)
+    used = int(np.count_nonzero(live))
     return RegularityEstimate("linear_regularity", float(kappa_hat), w,
                               float(delta), len(xs), seed, "lower",
                               {"used": used, "vacuous": used == 0,
@@ -295,8 +267,7 @@ def _normal_pool(s, w, delta, rng, budget):
     except UnsupportedSet:
         pass
     zs = uniform_ball(rng, w, delta / 2.0, budget)
-    for z in zs:
-        x = s.project(z).canonical
+    for z, x in zip(zs, s.project_many(zs)):
         push(z - x)
         try:
             for ns in s.normal_generators(x, max_count=8):
@@ -396,7 +367,6 @@ def check_strong_regularity(system, w, delta, samples=2000, seed=0,
                                   samples, seed, "upper",
                                   {"strong": True, "trivial": True})
     zeta = np.inf
-    witness = None
     # exact search over one generator per (nonempty) pool
     import itertools
 
@@ -407,26 +377,23 @@ def check_strong_regularity(system, w, delta, samples=2000, seed=0,
     if n_assign > 4096:
         assignments = itertools.islice(assignments, 4096)
     for combo in assignments:
-        G = np.column_stack(combo)
-        val, t = _min_norm_over_simplex(G)
-        if val < zeta:
-            zeta = val
-            witness = (G, t)
-    # random conic tuples
-    for _ in range(samples):
-        parts = []
-        for pool in active:
-            weights = rng.exponential(size=len(pool))
-            v = weights @ np.array(pool)
-            parts.append(rng.random() * v)
-        norms = [float(np.linalg.norm(v)) for v in parts]
-        total = sum(norms)
-        if total <= _DIRECTION_FLOOR:
-            continue
-        val = float(np.linalg.norm(np.sum(parts, axis=0))) / total
-        if val < zeta:
-            zeta = val
-            witness = None
+        zeta = min(zeta, _min_norm_over_simplex(np.column_stack(combo))[0])
+    # random conic tuples: the draws stay in a loop, in the order the
+    # generator is consumed (exponential draws vary in length), and the
+    # arithmetic runs on all tuples at once
+    weights = [np.empty((samples, len(pool))) for pool in active]
+    scales = np.empty((len(active), samples))
+    for t in range(samples):
+        for j, pool in enumerate(active):
+            weights[j][t] = rng.exponential(size=len(pool))
+            scales[j, t] = rng.random()
+    # weights @ pool for each tuple, one vector-matrix product per row
+    parts = [r_j[:, None] * np.matmul(w_j[:, None, :], np.array(pool))[:, 0, :]
+             for pool, w_j, r_j in zip(active, weights, scales)]
+    total = sum(row_norms(part) for part in parts)
+    combined = sum(parts[1:], parts[0])
+    values = row_norms(combined) / np.where(total > _DIRECTION_FLOOR, total, 1.0)
+    zeta = min(zeta, np.min(values[total > _DIRECTION_FLOOR], initial=np.inf))
     zeta = max(0.0, float(zeta))
     return RegularityEstimate("strong_regularity", zeta, w, float(delta),
                               samples, seed, "upper",

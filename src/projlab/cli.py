@@ -270,7 +270,7 @@ def _strong_regularity(run, rec, path, label):
     run.constant(label, est, path)
     entry = {"sets": list(idxs), "value": est.value, "strong": est.extra["strong"]}
     strong = est.extra["strong"]
-    passed = {"fail": not strong, "pass": strong}.get(rec.get("expect"), True)
+    passed = {"fail": not strong, "pass": strong, None: True}[rec.get("expect")]
     if "expect_min" in rec:
         entry["expect_min"] = rec["expect_min"]
         passed = passed and est.value >= float(rec["expect_min"])
@@ -331,9 +331,8 @@ def _obtuse_cone(run, rec, path, label):
     samples, seed, _ = run.sampling(rec, 256)
     s = run.pick_set(rec["set"], f"{path}.set")
     result = is_obtuse_cone(s, samples=samples, seed=seed)
-    # result["name"] ("is_obtuse_cone") takes the place of the label.
-    return None, {"passed": bool(result["obtuse"]) == bool(rec.get("expect", True)),
-                  **_jsonable(result)}
+    del result["name"]  # the check is named by its label
+    return None, {"passed": result["obtuse"] == rec.get("expect", True), **_jsonable(result)}
 
 
 def _certificate(run, rec, path, label):
@@ -419,7 +418,8 @@ def _cycle_detect(run, rec, path, label):
     tol = float(rec.get("tol", 1e-12))
     found = runner_mod.detect_cycle(run.traj, tol=tol)
     if found is None:
-        return None, {"passed": "expect_period" not in rec, "period": None}
+        return None, {"passed": "expect_period" not in rec and "expect_states" not in rec,
+                      "period": None}
     entry = {"period": found.period, "start_index": found.start_index,
              "states": _jsonable(found.states),
              "max_deviation": found.max_deviation, "passed": True}
@@ -467,6 +467,17 @@ def _affine_identities(run, rec, path, label):
         s, run.hull(), lam, samples=samples, seed=seed), {}
 
 
+def _expect_in(*allowed):
+    """Parse-time check that a record's `expect`, if given, is one of
+    `allowed` and of their JSON type (so "false" is not false)."""
+    def check(record):
+        value = record.get("expect", allowed[0])
+        if type(value) is not type(allowed[0]) or value not in allowed:
+            raise ConfigError(f"expect: must be one of {', '.join(map(json.dumps, allowed))}, "
+                              f"got {json.dumps(value)}")
+    return check
+
+
 @dataclass(frozen=True)
 class Analysis:
     """`execute(run, record, path, label)` is the handler; `label` the
@@ -497,7 +508,7 @@ ANALYSES = {
         ("sets",) + _SAMPLED),
     "strong_regularity": Analysis(
         _strong_regularity, "zeta_{}", "sampled strong-regularity constant zeta (upper bound)",
-        ("sets", "expect", "expect_min") + _SAMPLED),
+        ("sets", "expect", "expect_min") + _SAMPLED, check=_expect_in("pass", "fail")),
     "quasi_firm_fejer": Analysis(
         _quasi_firm_fejer, "qff_{}", "quasi-firm Fejér inequality, constants from the operator type",
         ("operator", "refset") + _FEJER_KEYS + _SAMPLED, ("operator",)),
@@ -507,10 +518,10 @@ ANALYSES = {
         (("equality_tol", "expect_equality"),)),
     "injectable": Analysis(
         _injectable, "injectable_{}", "inward segments of depth tau stay in the set",
-        ("set", "tau", "expect") + _SAMPLED, ("set", "tau")),
+        ("set", "tau", "expect") + _SAMPLED, ("set", "tau"), check=_expect_in("pass", "fail")),
     "obtuse_cone": Analysis(
         _obtuse_cone, "obtuse_{}", "-polar(K) in K for an orthant or polyhedral cone",
-        ("set", "expect", "samples", "seed"), ("set",)),
+        ("set", "expect", "samples", "seed"), ("set",), check=_expect_in(True, False)),
     "certificate": Analysis(
         _certificate, "cert_{}", "R-linear rate certificate of a theorem",
         ("theorem", "args"), ("theorem",), check=_check_certificate),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .sets import ClosedSet, as_vector
+from .sets import ClosedSet, as_points, as_vector
 
 _FALLBACK_ITERS = 10_000
 _FALLBACK_TOL = 1e-12
@@ -60,6 +60,21 @@ class IntersectionHandle:
         if self.descriptor is not None:
             return self.descriptor.distance(x)
         return float(np.linalg.norm(x - self.nearest(x)))
+
+    def nearest_many(self, X) -> np.ndarray:
+        """nearest(x) for each row of an (n, dim) array; batched for an exact
+        descriptor, one point at a time for the fallback."""
+        if self.descriptor is not None:
+            return self.descriptor.project_many(X)
+        X = as_points(X, self.dim)
+        return np.array([self.nearest(x) for x in X]).reshape(X.shape)
+
+    def distance_many(self, X) -> np.ndarray:
+        """distance(x) for each row of an (n, dim) array; batched for an exact
+        descriptor, one point at a time for the fallback."""
+        if self.descriptor is not None:
+            return self.descriptor.distance_many(X)
+        return np.array([self.distance(x) for x in as_points(X, self.dim)], dtype=float)
 
 
 def exact(descriptor: ClosedSet, members=()) -> IntersectionHandle:

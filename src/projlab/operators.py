@@ -2,7 +2,8 @@
 
 All operators act on a single point and return a new array; selections are
 inherited from the canonical projections of the set catalog, so repeated
-application replays exactly.
+application replays exactly.  `apply_many` maps each row of an (n, d) array
+as `apply` maps a point, through the catalog's batched projections.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from . import rates
 from .errors import ConfigError, DomainError, check_keys, table_entry
-from .sets import ClosedSet, as_vector
+from .sets import ClosedSet, as_vector, row_norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,6 +35,10 @@ class RelaxedProjector:
         x = as_vector(x, self.target.dim)
         p = self.target.project(x).canonical
         return x + self.lam * (p - x)
+
+    def apply_many(self, X):
+        X = np.asarray(X, dtype=float)
+        return X + self.lam * (self.target.project_many(X) - X)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,6 +69,15 @@ class SemiIntrepidProjector:
         if gap == 0.0:
             return p.copy()
         return p + min(self.alpha, self.tau / gap) * (p - x)
+
+    def apply_many(self, X):
+        X = np.asarray(X, dtype=float)
+        P = self.target.project_many(X)
+        step = P - X
+        gap = row_norms(step)
+        moved = gap != 0.0
+        factor = np.minimum(self.alpha, self.tau / np.where(moved, gap, 1.0))
+        return np.where(moved[:, None], P + factor[:, None] * step, P)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +118,12 @@ class GeneralizedDR:
 
     def apply(self, x):
         return self.apply_with_trace(x)[2]
+
+    def apply_many(self, X):
+        X = np.asarray(X, dtype=float)
+        R = X + self.lam * (self.set_a.project_many(X) - X)
+        S = R + self.mu * (self.set_b.project_many(R) - R)
+        return (1.0 - self.alpha) * X + self.alpha * S
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import PropertyReport
+from .analysis import PropertyReport, margin_report
 from .errors import CertificateViolated, DomainError, InsufficientData
 from .intersection import IntersectionHandle
 from .operators import CyclicTuple
 from .rates import RateCertificate
-from .sets import as_vector
+from .sets import as_vector, row_norms
 
 DIVERGENCE_NORM = 1e12
 ERROR_FLOOR = 1e-14
@@ -104,9 +104,9 @@ def run(operators, x0, sets, intersection: IntersectionHandle,
             break
     wall = time.perf_counter() - t0
     P = np.array(points)
-    sd = np.array([[s.distance(p) for s in sets] for p in P]) if sets \
+    sd = np.column_stack([s.distance_many(P) for s in sets]) if sets \
         else np.zeros((P.shape[0], 0))
-    cd = np.array([intersection.distance(p) for p in P])
+    cd = intersection.distance_many(P)
     return Trajectory(P, np.array(op_index, dtype=int), sd, cd,
                       len(members), stop, float(tol), int(seed), wall,
                       cycle, sets, intersection)
@@ -220,40 +220,22 @@ def check_k_step_reduction(traj: Trajectory, k, rho_bound, ball=None,
     if traj.n_points - 1 < 2 * k:
         raise DomainError("trajectory must contain at least 2k applications")
     e = traj.c_dist
-    center = radius = None
+    starts = np.arange(0, e.size - k, k)
+    inside = np.ones(starts.size, dtype=bool)
     if ball is not None:
         center, radius = as_vector(ball[0]), float(ball[1])
-    violations = 0
-    worst = np.inf
-    worst_ratio = 0.0
-    witness = None
-    checked = 0
-    skipped = 0
-    n = 0
-    while (n + 1) * k < e.size:
-        i0, i1 = n * k, (n + 1) * k
-        n += 1
-        if center is not None and \
-                np.linalg.norm(traj.points[i0] - center) > radius + check_tol:
-            skipped += 1
-            continue
-        checked += 1
-        if e[i0] <= ERROR_FLOOR:
-            continue
-        margin = rho_bound * e[i0] - e[i1]
-        worst_ratio = max(worst_ratio, e[i1] / e[i0])
-        if margin < worst:
-            worst = margin
-            witness = (i0, float(e[i0]), float(e[i1]))
-        if margin < -check_tol:
-            violations += 1
-    if not np.isfinite(worst):
-        worst = 0.0
-    return PropertyReport("k_step_reduction", checked, violations,
-                          float(worst), witness, traj.seed, check_tol,
-                          {"k": k, "rho_bound": float(rho_bound),
-                           "worst_ratio": worst_ratio,
-                           "outside_ball": skipped})
+        inside = row_norms(traj.points[starts] - center) <= radius + check_tol
+    checked = starts[inside]
+    live = checked[e[checked] > ERROR_FLOOR]
+    ratios = e[live + k] / e[live]
+    return margin_report(
+        "k_step_reduction", rho_bound * e[live] - e[live + k],
+        lambda i: (int(live[i]), float(e[live[i]]), float(e[live[i] + k])),
+        traj.seed, check_tol,
+        {"k": k, "rho_bound": float(rho_bound),
+         "worst_ratio": float(np.max(ratios, initial=0.0)),
+         "outside_ball": int(starts.size - checked.size)},
+        samples=int(checked.size), empty_margin=0.0)
 
 
 def check_fejer_trace(traj: Trajectory, constants, xbar,
@@ -271,23 +253,14 @@ def check_fejer_trace(traj: Trajectory, constants, xbar,
         table = [(float(g), float(b)) for g, b in constants]
         if len(table) != traj.cycle_len:
             raise DomainError("need one (gamma, beta) pair per cycle phase")
-    violations = 0
-    worst = np.inf
-    witness = None
+    gammas, betas = np.array(table).T[:, traj.op_index[1:]]
     P = traj.points
-    for n in range(P.shape[0] - 1):
-        gamma, beta = table[traj.op_index[n + 1]]
-        x, xp = P[n], P[n + 1]
-        margin = (gamma * float(np.dot(x - xbar, x - xbar))
-                  - float(np.dot(xp - xbar, xp - xbar))
-                  - beta * float(np.dot(x - xp, x - xp)))
-        if margin < worst:
-            worst = margin
-            witness = (n, x, xp)
-        if margin < -check_tol:
-            violations += 1
-    return PropertyReport("fejer_trace", P.shape[0] - 1, violations,
-                          float(worst), witness, traj.seed, check_tol, {})
+    x, xp = P[:-1], P[1:]
+    to_ref, step_to_ref, step = x - xbar, xp - xbar, x - xp
+    margins = (gammas * np.vecdot(to_ref, to_ref) - np.vecdot(step_to_ref, step_to_ref)
+               - betas * np.vecdot(step, step))
+    return margin_report("fejer_trace", margins, lambda n: (n, x[n], xp[n]),
+                         traj.seed, check_tol, {})
 
 
 def check_rlinear_envelope(traj: Trajectory, cert: RateCertificate,
@@ -306,27 +279,17 @@ def check_rlinear_envelope(traj: Trajectory, cert: RateCertificate,
     d0 = float(traj.c_dist[0])
     sigma = cert.start_prefactor * cert.sigma(d0)
     k = cert.block_len
-    violations = 0
-    worst = np.inf
-    witness = None
+    env = sigma * np.array([cert.rho_block ** (n // k) for n in range(traj.n_points)])
+    err = row_norms(traj.points - xbar)
     left_ball = False
-    for n in range(traj.n_points):
-        env = sigma * cert.rho_block ** (n // k)
-        err = float(np.linalg.norm(traj.points[n] - xbar))
-        margin = env - err
-        if margin < worst:
-            worst = margin
-            witness = (n, err, env)
-        if margin < -check_tol:
-            violations += 1
-        if w is not None and start_radius is not None:
-            if np.linalg.norm(traj.points[n] - as_vector(w)) > start_radius + check_tol:
-                left_ball = True
-    return PropertyReport("rlinear_envelope", traj.n_points, violations,
-                          float(worst), witness, traj.seed, check_tol,
-                          {"sigma": sigma, "rho_block": cert.rho_block,
-                           "block_len": k, "left_ball": left_ball,
-                           "xbar_quality": float(traj.c_dist[-1])})
+    if w is not None and start_radius is not None:
+        left_ball = bool(np.any(row_norms(traj.points - as_vector(w))
+                                > start_radius + check_tol))
+    return margin_report("rlinear_envelope", env - err,
+                         lambda n: (n, float(err[n]), float(env[n])), traj.seed, check_tol,
+                         {"sigma": sigma, "rho_block": cert.rho_block,
+                          "block_len": k, "left_ball": left_ball,
+                          "xbar_quality": float(traj.c_dist[-1])})
 
 
 def compare_certificate(traj: Trajectory, cert: RateCertificate, slack=0.02,

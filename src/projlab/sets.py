@@ -6,7 +6,8 @@ deterministic canonical selection, so operators built on the catalog replay
 bit-identically.  Multivalued ties are broken by the lexicographically
 smallest coordinate vector unless a variant documents its own rule
 (UnionOfSets prefers the lowest member index, Sphere at its center returns
-center + radius * e1).
+center + radius * e1).  `project_many` and `distance_many` give the same
+canonical points and distances for each row of an (n, d) array.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ TIE_TOL = 1e-12
 # Relative singular-value cut-off that ranks affine-hull directions.
 RANK_TOL = 1e-9
 
-# Cone feasibility tolerance used by the face-enumeration projector.
-_CONE_FEAS_TOL = 1e-9
-
 
 def as_vector(x, dim=None) -> np.ndarray:
     """Validate and convert `x` to a finite 1-D float array."""
@@ -45,6 +43,30 @@ def as_vector(x, dim=None) -> np.ndarray:
     if dim is not None and v.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {v.size}")
     return v
+
+
+def as_points(X, dim) -> np.ndarray:
+    """Validate and convert `X` to a finite (n, dim) float array, n >= 0."""
+    P = np.asarray(X, dtype=float)
+    if P.ndim != 2 or P.shape[1] != dim:
+        raise DimensionMismatch(f"expected an (n, {dim}) array, got shape {P.shape}")
+    if not np.all(np.isfinite(P)):
+        raise DomainError("point entries must be finite")
+    return P
+
+
+def row_norms(D) -> np.ndarray:
+    """Euclidean norm of each row of D.  np.vecdot reduces each row with the
+    BLAS dot kernel, as np.linalg.norm does for one vector, so the results
+    agree bit for bit with the per-point norms."""
+    return np.sqrt(np.vecdot(D, D))
+
+
+def _rowwise(M, X):
+    """M @ x for each row x of X.  A stacked matmul runs one matrix-vector
+    product per row, the kernel the per-point code runs, so the results agree
+    bit for bit; a single matrix product would sum in another order."""
+    return np.matmul(M, X[:, :, None])[:, :, 0]
 
 
 def svd_rank(M, tol, full_matrices=True):
@@ -107,6 +129,27 @@ class ClosedSet:
     def distance(self, x) -> float:
         return self.project(x).distance
 
+    def project_many(self, X) -> np.ndarray:
+        """Row i is project(X[i]).canonical, with the same tie rules, for an
+        (n, dim) array X."""
+        return self._nearest_many(as_points(X, self.dim))[0]
+
+    def distance_many(self, X) -> np.ndarray:
+        """Entry i is distance(X[i]), by the same formula, for an (n, dim)
+        array X."""
+        return self._nearest_many(as_points(X, self.dim))[1]
+
+    def _nearest_many(self, X):
+        """(canonical points, distances) of the rows of a validated X.
+
+        This default loops over `project`, so any subclass works.  Variants
+        with a closed form broadcast it, and wrappers call their members'
+        `_nearest_many`, so X is validated once at the public boundary.
+        """
+        results = [self.project(x) for x in X]
+        P = np.array([r.canonical for r in results], dtype=float).reshape(X.shape)
+        return P, np.array([r.distance for r in results], dtype=float)
+
     def contains(self, x, tol=MEMBERSHIP_TOL) -> bool:
         return self.distance(x) <= tol
 
@@ -129,6 +172,12 @@ class ClosedSet:
     def _single(self, x, p) -> ProjectionResult:
         p = np.asarray(p, dtype=float)
         return ProjectionResult(p, (p,), False, float(np.linalg.norm(x - p)))
+
+
+def _single_many(X, P):
+    """`ClosedSet._single` for a batch: the projections P with the distances
+    ||x - p|| of the rows."""
+    return P, row_norms(X - P)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +214,13 @@ class Halfspace(_LinearSet):
         p = x - (excess / float(self.a @ self.a)) * self.a
         return self._single(x, p)
 
+    def _nearest_many(self, X):
+        excess = np.vecdot(X, self.a) - self.b
+        out = excess > 0.0
+        P = X.copy()
+        P[out] = X[out] - (excess[out] / float(self.a @ self.a))[:, None] * self.a
+        return _single_many(X, P)
+
     def normal_generators(self, p, max_count=8):
         p = as_vector(p, self.dim)
         na = float(np.linalg.norm(self.a))
@@ -187,6 +243,10 @@ class Hyperplane(_LinearSet):
         offset = float(self.a @ x - self.b)
         p = x - (offset / float(self.a @ self.a)) * self.a
         return self._single(x, p)
+
+    def _nearest_many(self, X):
+        offset = np.vecdot(X, self.a) - self.b
+        return _single_many(X, X - (offset / float(self.a @ self.a))[:, None] * self.a)
 
     def normal_generators(self, p, max_count=8):
         p = as_vector(p, self.dim)
@@ -244,6 +304,10 @@ class AffineSubspaceSet(ClosedSet):
         p = self.anchor + self.basis.T @ (self.basis @ delta)
         return self._single(x, p)
 
+    def _nearest_many(self, X):
+        coords = _rowwise(self.basis, X - self.anchor)
+        return _single_many(X, self.anchor + _rowwise(self.basis.T, coords))
+
     def normal_generators(self, p, max_count=8):
         p = as_vector(p, self.dim)
         comp = _orthonormal_complement(self.basis, self.dim)
@@ -284,6 +348,13 @@ class Ball(ClosedSet):
             return self._single(x, x)
         p = self.center + (self.radius / dist) * gap
         return self._single(x, p)
+
+    def _nearest_many(self, X):
+        dist = row_norms(X - self.center)
+        out = dist > self.radius
+        P = X.copy()
+        P[out] = self.center + (self.radius / dist[out])[:, None] * (X[out] - self.center)
+        return _single_many(X, P)
 
     def normal_generators(self, p, max_count=8):
         p = as_vector(p, self.dim)
@@ -327,6 +398,15 @@ class Sphere(ClosedSet):
         p = self.center + (self.radius / dist) * gap
         return self._single(x, p)
 
+    def _nearest_many(self, X):
+        dist = row_norms(X - self.center)
+        off = dist > TIE_TOL
+        P = np.empty_like(X)
+        P[off] = self.center + (self.radius / dist[off])[:, None] * (X[off] - self.center)
+        P[~off] = self.center
+        P[~off, 0] += self.radius
+        return P, np.where(off, row_norms(X - P), self.radius)
+
     def normal_generators(self, p, max_count=8):
         p = as_vector(p, self.dim)
         u = (p - self.center) / float(np.linalg.norm(p - self.center))
@@ -356,6 +436,9 @@ class Box(ClosedSet):
     def project(self, x):
         x = as_vector(x, self.dim)
         return self._single(x, np.clip(x, self.lower, self.upper))
+
+    def _nearest_many(self, X):
+        return _single_many(X, np.clip(X, self.lower, self.upper))
 
     def normal_generators(self, p, max_count=8):
         p = as_vector(p, self.dim)
@@ -411,6 +494,10 @@ class Orthant(ClosedSet):
             if s != 0 and s * p[i] < 0.0:
                 p[i] = 0.0
         return self._single(x, p)
+
+    def _nearest_many(self, X):
+        s = np.array(self.signs, dtype=float)
+        return _single_many(X, np.where((s != 0.0) & (s * X < 0.0), 0.0, X))
 
     def normal_generators(self, p, max_count=8):
         p = as_vector(p, self.dim)
@@ -493,13 +580,12 @@ def _inequality_cone_generators(M, tol=1e-9):
 class PolyhedralCone(ClosedSet):
     """Finitely generated cone {sum t_i g_i : t_i >= 0}.
 
-    Projection enumerates faces: for each generator subset, project onto its
-    span and keep feasible candidates.  Exact at desk scale (few generators,
-    low dimension); no QP solver involved beyond a nonnegative least-squares
-    membership oracle.
+    The projection of x is G^T c for the nonnegative least-squares solution
+    c of min ||G^T c - x|| over c >= 0 (Lawson-Hanson NNLS, one scipy call),
+    which is exact for any number of generators.
     """
 
-    tag, about = "cone", "finitely generated polyhedral cone (<= 12 generators)"
+    tag, about = "cone", "finitely generated polyhedral cone, projected by NNLS"
     generators: np.ndarray
 
     def __post_init__(self):
@@ -511,34 +597,13 @@ class PolyhedralCone(ClosedSet):
         norms = np.linalg.norm(g, axis=1)
         if np.any(norms == 0.0):
             raise DomainError("zero generator ray")
-        if g.shape[0] > 12:
-            raise DomainError("face enumeration supports at most 12 generators")
         object.__setattr__(self, "generators", g)
         object.__setattr__(self, "dim", g.shape[1])
 
-    def member_coefficients(self, q, tol=_CONE_FEAS_TOL):
-        """Nonnegative coefficients writing q as a conic combination, or None."""
-        q = as_vector(q, self.dim)
-        coeff, resid = nnls(self.generators.T, q)
-        if resid <= tol * (1.0 + np.linalg.norm(q)):
-            return coeff
-        return None
-
     def project(self, x):
         x = as_vector(x, self.dim)
-        k, d = self.generators.shape
-        best_dist = float(np.linalg.norm(x))  # empty face: the apex
-        best_q = np.zeros(d)
-        for size in range(1, min(k, d) + 1):
-            for subset in itertools.combinations(range(k), size):
-                G = self.generators[list(subset)].T
-                coef, *_ = np.linalg.lstsq(G, x, rcond=None)
-                q = G @ coef
-                dist = float(np.linalg.norm(x - q))
-                if dist < best_dist - 1e-15 and self.member_coefficients(q) is not None:
-                    best_dist = dist
-                    best_q = q
-        return self._single(x, best_q)
+        coeff, _ = nnls(self.generators.T, x)
+        return self._single(x, self.generators.T @ coeff)
 
     def normal_generators(self, p, max_count=8):
         if self.dim > 3:
@@ -591,6 +656,15 @@ class Enlargement(ClosedSet):
         canon = res.canonical + scale * (x - res.canonical)
         return ProjectionResult(canon, mapped, res.multivalued, res.distance - self.tau)
 
+    def _nearest_many(self, X):
+        Q, dist = self.inner._nearest_many(X)
+        if self.tau == 0.0:
+            return Q, dist
+        out = dist > self.tau
+        P = X.copy()
+        P[out] = Q[out] + (self.tau / dist[out])[:, None] * (X[out] - Q[out])
+        return P, np.where(out, dist - self.tau, 0.0)
+
     def normal_generators(self, p, max_count=8):
         p = as_vector(p, self.dim)
         if self.tau == 0.0:
@@ -640,6 +714,14 @@ class UnionOfSets(ClosedSet):
         multi = len(minimizers) > 1 or any(r.multivalued for r in tied)
         return ProjectionResult(canon, tuple(minimizers), multi, dmin)
 
+    def _nearest_many(self, X):
+        found = [m._nearest_many(X) for m in self.members]
+        dists = np.stack([d for _, d in found])
+        dmin = dists.min(axis=0)
+        first = np.argmax(dists <= dmin + TIE_TOL, axis=0)  # lowest tied index
+        points = np.stack([q for q, _ in found])
+        return points[first, np.arange(X.shape[0])], dmin
+
     def hull_points(self, rng, probe_count):
         return [p for m in self.members for p in m.hull_points(rng, probe_count)]
 
@@ -662,9 +744,19 @@ class FinitePointSet(ClosedSet):
         x = as_vector(x, self.dim)
         dists = np.linalg.norm(self.points - x, axis=1)
         dmin = float(dists.min())
-        tied = _dedupe([self.points[i].copy() for i in np.flatnonzero(dists <= dmin + TIE_TOL)])
-        canon = min(tied, key=tuple)  # lexicographically smallest
+        near = self.points[np.flatnonzero(dists <= dmin + TIE_TOL)]
+        canon = min(near, key=tuple).copy()  # lexicographically smallest, before dedupe
+        tied = _dedupe([q.copy() for q in near])
         return ProjectionResult(canon, tuple(tied), len(tied) > 1, dmin)
+
+    def _nearest_many(self, X):
+        dists = np.linalg.norm(self.points - X[:, None, :], axis=2)
+        dmin = dists.min(axis=1)
+        k = self.points.shape[0]
+        rank = np.empty(k, dtype=int)
+        rank[np.lexsort(self.points.T[::-1])] = np.arange(k)  # lexicographic
+        tied_rank = np.where(dists <= dmin[:, None] + TIE_TOL, rank, k)
+        return self.points[np.argmin(tied_rank, axis=1)], dmin
 
     def hull_points(self, rng, probe_count):
         return list(self.points)
@@ -688,6 +780,10 @@ class Translate(ClosedSet):
         res = self.inner.project(x - self.shift)
         mapped = tuple(q + self.shift for q in res.minimizers)
         return ProjectionResult(res.canonical + self.shift, mapped, res.multivalued, res.distance)
+
+    def _nearest_many(self, X):
+        Q, dist = self.inner._nearest_many(X - self.shift)
+        return Q + self.shift, dist
 
     def normal_generators(self, p, max_count=8):
         p = as_vector(p, self.dim)
@@ -736,10 +832,9 @@ def _cone_of(s):
 def is_obtuse_cone(s: ClosedSet, samples=256, seed=0):
     """Sampled check of -polar(K) c K (obtuse cone).
 
-    Directions are drawn from the polar cone: its generating rays, random
-    conic combinations of them, and (in dimension <= 3) a grid filtered to
-    the polar.  Returns a PropertyReport-like dict; violations count sampled
-    polar directions v with -v outside K.
+    Directions are drawn from the polar cone: its generating rays and random
+    conic combinations of them.  Returns a PropertyReport-like dict;
+    violations count sampled polar directions v with -v outside K.
     """
     cone = _cone_of(s)
     if isinstance(cone, Orthant):
@@ -749,31 +844,23 @@ def is_obtuse_cone(s: ClosedSet, samples=256, seed=0):
             raise UnsupportedSet("polar enumeration supports dimension <= 4")
         polar_rays = cone.polar_generators()
     rng = np.random.default_rng(seed)
-    directions = [np.asarray(r, dtype=float) for r in polar_rays]
-    if directions:
-        R = np.array(directions)
-        coeffs = rng.random((samples, len(directions)))
-        for c in coeffs:
-            v = c @ R
-            n = np.linalg.norm(v)
-            if n > 1e-12:
-                directions.append(v / n)
-    violations = 0
-    worst = np.inf
-    witness = None
-    for v in directions:
-        d = cone.distance(-v)
-        margin = -d
-        if margin < worst:
-            worst = margin
-            witness = -v
-        if d > 1e-9:
-            violations += 1
-    if not directions:
-        worst = 0.0
+    directions = np.array(polar_rays, dtype=float).reshape(-1, cone.dim)
+    if directions.shape[0]:
+        coeffs = rng.random((samples, directions.shape[0]))
+        # c @ R for each draw, one vector-matrix product per row as per point
+        mixed = np.matmul(coeffs[:, None, :], directions)[:, 0, :]
+        n = row_norms(mixed)
+        keep = n > 1e-12
+        directions = np.vstack([directions, mixed[keep] / n[keep, None]])
+    d = cone.distance_many(-directions)
+    violations = int(np.count_nonzero(d > 1e-9))
+    worst, witness = 0.0, None
+    if d.size:
+        i = int(np.argmax(d))  # the first smallest margin -d
+        worst, witness = -float(d[i]), -directions[i]
     return {
         "name": "is_obtuse_cone",
-        "samples": len(directions),
+        "samples": directions.shape[0],
         "violations": violations,
         "worst_margin": float(worst),
         "witness": witness,

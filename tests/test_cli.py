@@ -226,6 +226,27 @@ class TestVerifyCommand:
         assert "--force" in capsys.readouterr().err
 
 
+class TestReportChecks:
+    def test_cycle_detect_fails_on_expected_states_without_a_cycle(self):
+        cfg = minimal_config(analyses=[
+            {"kind": "cycle_detect", "expect_states": [[9.0, 9.0]], "label": "cyc"}])
+        report = P.execute_scenario(P.scenario_from_config(cfg))
+        (check,) = report["checks"]
+        assert report["scenario"]["stop_reason"] == "Converged"
+        assert check["period"] is None and not check["passed"]
+        assert not report["passed"]
+
+    def test_cycle_detect_without_expectations_passes_on_no_cycle(self):
+        cfg = minimal_config(analyses=[{"kind": "cycle_detect"}])
+        report = P.execute_scenario(P.scenario_from_config(cfg))
+        assert report["checks"][0]["period"] is None and report["passed"]
+
+    def test_obtuse_check_is_named_by_its_label(self):
+        report = P.execute_scenario(P.load_bundled("reflection_projection_orthant"))
+        names = [c["name"] for c in report["checks"] if c["kind"] == "obtuse_cone"]
+        assert names == ["obtuse_translated_orthant"]
+
+
 class TestCatalogCommand:
     def test_text_lists_sets_operators_theorems(self, capsys):
         rc = P.main(["catalog"])

@@ -175,7 +175,36 @@ class TestRoundTrip:
             P.load_scenario(tmp_path / "absent.json")
 
 
+# Verdict, stop reason and cycle count of each bundled scenario.  Trajectories
+# start from the scenario's fixed x0, so these hold for any seed override.
+SUITE_REFERENCE = {
+    "degenerate_three_halfspaces": (True, "Converged", 1),
+    "dr_affine_blend": (True, "Converged", 82),
+    "dr_affine_reflect": (True, "Budget", 200),
+    "dr_two_lines": (True, "Converged", 49),
+    "enlargement_injectability": (True, "Converged", 1),
+    "qff_suite": (True, "Converged", 1),
+    "reflection_projection_axes": (True, "Budget", 30),
+    "reflection_projection_orthant": (True, "Converged", 1),
+    "reflector_cycle_counterexample": (True, "Budget", 30),
+    "semi_intrepid_circles": (True, "Converged", 1),
+    "two_lines_angle_30": (True, "Converged", 97),
+    "two_lines_angle_45": (True, "Converged", 41),
+    "two_lines_angle_60": (True, "Converged", 21),
+}
+
+
 class TestBundled:
+    def test_reference_covers_every_bundled_scenario(self):
+        assert sorted(SUITE_REFERENCE) == BUNDLED
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    @pytest.mark.parametrize("seed", [None, 12345])
+    def test_bundled_scenario_keeps_its_outcome(self, name, seed):
+        report = P.execute_scenario(P.load_bundled(name), seed_override=seed)
+        sc = report["scenario"]
+        assert (report["passed"], sc["stop_reason"], sc["n_cycles"]) == SUITE_REFERENCE[name]
+
     def test_names(self):
         assert P.bundled_scenario_names() == BUNDLED
 

@@ -102,6 +102,42 @@ class TestUnknownKeys:
         assert _error(cfg) == "sets[0].members[1].inner.r: unknown key"
 
 
+
+class TestExpectValues:
+    @pytest.mark.parametrize("record, message", [
+        ({"kind": "strong_regularity", "expect": "Fail"},
+         'analyses[1].expect: must be one of "pass", "fail", got "Fail"'),
+        ({"kind": "strong_regularity", "expect": True},
+         'analyses[1].expect: must be one of "pass", "fail", got true'),
+        ({"kind": "injectable", "set": 0, "tau": 0.1, "expect": "failed"},
+         'analyses[1].expect: must be one of "pass", "fail", got "failed"'),
+        ({"kind": "obtuse_cone", "set": 0, "expect": "false"},
+         'analyses[1].expect: must be one of true, false, got "false"'),
+        ({"kind": "obtuse_cone", "set": 0, "expect": 1},
+         "analyses[1].expect: must be one of true, false, got 1"),
+    ], ids=["strong-capitalised", "strong-boolean", "injectable-typo", "obtuse-string",
+            "obtuse-number"])
+    def test_bad_expect_names_the_key_path(self, record, message):
+        cfg = minimal_config(analyses=[{"kind": "rate_fit"}, record])
+        assert _error(cfg) == message
+
+    @pytest.mark.parametrize("record", [
+        {"kind": "strong_regularity", "expect": "pass"},
+        {"kind": "strong_regularity", "expect": "fail"},
+        {"kind": "injectable", "set": 0, "tau": 0.1, "expect": "fail"},
+        {"kind": "obtuse_cone", "set": 0, "expect": False},
+        {"kind": "obtuse_cone", "set": 0},
+    ], ids=["strong-pass", "strong-fail", "injectable-fail", "obtuse-false", "obtuse-default"])
+    def test_valid_expect_values_parse(self, record):
+        P.scenario_from_config(minimal_config(analyses=[record]))
+
+    def test_capitalised_expectation_no_longer_passes(self):
+        cfg = _bundled_config("degenerate_three_halfspaces")
+        assert cfg["analyses"][0]["expect"] == "fail"
+        cfg["analyses"][0]["expect"] = "Fail"
+        assert _error(cfg).startswith('analyses[0].expect: must be one of "pass", "fail"')
+
+
 class TestModifiersAndRequiredKeys:
     @pytest.mark.parametrize("record, message", [
         ({"kind": "rate_fit", "expect_tol": 0.01},
