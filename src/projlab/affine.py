@@ -10,13 +10,14 @@ full sequence inherits the shadow limit (Intersection).
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import PropertyReport, margin_report
 from .errors import ContainmentViolated, DomainError, ShadowRecursionViolated
-from .operators import RelaxedProjector
+from .operators import GeneralizedDR, RelaxedProjector
 from .runner import Trajectory
 from .sets import RANK_TOL, AffineSubspaceSet, ClosedSet, row_norms, svd_rank
 
@@ -111,8 +112,6 @@ def shadow_run(traj: Trajectory, L: AffineSubspaceSet, check_tol=1e-10):
     1e-9.  lambda = mu = 2 classifies as FixedPointShadow (only the shadow
     converges); anything else as Intersection.
     """
-    from .operators import GeneralizedDR
-
     if traj.operators is None or len(traj.operators.members) != 1 or \
             not isinstance(traj.operators.members[0], GeneralizedDR):
         raise DomainError(
@@ -167,8 +166,6 @@ def shadow_run(traj: Trajectory, L: AffineSubspaceSet, check_tol=1e-10):
 def export_shadow_csv(traj: Trajectory, shadow: np.ndarray, path) -> None:
     """Write shadow iterates next to their gaps as RFC-4180 CSV
     (columns n, y_1..y_d, gap_1..gap_d, gap_norm)."""
-    import csv
-
     x = traj.cycle_iterates()
     d = x.shape[1]
     header = (["n"] + [f"y_{i + 1}" for i in range(d)]

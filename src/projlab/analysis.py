@@ -10,13 +10,14 @@ and violations == 0 iff the worst margin >= -check_tol.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, SamplingFailure, UnsupportedSet
 from .intersection import IntersectionHandle
-from .sets import ClosedSet, as_vector, proximal_normals, row_norms
+from .sets import ClosedSet, as_vector, conic_mixtures, proximal_normals, row_norms
 
 CHECK_TOL = 1e-9
 STRONG_TOL = 1e-6
@@ -88,10 +89,8 @@ def uniform_ball(rng, center, radius, n) -> np.ndarray:
 
 
 def _member_pool(refset, w, delta, rng, want, max_attempts=100_000):
-    """The first `want` members of refset (a catalog set or an intersection
-    handle) within B(w, delta), in draw order, found by projecting ball
-    samples."""
-    nearest = refset.project_many if isinstance(refset, ClosedSet) else refset.nearest_many
+    """The first `want` members of refset within B(w, delta), in draw order,
+    found by projecting ball samples."""
     found = []
     count = 0
     attempts = 0
@@ -99,7 +98,7 @@ def _member_pool(refset, w, delta, rng, want, max_attempts=100_000):
     while count < want and attempts < max_attempts:
         zs = uniform_ball(rng, w, delta, chunk)
         attempts += chunk
-        xbars = nearest(zs)
+        xbars = refset.project_many(zs)
         near = xbars[row_norms(xbars - w) <= delta + 1e-12][:want - count]
         found.append(near)
         count += near.shape[0]
@@ -204,11 +203,7 @@ def estimate_eps_regularity(s: ClosedSet, w, delta, samples=600, seed=0,
     xs, preimages = xs[near], (zs - xs)[near]
     normal_sites = []
     for x, u, nu in zip(xs, preimages, row_norms(preimages)):
-        us = [u / nu] if nu > _DIRECTION_FLOOR else []
-        try:
-            us.extend(n.direction for n in s.normal_generators(x, max_count=8))
-        except UnsupportedSet:
-            pass
+        us = ([u / nu] if nu > _DIRECTION_FLOOR else []) + _closed_form_normals(s, x, 8)
         if us:
             normal_sites.append((x, us))
     M = np.vstack([w, xs])
@@ -249,6 +244,15 @@ def estimate_linear_regularity(system, intersection: IntersectionHandle, w,
                                "approximate": intersection.approximate})
 
 
+def _closed_form_normals(s, p, max_count):
+    """Directions of the closed-form normal generators of s at p; none when
+    s has no closed-form normal cone."""
+    try:
+        return [n.direction for n in s.normal_generators(p, max_count=max_count)]
+    except UnsupportedSet:
+        return []
+
+
 def _normal_pool(s, w, delta, rng, budget):
     """Unit proximal-normal directions of s collected near w (deduplicated)."""
     dirs = []
@@ -261,19 +265,13 @@ def _normal_pool(s, w, delta, rng, budget):
         if not any(float(np.dot(u, v)) > 1.0 - 1e-9 for v in dirs):
             dirs.append(u)
 
-    try:
-        for ns in s.normal_generators(w, max_count=16):
-            push(ns.direction)
-    except UnsupportedSet:
-        pass
+    for u in _closed_form_normals(s, w, 16):
+        push(u)
     zs = uniform_ball(rng, w, delta / 2.0, budget)
     for z, x in zip(zs, s.project_many(zs)):
         push(z - x)
-        try:
-            for ns in s.normal_generators(x, max_count=8):
-                push(ns.direction)
-        except UnsupportedSet:
-            pass
+        for u in _closed_form_normals(s, x, 8):
+            push(u)
     return dirs
 
 
@@ -293,12 +291,7 @@ def estimate_theta_bar(set_a, set_b, w, samples=256, seed=0,
         gens = [n.direction for n in proximal_normals(s, w, max_count=None)]
         dirs = list(gens)
         if len(gens) > 1:
-            G = np.array(gens)
-            for c in rng.random((samples, len(gens))):
-                v = c @ G
-                n = np.linalg.norm(v)
-                if n > _DIRECTION_FLOOR:
-                    dirs.append(v / n)
+            dirs.extend(conic_mixtures(rng, np.array(gens), samples))
         return dirs
 
     dirs_a = cone_dirs(set_a)
@@ -317,8 +310,6 @@ def estimate_theta_bar(set_a, set_b, w, samples=256, seed=0,
 def _min_norm_over_simplex(G):
     """Exact min of ||G t|| over the simplex {t >= 0, sum t = 1} by support
     enumeration (G has few columns)."""
-    import itertools
-
     d, k = G.shape
     best = np.inf
     best_t = None
@@ -368,8 +359,6 @@ def check_strong_regularity(system, w, delta, samples=2000, seed=0,
                                   {"strong": True, "trivial": True})
     zeta = np.inf
     # exact search over one generator per (nonempty) pool
-    import itertools
-
     n_assign = 1
     for p in active:
         n_assign *= len(p)

@@ -5,6 +5,11 @@ for the cyclic-projection fallback: iterate projections from the query point
 until the cycle stabilises and use the landing point as a surrogate nearest
 member.  The fallback overestimates the true distance and is flagged
 approximate wherever it is reported.
+
+A handle answers `project_many`/`distance_many` as a catalog set does.  The
+fallback sweeps every live row of a batch through the members at once; a row
+drops out after the first sweep that moves it by at most `_FALLBACK_TOL`, so
+each row gets the same sweeps it would get on its own.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .sets import ClosedSet, as_points, as_vector
+from .sets import ClosedSet, as_points, as_vector, row_norms
 
 _FALLBACK_ITERS = 10_000
 _FALLBACK_TOL = 1e-12
@@ -46,35 +51,38 @@ class IntersectionHandle:
         x = as_vector(x, self.dim)
         if self.descriptor is not None:
             return self.descriptor.project(x).canonical
-        y = x.copy()
-        for _ in range(_FALLBACK_ITERS):
-            prev = y
-            for s in self.members:
-                y = s.project(y).canonical
-            if np.linalg.norm(y - prev) <= _FALLBACK_TOL:
-                break
-        return y
+        return self._nearest_many(x[None, :])[0][0]
 
     def distance(self, x) -> float:
         x = as_vector(x, self.dim)
         if self.descriptor is not None:
             return self.descriptor.distance(x)
-        return float(np.linalg.norm(x - self.nearest(x)))
+        return float(self._nearest_many(x[None, :])[1][0])
 
-    def nearest_many(self, X) -> np.ndarray:
-        """nearest(x) for each row of an (n, dim) array; batched for an exact
-        descriptor, one point at a time for the fallback."""
-        if self.descriptor is not None:
-            return self.descriptor.project_many(X)
-        X = as_points(X, self.dim)
-        return np.array([self.nearest(x) for x in X]).reshape(X.shape)
+    def project_many(self, X) -> np.ndarray:
+        """Row i is nearest(X[i]) for an (n, dim) array X."""
+        return self._nearest_many(as_points(X, self.dim))[0]
 
     def distance_many(self, X) -> np.ndarray:
-        """distance(x) for each row of an (n, dim) array; batched for an exact
-        descriptor, one point at a time for the fallback."""
+        """Entry i is distance(X[i]) for an (n, dim) array X."""
+        return self._nearest_many(as_points(X, self.dim))[1]
+
+    def _nearest_many(self, X):
+        """(nearest points, distances) of the rows of a validated X."""
         if self.descriptor is not None:
-            return self.descriptor.distance_many(X)
-        return np.array([self.distance(x) for x in as_points(X, self.dim)], dtype=float)
+            return self.descriptor._nearest_many(X)
+        Y = X.copy()
+        live = np.arange(X.shape[0])
+        for _ in range(_FALLBACK_ITERS):
+            if not live.size:
+                break
+            prev = Y[live]
+            Z = prev
+            for s in self.members:
+                Z = s._nearest_many(Z)[0]
+            Y[live] = Z
+            live = live[row_norms(Z - prev) > _FALLBACK_TOL]
+        return Y, row_norms(X - Y)
 
 
 def exact(descriptor: ClosedSet, members=()) -> IntersectionHandle:

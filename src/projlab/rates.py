@@ -12,7 +12,7 @@ error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .errors import (
     DomainError,
@@ -163,11 +163,12 @@ def dr_coercivity(lam, mu, alpha, theta, kappa) -> float:
 # abstract rate theorems (quasi Fejér + coercivity -> R-linear rate)
 
 
-def rate_dist_qff(gamma_list, beta_list, nu, kappa) -> RateCertificate:
-    """Cycle of m quasi firmly Fejér operators, each quasi coercive with
-    constant nu: block factor rho = sqrt([Gamma^2 - nu^2/kappa^2 (sum 1/beta_i)^-1]_+)."""
-    gammas = [_check_range("gamma_i", g, 1.0, math.inf) for g in gamma_list]
-    betas = [_check_range("beta_i", b, 0.0, math.inf, lo_open=True) for b in beta_list]
+def _qff_cycle(theorem, count_key, index, gamma_list, beta_list, nu, kappa):
+    """The certificate of a cycle of quasi firmly Fejér operators (or
+    blocks) with a joint coercivity constant nu; `count_key` names the
+    cycle length in `inputs` and `index` the subscript in range errors."""
+    gammas = [_check_range(f"gamma_{index}", g, 1.0, math.inf) for g in gamma_list]
+    betas = [_check_range(f"beta_{index}", b, 0.0, math.inf, lo_open=True) for b in beta_list]
     if len(gammas) != len(betas) or not gammas:
         raise DomainError("gamma and beta lists must be nonempty and equally long")
     nu = _check_range("nu", nu, 0.0, 1.0, lo_open=True)
@@ -177,13 +178,19 @@ def rate_dist_qff(gamma_list, beta_list, nu, kappa) -> RateCertificate:
     gamma_total = math.sqrt(gamma_sq)
     bracket = gamma_sq - (nu * nu / (kappa * kappa)) / sum(1.0 / b for b in betas)
     return _certificate(
-        "dist_qff",
-        {"gamma": gammas, "beta": betas, "nu": nu, "kappa": kappa, "m": m},
+        theorem,
+        {"gamma": gammas, "beta": betas, "nu": nu, "kappa": kappa, count_key: m},
         gamma_total,
         bracket,
         m,
         math.sqrt(gammas[-1]) / (2.0 * gamma_total),
     )
+
+
+def rate_dist_qff(gamma_list, beta_list, nu, kappa) -> RateCertificate:
+    """Cycle of m quasi firmly Fejér operators, each quasi coercive with
+    constant nu: block factor rho = sqrt([Gamma^2 - nu^2/kappa^2 (sum 1/beta_i)^-1]_+)."""
+    return _qff_cycle("dist_qff", "m", "i", gamma_list, beta_list, nu, kappa)
 
 
 def rate_dist_qf(gamma_list, beta_list_no_j, j, nu, kappa) -> RateCertificate:
@@ -334,28 +341,9 @@ def rate_cyclic_projections(m, eps, kappa) -> RateCertificate:
 def rate_convex_cyclic(lam_list, kappa) -> RateCertificate:
     """Convex sets (eps = 0): global rate for cyclic relaxed projections,
     at most one reflector."""
-    lams = [_check_range("lambda_i", v, 0.0, 2.0, lo_open=True) for v in lam_list]
-    if not lams:
-        raise DomainError("empty cycle")
-    kappa = _check_range("kappa", kappa, 1.0, math.inf)
-    J = _infer_full(lams, 2.0, MoreThanOneReflection, "reflector (lambda = 2)")
-    others = [v for v in lams if v != 2.0]
-    if not others:
-        raise DomainError("a pure reflector cycle admits no coercivity sum")
-    m = len(lams)
-    nu = min(min(1.0, v) for v in others)
-    coercive_sum = sum(v / (2.0 - v) for v in others)
-    bracket = 1.0 - (nu * nu / (kappa * kappa)) / coercive_sum
-    cert = _certificate(
-        "convex_cyclic",
-        {"lambda": lams, "kappa": kappa, "J": J, "m": m, "global": True},
-        1.0,
-        bracket,
-        m,
-        0.5,
-        stated_block=False,
-    )
-    return cert
+    cert = rate_cyclic_relaxed(lam_list, 0.0, kappa)
+    inputs = {k: v for k, v in cert.inputs.items() if k != "eps"}
+    return replace(cert, theorem="convex_cyclic", inputs={**inputs, "global": True})
 
 
 def rate_cyclic_semi_intrepid(alpha_list, eps, kappa) -> RateCertificate:
@@ -394,21 +382,4 @@ def rate_cyclic_semi_intrepid(alpha_list, eps, kappa) -> RateCertificate:
 def rate_cyclic_dr(gamma_list_dr, beta_list_dr, nu, kappa) -> RateCertificate:
     """Cycle of generalized DR blocks with per-block Fejér constants
     (from dr_constants) and a joint coercivity constant nu."""
-    gammas = [_check_range("gamma_j", g, 1.0, math.inf) for g in gamma_list_dr]
-    betas = [_check_range("beta_j", b, 0.0, math.inf, lo_open=True) for b in beta_list_dr]
-    if len(gammas) != len(betas) or not gammas:
-        raise DomainError("gamma and beta lists must be nonempty and equally long")
-    nu = _check_range("nu", nu, 0.0, 1.0, lo_open=True)
-    kappa = _check_range("kappa", kappa, 1.0, math.inf)
-    blocks = len(gammas)
-    gamma_sq = math.prod(gammas)
-    gamma_total = math.sqrt(gamma_sq)
-    bracket = gamma_sq - (nu * nu / (kappa * kappa)) / sum(1.0 / b for b in betas)
-    return _certificate(
-        "cyclic_dr",
-        {"gamma": gammas, "beta": betas, "nu": nu, "kappa": kappa, "blocks": blocks},
-        gamma_total,
-        bracket,
-        blocks,
-        math.sqrt(gammas[-1]) / (2.0 * gamma_total),
-    )
+    return _qff_cycle("cyclic_dr", "blocks", "j", gamma_list_dr, beta_list_dr, nu, kappa)

@@ -409,7 +409,10 @@ class Sphere(ClosedSet):
 
     def normal_generators(self, p, max_count=8):
         p = as_vector(p, self.dim)
-        u = (p - self.center) / float(np.linalg.norm(p - self.center))
+        gap = float(np.linalg.norm(p - self.center))
+        if gap <= TIE_TOL:
+            raise DomainError("sphere normal requested at the center")
+        u = (p - self.center) / gap
         return [NormalSample(p, u), NormalSample(p, -u)]
 
     def hull_points(self, rng, probe_count):
@@ -829,6 +832,18 @@ def _cone_of(s):
     raise UnsupportedSet("obtuseness is defined for Orthant/PolyhedralCone variants")
 
 
+def conic_mixtures(rng, G, samples):
+    """Unit directions of `samples` random conic combinations c @ G of the
+    rows of G, c uniform in [0, 1)^k, in draw order; a combination of norm
+    at most 1e-12 is dropped.  One vector-matrix product per draw, as per
+    point, so each direction is bit-equal to normalising c @ G alone."""
+    coeffs = rng.random((samples, G.shape[0]))
+    mixed = np.matmul(coeffs[:, None, :], G)[:, 0, :]
+    n = row_norms(mixed)
+    keep = n > 1e-12
+    return mixed[keep] / n[keep, None]
+
+
 def is_obtuse_cone(s: ClosedSet, samples=256, seed=0):
     """Sampled check of -polar(K) c K (obtuse cone).
 
@@ -846,12 +861,7 @@ def is_obtuse_cone(s: ClosedSet, samples=256, seed=0):
     rng = np.random.default_rng(seed)
     directions = np.array(polar_rays, dtype=float).reshape(-1, cone.dim)
     if directions.shape[0]:
-        coeffs = rng.random((samples, directions.shape[0]))
-        # c @ R for each draw, one vector-matrix product per row as per point
-        mixed = np.matmul(coeffs[:, None, :], directions)[:, 0, :]
-        n = row_norms(mixed)
-        keep = n > 1e-12
-        directions = np.vstack([directions, mixed[keep] / n[keep, None]])
+        directions = np.vstack([directions, conic_mixtures(rng, directions, samples)])
     d = cone.distance_many(-directions)
     violations = int(np.count_nonzero(d > 1e-9))
     worst, witness = 0.0, None

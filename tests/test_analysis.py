@@ -59,6 +59,20 @@ class TestQuasiFirmFejer:
         with pytest.raises(DomainError):
             P.check_quasi_firm_fejer(op, s, 1.0, -0.1, np.zeros(2), 1.0)
 
+    def test_oracle_intersection_as_refset(self):
+        """Reference points may come from the cyclic-projection fallback: two
+        planes of R^3 sharing the z-axis, projector onto the first."""
+        c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+        a = P.AffineSubspaceSet(np.zeros(3), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+        b = P.AffineSubspaceSet(np.zeros(3), np.array([[c, s, 0.0], [0.0, 0.0, 1.0]]))
+        op = P.RelaxedProjector(a, 1.0)
+        handle = P.oracle_intersection((a, b))
+        w = np.array([0.0, 0.0, 0.5])
+        rep = P.check_quasi_firm_fejer(op, handle, 1.0, 1.0, w, 1.0, samples=400, seed=3)
+        assert rep.samples == 400 and rep.violations == 0
+        assert P.check_quasi_firm_fejer(op, handle, 1.0, 3.0, w, 1.0, samples=400,
+                                        seed=3).violations > 0
+
     def test_deterministic_given_seed(self):
         s = P.Ball(np.zeros(2), 1.0)
         op = P.RelaxedProjector(s, 1.5)

@@ -243,7 +243,95 @@ def test_intersection_batches_match_scalar():
                    P.oracle_intersection((a, b))):
         np.testing.assert_array_equal(handle.distance_many(X),
                                       [handle.distance(x) for x in X])
-        np.testing.assert_array_equal(handle.nearest_many(X), [handle.nearest(x) for x in X])
+        np.testing.assert_array_equal(handle.project_many(X), [handle.nearest(x) for x in X])
+
+
+def _fallback_reference(members, x):
+    """The per-point cyclic-projection fallback: sweep x through the members
+    by scalar `project` until a sweep moves it by at most 1e-12 (at most
+    10 000 sweeps).  Returns the landing point and its distance to x."""
+    y = x.copy()
+    for _ in range(10_000):
+        prev = y
+        for s in members:
+            y = s.project(y).canonical
+        if np.linalg.norm(y - prev) <= 1e-12:
+            break
+    return y, float(np.linalg.norm(x - y))
+
+
+def _subspace_pair(rng, d):
+    """Two subspaces of R^d at a Friedrichs angle in [25, 65] degrees.  From
+    d = 3 on they share a line, so C is not just the origin; from d = 4 on A
+    has one more direction, orthogonal to B."""
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    theta = np.radians(rng.uniform(25.0, 65.0))
+    shared = [Q[:, 2]] if d >= 3 else []
+    a_rows = [Q[:, 0]] + shared + ([Q[:, 3]] if d >= 4 else [])
+    b_rows = [np.cos(theta) * Q[:, 0] + np.sin(theta) * Q[:, 1]] + shared
+    return tuple(P.AffineSubspaceSet(np.zeros(d), np.array(rows)) for rows in (a_rows, b_rows))
+
+
+def _circles():
+    """The two enlarged points of the bundled semi_intrepid_circles scenario."""
+    tau = 1.118033988749895
+    return tuple(P.Enlargement(P.FinitePointSet(np.array([[c, 0.0]])), tau) for c in (-0.5, 0.5))
+
+
+class _CountingSet(P.ClosedSet):
+    """Delegates to `inner` and records the row count of each batched call."""
+
+    def __init__(self, inner):
+        self.inner, self.dim, self.rows = inner, inner.dim, []
+
+    def project(self, x):
+        return self.inner.project(x)
+
+    def _nearest_many(self, X):
+        self.rows.append(X.shape[0])
+        return self.inner._nearest_many(X)
+
+
+class TestOracleFallback:
+    """The batched fallback equals the per-point fallback bit for bit."""
+
+    def assert_matches_reference(self, members, X):
+        handle = P.oracle_intersection(members)
+        P_many, d_many = handle.project_many(X), handle.distance_many(X)
+        ref = [_fallback_reference(members, x) for x in X]
+        np.testing.assert_array_equal(P_many, np.array([y for y, _ in ref]).reshape(X.shape))
+        np.testing.assert_array_equal(d_many, [dist for _, dist in ref])
+        for x, y, dist in zip(X, P_many, d_many):
+            np.testing.assert_array_equal(handle.nearest(x), y)
+            assert handle.distance(x) == dist
+
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_subspace_pairs(self, d):
+        rng = np.random.default_rng(1000 + d)
+        members = _subspace_pair(rng, d)
+        self.assert_matches_reference(members, rng.normal(scale=2.0, size=(12, d)))
+
+    def test_circles(self):
+        rng = np.random.default_rng(7)
+        X = np.vstack([rng.uniform(-3.0, 3.0, size=(40, 2)), [[-0.5, 0.0], [0.5, 0.0]]])
+        self.assert_matches_reference(_circles(), X)
+
+    def test_rows_in_c_stop_after_one_sweep(self):
+        rng = np.random.default_rng(11)
+        a, b = _subspace_pair(rng, 6)
+        line = b.basis[1]
+        inside = np.outer([0.0, 1.0, -3.0], line)
+        far = rng.normal(scale=100.0, size=(2, 6))
+        X = np.vstack([inside, far, inside[1:2]])
+        self.assert_matches_reference((a, b), X)
+        counting = _CountingSet(a)
+        P.oracle_intersection((counting, b)).project_many(X)
+        assert counting.rows[0] == 6 and max(counting.rows[1:]) == 2
+
+    def test_empty_batch(self):
+        handle = P.oracle_intersection(_circles())
+        assert handle.project_many(np.zeros((0, 2))).shape == (0, 2)
+        assert handle.distance_many(np.zeros((0, 2))).shape == (0,)
 
 
 class TestMarginReport:

@@ -244,6 +244,50 @@ class TestCertificatesFrozen:
         assert cert.provenance == "analytic"
 
 
+class TestSharedBodies:
+    """dist_qff and cyclic_dr share one body, and convex_cyclic is
+    cyclic_relaxed at eps = 0; these values were produced by the separate
+    implementations they replace."""
+
+    def test_dist_qff_pinned(self):
+        cert = P.rate_dist_qff([1.0, 1.02], [0.5, 1.5], 0.9, 1.2)
+        assert cert.theorem == "dist_qff"
+        assert cert.inputs == {"gamma": [1.0, 1.02], "beta": [0.5, 1.5], "nu": 0.9,
+                               "kappa": 1.2, "m": 2}
+        assert cert.gamma_total == float.fromhex("0x1.028c1d959b062p+0")
+        assert cert.rho_block == float.fromhex("0x1.cc8883793ed04p-1")
+        assert cert.rho_per_iterate == float.fromhex("0x1.e595d26989318p-1")
+        assert cert.start_radius_over_delta0 == float.fromhex("0x1.862e950f40349p-5")
+        assert (cert.block_len, cert.delta0_over_delta) == (2, 0.5)
+
+    def test_cyclic_dr_pinned(self):
+        cert = P.rate_cyclic_dr([1.01], [0.8], 0.6, 1.3)
+        assert cert.theorem == "cyclic_dr"
+        assert cert.inputs == {"gamma": [1.01], "beta": [0.8], "nu": 0.6, "kappa": 1.3,
+                               "blocks": 1}
+        assert cert.gamma_total == float.fromhex("0x1.0146dd68287f3p+0")
+        assert cert.rho_block == float.fromhex("0x1.d523d9d646e1ep-1")
+        assert cert.start_radius_over_delta0 == float.fromhex("0x1.4851a8287b67bp-5")
+        with pytest.raises(DomainError, match="gamma_j"):
+            P.rate_cyclic_dr([0.5], [0.8], 0.6, 1.3)
+
+    @pytest.mark.parametrize("lams, kappa, J, rho_block, rho_iter, start", [
+        ([1.0, 1.5], 1.7, [], "0x1.e95a956fd96adp-1", "0x1.f48c827f28409p-1",
+         "0x1.627fa6f6591f9p-6"),
+        ([2.0, 0.6, 1.3], 3.1, [0], "0x1.fbc97b483d917p-1", "0x1.fe9780d609b7ep-1",
+         "0x1.0c865bb192633p-8"),
+    ])
+    def test_convex_cyclic_pinned(self, lams, kappa, J, rho_block, rho_iter, start):
+        cert = P.rate_convex_cyclic(lams, kappa)
+        assert cert.theorem == "convex_cyclic"
+        assert cert.inputs == {"lambda": lams, "kappa": kappa, "J": J, "m": len(lams),
+                               "global": True}
+        assert (cert.gamma_total, cert.delta0_over_delta, cert.block_len) == (1.0, 0.5, len(lams))
+        assert cert.rho_block == float.fromhex(rho_block)
+        assert cert.rho_per_iterate == cert.rho_stated == float.fromhex(rho_iter)
+        assert cert.start_radius_over_delta0 == float.fromhex(start)
+
+
 # ---------------------------------------------------------------------------
 # Property tests
 # ---------------------------------------------------------------------------

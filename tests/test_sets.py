@@ -273,6 +273,11 @@ class TestProximalNormals:
                 back = P.project(s, n.base + t * n.direction).canonical
                 assert np.linalg.norm(back - n.base) <= 10.0 * t * 1e-3 + 1e-12
 
+    def test_sphere_normal_at_center_raises(self):
+        s = P.Sphere(np.array([1.0, -2.0]), 1.5)
+        with pytest.raises(P.DomainError, match="center"):
+            s.normal_generators(np.array([1.0, -2.0]))
+
     def test_interior_point_has_no_normals(self):
         s = P.Ball(np.zeros(2), 1.0)
         assert P.proximal_normals(s, np.array([0.1, 0.0])) == []
