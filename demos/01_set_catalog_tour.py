@@ -35,8 +35,9 @@ def main():
     print()
     print("=== proximal normals at a box corner ===")
     box = P.Box(np.zeros(2), np.ones(2))
-    for n in P.proximal_normals(box, np.array([1.0, 1.0])):
-        print(f"  base {n.base} direction {n.direction}")
+    corner = np.array([1.0, 1.0])
+    for u in P.proximal_normals(box, corner):
+        print(f"  base {corner} direction {u}")
 
     print()
     print("=== obtuse-cone classification ===")

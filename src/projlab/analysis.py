@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, SamplingFailure, UnsupportedSet
 from .intersection import IntersectionHandle
-from .sets import ClosedSet, as_vector, conic_mixtures, proximal_normals, row_norms
+from .sets import ClosedSet, as_vector, conic_mixtures, row_norms
 
 CHECK_TOL = 1e-9
 STRONG_TOL = 1e-6
@@ -244,11 +244,11 @@ def estimate_linear_regularity(system, intersection: IntersectionHandle, w,
                                "approximate": intersection.approximate})
 
 
-def _closed_form_normals(s, p, max_count):
-    """Directions of the closed-form normal generators of s at p; none when
-    s has no closed-form normal cone."""
+def _closed_form_normals(s, p, k):
+    """The first k closed-form normal generators of s at p; none when s has
+    no closed-form normal cone."""
     try:
-        return [n.direction for n in s.normal_generators(p, max_count=max_count)]
+        return s.normal_generators(p)[:k]
     except UnsupportedSet:
         return []
 
@@ -288,10 +288,9 @@ def estimate_theta_bar(set_a, set_b, w, samples=256, seed=0,
     rng = np.random.default_rng(seed)
 
     def cone_dirs(s):
-        gens = [n.direction for n in proximal_normals(s, w, max_count=None)]
-        dirs = list(gens)
-        if len(gens) > 1:
-            dirs.extend(conic_mixtures(rng, np.array(gens), samples))
+        dirs = s.normal_generators(w)
+        if len(dirs) > 1:
+            dirs.extend(conic_mixtures(rng, np.array(dirs), samples))
         return dirs
 
     dirs_a = cone_dirs(set_a)

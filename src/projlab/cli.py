@@ -434,16 +434,7 @@ def _cycle_detect(run, rec, path, label):
 
 def _affine_reduction(run, rec, path, label):
     run.shadow_points, rep = affine_mod.shadow_run(run.traj, run.hull())
-    entry = {
-        "eta": rep.eta, "classification": rep.classification,
-        "recursion_residual": rep.recursion_residual,
-        "gap_law_residual": rep.gap_law_residual,
-        "limit_detected": rep.limit_detected,
-        "fix_residual": rep.fix_residual,
-        "shadow_limit": _jsonable(rep.shadow_limit),
-        "full_limit": _jsonable(rep.full_limit),
-        "extra": _jsonable(rep.extra),
-    }
+    entry = _fields_dict(rep, drop=("gap_ratios",))
     passed = rep.gap_law_residual <= 1e-9
     expect = rec.get("expect")
     if expect is not None:
@@ -805,8 +796,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="overwrite existing output files")
     p_verify.add_argument("--seed", type=int, default=None,
                           help="override every scenario seed")
-    p_verify.add_argument("--workers", type=int, default=1,
-                          help="scenarios run concurrently (default 1)")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
     p_cat = sub.add_parser("catalog", help="list set, operator, theorem and analysis tags")
@@ -829,8 +818,7 @@ def main(argv=None) -> int:
             print(f"output in {args.out} exists; use --force to overwrite",
                   file=sys.stderr)
             return 2
-        summary = verify_suite(workers=args.workers, out_root=args.out,
-                               seed=args.seed)
+        summary = verify_suite(out_root=args.out, seed=args.seed)
         if args.format == "json":
             print(json.dumps(summary, indent=2, sort_keys=True))
         else:

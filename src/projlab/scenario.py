@@ -46,7 +46,6 @@ class Scenario:
     seed: int
     analyses: tuple = field(default=())
     expected: dict = field(default_factory=dict)
-    intersection_config: object = "oracle"
 
 
 def _vector(value, dim, path):
@@ -93,14 +92,12 @@ def scenario_from_config(cfg: dict) -> Scenario:
     raw_inter = cfg["intersection"]
     if raw_inter == "oracle":
         intersection = oracle_intersection(sets)
-        inter_config = "oracle"
     else:
         with at_key("intersection"):
             descriptor = set_from_config(raw_inter)
         if descriptor.dim != dim:
             raise ConfigError(f"intersection: dimension {descriptor.dim} != {dim}")
         intersection = exact_intersection(descriptor, sets)
-        inter_config = descriptor.to_config()
 
     anchor = _vector(cfg["anchor"], dim, "anchor")
     for i, s in enumerate(sets):
@@ -142,17 +139,17 @@ def scenario_from_config(cfg: dict) -> Scenario:
 
     return Scenario(name, dim, sets, intersection, anchor, float(delta),
                     operators, x0, max_cycles, float(tol), seed,
-                    tuple(dict(a) for a in analyses), dict(expected),
-                    inter_config)
+                    tuple(dict(a) for a in analyses), dict(expected))
 
 
 def scenario_to_config(sc: Scenario) -> dict:
     """Canonical (normalized) config dict for a scenario."""
+    descriptor = sc.intersection.descriptor
     return {
         "name": sc.name,
         "dimension": sc.dimension,
         "sets": [s.to_config() for s in sc.sets],
-        "intersection": sc.intersection_config,
+        "intersection": "oracle" if descriptor is None else descriptor.to_config(),
         "anchor": [float(v) for v in sc.anchor],
         "delta": sc.delta,
         "operators": [operator_to_config(op, sc.sets) for op in sc.operators.members],

@@ -105,14 +105,6 @@ class ProjectionResult:
     distance: float
 
 
-@dataclass(frozen=True, eq=False)
-class NormalSample:
-    """A unit proximal-normal direction attached to its base point."""
-
-    base: np.ndarray
-    direction: np.ndarray
-
-
 class ClosedSet:
     """Base class for catalog sets; subclasses fill in `project`.
 
@@ -153,8 +145,9 @@ class ClosedSet:
     def contains(self, x, tol=MEMBERSHIP_TOL) -> bool:
         return self.distance(x) <= tol
 
-    def normal_generators(self, p, max_count=8):
-        """Unit generators of the proximal normal cone at a member point p."""
+    def normal_generators(self, p) -> list:
+        """Unit generators of the proximal normal cone at a member point p,
+        as a list of direction vectors in a deterministic order."""
         raise UnsupportedSet(f"{type(self).__name__} has no closed-form normal cone")
 
     def to_config(self) -> dict:
@@ -221,12 +214,12 @@ class Halfspace(_LinearSet):
         P[out] = X[out] - (excess[out] / float(self.a @ self.a))[:, None] * self.a
         return _single_many(X, P)
 
-    def normal_generators(self, p, max_count=8):
+    def normal_generators(self, p):
         p = as_vector(p, self.dim)
         na = float(np.linalg.norm(self.a))
         if self.a @ p - self.b < -MEMBERSHIP_TOL * max(1.0, na):
             return []  # interior: zero cone
-        return [NormalSample(p, self.a / na)]
+        return [self.a / na]
 
     def hull_points(self, rng, probe_count):
         return _full_space_points(self.a * (self.b / float(np.dot(self.a, self.a))))
@@ -248,10 +241,10 @@ class Hyperplane(_LinearSet):
         offset = np.vecdot(X, self.a) - self.b
         return _single_many(X, X - (offset / float(self.a @ self.a))[:, None] * self.a)
 
-    def normal_generators(self, p, max_count=8):
+    def normal_generators(self, p):
         p = as_vector(p, self.dim)
         u = self.a / float(np.linalg.norm(self.a))
-        return [NormalSample(p, u), NormalSample(p, -u)]
+        return [u, -u]
 
     def hull_points(self, rng, probe_count):
         a, aa = self.a, np.dot(self.a, self.a)
@@ -308,14 +301,10 @@ class AffineSubspaceSet(ClosedSet):
         coords = _rowwise(self.basis, X - self.anchor)
         return _single_many(X, self.anchor + _rowwise(self.basis.T, coords))
 
-    def normal_generators(self, p, max_count=8):
+    def normal_generators(self, p):
         p = as_vector(p, self.dim)
         comp = _orthonormal_complement(self.basis, self.dim)
-        out = []
-        for row in comp:
-            out.append(NormalSample(p, row.copy()))
-            out.append(NormalSample(p, -row))
-        return out[:max_count] if max_count is not None else out
+        return [u for row in comp for u in (row, -row)]
 
     def hull_points(self, rng, probe_count):
         return [self.anchor] + [self.anchor + b for b in self.basis]
@@ -356,14 +345,14 @@ class Ball(ClosedSet):
         P[out] = self.center + (self.radius / dist[out])[:, None] * (X[out] - self.center)
         return _single_many(X, P)
 
-    def normal_generators(self, p, max_count=8):
+    def normal_generators(self, p):
         p = as_vector(p, self.dim)
         if self.radius == 0.0:
             raise UnsupportedSet("degenerate ball: use FinitePointSet for a point")
         rr = float(np.linalg.norm(p - self.center))
         if rr < self.radius - MEMBERSHIP_TOL:
             return []
-        return [NormalSample(p, (p - self.center) / rr)]
+        return [(p - self.center) / rr]
 
     def hull_points(self, rng, probe_count):
         if self.radius == 0.0:
@@ -407,13 +396,13 @@ class Sphere(ClosedSet):
         P[~off, 0] += self.radius
         return P, np.where(off, row_norms(X - P), self.radius)
 
-    def normal_generators(self, p, max_count=8):
+    def normal_generators(self, p):
         p = as_vector(p, self.dim)
         gap = float(np.linalg.norm(p - self.center))
         if gap <= TIE_TOL:
             raise DomainError("sphere normal requested at the center")
         u = (p - self.center) / gap
-        return [NormalSample(p, u), NormalSample(p, -u)]
+        return [u, -u]
 
     def hull_points(self, rng, probe_count):
         if self.center.size == 1:
@@ -443,18 +432,18 @@ class Box(ClosedSet):
     def _nearest_many(self, X):
         return _single_many(X, np.clip(X, self.lower, self.upper))
 
-    def normal_generators(self, p, max_count=8):
+    def normal_generators(self, p):
         p = as_vector(p, self.dim)
         out = []
         for i in range(self.dim):
             e = np.zeros(self.dim)
             if p[i] >= self.upper[i] - MEMBERSHIP_TOL:
                 e[i] = 1.0
-                out.append(NormalSample(p, e.copy()))
+                out.append(e.copy())
             if p[i] <= self.lower[i] + MEMBERSHIP_TOL:
                 e[i] = -1.0
-                out.append(NormalSample(p, e))
-        return out[:max_count] if max_count is not None else out
+                out.append(e)
+        return out
 
     def hull_points(self, rng, probe_count):
         mid = (self.lower + self.upper) / 2.0
@@ -502,15 +491,15 @@ class Orthant(ClosedSet):
         s = np.array(self.signs, dtype=float)
         return _single_many(X, np.where((s != 0.0) & (s * X < 0.0), 0.0, X))
 
-    def normal_generators(self, p, max_count=8):
+    def normal_generators(self, p):
         p = as_vector(p, self.dim)
         out = []
         for i, s in enumerate(self.signs):
             if s != 0 and abs(p[i]) <= MEMBERSHIP_TOL:
                 e = np.zeros(self.dim)
                 e[i] = -float(s)
-                out.append(NormalSample(p, e))
-        return out[:max_count] if max_count is not None else out
+                out.append(e)
+        return out
 
     def cone_generators(self) -> np.ndarray:
         """Generating rays of the orthant as a convex cone."""
@@ -608,7 +597,7 @@ class PolyhedralCone(ClosedSet):
         coeff, _ = nnls(self.generators.T, x)
         return self._single(x, self.generators.T @ coeff)
 
-    def normal_generators(self, p, max_count=8):
+    def normal_generators(self, p):
         if self.dim > 3:
             raise UnsupportedSet("cone normal enumeration supports dimension <= 3")
         p = as_vector(p, self.dim)
@@ -616,10 +605,7 @@ class PolyhedralCone(ClosedSet):
         if np.linalg.norm(p) > MEMBERSHIP_TOL:
             rows.append(p[None, :])
             rows.append(-p[None, :])
-        M = np.vstack(rows)
-        rays = _inequality_cone_generators(M)
-        out = [NormalSample(p, r) for r in rays]
-        return out[:max_count] if max_count is not None else out
+        return _inequality_cone_generators(np.vstack(rows))
 
     def polar_generators(self):
         """Generating unit rays of the polar cone {v : <v, g_i> <= 0}."""
@@ -668,10 +654,10 @@ class Enlargement(ClosedSet):
         P[out] = Q[out] + (self.tau / dist[out])[:, None] * (X[out] - Q[out])
         return P, np.where(out, dist - self.tau, 0.0)
 
-    def normal_generators(self, p, max_count=8):
+    def normal_generators(self, p):
         p = as_vector(p, self.dim)
         if self.tau == 0.0:
-            return self.inner.normal_generators(p, max_count)
+            return self.inner.normal_generators(p)
         res = self.inner.project(p)
         if res.distance < self.tau - MEMBERSHIP_TOL:
             return []  # interior: zero cone
@@ -680,8 +666,8 @@ class Enlargement(ClosedSet):
             u = p - q
             nu = float(np.linalg.norm(u))
             if nu > TIE_TOL:
-                out.append(NormalSample(p, u / nu))
-        return out[:max_count] if max_count is not None else out
+                out.append(u / nu)
+        return out
 
     def hull_points(self, rng, probe_count):
         inner_pts = self.inner.hull_points(rng, probe_count)
@@ -788,10 +774,9 @@ class Translate(ClosedSet):
         Q, dist = self.inner._nearest_many(X - self.shift)
         return Q + self.shift, dist
 
-    def normal_generators(self, p, max_count=8):
+    def normal_generators(self, p):
         p = as_vector(p, self.dim)
-        inner = self.inner.normal_generators(p - self.shift, max_count)
-        return [NormalSample(p, n.direction) for n in inner]
+        return self.inner.normal_generators(p - self.shift)
 
     def hull_points(self, rng, probe_count):
         return [p + self.shift for p in self.inner.hull_points(rng, probe_count)]
@@ -813,14 +798,15 @@ def distance(s: ClosedSet, x) -> float:
     return s.distance(x)
 
 
-def proximal_normals(s: ClosedSet, p, max_count=8):
-    """Up to max_count unit generators of the proximal normal cone at p.
+def proximal_normals(s: ClosedSet, p) -> list:
+    """Unit generators of the proximal normal cone of s at p, as direction
+    vectors (see ClosedSet.normal_generators).
 
     p must belong to s (loose tolerance 1e-8 to absorb projection rounding).
     """
     if not s.contains(p, 1e-8):
         raise DomainError("normal cone requested at a point outside the set")
-    return s.normal_generators(p, max_count)
+    return s.normal_generators(p)
 
 
 def _cone_of(s):

@@ -1,5 +1,8 @@
 """Command-line interface: exit codes, output layout, report shape."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 
@@ -18,6 +21,17 @@ def _strip_timing(obj):
     if isinstance(obj, list):
         return [_strip_timing(v) for v in obj]
     return obj
+
+
+def _verify_digest(seed):
+    """sha256 of the `verify --format json` report with every `timing` key
+    removed, re-dumped with indent=2 and sorted keys."""
+    argv = ["verify", "--format", "json"] + ([] if seed is None else ["--seed", str(seed)])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert P.main(argv) == 0
+    report = _strip_timing(json.loads(out.getvalue()))
+    return hashlib.sha256(json.dumps(report, indent=2, sort_keys=True).encode()).hexdigest()
 
 
 def _write(tmp_path, cfg, name="scenario.json"):
@@ -199,8 +213,6 @@ class TestVerifyCommand:
                 "verify",
                 "--out",
                 str(tmp_path / "suite"),
-                "--workers",
-                "4",
                 "--format",
                 "json",
             ]
@@ -216,6 +228,19 @@ class TestVerifyCommand:
             base = tmp_path / "suite" / name
             assert (base / "trajectory.csv").is_file()
             assert (base / "report.json").is_file()
+
+    @pytest.mark.parametrize("seed, digest", [
+        (None, "c40476df9437298b9727b9f615f5bfefc59f9d71ac38a1fc63fa285bf9a0cbba"),
+        (12345, "ad0f444ab82c9518ab355c87f4a87dfbdc7d0d796f3a302de55fe3db154ca8d6"),
+    ])
+    def test_verify_report_is_pinned(self, seed, digest):
+        """The suite report stays byte-identical once `timing` is removed.  A
+        change meant to move a reported number says which fields moved and
+        regenerates the digests from the repository root with
+
+            PYTHONPATH=src:tests python -c "import test_cli as t; print(t._verify_digest(None), t._verify_digest(12345))"
+        """
+        assert _verify_digest(seed) == digest
 
     def test_verify_refuses_nonempty_out_without_force(self, tmp_path, capsys):
         out = tmp_path / "suite"

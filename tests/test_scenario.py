@@ -1,5 +1,6 @@
 """Scenario configs: validation, normalization, round-trips, bundled files."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -63,7 +64,7 @@ class TestParsing:
 
     def test_oracle_intersection_accepted(self):
         sc = P.scenario_from_config(minimal_config(intersection="oracle"))
-        assert sc.intersection_config == "oracle"
+        assert P.scenario_to_config(sc)["intersection"] == "oracle"
         assert sc.intersection.approximate
 
     def test_exact_intersection_not_approximate(self):
@@ -160,6 +161,22 @@ class TestRoundTrip:
         P.save_scenario(sc, path)
         sc2 = P.load_scenario(path)
         assert P.scenario_to_config(sc) == P.scenario_to_config(sc2)
+
+    def test_scenario_built_in_code_keeps_its_intersection(self):
+        """The serialized intersection follows the handle the Scenario holds,
+        so a scenario built in code re-parses with the same kind of handle."""
+        sc = P.load_bundled("two_lines_angle_45")
+        direct = P.Scenario(sc.name, sc.dimension, sc.sets, sc.intersection, sc.anchor,
+                            sc.delta, sc.operators, sc.x0, sc.max_cycles, sc.tol, sc.seed)
+        oracle = P.scenario_from_config(minimal_config(intersection="oracle"))
+        exact = P.scenario_from_config(minimal_config())
+        for built in (direct, dataclasses.replace(oracle, intersection=exact.intersection)):
+            cfg = P.scenario_to_config(built)
+            assert cfg["intersection"] == built.intersection.descriptor.to_config()
+            assert not P.scenario_from_config(cfg).intersection.approximate
+        swapped = dataclasses.replace(exact, intersection=oracle.intersection)
+        assert P.scenario_to_config(swapped)["intersection"] == "oracle"
+        assert P.scenario_from_config(P.scenario_to_config(swapped)).intersection.approximate
 
     def test_load_reports_json_position(self, tmp_path):
         path = tmp_path / "broken.json"

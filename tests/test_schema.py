@@ -261,8 +261,11 @@ class TestCatalog:
             check_analysis(record, "analysis")
 
 
-def test_verify_is_serial_by_default():
-    assert P.cli.build_parser().parse_args(["verify"]).workers == 1
+def test_verify_is_serial_by_default(capsys):
+    """verify runs the suite serially and offers no thread-pool option."""
+    assert not hasattr(P.cli.build_parser().parse_args(["verify"]), "workers")
+    assert P.main(["verify", "--workers", "4"]) == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_probe_fallback_spans_a_custom_set():

@@ -264,14 +264,23 @@ class TestProximalNormals:
         ids=["halfspace", "ball", "sphere", "box-corner", "orthant-origin"],
     )
     def test_normals_project_back(self, s, p):
-        """Stepping along a proximal normal and projecting returns its base."""
+        """Stepping from p along a proximal normal u and projecting returns p."""
         normals = P.proximal_normals(s, p)
         assert normals
-        for n in normals:
-            assert np.linalg.norm(n.direction) == pytest.approx(1.0, abs=1e-12)
+        for u in normals:
+            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
             for t in (1e-6, 1e-3):
-                back = P.project(s, n.base + t * n.direction).canonical
-                assert np.linalg.norm(back - n.base) <= 10.0 * t * 1e-3 + 1e-12
+                back = P.project(s, p + t * u).canonical
+                assert np.linalg.norm(back - p) <= 10.0 * t * 1e-3 + 1e-12
+
+    def test_box_corner_in_16d_lists_every_normal(self):
+        """All 16 generators at a corner, in coordinate order; the sampled
+        analyses take the first k of the same list."""
+        corner = np.array([1.0, -1.0] * 8)
+        box = P.Box(-np.ones(16), np.ones(16))
+        assert np.array_equal(np.array(P.proximal_normals(box, corner)), np.diag(corner))
+        first = P.analysis._closed_form_normals(box, corner, 8)
+        assert np.array_equal(np.array(first), np.diag(corner)[:8])
 
     def test_sphere_normal_at_center_raises(self):
         s = P.Sphere(np.array([1.0, -2.0]), 1.5)
