@@ -24,6 +24,9 @@ STRONG_TOL = 1e-6
 
 _PAIR_FLOOR = 1e-9      # minimum pair separation entering regularity ratios
 _DIRECTION_FLOOR = 1e-12
+_DUPLICATE_COS = 1.0 - 1e-9  # normal directions closer than this are one
+# Bound on the temporaries of one chunk of eps-regularity sites.
+_EPS_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,6 +80,14 @@ class RegularityEstimate:
     extra: dict = field(default_factory=dict)
 
 
+def _positive_delta(delta) -> float:
+    """delta as a float, or DomainError unless it is positive and finite."""
+    delta = float(delta)
+    if not (np.isfinite(delta) and delta > 0.0):
+        raise DomainError(f"delta must be positive and finite, got {delta}")
+    return delta
+
+
 def uniform_ball(rng, center, radius, n) -> np.ndarray:
     """n points uniform in the closed ball: Gaussian direction, U^(1/d) radius."""
     center = as_vector(center)
@@ -121,6 +132,7 @@ def check_quasi_firm_fejer(op, refset, gamma, beta, w, delta, samples=1000,
     beta = float(beta)
     if gamma <= 0.0 or beta < 0.0:
         raise DomainError("need gamma > 0 and beta >= 0")
+    delta = _positive_delta(delta)
     w = as_vector(w)
     rng = np.random.default_rng(seed)
     pool = _member_pool(refset, w, delta, rng, min(samples, 256))
@@ -141,6 +153,7 @@ def check_quasi_coercive(op, cset, nu, w, delta, samples=1000, seed=0,
     nu = float(nu)
     if nu <= 0.0:
         raise DomainError("need nu > 0")
+    delta = _positive_delta(delta)
     w = as_vector(w)
     rng = np.random.default_rng(seed)
     xs = uniform_ball(rng, w, delta / 2.0, samples)
@@ -162,6 +175,7 @@ def check_injectable(s: ClosedSet, tau, w, delta, samples=1000, seed=0,
     tau = float(tau)
     if tau < 0.0:
         raise DomainError("tau must be >= 0")
+    delta = _positive_delta(delta)
     w = as_vector(w)
     rng = np.random.default_rng(seed)
     xs = uniform_ball(rng, w, delta, samples)
@@ -192,6 +206,7 @@ def estimate_eps_regularity(s: ClosedSet, w, delta, samples=600, seed=0,
     preimage z - x plus any closed-form generators.  The estimate is
     max(0, max <u, y - x> / (||u|| ||y - x||)) over sampled pairs.
     """
+    delta = _positive_delta(delta)
     w = as_vector(w)
     if not s.contains(w, 1e-8):
         raise DomainError("anchor w must belong to the set")
@@ -201,28 +216,75 @@ def estimate_eps_regularity(s: ClosedSet, w, delta, samples=600, seed=0,
     xs = s.project_many(zs)
     near = row_norms(xs - w) <= delta + 1e-9
     xs, preimages = xs[near], (zs - xs)[near]
-    normal_sites = []
-    for x, u, nu in zip(xs, preimages, row_norms(preimages)):
-        us = ([u / nu] if nu > _DIRECTION_FLOOR else []) + _closed_form_normals(s, x, 8)
-        if us:
-            normal_sites.append((x, us))
-    M = np.vstack([w, xs])
-    eps_hat = 0.0
-    pair_count = 0
-    for x, us in normal_sites:
-        diff = M - x
-        norms = np.linalg.norm(diff, axis=1)
-        mask = norms >= _PAIR_FLOOR
-        if not np.any(mask):
-            continue
-        pair_count += int(np.sum(mask)) * len(us)
-        for u in us:
-            ratios = (diff[mask] @ u) / norms[mask]
-            eps_hat = max(eps_hat, float(ratios.max()))
-    eps_hat = min(max(eps_hat, 0.0), 1.0)
-    return RegularityEstimate("eps_regularity", eps_hat, w, float(delta),
+    # the normals at each site: its unit preimage direction, then the first
+    # 8 closed-form generators
+    lengths = row_norms(preimages)
+    moved = lengths > _DIRECTION_FLOOR
+    units = np.zeros_like(preimages)
+    units[moved] = preimages[moved] / lengths[moved, None]
+    closed, closed_mask = _closed_form_normals(s, xs, 8)
+    normals = np.concatenate([units[:, None, :], closed], axis=1)
+    normal_mask = np.concatenate([moved[:, None], closed_mask], axis=1)
+    sites = normal_mask.any(axis=1)
+    best, pair_count = _max_normal_ratio(np.vstack([w, xs]), xs[sites], normals[sites],
+                                         normal_mask[sites])
+    eps_hat = min(max(0.0, best), 1.0)
+    return RegularityEstimate("eps_regularity", eps_hat, w, delta,
                               len(zs), seed, "lower",
                               {"pairs": pair_count, "vacuous": pair_count == 0})
+
+
+def _max_normal_ratio(M, sites, normals, normal_mask):
+    """(max <u, y - x> / ||y - x||, pair count) over the sites x, their
+    normals u (normal_mask marks them) and the rows y of M at least
+    _PAIR_FLOOR from x; the max is -inf when there are no pairs.
+
+    The sites are taken a chunk at a time, so the temporaries stay near
+    _EPS_CHUNK_BYTES whatever the number of rows and the dimension.
+    """
+    m, d = M.shape
+    k = normals.shape[1]
+    rows = -(-m // 4) * 4  # see _masked_products
+    chunk = max(1, _EPS_CHUNK_BYTES // (8 * rows * (d + 2 * k)))
+    best, pair_count = -np.inf, 0
+    for lo in range(0, sites.shape[0], chunk):
+        X, U, live = sites[lo:lo + chunk], normals[lo:lo + chunk], normal_mask[lo:lo + chunk]
+        diff = np.zeros((X.shape[0], rows, d))
+        np.subtract(M, X[:, None, :], out=diff[:, :m])
+        norms = np.linalg.norm(diff[:, :m], axis=-1)
+        pairs = norms >= _PAIR_FLOOR
+        counts = pairs.sum(axis=1)
+        pair_count += int(np.sum(counts * live.sum(axis=1)))
+        use = live[:, :, None] & pairs[:, None, :]
+        ratios = np.divide(_masked_products(diff, U, pairs, counts)[:, :, :m],
+                           norms[:, None, :], out=np.full(use.shape, -np.inf), where=use)
+        best = max(best, float(ratios.max(initial=-np.inf)))
+    return best, pair_count
+
+
+def _masked_products(diff, U, pairs, counts):
+    """out[s, j, r] = <diff[s, r], U[s, j]> for each pair row r (pairs[s, r]),
+    with the bits of diff[s][pairs[s]] @ U[s, j].
+
+    The BLAS matrix-vector kernel sums a row in an order that depends on
+    where the row falls in the product: rows in the leading multiple of four
+    take its blocked path, the last (count mod 4) rows its tail path, and a
+    one-row product is a dot.  diff has a multiple of four rows, so one
+    stacked product puts every row on the blocked path.  Then the last L pair
+    rows of each site whose count is not a multiple of four, L = count below
+    four and 4 + count % 4 above, go through a product of exactly L rows:
+    there they end the product, as in the masked one.
+    """
+    out = np.matmul(diff[:, None], U[:, :, :, None])[..., 0]
+    tail = np.where(counts < 4, counts, 4 + counts % 4) * (counts % 4 > 0)
+    for size in np.unique(tail[tail > 0]):
+        at = np.flatnonzero(tail == size)
+        last = pairs[at] & (np.cumsum(pairs[at], axis=1) > (counts[at] - size)[:, None])
+        rows = np.nonzero(last)[1].reshape(at.size, size)
+        block = np.take_along_axis(diff[at], rows[:, :, None], axis=1)
+        out[at[:, None, None], np.arange(U.shape[1])[:, None], rows[:, None, :]] = \
+            np.matmul(block[:, None], U[at][:, :, :, None])[..., 0]
+    return out
 
 
 def estimate_linear_regularity(system, intersection: IntersectionHandle, w,
@@ -230,6 +292,7 @@ def estimate_linear_regularity(system, intersection: IntersectionHandle, w,
                                points=None) -> RegularityEstimate:
     """Sampled lower bound of the linear-regularity modulus kappa on B(w, delta/2):
     max d_C(x) / max_i d_{C_i}(x) over draws with some d_{C_i}(x) > 0."""
+    delta = _positive_delta(delta)
     w = as_vector(w)
     rng = np.random.default_rng(seed)
     xs = uniform_ball(rng, w, delta / 2.0, samples) if points is None \
@@ -239,40 +302,47 @@ def estimate_linear_regularity(system, intersection: IntersectionHandle, w,
     kappa_hat = np.max(intersection.distance_many(xs[live]) / dmax[live], initial=1.0)
     used = int(np.count_nonzero(live))
     return RegularityEstimate("linear_regularity", float(kappa_hat), w,
-                              float(delta), len(xs), seed, "lower",
+                              delta, len(xs), seed, "lower",
                               {"used": used, "vacuous": used == 0,
                                "approximate": intersection.approximate})
 
 
-def _closed_form_normals(s, p, k):
-    """The first k closed-form normal generators of s at p; none when s has
-    no closed-form normal cone."""
+def _closed_form_normals(s, P, k):
+    """The first k closed-form normal generators of s at each row of P, laid
+    out as by normal_generators_many; no columns when s has no closed-form
+    normal cone."""
     try:
-        return s.normal_generators(p)[:k]
+        dirs, mask = s.normal_generators_many(P)
     except UnsupportedSet:
-        return []
+        return np.zeros((P.shape[0], 0, s.dim)), np.zeros((P.shape[0], 0), bool)
+    return dirs[:, :k], mask[:, :k]
 
 
 def _normal_pool(s, w, delta, rng, budget):
-    """Unit proximal-normal directions of s collected near w (deduplicated)."""
-    dirs = []
-
-    def push(u):
-        n = float(np.linalg.norm(u))
-        if n <= _DIRECTION_FLOOR:
-            return
-        u = u / n
-        if not any(float(np.dot(u, v)) > 1.0 - 1e-9 for v in dirs):
-            dirs.append(u)
-
-    for u in _closed_form_normals(s, w, 16):
-        push(u)
+    """Unit proximal-normal directions of s collected near w, as the rows of
+    an array: the candidates in the order they are met (w's first 16
+    closed-form normals, then for each sample z its preimage direction
+    z - x and the first 8 closed-form normals at its projection x),
+    normalized, then each kept unless it is within _DUPLICATE_COS of an
+    earlier kept one."""
+    at_w, at_w_mask = _closed_form_normals(s, w[None, :], 16)
     zs = uniform_ball(rng, w, delta / 2.0, budget)
-    for z, x in zip(zs, s.project_many(zs)):
-        push(z - x)
-        for u in _closed_form_normals(s, x, 8):
-            push(u)
-    return dirs
+    xs = s.project_many(zs)
+    closed, closed_mask = _closed_form_normals(s, xs, 8)
+    per_sample = np.concatenate([(zs - xs)[:, None, :], closed], axis=1)
+    per_mask = np.concatenate([np.ones((budget, 1), bool), closed_mask], axis=1)
+    found = np.concatenate([at_w[at_w_mask], per_sample[per_mask]])
+    lengths = row_norms(found)
+    keep = lengths > _DIRECTION_FLOOR
+    found = found[keep] / lengths[keep, None]
+    # greedy: a live candidate has no kept predecessor within the threshold,
+    # so keeping the first live one and dropping its near copies at once
+    # keeps what a candidate-by-candidate scan keeps
+    live = np.ones(found.shape[0], bool)
+    for i in range(found.shape[0]):
+        if live[i]:
+            live[i + 1:] &= np.vecdot(found[i + 1:], found[i]) <= _DUPLICATE_COS
+    return found[live]
 
 
 def estimate_theta_bar(set_a, set_b, w, samples=256, seed=0,
@@ -281,6 +351,7 @@ def estimate_theta_bar(set_a, set_b, w, samples=256, seed=0,
 
     Returns 0 with a trivial flag when either normal cone is {0}.
     """
+    delta = _positive_delta(delta)
     w = as_vector(w)
     for s in (set_a, set_b):
         if not s.contains(w, 1e-8):
@@ -296,13 +367,13 @@ def estimate_theta_bar(set_a, set_b, w, samples=256, seed=0,
     dirs_a = cone_dirs(set_a)
     dirs_b = cone_dirs(set_b)
     if not dirs_a or not dirs_b:
-        return RegularityEstimate("theta_bar", 0.0, w, float(delta),
+        return RegularityEstimate("theta_bar", 0.0, w, delta,
                                   samples, seed, "lower", {"trivial": True})
     A = np.array(dirs_a)
     B = np.array(dirs_b)
     theta = float(np.max(A @ (-B).T))
     theta = min(max(theta, -1.0), 1.0)
-    return RegularityEstimate("theta_bar", theta, w, float(delta),
+    return RegularityEstimate("theta_bar", theta, w, delta,
                               samples, seed, "lower", {"trivial": False})
 
 
@@ -346,14 +417,15 @@ def check_strong_regularity(system, w, delta, samples=2000, seed=0,
     random conic perturbations; zeta_hat <= strong_tol flags a degenerate
     (not strongly regular) system.
     """
+    delta = _positive_delta(delta)
     w = as_vector(w)
     system = list(system)
     rng = np.random.default_rng(seed)
     budget = max(16, samples // (4 * max(1, len(system))))
     pools = [_normal_pool(s, w, delta, rng, budget) for s in system]
-    active = [p for p in pools if p]
+    active = [p for p in pools if len(p)]
     if not active:
-        return RegularityEstimate("strong_regularity", 1.0, w, float(delta),
+        return RegularityEstimate("strong_regularity", 1.0, w, delta,
                                   samples, seed, "upper",
                                   {"strong": True, "trivial": True})
     zeta = np.inf
@@ -376,14 +448,14 @@ def check_strong_regularity(system, w, delta, samples=2000, seed=0,
             weights[j][t] = rng.exponential(size=len(pool))
             scales[j, t] = rng.random()
     # weights @ pool for each tuple, one vector-matrix product per row
-    parts = [r_j[:, None] * np.matmul(w_j[:, None, :], np.array(pool))[:, 0, :]
+    parts = [r_j[:, None] * np.matmul(w_j[:, None, :], pool)[:, 0, :]
              for pool, w_j, r_j in zip(active, weights, scales)]
     total = sum(row_norms(part) for part in parts)
     combined = sum(parts[1:], parts[0])
     values = row_norms(combined) / np.where(total > _DIRECTION_FLOOR, total, 1.0)
     zeta = min(zeta, np.min(values[total > _DIRECTION_FLOOR], initial=np.inf))
     zeta = max(0.0, float(zeta))
-    return RegularityEstimate("strong_regularity", zeta, w, float(delta),
+    return RegularityEstimate("strong_regularity", zeta, w, delta,
                               samples, seed, "upper",
                               {"strong": zeta > strong_tol,
                                "strong_tol": strong_tol,

@@ -197,8 +197,9 @@ class _Run:
         return self._hull
 
     def sampling(self, record, samples):
-        """(samples, seed, delta) of a sampled analysis record."""
-        return (record.get("samples") or samples, int(record.get("seed", self.seed)),
+        """(samples, seed, delta) of a sampled analysis record; check_analysis
+        has checked the record's own values."""
+        return (record.get("samples", samples), record.get("seed", self.seed),
                 float(record.get("delta", self.sc.delta)))
 
     def store(self, label, obj, path):
@@ -541,11 +542,28 @@ ANALYSES = {
 }
 
 
+def _check_sampling(record):
+    """Parse-time check of the sampling overrides a record may carry."""
+    def count(key, least):
+        value = record.get(key, least)
+        return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+    if not count("samples", 1):
+        raise ConfigError("samples: must be a positive integer")
+    if not count("seed", 0):
+        raise ConfigError("seed: must be a nonnegative integer")
+    delta = record.get("delta", 1.0)
+    if isinstance(delta, bool) or not isinstance(delta, (int, float)) \
+            or not (np.isfinite(delta) and delta > 0):
+        raise ConfigError("delta: must be a positive number")
+
+
 def check_analysis(record, path):
     """Validate one analysis record against its kind's table entry."""
     with at_key(path):
         spec = table_entry(record, ANALYSES, "analysis", tag="kind")
         check_keys(record, "", ("kind", "label") + spec.keys, spec.required, spec.modifiers)
+        _check_sampling(record)
         if spec.check is not None:
             spec.check(record)
 

@@ -7,7 +7,8 @@ bit-identically.  Multivalued ties are broken by the lexicographically
 smallest coordinate vector unless a variant documents its own rule
 (UnionOfSets prefers the lowest member index, Sphere at its center returns
 center + radius * e1).  `project_many` and `distance_many` give the same
-canonical points and distances for each row of an (n, d) array.
+canonical points and distances for each row of an (n, d) array, and
+`normal_generators_many` the same normal generators.
 """
 
 from __future__ import annotations
@@ -82,6 +83,25 @@ def _full_space_points(anchor):
     return [anchor] + list(anchor + np.eye(anchor.size))
 
 
+def _prefix_rows(U, active):
+    """`normal_generators_many` output from candidate directions U, either
+    (m, d) shared by every row or (n, m, d), and their (n, m) activity: each
+    row's active candidates moved, in order, to a prefix, the padding zeroed
+    and the columns cut to the longest row."""
+    order = np.argsort(~active, axis=1, kind="stable")[:, :active.sum(axis=1).max(initial=0)]
+    mask = np.take_along_axis(active, order, axis=1)
+    dirs = U[order] if U.ndim == 2 else np.take_along_axis(U, order[:, :, None], axis=1)
+    dirs[~mask] = 0.0
+    return dirs, mask
+
+
+def _one_row_normals(self, p):
+    """`normal_generators` of a variant with a batched closed form: the
+    one-row call of its `normal_generators_many`."""
+    dirs, mask = self.normal_generators_many(as_vector(p, self.dim)[None, :])
+    return list(dirs[0, mask[0]])
+
+
 def _dedupe(points, tol=TIE_TOL):
     out = []
     for p in points:
@@ -150,6 +170,23 @@ class ClosedSet:
         as a list of direction vectors in a deterministic order."""
         raise UnsupportedSet(f"{type(self).__name__} has no closed-form normal cone")
 
+    def normal_generators_many(self, P):
+        """The normal generators at each row of an (n, dim) array P: padded
+        (n, k, dim) directions and an (n, k) mask, k the longest row.  Row
+        i's masked directions are normal_generators(P[i]), in order; the
+        mask is a prefix and the padding is zero.
+
+        This default loops over `normal_generators`, so any subclass works.
+        Variants with a closed form broadcast it, and their
+        `normal_generators` is its one-row call.
+        """
+        rows = [self.normal_generators(p) for p in as_points(P, self.dim)]
+        counts = np.array([len(r) for r in rows], dtype=int)
+        mask = np.arange(counts.max(initial=0)) < counts[:, None]
+        dirs = np.zeros(mask.shape + (self.dim,))
+        dirs[mask] = np.reshape([u for r in rows for u in r], (-1, self.dim))
+        return dirs, mask
+
     def to_config(self) -> dict:
         cfg = {"type": self.tag}
         for f in fields(self):
@@ -214,12 +251,13 @@ class Halfspace(_LinearSet):
         P[out] = X[out] - (excess[out] / float(self.a @ self.a))[:, None] * self.a
         return _single_many(X, P)
 
-    def normal_generators(self, p):
-        p = as_vector(p, self.dim)
+    normal_generators = _one_row_normals
+
+    def normal_generators_many(self, P):
         na = float(np.linalg.norm(self.a))
-        if self.a @ p - self.b < -MEMBERSHIP_TOL * max(1.0, na):
-            return []  # interior: zero cone
-        return [self.a / na]
+        excess = np.vecdot(as_points(P, self.dim), self.a) - self.b
+        face = excess >= -MEMBERSHIP_TOL * max(1.0, na)  # interior: zero cone
+        return _prefix_rows((self.a / na)[None, :], face[:, None])
 
     def hull_points(self, rng, probe_count):
         return _full_space_points(self.a * (self.b / float(np.dot(self.a, self.a))))
@@ -241,10 +279,12 @@ class Hyperplane(_LinearSet):
         offset = np.vecdot(X, self.a) - self.b
         return _single_many(X, X - (offset / float(self.a @ self.a))[:, None] * self.a)
 
-    def normal_generators(self, p):
-        p = as_vector(p, self.dim)
+    normal_generators = _one_row_normals
+
+    def normal_generators_many(self, P):
+        n = as_points(P, self.dim).shape[0]
         u = self.a / float(np.linalg.norm(self.a))
-        return [u, -u]
+        return _prefix_rows(np.stack([u, -u]), np.ones((n, 2), bool))
 
     def hull_points(self, rng, probe_count):
         a, aa = self.a, np.dot(self.a, self.a)
@@ -301,10 +341,13 @@ class AffineSubspaceSet(ClosedSet):
         coords = _rowwise(self.basis, X - self.anchor)
         return _single_many(X, self.anchor + _rowwise(self.basis.T, coords))
 
-    def normal_generators(self, p):
-        p = as_vector(p, self.dim)
+    normal_generators = _one_row_normals
+
+    def normal_generators_many(self, P):
+        n = as_points(P, self.dim).shape[0]
         comp = _orthonormal_complement(self.basis, self.dim)
-        return [u for row in comp for u in (row, -row)]
+        pairs = np.stack([comp, -comp], axis=1).reshape(-1, self.dim)  # u0, -u0, u1, ...
+        return _prefix_rows(pairs, np.ones((n, pairs.shape[0]), bool))
 
     def hull_points(self, rng, probe_count):
         return [self.anchor] + [self.anchor + b for b in self.basis]
@@ -345,14 +388,18 @@ class Ball(ClosedSet):
         P[out] = self.center + (self.radius / dist[out])[:, None] * (X[out] - self.center)
         return _single_many(X, P)
 
-    def normal_generators(self, p):
-        p = as_vector(p, self.dim)
-        if self.radius == 0.0:
+    normal_generators = _one_row_normals
+
+    def normal_generators_many(self, P):
+        gap = as_points(P, self.dim) - self.center
+        if self.radius == 0.0 and gap.shape[0]:
             raise UnsupportedSet("degenerate ball: use FinitePointSet for a point")
-        rr = float(np.linalg.norm(p - self.center))
-        if rr < self.radius - MEMBERSHIP_TOL:
-            return []
-        return [(p - self.center) / rr]
+        rr = row_norms(gap)
+        # interior (the center too, however small the radius): zero cone
+        face = (rr >= self.radius - MEMBERSHIP_TOL) & (rr > 0.0)
+        U = np.zeros_like(gap)
+        U[face] = gap[face] / rr[face, None]
+        return _prefix_rows(U[:, None, :], face[:, None])
 
     def hull_points(self, rng, probe_count):
         if self.radius == 0.0:
@@ -396,13 +443,15 @@ class Sphere(ClosedSet):
         P[~off, 0] += self.radius
         return P, np.where(off, row_norms(X - P), self.radius)
 
-    def normal_generators(self, p):
-        p = as_vector(p, self.dim)
-        gap = float(np.linalg.norm(p - self.center))
-        if gap <= TIE_TOL:
+    normal_generators = _one_row_normals
+
+    def normal_generators_many(self, P):
+        gap = as_points(P, self.dim) - self.center
+        rr = row_norms(gap)
+        if np.any(rr <= TIE_TOL):
             raise DomainError("sphere normal requested at the center")
-        u = (p - self.center) / gap
-        return [u, -u]
+        U = gap / rr[:, None]
+        return _prefix_rows(np.stack([U, -U], axis=1), np.ones((U.shape[0], 2), bool))
 
     def hull_points(self, rng, probe_count):
         if self.center.size == 1:
@@ -432,18 +481,16 @@ class Box(ClosedSet):
     def _nearest_many(self, X):
         return _single_many(X, np.clip(X, self.lower, self.upper))
 
-    def normal_generators(self, p):
-        p = as_vector(p, self.dim)
-        out = []
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            if p[i] >= self.upper[i] - MEMBERSHIP_TOL:
-                e[i] = 1.0
-                out.append(e.copy())
-            if p[i] <= self.lower[i] + MEMBERSHIP_TOL:
-                e[i] = -1.0
-                out.append(e)
-        return out
+    normal_generators = _one_row_normals
+
+    def normal_generators_many(self, P):
+        P = as_points(P, self.dim)
+        i = np.arange(self.dim)
+        axes = np.zeros((self.dim, 2, self.dim))  # e_0, -e_0, e_1, ...
+        axes[i, 0, i], axes[i, 1, i] = 1.0, -1.0
+        active = np.stack([P >= self.upper - MEMBERSHIP_TOL,
+                           P <= self.lower + MEMBERSHIP_TOL], axis=2)
+        return _prefix_rows(axes.reshape(-1, self.dim), active.reshape(P.shape[0], 2 * self.dim))
 
     def hull_points(self, rng, probe_count):
         mid = (self.lower + self.upper) / 2.0
@@ -491,15 +538,12 @@ class Orthant(ClosedSet):
         s = np.array(self.signs, dtype=float)
         return _single_many(X, np.where((s != 0.0) & (s * X < 0.0), 0.0, X))
 
-    def normal_generators(self, p):
-        p = as_vector(p, self.dim)
-        out = []
-        for i, s in enumerate(self.signs):
-            if s != 0 and abs(p[i]) <= MEMBERSHIP_TOL:
-                e = np.zeros(self.dim)
-                e[i] = -float(s)
-                out.append(e)
-        return out
+    normal_generators = _one_row_normals
+
+    def normal_generators_many(self, P):
+        s = np.array(self.signs, dtype=float)
+        at_zero = np.abs(as_points(P, self.dim)) <= MEMBERSHIP_TOL
+        return _prefix_rows(np.diag(-s), (s != 0.0) & at_zero)
 
     def cone_generators(self) -> np.ndarray:
         """Generating rays of the orthant as a convex cone."""
@@ -774,9 +818,10 @@ class Translate(ClosedSet):
         Q, dist = self.inner._nearest_many(X - self.shift)
         return Q + self.shift, dist
 
-    def normal_generators(self, p):
-        p = as_vector(p, self.dim)
-        return self.inner.normal_generators(p - self.shift)
+    normal_generators = _one_row_normals
+
+    def normal_generators_many(self, P):
+        return self.inner.normal_generators_many(as_points(P, self.dim) - self.shift)
 
     def hull_points(self, rng, probe_count):
         return [p + self.shift for p in self.inner.hull_points(rng, probe_count)]

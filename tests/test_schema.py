@@ -138,6 +138,55 @@ class TestExpectValues:
         assert _error(cfg).startswith('analyses[0].expect: must be one of "pass", "fail"')
 
 
+class TestSamplingOverrides:
+    """Per-record samples, seed and delta are checked at parse time, and the
+    sampled analyses themselves reject a delta that is not positive."""
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("delta", -1, "delta: must be a positive number"),
+        ("delta", 0.0, "delta: must be a positive number"),
+        ("delta", "x", "delta: must be a positive number"),
+        ("delta", True, "delta: must be a positive number"),
+        ("delta", float("inf"), "delta: must be a positive number"),
+        ("samples", 0, "samples: must be a positive integer"),
+        ("samples", -5, "samples: must be a positive integer"),
+        ("samples", 2.5, "samples: must be a positive integer"),
+        ("samples", True, "samples: must be a positive integer"),
+        ("seed", -1, "seed: must be a nonnegative integer"),
+        ("seed", 1.5, "seed: must be a nonnegative integer"),
+        ("seed", "7", "seed: must be a nonnegative integer"),
+    ])
+    def test_bad_override_names_the_key_path(self, key, value, message):
+        cfg = _bundled_config("degenerate_three_halfspaces")
+        cfg["analyses"][2][key] = value
+        assert _error(cfg) == f"analyses[2].{message}"
+
+    def test_valid_overrides_are_used(self):
+        cfg = _bundled_config("degenerate_three_halfspaces")
+        cfg["analyses"][0].update(samples=40, seed=3, delta=0.25)
+        report = P.execute_scenario(P.scenario_from_config(cfg))
+        zeta = report["constants"]["zeta_all"]
+        assert (zeta["samples"], zeta["seed"], zeta["delta"]) == (40, 3, 0.25)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_sampled_analyses_reject_bad_delta(self, delta):
+        a = P.Halfspace(np.array([1.0, 0.0]), 0.0)
+        w = np.zeros(2)
+        op = P.RelaxedProjector(a, 1.0)
+        calls = [
+            lambda: P.estimate_eps_regularity(a, w, delta),
+            lambda: P.estimate_linear_regularity([a], P.exact_intersection(a, (a,)), w, delta),
+            lambda: P.estimate_theta_bar(a, a, w, delta=delta),
+            lambda: P.check_strong_regularity([a], w, delta),
+            lambda: P.check_quasi_firm_fejer(op, a, 1.0, 0.0, w, delta),
+            lambda: P.check_quasi_coercive(op, a, 1.0, w, delta),
+            lambda: P.check_injectable(a, 0.1, w, delta),
+        ]
+        for call in calls:
+            with pytest.raises(P.DomainError, match="delta"):
+                call()
+
+
 class TestModifiersAndRequiredKeys:
     @pytest.mark.parametrize("record, message", [
         ({"kind": "rate_fit", "expect_tol": 0.01},

@@ -279,8 +279,8 @@ class TestProximalNormals:
         corner = np.array([1.0, -1.0] * 8)
         box = P.Box(-np.ones(16), np.ones(16))
         assert np.array_equal(np.array(P.proximal_normals(box, corner)), np.diag(corner))
-        first = P.analysis._closed_form_normals(box, corner, 8)
-        assert np.array_equal(np.array(first), np.diag(corner)[:8])
+        first, mask = P.analysis._closed_form_normals(box, corner[None, :], 8)
+        assert mask.all() and np.array_equal(first[0], np.diag(corner)[:8])
 
     def test_sphere_normal_at_center_raises(self):
         s = P.Sphere(np.array([1.0, -2.0]), 1.5)
