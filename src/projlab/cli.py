@@ -25,7 +25,15 @@ from . import affine as affine_mod
 from . import analysis as analysis_mod
 from . import rates as rates_mod
 from . import runner as runner_mod
-from .errors import ConfigError, ProjlabError, at_key, check_keys, table_entry
+from .errors import (
+    ConfigError,
+    ProjlabError,
+    at_key,
+    check_int,
+    check_keys,
+    check_positive,
+    table_entry,
+)
 from .operators import OPERATOR_TYPES, RelaxedProjector, operator_type
 from .rates import RateCertificate
 from .scenario import (
@@ -544,18 +552,9 @@ ANALYSES = {
 
 def _check_sampling(record):
     """Parse-time check of the sampling overrides a record may carry."""
-    def count(key, least):
-        value = record.get(key, least)
-        return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-    if not count("samples", 1):
-        raise ConfigError("samples: must be a positive integer")
-    if not count("seed", 0):
-        raise ConfigError("seed: must be a nonnegative integer")
-    delta = record.get("delta", 1.0)
-    if isinstance(delta, bool) or not isinstance(delta, (int, float)) \
-            or not (np.isfinite(delta) and delta > 0):
-        raise ConfigError("delta: must be a positive number")
+    check_int(record.get("samples", 1), "samples", 1)
+    check_int(record.get("seed", 0), "seed", 0)
+    check_positive(record.get("delta", 1.0), "delta")
 
 
 def check_analysis(record, path):

@@ -2,6 +2,7 @@
 ConfigError for every config record."""
 
 import re
+import sys
 from contextlib import contextmanager
 
 
@@ -89,6 +90,26 @@ def check_keys(record, path, allowed, required=(), modifiers=()):
     for key, base in modifiers:
         if key in record and base not in record:
             raise ConfigError(f"{at}{key}: given without '{base}'")
+
+
+def check_int(value, key, least, most=None):
+    """`value` if it is an int (a bool is not) in [least, most], else a
+    ConfigError at `key`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least \
+            or (most is not None and value > most):
+        what = (f"an integer in [{least}, {most}]" if most is not None
+                else "a positive integer" if least == 1 else "a nonnegative integer")
+        raise ConfigError(f"{key}: must be {what}")
+    return value
+
+
+def check_positive(value, key):
+    """`value` as a float if it is a positive finite number (a bool is not),
+    else a ConfigError at `key`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not 0 < value <= sys.float_info.max:  # nan, inf and 1e400 fail
+        raise ConfigError(f"{key}: must be a positive number")
+    return float(value)
 
 
 def table_entry(record, table, what, tag="type"):

@@ -6,10 +6,11 @@ until the cycle stabilises and use the landing point as a surrogate nearest
 member.  The fallback overestimates the true distance and is flagged
 approximate wherever it is reported.
 
-A handle answers `project_many`/`distance_many` as a catalog set does.  The
-fallback sweeps every live row of a batch through the members at once; a row
-drops out after the first sweep that moves it by at most `_FALLBACK_TOL`, so
-each row gets the same sweeps it would get on its own.
+A handle answers `project_many`/`distance_many` as a catalog set does, and
+`nearest`/`distance` are their one-row calls, for exact and oracle handles
+alike.  The fallback sweeps every live row of a batch through the members at
+once; a row drops out after the first sweep that moves it by at most
+`_FALLBACK_TOL`, so each row gets the same sweeps it would get on its own.
 """
 
 from __future__ import annotations
@@ -48,16 +49,10 @@ class IntersectionHandle:
         return self.members[0].dim
 
     def nearest(self, x) -> np.ndarray:
-        x = as_vector(x, self.dim)
-        if self.descriptor is not None:
-            return self.descriptor.project(x).canonical
-        return self._nearest_many(x[None, :])[0][0]
+        return self._nearest_many(as_vector(x, self.dim)[None, :])[0][0]
 
     def distance(self, x) -> float:
-        x = as_vector(x, self.dim)
-        if self.descriptor is not None:
-            return self.descriptor.distance(x)
-        return float(self._nearest_many(x[None, :])[1][0])
+        return float(self._nearest_many(as_vector(x, self.dim)[None, :])[1][0])
 
     def project_many(self, X) -> np.ndarray:
         """Row i is nearest(X[i]) for an (n, dim) array X."""

@@ -2,8 +2,9 @@
 
 All operators act on a single point and return a new array; selections are
 inherited from the canonical projections of the set catalog, so repeated
-application replays exactly.  `apply_many` maps each row of an (n, d) array
-as `apply` maps a point, through the catalog's batched projections.
+application replays exactly.  Each family writes its step once, in a kernel
+on validated (n, d) rows that calls the catalog's `_nearest_many`: `apply`
+is its one-row call and `apply_many` maps each row of an (n, d) array.
 """
 
 from __future__ import annotations
@@ -15,7 +16,12 @@ import numpy as np
 
 from . import rates
 from .errors import ConfigError, DomainError, check_keys, table_entry
-from .sets import ClosedSet, as_vector, row_norms
+from .sets import ClosedSet, as_points, as_vector, row_norms
+
+
+def _relax(s: ClosedSet, lam, X):
+    """x + lam (P_s(x) - x) for each row x of a validated (n, d) array X."""
+    return X + lam * (s._nearest_many(X)[0] - X)
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,13 +38,10 @@ class RelaxedProjector:
         object.__setattr__(self, "lam", lam)
 
     def apply(self, x):
-        x = as_vector(x, self.target.dim)
-        p = self.target.project(x).canonical
-        return x + self.lam * (p - x)
+        return _relax(self.target, self.lam, as_vector(x, self.target.dim)[None, :])[0]
 
     def apply_many(self, X):
-        X = np.asarray(X, dtype=float)
-        return X + self.lam * (self.target.project_many(X) - X)
+        return _relax(self.target, self.lam, as_points(X, self.target.dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,16 +66,14 @@ class SemiIntrepidProjector:
         object.__setattr__(self, "tau", tau)
 
     def apply(self, x):
-        x = as_vector(x, self.target.dim)
-        p = self.target.project(x).canonical
-        gap = float(np.linalg.norm(p - x))
-        if gap == 0.0:
-            return p.copy()
-        return p + min(self.alpha, self.tau / gap) * (p - x)
+        return self._rows(as_vector(x, self.target.dim)[None, :])[0]
 
     def apply_many(self, X):
-        X = np.asarray(X, dtype=float)
-        P = self.target.project_many(X)
+        return self._rows(as_points(X, self.target.dim))
+
+    def _rows(self, X):
+        """The step of each row of a validated (n, d) array X."""
+        P = self.target._nearest_many(X)[0]
         step = P - X
         gap = row_norms(step)
         moved = gap != 0.0
@@ -109,21 +110,19 @@ class GeneralizedDR:
 
     def apply_with_trace(self, x):
         """Return (r, s, out): the two relaxed steps and the averaged point."""
-        x = as_vector(x, self.set_a.dim)
-        pa = self.set_a.project(x).canonical
-        r = x + self.lam * (pa - x)
-        pb = self.set_b.project(r).canonical
-        s = r + self.mu * (pb - r)
-        return r, s, (1.0 - self.alpha) * x + self.alpha * s
+        return tuple(Y[0] for Y in self._steps_many(as_vector(x, self.set_a.dim)[None, :]))
 
     def apply(self, x):
         return self.apply_with_trace(x)[2]
 
     def apply_many(self, X):
-        X = np.asarray(X, dtype=float)
-        R = X + self.lam * (self.set_a.project_many(X) - X)
-        S = R + self.mu * (self.set_b.project_many(R) - R)
-        return (1.0 - self.alpha) * X + self.alpha * S
+        return self._steps_many(as_points(X, self.set_a.dim))[2]
+
+    def _steps_many(self, X):
+        """(R, S, out) for the rows of a validated (n, d) array X."""
+        R = _relax(self.set_a, self.lam, X)
+        S = _relax(self.set_b, self.mu, R)
+        return R, S, (1.0 - self.alpha) * X + self.alpha * S
 
 
 @dataclass(frozen=True, eq=False)

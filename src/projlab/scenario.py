@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigError, at_key, check_keys
+from .errors import ConfigError, at_key, check_int, check_keys, check_positive
 from .intersection import IntersectionHandle
 from .intersection import exact as exact_intersection
 from .intersection import oracle as oracle_intersection
@@ -70,12 +70,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
     name = cfg["name"]
     if not isinstance(name, str) or not name:
         raise ConfigError("name: must be a nonempty string")
-    dim = cfg["dimension"]
-    if not isinstance(dim, int) or not 1 <= dim <= MAX_DIMENSION:
-        raise ConfigError(f"dimension: must be an integer in [1, {MAX_DIMENSION}]")
-    seed = cfg["seed"]
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError("seed: must be a nonnegative integer")
+    dim = check_int(cfg["dimension"], "dimension", 1, MAX_DIMENSION)
+    seed = check_int(cfg["seed"], "seed", 0)
 
     raw_sets = cfg["sets"]
     if not isinstance(raw_sets, list) or not raw_sets:
@@ -106,9 +102,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
             raise ConfigError(
                 f"anchor: w must belong to every set; distance to sets[{i}] is {d:.3e}")
 
-    delta = cfg["delta"]
-    if not isinstance(delta, (int, float)) or not delta > 0:
-        raise ConfigError("delta: must be a positive number")
+    delta = check_positive(cfg["delta"], "delta")
 
     raw_ops = cfg["operators"]
     if not isinstance(raw_ops, list) or not raw_ops:
@@ -120,12 +114,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
     operators = CyclicTuple(tuple(ops))
 
     x0 = _vector(cfg["x0"], dim, "x0")
-    max_cycles = cfg["max_cycles"]
-    if not isinstance(max_cycles, int) or max_cycles < 1:
-        raise ConfigError("max_cycles: must be a positive integer")
-    tol = cfg["tol"]
-    if not isinstance(tol, (int, float)) or not tol > 0:
-        raise ConfigError("tol: must be a positive number")
+    max_cycles = check_int(cfg["max_cycles"], "max_cycles", 1)
+    tol = check_positive(cfg["tol"], "tol")
 
     analyses = cfg.get("analyses", [])
     if not isinstance(analyses, list):
@@ -137,8 +127,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
         raise ConfigError("expected: must be an object")
     check_keys(expected, "expected", ("stop_reason",))
 
-    return Scenario(name, dim, sets, intersection, anchor, float(delta),
-                    operators, x0, max_cycles, float(tol), seed,
+    return Scenario(name, dim, sets, intersection, anchor, delta,
+                    operators, x0, max_cycles, tol, seed,
                     tuple(dict(a) for a in analyses), dict(expected))
 
 

@@ -9,6 +9,12 @@ smallest coordinate vector unless a variant documents its own rule
 center + radius * e1).  `project_many` and `distance_many` give the same
 canonical points and distances for each row of an (n, d) array, and
 `normal_generators_many` the same normal generators.
+
+The single-valued closed forms (halfspace, hyperplane, affine, ball, box,
+orthant) write their projection once, in `_nearest_many`; their `project` is
+its one-row call.  The multivalued variants and the cone keep a scalar
+`project` that lists every minimizer, and a custom subclass needs only
+`project`.  No catalog projection returns memory shared with its input.
 """
 
 from __future__ import annotations
@@ -95,6 +101,13 @@ def _prefix_rows(U, active):
     return dirs, mask
 
 
+def _one_row_project(self, x):
+    """`project` of a single-valued variant with a batched closed form: the
+    one-row call of its `_nearest_many`, x validated once."""
+    (p,), (d,) = self._nearest_many(as_vector(x, self.dim)[None, :])
+    return ProjectionResult(p, (p,), False, float(d))
+
+
 def _one_row_normals(self, p):
     """`normal_generators` of a variant with a batched closed form: the
     one-row call of its `normal_generators_many`."""
@@ -155,8 +168,10 @@ class ClosedSet:
         """(canonical points, distances) of the rows of a validated X.
 
         This default loops over `project`, so any subclass works.  Variants
-        with a closed form broadcast it, and wrappers call their members'
-        `_nearest_many`, so X is validated once at the public boundary.
+        with a closed form broadcast it here, and a single-valued one's
+        `project` is the one-row call.  Wrappers and operators call
+        `_nearest_many` directly, so X is validated once at the public
+        boundary.
         """
         results = [self.project(x) for x in X]
         P = np.array([r.canonical for r in results], dtype=float).reshape(X.shape)
@@ -236,13 +251,7 @@ class Halfspace(_LinearSet):
 
     tag, about = "halfspace", "{x : <a, x> <= b}, a != 0"
 
-    def project(self, x):
-        x = as_vector(x, self.dim)
-        excess = float(self.a @ x - self.b)
-        if excess <= 0.0:
-            return self._single(x, x)
-        p = x - (excess / float(self.a @ self.a)) * self.a
-        return self._single(x, p)
+    project = _one_row_project
 
     def _nearest_many(self, X):
         excess = np.vecdot(X, self.a) - self.b
@@ -269,11 +278,7 @@ class Hyperplane(_LinearSet):
 
     tag, about = "hyperplane", "{x : <a, x> = b}, a != 0"
 
-    def project(self, x):
-        x = as_vector(x, self.dim)
-        offset = float(self.a @ x - self.b)
-        p = x - (offset / float(self.a @ self.a)) * self.a
-        return self._single(x, p)
+    project = _one_row_project
 
     def _nearest_many(self, X):
         offset = np.vecdot(X, self.a) - self.b
@@ -331,11 +336,7 @@ class AffineSubspaceSet(ClosedSet):
     def subspace_dim(self) -> int:
         return self.basis.shape[0]
 
-    def project(self, x):
-        x = as_vector(x, self.dim)
-        delta = x - self.anchor
-        p = self.anchor + self.basis.T @ (self.basis @ delta)
-        return self._single(x, p)
+    project = _one_row_project
 
     def _nearest_many(self, X):
         coords = _rowwise(self.basis, X - self.anchor)
@@ -372,14 +373,7 @@ class Ball(ClosedSet):
         object.__setattr__(self, "radius", r)
         object.__setattr__(self, "dim", c.size)
 
-    def project(self, x):
-        x = as_vector(x, self.dim)
-        gap = x - self.center
-        dist = float(np.linalg.norm(gap))
-        if dist <= self.radius:
-            return self._single(x, x)
-        p = self.center + (self.radius / dist) * gap
-        return self._single(x, p)
+    project = _one_row_project
 
     def _nearest_many(self, X):
         dist = row_norms(X - self.center)
@@ -474,9 +468,7 @@ class Box(ClosedSet):
         object.__setattr__(self, "upper", hi)
         object.__setattr__(self, "dim", lo.size)
 
-    def project(self, x):
-        x = as_vector(x, self.dim)
-        return self._single(x, np.clip(x, self.lower, self.upper))
+    project = _one_row_project
 
     def _nearest_many(self, X):
         return _single_many(X, np.clip(X, self.lower, self.upper))
@@ -526,13 +518,7 @@ class Orthant(ClosedSet):
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "dim", len(signs))
 
-    def project(self, x):
-        x = as_vector(x, self.dim)
-        p = x.copy()
-        for i, s in enumerate(self.signs):
-            if s != 0 and s * p[i] < 0.0:
-                p[i] = 0.0
-        return self._single(x, p)
+    project = _one_row_project
 
     def _nearest_many(self, X):
         s = np.array(self.signs, dtype=float)
@@ -683,7 +669,7 @@ class Enlargement(ClosedSet):
             return self.inner.project(x)
         res = self.inner.project(x)
         if res.distance <= self.tau:
-            return self._single(x, x)
+            return self._single(x, x.copy())
         scale = self.tau / res.distance
         mapped = tuple(q + scale * (x - q) for q in res.minimizers)
         canon = res.canonical + scale * (x - res.canonical)

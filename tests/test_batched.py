@@ -1,6 +1,7 @@
 """Batched oracles: project_many, distance_many and apply_many agree row by
 row with the scalar project, distance and apply, tie rules included, and
-reject malformed batches."""
+with independent per-point formulas; malformed points and batches raise,
+and no projection shares memory with its input."""
 
 import numpy as np
 import pytest
@@ -139,17 +140,61 @@ def test_cases_cover_every_set_type():
     assert sorted(CASES) == sorted(P.sets.SET_TYPES)
 
 
+def _project_reference(s, x):
+    """The per-point projection formulas of the single-valued closed forms,
+    kept independent of the batched kernels their `project` now calls:
+    (canonical point, distance) of x, or None for the other variants."""
+    if isinstance(s, P.Halfspace):
+        excess = float(s.a @ x - s.b)
+        p = x if excess <= 0.0 else x - (excess / float(s.a @ s.a)) * s.a
+    elif isinstance(s, P.Hyperplane):
+        p = x - (float(s.a @ x - s.b) / float(s.a @ s.a)) * s.a
+    elif isinstance(s, P.AffineSubspaceSet):
+        p = s.anchor + s.basis.T @ (s.basis @ (x - s.anchor))
+    elif isinstance(s, P.Ball):
+        gap = x - s.center
+        dist = float(np.linalg.norm(gap))
+        p = x if dist <= s.radius else s.center + (s.radius / dist) * gap
+    elif isinstance(s, P.Box):
+        p = np.clip(x, s.lower, s.upper)
+    elif isinstance(s, P.Orthant):
+        p = x.copy()
+        for i, sign in enumerate(s.signs):
+            if sign != 0 and sign * p[i] < 0.0:
+                p[i] = 0.0
+    else:
+        return None
+    return p, float(np.linalg.norm(x - p))
+
+
 @pytest.mark.parametrize("tag", sorted(CASES))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_batched_oracles_match_scalar(tag, data):
+    """Within 1e-12 of the scalar call for every type; bit for bit, scalar
+    and batched alike, with `_project_reference` where it has a formula."""
     s, X = data.draw(CASES[tag])
     assert type(s).tag == tag
     P_many, D_many = s.project_many(X), s.distance_many(X)
     assert P_many.shape == X.shape and D_many.shape == (X.shape[0],)
     for x, p, dist in zip(X, P_many, D_many):
-        np.testing.assert_allclose(p, s.project(x).canonical, rtol=0.0, atol=TOL)
+        res = s.project(x)
+        np.testing.assert_allclose(p, res.canonical, rtol=0.0, atol=TOL)
         assert abs(dist - s.distance(x)) <= TOL
+        ref = _project_reference(s, x)
+        if ref is not None:
+            for got, got_dist in ((p, dist), (res.canonical, res.distance)):
+                assert _same_bits(got, ref[0]) and _same_bits(got_dist, ref[1])
+            assert len(res.minimizers) == 1 and res.minimizers[0] is res.canonical
+            assert not res.multivalued
+
+
+def test_reference_covers_the_one_row_projections():
+    one_row = {tag for tag, cls in P.sets.SET_TYPES.items()
+               if cls.__dict__["project"] is P.sets._one_row_project}
+    assert one_row == {"halfspace", "hyperplane", "affine", "ball", "box", "orthant"}
+    for s in ONE_OF_EACH:
+        assert (_project_reference(s, np.zeros(s.dim)) is None) == (s.tag not in one_row)
 
 
 def _rows_match_scalar(s, X):
@@ -318,16 +363,45 @@ def operator_case(draw):
     return a, b, params, np.vstack([X, a.project_many(X)])
 
 
+def _apply_reference(op, x):
+    """The per-point step formulas of the three operator families, over
+    `_project_reference` where it has a formula and scalar `project`
+    elsewhere.  For GeneralizedDR: (r, s, out), as apply_with_trace."""
+    def proj(s, y):
+        ref = _project_reference(s, y)
+        return s.project(y).canonical if ref is None else ref[0]
+
+    if isinstance(op, P.RelaxedProjector):
+        return x + op.lam * (proj(op.target, x) - x)
+    if isinstance(op, P.SemiIntrepidProjector):
+        p = proj(op.target, x)
+        gap = float(np.linalg.norm(p - x))
+        if gap == 0.0:
+            return p.copy()
+        return p + min(op.alpha, op.tau / gap) * (p - x)
+    r = x + op.lam * (proj(op.set_a, x) - x)
+    s = r + op.mu * (proj(op.set_b, r) - r)
+    return r, s, (1.0 - op.alpha) * x + op.alpha * s
+
+
 @pytest.mark.parametrize("kind", ["relaxed", "semi_intrepid", "generalized_dr"])
 @settings(max_examples=60, deadline=None)
 @given(case=operator_case())
 def test_apply_many_matches_apply(kind, case):
+    """Within 1e-12 of the scalar apply, and both bit for bit equal to
+    `_apply_reference`."""
     a, b, params, X = case
     op = _operator(kind, a, b, params)
     Y = op.apply_many(X)
     assert Y.shape == X.shape
     for x, y in zip(X, Y):
-        np.testing.assert_allclose(y, op.apply(x), rtol=0.0, atol=TOL)
+        got = op.apply(x)
+        np.testing.assert_allclose(y, got, rtol=0.0, atol=TOL)
+        ref = _apply_reference(op, x)
+        if kind == "generalized_dr":
+            assert all(_same_bits(t, r) for t, r in zip(op.apply_with_trace(x), ref))
+            ref = ref[2]
+        assert _same_bits(y, ref) and _same_bits(got, ref)
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -341,10 +415,64 @@ def test_malformed_batches_raise(bad, error):
     s = P.UnionOfSets((P.Ball(np.zeros(2), 1.0), P.Sphere(np.ones(2), 1.0)))
     handle = P.exact_intersection(P.FinitePointSet(np.zeros((1, 2))))
     for call in (s.project_many, s.distance_many, P.RelaxedProjector(s, 1.0).apply_many,
+                 P.SemiIntrepidProjector(s, 0.5, 1.0).apply_many,
+                 P.GeneralizedDR(s, s, 1.0, 1.0, 0.5).apply_many,
                  P.PolyhedralCone(np.eye(2)).project_many, handle.distance_many,
                  P.oracle_intersection((s,)).distance_many):
         with pytest.raises(error):
             call(bad)
+
+
+@pytest.mark.parametrize("make_bad, error", [
+    (lambda d: np.zeros(d + 1), DimensionMismatch),
+    (lambda d: np.zeros((1, d)), DimensionMismatch),
+    (lambda d: np.full(d, np.nan), DomainError),
+    (lambda d: np.r_[np.zeros(d - 1), np.inf], DomainError),
+], ids=["wrong_dimension", "two_d", "nan", "inf"])
+def test_malformed_points_raise(make_bad, error):
+    """Each scalar entry validates its point once, at its own boundary."""
+    ball, sphere = P.Ball(np.zeros(2), 1.0), P.Sphere(np.ones(2), 1.0)
+    calls = [s.project for s in ONE_OF_EACH] + [s.distance for s in ONE_OF_EACH]
+    calls += [P.RelaxedProjector(ball, 1.5).apply, P.SemiIntrepidProjector(sphere, 0.5, 1.0).apply,
+              P.GeneralizedDR(ball, sphere, 1.0, 2.0, 0.5).apply,
+              P.GeneralizedDR(ball, sphere, 1.0, 2.0, 0.5).apply_with_trace]
+    for handle in (P.exact_intersection(P.FinitePointSet(np.zeros((1, 2)))),
+                   P.oracle_intersection((ball, sphere))):
+        calls += [handle.nearest, handle.distance]
+    for call in calls:
+        dim = getattr(call.__self__, "dim", 2)
+        with pytest.raises(error):
+            call(make_bad(dim))
+
+
+def _alias_rows(s, rng):
+    """Interior (where the set has one), boundary and exterior rows for s."""
+    inner = np.vstack([np.zeros(s.dim), 0.1 * rng.standard_normal((3, s.dim))])
+    outer = 5.0 * rng.standard_normal((4, s.dim))
+    return np.vstack([inner, outer, s.project_many(np.vstack([inner, outer]))])
+
+
+@pytest.mark.parametrize("s", ONE_OF_EACH, ids=lambda s: s.tag)
+def test_projections_never_share_memory_with_the_input(s):
+    X = _alias_rows(s, np.random.default_rng(21))
+    handles = (P.exact_intersection(s), P.oracle_intersection((s,)))
+    for i in range(X.shape[0]):
+        x = X[i]
+        res = s.project(x)
+        for q in (res.canonical,) + res.minimizers:
+            assert not np.shares_memory(q, X)
+        for handle in handles:
+            assert not np.shares_memory(handle.nearest(x), X)
+    for batch in (s.project_many(X), *(h.project_many(X) for h in handles)):
+        assert not np.shares_memory(batch, X)
+
+
+def test_alias_rows_reach_the_interior():
+    rng = np.random.default_rng(21)
+    for s in (P.Halfspace(np.array([1.0, 2.0]), 1.0), P.Ball(np.zeros(2), 1.0),
+              P.Enlargement(P.Ball(np.zeros(2), 1.0), 0.5)):
+        X = _alias_rows(s, rng)
+        assert np.any(np.all(s.project_many(X) == X, axis=1))
 
 
 def test_intersection_batches_match_scalar():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -102,6 +103,35 @@ class TestValidation:
         with pytest.raises(ConfigError) as exc:
             P.scenario_from_config(cfg)
         assert fragment in str(exc.value)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", True, "seed: must be a nonnegative integer"),
+        ("max_cycles", True, "max_cycles: must be a positive integer"),
+        ("dimension", True, "dimension: must be an integer in [1, 16]"),
+        ("delta", True, "delta: must be a positive number"),
+        ("delta", float("inf"), "delta: must be a positive number"),
+        ("delta", float("nan"), "delta: must be a positive number"),
+        ("tol", True, "tol: must be a positive number"),
+        ("tol", float("inf"), "tol: must be a positive number"),
+        pytest.param("tol", 10**400, "tol: must be a positive number", id="tol-1e400"),
+    ])
+    def test_booleans_and_infinities_are_rejected(self, key, value, message):
+        """Bundled two_lines_angle_45 with one top-level number replaced:
+        JSON `true` is not 1, and `Infinity` is not a tolerance."""
+        cfg = json.loads(
+            (resources.files("projlab.scenarios") / "two_lines_angle_45.json").read_text())
+        P.scenario_from_config(cfg)
+        cfg[key] = value
+        with pytest.raises(ConfigError) as exc:
+            P.scenario_from_config(cfg)
+        assert str(exc.value) == message
+
+    def test_infinite_tol_from_json_text_is_rejected(self, tmp_path):
+        cfg = minimal_config()
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(cfg).replace('"tol": 1e-10', '"tol": Infinity'))
+        with pytest.raises(ConfigError, match=r"tol: must be a positive number"):
+            P.load_scenario(path)
 
     def test_set_dimension_mismatch(self):
         cfg = minimal_config()
