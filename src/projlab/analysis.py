@@ -88,6 +88,14 @@ def _positive_delta(delta) -> float:
     return delta
 
 
+def _positive_samples(samples) -> int:
+    """samples as an int, or DomainError unless it is a positive integer
+    (a bool is not)."""
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise DomainError(f"samples must be a positive integer, got {samples!r}")
+    return int(samples)
+
+
 def uniform_ball(rng, center, radius, n) -> np.ndarray:
     """n points uniform in the closed ball: Gaussian direction, U^(1/d) radius."""
     center = as_vector(center)
@@ -133,6 +141,7 @@ def check_quasi_firm_fejer(op, refset, gamma, beta, w, delta, samples=1000,
     if gamma <= 0.0 or beta < 0.0:
         raise DomainError("need gamma > 0 and beta >= 0")
     delta = _positive_delta(delta)
+    samples = _positive_samples(samples)
     w = as_vector(w)
     rng = np.random.default_rng(seed)
     pool = _member_pool(refset, w, delta, rng, min(samples, 256))
@@ -154,6 +163,7 @@ def check_quasi_coercive(op, cset, nu, w, delta, samples=1000, seed=0,
     if nu <= 0.0:
         raise DomainError("need nu > 0")
     delta = _positive_delta(delta)
+    samples = _positive_samples(samples)
     w = as_vector(w)
     rng = np.random.default_rng(seed)
     xs = uniform_ball(rng, w, delta / 2.0, samples)
@@ -176,6 +186,7 @@ def check_injectable(s: ClosedSet, tau, w, delta, samples=1000, seed=0,
     if tau < 0.0:
         raise DomainError("tau must be >= 0")
     delta = _positive_delta(delta)
+    samples = _positive_samples(samples)
     w = as_vector(w)
     rng = np.random.default_rng(seed)
     xs = uniform_ball(rng, w, delta, samples)
@@ -207,6 +218,8 @@ def estimate_eps_regularity(s: ClosedSet, w, delta, samples=600, seed=0,
     max(0, max <u, y - x> / (||u|| ||y - x||)) over sampled pairs.
     """
     delta = _positive_delta(delta)
+    if points is None:
+        samples = _positive_samples(samples)
     w = as_vector(w)
     if not s.contains(w, 1e-8):
         raise DomainError("anchor w must belong to the set")
@@ -293,6 +306,8 @@ def estimate_linear_regularity(system, intersection: IntersectionHandle, w,
     """Sampled lower bound of the linear-regularity modulus kappa on B(w, delta/2):
     max d_C(x) / max_i d_{C_i}(x) over draws with some d_{C_i}(x) > 0."""
     delta = _positive_delta(delta)
+    if points is None:
+        samples = _positive_samples(samples)
     w = as_vector(w)
     rng = np.random.default_rng(seed)
     xs = uniform_ball(rng, w, delta / 2.0, samples) if points is None \
@@ -352,6 +367,7 @@ def estimate_theta_bar(set_a, set_b, w, samples=256, seed=0,
     Returns 0 with a trivial flag when either normal cone is {0}.
     """
     delta = _positive_delta(delta)
+    samples = _positive_samples(samples)
     w = as_vector(w)
     for s in (set_a, set_b):
         if not s.contains(w, 1e-8):
@@ -413,11 +429,19 @@ def check_strong_regularity(system, w, delta, samples=2000, seed=0,
     min ||sum u_i|| over normalized tuples of proximal normals u_i collected
     near w (sum of norms = 1).
 
-    Combines an exact simplex search over single-generator assignments with
-    random conic perturbations; zeta_hat <= strong_tol flags a degenerate
-    (not strongly regular) system.
+    zeta_hat is the least of two searches.  First, an exact simplex search
+    over one generator per pool (at most 4096 assignments).  Then `samples`
+    random conic tuples: each pool draws its exponential weights as one
+    (samples, len(pool)) batch, then one uniform scale per pool and tuple.
+    zeta_hat <= strong_tol flags a degenerate (not strongly regular) system.
+
+    On singleton pools the tuples are points of the simplex the exact search
+    minimizes over, so zeta_hat is the exact-search value.  On pools with
+    several directions, a seeded zeta_hat differs from versions of projlab
+    that drew the tuples one at a time, within sampling noise.
     """
     delta = _positive_delta(delta)
+    samples = _positive_samples(samples)
     w = as_vector(w)
     system = list(system)
     rng = np.random.default_rng(seed)
@@ -438,15 +462,9 @@ def check_strong_regularity(system, w, delta, samples=2000, seed=0,
         assignments = itertools.islice(assignments, 4096)
     for combo in assignments:
         zeta = min(zeta, _min_norm_over_simplex(np.column_stack(combo))[0])
-    # random conic tuples: the draws stay in a loop, in the order the
-    # generator is consumed (exponential draws vary in length), and the
-    # arithmetic runs on all tuples at once
-    weights = [np.empty((samples, len(pool))) for pool in active]
-    scales = np.empty((len(active), samples))
-    for t in range(samples):
-        for j, pool in enumerate(active):
-            weights[j][t] = rng.exponential(size=len(pool))
-            scales[j, t] = rng.random()
+    # random conic tuples
+    weights = [rng.exponential(size=(samples, len(pool))) for pool in active]
+    scales = rng.random((len(active), samples))
     # weights @ pool for each tuple, one vector-matrix product per row
     parts = [r_j[:, None] * np.matmul(w_j[:, None, :], pool)[:, 0, :]
              for pool, w_j, r_j in zip(active, weights, scales)]

@@ -126,7 +126,7 @@ class RateFit:
     n_points: int
     r_squared: float
     censored: int          # entries dropped for sitting at the error floor
-    non_convergent: bool   # rho >= 1 after clamping
+    non_convergent: bool   # rho >= 1
 
 
 def fit_rlinear(errors, tail_fraction=0.5, burn_in=10,
@@ -168,7 +168,6 @@ def fit_rlinear(errors, tail_fraction=0.5, burn_in=10,
     ss_tot = float(np.sum((logs - logs.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     rho = float(np.exp(slope))
-    rho = min(max(rho, 0.0), 1.5)
     return RateFit(rho, float(np.exp(intercept)),
                    (int(idx[0]), int(idx[-1]) + 1), int(idx.size), r2,
                    censored, rho >= 1.0)

@@ -6,6 +6,7 @@ halfspaces through the origin the degeneracy constant is sin of half the
 angle between the outward normals.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 import projlab as P
 from projlab import DomainError
+from projlab import analysis
 
 from conftest import two_lines
 
@@ -293,6 +295,109 @@ class TestStrongRegularity:
         a = P.check_strong_regularity(hs[:2], np.zeros(2), 1.0, samples=500, seed=9)
         b = P.check_strong_regularity(hs[:2], np.zeros(2), 1.0, samples=500, seed=9)
         assert a.value == b.value
+
+
+def _strong_reference(system, w, delta, samples, seed):
+    """(zeta_hat, vertex-search value) of check_strong_regularity with the
+    conic tuples drawn one sample at a time, interleaving the pools: for
+    each tuple, exponential(size=len(pool)) then random() for each pool.
+    The pools and the vertex search are drawn and run as in the check."""
+    rng = np.random.default_rng(seed)
+    budget = max(16, samples // (4 * max(1, len(system))))
+    pools = [analysis._normal_pool(s, w, delta, rng, budget) for s in system]
+    active = [p for p in pools if len(p)]
+    assignments = itertools.islice(itertools.product(*active), 4096)
+    vertex = min(analysis._min_norm_over_simplex(np.column_stack(combo))[0]
+                 for combo in assignments)
+    weights = [np.empty((samples, len(pool))) for pool in active]
+    scales = np.empty((len(active), samples))
+    for t in range(samples):
+        for j, pool in enumerate(active):
+            weights[j][t] = rng.exponential(size=len(pool))
+            scales[j, t] = rng.random()
+    parts = [r_j[:, None] * np.matmul(w_j[:, None, :], pool)[:, 0, :]
+             for pool, w_j, r_j in zip(active, weights, scales)]
+    total = sum(analysis.row_norms(part) for part in parts)
+    combined = sum(parts[1:], parts[0])
+    values = analysis.row_norms(combined) / np.where(total > 1e-12, total, 1.0)
+    zeta = min(vertex, np.min(values[total > 1e-12], initial=np.inf))
+    return max(0.0, float(zeta)), max(0.0, float(vertex))
+
+
+def _singleton_pool_systems():
+    """Halfspaces through the origin, anchored at the origin: each pool is
+    the one outward normal."""
+    hs = _three_halfspaces()
+    eye = np.eye(8)
+    a = np.random.default_rng(4).standard_normal(16)
+    return {
+        "triple": hs,
+        "pair01": hs[:2],
+        "pair02": [hs[0], hs[2]],
+        "pair12": hs[1:],
+        "orthonormal_r8": [P.Halfspace(eye[i], 0.0) for i in range(3)],
+        "opposite_r16": [P.Halfspace(a, 0.0), P.Halfspace(-a, 0.0)],
+    }
+
+
+def _multi_generator_systems():
+    """Two degenerate systems (zeta = 0) whose first pool holds many
+    directions: a pointed cone above the plane z = 0 with the orthant
+    {z <= 0}, and the corner (1, 1, 1) of the unit box with the halfspace
+    {x + y + z >= 3}."""
+    cone = P.PolyhedralCone(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, -1.0, 1.0]]))
+    box = P.Box(np.zeros(3), np.ones(3))
+    return {
+        "cone_orthant": ([cone, P.Orthant((0, 0, -1))], np.zeros(3)),
+        "box_halfspace": ([box, P.Halfspace(-np.ones(3), -3.0)], np.ones(3)),
+    }
+
+
+class TestStrongRegularityDraws:
+    @pytest.mark.parametrize("name", sorted(_singleton_pool_systems()))
+    def test_singleton_pools_match_the_reference_bits(self, name):
+        system = _singleton_pool_systems()[name]
+        w = np.zeros(system[0].dim)
+        for seed in [0] + list(range(101, 122)):
+            est = P.check_strong_regularity(system, w, 1.0, samples=2000, seed=seed)
+            assert est.extra["pools"] == [1] * len(system)
+            want, _ = _strong_reference(system, w, 1.0, 2000, seed)
+            assert est.value.hex() == want.hex(), seed
+
+    @pytest.mark.parametrize("samples", [10, 10_000])
+    def test_one_exponential_call_per_active_pool(self, monkeypatch, samples):
+        calls = []
+        default_rng = np.random.default_rng
+
+        class Counting:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def exponential(self, *args, **kwargs):
+                calls.append(kwargs.get("size"))
+                return self._rng.exponential(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: Counting(default_rng(seed)))
+        # the ball holds the sampled ball B(0, 1/2), so its pool is empty
+        system = [P.Ball(np.zeros(2), 2.0)] + _three_halfspaces()
+        est = P.check_strong_regularity(system, np.zeros(2), 1.0, samples=samples, seed=0)
+        assert est.extra["pools"] == [0, 1, 1, 1]
+        assert calls == [(samples, 1)] * 3
+
+    @pytest.mark.parametrize("name", sorted(_multi_generator_systems()))
+    def test_multi_generator_pools_stay_within_sampling_noise(self, name):
+        system, w = _multi_generator_systems()[name]
+        for seed in range(40):
+            est = P.check_strong_regularity(system, w, 1.0, samples=400, seed=seed)
+            again = P.check_strong_regularity(system, w, 1.0, samples=400, seed=seed)
+            assert est.value.hex() == again.value.hex()
+            assert min(est.extra["pools"]) == 1 and max(est.extra["pools"]) > 1
+            reference, vertex = _strong_reference(system, w, 1.0, 400, seed)
+            assert est.value <= vertex
+            assert est.extra["strong"] == (reference > analysis.STRONG_TOL), seed
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
-"""Each script under demos/ runs to a clean exit in-process."""
+"""Each script under demos/ runs to a clean exit in-process and prints the
+bytes pinned below."""
 
 import contextlib
+import hashlib
 import io
 import runpy
 from pathlib import Path
@@ -9,14 +11,36 @@ import pytest
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
+DIGESTS = {
+    "01_set_catalog_tour": "7f4984051951301d58ff4361bdd782902ae4c0f6362c2fa99d140b05ebe9bb9d",
+    "02_operator_gallery": "78d67fc4bb93a911f166cc8f0caea605ada01c48a82c641a02bd9cfb7372d23f",
+    "03_nonconvergent_cycles": "95fe0f6a3267d410c71949ea8ac84607a1350b1eddf9f6ec96c4124efdbe30bb",
+    "04_two_line_rates": "7a784e7a3f3a2730170c1155c6a5a997550c59989b6ece4b9cdf79a57d019d67",
+    "05_regularity_estimates": "67fc8f0676576568aaf3e2ac83a533086b8bd9d99d176b467508d566a3b5e3ac",
+    "06_affine_reduction": "2a10f56d6ad44049f66e881e78a955b108ed92785836875575b748a31b332a68",
+}
 
-def test_demos_found():
-    assert DEMOS
 
-
-@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(path):
+def _demo_digest(path):
+    """sha256 of the demo's stdout, run in-process."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(path), run_name="__main__")
     assert out.getvalue()
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_demos_found():
+    assert DEMOS
+    assert sorted(DIGESTS) == [p.stem for p in DEMOS]
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(path):
+    """A demo prints the same bytes on every run.  A change meant to move a
+    demo's output says which lines moved and regenerates the digests from
+    the repository root with
+
+        PYTHONPATH=src:tests python -c "import test_demos as t; [print(p.stem, t._demo_digest(p)) for p in t.DEMOS]"
+    """
+    assert _demo_digest(path) == DIGESTS[path.stem]

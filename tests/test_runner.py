@@ -144,6 +144,12 @@ class TestFitRlinear:
         assert fit.rho == pytest.approx(1.0, abs=1e-12)
         assert fit.non_convergent
 
+    def test_doubling_errors_report_the_fitted_rho(self):
+        """A divergent sequence reports its fitted rate, not a clamped one."""
+        fit = P.fit_rlinear([2.0 ** n for n in range(40)])
+        assert fit.rho == pytest.approx(2.0, abs=1e-12)
+        assert fit.non_convergent
+
     def test_too_few_entries(self):
         with pytest.raises(InsufficientData):
             P.fit_rlinear([0.5] * 8)

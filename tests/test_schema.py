@@ -138,9 +138,28 @@ class TestExpectValues:
         assert _error(cfg).startswith('analyses[0].expect: must be one of "pass", "fail"')
 
 
+def _sampled_analyses(delta, **kwargs):
+    """The seven sampled analyses on a halfspace through the origin,
+    anchored at the origin, each called with delta and kwargs."""
+    a = P.Halfspace(np.array([1.0, 0.0]), 0.0)
+    w = np.zeros(2)
+    op = P.RelaxedProjector(a, 1.0)
+    return [
+        lambda: P.estimate_eps_regularity(a, w, delta, **kwargs),
+        lambda: P.estimate_linear_regularity([a], P.exact_intersection(a, (a,)), w, delta,
+                                             **kwargs),
+        lambda: P.estimate_theta_bar(a, a, w, delta=delta, **kwargs),
+        lambda: P.check_strong_regularity([a], w, delta, **kwargs),
+        lambda: P.check_quasi_firm_fejer(op, a, 1.0, 0.0, w, delta, **kwargs),
+        lambda: P.check_quasi_coercive(op, a, 1.0, w, delta, **kwargs),
+        lambda: P.check_injectable(a, 0.1, w, delta, **kwargs),
+    ]
+
+
 class TestSamplingOverrides:
     """Per-record samples, seed and delta are checked at parse time, and the
-    sampled analyses themselves reject a delta that is not positive."""
+    sampled analyses themselves reject a delta that is not positive and a
+    samples that is not a positive integer."""
 
     @pytest.mark.parametrize("key, value, message", [
         ("delta", -1, "delta: must be a positive number"),
@@ -170,21 +189,29 @@ class TestSamplingOverrides:
 
     @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
     def test_sampled_analyses_reject_bad_delta(self, delta):
-        a = P.Halfspace(np.array([1.0, 0.0]), 0.0)
-        w = np.zeros(2)
-        op = P.RelaxedProjector(a, 1.0)
-        calls = [
-            lambda: P.estimate_eps_regularity(a, w, delta),
-            lambda: P.estimate_linear_regularity([a], P.exact_intersection(a, (a,)), w, delta),
-            lambda: P.estimate_theta_bar(a, a, w, delta=delta),
-            lambda: P.check_strong_regularity([a], w, delta),
-            lambda: P.check_quasi_firm_fejer(op, a, 1.0, 0.0, w, delta),
-            lambda: P.check_quasi_coercive(op, a, 1.0, w, delta),
-            lambda: P.check_injectable(a, 0.1, w, delta),
-        ]
-        for call in calls:
+        for call in _sampled_analyses(delta):
             with pytest.raises(P.DomainError, match="delta"):
                 call()
+
+    @pytest.mark.parametrize("samples", [0, -3, 2.5, True, "10", None])
+    def test_sampled_analyses_reject_bad_samples(self, samples):
+        for call in _sampled_analyses(1.0, samples=samples):
+            with pytest.raises(P.DomainError, match="samples must be a positive integer"):
+                call()
+
+    def test_sampled_analyses_take_numpy_integer_samples(self):
+        for call in _sampled_analyses(1.0, samples=np.int64(12)):
+            assert call().samples == 12
+
+    def test_explicit_points_ignore_samples(self):
+        """eps and kappa estimates on given points check no samples."""
+        a = P.Halfspace(np.array([1.0, 0.0]), 0.0)
+        points = P.uniform_ball(np.random.default_rng(17), np.zeros(2), 0.5, 50)
+        est = P.estimate_eps_regularity(a, np.zeros(2), 1.0, samples=0, points=points)
+        assert est.samples == 50
+        est = P.estimate_linear_regularity([a], P.exact_intersection(a, (a,)), np.zeros(2),
+                                           1.0, samples=0, points=points)
+        assert est.samples == 50
 
 
 class TestModifiersAndRequiredKeys:
