@@ -24,7 +24,7 @@ def main():
     inter = P.exact_intersection(P.FinitePointSet(np.zeros((1, 3))), (a, b))
     x0 = np.array([1.0, 0.0, 1.0])
 
-    hull = P.affine_hull([a, b], probe_count=50, seed=0)
+    hull = P.affine_hull([a, b], seed=0)
     print(f"estimated affine hull: dim(L) = {hull.basis.shape[0]} in R^3")
     print(f"eta(2, 2, 1)   = {P.eta(2.0, 2.0, 1.0)}")
     print(f"eta(1, 1, 1/2) = {P.eta(1.0, 1.0, 0.5)}")

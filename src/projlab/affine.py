@@ -21,17 +21,20 @@ from .operators import GeneralizedDR, RelaxedProjector
 from .runner import Trajectory
 from .sets import RANK_TOL, AffineSubspaceSet, ClosedSet, row_norms, svd_rank
 
+# Largest deviation of the commutation identities and of shadow_run's steps.
+_AFFINE_TOL = 1e-10
 
-def affine_hull(sets, probe_count=64, seed=0) -> AffineSubspaceSet:
+
+def affine_hull(sets, seed=0) -> AffineSubspaceSet:
     """Affine hull of the union of the given sets, as an affine subspace.
 
-    Uses closed forms per catalog variant and falls back to projecting random
-    probes; directions are ranked by SVD with tolerance 1e-9.
+    Uses closed forms per catalog variant and falls back to projecting 64
+    random probes; directions are ranked by SVD with tolerance 1e-9.
     """
     rng = np.random.default_rng(seed)
     pts = []
     for s in sets:
-        pts.extend(s.hull_points(rng, probe_count))
+        pts.extend(s.hull_points(rng))
     if not pts:
         raise DomainError("no points available to span a hull")
     P = np.array(pts)
@@ -46,8 +49,7 @@ def affine_hull(sets, probe_count=64, seed=0) -> AffineSubspaceSet:
 
 
 def verify_affine_identities(s: ClosedSet, L: AffineSubspaceSet, lam,
-                             samples=200, seed=0,
-                             check_tol=1e-10) -> PropertyReport:
+                             samples=200, seed=0) -> PropertyReport:
     """Check the two commutation identities of a relaxed projector with P_L:
 
         (Id - P_L) P^lam x = (1 - lambda) (Id - P_L) x
@@ -71,7 +73,7 @@ def verify_affine_identities(s: ClosedSet, L: AffineSubspaceSet, lam,
     dev2 = row_norms(plpxs - op.apply_many(plxs))
     return margin_report("affine_identities", -np.maximum(dev1, dev2),
                          lambda i: (xs[i].copy(), float(dev1[i]), float(dev2[i])), seed,
-                         check_tol, {"lambda": float(lam)})
+                         _AFFINE_TOL, {"lambda": float(lam)})
 
 
 def eta(lam, mu, alpha) -> float:
@@ -100,15 +102,15 @@ class AffineReductionReport:
     extra: dict
 
 
-def shadow_run(traj: Trajectory, L: AffineSubspaceSet, check_tol=1e-10):
+def shadow_run(traj: Trajectory, L: AffineSubspaceSet):
     """Project the iterates of a blended two-set trajectory onto L and
     validate the reduction.
 
     The trajectory must have been produced by a single GeneralizedDR operator
     with constant parameters.  Returns (shadow_points, report) after checking
     that the shadow obeys the same recursion (ShadowRecursionViolated beyond
-    check_tol), that the gap contracts stepwise by eta (componentwise within
-    check_tol), and that its norm follows |eta|^n ||x0 - y0|| to relative
+    1e-10), that the gap contracts stepwise by eta (componentwise within
+    1e-10), and that its norm follows |eta|^n ||x0 - y0|| to relative
     1e-9.  lambda = mu = 2 classifies as FixedPointShadow (only the shadow
     converges); anything else as Intersection.
     """
@@ -122,10 +124,10 @@ def shadow_run(traj: Trajectory, L: AffineSubspaceSet, check_tol=1e-10):
     y = L.project_many(x)
     gaps = x - y
     recursion_residual = float(np.max(row_norms(op.apply_many(y[:-1]) - y[1:]), initial=0.0))
-    if recursion_residual > check_tol:
+    if recursion_residual > _AFFINE_TOL:
         raise ShadowRecursionViolated(
             f"shadow recursion residual {recursion_residual:.3e} "
-            f"exceeds {check_tol:.1e}")
+            f"exceeds {_AFFINE_TOL:.1e}")
     step_dev = float(np.max(np.abs(gaps[1:] - eta_value * gaps[:-1]), initial=0.0))
     norms = row_norms(gaps)
     target = float(norms[0])
@@ -147,9 +149,9 @@ def shadow_run(traj: Trajectory, L: AffineSubspaceSet, check_tol=1e-10):
             op.set_a.project(x[-1]).canonical
             - op.set_b.project(x[-1]).canonical)),
     }
-    if step_dev > check_tol:
+    if step_dev > _AFFINE_TOL:
         raise ShadowRecursionViolated(
-            f"gap step residual {step_dev:.3e} exceeds {check_tol:.1e}")
+            f"gap step residual {step_dev:.3e} exceeds {_AFFINE_TOL:.1e}")
     report = AffineReductionReport(float(eta_value), classification, ratios,
                                    recursion_residual, gap_law_residual,
                                    y[-1].copy(), x[-1].copy(),

@@ -31,6 +31,7 @@ from .errors import (
     at_key,
     check_int,
     check_keys,
+    check_number,
     check_positive,
     table_entry,
 )
@@ -82,13 +83,11 @@ _ARITHMETIC = (("times", operator.mul), ("plus", operator.add),
 
 
 def _resolve(value, ctx, path):
-    """Resolve a scalar analysis argument: a number, an "@label" reference to
-    an earlier result, or {"ref"/"value", "times", "plus", "clamp_min",
-    "clamp_max"} arithmetic on one."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
+    """Resolve a scalar analysis argument: a finite number, an "@label"
+    reference to an earlier result, or {"ref"/"value", "times", "plus",
+    "clamp_min", "clamp_max"} arithmetic on one by finite numbers."""
+    if isinstance(value, (int, float)):  # a bool too, which check_number rejects
+        return check_number(value, path)
     if isinstance(value, str):
         return float(_reference(value, ctx, path, analysis_mod.RegularityEstimate).value)
     if isinstance(value, dict):
@@ -101,13 +100,16 @@ def _resolve(value, ctx, path):
             raise ConfigError(f"{path}: need 'ref' or 'value'")
         for key, op in _ARITHMETIC:
             if key in value:
-                base = op(base, float(value[key]))
+                base = op(base, check_number(value[key], f"{path}.{key}"))
         return base
     raise ConfigError(f"{path}: cannot resolve {value!r}")
 
 
 def _resolve_int(value, ctx, path):
-    return int(_resolve(value, ctx, path))
+    number = _resolve(value, ctx, path)
+    if not number.is_integer():
+        raise ConfigError(f"{path}: must be an integer, got {number!r}")
+    return int(number)
 
 
 def _resolve_list(value, ctx, path):
@@ -123,6 +125,11 @@ def _reference(value, ctx, path, cls=RateCertificate):
     if not isinstance(ctx.get(value[1:]), cls):
         raise ConfigError(f"{path}: '{value}' is not a {cls.__name__} result")
     return ctx[value[1:]]
+
+
+def _given(record, *keys):
+    """The `keys` the record gives, as keywords; the rest keep the callee's defaults."""
+    return {key: record[key] for key in keys if key in record}
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +211,12 @@ class _Run:
             self._hull = affine_mod.affine_hull(self.sc.sets, seed=self.seed)
         return self._hull
 
-    def sampling(self, record, samples):
-        """(samples, seed, delta) of a sampled analysis record; check_analysis
-        has checked the record's own values."""
-        return (record.get("samples", samples), record.get("seed", self.seed),
-                float(record.get("delta", self.sc.delta)))
+    def sampling(self, record):
+        """The seed (the record's, else the run's) and any samples it gives."""
+        return {"seed": self.seed, **_given(record, "samples", "seed")}
+
+    def delta(self, record):
+        return float(record.get("delta", self.sc.delta))
 
     def store(self, label, obj, path):
         if not isinstance(label, str) or not label:
@@ -248,47 +256,42 @@ class _Run:
 
 
 def _estimate_eps(run, rec, path, label):
-    samples, seed, delta = run.sampling(rec, 600)
     s = run.pick_set(rec["set"], f"{path}.set")
     run.constant(label, analysis_mod.estimate_eps_regularity(
-        s, run.sc.anchor, delta, samples=samples, seed=seed), path)
+        s, run.sc.anchor, run.delta(rec), **run.sampling(rec)), path)
 
 
 def _estimate_kappa(run, rec, path, label):
-    samples, seed, delta = run.sampling(rec, 2000)
     run.constant(label, analysis_mod.estimate_linear_regularity(
-        run.sc.sets, run.sc.intersection, run.sc.anchor, delta,
-        samples=samples, seed=seed), path)
+        run.sc.sets, run.sc.intersection, run.sc.anchor, run.delta(rec),
+        **run.sampling(rec)), path)
 
 
 def _estimate_theta_bar(run, rec, path, label):
-    samples, seed, delta = run.sampling(rec, 256)
     pair = rec.get("sets", [0, 1])
     a = run.pick_set(pair[0], f"{path}.sets[0]")
     b = run.pick_set(pair[1], f"{path}.sets[1]")
     run.constant(label, analysis_mod.estimate_theta_bar(
-        a, b, run.sc.anchor, samples=samples, seed=seed, delta=delta), path)
+        a, b, run.sc.anchor, delta=run.delta(rec), **run.sampling(rec)), path)
 
 
 def _strong_regularity(run, rec, path, label):
-    samples, seed, delta = run.sampling(rec, 2000)
     idxs = rec.get("sets", list(range(len(run.sc.sets))))
     system = [run.pick_set(j, f"{path}.sets") for j in idxs]
     est = analysis_mod.check_strong_regularity(
-        system, run.sc.anchor, delta, samples=samples, seed=seed)
+        system, run.sc.anchor, run.delta(rec), **run.sampling(rec))
     run.constant(label, est, path)
     entry = {"sets": list(idxs), "value": est.value, "strong": est.extra["strong"]}
     strong = est.extra["strong"]
     passed = {"fail": not strong, "pass": strong, None: True}[rec.get("expect")]
     if "expect_min" in rec:
         entry["expect_min"] = rec["expect_min"]
-        passed = passed and est.value >= float(rec["expect_min"])
+        passed = passed and est.value >= rec["expect_min"]
     entry["passed"] = passed
     return None, entry
 
 
 def _quasi_firm_fejer(run, rec, path, label):
-    samples, seed, delta = run.sampling(rec, 1000)
     op = run.pick_operator(rec["operator"], f"{path}.operator")
     refset = run.pick_target(op, rec.get("refset", "target"), f"{path}.refset")
     tag = operator_type(op)
@@ -299,14 +302,13 @@ def _quasi_firm_fejer(run, rec, path, label):
     eps = [_resolve(rec.get(key, 0.0), run.ctx, f"{path}.{key}") for key in spec.fejer_keys]
     consts = spec.fejer(op, *eps)
     rep = analysis_mod.check_quasi_firm_fejer(
-        op, refset, consts.gamma, consts.beta, run.sc.anchor, delta,
-        samples=samples, seed=seed)
+        op, refset, consts.gamma, consts.beta, run.sc.anchor, run.delta(rec),
+        **run.sampling(rec))
     return rep, {"eps": _jsonable(eps[0] if len(eps) == 1 else tuple(eps)),
                  "gamma": consts.gamma, "beta": consts.beta}
 
 
 def _quasi_coercive(run, rec, path, label):
-    samples, seed, delta = run.sampling(rec, 1000)
     op = run.pick_operator(rec["operator"], f"{path}.operator")
     cset = run.pick_target(op, rec.get("cset", "target"), f"{path}.cset")
     nu_spec = rec.get("nu", "lambda")
@@ -317,7 +319,7 @@ def _quasi_coercive(run, rec, path, label):
     else:
         nu = _resolve(nu_spec, run.ctx, f"{path}.nu")
     rep = analysis_mod.check_quasi_coercive(
-        op, cset, nu, run.sc.anchor, delta, samples=samples, seed=seed)
+        op, cset, nu, run.sc.anchor, run.delta(rec), **run.sampling(rec))
     if not rec.get("expect_equality"):
         return rep, {}
     eq_tol = float(rec.get("equality_tol", 1e-12))
@@ -326,20 +328,18 @@ def _quasi_coercive(run, rec, path, label):
 
 
 def _injectable(run, rec, path, label):
-    samples, seed, delta = run.sampling(rec, 1000)
     s = run.pick_set(rec["set"], f"{path}.set")
     tau = _resolve(rec["tau"], run.ctx, f"{path}.tau")
-    rep = analysis_mod.check_injectable(s, tau, run.sc.anchor, delta,
-                                        samples=samples, seed=seed)
+    rep = analysis_mod.check_injectable(s, tau, run.sc.anchor, run.delta(rec),
+                                        **run.sampling(rec))
     if rec.get("expect") == "fail":
         return rep, {"tau": tau, "expected_failure": True, "passed": rep.violations >= 1}
     return rep, {"tau": tau}
 
 
 def _obtuse_cone(run, rec, path, label):
-    samples, seed, _ = run.sampling(rec, 256)
     s = run.pick_set(rec["set"], f"{path}.set")
-    result = is_obtuse_cone(s, samples=samples, seed=seed)
+    result = is_obtuse_cone(s, **run.sampling(rec))
     del result["name"]  # the check is named by its label
     return None, {"passed": result["obtuse"] == rec.get("expect", True), **_jsonable(result)}
 
@@ -364,12 +364,8 @@ def _certificate(run, rec, path, label):
 
 
 def _rate_fit(run, rec, path, label):
-    kwargs = {}
-    if "tail_fraction" in rec:
-        kwargs["tail_fraction"] = float(rec["tail_fraction"])
-    if "burn_in" in rec:
-        kwargs["burn_in"] = int(rec["burn_in"])
-    fit = runner_mod.fit_rlinear(run.traj.cycle_errors(), **kwargs)
+    fit = runner_mod.fit_rlinear(run.traj.cycle_errors(),
+                                 **_given(rec, "tail_fraction", "burn_in"))
     run.store(label, fit, path)
     run.fits[label] = _fields_dict(fit)
     if "expect_rho" not in rec and not rec.get("expect_non_convergent"):
@@ -391,15 +387,15 @@ def _k_step(run, rec, path, label):
         cert = _reference(rec["certificate"], run.ctx, f"{path}.certificate")
         k, rho_bound = cert.block_len, cert.rho_block
     else:
-        k = int(rec.get("k", 1))
+        k = rec.get("k", 1)
         rho_bound = _resolve(rec.get("rho_bound"), run.ctx, f"{path}.rho_bound")
     return runner_mod.check_k_step_reduction(run.traj, k, rho_bound), {}
 
 
 def _compare(run, rec, path, label):
     cert = _reference(rec["certificate"], run.ctx, f"{path}.certificate")
-    result = runner_mod.compare_certificate(
-        run.traj, cert, slack=float(rec.get("slack", 0.02)), raise_on_violation=False)
+    result = runner_mod.compare_certificate(run.traj, cert, raise_on_violation=False,
+                                            **_given(rec, "slack"))
     result["name"] = label
     run.comparisons.append(_jsonable(result))
 
@@ -424,7 +420,7 @@ def _states_match(want, got, tol):
 
 
 def _cycle_detect(run, rec, path, label):
-    tol = float(rec.get("tol", 1e-12))
+    tol = rec.get("tol", 1e-12)
     found = runner_mod.detect_cycle(run.traj, tol=tol)
     if found is None:
         return None, {"passed": "expect_period" not in rec and "expect_states" not in rec,
@@ -434,7 +430,7 @@ def _cycle_detect(run, rec, path, label):
              "max_deviation": found.max_deviation, "passed": True}
     if "expect_period" in rec:
         entry["expect_period"] = rec["expect_period"]
-        entry["passed"] = found.period == int(rec["expect_period"])
+        entry["passed"] = found.period == rec["expect_period"]
     if entry["passed"] and "expect_states" in rec:
         want = [np.asarray(s, dtype=float) for s in rec["expect_states"]]
         entry["passed"] = _states_match(want, list(found.states), tol)
@@ -460,11 +456,9 @@ def _affine_reduction(run, rec, path, label):
 
 
 def _affine_identities(run, rec, path, label):
-    samples, seed, _ = run.sampling(rec, 200)
     s = run.pick_set(rec["set"], f"{path}.set")
     lam = _resolve(rec.get("lambda", 1.0), run.ctx, f"{path}.lambda")
-    return affine_mod.verify_affine_identities(
-        s, run.hull(), lam, samples=samples, seed=seed), {}
+    return affine_mod.verify_affine_identities(s, run.hull(), lam, **run.sampling(rec)), {}
 
 
 def _expect_in(*allowed):
@@ -550,11 +544,21 @@ ANALYSES = {
 }
 
 
-def _check_sampling(record):
-    """Parse-time check of the sampling overrides a record may carry."""
-    check_int(record.get("samples", 1), "samples", 1)
-    check_int(record.get("seed", 0), "seed", 0)
-    check_positive(record.get("delta", 1.0), "delta")
+# The integers an analysis record may carry, by least value, and its finite numbers.
+_INT_KEYS = {"samples": 1, "seed": 0, "burn_in": 0, "k": 1, "expect_period": 1}
+_FINITE_KEYS = ("tail_fraction", "expect_rho", "expect_tol", "slack", "equality_tol",
+                "tol", "expect_min")
+
+
+def _check_numbers(record):
+    """Parse-time check of the numbers a record carries."""
+    for key, value in record.items():
+        if key in _INT_KEYS:
+            check_int(value, key, _INT_KEYS[key])
+        elif key == "delta":
+            check_positive(value, key)
+        elif key in _FINITE_KEYS:
+            check_number(value, key)
 
 
 def check_analysis(record, path):
@@ -562,7 +566,7 @@ def check_analysis(record, path):
     with at_key(path):
         spec = table_entry(record, ANALYSES, "analysis", tag="kind")
         check_keys(record, "", ("kind", "label") + spec.keys, spec.required, spec.modifiers)
-        _check_sampling(record)
+        _check_numbers(record)
         if spec.check is not None:
             spec.check(record)
 

@@ -112,6 +112,15 @@ def check_positive(value, key):
     return float(value)
 
 
+def check_number(value, key):
+    """`value` as a float if it is a finite number (a bool is not), else a
+    ConfigError at `key`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:  # nan, inf and 1e400 fail
+        raise ConfigError(f"{key}: must be a finite number")
+    return float(value)
+
+
 def table_entry(record, table, what, tag="type"):
     """The entry of `table` that a tagged config record names."""
     if not isinstance(record, dict) or tag not in record:

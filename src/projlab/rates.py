@@ -65,8 +65,7 @@ def _check_range(name, value, lo, hi, lo_open=False, hi_open=False):
 
 
 def _certificate(theorem, inputs, gamma_total, bracket, block_len,
-                 delta0_over_delta, start_prefactor=1.0, stated_block=True,
-                 provenance="analytic"):
+                 delta0_over_delta, start_prefactor=1.0, stated_block=True):
     """Assemble a certificate from the clamped bracket value."""
     bracket = max(0.0, bracket)
     rho_block = math.sqrt(bracket)
@@ -74,7 +73,7 @@ def _certificate(theorem, inputs, gamma_total, bracket, block_len,
         raise DomainError("certificate block length must be >= 1")
     rho_iter = rho_block ** (1.0 / block_len)
     applicable = rho_block < 1.0
-    if applicable and rho_block < 1.0:
+    if applicable:
         start_ratio = (1.0 - rho_block) / (2.0 + gamma_total - rho_block)
     else:
         start_ratio = 0.0
@@ -90,7 +89,6 @@ def _certificate(theorem, inputs, gamma_total, bracket, block_len,
         delta0_over_delta=float(delta0_over_delta),
         start_radius_over_delta0=float(start_ratio),
         start_prefactor=float(start_prefactor),
-        provenance=provenance,
     )
 
 

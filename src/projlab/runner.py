@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import PropertyReport, margin_report
+from .analysis import CHECK_TOL, PropertyReport, margin_report
 from .errors import CertificateViolated, DomainError, InsufficientData
 from .intersection import IntersectionHandle
 from .operators import CyclicTuple
@@ -24,6 +24,7 @@ from .sets import as_vector, row_norms
 
 DIVERGENCE_NORM = 1e12
 ERROR_FLOOR = 1e-14
+_K_STEP_TOL = 1e-12     # slack of the k-step reduction and its ball test
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,11 +130,10 @@ class RateFit:
     non_convergent: bool   # rho >= 1
 
 
-def fit_rlinear(errors, tail_fraction=0.5, burn_in=10,
-                floor=ERROR_FLOOR) -> RateFit:
+def fit_rlinear(errors, tail_fraction=0.5, burn_in=10) -> RateFit:
     """Fit a geometric envelope to an error sequence by log-linear least
     squares over the trailing window (after dropping the burn-in prefix);
-    entries at or below the floor are censored.  Raises InsufficientData for
+    entries at or below ERROR_FLOOR are censored.  Raises InsufficientData for
     sequences shorter than 10 or with fewer than 5 usable points."""
     e = np.asarray(errors, dtype=float)
     if e.ndim != 1:
@@ -152,7 +152,7 @@ def fit_rlinear(errors, tail_fraction=0.5, burn_in=10,
     start = idx.size - max(1, int(np.ceil(tail_fraction * idx.size)))
     idx = idx[start:]
     tail = tail[start:]
-    keep = tail > floor
+    keep = tail > ERROR_FLOOR
     censored = int(np.sum(~keep))
     idx = idx[keep]
     tail = tail[keep]
@@ -187,13 +187,13 @@ class CycleReport:
     max_deviation: float
 
 
-def detect_cycle(traj: Trajectory, max_period=8, tol=1e-12) -> CycleReport | None:
-    """Find the smallest period p (in single applications) such that the
+def detect_cycle(traj: Trajectory, tol=1e-12) -> CycleReport | None:
+    """Find the smallest period p <= 8 (in single applications) such that the
     point sequence satisfies x[n + p] == x[n] within tol from some start
     index onward, with at least two full periods observed."""
     y = traj.points
     n = y.shape[0]
-    for p in range(1, max_period + 1):
+    for p in range(1, 9):
         if n < 2 * p + 1:
             break
         gaps = np.linalg.norm(y[p:] - y[:-p], axis=1)
@@ -205,9 +205,8 @@ def detect_cycle(traj: Trajectory, max_period=8, tol=1e-12) -> CycleReport | Non
     return None
 
 
-def check_k_step_reduction(traj: Trajectory, k, rho_bound, ball=None,
-                           check_tol=1e-12) -> PropertyReport:
-    """Verify d_C(x_{k(n+1)}) <= rho_bound * d_C(x_{kn}) + check_tol over
+def check_k_step_reduction(traj: Trajectory, k, rho_bound, ball=None) -> PropertyReport:
+    """Verify d_C(x_{k(n+1)}) <= rho_bound * d_C(x_{kn}) + 1e-12 over
     k-step blocks of single operator applications.
 
     Blocks whose start sits at the error floor pass trivially; if `ball` is a
@@ -223,22 +222,21 @@ def check_k_step_reduction(traj: Trajectory, k, rho_bound, ball=None,
     inside = np.ones(starts.size, dtype=bool)
     if ball is not None:
         center, radius = as_vector(ball[0]), float(ball[1])
-        inside = row_norms(traj.points[starts] - center) <= radius + check_tol
+        inside = row_norms(traj.points[starts] - center) <= radius + _K_STEP_TOL
     checked = starts[inside]
     live = checked[e[checked] > ERROR_FLOOR]
     ratios = e[live + k] / e[live]
     return margin_report(
         "k_step_reduction", rho_bound * e[live] - e[live + k],
         lambda i: (int(live[i]), float(e[live[i]]), float(e[live[i] + k])),
-        traj.seed, check_tol,
+        traj.seed, _K_STEP_TOL,
         {"k": k, "rho_bound": float(rho_bound),
          "worst_ratio": float(np.max(ratios, initial=0.0)),
          "outside_ball": int(starts.size - checked.size)},
         samples=int(checked.size), empty_margin=0.0)
 
 
-def check_fejer_trace(traj: Trajectory, constants, xbar,
-                      check_tol=1e-9) -> PropertyReport:
+def check_fejer_trace(traj: Trajectory, constants, xbar) -> PropertyReport:
     """Verify the quasi-firm inequality along consecutive trajectory points.
 
     `constants` is one (gamma, beta) pair applied to every step, or a list of
@@ -259,12 +257,11 @@ def check_fejer_trace(traj: Trajectory, constants, xbar,
     margins = (gammas * np.vecdot(to_ref, to_ref) - np.vecdot(step_to_ref, step_to_ref)
                - betas * np.vecdot(step, step))
     return margin_report("fejer_trace", margins, lambda n: (n, x[n], xp[n]),
-                         traj.seed, check_tol, {})
+                         traj.seed, CHECK_TOL, {})
 
 
 def check_rlinear_envelope(traj: Trajectory, cert: RateCertificate,
-                           xbar=None, w=None, start_radius=None,
-                           check_tol=1e-9) -> PropertyReport:
+                           xbar=None, w=None, start_radius=None) -> PropertyReport:
     """Verify ||x_n - xbar|| <= prefactor * sigma * rho_block^floor(n/k) along
     the trajectory, with sigma built from d_C(x0).
 
@@ -283,22 +280,21 @@ def check_rlinear_envelope(traj: Trajectory, cert: RateCertificate,
     left_ball = False
     if w is not None and start_radius is not None:
         left_ball = bool(np.any(row_norms(traj.points - as_vector(w))
-                                > start_radius + check_tol))
+                                > start_radius + CHECK_TOL))
     return margin_report("rlinear_envelope", env - err,
-                         lambda n: (n, float(err[n]), float(env[n])), traj.seed, check_tol,
+                         lambda n: (n, float(err[n]), float(env[n])), traj.seed, CHECK_TOL,
                          {"sigma": sigma, "rho_block": cert.rho_block,
                           "block_len": k, "left_ball": left_ball,
                           "xbar_quality": float(traj.c_dist[-1])})
 
 
 def compare_certificate(traj: Trajectory, cert: RateCertificate, slack=0.02,
-                        tail_fraction=0.5, burn_in=10,
                         raise_on_violation=True) -> dict:
     """Compare the fitted contraction against the certificate.
 
-    The cycle-end error sequence is fitted and converted to a per-iterate
-    (single application) rate, which must not exceed the certified
-    per-iterate rate plus `slack`.  Finite convergence (all errors at the
+    The cycle-end error sequence is fitted by fit_rlinear with its defaults
+    and converted to a per-iterate (single application) rate, which must not
+    exceed the certified per-iterate rate plus `slack`.  Finite convergence (all errors at the
     floor) passes trivially; a certificate that is not applicable makes no
     claim and the comparison is vacuous.
     """
@@ -319,8 +315,7 @@ def compare_certificate(traj: Trajectory, cert: RateCertificate, slack=0.02,
         result["vacuous"] = True
         return result
     try:
-        fit = fit_rlinear(traj.cycle_errors(), tail_fraction=tail_fraction,
-                          burn_in=burn_in)
+        fit = fit_rlinear(traj.cycle_errors())
     except InsufficientData:
         if traj.c_dist[-1] <= traj.tol:
             result["finite_convergence"] = True

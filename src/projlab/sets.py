@@ -208,10 +208,10 @@ class ClosedSet:
             cfg[f.name] = _encode(getattr(self, f.name))
         return cfg
 
-    def hull_points(self, rng, probe_count):
+    def hull_points(self, rng):
         """Points whose affine hull is aff(self).  This fallback projects
         random probes; variants with a closed form override it."""
-        probes = rng.standard_normal((probe_count, self.dim)) * 4.0
+        probes = rng.standard_normal((64, self.dim)) * 4.0
         return [self.project(z).canonical for z in probes]
 
     def _single(self, x, p) -> ProjectionResult:
@@ -268,7 +268,7 @@ class Halfspace(_LinearSet):
         face = excess >= -MEMBERSHIP_TOL * max(1.0, na)  # interior: zero cone
         return _prefix_rows((self.a / na)[None, :], face[:, None])
 
-    def hull_points(self, rng, probe_count):
+    def hull_points(self, rng):
         return _full_space_points(self.a * (self.b / float(np.dot(self.a, self.a))))
 
 
@@ -291,7 +291,7 @@ class Hyperplane(_LinearSet):
         u = self.a / float(np.linalg.norm(self.a))
         return _prefix_rows(np.stack([u, -u]), np.ones((n, 2), bool))
 
-    def hull_points(self, rng, probe_count):
+    def hull_points(self, rng):
         a, aa = self.a, np.dot(self.a, self.a)
         anchor = a * (self.b / float(aa))
         pts = [anchor]
@@ -350,7 +350,7 @@ class AffineSubspaceSet(ClosedSet):
         pairs = np.stack([comp, -comp], axis=1).reshape(-1, self.dim)  # u0, -u0, u1, ...
         return _prefix_rows(pairs, np.ones((n, pairs.shape[0]), bool))
 
-    def hull_points(self, rng, probe_count):
+    def hull_points(self, rng):
         return [self.anchor] + [self.anchor + b for b in self.basis]
 
 
@@ -395,7 +395,7 @@ class Ball(ClosedSet):
         U[face] = gap[face] / rr[face, None]
         return _prefix_rows(U[:, None, :], face[:, None])
 
-    def hull_points(self, rng, probe_count):
+    def hull_points(self, rng):
         if self.radius == 0.0:
             return [self.center]
         return _full_space_points(self.center)
@@ -447,7 +447,7 @@ class Sphere(ClosedSet):
         U = gap / rr[:, None]
         return _prefix_rows(np.stack([U, -U], axis=1), np.ones((U.shape[0], 2), bool))
 
-    def hull_points(self, rng, probe_count):
+    def hull_points(self, rng):
         if self.center.size == 1:
             return [self.center - self.radius, self.center + self.radius]
         return _full_space_points(self.center)
@@ -484,7 +484,7 @@ class Box(ClosedSet):
                            P <= self.lower + MEMBERSHIP_TOL], axis=2)
         return _prefix_rows(axes.reshape(-1, self.dim), active.reshape(P.shape[0], 2 * self.dim))
 
-    def hull_points(self, rng, probe_count):
+    def hull_points(self, rng):
         mid = (self.lower + self.upper) / 2.0
         pts = [mid]
         for i in range(mid.size):
@@ -531,22 +531,13 @@ class Orthant(ClosedSet):
         at_zero = np.abs(as_points(P, self.dim)) <= MEMBERSHIP_TOL
         return _prefix_rows(np.diag(-s), (s != 0.0) & at_zero)
 
-    def cone_generators(self) -> np.ndarray:
-        """Generating rays of the orthant as a convex cone."""
-        rows = []
-        for i, s in enumerate(self.signs):
-            e = np.zeros(self.dim)
-            if s == 0:
-                e[i] = 1.0
-                rows.append(e.copy())
-                e[i] = -1.0
-                rows.append(e)
-            else:
-                e[i] = float(s)
-                rows.append(e)
-        return np.array(rows)
+    def polar_generators(self):
+        """Generating rays of the polar cone: -(s_i e_i) for each s_i != 0, in
+        coordinate order (none when every sign is 0)."""
+        s = np.array(self.signs, dtype=float)
+        return list(-np.diag(s)[s != 0.0])
 
-    def hull_points(self, rng, probe_count):
+    def hull_points(self, rng):
         pts = [np.zeros(self.dim)]
         for i, sign in enumerate(self.signs):
             e = np.zeros(self.dim)
@@ -557,12 +548,13 @@ class Orthant(ClosedSet):
         return pts
 
 
-def _inequality_cone_generators(M, tol=1e-9):
+def _inequality_cone_generators(M):
     """Generating unit rays of {v : M v <= 0}, including +/- lineality basis.
 
     Subset enumeration of active constraints; intended for desk-scale cones
     (dimension <= 4, a handful of rows).
     """
+    tol = 1e-9
     M = np.asarray(M, dtype=float)
     d = M.shape[1]
     # lineality space = null(M)
@@ -573,7 +565,7 @@ def _inequality_cone_generators(M, tol=1e-9):
         lin = np.eye(d)
     rays = [row for b in lin for row in (b, -b)]
     if lin.shape[0] == d:
-        return _dedupe(rays, 1e-9)
+        return _dedupe(rays, tol)
     # pointed part lives in the orthogonal complement of the lineality space
     Q = _orthonormal_complement(lin, d)
     dprime = Q.shape[0]
@@ -595,7 +587,7 @@ def _inequality_cone_generators(M, tol=1e-9):
                 found.append(Q.T @ w)
     rays.extend(found)
     rays = [r / np.linalg.norm(r) for r in rays if np.linalg.norm(r) > tol]
-    return _dedupe(rays, 1e-9)
+    return _dedupe(rays, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -639,9 +631,11 @@ class PolyhedralCone(ClosedSet):
 
     def polar_generators(self):
         """Generating unit rays of the polar cone {v : <v, g_i> <= 0}."""
+        if self.dim > 4:
+            raise UnsupportedSet("polar enumeration supports dimension <= 4")
         return _inequality_cone_generators(self.generators)
 
-    def hull_points(self, rng, probe_count):
+    def hull_points(self, rng):
         return [np.zeros(self.dim)] + list(self.generators)
 
 
@@ -699,8 +693,8 @@ class Enlargement(ClosedSet):
                 out.append(u / nu)
         return out
 
-    def hull_points(self, rng, probe_count):
-        inner_pts = self.inner.hull_points(rng, probe_count)
+    def hull_points(self, rng):
+        inner_pts = self.inner.hull_points(rng)
         if self.tau == 0.0:
             return inner_pts
         return _full_space_points(inner_pts[0])
@@ -741,8 +735,8 @@ class UnionOfSets(ClosedSet):
         points = np.stack([q for q, _ in found])
         return points[first, np.arange(X.shape[0])], dmin
 
-    def hull_points(self, rng, probe_count):
-        return [p for m in self.members for p in m.hull_points(rng, probe_count)]
+    def hull_points(self, rng):
+        return [p for m in self.members for p in m.hull_points(rng)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -777,7 +771,7 @@ class FinitePointSet(ClosedSet):
         tied_rank = np.where(dists <= dmin[:, None] + TIE_TOL, rank, k)
         return self.points[np.argmin(tied_rank, axis=1)], dmin
 
-    def hull_points(self, rng, probe_count):
+    def hull_points(self, rng):
         return list(self.points)
 
 
@@ -809,8 +803,8 @@ class Translate(ClosedSet):
     def normal_generators_many(self, P):
         return self.inner.normal_generators_many(as_points(P, self.dim) - self.shift)
 
-    def hull_points(self, rng, probe_count):
-        return [p + self.shift for p in self.inner.hull_points(rng, probe_count)]
+    def hull_points(self, rng):
+        return [p + self.shift for p in self.inner.hull_points(rng)]
 
 
 # ---------------------------------------------------------------------------
@@ -864,19 +858,14 @@ def conic_mixtures(rng, G, samples):
 def is_obtuse_cone(s: ClosedSet, samples=256, seed=0):
     """Sampled check of -polar(K) c K (obtuse cone).
 
-    Directions are drawn from the polar cone: its generating rays and random
-    conic combinations of them.  Returns a PropertyReport-like dict;
-    violations count sampled polar directions v with -v outside K.
+    Directions are drawn from the polar cone: the rays of the cone's
+    `polar_generators` and random conic combinations of them.  Returns a
+    PropertyReport-like dict; violations count sampled polar directions v
+    with -v outside K.
     """
     cone = _cone_of(s)
-    if isinstance(cone, Orthant):
-        polar_rays = [-r for r in cone.cone_generators()]
-    else:
-        if cone.dim > 4:
-            raise UnsupportedSet("polar enumeration supports dimension <= 4")
-        polar_rays = cone.polar_generators()
     rng = np.random.default_rng(seed)
-    directions = np.array(polar_rays, dtype=float).reshape(-1, cone.dim)
+    directions = np.array(cone.polar_generators(), dtype=float).reshape(-1, cone.dim)
     if directions.shape[0]:
         directions = np.vstack([directions, conic_mixtures(rng, directions, samples)])
     d = cone.distance_many(-directions)

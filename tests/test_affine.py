@@ -88,6 +88,25 @@ class TestAffineHull:
             assert np.linalg.norm(P.project(L, px).canonical - px) <= 1e-12
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
+    def test_probe_fallback_matches_the_catalog_line(self):
+        """A custom set that defines only `project` takes the probe fallback
+        of `ClosedSet.hull_points`; for a line in R^3 it spans the same hull
+        as the catalog line's closed form."""
+        line = P.AffineSubspaceSet(np.array([1.0, -2.0, 0.5]),
+                                   np.array([[2.0, 1.0, 2.0]]) / 3.0)
+
+        class ProjectOnly(P.ClosedSet):
+            dim = 3
+
+            def project(self, x):
+                return line.project(x)
+
+        L = P.affine_hull([ProjectOnly()], seed=2)
+        want = P.affine_hull([line])
+        assert L.subspace_dim == want.subspace_dim == 1
+        assert np.allclose(L.basis.T @ L.basis, want.basis.T @ want.basis, atol=1e-12)
+        assert want.distance(L.anchor) <= 1e-12
+
     def test_deterministic_given_seed(self):
         a, b, _ = _two_lines_3d()
         L1 = P.affine_hull([a, b], seed=4)

@@ -93,7 +93,7 @@ class TestDetectCycle:
     def test_reflector_pair_two_cycle(self):
         traj = _reflector_pair_run()
         assert traj.stop_reason == "Budget"
-        rep = P.detect_cycle(traj, max_period=8, tol=1e-12)
+        rep = P.detect_cycle(traj, tol=1e-12)
         assert rep is not None
         assert rep.period == 2
         assert rep.start_index == 1

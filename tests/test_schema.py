@@ -3,6 +3,7 @@ modifiers need the key they modify, and the catalog names exactly the tags
 that configs accept."""
 
 import copy
+import inspect
 import json
 import os
 import subprocess
@@ -187,6 +188,32 @@ class TestSamplingOverrides:
         zeta = report["constants"]["zeta_all"]
         assert (zeta["samples"], zeta["seed"], zeta["delta"]) == (40, 3, 0.25)
 
+    def test_records_without_samples_take_the_library_default(self):
+        """A record that gives no samples reports the default of the library
+        function its kind calls (obtuse_cone adds the cone's polar rays)."""
+        calls = {  # kind -> (library function, record keys)
+            "estimate_eps": (P.estimate_eps_regularity, {"set": 0}),
+            "estimate_kappa": (P.estimate_linear_regularity, {}),
+            "estimate_theta_bar": (P.estimate_theta_bar, {}),
+            "strong_regularity": (P.check_strong_regularity, {"sets": [0, 1]}),
+            "quasi_firm_fejer": (P.check_quasi_firm_fejer, {"operator": 0}),
+            "quasi_coercive": (P.check_quasi_coercive, {"operator": 0}),
+            "injectable": (P.check_injectable, {"set": 0, "tau": 0.1, "expect": "fail"}),
+            "obtuse_cone": (P.is_obtuse_cone, {"set": 2}),
+            "affine_identities": (P.verify_affine_identities, {"set": 0}),
+        }
+        assert sorted(calls) == sorted(k for k, spec in ANALYSES.items() if "samples" in spec.keys)
+        cfg = minimal_config(analyses=[{"kind": k, "label": k, **keys}
+                                       for k, (_, keys) in calls.items()])
+        cfg["sets"].append({"type": "orthant", "signs": [1, 1]})
+        report = P.execute_scenario(P.scenario_from_config(cfg))
+        reported = {c["name"]: c["samples"] for c in report["checks"] if "samples" in c}
+        reported.update((k, c["samples"]) for k, c in report["constants"].items())
+        polar_rays = len(P.Orthant((1, 1)).polar_generators())
+        for kind, (fn, _) in calls.items():
+            default = inspect.signature(fn).parameters["samples"].default
+            assert reported[kind] == default + (polar_rays if kind == "obtuse_cone" else 0), kind
+
     @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
     def test_sampled_analyses_reject_bad_delta(self, delta):
         for call in _sampled_analyses(delta):
@@ -212,6 +239,55 @@ class TestSamplingOverrides:
         est = P.estimate_linear_regularity([a], P.exact_intersection(a, (a,)), np.zeros(2),
                                            1.0, samples=0, points=points)
         assert est.samples == 50
+
+
+class TestRecordNumbers:
+    """The numbers an analysis record carries are checked at parse time, not
+    coerced: a string, a boolean, a fraction where an integer belongs or a
+    non-finite value is a ConfigError at its key path."""
+
+    @pytest.mark.parametrize("record, message", [
+        ({"kind": "rate_fit", "tail_fraction": "0.5"}, "tail_fraction: must be a finite number"),
+        ({"kind": "rate_fit", "burn_in": True}, "burn_in: must be a nonnegative integer"),
+        ({"kind": "rate_fit", "expect_rho": "0.5"}, "expect_rho: must be a finite number"),
+        ({"kind": "rate_fit", "expect_rho": 0.5, "expect_tol": float("inf")},
+         "expect_tol: must be a finite number"),
+        ({"kind": "compare", "certificate": "@cert", "slack": "0.5"},
+         "slack: must be a finite number"),
+        ({"kind": "quasi_coercive", "operator": 0, "expect_equality": True,
+          "equality_tol": True}, "equality_tol: must be a finite number"),
+        ({"kind": "cycle_detect", "tol": None}, "tol: must be a finite number"),
+        ({"kind": "k_step", "k": 2.9, "rho_bound": 0.5}, "k: must be a positive integer"),
+        ({"kind": "cycle_detect", "expect_period": "2"},
+         "expect_period: must be a positive integer"),
+        ({"kind": "strong_regularity", "expect_min": float("nan")},
+         "expect_min: must be a finite number"),
+    ], ids=["tail_fraction", "burn_in", "expect_rho", "expect_tol", "slack", "equality_tol",
+            "tol", "k", "expect_period", "expect_min"])
+    def test_bad_number_names_the_key_path(self, record, message):
+        assert _error(minimal_config(analyses=[{"kind": "rate_fit"}, record])) == \
+            f"analyses[1].{message}"
+
+    @pytest.mark.parametrize("arithmetic, key", [
+        ({"value": 0.5, "times": "2"}, "times"),
+        ({"value": 0.5, "plus": True}, "plus"),
+        ({"value": 0.5, "clamp_min": float("nan")}, "clamp_min"),
+        ({"value": 0.5, "clamp_max": None}, "clamp_max"),
+    ])
+    def test_arithmetic_operands_are_checked(self, arithmetic, key):
+        sc = P.scenario_from_config(minimal_config(analyses=[
+            {"kind": "k_step", "rho_bound": arithmetic}]))
+        with pytest.raises(ConfigError) as exc:
+            P.execute_scenario(sc)
+        assert str(exc.value) == f"analyses[0].rho_bound.{key}: must be a finite number"
+
+    def test_theorem_count_is_not_truncated(self):
+        sc = P.scenario_from_config(minimal_config(analyses=[
+            {"kind": "certificate", "theorem": "rate_cyclic_projections",
+             "args": {"m": 2.9, "eps": 0.0, "kappa": 2.0}}]))
+        with pytest.raises(ConfigError) as exc:
+            P.execute_scenario(sc)
+        assert str(exc.value) == "analyses[0].args.m: must be an integer, got 2.9"
 
 
 class TestModifiersAndRequiredKeys:

@@ -322,6 +322,40 @@ class TestObtuseCone:
         assert not out["obtuse"]
         assert out["violations"] > 0
 
+    def test_orthant_polar_rays_skip_free_coordinates(self):
+        """The polar of an orthant is spanned by -(s_i e_i) over s_i != 0, each
+        built with the signed zeros of that product; a free coordinate adds
+        no ray."""
+        signs = (1, 0, -1, 0)
+        want = []
+        for i, s in enumerate(signs):
+            if s != 0:
+                e = np.zeros(4)
+                e[i] = float(s)
+                want.append(-e)
+        got = P.Orthant(signs).polar_generators()
+        assert len(got) == len(want) == 2
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
+        assert P.Orthant((0, 0)).polar_generators() == []
+
+    @pytest.mark.parametrize("signs, drawn", [((1, 0), 11), ((0, 0), 0), ((1, -1), 12)],
+                             ids=["one_free", "all_free", "none_free"])
+    def test_orthant_draws_only_polar_directions(self, signs, drawn):
+        """samples=10 draws the polar rays plus 10 mixtures of them: one ray
+        for (1, 0), none for (0, 0), whose polar is {0}."""
+        out = P.is_obtuse_cone(P.Orthant(signs), samples=10)
+        assert out["samples"] == drawn
+        assert out["obtuse"] and out["violations"] == 0
+
+    def test_cone_polar_enumeration_is_bounded_to_dimension_four(self):
+        cone = P.PolyhedralCone(np.eye(5))
+        with pytest.raises(P.UnsupportedSet, match="dimension <= 4"):
+            cone.polar_generators()
+        with pytest.raises(P.UnsupportedSet, match="dimension <= 4"):
+            P.is_obtuse_cone(cone)
+        assert len(P.PolyhedralCone(np.eye(4)).polar_generators()) == 4
+
 
 # ---------------------------------------------------------------------------
 # Membership and config round-trip
