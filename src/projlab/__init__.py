@@ -52,7 +52,6 @@ from .operators import (
     GeneralizedDR,
     RelaxedProjector,
     SemiIntrepidProjector,
-    apply,
     operator_from_config,
     operator_to_config,
     reflect,

@@ -114,7 +114,7 @@ def shadow_run(traj: Trajectory, L: AffineSubspaceSet):
     1e-9.  lambda = mu = 2 classifies as FixedPointShadow (only the shadow
     converges); anything else as Intersection.
     """
-    if traj.operators is None or len(traj.operators.members) != 1 or \
+    if len(traj.operators.members) != 1 or \
             not isinstance(traj.operators.members[0], GeneralizedDR):
         raise DomainError(
             "shadow_run needs a trajectory driven by one GeneralizedDR operator")

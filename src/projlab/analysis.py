@@ -358,13 +358,13 @@ def _normal_pool(s, w, delta, rng, budget):
     return found[live]
 
 
-def estimate_theta_bar(set_a, set_b, w, samples=256, seed=0,
-                       delta=1.0) -> RegularityEstimate:
+def estimate_theta_bar(set_a, set_b, w, samples=256, seed=0) -> RegularityEstimate:
     """Sampled lower bound of sup <u, v> over unit u in N_A(w), v in -N_B(w).
 
-    Returns 0 with a trivial flag when either normal cone is {0}.
+    Uses only the normal cones at w itself, not a neighbourhood of it, so
+    the estimate records delta 0.  Returns 0 with a trivial flag when either
+    normal cone is {0}.
     """
-    delta = _positive_delta(delta)
     samples = _positive_samples(samples)
     w = as_vector(w)
     for s in (set_a, set_b):
@@ -380,15 +380,10 @@ def estimate_theta_bar(set_a, set_b, w, samples=256, seed=0,
 
     dirs_a = cone_dirs(set_a)
     dirs_b = cone_dirs(set_b)
-    if not dirs_a or not dirs_b:
-        return RegularityEstimate("theta_bar", 0.0, w, delta,
-                                  samples, seed, "lower", {"trivial": True})
-    A = np.array(dirs_a)
-    B = np.array(dirs_b)
-    theta = float(np.max(A @ (-B).T))
-    theta = min(max(theta, -1.0), 1.0)
-    return RegularityEstimate("theta_bar", theta, w, delta,
-                              samples, seed, "lower", {"trivial": False})
+    trivial = not dirs_a or not dirs_b
+    theta = 0.0 if trivial else float(np.max(np.array(dirs_a) @ -np.array(dirs_b).T))
+    return RegularityEstimate("theta_bar", min(max(theta, -1.0), 1.0), w, 0.0,
+                              samples, seed, "lower", {"trivial": trivial})
 
 
 def _min_norm_over_simplex(G):

@@ -272,7 +272,7 @@ def _estimate_theta_bar(run, rec, path, label):
     a = run.pick_set(pair[0], f"{path}.sets[0]")
     b = run.pick_set(pair[1], f"{path}.sets[1]")
     run.constant(label, analysis_mod.estimate_theta_bar(
-        a, b, run.sc.anchor, delta=run.delta(rec), **run.sampling(rec)), path)
+        a, b, run.sc.anchor, **run.sampling(rec)), path)
 
 
 def _strong_regularity(run, rec, path, label):
@@ -388,7 +388,7 @@ def _k_step(run, rec, path, label):
         k, rho_bound = cert.block_len, cert.rho_block
     else:
         k = rec.get("k", 1)
-        rho_bound = _resolve(rec.get("rho_bound"), run.ctx, f"{path}.rho_bound")
+        rho_bound = _resolve(rec["rho_bound"], run.ctx, f"{path}.rho_bound")
     return runner_mod.check_k_step_reduction(run.traj, k, rho_bound), {}
 
 
@@ -472,12 +472,31 @@ def _expect_in(*allowed):
     return check
 
 
+def _set_list(what, accept):
+    """Parse-time check that a record's `sets`, if given, is a list of
+    integers that `accept` takes, `what` in words; `_Run.pick_set` checks
+    that each names a set when the record runs."""
+    def check(record):
+        value = record.get("sets")
+        if "sets" in record and not (isinstance(value, list)
+                                     and all(type(v) is int for v in value) and accept(value)):
+            raise ConfigError(f"sets: must be {what}, got {json.dumps(value)}")
+    return check
+
+
+def _check_k_step(record):
+    """A k_step record bounds by exactly one of a certificate and rho_bound."""
+    if ("certificate" in record) == ("rho_bound" in record):
+        raise ConfigError("rho_bound: given with 'certificate'" if "rho_bound" in record
+                          else "need 'certificate' or 'rho_bound'")
+
+
 @dataclass(frozen=True)
 class Analysis:
     """`execute(run, record, path, label)` is the handler; `label` the
     default label, "{}" standing for the record index.  `keys` are the keys
     a record may carry besides kind and label, `modifiers` (modifier, key)
-    pairs, and `check(record)` any further parse-time validation."""
+    pairs, and `checks` further parse-time checks of a record."""
 
     execute: Callable
     label: str
@@ -485,7 +504,7 @@ class Analysis:
     keys: tuple = ()
     required: tuple = ()
     modifiers: tuple = ()
-    check: Callable | None = None
+    checks: tuple = ()
 
 
 _SAMPLED = ("samples", "seed", "delta")
@@ -499,10 +518,14 @@ ANALYSES = {
         _SAMPLED),
     "estimate_theta_bar": Analysis(
         _estimate_theta_bar, "theta", "sampled normal-cone angle bound of two sets (lower bound)",
-        ("sets",) + _SAMPLED),
+        ("sets", "samples", "seed"),
+        checks=(_set_list("a list of two set indices", lambda v: len(v) == 2),)),
     "strong_regularity": Analysis(
         _strong_regularity, "zeta_{}", "sampled strong-regularity constant zeta (upper bound)",
-        ("sets", "expect", "expect_min") + _SAMPLED, check=_expect_in("pass", "fail")),
+        ("sets", "expect", "expect_min") + _SAMPLED,
+        checks=(_expect_in("pass", "fail"),
+                _set_list("a list of at least two distinct set indices",
+                          lambda v: len(set(v)) == len(v) >= 2))),
     "quasi_firm_fejer": Analysis(
         _quasi_firm_fejer, "qff_{}", "quasi-firm Fejér inequality, constants from the operator type",
         ("operator", "refset") + _FEJER_KEYS + _SAMPLED, ("operator",)),
@@ -512,20 +535,21 @@ ANALYSES = {
         (("equality_tol", "expect_equality"),)),
     "injectable": Analysis(
         _injectable, "injectable_{}", "inward segments of depth tau stay in the set",
-        ("set", "tau", "expect") + _SAMPLED, ("set", "tau"), check=_expect_in("pass", "fail")),
+        ("set", "tau", "expect") + _SAMPLED, ("set", "tau"), checks=(_expect_in("pass", "fail"),)),
     "obtuse_cone": Analysis(
         _obtuse_cone, "obtuse_{}", "-polar(K) in K for an orthant or polyhedral cone",
-        ("set", "expect", "samples", "seed"), ("set",), check=_expect_in(True, False)),
+        ("set", "expect", "samples", "seed"), ("set",), checks=(_expect_in(True, False),)),
     "certificate": Analysis(
         _certificate, "cert_{}", "R-linear rate certificate of a theorem",
-        ("theorem", "args"), ("theorem",), check=_check_certificate),
+        ("theorem", "args"), ("theorem",), checks=(_check_certificate,)),
     "rate_fit": Analysis(
         _rate_fit, "fit", "per-cycle R-linear rate fitted to the trajectory",
         ("tail_fraction", "burn_in", "expect_rho", "expect_tol", "expect_non_convergent"),
         modifiers=(("expect_tol", "expect_rho"),)),
     "k_step": Analysis(
         _k_step, "k_step_{}", "k-step error reduction by rho_bound or a certificate",
-        ("certificate", "k", "rho_bound"), modifiers=(("k", "rho_bound"),)),
+        ("certificate", "k", "rho_bound"), modifiers=(("k", "rho_bound"),),
+        checks=(_check_k_step,)),
     "compare": Analysis(
         _compare, "compare_{}", "a certificate's rate dominates the fitted rate",
         ("certificate", "slack"), ("certificate",)),
@@ -567,8 +591,8 @@ def check_analysis(record, path):
         spec = table_entry(record, ANALYSES, "analysis", tag="kind")
         check_keys(record, "", ("kind", "label") + spec.keys, spec.required, spec.modifiers)
         _check_numbers(record)
-        if spec.check is not None:
-            spec.check(record)
+        for check in spec.checks:
+            check(record)
 
 
 # ---------------------------------------------------------------------------

@@ -148,11 +148,6 @@ class CyclicTuple:
         return len(self.members)
 
 
-def apply(op, x):
-    """Apply any operator (CyclicTuple = one full cycle)."""
-    return op.apply(x)
-
-
 def reflect(s: ClosedSet, x):
     """R(x) = 2 P(x) - x."""
     return RelaxedProjector(s, 2.0).apply(x)

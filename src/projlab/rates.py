@@ -44,7 +44,6 @@ class RateCertificate:
     delta0_over_delta: float
     start_radius_over_delta0: float
     start_prefactor: float = 1.0
-    provenance: str = "analytic"  # or "empirical" when inputs were sampled
 
     def sigma(self, d0: float) -> float:
         """Envelope prefactor Gamma (1 + Gamma) d_C(x0) / (1 - rho_block)."""
@@ -96,14 +95,22 @@ def _certificate(theorem, inputs, gamma_total, bracket, block_len,
 # single-operator constants
 
 
+def _relaxed_gamma(lam, eps):
+    """Fejér gamma of a relaxed projector onto an eps-regular set."""
+    return 1.0 + lam * eps / (1.0 - eps)
+
+
+def _semi_intrepid_gamma(alpha, eps):
+    """Fejér gamma of a semi-intrepid projector onto an eps-regular set."""
+    return (1.0 + alpha * eps) / (1.0 - eps)
+
+
 def relaxed_projector_constants(lam, eps) -> FejerConstants:
     """Quasi firm Fejér constants of a relaxed projector onto an
     (eps, delta)-regular set: gamma = 1 + lam*eps/(1-eps), beta = (2-lam)/lam."""
     lam = _check_range("lambda", lam, 0.0, 2.0, lo_open=True)
     eps = _check_range("eps", eps, 0.0, 1.0, hi_open=True)
-    gamma = 1.0 + lam * eps / (1.0 - eps)
-    beta = (2.0 - lam) / lam
-    return FejerConstants(gamma, beta)
+    return FejerConstants(_relaxed_gamma(lam, eps), (2.0 - lam) / lam)
 
 
 def averaged_constants(gamma, beta, lam) -> FejerConstants:
@@ -120,7 +127,7 @@ def semi_intrepid_constants(alpha, eps) -> FejerConstants:
     """gamma = (1 + alpha*eps)/(1 - eps), beta = (1 - alpha)/(1 + alpha)."""
     alpha = _check_range("alpha", alpha, 0.0, 1.0)
     eps = _check_range("eps", eps, 0.0, 1.0, hi_open=True)
-    return FejerConstants((1.0 + alpha * eps) / (1.0 - eps), (1.0 - alpha) / (1.0 + alpha))
+    return FejerConstants(_semi_intrepid_gamma(alpha, eps), (1.0 - alpha) / (1.0 + alpha))
 
 
 def dr_constants(lam, mu, alpha, eps1, eps2) -> FejerConstants:
@@ -131,11 +138,8 @@ def dr_constants(lam, mu, alpha, eps1, eps2) -> FejerConstants:
     alpha = _check_range("alpha", alpha, 0.0, 1.0, lo_open=True)
     eps1 = _check_range("eps1", eps1, 0.0, 1.0 / 3.0)
     eps2 = _check_range("eps2", eps2, 0.0, 1.0, hi_open=True)
-    f1 = 1.0 + lam * eps1 / (1.0 - eps1)
-    f2 = 1.0 + mu * eps2 / (1.0 - eps2)
-    gamma = 1.0 - alpha + alpha * f1 * f2
-    beta = (1.0 - alpha) / alpha
-    return FejerConstants(gamma, beta)
+    gamma = 1.0 - alpha + alpha * _relaxed_gamma(lam, eps1) * _relaxed_gamma(mu, eps2)
+    return FejerConstants(gamma, (1.0 - alpha) / alpha)
 
 
 def dr_coercivity(lam, mu, alpha, theta, kappa) -> float:
@@ -268,7 +272,7 @@ def rate_cyclic_relaxed(lam_list, eps, kappa) -> RateCertificate:
     if not others:
         raise DomainError("a pure reflector cycle admits no coercivity sum")
     m = len(lams)
-    gammas = [1.0 + v * eps / (1.0 - eps) for v in lams]
+    gammas = [_relaxed_gamma(v, eps) for v in lams]
     gamma_sq = math.prod(gammas)
     gamma_total = math.sqrt(gamma_sq)
     nu = min(min(1.0, v) for v in others)
@@ -296,7 +300,7 @@ def rate_cyclic_overrelaxed(lam_list, eps, kappa) -> RateCertificate:
     eps = _check_range("eps", eps, 0.0, 1.0, hi_open=True)
     kappa = _check_range("kappa", kappa, 1.0, math.inf)
     m = len(lams)
-    gammas = [1.0 + v * eps / (1.0 - eps) for v in lams]
+    gammas = [_relaxed_gamma(v, eps) for v in lams]
     gamma_sq = math.prod(gammas) / min(gammas)
     gamma_total = math.sqrt(gamma_sq)
     terms = [v / (2.0 - v) for v in lams]
@@ -356,7 +360,7 @@ def rate_cyclic_semi_intrepid(alpha_list, eps, kappa) -> RateCertificate:
     kappa = _check_range("kappa", kappa, 1.0, math.inf)
     J = _infer_full(alphas, 1.0, MoreThanOneFullIntrepid, "full overshoot (alpha = 1)")
     m = len(alphas)
-    gammas = [(1.0 + a * eps) / (1.0 - eps) for a in alphas]
+    gammas = [_semi_intrepid_gamma(a, eps) for a in alphas]
     gamma_sq = math.prod(gammas) / min(gammas) ** (1 - len(J))
     gamma_total = math.sqrt(gamma_sq)
     terms = [(1.0 + a) / (1.0 - a) for i, a in enumerate(alphas) if i not in J]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .sets import as_vector, row_norms
 
 DIVERGENCE_NORM = 1e12
 ERROR_FLOOR = 1e-14
-_K_STEP_TOL = 1e-12     # slack of the k-step reduction and its ball test
+_K_STEP_TOL = 1e-12     # slack of the k-step reduction
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,9 +40,7 @@ class Trajectory:
     tol: float
     seed: int
     wall_time_s: float
-    operators: CyclicTuple | None = None
-    sets: tuple = field(default=())
-    intersection: IntersectionHandle | None = None
+    operators: CyclicTuple
 
     @property
     def n_points(self) -> int:
@@ -109,8 +107,7 @@ def run(operators, x0, sets, intersection: IntersectionHandle,
         else np.zeros((P.shape[0], 0))
     cd = intersection.distance_many(P)
     return Trajectory(P, np.array(op_index, dtype=int), sd, cd,
-                      len(members), stop, float(tol), int(seed), wall,
-                      cycle, sets, intersection)
+                      len(members), stop, float(tol), int(seed), wall, cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +202,11 @@ def detect_cycle(traj: Trajectory, tol=1e-12) -> CycleReport | None:
     return None
 
 
-def check_k_step_reduction(traj: Trajectory, k, rho_bound, ball=None) -> PropertyReport:
+def check_k_step_reduction(traj: Trajectory, k, rho_bound) -> PropertyReport:
     """Verify d_C(x_{k(n+1)}) <= rho_bound * d_C(x_{kn}) + 1e-12 over
     k-step blocks of single operator applications.
 
-    Blocks whose start sits at the error floor pass trivially; if `ball` is a
-    (center, radius) pair, blocks starting outside it are skipped (the
-    certificate makes no claim there) and counted in extra["outside_ball"].
+    Blocks whose start sits at the error floor pass trivially.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -219,21 +214,15 @@ def check_k_step_reduction(traj: Trajectory, k, rho_bound, ball=None) -> Propert
         raise DomainError("trajectory must contain at least 2k applications")
     e = traj.c_dist
     starts = np.arange(0, e.size - k, k)
-    inside = np.ones(starts.size, dtype=bool)
-    if ball is not None:
-        center, radius = as_vector(ball[0]), float(ball[1])
-        inside = row_norms(traj.points[starts] - center) <= radius + _K_STEP_TOL
-    checked = starts[inside]
-    live = checked[e[checked] > ERROR_FLOOR]
+    live = starts[e[starts] > ERROR_FLOOR]
     ratios = e[live + k] / e[live]
     return margin_report(
         "k_step_reduction", rho_bound * e[live] - e[live + k],
         lambda i: (int(live[i]), float(e[live[i]]), float(e[live[i] + k])),
         traj.seed, _K_STEP_TOL,
         {"k": k, "rho_bound": float(rho_bound),
-         "worst_ratio": float(np.max(ratios, initial=0.0)),
-         "outside_ball": int(starts.size - checked.size)},
-        samples=int(checked.size), empty_margin=0.0)
+         "worst_ratio": float(np.max(ratios, initial=0.0))},
+        samples=int(starts.size), empty_margin=0.0)
 
 
 def check_fejer_trace(traj: Trajectory, constants, xbar) -> PropertyReport:
@@ -260,32 +249,24 @@ def check_fejer_trace(traj: Trajectory, constants, xbar) -> PropertyReport:
                          traj.seed, CHECK_TOL, {})
 
 
-def check_rlinear_envelope(traj: Trajectory, cert: RateCertificate,
-                           xbar=None, w=None, start_radius=None) -> PropertyReport:
+def check_rlinear_envelope(traj: Trajectory, cert: RateCertificate) -> PropertyReport:
     """Verify ||x_n - xbar|| <= prefactor * sigma * rho_block^floor(n/k) along
     the trajectory, with sigma built from d_C(x0).
 
-    xbar defaults to the final iterate (proxy; its intersection distance is
-    reported as xbar_quality).  If w and start_radius are given, iterates
-    leaving B(w, start_radius) set the left_ball flag without failing.
+    xbar is the final iterate, a proxy for the limit; its intersection
+    distance is reported as xbar_quality.
     """
     if not cert.applicable:
         raise DomainError("certificate is not applicable (rho_block >= 1)")
-    xbar = traj.final if xbar is None else as_vector(xbar)
     d0 = float(traj.c_dist[0])
     sigma = cert.start_prefactor * cert.sigma(d0)
     k = cert.block_len
     env = sigma * np.array([cert.rho_block ** (n // k) for n in range(traj.n_points)])
-    err = row_norms(traj.points - xbar)
-    left_ball = False
-    if w is not None and start_radius is not None:
-        left_ball = bool(np.any(row_norms(traj.points - as_vector(w))
-                                > start_radius + CHECK_TOL))
+    err = row_norms(traj.points - traj.final)
     return margin_report("rlinear_envelope", env - err,
                          lambda n: (n, float(err[n]), float(env[n])), traj.seed, CHECK_TOL,
                          {"sigma": sigma, "rho_block": cert.rho_block,
-                          "block_len": k, "left_ball": left_ball,
-                          "xbar_quality": float(traj.c_dist[-1])})
+                          "block_len": k, "xbar_quality": float(traj.c_dist[-1])})
 
 
 def compare_certificate(traj: Trajectory, cert: RateCertificate, slack=0.02,

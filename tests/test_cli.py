@@ -230,8 +230,8 @@ class TestVerifyCommand:
             assert (base / "report.json").is_file()
 
     @pytest.mark.parametrize("seed, digest", [
-        (None, "c40476df9437298b9727b9f615f5bfefc59f9d71ac38a1fc63fa285bf9a0cbba"),
-        (12345, "ad0f444ab82c9518ab355c87f4a87dfbdc7d0d796f3a302de55fe3db154ca8d6"),
+        (None, "818992e05bee5695875abcae463267247bd78aeee75a76db7db2f3c9bf59b5c1"),
+        (12345, "c99458f189d42e1e54333f44402618494c5f31ef418be1f87867f9970bf11f4d"),
     ])
     def test_verify_report_is_pinned(self, seed, digest):
         """The suite report stays byte-identical once `timing` is removed.  A

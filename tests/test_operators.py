@@ -208,12 +208,6 @@ class TestCyclicTuple:
         with pytest.raises(DomainError):
             P.CyclicTuple((inner,))
 
-    def test_apply_free_function(self):
-        s = P.Ball(np.zeros(2), 1.0)
-        op = P.RelaxedProjector(s, 1.0)
-        x = np.array([3.0, 4.0])
-        assert np.array_equal(P.apply(op, x), op.apply(x))
-
 
 class TestOperatorConfig:
     def test_round_trip(self):

@@ -241,7 +241,6 @@ class TestCertificatesFrozen:
         assert cert.inputs["eps"] == pytest.approx(0.1)
         assert cert.inputs["kappa"] == pytest.approx(2.0)
         assert cert.theorem
-        assert cert.provenance == "analytic"
 
 
 class TestSharedBodies:

@@ -141,7 +141,9 @@ class TestExpectValues:
 
 def _sampled_analyses(delta, **kwargs):
     """The seven sampled analyses on a halfspace through the origin,
-    anchored at the origin, each called with delta and kwargs."""
+    anchored at the origin, each called with kwargs.  All but the last are
+    called with delta too; estimate_theta_bar, last, uses only the normal
+    cones at the anchor and takes no delta."""
     a = P.Halfspace(np.array([1.0, 0.0]), 0.0)
     w = np.zeros(2)
     op = P.RelaxedProjector(a, 1.0)
@@ -149,11 +151,11 @@ def _sampled_analyses(delta, **kwargs):
         lambda: P.estimate_eps_regularity(a, w, delta, **kwargs),
         lambda: P.estimate_linear_regularity([a], P.exact_intersection(a, (a,)), w, delta,
                                              **kwargs),
-        lambda: P.estimate_theta_bar(a, a, w, delta=delta, **kwargs),
         lambda: P.check_strong_regularity([a], w, delta, **kwargs),
         lambda: P.check_quasi_firm_fejer(op, a, 1.0, 0.0, w, delta, **kwargs),
         lambda: P.check_quasi_coercive(op, a, 1.0, w, delta, **kwargs),
         lambda: P.check_injectable(a, 0.1, w, delta, **kwargs),
+        lambda: P.estimate_theta_bar(a, a, w, **kwargs),
     ]
 
 
@@ -216,7 +218,7 @@ class TestSamplingOverrides:
 
     @pytest.mark.parametrize("delta", [0.0, -1.0, float("nan"), float("inf")])
     def test_sampled_analyses_reject_bad_delta(self, delta):
-        for call in _sampled_analyses(delta):
+        for call in _sampled_analyses(delta)[:-1]:
             with pytest.raises(P.DomainError, match="delta"):
                 call()
 
@@ -307,6 +309,10 @@ class TestModifiersAndRequiredKeys:
          "analyses[0].args.eps: unknown key"),
         ({"kind": "certificate", "theorem": "rate_convex_cyclic", "args": {"lambdas": [1.0]}},
          "analyses[0].args.kappa: missing required key"),
+        # a k_step bounds by a certificate or by rho_bound (with its k), not both
+        ({"kind": "k_step", "certificate": "@cert", "k": 2, "rho_bound": 0.5},
+         "analyses[0].rho_bound: given with 'certificate'"),
+        ({"kind": "k_step"}, "analyses[0]: need 'certificate' or 'rho_bound'"),
     ])
     def test_rejected_at_parse_time(self, record, message):
         assert _error(minimal_config(analyses=[record])) == message
@@ -331,6 +337,48 @@ class TestModifiersAndRequiredKeys:
             {"kind": "quasi_firm_fejer", "operator": 0, "eps1": 0.1}]))
         with pytest.raises(ConfigError, match=r"analyses\[0\]\.eps1: not a constant of a relaxed"):
             P.execute_scenario(sc)
+
+
+class TestSetLists:
+    """A record's `sets` is checked at parse time: strong_regularity takes
+    at least two distinct set indices and estimate_theta_bar exactly two.
+    Whether each index names a set is checked when the record runs."""
+
+    @pytest.mark.parametrize("sets", [[], [0], [0, 0], 5, "01", [0, True], [0, 1.0], None],
+                             ids=["empty", "one", "repeated", "int", "str", "bool", "float",
+                                  "null"])
+    def test_strong_regularity(self, sets):
+        cfg = _bundled_config("degenerate_three_halfspaces")
+        assert cfg["analyses"][1]["expect"] == "pass"
+        cfg["analyses"][1]["sets"] = sets
+        assert _error(cfg) == ("analyses[1].sets: must be a list of at least two distinct "
+                               f"set indices, got {json.dumps(sets)}")
+
+    @pytest.mark.parametrize("sets", [[0, 1, 2], [0], [], 1, [0, False]],
+                             ids=["three", "one", "empty", "int", "bool"])
+    def test_theta_bar(self, sets):
+        cfg = _bundled_config("two_lines_angle_45")
+        assert cfg["analyses"][2]["kind"] == "estimate_theta_bar"
+        cfg["analyses"][2]["sets"] = sets
+        assert _error(cfg) == \
+            f"analyses[2].sets: must be a list of two set indices, got {json.dumps(sets)}"
+
+    def test_index_range_is_checked_when_run(self):
+        cfg = _bundled_config("degenerate_three_halfspaces")
+        cfg["analyses"][1]["sets"] = [0, 3]
+        sc = P.scenario_from_config(cfg)
+        with pytest.raises(ConfigError, match=r"analyses\[1\]\.sets: set index out of range"):
+            P.execute_scenario(sc)
+
+    def test_theta_bar_takes_no_delta(self):
+        """estimate_theta_bar uses only the normal cones at the anchor, so
+        its record takes no delta and its estimate records delta 0."""
+        cfg = _bundled_config("two_lines_angle_45")
+        cfg["analyses"][2]["delta"] = 0.5
+        assert _error(cfg) == "analyses[2].delta: unknown key"
+        est = P.estimate_theta_bar(P.Halfspace(np.array([1.0, 0.0]), 0.0),
+                                   P.Halfspace(np.array([-1.0, 1.0]), 0.0), np.zeros(2))
+        assert est.delta == 0.0
 
 
 # One buildable record per catalog name.
@@ -410,6 +458,8 @@ class TestCatalog:
             record = {"kind": entry["name"], **{key: 0 for key in spec.required}}
             if entry["name"] == "certificate":
                 record.update(theorem="rate_convex_cyclic", args={"lambdas": [1.0], "kappa": 1.0})
+            if entry["name"] == "k_step":
+                record.update(rho_bound=0.5)
             check_analysis(record, "analysis")
 
 
