@@ -211,9 +211,13 @@ def estimate_eps_regularity(s: ClosedSet, w, delta, samples=600, seed=0,
     """Sampled lower bound of the regularity epsilon at w over B(w, delta).
 
     Members x are projections of points z drawn in B(w, delta/2) (these stay
-    in the delta-ball); proximal normals at x come from the projection
-    preimage z - x plus any closed-form generators.  The estimate is
-    max(0, max <u, y - x> / (||u|| ||y - x||)) over sampled pairs.
+    in the delta-ball), or of the given `points`.  The unit normals at x
+    are the preimage direction (z - x)/||z - x|| and the first 8 closed-form
+    generators.  The estimate is max(0, max <u, y - x> / ||y - x||), capped
+    at 1, over the sites x with a normal u and the rows y of (w, members)
+    at least _PAIR_FLOOR from x; extra["pairs"] counts the (u, y) pairs and
+    `vacuous` flags none.  It is bit-reproducible for a seed on a given
+    numpy and BLAS build; see _max_normal_ratio for the kernel.
     """
     delta = _positive_delta(delta)
     if points is None:
@@ -227,75 +231,49 @@ def estimate_eps_regularity(s: ClosedSet, w, delta, samples=600, seed=0,
     xs = s.project_many(zs)
     near = row_norms(xs - w) <= delta + 1e-9
     xs, preimages = xs[near], (zs - xs)[near]
-    # the normals at each site: its unit preimage direction, then the first
-    # 8 closed-form generators
     lengths = row_norms(preimages)
     moved = lengths > _DIRECTION_FLOOR
     units = np.zeros_like(preimages)
     units[moved] = preimages[moved] / lengths[moved, None]
     closed, closed_mask = _closed_form_normals(s, xs, 8)
     normals = np.concatenate([units[:, None, :], closed], axis=1)
-    normal_mask = np.concatenate([moved[:, None], closed_mask], axis=1)
-    sites = normal_mask.any(axis=1)
+    counts = moved + closed_mask.sum(axis=1)
+    sites = counts > 0
     best, pair_count = _max_normal_ratio(np.vstack([w, xs]), xs[sites], normals[sites],
-                                         normal_mask[sites])
-    eps_hat = min(max(0.0, best), 1.0)
-    return RegularityEstimate("eps_regularity", eps_hat, w, delta,
+                                         counts[sites])
+    return RegularityEstimate("eps_regularity", min(best, 1.0), w, delta,
                               len(zs), seed, "lower",
                               {"pairs": pair_count, "vacuous": pair_count == 0})
 
 
-def _max_normal_ratio(M, sites, normals, normal_mask):
-    """(max <u, y - x> / ||y - x||, pair count) over the sites x, their
-    normals u (normal_mask marks them) and the rows y of M at least
-    _PAIR_FLOOR from x; the max is -inf when there are no pairs.
+def _max_normal_ratio(M, sites, normals, counts):
+    """(max(0, max <u, y - x> / ||y - x||), pair count) over the sites x,
+    their normals u (the first counts[s] rows of normals[s]; the rest are
+    zero) and the rows y of M at least _PAIR_FLOOR from x.
 
-    The sites are taken a chunk at a time, so the temporaries stay near
-    _EPS_CHUNK_BYTES whatever the number of rows and the dimension.
+    A chunk of sites is laid out coordinate-major, diff[s] = M^T - x_s of
+    shape (d, m), so every elementwise loop runs over the m rows, and the
+    products are one matrix product U_s @ diff[s] per site.  Rows nearer
+    than _PAIR_FLOOR get the norm inf: they and the zero normals give 0,
+    which the clamp absorbs.  Chunks of _EPS_CHUNK_BYTES // (8 m (d + k + 1))
+    sites keep the differences, norms and products near _EPS_CHUNK_BYTES.
     """
     m, d = M.shape
-    k = normals.shape[1]
-    rows = -(-m // 4) * 4  # see _masked_products
-    chunk = max(1, _EPS_CHUNK_BYTES // (8 * rows * (d + 2 * k)))
-    best, pair_count = -np.inf, 0
+    MT = np.ascontiguousarray(M.T)
+    chunk = max(1, _EPS_CHUNK_BYTES // (8 * m * (d + normals.shape[1] + 1)))
+    best, pair_count = 0.0, 0
     for lo in range(0, sites.shape[0], chunk):
-        X, U, live = sites[lo:lo + chunk], normals[lo:lo + chunk], normal_mask[lo:lo + chunk]
-        diff = np.zeros((X.shape[0], rows, d))
-        np.subtract(M, X[:, None, :], out=diff[:, :m])
-        norms = np.linalg.norm(diff[:, :m], axis=-1)
+        diff = MT - sites[lo:lo + chunk, :, None]
+        norms = np.sqrt(np.einsum("sdm,sdm->sm", diff, diff))
         pairs = norms >= _PAIR_FLOOR
-        counts = pairs.sum(axis=1)
-        pair_count += int(np.sum(counts * live.sum(axis=1)))
-        use = live[:, :, None] & pairs[:, None, :]
-        ratios = np.divide(_masked_products(diff, U, pairs, counts)[:, :, :m],
-                           norms[:, None, :], out=np.full(use.shape, -np.inf), where=use)
-        best = max(best, float(ratios.max(initial=-np.inf)))
+        pair_count += int(np.sum(pairs.sum(axis=1) * counts[lo:lo + chunk]))
+        norms[~pairs] = np.inf
+        # division by a positive norm is monotone, so dividing each row's
+        # largest product gives the bits of the largest ratio
+        ratios = np.matmul(normals[lo:lo + chunk], diff).max(axis=1)
+        ratios /= norms
+        best = max(best, float(ratios.max(initial=0.0)))
     return best, pair_count
-
-
-def _masked_products(diff, U, pairs, counts):
-    """out[s, j, r] = <diff[s, r], U[s, j]> for each pair row r (pairs[s, r]),
-    with the bits of diff[s][pairs[s]] @ U[s, j].
-
-    The BLAS matrix-vector kernel sums a row in an order that depends on
-    where the row falls in the product: rows in the leading multiple of four
-    take its blocked path, the last (count mod 4) rows its tail path, and a
-    one-row product is a dot.  diff has a multiple of four rows, so one
-    stacked product puts every row on the blocked path.  Then the last L pair
-    rows of each site whose count is not a multiple of four, L = count below
-    four and 4 + count % 4 above, go through a product of exactly L rows:
-    there they end the product, as in the masked one.
-    """
-    out = np.matmul(diff[:, None], U[:, :, :, None])[..., 0]
-    tail = np.where(counts < 4, counts, 4 + counts % 4) * (counts % 4 > 0)
-    for size in np.unique(tail[tail > 0]):
-        at = np.flatnonzero(tail == size)
-        last = pairs[at] & (np.cumsum(pairs[at], axis=1) > (counts[at] - size)[:, None])
-        rows = np.nonzero(last)[1].reshape(at.size, size)
-        block = np.take_along_axis(diff[at], rows[:, :, None], axis=1)
-        out[at[:, None, None], np.arange(U.shape[1])[:, None], rows[:, None, :]] = \
-            np.matmul(block[:, None], U[at][:, :, :, None])[..., 0]
-    return out
 
 
 def estimate_linear_regularity(system, intersection: IntersectionHandle, w,

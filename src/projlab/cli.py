@@ -230,13 +230,13 @@ class _Run:
         self.constants[label] = _fields_dict(est, drop=("anchor",))
 
     def pick_set(self, value, path):
-        if not isinstance(value, int) or not 0 <= value < len(self.sc.sets):
+        if type(value) is not int or not 0 <= value < len(self.sc.sets):  # a bool is no index
             raise ConfigError(f"{path}: set index out of range")
         return self.sc.sets[value]
 
     def pick_operator(self, value, path):
         members = self.sc.operators.members
-        if not isinstance(value, int) or not 0 <= value < len(members):
+        if type(value) is not int or not 0 <= value < len(members):  # a bool is no index
             raise ConfigError(f"{path}: operator index out of range")
         return members[value]
 

@@ -278,8 +278,7 @@ def rate_cyclic_relaxed(lam_list, eps, kappa) -> RateCertificate:
     nu = min(min(1.0, v) for v in others)
     coercive_sum = sum(v / (2.0 - v) for v in others)
     bracket = gamma_sq - (nu * nu / (kappa * kappa)) / coercive_sum * (
-        (1.0 + eps) / (1.0 - eps)
-    ) ** len(J)
+        _semi_intrepid_gamma(1.0, eps) ** len(J))
     return _certificate(
         "cyclic_relaxed",
         {"lambda": lams, "eps": eps, "kappa": kappa, "J": J, "m": m},
@@ -365,9 +364,7 @@ def rate_cyclic_semi_intrepid(alpha_list, eps, kappa) -> RateCertificate:
     gamma_total = math.sqrt(gamma_sq)
     terms = [(1.0 + a) / (1.0 - a) for i, a in enumerate(alphas) if i not in J]
     denom = sum(terms) - (1 - len(J)) * min(terms)
-    bracket = gamma_sq - (1.0 / (kappa * kappa)) / denom * (
-        (1.0 + eps) / (1.0 - eps)
-    ) ** len(J)
+    bracket = gamma_sq - (1.0 / (kappa * kappa)) / denom * _semi_intrepid_gamma(1.0, eps) ** len(J)
     block = m - 1 + len(J)
     ratio = math.sqrt(min(gammas)) * math.sqrt(max(gammas)) ** (len(J) - 1)
     return _certificate(

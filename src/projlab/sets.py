@@ -177,6 +177,13 @@ class ClosedSet:
         P = np.array([r.canonical for r in results], dtype=float).reshape(X.shape)
         return P, np.array([r.distance for r in results], dtype=float)
 
+    def _sole_minimizer_many(self, X):
+        """Mask of the rows x of a validated X where project(x) lists its
+        canonical point as its only minimizer.  This default marks every row
+        of the single-valued closed forms, whose `project` is the one-row
+        call of `_nearest_many`, and no row of any other set."""
+        return np.full(X.shape[0], type(self).project is _one_row_project)
+
     def contains(self, x, tol=MEMBERSHIP_TOL) -> bool:
         return self.distance(x) <= tol
 
@@ -678,20 +685,31 @@ class Enlargement(ClosedSet):
         P[out] = Q[out] + (self.tau / dist[out])[:, None] * (X[out] - Q[out])
         return P, np.where(out, dist - self.tau, 0.0)
 
-    def normal_generators(self, p):
-        p = as_vector(p, self.dim)
+    normal_generators = _one_row_normals
+
+    def normal_generators_many(self, P):
+        """The unit vectors p - q over the inner minimizers q of each
+        boundary row p; none at an interior row.  One inner `_nearest_many`
+        call gives q at the rows the inner set marks as having a sole
+        minimizer; the other boundary rows (ties within TIE_TOL, or an inner
+        set that marks none) ask the inner `project` for every minimizer."""
+        P = as_points(P, self.dim)
         if self.tau == 0.0:
-            return self.inner.normal_generators(p)
-        res = self.inner.project(p)
-        if res.distance < self.tau - MEMBERSHIP_TOL:
-            return []  # interior: zero cone
-        out = []
-        for q in res.minimizers:
-            u = p - q
-            nu = float(np.linalg.norm(u))
-            if nu > TIE_TOL:
-                out.append(u / nu)
-        return out
+            return self.inner.normal_generators_many(P)
+        Q, dist = self.inner._nearest_many(P)
+        boundary = ~(dist < self.tau - MEMBERSHIP_TOL)
+        tied = np.flatnonzero(boundary & ~self.inner._sole_minimizer_many(P))
+        lists = [self.inner.project(P[i]).minimizers for i in tied]
+        U = np.zeros((P.shape[0], max(map(len, lists), default=1), self.dim))
+        active = np.zeros(U.shape[:2], bool)
+        U[:, 0], active[:, 0] = Q, boundary
+        for i, qs in zip(tied, lists):
+            U[i, :len(qs)], active[i, :len(qs)] = qs, True
+        U = P[:, None, :] - U
+        nu = row_norms(U)
+        active &= nu > TIE_TOL
+        U[active] /= nu[active, None]
+        return _prefix_rows(U, active)
 
     def hull_points(self, rng):
         inner_pts = self.inner.hull_points(rng)
@@ -770,6 +788,10 @@ class FinitePointSet(ClosedSet):
         rank[np.lexsort(self.points.T[::-1])] = np.arange(k)  # lexicographic
         tied_rank = np.where(dists <= dmin[:, None] + TIE_TOL, rank, k)
         return self.points[np.argmin(tied_rank, axis=1)], dmin
+
+    def _sole_minimizer_many(self, X):
+        dists = np.linalg.norm(self.points - X[:, None, :], axis=2)
+        return np.sum(dists <= dists.min(axis=1)[:, None] + TIE_TOL, axis=1) == 1
 
     def hull_points(self, rng):
         return list(self.points)

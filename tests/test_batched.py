@@ -3,6 +3,8 @@ row with the scalar project, distance and apply, tie rules included, and
 with independent per-point formulas; malformed points and batches raise,
 and no projection shares memory with its input."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -103,8 +105,10 @@ def finite_points_case(draw):
 
 @st.composite
 def enlargement_case(draw):
-    """tau = 0 included: the enlargement is then its inner set."""
-    inner, X = draw(st.one_of(ball_case(), box_case(), finite_points_case(), halfspace_case()))
+    """tau = 0 included: the enlargement is then its inner set.  Sphere,
+    finite-point and union inners bring their tie rules."""
+    inner, X = draw(st.one_of(ball_case(), box_case(), finite_points_case(), halfspace_case(),
+                              sphere_case(), union_case()))
     tau = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
     return P.Enlargement(inner, tau), X
 
@@ -197,12 +201,37 @@ def test_reference_covers_the_one_row_projections():
         assert (_project_reference(s, np.zeros(s.dim)) is None) == (s.tag not in one_row)
 
 
+def _enlargement_normals_reference(s, p):
+    """The per-point enlargement normal cone that normal_generators_many
+    replaced: the unit vectors p - q over the minimizers q that the inner
+    `project` lists, none in the interior."""
+    if s.tau == 0.0:
+        return _scalar_normals(s.inner, p)
+    res = s.inner.project(p)
+    if res.distance < s.tau - P.sets.MEMBERSHIP_TOL:
+        return []
+    out = []
+    for q in res.minimizers:
+        u = p - q
+        nu = float(np.linalg.norm(u))
+        if nu > 1e-12:
+            out.append(u / nu)
+    return out
+
+
+def _scalar_normals(s, p):
+    """normal_generators(p); an enlargement's by its per-point reference."""
+    if isinstance(s, P.Enlargement):
+        return _enlargement_normals_reference(s, p)
+    return s.normal_generators(p)
+
+
 def _rows_match_scalar(s, X):
-    """normal_generators_many(X) against normal_generators of each row:
+    """normal_generators_many(X) against the per-point normals of each row:
     same directions, bit for bit, in the same order, a prefix mask, zero
     padding and k the longest row."""
     dirs, mask = s.normal_generators_many(X)
-    rows = [s.normal_generators(x) for x in X]
+    rows = [_scalar_normals(s, x) for x in X]
     k = max(map(len, rows), default=0)
     assert dirs.shape == (X.shape[0], k, s.dim) and mask.shape == (X.shape[0], k)
     for row, got, live in zip(rows, dirs, mask):
@@ -221,7 +250,7 @@ def test_batched_normals_match_scalar(tag, data):
     s, X = data.draw(CASES[tag])
     members = s.project_many(X)
     try:
-        [s.normal_generators(x) for x in members]
+        [_scalar_normals(s, x) for x in members]
     except UnsupportedSet:
         if members.shape[0]:
             with pytest.raises(UnsupportedSet):
@@ -586,7 +615,7 @@ class TestMarginReport:
 
 def _closed_form_reference(s, p, k):
     try:
-        return s.normal_generators(p)[:k]
+        return _scalar_normals(s, p)[:k]
     except UnsupportedSet:
         return []
 
@@ -639,6 +668,44 @@ def _eps_reference(s, w, delta, samples, seed, points=None):
         for u in us:
             eps_hat = max(eps_hat, float(((diff[mask] @ u) / norms[mask]).max()))
     return min(max(eps_hat, 0.0), 1.0), pairs
+
+
+def _eps_site_reference(s, w, delta, samples, seed, points=None):
+    """The coordinate-major eps kernel one site at a time, unchunked:
+    (eps_hat, pairs).  A site's normals U_s are its unit preimage direction
+    (a zero row when it has none) and its first 8 closed-form generators,
+    zero-padded to the estimator's width; its ratios are U_s @ D over the
+    column norms of D = (M - x_s).T, which is C-contiguous as in a chunk."""
+    rng = np.random.default_rng(seed)
+    zs = P.uniform_ball(rng, w, delta / 2.0, samples) if points is None else points
+    xs = s.project_many(zs)
+    near = np.linalg.norm(xs - w, axis=1) <= delta + 1e-9
+    xs, preimages = xs[near], (zs - xs)[near]
+    closed = [_closed_form_reference(s, x, 8) for x in xs]
+    width = 1 + max(map(len, closed), default=0)
+    M = np.vstack([w, xs])
+    eps_hat, pairs = 0.0, 0
+    for x, u, c in zip(xs, preimages, closed):
+        nu = float(np.linalg.norm(u))
+        U = np.zeros((width, s.dim))
+        if nu > 1e-12:
+            U[0] = u / nu
+        U[1:1 + len(c)] = np.reshape(c, (-1, s.dim))
+        live = int(nu > 1e-12) + len(c)
+        if not live:
+            continue
+        D = np.ascontiguousarray((M - x).T)
+        norms = np.sqrt(np.einsum("dm,dm->m", D, D))
+        mask = norms >= 1e-9
+        pairs += int(np.sum(mask)) * live
+        eps_hat = max(eps_hat, float(((U @ D)[:, mask] / norms[mask]).max(initial=0.0)))
+    return min(eps_hat, 1.0), pairs
+
+
+def _eps_drift_bound(d):
+    """The bound (3d + 4) 2^-53 on |eps_hat - _eps_reference's eps_hat|; see
+    test_eps_matches_reference."""
+    return (3 * d + 4) * 2.0 ** -53
 
 
 def _normal_cases():
@@ -699,11 +766,31 @@ class TestNormalArrays:
 
     @pytest.mark.parametrize("name, s, w", NORMAL_CASES, ids=[c[0] for c in NORMAL_CASES])
     def test_eps_matches_reference(self, name, s, w):
-        """Sample counts 1-3 make one-, two- and three-row products; the
-        others cover every pair count mod 4."""
+        """Against the per-site, per-normal loop that the coordinate-major
+        kernel replaced: the same pairs, and eps_hat within (3d + 4) 2^-53.
+
+        Both forms subtract y - x with the same bits and differ only in the
+        order of their sums.  With u = 2^-53 and unit normals, a dot
+        product <n, y - x> in any order is within d u ||y - x|| of the exact
+        one (the standard bound, then Cauchy-Schwarz).  A norm, d rounded
+        squares summed and a square root, is within (d/2 + 1) u of
+        ||y - x|| relatively, and the division rounds once more.  So each
+        form's ratio is within d u + (d/2 + 1) u + u = (3d/2 + 2) u of the
+        exact ratio, to first order, as the ratios are at most 1 in size;
+        the two forms differ by at most twice that.  The max over the same
+        pairs and the clamps to [0, 1] move no further."""
         for samples in (1, 2, 3, 37, 38, 39, 40, 150):
             est = P.estimate_eps_regularity(s, w, 0.6, samples=samples, seed=samples)
             eps, pairs = _eps_reference(s, w, 0.6, samples, samples)
+            assert est.extra["pairs"] == pairs
+            assert abs(est.value - eps) <= _eps_drift_bound(s.dim)
+
+    @pytest.mark.parametrize("name, s, w", NORMAL_CASES, ids=[c[0] for c in NORMAL_CASES])
+    def test_eps_matches_site_reference(self, name, s, w):
+        """Chunking and batching keep every bit of the per-site form."""
+        for samples in (1, 2, 3, 37, 38, 39, 40, 150):
+            est = P.estimate_eps_regularity(s, w, 0.6, samples=samples, seed=samples)
+            eps, pairs = _eps_site_reference(s, w, 0.6, samples, samples)
             assert (est.value.hex(), est.extra["pairs"]) == (eps.hex(), pairs)
 
     def test_eps_matches_reference_on_given_points(self):
@@ -713,6 +800,8 @@ class TestNormalArrays:
         for n in (1, 2, 3, 4, 5, 45):
             est = P.estimate_eps_regularity(s, w, 0.6, points=pts[:n])
             eps, pairs = _eps_reference(s, w, 0.6, n, 0, points=pts[:n])
+            assert est.extra["pairs"] == pairs and abs(est.value - eps) <= _eps_drift_bound(3)
+            eps, pairs = _eps_site_reference(s, w, 0.6, n, 0, points=pts[:n])
             assert (est.value.hex(), est.extra["pairs"]) == (eps.hex(), pairs)
 
     def test_chunking_keeps_the_result(self, monkeypatch):
@@ -720,7 +809,7 @@ class TestNormalArrays:
         s, w = P.Sphere(np.zeros(3), 1.0), np.array([1.0, 0.0, 0.0])
         whole = P.estimate_eps_regularity(s, w, 0.6, samples=150, seed=9)
         assert whole.value > 0.0
-        per_site = 8 * 152 * (3 + 2 * 3)  # 151 rows padded to 152, d = 3, 3 normals
+        per_site = 8 * 151 * (3 + 3 + 1)  # 151 rows, d = 3, 3 normals
         for sites in (1, 2, 3, 5, 7):
             monkeypatch.setattr(analysis, "_EPS_CHUNK_BYTES", sites * per_site)
             part = P.estimate_eps_regularity(s, w, 0.6, samples=150, seed=9)
@@ -736,12 +825,103 @@ class TestNormalArrays:
         np.testing.assert_allclose(pool, [a, c], rtol=0.0, atol=1e-15)
 
     def test_no_scalar_normal_calls_for_closed_form_types(self, monkeypatch):
+        """Nor for an enlargement whose inner projections do not tie: of one
+        point, of two points away from their midpoint, of a box, and the
+        circles of the bundled semi_intrepid_circles at its anchor.  Their
+        finite-point inner sets take one scalar `project`, the anchor's
+        membership check in the estimate, and none in the pool."""
         def scalar_call(self, p):
             raise AssertionError(f"scalar normal_generators on {type(self).__name__}")
 
-        for cls in CLOSED_FORM_TYPES:
+        for cls in CLOSED_FORM_TYPES + (P.Enlargement,):
             monkeypatch.setattr(cls, "normal_generators", scalar_call)
-        for name, s, w in NORMAL_CASES:
-            if not name.startswith("enlarged"):
-                analysis._normal_pool(s, w, 0.5, np.random.default_rng(0), 40)
-                P.estimate_eps_regularity(s, w, 0.6, samples=40)
+        projects = []
+        project = P.FinitePointSet.project
+        monkeypatch.setattr(P.FinitePointSet, "project",
+                            lambda self, x: projects.append(x) or project(self, x))
+        enlarged = [(P.Enlargement(P.FinitePointSet(np.zeros((1, 3))), 0.5), np.r_[0.5, 0.0, 0.0]),
+                    (P.Enlargement(P.Box(-np.ones(3), np.ones(3)), 0.5), np.r_[1.5, 1.0, 0.0])]
+        for s, w in [c[1:] for c in NORMAL_CASES] + enlarged:
+            analysis._normal_pool(s, w, 0.5, np.random.default_rng(0), 40)
+            assert not projects
+            P.estimate_eps_regularity(s, w, 0.6, samples=40)
+            assert len(projects) <= 1
+            projects.clear()
+        for s in _circles():
+            P.estimate_eps_regularity(s, np.array([0.0, 1.0]), 0.5, seed=20801)
+            assert len(projects) == 1
+            projects.clear()
+
+    @pytest.mark.parametrize("inner, tau, asked", [
+        (P.FinitePointSet(np.array([[-1.0, 0.0], [1.0, 0.0]])), 1.0, [0]),
+        (P.UnionOfSets((P.FinitePointSet(np.array([[1.0, 0.0]])),
+                        P.FinitePointSet(np.array([[-1.0, 0.0]])))), 1.0, [0, 1, 3]),
+        (P.Translate(P.FinitePointSet(np.array([[-2.0, 1.0], [0.0, 1.0]])), np.array([1.0, -1.0])),
+         1.0, [0, 1, 3]),
+        (P.Enlargement(P.FinitePointSet(np.array([[-1.0, 0.0], [1.0, 0.0]])), 0.25), 0.75,
+         [0, 1, 3]),
+    ], ids=["finite_points", "union", "translate", "enlargement"])
+    def test_enlargement_tie_rows_take_the_scalar_call(self, inner, tau, asked, monkeypatch):
+        """The inner set is (-1, 0) and (1, 0), or their enlargement, and the
+        enlargement reaches the midpoint (row 0), where the inner projection
+        ties, and lists both directions there.  Rows 1 and 3 are boundary
+        points with one nearest inner point, row 2 is interior.  A finite
+        point set marks its rows with a sole minimizer, so only the midpoint
+        asks its scalar `project`; the other inner sets mark none, so every
+        boundary row asks."""
+        s = P.Enlargement(inner, tau)
+        X = np.array([[0.0, 0.0], [-2.0, 0.0], [1.0, 0.5], [1.0, 1.0]])
+        calls = []
+        project = type(inner).project
+        monkeypatch.setattr(type(inner), "project", lambda self, x: (
+            calls.append(x.tolist()) if self is inner else None) or project(self, x))
+        dirs, mask = s.normal_generators_many(X)
+        assert calls == X[asked].tolist()
+        assert mask.sum(axis=1).tolist() == [2, 1, 0, 1]
+        monkeypatch.undo()
+        _rows_match_scalar(s, X)
+
+
+class TestEpsKernel:
+    """Edge cases of the eps pair kernel, each against both references and
+    with warnings raised as errors, so the inf norms of the pairs nearer
+    than _PAIR_FLOOR must divide silently."""
+
+    def estimate(self, s, w, points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = P.estimate_eps_regularity(s, w, 0.6, points=points)
+        eps, pairs = _eps_site_reference(s, w, 0.6, len(points), 0, points=points)
+        assert (est.value.hex(), est.extra["pairs"]) == (eps.hex(), pairs)
+        eps, pairs = _eps_reference(s, w, 0.6, len(points), 0, points=points)
+        assert est.extra["pairs"] == pairs and abs(est.value - eps) <= _eps_drift_bound(s.dim)
+        return est
+
+    def test_mixed_normal_counts(self):
+        """Two discs touching at w = 0: the site at w has two closed-form
+        normals (its inner projection ties) and no preimage direction, three
+        boundary sites one of each, so every site carries zero padding, and
+        an interior point is no site."""
+        s = P.Enlargement(P.FinitePointSet(np.array([[-1.0, 0.0], [1.0, 0.0]])), 1.0)
+        w = np.zeros(2)
+        points = np.array([[0.0, 0.0], [0.0, 0.2], [-0.02, 0.3], [0.03, -0.25], [0.3, 0.4]])
+        X = s.project_many(points)
+        assert analysis._closed_form_normals(s, X, 8)[1].sum(axis=1).tolist() == [2, 1, 1, 1, 0]
+        assert self.estimate(s, w, points).value > 0.1
+
+    def test_box_pairs_by_hand(self):
+        """Face, edge and corner sites of a box have 1, 2 and 3 closed-form
+        normals besides their preimage direction; an interior point is no
+        site.  A site pairs with the rows of M = (w, projections) other
+        than itself: 5 of the 6, and 4 for the corner site, which is w."""
+        s, w = P.Box(-np.ones(3), np.ones(3)), np.ones(3)
+        points = np.array([[1.2, 0.9, 0.8], [1.1, 1.2, 0.9], [1.1, 1.1, 1.1], [0.9, 0.9, 0.9],
+                           [1.2, 0.7, 0.95]])
+        est = self.estimate(s, w, points)
+        assert est.value == 0.0 and est.extra["pairs"] == 2 * 5 + 3 * 5 + 4 * 4 + 2 * 5
+
+    def test_every_pair_under_the_floor(self):
+        """Every point projects to w, so no pair is far enough apart."""
+        s, w = P.Halfspace(np.array([1.0, 0.0]), 0.0), np.zeros(2)
+        est = self.estimate(s, w, np.array([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]]))
+        assert (est.value, est.extra) == (0.0, {"pairs": 0, "vacuous": True})

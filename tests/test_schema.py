@@ -370,6 +370,21 @@ class TestSetLists:
         with pytest.raises(ConfigError, match=r"analyses\[1\]\.sets: set index out of range"):
             P.execute_scenario(sc)
 
+    @pytest.mark.parametrize("name, index, key, what", [
+        ("two_lines_angle_45", 1, "set", "set"),
+        ("qff_suite", 2, "operator", "operator"),
+        ("qff_suite", 2, "refset", "set"),
+    ])
+    def test_boolean_index_is_rejected_when_run(self, name, index, key, what):
+        """JSON true is no index, though a Python bool is an int; the
+        parent ran the estimate_eps record below on set 1 and passed."""
+        cfg = _bundled_config(name)
+        cfg["analyses"][index][key] = True
+        sc = P.scenario_from_config(cfg)
+        with pytest.raises(ConfigError,
+                           match=rf"analyses\[{index}\]\.{key}: {what} index out of range"):
+            P.execute_scenario(sc)
+
     def test_theta_bar_takes_no_delta(self):
         """estimate_theta_bar uses only the normal cones at the anchor, so
         its record takes no delta and its estimate records delta 0."""
