@@ -2,8 +2,9 @@
 
 Estimators report sampled bounds: an estimate from finitely many draws never
 certifies the true modulus, so every result carries its bound direction
-("lower" for eps/kappa/theta, "upper" for the strong-regularity zeta) and the
-seed that reproduces it bit for bit.  Checks return a PropertyReport whose
+("lower" for eps/kappa/theta, "upper" for the strong-regularity zeta, whose
+extra["zeta_lower"] bounds it below over the sampled normals) and the seed
+that reproduces it bit for bit.  Checks return a PropertyReport whose
 margin convention is uniform: margin >= 0 means the sampled inequality holds,
 and violations == 0 iff the worst margin >= -check_tol.
 """
@@ -14,6 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import nnls
 
 from .errors import DomainError, SamplingFailure, UnsupportedSet
 from .intersection import IntersectionHandle
@@ -27,6 +29,7 @@ _DIRECTION_FLOOR = 1e-12
 _DUPLICATE_COS = 1.0 - 1e-9  # normal directions closer than this are one
 # Bound on the temporaries of one chunk of eps-regularity sites.
 _EPS_CHUNK_BYTES = 1 << 20
+_SIMPLEX_WEIGHT = 1e3  # weight of the sum-to-one row in _simplex_min_norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,56 +367,43 @@ def estimate_theta_bar(set_a, set_b, w, samples=256, seed=0) -> RegularityEstima
                               samples, seed, "lower", {"trivial": trivial})
 
 
-def _min_norm_over_simplex(G):
-    """Exact min of ||G t|| over the simplex {t >= 0, sum t = 1} by support
-    enumeration (G has few columns)."""
+def _simplex_min_norm(G):
+    """(t, lower) for min ||G s|| over the simplex {s >= 0, sum s = 1}, G
+    with unit columns.
+
+    t is a simplex point that nearly minimizes ||G t||: one nnls solve with
+    the sum-to-one row weighted _SIMPLEX_WEIGHT, rescaled to sum 1 (the
+    weighted solution is a positive multiple of a minimizer).  With y = G t,
+    lower = max(0, min_j <g_j, y> / ||y||) bounds the minimum below whatever
+    t is, as ||G s|| ||y|| >= <G s, y> = sum_j s_j <g_j, y> for every
+    simplex point s; it is 0 when y = 0.
+    """
     d, k = G.shape
-    best = np.inf
-    best_t = None
-    for size in range(1, k + 1):
-        for subset in itertools.combinations(range(k), size):
-            GS = G[:, list(subset)]
-            kkt = np.zeros((size + 1, size + 1))
-            kkt[:size, :size] = 2.0 * GS.T @ GS
-            kkt[:size, size] = 1.0
-            kkt[size, :size] = 1.0
-            rhs = np.zeros(size + 1)
-            rhs[size] = 1.0
-            sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-            t = np.clip(sol[:size], 0.0, None)
-            total = t.sum()
-            if total <= 0.0:
-                continue
-            t = t / total
-            val = float(np.linalg.norm(GS @ t))
-            if val < best:
-                best = val
-                full = np.zeros(k)
-                full[list(subset)] = t
-                best_t = full
-    return best, best_t
+    t, _ = nnls(np.vstack([G, np.full(k, _SIMPLEX_WEIGHT)]),
+                np.append(np.zeros(d), _SIMPLEX_WEIGHT))
+    t /= t.sum()
+    y = G @ t
+    norm = float(np.linalg.norm(y))
+    return t, max(0.0, float(np.min(G.T @ y)) / norm) if norm > 0.0 else 0.0
 
 
 def check_strong_regularity(system, w, delta, samples=2000, seed=0) -> RegularityEstimate:
-    """Sampled upper bound zeta_hat of the strong-regularity constant:
-    min ||sum u_i|| over normalized tuples of proximal normals u_i collected
-    near w (sum of norms = 1).
+    """A bracket [zeta_lower, value] of the strong-regularity constant zeta:
+    min ||sum u_i|| over tuples of u_i in the cones spanned by the unit
+    proximal normals pooled near w, with sum ||u_i|| = 1.
 
-    zeta_hat is the least of two searches.  First, an exact simplex search
-    over one generator per pool (at most 4096 assignments).  Then `samples`
-    random conic tuples: each pool draws its exponential weights as one
-    (samples, len(pool)) batch, then one uniform scale per pool and tuple.
-    zeta_hat <= STRONG_TOL flags a degenerate (not strongly regular) system.
-
-    On singleton pools the tuples are points of the simplex the exact search
-    minimizes over, so zeta_hat is the exact-search value.  On pools with
-    several directions, a seeded zeta_hat differs from versions of projlab
-    that drew the tuples one at a time, within sampling noise, and it can
-    sit far above a true zeta = 0: for the cone spanned by (1, 0, 1),
-    (0, 1, 1) and (-1, -1, 1) with the orthant {z <= 0}, at 0, zeta = 0, yet
-    at seeds 0-3 (pools of 150-164 directions and 1) zeta_hat is 0.026-0.057
-    and `strong` is True.  So `strong: True` certifies nothing unless every
-    pool is a singleton.
+    `samples` sets only the pool budget.  The upper bound `value` is the
+    least of two searches, each min ||G t|| over the simplex by
+    _simplex_min_norm: one generator per pool (at most 4096 assignments),
+    and the witness tuple u_i = G_i t_i of all pooled directions at once,
+    whose ratio ||sum u_i|| / sum ||u_i|| counts.  The lower bound
+    `zeta_lower` is the certified one of that all-directions solve: a tuple
+    u_i = G_i s_i has ||u_i|| <= sum s_i, so its ratio is at least the
+    min-norm over the simplex.  extra["strong"] is True when zeta_lower >
+    STRONG_TOL, False when value <= STRONG_TOL, and None (undetermined)
+    otherwise, e.g. when a pool holds opposite directions (a hyperplane or
+    an affine set) that cancel inside it.  The bracket is about the pooled
+    directions; pools sampled too thinly miss normals.
     """
     delta = _positive_delta(delta)
     samples = _positive_samples(samples)
@@ -426,30 +416,26 @@ def check_strong_regularity(system, w, delta, samples=2000, seed=0) -> Regularit
     if not active:
         return RegularityEstimate("strong_regularity", 1.0, w, delta,
                                   samples, seed, "upper",
-                                  {"strong": True, "trivial": True})
-    zeta = np.inf
-    # exact search over one generator per (nonempty) pool
-    n_assign = 1
-    for p in active:
-        n_assign *= len(p)
-    assignments = itertools.product(*active)
-    if n_assign > 4096:
-        assignments = itertools.islice(assignments, 4096)
-    for combo in assignments:
-        zeta = min(zeta, _min_norm_over_simplex(np.column_stack(combo))[0])
-    # random conic tuples
-    weights = [rng.exponential(size=(samples, len(pool))) for pool in active]
-    scales = rng.random((len(active), samples))
-    # weights @ pool for each tuple, one vector-matrix product per row
-    parts = [r_j[:, None] * np.matmul(w_j[:, None, :], pool)[:, 0, :]
-             for pool, w_j, r_j in zip(active, weights, scales)]
-    total = sum(row_norms(part) for part in parts)
-    combined = sum(parts[1:], parts[0])
-    values = row_norms(combined) / np.where(total > _DIRECTION_FLOOR, total, 1.0)
-    zeta = min(zeta, np.min(values[total > _DIRECTION_FLOOR], initial=np.inf))
-    zeta = max(0.0, float(zeta))
-    return RegularityEstimate("strong_regularity", zeta, w, delta,
+                                  {"strong": True, "trivial": True, "zeta_lower": 1.0})
+    value = np.inf
+    for combo in itertools.islice(itertools.product(*active), 4096):
+        G = np.column_stack(combo)
+        t, _ = _simplex_min_norm(G)
+        value = min(value, float(np.linalg.norm(G @ t)))
+    t, lower = _simplex_min_norm(np.vstack(active).T)
+    ends = np.cumsum([len(p) for p in active])[:-1]
+    parts = [c @ p for c, p in zip(np.split(t, ends), active)]
+    total = sum(float(np.linalg.norm(u)) for u in parts)
+    if total > _DIRECTION_FLOOR:
+        value = min(value, float(np.linalg.norm(sum(parts))) / total)
+    strong = None  # undetermined: the bracket straddles STRONG_TOL
+    if lower > STRONG_TOL:
+        strong = True
+    elif value <= STRONG_TOL:
+        strong = False
+    return RegularityEstimate("strong_regularity", value, w, delta,
                               samples, seed, "upper",
-                              {"strong": zeta > STRONG_TOL,
+                              {"strong": strong,
                                "strong_tol": STRONG_TOL,
-                               "pools": [len(p) for p in pools]})
+                               "pools": [len(p) for p in pools],
+                               "zeta_lower": lower})

@@ -281,12 +281,12 @@ def _strong_regularity(run, rec, path, label):
     est = analysis_mod.check_strong_regularity(
         system, run.sc.anchor, run.delta(rec), **run.sampling(rec))
     run.constant(label, est, path)
-    entry = {"sets": list(idxs), "value": est.value, "strong": est.extra["strong"]}
-    strong = est.extra["strong"]
-    passed = {"fail": not strong, "pass": strong, None: True}[rec.get("expect")]
+    strong = est.extra["strong"]  # None: undetermined, which no expect accepts
+    entry = {"sets": list(idxs), "value": est.value, "strong": strong}
+    passed = {"fail": strong is False, "pass": strong is True, None: True}[rec.get("expect")]
     if "expect_min" in rec:
         entry["expect_min"] = rec["expect_min"]
-        passed = passed and est.value >= rec["expect_min"]
+        passed = passed and est.extra["zeta_lower"] >= rec["expect_min"]
     entry["passed"] = passed
     return None, entry
 
@@ -521,7 +521,8 @@ ANALYSES = {
         ("sets", "samples", "seed"),
         checks=(_set_list("a list of two set indices", lambda v: len(v) == 2),)),
     "strong_regularity": Analysis(
-        _strong_regularity, "zeta_{}", "sampled strong-regularity constant zeta (upper bound)",
+        _strong_regularity, "zeta_{}",
+        "bracket of the strong-regularity constant zeta over sampled normals",
         ("sets", "expect", "expect_min") + _SAMPLED,
         checks=(_expect_in("pass", "fail"),
                 _set_list("a list of at least two distinct set indices",

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import rates
-from .errors import ConfigError, DomainError, check_keys, table_entry
+from .errors import ConfigError, DimensionMismatch, DomainError, check_keys, table_entry
 from .sets import ClosedSet, as_points, as_vector, row_norms
 
 
@@ -60,8 +60,8 @@ class SemiIntrepidProjector:
         tau = float(self.tau)
         if not 0.0 <= alpha <= 1.0:
             raise DomainError(f"intrepidity parameter must lie in [0, 1], got {alpha}")
-        if tau < 0.0:
-            raise DomainError(f"injectability radius must be >= 0, got {tau}")
+        if not 0.0 <= tau < np.inf:  # nan fails too
+            raise DomainError(f"injectability radius must be finite and >= 0, got {tau}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "tau", tau)
 
@@ -217,10 +217,13 @@ def operator_from_config(record: dict, sets) -> object:
     args = []
     for key in spec.sets:
         idx = record[key]
-        if not isinstance(idx, int) or not 0 <= idx < len(sets):
+        if type(idx) is not int or not 0 <= idx < len(sets):  # a bool is no index
             raise ConfigError(f"{key}: must index the scenario sets, got {idx!r}")
         args.append(sets[idx])
-    return spec.cls(*args, *(record[key] for key in spec.params))
+    try:
+        return spec.cls(*args, *(record[key] for key in spec.params))
+    except (DomainError, DimensionMismatch) as exc:  # at_key prefixes the record's path
+        raise ConfigError(str(exc)) from exc
 
 
 def operator_to_config(op, sets) -> dict:

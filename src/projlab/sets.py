@@ -26,6 +26,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     DomainError,
     UnsupportedSet,
@@ -247,8 +248,11 @@ class _LinearSet(ClosedSet):
         a = as_vector(self.a)
         if np.linalg.norm(a) == 0.0:
             raise DomainError(f"{self.tag} normal must be nonzero")
+        b = float(self.b)
+        if not np.isfinite(b):
+            raise DomainError(f"{self.tag} offset b must be finite")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "dim", a.size)
 
 
@@ -374,8 +378,8 @@ class Ball(ClosedSet):
     def __post_init__(self):
         c = as_vector(self.center)
         r = float(self.radius)
-        if r < 0.0:
-            raise DomainError("ball radius must be >= 0")
+        if not 0.0 <= r < np.inf:  # nan fails too
+            raise DomainError("ball radius must be finite and >= 0")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
         object.__setattr__(self, "dim", c.size)
@@ -417,8 +421,8 @@ class Sphere(ClosedSet):
     def __post_init__(self):
         c = as_vector(self.center)
         r = float(self.radius)
-        if r <= 0.0:
-            raise DomainError("sphere radius must be > 0")
+        if not 0.0 < r < np.inf:  # nan fails too
+            raise DomainError("sphere radius must be finite and > 0")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
         object.__setattr__(self, "dim", c.size)
@@ -659,8 +663,8 @@ class Enlargement(ClosedSet):
     tau: float
 
     def __post_init__(self):
-        if float(self.tau) < 0.0:
-            raise DomainError("enlargement radius must be >= 0")
+        if not 0.0 <= float(self.tau) < np.inf:  # nan fails too
+            raise DomainError("enlargement radius must be finite and >= 0")
         object.__setattr__(self, "tau", float(self.tau))
         object.__setattr__(self, "dim", self.inner.dim)
 
@@ -776,9 +780,9 @@ class FinitePointSet(ClosedSet):
         dists = np.linalg.norm(self.points - x, axis=1)
         dmin = float(dists.min())
         near = self.points[np.flatnonzero(dists <= dmin + TIE_TOL)]
-        canon = min(near, key=tuple).copy()  # lexicographically smallest, before dedupe
-        tied = _dedupe([q.copy() for q in near])
-        return ProjectionResult(canon, tuple(tied), len(tied) > 1, dmin)
+        # deduped in lexicographic order, so the canonical (smallest) point leads
+        tied = _dedupe([q.copy() for q in sorted(near, key=tuple)])
+        return ProjectionResult(tied[0], tuple(tied), len(tied) > 1, dmin)
 
     def _nearest_many(self, X):
         dists = np.linalg.norm(self.points - X[:, None, :], axis=2)
@@ -939,4 +943,8 @@ def set_from_config(cfg: dict) -> ClosedSet:
     cls = table_entry(cfg, SET_TYPES, "set")
     keys = [f.name for f in fields(cls)]
     check_keys(cfg, "", ["type"] + keys, required=keys)
-    return cls(**{key: _decode(cfg[key], key) for key in keys})
+    kwargs = {key: _decode(cfg[key], key) for key in keys}
+    try:
+        return cls(**kwargs)
+    except (DomainError, DimensionMismatch) as exc:  # at_key prefixes the record's path
+        raise ConfigError(str(exc)) from exc

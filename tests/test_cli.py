@@ -230,8 +230,8 @@ class TestVerifyCommand:
             assert (base / "report.json").is_file()
 
     @pytest.mark.parametrize("seed, digest", [
-        (None, "818992e05bee5695875abcae463267247bd78aeee75a76db7db2f3c9bf59b5c1"),
-        (12345, "c99458f189d42e1e54333f44402618494c5f31ef418be1f87867f9970bf11f4d"),
+        (None, "14c54b80e4bcccfaf8155766785067bcac0a4a42f941259e13199431295166aa"),
+        (12345, "c6195bf384f85ed31bccdef33a6ffa9bc87e9ebe89d7c2f7166a16191e2af279"),
     ])
     def test_verify_report_is_pinned(self, seed, digest):
         """The suite report stays byte-identical once `timing` is removed.  A
@@ -270,6 +270,45 @@ class TestReportChecks:
         report = P.execute_scenario(P.load_bundled("reflection_projection_orthant"))
         names = [c["name"] for c in report["checks"] if c["kind"] == "obtuse_cone"]
         assert names == ["obtuse_translated_orthant"]
+
+
+    @pytest.mark.parametrize("expect", ["pass", "fail"])
+    def test_undetermined_strong_regularity_fails_either_expectation(self, expect):
+        """{x = 0} and {y <= 0} at 0: the hyperplane's normals e1 and -e1
+        cancel inside its pool, so the verdict is null (undetermined), which
+        neither expectation accepts."""
+        cfg = minimal_config(
+            sets=[{"type": "hyperplane", "a": [1.0, 0.0], "b": 0.0},
+                  {"type": "halfspace", "a": [0.0, 1.0], "b": 0.0}],
+            analyses=[{"kind": "strong_regularity", "expect": expect, "label": "zeta"}])
+        report = P.execute_scenario(P.scenario_from_config(cfg))
+        (check,) = report["checks"]
+        assert check["strong"] is None and not check["passed"]
+        assert report["constants"]["zeta"]["extra"]["strong"] is None
+        assert not report["passed"]
+
+    def test_expect_min_reads_the_lower_bound(self):
+        """The unit box's corner (1, 1, 1) with {x <= 1} has zeta = 1/sqrt(2)
+        and the certified bound 1/sqrt(3) = 0.577...: expect_min 0.6 lies
+        between them, so it is not certified."""
+        cfg = minimal_config(
+            dimension=3,
+            sets=[{"type": "box", "lower": [0.0, 0.0, 0.0], "upper": [1.0, 1.0, 1.0]},
+                  {"type": "halfspace", "a": [1.0, 0.0, 0.0], "b": 1.0}],
+            intersection={"type": "finite_points", "points": [[1.0, 1.0, 1.0]]},
+            anchor=[1.0, 1.0, 1.0], x0=[3.0, 4.0, 5.0],
+            analyses=[{"kind": "strong_regularity", "expect": "pass",
+                       "expect_min": 0.6, "label": "zeta"}])
+        report = P.execute_scenario(P.scenario_from_config(cfg))
+        (check,) = report["checks"]
+        assert check["strong"] is True and check["value"] >= 0.7
+        assert not check["passed"]
+
+    def test_run_exits_2_on_a_constructor_error(self, tmp_path, capsys):
+        cfg = minimal_config()
+        cfg["sets"][1] = {"type": "ball", "center": [0.0, 0.0], "radius": float("nan")}
+        assert P.main(["run", _write(tmp_path, cfg)]) == 2
+        assert "sets[1]: ball radius must be finite and >= 0" in capsys.readouterr().err
 
 
 class TestCatalogCommand:

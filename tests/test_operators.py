@@ -130,6 +130,11 @@ class TestSemiIntrepidProjector:
         with pytest.raises(DomainError):
             P.SemiIntrepidProjector(s, 0.5, -1.0)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_tau_is_rejected(self, tau):
+        with pytest.raises(DomainError, match="must be finite"):
+            P.SemiIntrepidProjector(P.Ball(np.zeros(2), 1.0), 0.5, tau)
+
 
 class TestGeneralizedDR:
     def test_alpha_one_unit_relaxations_is_composition(self):
@@ -239,3 +244,15 @@ class TestOperatorConfig:
             P.operator_from_config({"type": "relaxed"}, sets)
         with pytest.raises(ConfigError):
             P.operator_from_config("not a dict", sets)
+
+    @pytest.mark.parametrize("idx", [True, False])
+    def test_boolean_set_index_is_rejected(self, idx):
+        """JSON true and false are not the set indices 1 and 0."""
+        sets = [P.Ball(np.zeros(2), 1.0), P.Ball(np.ones(2), 1.0)]
+        with pytest.raises(ConfigError, match="set: must index the scenario sets"):
+            P.operator_from_config({"type": "relaxed", "set": idx, "lambda": 1.0}, sets)
+
+    def test_constructor_errors_become_config_errors(self):
+        sets = [P.Ball(np.zeros(2), 1.0)]
+        with pytest.raises(ConfigError, match=r"relaxation parameter must lie in \(0, 2\]"):
+            P.operator_from_config({"type": "relaxed", "set": 0, "lambda": 3.0}, sets)

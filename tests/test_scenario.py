@@ -171,6 +171,39 @@ class TestValidation:
         with pytest.raises(ConfigError):
             P.scenario_from_config(cfg)
 
+    @pytest.mark.parametrize("mutate, message", [
+        pytest.param(lambda c: c["sets"][1].update(radius=-1),
+                     "sets[1]: ball radius must be finite and >= 0", id="ball_radius_negative"),
+        pytest.param(lambda c: c["sets"][1].update(radius=float("nan")),
+                     "sets[1]: ball radius must be finite and >= 0", id="ball_radius_nan"),
+        pytest.param(lambda c: c["sets"][0].update(b=float("nan")),
+                     "sets[0]: halfspace offset b must be finite", id="halfspace_b_nan"),
+        pytest.param(lambda c: c["sets"].__setitem__(1, {"type": "enlargement", "tau": 0.1,
+                                                         "inner": {"type": "sphere",
+                                                                   "center": [0.0, 0.0],
+                                                                   "radius": float("inf")}}),
+                     "sets[1].inner: sphere radius must be finite and > 0",
+                     id="inner_sphere_radius_inf"),
+        pytest.param(lambda c: c["operators"][0].update({"lambda": 3.0}),
+                     "operators[0]: relaxation parameter must lie in (0, 2], got 3.0",
+                     id="relaxed_lambda"),
+    ])
+    def test_constructor_errors_carry_the_key_path(self, mutate, message):
+        """Bundled qff_suite with one set or operator scalar out of range."""
+        cfg = json.loads((resources.files("projlab.scenarios") / "qff_suite.json").read_text())
+        mutate(cfg)
+        with pytest.raises(ConfigError) as exc:
+            P.scenario_from_config(cfg)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("idx", [True, False])
+    def test_boolean_operator_set_index_is_rejected(self, idx):
+        cfg = json.loads((resources.files("projlab.scenarios") / "qff_suite.json").read_text())
+        cfg["operators"][0]["set"] = idx
+        with pytest.raises(ConfigError) as exc:
+            P.scenario_from_config(cfg)
+        assert str(exc.value) == f"operators[0].set: must index the scenario sets, got {idx!r}"
+
     def test_top_level_must_be_object(self):
         with pytest.raises(ConfigError):
             P.scenario_from_config([1, 2, 3])

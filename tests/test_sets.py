@@ -232,6 +232,16 @@ class TestFrozenProjections:
         assert r.multivalued
         assert len(r.minimizers) == 2
 
+    def test_finite_points_tie_keeps_the_canonical_point(self):
+        """(0, 1e-13) and (0, 0) tie within TIE_TOL; the tie keeps its
+        lexicographically smallest point, which is the canonical one."""
+        s = P.FinitePointSet(np.array([[0.0, 1e-13], [0.0, 0.0]]))
+        r = P.project(s, np.array([5.0, 0.0]))
+        assert r.canonical.tolist() == [0.0, 0.0]
+        assert [m.tolist() for m in r.minimizers] == [[0.0, 0.0]]
+        normals = P.Enlargement(s, 1.0).normal_generators(np.array([1.0, 0.0]))
+        assert [u.tolist() for u in normals] == [[1.0, 0.0]]
+
     def test_translate_shift_identity(self):
         inner = P.Ball(np.zeros(2), 1.0)
         shift = np.array([5.0, 0.0])
@@ -370,6 +380,18 @@ class TestMembershipAndConfig:
         assert not P.membership(
             P.Sphere(np.zeros(2), 1.0), np.array([0.0, 0.5])
         )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda v: P.Ball(np.zeros(2), v), id="ball_radius"),
+        pytest.param(lambda v: P.Sphere(np.zeros(2), v), id="sphere_radius"),
+        pytest.param(lambda v: P.Halfspace(np.array([1.0, 0.0]), v), id="halfspace_b"),
+        pytest.param(lambda v: P.Hyperplane(np.array([1.0, 0.0]), v), id="hyperplane_b"),
+        pytest.param(lambda v: P.Enlargement(P.Ball(np.zeros(2), 1.0), v), id="enlargement_tau"),
+    ])
+    def test_nonfinite_scalars_are_rejected(self, build, bad):
+        with pytest.raises(P.DomainError, match="must be finite"):
+            build(bad)
 
     def test_set_config_round_trip(self, catalog_set):
         cfg = catalog_set.to_config()
