@@ -482,7 +482,9 @@ class Box(ClosedSet):
     project = _one_row_project
 
     def _nearest_many(self, X):
-        return _single_many(X, np.clip(X, self.lower, self.upper))
+        # not np.clip: on a batch with one column it keeps x over an equal
+        # bound of the other zero sign, where a single row takes the bound
+        return _single_many(X, np.minimum(np.maximum(X, self.lower), self.upper))
 
     normal_generators = _one_row_normals
 

@@ -193,6 +193,18 @@ def test_batched_oracles_match_scalar(tag, data):
             assert not res.multivalued
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_box_takes_an_equal_bound_of_the_other_zero_sign(d):
+    """A coordinate equal to a bound of the other zero sign goes to the
+    bound, as `np.clip` does on one row; the one-column batch included."""
+    zero, neg = np.zeros(d), np.full(d, -0.0)
+    for lower, upper, x in ((neg, neg, zero), (zero, zero, neg), (neg, zero + 1.0, zero)):
+        s, X = P.Box(lower, upper), np.vstack([x, x])
+        ref = np.clip(x, lower, upper)
+        assert _same_bits(s.project(x).canonical, ref)
+        assert all(_same_bits(p, ref) for p in s.project_many(X))
+
+
 def test_reference_covers_the_one_row_projections():
     one_row = {tag for tag, cls in P.sets.SET_TYPES.items()
                if cls.__dict__["project"] is P.sets._one_row_project}
