@@ -573,6 +573,12 @@ ANALYSES = {
 _INT_KEYS = {"samples": 1, "seed": 0, "burn_in": 0, "k": 1, "expect_period": 1}
 _FINITE_KEYS = ("tail_fraction", "expect_rho", "expect_tol", "slack", "equality_tol",
                 "tol", "expect_min")
+# The range of each number an analysis takes from its record.  A literal
+# number is checked here; an "@label" or arithmetic value when it resolves.
+_RANGES = {"tau": (lambda v: v >= 0.0, "must be >= 0"),
+           "nu": (lambda v: v > 0.0, "must be > 0"),
+           "lambda": (lambda v: 0.0 < v <= 2.0, "must lie in (0, 2]"),
+           "tail_fraction": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")}
 
 
 def _check_numbers(record):
@@ -584,6 +590,11 @@ def _check_numbers(record):
             check_positive(value, key)
         elif key in _FINITE_KEYS:
             check_number(value, key)
+        # a bool is an int too, and check_number rejects it
+        if key in _RANGES and isinstance(value, (int, float)):
+            accept, what = _RANGES[key]
+            if not accept(check_number(value, key)):
+                raise ConfigError(f"{key}: {what}")
 
 
 def check_analysis(record, path):

@@ -7,14 +7,18 @@ bit-identically.  Multivalued ties are broken by the lexicographically
 smallest coordinate vector unless a variant documents its own rule
 (UnionOfSets prefers the lowest member index, Sphere at its center returns
 center + radius * e1).  `project_many` and `distance_many` give the same
-canonical points and distances for each row of an (n, d) array, and
-`normal_generators_many` the same normal generators.
+canonical points and distances for each row of an (n, d) array.
 
 The single-valued closed forms (halfspace, hyperplane, affine, ball, box,
 orthant) write their projection once, in `_nearest_many`; their `project` is
 its one-row call.  The multivalued variants and the cone keep a scalar
 `project` that lists every minimizer, and a custom subclass needs only
 `project`.  No catalog projection returns memory shared with its input.
+
+Every normal cone is written once, batched, in `normal_generators_many`, and
+`normal_generators` is its one-row call.  The union, the finite point set and
+a custom subclass that does not define `normal_generators_many` have no
+closed-form normal cone: they raise UnsupportedSet on a nonempty batch.
 """
 
 from __future__ import annotations
@@ -109,13 +113,6 @@ def _one_row_project(self, x):
     return ProjectionResult(p, (p,), False, float(d))
 
 
-def _one_row_normals(self, p):
-    """`normal_generators` of a variant with a batched closed form: the
-    one-row call of its `normal_generators_many`."""
-    dirs, mask = self.normal_generators_many(as_vector(p, self.dim)[None, :])
-    return list(dirs[0, mask[0]])
-
-
 def _dedupe(points, tol=TIE_TOL):
     out = []
     for p in points:
@@ -190,25 +187,22 @@ class ClosedSet:
 
     def normal_generators(self, p) -> list:
         """Unit generators of the proximal normal cone at a member point p,
-        as a list of direction vectors in a deterministic order."""
-        raise UnsupportedSet(f"{type(self).__name__} has no closed-form normal cone")
+        as a list of direction vectors in a deterministic order: the one-row
+        call of `normal_generators_many`."""
+        dirs, mask = self.normal_generators_many(as_vector(p, self.dim)[None, :])
+        return list(dirs[0, mask[0]])
 
     def normal_generators_many(self, P):
         """The normal generators at each row of an (n, dim) array P: padded
-        (n, k, dim) directions and an (n, k) mask, k the longest row.  Row
-        i's masked directions are normal_generators(P[i]), in order; the
+        (n, k, dim) directions and an (n, k) mask, k the longest row.  The
         mask is a prefix and the padding is zero.
 
-        This default loops over `normal_generators`, so any subclass works.
-        Variants with a closed form broadcast it, and their
-        `normal_generators` is its one-row call.
+        Variants with a closed form broadcast it here; this default has
+        none, so it raises UnsupportedSet on a nonempty batch.
         """
-        rows = [self.normal_generators(p) for p in as_points(P, self.dim)]
-        counts = np.array([len(r) for r in rows], dtype=int)
-        mask = np.arange(counts.max(initial=0)) < counts[:, None]
-        dirs = np.zeros(mask.shape + (self.dim,))
-        dirs[mask] = np.reshape([u for r in rows for u in r], (-1, self.dim))
-        return dirs, mask
+        if as_points(P, self.dim).shape[0]:
+            raise UnsupportedSet(f"{type(self).__name__} has no closed-form normal cone")
+        return np.zeros((0, 0, self.dim)), np.zeros((0, 0), bool)
 
     def to_config(self) -> dict:
         cfg = {"type": self.tag}
@@ -271,8 +265,6 @@ class Halfspace(_LinearSet):
         P[out] = X[out] - (excess[out] / float(self.a @ self.a))[:, None] * self.a
         return _single_many(X, P)
 
-    normal_generators = _one_row_normals
-
     def normal_generators_many(self, P):
         na = float(np.linalg.norm(self.a))
         excess = np.vecdot(as_points(P, self.dim), self.a) - self.b
@@ -294,8 +286,6 @@ class Hyperplane(_LinearSet):
     def _nearest_many(self, X):
         offset = np.vecdot(X, self.a) - self.b
         return _single_many(X, X - (offset / float(self.a @ self.a))[:, None] * self.a)
-
-    normal_generators = _one_row_normals
 
     def normal_generators_many(self, P):
         n = as_points(P, self.dim).shape[0]
@@ -353,8 +343,6 @@ class AffineSubspaceSet(ClosedSet):
         coords = _rowwise(self.basis, X - self.anchor)
         return _single_many(X, self.anchor + _rowwise(self.basis.T, coords))
 
-    normal_generators = _one_row_normals
-
     def normal_generators_many(self, P):
         n = as_points(P, self.dim).shape[0]
         comp = _orthonormal_complement(self.basis, self.dim)
@@ -392,8 +380,6 @@ class Ball(ClosedSet):
         P = X.copy()
         P[out] = self.center + (self.radius / dist[out])[:, None] * (X[out] - self.center)
         return _single_many(X, P)
-
-    normal_generators = _one_row_normals
 
     def normal_generators_many(self, P):
         gap = as_points(P, self.dim) - self.center
@@ -448,8 +434,6 @@ class Sphere(ClosedSet):
         P[~off, 0] += self.radius
         return P, np.where(off, row_norms(X - P), self.radius)
 
-    normal_generators = _one_row_normals
-
     def normal_generators_many(self, P):
         gap = as_points(P, self.dim) - self.center
         rr = row_norms(gap)
@@ -485,8 +469,6 @@ class Box(ClosedSet):
         # not np.clip: on a batch with one column it keeps x over an equal
         # bound of the other zero sign, where a single row takes the bound
         return _single_many(X, np.minimum(np.maximum(X, self.lower), self.upper))
-
-    normal_generators = _one_row_normals
 
     def normal_generators_many(self, P):
         P = as_points(P, self.dim)
@@ -536,8 +518,6 @@ class Orthant(ClosedSet):
     def _nearest_many(self, X):
         s = np.array(self.signs, dtype=float)
         return _single_many(X, np.where((s != 0.0) & (s * X < 0.0), 0.0, X))
-
-    normal_generators = _one_row_normals
 
     def normal_generators_many(self, P):
         s = np.array(self.signs, dtype=float)
@@ -632,15 +612,15 @@ class PolyhedralCone(ClosedSet):
         coeff, _ = nnls(self.generators.T, x)
         return self._single(x, self.generators.T @ coeff)
 
-    def normal_generators(self, p):
-        if self.dim > 3:
-            raise UnsupportedSet("cone normal enumeration supports dimension <= 3")
-        p = as_vector(p, self.dim)
-        rows = [self.generators]
-        if np.linalg.norm(p) > MEMBERSHIP_TOL:
-            rows.append(p[None, :])
-            rows.append(-p[None, :])
-        return _inequality_cone_generators(np.vstack(rows))
+    def normal_generators_many(self, P):
+        """The normal cone at p is {v in polar(K) : <v, p> = 0}, the face of
+        the polar cone that p exposes, so it is generated by the polar rays r
+        with |<r, p>| <= 1e-9 (1 + ||p||), listed in `polar_generators`
+        order."""
+        P = as_points(P, self.dim)
+        R = np.array(self.polar_generators(), dtype=float).reshape(-1, self.dim)
+        active = np.abs(P @ R.T) <= 1e-9 * (1.0 + row_norms(P))[:, None]
+        return _prefix_rows(R, active)
 
     def polar_generators(self):
         """Generating unit rays of the polar cone {v : <v, g_i> <= 0}."""
@@ -690,8 +670,6 @@ class Enlargement(ClosedSet):
         P = X.copy()
         P[out] = Q[out] + (self.tau / dist[out])[:, None] * (X[out] - Q[out])
         return P, np.where(out, dist - self.tau, 0.0)
-
-    normal_generators = _one_row_normals
 
     def normal_generators_many(self, P):
         """The unit vectors p - q over the inner minimizers q of each
@@ -825,8 +803,6 @@ class Translate(ClosedSet):
     def _nearest_many(self, X):
         Q, dist = self.inner._nearest_many(X - self.shift)
         return Q + self.shift, dist
-
-    normal_generators = _one_row_normals
 
     def normal_generators_many(self, P):
         return self.inner.normal_generators_many(as_points(P, self.dim) - self.shift)

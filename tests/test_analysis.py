@@ -401,8 +401,8 @@ class TestStrongRegularityDraws:
         however the pools fall, so `strong` is False at every seed."""
         system, w = _multi_generator_systems()[name]
         for seed in range(40):
-            est = P.check_strong_regularity(system, w, 1.0, samples=400, seed=seed)
-            again = P.check_strong_regularity(system, w, 1.0, samples=400, seed=seed)
+            est = P.check_strong_regularity(system, w, 1.0, seed=seed)
+            again = P.check_strong_regularity(system, w, 1.0, seed=seed)
             assert est.value.hex() == again.value.hex()
             assert min(est.extra["pools"]) == 1 and max(est.extra["pools"]) > 1
             assert est.value <= analysis.STRONG_TOL, seed

@@ -3,13 +3,15 @@ row with the scalar project, distance and apply, tie rules included, and
 with independent per-point formulas; malformed points and batches raise,
 and no projection shares memory with its input."""
 
+import itertools
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import nnls
 
 import projlab as P
 from projlab import DimensionMismatch, DomainError, UnsupportedSet, analysis
@@ -271,6 +273,71 @@ def test_batched_normals_match_scalar(tag, data):
     _rows_match_scalar(s, members)
 
 
+def _cone_normals_reference(s, p):
+    """The per-point cone normal enumeration that the masked polar rays
+    replaced: the generating rays of {v : <g, v> <= 0 for each generator g,
+    <p, v> = 0}, with the p rows left out at the apex."""
+    rows = [s.generators]
+    if np.linalg.norm(p) > P.sets.MEMBERSHIP_TOL:
+        rows += [p[None, :], -p[None, :]]
+    return P.sets._inequality_cone_generators(np.vstack(rows))
+
+
+def _in_cone_of(A, B):
+    """Every row of A lies in the cone of the rows of B (nnls residual at
+    most 1e-7); only the empty list lies in the cone of the empty list."""
+    if not len(B):
+        return not len(A)
+    return all(nnls(B.T, a)[1] <= 1e-7 for a in A)
+
+
+def _rank_decided(M):
+    """Whether every set of 2 to d rows of the (m, d) array M has its
+    smallest singular value below 1e-13 or above 1e-6 of its largest, so
+    that no rank either enumeration takes lies near its 1e-9 cut-offs."""
+    for k in range(2, M.shape[1] + 1):
+        subsets = list(itertools.combinations(range(M.shape[0]), k))
+        if subsets:
+            sv = np.linalg.svd(M[np.array(subsets)], compute_uv=False)
+            if np.any((sv[:, -1] > 1e-13 * sv[:, 0]) & (sv[:, -1] < 1e-6 * sv[:, 0])):
+                return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cone_case())
+def test_cone_normals_match_the_face_enumeration(case):
+    """At the projections of the drawn rows, apex included, d = 1-4.  Where
+    the generators have rank d the polar cone is pointed, so its face at p
+    has unique unit rays and both lists hold the same ones.  Otherwise the
+    two enumerations may choose different bases of the polar's lineality
+    space, and each list lies in the cone of the other.
+
+    Both enumerations decide ranks and signs at fixed cut-offs near 1e-9,
+    so they are compared where the answer does not hang on those cut-offs:
+    generators whose row sets are clearly of full rank or clearly not, and
+    points p that are the apex or whose rows with the generators are so,
+    with every polar ray either orthogonal to p or clearly not."""
+    s, X = case
+    assume(_rank_decided(s.generators))
+    full_rank = P.sets.svd_rank(s.generators, 1e-9)[1] == s.dim
+    polar = np.reshape(s.polar_generators(), (-1, s.dim))
+    for p in s.project_many(X):
+        products = np.abs(polar @ p)
+        if np.linalg.norm(p) > P.sets.MEMBERSHIP_TOL and (
+                not _rank_decided(np.vstack([s.generators, p]))
+                or np.any((products > 1e-12) & (products < 1e-7))):
+            continue
+        got = np.reshape(s.normal_generators(p), (-1, s.dim))
+        want = np.reshape(_cone_normals_reference(s, p), (-1, s.dim))
+        if full_rank:
+            close = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2, initial=0.0) <= 1e-9
+            assert got.shape == want.shape
+            assert close.any(axis=0).all() and close.any(axis=1).all()
+        else:
+            assert _in_cone_of(got, want) and _in_cone_of(want, got)
+
+
 ONE_OF_EACH = [
     P.Halfspace(np.array([1.0, 2.0]), 1.0), P.Hyperplane(np.array([0.0, 3.0]), 1.0),
     P.AffineSubspaceSet(np.zeros(3), np.eye(3)[:1]), P.Ball(np.zeros(2), 1.0),
@@ -310,9 +377,9 @@ class TestBatchedNormals:
     @pytest.mark.parametrize("s", [
         P.UnionOfSets((P.Ball(np.zeros(2), 1.0), P.Ball(np.ones(2), 1.0))),
         P.FinitePointSet(np.eye(2)),
-        P.PolyhedralCone(np.eye(4) + 0.1),
+        P.PolyhedralCone(np.eye(5) + 0.1),
         P.Ball(np.zeros(3), 0.0),
-    ], ids=["union", "finite_points", "cone_d4", "zero_radius_ball"])
+    ], ids=["union", "finite_points", "cone_d5", "zero_radius_ball"])
     def test_unsupported_sets_raise(self, s):
         p = s.project(np.full(s.dim, 0.5)).canonical
         with pytest.raises(UnsupportedSet):
@@ -343,10 +410,18 @@ class TestBatchedNormals:
     def test_one_of_each_covers_every_set_type(self):
         assert sorted(s.tag for s in ONE_OF_EACH) == sorted(P.sets.SET_TYPES)
 
-    def test_default_loop_serves_a_custom_set(self):
-        s = _ChainSet(2)
-        dirs, mask = s.normal_generators_many(np.zeros((2, 2)))
-        assert mask.all() and np.array_equal(dirs[1], np.array(s.chain))
+    def test_cone_answers_up_to_dimension_four(self):
+        """A d = 4 cone lists the polar rays its points expose: all four at
+        the apex and the three orthogonal to a generator on its edge.  A
+        d = 5 cone raises, as its polar enumeration does."""
+        s = P.PolyhedralCone(np.eye(4) + 0.1)
+        polar = np.array(s.polar_generators())
+        dirs, mask = s.normal_generators_many(np.vstack([np.zeros(4), s.generators[0]]))
+        assert mask.sum(axis=1).tolist() == [4, 3]
+        assert np.array_equal(dirs[0], polar)
+        assert np.abs(dirs[1] @ s.generators[0]).max() <= 1e-12
+        with pytest.raises(UnsupportedSet, match="dimension <= 4"):
+            P.PolyhedralCone(np.eye(5) + 0.1).normal_generators(np.zeros(5))
 
 
 class TestTieRules:
@@ -764,8 +839,9 @@ class _ChainSet(P.ClosedSet):
     def project(self, x):
         return self._single(x, x)
 
-    def normal_generators(self, p):
-        return [u.copy() for u in self.chain]
+    def normal_generators_many(self, X):
+        n = X.shape[0]
+        return np.tile(self.chain, (n, 1, 1)), np.ones((n, len(self.chain)), bool)
 
 
 class TestNormalArrays:

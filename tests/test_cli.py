@@ -311,6 +311,30 @@ class TestReportChecks:
         assert "sets[1]: ball radius must be finite and >= 0" in capsys.readouterr().err
 
 
+class TestLiteralRanges:
+    """A literal number outside the range its analysis accepts fails at
+    parse time with its key path and exit code 2, not when the analysis
+    runs; an arithmetic value is still checked by the analysis."""
+
+    @pytest.mark.parametrize("record, message", [
+        ({"kind": "injectable", "set": 0, "tau": -1.0}, "tau: must be >= 0"),
+        ({"kind": "quasi_coercive", "operator": 0, "nu": -0.5}, "nu: must be > 0"),
+        ({"kind": "affine_identities", "set": 0, "lambda": 3.0}, "lambda: must lie in (0, 2]"),
+        ({"kind": "rate_fit", "tail_fraction": 2.0}, "tail_fraction: must lie in (0, 1]"),
+    ], ids=["tau", "nu", "lambda", "tail_fraction"])
+    def test_out_of_range_literal_exits_2(self, tmp_path, capsys, record, message):
+        cfg = minimal_config(analyses=[record])
+        path = _write(tmp_path, cfg)
+        assert P.main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: analyses[0].{message}\n"
+
+    def test_arithmetic_value_is_checked_when_run(self):
+        sc = P.scenario_from_config(minimal_config(analyses=[
+            {"kind": "injectable", "set": 0, "tau": {"value": 1.0, "times": -1.0}}]))
+        with pytest.raises(P.DomainError, match="tau must be >= 0"):
+            P.execute_scenario(sc)
+
+
 class TestCatalogCommand:
     def test_text_lists_sets_operators_theorems(self, capsys):
         rc = P.main(["catalog"])

@@ -301,6 +301,17 @@ class TestProximalNormals:
         s = P.Ball(np.zeros(2), 1.0)
         assert P.proximal_normals(s, np.array([0.1, 0.0])) == []
 
+    @pytest.mark.parametrize("tag", sorted(P.sets.SET_TYPES))
+    def test_one_normal_formula_per_set(self, tag):
+        """Each normal cone is written once, batched: no variant defines the
+        scalar `normal_generators`, which stays the base class's one-row
+        call, and every variant with a closed-form normal cone defines
+        `normal_generators_many` itself."""
+        cls = P.sets.SET_TYPES[tag]
+        assert "normal_generators" not in cls.__dict__
+        closed_form = tag not in ("union", "finite_points")
+        assert ("normal_generators_many" in cls.__dict__) == closed_form
+
 
 # ---------------------------------------------------------------------------
 # Obtuse-cone classification
