@@ -28,7 +28,7 @@ from .analysis import (
     estimate_theta_bar,
     uniform_ball,
 )
-from .cli import execute_scenario, list_catalog, main, run_scenario, verify_suite
+from .cli import list_catalog, main, run_scenario, verify_suite
 from .errors import (
     CertificateViolated,
     ConfigError,
@@ -91,6 +91,7 @@ from .runner import (
 from .scenario import (
     Scenario,
     bundled_scenario_names,
+    execute_scenario,
     load_bundled,
     load_scenario,
     save_scenario,

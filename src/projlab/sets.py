@@ -615,11 +615,13 @@ class PolyhedralCone(ClosedSet):
     def normal_generators_many(self, P):
         """The normal cone at p is {v in polar(K) : <v, p> = 0}, the face of
         the polar cone that p exposes, so it is generated by the polar rays r
-        with |<r, p>| <= 1e-9 (1 + ||p||), listed in `polar_generators`
-        order."""
+        with |<r, p>| <= 1e-9 ||p||, and at the apex (||p|| <= MEMBERSHIP_TOL)
+        by all of them, listed in `polar_generators` order.  The test is
+        relative, so p and t p (t > 0) get the same rays."""
         P = as_points(P, self.dim)
         R = np.array(self.polar_generators(), dtype=float).reshape(-1, self.dim)
-        active = np.abs(P @ R.T) <= 1e-9 * (1.0 + row_norms(P))[:, None]
+        norms = row_norms(P)[:, None]
+        active = (np.abs(P @ R.T) <= 1e-9 * norms) | (norms <= MEMBERSHIP_TOL)
         return _prefix_rows(R, active)
 
     def polar_generators(self):

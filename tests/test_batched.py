@@ -423,6 +423,17 @@ class TestBatchedNormals:
         with pytest.raises(UnsupportedSet, match="dimension <= 4"):
             P.PolyhedralCone(np.eye(5) + 0.1).normal_generators(np.zeros(5))
 
+    def test_cone_normals_do_not_depend_on_the_scale_of_p(self):
+        """A cone's normal cone is the same at p and at t p, t > 0: points on
+        the ray of (1, 1, 1) expose the same two polar rays from 1e-9 to 1e6,
+        and only at the apex (||p|| <= MEMBERSHIP_TOL) are all three listed."""
+        s = P.PolyhedralCone(np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1 / 128, 0.0, 4.0]]))
+        scales = 10.0 ** np.arange(-9, 7)
+        dirs, mask = s.normal_generators_many(np.outer(scales, np.ones(3)))
+        assert mask.sum(axis=1).tolist() == [2] * len(scales)
+        assert all(np.array_equal(d, dirs[0]) for d in dirs)
+        assert len(s.normal_generators(1e-11 * np.ones(3))) == len(s.polar_generators()) == 3
+
 
 class TestTieRules:
     def test_sphere_center_maps_to_e1(self):

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+from importlib import resources
 
 import pytest
 
@@ -333,6 +334,28 @@ class TestLiteralRanges:
             {"kind": "injectable", "set": 0, "tau": {"value": 1.0, "times": -1.0}}]))
         with pytest.raises(P.DomainError, match="tau must be >= 0"):
             P.execute_scenario(sc)
+
+
+class TestRunTimeConfigErrors:
+    """A configuration error that shows only when the scenario runs (a set
+    or operator index, a reference, a label) exits 2 with its key path, as
+    one found at load time does."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda a: a[1].update(set=7), "analyses[1].set: set index out of range"),
+        (lambda a: a[3]["args"].update(kappa="@nosuch"),
+         "analyses[3].args.kappa: '@nosuch' is not a RegularityEstimate result"),
+        (lambda a: a[1].update(label="kappa"), "analyses[1].label: duplicate label 'kappa'"),
+        (lambda a: a.append({"kind": "quasi_firm_fejer", "operator": 9}),
+         "analyses[11].operator: operator index out of range"),
+    ], ids=["set_index", "reference", "duplicate_label", "operator_index"])
+    def test_exits_2(self, tmp_path, capsys, edit, message):
+        ref = resources.files("projlab.scenarios") / "two_lines_angle_60.json"
+        cfg = json.loads(ref.read_text(encoding="utf-8"))
+        edit(cfg["analyses"])
+        path = _write(tmp_path, cfg)
+        assert P.main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: {message}\n"
 
 
 class TestCatalogCommand:

@@ -17,12 +17,7 @@ KNOBS = {
     "analysis.estimate_linear_regularity": ("samples", "seed", "points"),
     "analysis.estimate_theta_bar": ("samples", "seed"),
     "analysis.check_strong_regularity": ("samples", "seed"),
-    "cli._fields_dict": ("drop",),
-    "cli._reference": ("cls",),
-    "cli.execute_scenario": ("out_dir", "seed_override"),
-    "cli.run_scenario": ("out_root", "force", "seed", "fmt"),
     "cli.verify_suite": ("workers", "out_root", "seed"),
-    "cli.list_catalog": ("fmt",),
     "cli.main": ("argv",),
     "errors.check_keys": ("required", "modifiers"),
     "errors.check_int": ("most",),
@@ -34,6 +29,9 @@ KNOBS = {
     "runner.fit_rlinear": ("tail_fraction", "burn_in"),
     "runner.detect_cycle": ("tol",),
     "runner.compare_certificate": ("slack", "raise_on_violation"),
+    "scenario._fields_dict": ("drop",),
+    "scenario._reference": ("cls",),
+    "scenario.execute_scenario": ("out_dir", "seed_override"),
     "sets.as_vector": ("dim",),
     "sets.svd_rank": ("full_matrices",),
     "sets._dedupe": ("tol",),
@@ -79,4 +77,4 @@ def test_knob_inventory_is_pinned():
         PYTHONPATH=src:tests python -c "import pprint, test_knobs as t; pprint.pprint(t.knob_inventory(), width=100, sort_dicts=False)"
     """
     assert knob_inventory() == KNOBS
-    assert sum(map(len, KNOBS.values())) == 58
+    assert sum(map(len, KNOBS.values())) == 53

@@ -15,8 +15,8 @@ import pytest
 
 import projlab as P
 from projlab import ConfigError
-from projlab.cli import ANALYSES, THEOREMS, check_analysis
 from projlab.operators import OPERATOR_TYPES
+from projlab.scenario import ANALYSES, THEOREMS, check_analysis
 from projlab.sets import SET_TYPES
 
 from test_scenario import BUNDLED, minimal_config
