@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import PropertyReport, margin_report
-from .errors import ContainmentViolated, DomainError, ShadowRecursionViolated
+from .errors import ContainmentViolated, DomainError, ShadowRecursionViolated, check_range
 from .operators import GeneralizedDR, RelaxedProjector
 from .runner import Trajectory
 from .sets import RANK_TOL, AffineSubspaceSet, ClosedSet, row_norms, svd_rank
@@ -79,10 +79,8 @@ def verify_affine_identities(s: ClosedSet, L: AffineSubspaceSet, lam,
 def eta(lam, mu, alpha) -> float:
     """Gap decay factor of the blended two-set iteration:
     eta = (1 - alpha) + alpha (1 - lambda)(1 - mu)."""
-    for name, v, lo, hi in (("lambda", lam, 0.0, 2.0), ("mu", mu, 0.0, 2.0),
-                            ("alpha", alpha, 0.0, 1.0)):
-        if not (lo < v <= hi):
-            raise DomainError(f"{name}={v} outside ({lo}, {hi}]")
+    for name, v, hi in (("lambda", lam, 2.0), ("mu", mu, 2.0), ("alpha", alpha, 1.0)):
+        check_range(name, v, 0.0, hi, lo_open=True)
     return float((1.0 - alpha) + alpha * (1.0 - lam) * (1.0 - mu))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import nnls
 
-from .errors import DomainError, SamplingFailure, UnsupportedSet
+from .errors import DomainError, SamplingFailure, UnsupportedSet, check_range
 from .intersection import IntersectionHandle
 from .sets import ClosedSet, as_vector, conic_mixtures, row_norms
 
@@ -83,14 +83,6 @@ class RegularityEstimate:
     extra: dict = field(default_factory=dict)
 
 
-def _positive_delta(delta) -> float:
-    """delta as a float, or DomainError unless it is positive and finite."""
-    delta = float(delta)
-    if not (np.isfinite(delta) and delta > 0.0):
-        raise DomainError(f"delta must be positive and finite, got {delta}")
-    return delta
-
-
 def _positive_samples(samples) -> int:
     """samples as an int, or DomainError unless it is a positive integer
     (a bool is not)."""
@@ -139,11 +131,9 @@ def check_quasi_firm_fejer(op, refset, gamma, beta, w, delta, samples=1000,
                            seed=0) -> PropertyReport:
     """Sampled test of ||x+ - xbar||^2 + beta ||x - x+||^2 <= gamma ||x - xbar||^2
     for x in B(w, delta/2) and xbar in refset intersected with B(w, delta)."""
-    gamma = float(gamma)
-    beta = float(beta)
-    if gamma <= 0.0 or beta < 0.0:
-        raise DomainError("need gamma > 0 and beta >= 0")
-    delta = _positive_delta(delta)
+    gamma = check_range("gamma", gamma, 0.0, np.inf, lo_open=True)
+    beta = check_range("beta", beta, 0.0, np.inf)
+    delta = check_range("delta", delta, 0.0, np.inf, lo_open=True, hi_open=True)
     samples = _positive_samples(samples)
     w = as_vector(w)
     rng = np.random.default_rng(seed)
@@ -161,10 +151,8 @@ def check_quasi_firm_fejer(op, refset, gamma, beta, w, delta, samples=1000,
 
 def check_quasi_coercive(op, cset, nu, w, delta, samples=1000, seed=0) -> PropertyReport:
     """Sampled test of ||x - x+|| >= nu * d_C(x) on B(w, delta/2)."""
-    nu = float(nu)
-    if nu <= 0.0:
-        raise DomainError("need nu > 0")
-    delta = _positive_delta(delta)
+    nu = check_range("nu", nu, 0.0, np.inf, lo_open=True)
+    delta = check_range("delta", delta, 0.0, np.inf, lo_open=True, hi_open=True)
     samples = _positive_samples(samples)
     w = as_vector(w)
     rng = np.random.default_rng(seed)
@@ -183,10 +171,8 @@ def check_injectable(s: ClosedSet, tau, w, delta, samples=1000, seed=0) -> Prope
     [p, p + tau (p - x)/||p - x||] must stay in the set; each segment is
     probed at 20 evenly spaced points, all in one batch.
     """
-    tau = float(tau)
-    if tau < 0.0:
-        raise DomainError("tau must be >= 0")
-    delta = _positive_delta(delta)
+    tau = check_range("tau", tau, 0.0, np.inf)
+    delta = check_range("delta", delta, 0.0, np.inf, lo_open=True, hi_open=True)
     samples = _positive_samples(samples)
     w = as_vector(w)
     rng = np.random.default_rng(seed)
@@ -222,7 +208,7 @@ def estimate_eps_regularity(s: ClosedSet, w, delta, samples=600, seed=0,
     `vacuous` flags none.  It is bit-reproducible for a seed on a given
     numpy and BLAS build; see _max_normal_ratio for the kernel.
     """
-    delta = _positive_delta(delta)
+    delta = check_range("delta", delta, 0.0, np.inf, lo_open=True, hi_open=True)
     if points is None:
         samples = _positive_samples(samples)
     w = as_vector(w)
@@ -280,23 +266,19 @@ def _max_normal_ratio(M, sites, normals, counts):
 
 
 def estimate_linear_regularity(system, intersection: IntersectionHandle, w,
-                               delta, samples=2000, seed=0,
-                               points=None) -> RegularityEstimate:
+                               delta, samples=2000, seed=0) -> RegularityEstimate:
     """Sampled lower bound of the linear-regularity modulus kappa on B(w, delta/2):
     max d_C(x) / max_i d_{C_i}(x) over draws with some d_{C_i}(x) > 0."""
-    delta = _positive_delta(delta)
-    if points is None:
-        samples = _positive_samples(samples)
+    delta = check_range("delta", delta, 0.0, np.inf, lo_open=True, hi_open=True)
+    samples = _positive_samples(samples)
     w = as_vector(w)
-    rng = np.random.default_rng(seed)
-    xs = uniform_ball(rng, w, delta / 2.0, samples) if points is None \
-        else np.asarray(points, dtype=float)
+    xs = uniform_ball(np.random.default_rng(seed), w, delta / 2.0, samples)
     dmax = np.max([s.distance_many(xs) for s in system], axis=0)
     live = dmax >= _DIRECTION_FLOOR
     kappa_hat = np.max(intersection.distance_many(xs[live]) / dmax[live], initial=1.0)
     used = int(np.count_nonzero(live))
     return RegularityEstimate("linear_regularity", float(kappa_hat), w,
-                              delta, len(xs), seed, "lower",
+                              delta, samples, seed, "lower",
                               {"used": used, "vacuous": used == 0,
                                "approximate": intersection.approximate})
 
@@ -405,7 +387,7 @@ def check_strong_regularity(system, w, delta, samples=2000, seed=0) -> Regularit
     an affine set) that cancel inside it.  The bracket is about the pooled
     directions; pools sampled too thinly miss normals.
     """
-    delta = _positive_delta(delta)
+    delta = check_range("delta", delta, 0.0, np.inf, lo_open=True, hi_open=True)
     samples = _positive_samples(samples)
     w = as_vector(w)
     system = list(system)

@@ -1,5 +1,6 @@
-"""Exception types shared across the library, and the key checks that raise
-ConfigError for every config record."""
+"""Exception types shared across the library, the one interval check that
+raises DomainError for every numeric parameter, and the key checks that
+raise ConfigError for every config record."""
 
 import re
 import sys
@@ -56,6 +57,17 @@ class ShadowRecursionViolated(ProjlabError):
 
 class ConfigError(ProjlabError):
     """A scenario configuration failed to parse or validate."""
+
+
+def check_range(name, value, lo, hi, lo_open=False, hi_open=False):
+    """`value` as a float if it lies in the interval from lo to hi, closed at
+    each end unless that end's flag opens it, else a DomainError naming
+    `name`.  NaN lies in no interval."""
+    v = float(value)
+    if not ((lo < v if lo_open else lo <= v) and (v < hi if hi_open else v <= hi)):
+        raise DomainError(f"{name} must lie in {'(' if lo_open else '['}{lo:.16g}, "
+                          f"{hi:.16g}{')' if hi_open else ']'}, got {v}")
+    return v
 
 
 # A message that starts with a key path, e.g. "members[1].radius: ...".

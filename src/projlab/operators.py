@@ -15,7 +15,14 @@ from typing import Callable
 import numpy as np
 
 from . import rates
-from .errors import ConfigError, DimensionMismatch, DomainError, check_keys, table_entry
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    DomainError,
+    check_keys,
+    check_range,
+    table_entry,
+)
 from .sets import ClosedSet, as_points, as_vector, row_norms
 
 
@@ -32,10 +39,8 @@ class RelaxedProjector:
     lam: float
 
     def __post_init__(self):
-        lam = float(self.lam)
-        if not 0.0 < lam <= 2.0:
-            raise DomainError(f"relaxation parameter must lie in (0, 2], got {lam}")
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "lam", check_range("relaxation parameter", self.lam, 0.0, 2.0,
+                                                    lo_open=True))
 
     def apply(self, x):
         return _relax(self.target, self.lam, as_vector(x, self.target.dim)[None, :])[0]
@@ -56,14 +61,10 @@ class SemiIntrepidProjector:
     tau: float
 
     def __post_init__(self):
-        alpha = float(self.alpha)
-        tau = float(self.tau)
-        if not 0.0 <= alpha <= 1.0:
-            raise DomainError(f"intrepidity parameter must lie in [0, 1], got {alpha}")
-        if not 0.0 <= tau < np.inf:  # nan fails too
-            raise DomainError(f"injectability radius must be finite and >= 0, got {tau}")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "alpha", check_range("intrepidity parameter", self.alpha,
+                                                      0.0, 1.0))
+        object.__setattr__(self, "tau", check_range("injectability radius", self.tau, 0.0,
+                                                    np.inf, hi_open=True))
 
     def apply(self, x):
         return self._rows(as_vector(x, self.target.dim)[None, :])[0]
@@ -98,15 +99,9 @@ class GeneralizedDR:
     def __post_init__(self):
         if self.set_a.dim != self.set_b.dim:
             raise DomainError("DR operator needs two sets of equal dimension")
-        for name in ("lam", "mu"):
-            v = float(getattr(self, name))
-            if not 0.0 < v <= 2.0:
-                raise DomainError(f"{name} must lie in (0, 2], got {v}")
-            object.__setattr__(self, name, v)
-        alpha = float(self.alpha)
-        if not 0.0 < alpha <= 1.0:
-            raise DomainError(f"averaging parameter must lie in (0, 1], got {alpha}")
-        object.__setattr__(self, "alpha", alpha)
+        for name, hi in (("lam", 2.0), ("mu", 2.0), ("alpha", 1.0)):
+            object.__setattr__(self, name, check_range(name, getattr(self, name), 0.0, hi,
+                                                       lo_open=True))
 
     def apply_with_trace(self, x):
         """Return (r, s, out): the two relaxed steps and the averaged point."""

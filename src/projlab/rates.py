@@ -19,6 +19,7 @@ from .errors import (
     MoreThanOneFullIntrepid,
     MoreThanOneReflection,
     StrongRegularityFailed,
+    check_range,
 )
 
 
@@ -52,15 +53,11 @@ class RateCertificate:
         return self.gamma_total * (1.0 + self.gamma_total) * d0 / (1.0 - self.rho_block)
 
 
-def _check_range(name, value, lo, hi, lo_open=False, hi_open=False):
-    v = float(value)
-    bad_lo = v <= lo if lo_open else v < lo
-    bad_hi = v >= hi if hi_open else v > hi
-    if bad_lo or bad_hi:
-        lb = "(" if lo_open else "["
-        rb = ")" if hi_open else "]"
-        raise DomainError(f"{name} must lie in {lb}{lo}, {hi}{rb}, got {v}")
-    return v
+def _whole(name, value):
+    """`value` as an int, or DomainError unless it is a whole number."""
+    if not float(value).is_integer():  # nan and inf fail
+        raise DomainError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _certificate(theorem, inputs, gamma_total, bracket, block_len,
@@ -108,36 +105,34 @@ def _semi_intrepid_gamma(alpha, eps):
 def relaxed_projector_constants(lam, eps) -> FejerConstants:
     """Quasi firm Fejér constants of a relaxed projector onto an
     (eps, delta)-regular set: gamma = 1 + lam*eps/(1-eps), beta = (2-lam)/lam."""
-    lam = _check_range("lambda", lam, 0.0, 2.0, lo_open=True)
-    eps = _check_range("eps", eps, 0.0, 1.0, hi_open=True)
+    lam = check_range("lambda", lam, 0.0, 2.0, lo_open=True)
+    eps = check_range("eps", eps, 0.0, 1.0, hi_open=True)
     return FejerConstants(_relaxed_gamma(lam, eps), (2.0 - lam) / lam)
 
 
 def averaged_constants(gamma, beta, lam) -> FejerConstants:
     """Constants of (1-lam) Id + lam T given (gamma, beta) for T; lam in (0, 1+beta]."""
-    gamma = _check_range("gamma", gamma, 0.0, math.inf, lo_open=True)
-    beta = _check_range("beta", beta, 0.0, math.inf)
-    lam = float(lam)
-    if not 0.0 < lam <= 1.0 + beta:
-        raise DomainError(f"averaging parameter must lie in (0, 1 + beta], got {lam}")
+    gamma = check_range("gamma", gamma, 0.0, math.inf, lo_open=True)
+    beta = check_range("beta", beta, 0.0, math.inf)
+    lam = check_range("averaging parameter", lam, 0.0, 1.0 + beta, lo_open=True)
     return FejerConstants(1.0 - lam + lam * gamma, (1.0 - lam + beta) / lam)
 
 
 def semi_intrepid_constants(alpha, eps) -> FejerConstants:
     """gamma = (1 + alpha*eps)/(1 - eps), beta = (1 - alpha)/(1 + alpha)."""
-    alpha = _check_range("alpha", alpha, 0.0, 1.0)
-    eps = _check_range("eps", eps, 0.0, 1.0, hi_open=True)
+    alpha = check_range("alpha", alpha, 0.0, 1.0)
+    eps = check_range("eps", eps, 0.0, 1.0, hi_open=True)
     return FejerConstants(_semi_intrepid_gamma(alpha, eps), (1.0 - alpha) / (1.0 + alpha))
 
 
 def dr_constants(lam, mu, alpha, eps1, eps2) -> FejerConstants:
     """Constants of the generalized Douglas-Rachford step on an
     (eps1, .)-regular first set and (eps2, .)-regular second set."""
-    lam = _check_range("lambda", lam, 0.0, 2.0, lo_open=True)
-    mu = _check_range("mu", mu, 0.0, 2.0, lo_open=True)
-    alpha = _check_range("alpha", alpha, 0.0, 1.0, lo_open=True)
-    eps1 = _check_range("eps1", eps1, 0.0, 1.0 / 3.0)
-    eps2 = _check_range("eps2", eps2, 0.0, 1.0, hi_open=True)
+    lam = check_range("lambda", lam, 0.0, 2.0, lo_open=True)
+    mu = check_range("mu", mu, 0.0, 2.0, lo_open=True)
+    alpha = check_range("alpha", alpha, 0.0, 1.0, lo_open=True)
+    eps1 = check_range("eps1", eps1, 0.0, 1.0 / 3.0)
+    eps2 = check_range("eps2", eps2, 0.0, 1.0, hi_open=True)
     gamma = 1.0 - alpha + alpha * _relaxed_gamma(lam, eps1) * _relaxed_gamma(mu, eps2)
     return FejerConstants(gamma, (1.0 - alpha) / alpha)
 
@@ -149,15 +144,13 @@ def dr_coercivity(lam, mu, alpha, theta, kappa) -> float:
     theta bounds the pairing of proximal normals of the two sets near the
     reference point; theta >= 1 signals degenerate normal geometry.
     """
-    lam = _check_range("lambda", lam, 0.0, 2.0, lo_open=True)
-    mu = _check_range("mu", mu, 0.0, 2.0, lo_open=True)
-    alpha = _check_range("alpha", alpha, 0.0, 1.0, lo_open=True)
-    kappa = _check_range("kappa", kappa, 1.0, math.inf)
-    theta = float(theta)
-    if theta >= 1.0:
-        raise StrongRegularityFailed(f"theta must be < 1, got {theta}")
-    if theta <= -1.0:
-        raise DomainError(f"theta must lie in (-1, 1), got {theta}")
+    lam = check_range("lambda", lam, 0.0, 2.0, lo_open=True)
+    mu = check_range("mu", mu, 0.0, 2.0, lo_open=True)
+    alpha = check_range("alpha", alpha, 0.0, 1.0, lo_open=True)
+    kappa = check_range("kappa", kappa, 1.0, math.inf)
+    if float(theta) >= 1.0:
+        raise StrongRegularityFailed(f"theta must be < 1, got {float(theta)}")
+    theta = check_range("theta", theta, -1.0, 1.0, lo_open=True, hi_open=True)
     return alpha * math.sqrt(1.0 - theta) / kappa * min(lam, mu / math.sqrt(1.0 + mu * mu))
 
 
@@ -165,16 +158,23 @@ def dr_coercivity(lam, mu, alpha, theta, kappa) -> float:
 # abstract rate theorems (quasi Fejér + coercivity -> R-linear rate)
 
 
+def _fejer_lists(index, gamma_list, beta_list):
+    """The gammas, each in [1, inf), and the betas, each in (0, inf), of a
+    cycle; `index` is the subscript in range errors."""
+    return ([check_range(f"gamma_{index}", g, 1.0, math.inf, hi_open=True) for g in gamma_list],
+            [check_range(f"beta_{index}", b, 0.0, math.inf, lo_open=True, hi_open=True)
+             for b in beta_list])
+
+
 def _qff_cycle(theorem, count_key, index, gamma_list, beta_list, nu, kappa):
     """The certificate of a cycle of quasi firmly Fejér operators (or
     blocks) with a joint coercivity constant nu; `count_key` names the
     cycle length in `inputs` and `index` the subscript in range errors."""
-    gammas = [_check_range(f"gamma_{index}", g, 1.0, math.inf) for g in gamma_list]
-    betas = [_check_range(f"beta_{index}", b, 0.0, math.inf, lo_open=True) for b in beta_list]
+    gammas, betas = _fejer_lists(index, gamma_list, beta_list)
     if len(gammas) != len(betas) or not gammas:
         raise DomainError("gamma and beta lists must be nonempty and equally long")
-    nu = _check_range("nu", nu, 0.0, 1.0, lo_open=True)
-    kappa = _check_range("kappa", kappa, 1.0, math.inf)
+    nu = check_range("nu", nu, 0.0, 1.0, lo_open=True)
+    kappa = check_range("kappa", kappa, 1.0, math.inf)
     m = len(gammas)
     gamma_sq = math.prod(gammas)
     gamma_total = math.sqrt(gamma_sq)
@@ -197,38 +197,37 @@ def rate_dist_qff(gamma_list, beta_list, nu, kappa) -> RateCertificate:
 
 def rate_dist_qf(gamma_list, beta_list_no_j, j, nu, kappa) -> RateCertificate:
     """Variant where operator j is only quasi Fejér (no beta_j)."""
-    gammas = [_check_range("gamma_i", g, 1.0, math.inf) for g in gamma_list]
+    gammas, betas = _fejer_lists("i", gamma_list, beta_list_no_j)
     m = len(gammas)
     if m < 2:
         raise DomainError("need at least two operators")
-    if not 0 <= int(j) < m:
+    j = _whole("j", j)
+    if not 0 <= j < m:
         raise DomainError(f"index j must name one of the {m} operators")
-    betas = [_check_range("beta_i", b, 0.0, math.inf, lo_open=True) for b in beta_list_no_j]
     if len(betas) != m - 1:
         raise DomainError("beta list must omit exactly the j-th operator")
-    nu = _check_range("nu", nu, 0.0, 1.0, lo_open=True)
-    kappa = _check_range("kappa", kappa, 1.0, math.inf)
+    nu = check_range("nu", nu, 0.0, 1.0, lo_open=True)
+    kappa = check_range("kappa", kappa, 1.0, math.inf)
     gamma_sq = math.prod(gammas)
     gamma_total = math.sqrt(gamma_sq)
     bracket = gamma_sq - gammas[j] * (nu * nu / (kappa * kappa)) / sum(1.0 / b for b in betas)
     return _certificate(
         "dist_qf",
-        {"gamma": gammas, "beta_no_j": betas, "j": int(j), "nu": nu, "kappa": kappa, "m": m},
+        {"gamma": gammas, "beta_no_j": betas, "j": j, "nu": nu, "kappa": kappa, "m": m},
         gamma_total,
         bracket,
         m,
-        math.sqrt(gammas[int(j)]) / (2.0 * gamma_total),
+        math.sqrt(gammas[j]) / (2.0 * gamma_total),
     )
 
 
 def rate_refined(gamma_list, beta_list, kappa) -> RateCertificate:
     """Sharper cycle rate: Gamma^2 = prod(gamma)/min(gamma) and the coercivity
     sum drops its largest beta; linear reduction after m - 1 steps."""
-    gammas = [_check_range("gamma_i", g, 1.0, math.inf) for g in gamma_list]
-    betas = [_check_range("beta_i", b, 0.0, math.inf, lo_open=True) for b in beta_list]
+    gammas, betas = _fejer_lists("i", gamma_list, beta_list)
     if len(gammas) != len(betas) or len(gammas) < 2:
         raise DomainError("need matched lists with at least two operators")
-    kappa = _check_range("kappa", kappa, 1.0, math.inf)
+    kappa = check_range("kappa", kappa, 1.0, math.inf)
     m = len(gammas)
     gamma_sq = math.prod(gammas) / min(gammas)
     gamma_total = math.sqrt(gamma_sq)
@@ -262,11 +261,11 @@ def rate_cyclic_relaxed(lam_list, eps, kappa) -> RateCertificate:
     rho^(2m) = [Gamma^2 - nu^2/kappa^2 (sum_{i not in J} lam_i/(2-lam_i))^-1
                 ((1+eps)/(1-eps))^|J|]_+ with J = {i : lam_i = 2}.
     """
-    lams = [_check_range("lambda_i", v, 0.0, 2.0, lo_open=True) for v in lam_list]
+    lams = [check_range("lambda_i", v, 0.0, 2.0, lo_open=True) for v in lam_list]
     if not lams:
         raise DomainError("empty cycle")
-    eps = _check_range("eps", eps, 0.0, 1.0, hi_open=True)
-    kappa = _check_range("kappa", kappa, 1.0, math.inf)
+    eps = check_range("eps", eps, 0.0, 1.0, hi_open=True)
+    kappa = check_range("kappa", kappa, 1.0, math.inf)
     J = _infer_full(lams, 2.0, MoreThanOneReflection, "reflector (lambda = 2)")
     others = [v for v in lams if v != 2.0]
     if not others:
@@ -293,11 +292,11 @@ def rate_cyclic_relaxed(lam_list, eps, kappa) -> RateCertificate:
 def rate_cyclic_overrelaxed(lam_list, eps, kappa) -> RateCertificate:
     """Cyclic relaxed projections with lam_i in [1, 2): sharper exponent
     1/(2(m-1)) and the coercivity sum drops its largest term."""
-    lams = [_check_range("lambda_i", v, 1.0, 2.0, hi_open=True) for v in lam_list]
+    lams = [check_range("lambda_i", v, 1.0, 2.0, hi_open=True) for v in lam_list]
     if len(lams) < 2:
         raise DomainError("need at least two operators")
-    eps = _check_range("eps", eps, 0.0, 1.0, hi_open=True)
-    kappa = _check_range("kappa", kappa, 1.0, math.inf)
+    eps = check_range("eps", eps, 0.0, 1.0, hi_open=True)
+    kappa = check_range("kappa", kappa, 1.0, math.inf)
     m = len(lams)
     gammas = [_relaxed_gamma(v, eps) for v in lams]
     gamma_sq = math.prod(gammas) / min(gammas)
@@ -319,11 +318,11 @@ def rate_cyclic_overrelaxed(lam_list, eps, kappa) -> RateCertificate:
 def rate_cyclic_projections(m, eps, kappa) -> RateCertificate:
     """Plain cyclic projections over m sets:
     rho^(2(m-1)) = [(1-eps)^-(m-1) - ((m-1) kappa^2)^-1]_+."""
-    m = int(m)
+    m = _whole("m", m)
     if m < 2:
         raise DomainError("need at least two sets")
-    eps = _check_range("eps", eps, 0.0, 1.0, hi_open=True)
-    kappa = _check_range("kappa", kappa, 1.0, math.inf)
+    eps = check_range("eps", eps, 0.0, 1.0, hi_open=True)
+    kappa = check_range("kappa", kappa, 1.0, math.inf)
     gamma = 1.0 / (1.0 - eps)
     gamma_sq = gamma ** (m - 1)
     gamma_total = math.sqrt(gamma_sq)
@@ -352,11 +351,11 @@ def rate_cyclic_semi_intrepid(alpha_list, eps, kappa) -> RateCertificate:
 
     gamma_i = (1 + alpha_i eps)/(1 - eps); block length m - 1 + |J|.
     """
-    alphas = [_check_range("alpha_i", v, 0.0, 1.0) for v in alpha_list]
+    alphas = [check_range("alpha_i", v, 0.0, 1.0) for v in alpha_list]
     if len(alphas) < 2:
         raise DomainError("need at least two operators")
-    eps = _check_range("eps", eps, 0.0, 1.0, hi_open=True)
-    kappa = _check_range("kappa", kappa, 1.0, math.inf)
+    eps = check_range("eps", eps, 0.0, 1.0, hi_open=True)
+    kappa = check_range("kappa", kappa, 1.0, math.inf)
     J = _infer_full(alphas, 1.0, MoreThanOneFullIntrepid, "full overshoot (alpha = 1)")
     m = len(alphas)
     gammas = [_semi_intrepid_gamma(a, eps) for a in alphas]

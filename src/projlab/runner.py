@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import CHECK_TOL, PropertyReport, margin_report
-from .errors import CertificateViolated, DomainError, InsufficientData
+from .errors import CertificateViolated, DomainError, InsufficientData, check_range
 from .intersection import IntersectionHandle
 from .operators import CyclicTuple
 from .rates import RateCertificate
@@ -78,10 +78,8 @@ def run(operators, x0, sets, intersection: IntersectionHandle,
     members = cycle.members
     x = as_vector(x0)
     sets = tuple(sets)
-    if max_cycles < 1:
-        raise DomainError("max_cycles must be >= 1")
-    if not tol > 0.0:
-        raise DomainError("tol must be > 0")
+    check_range("max_cycles", max_cycles, 1.0, np.inf)
+    check_range("tol", tol, 0.0, np.inf, lo_open=True)
     t0 = time.perf_counter()
     points = [x.copy()]
     op_index = [-1]
@@ -139,10 +137,8 @@ def fit_rlinear(errors, tail_fraction=0.5, burn_in=10) -> RateFit:
         raise DomainError("errors must be nonnegative")
     if e.size < 10:
         raise InsufficientData(f"need at least 10 error entries, got {e.size}")
-    if not 0.0 < tail_fraction <= 1.0:
-        raise DomainError("tail_fraction must lie in (0, 1]")
-    if burn_in < 0:
-        raise DomainError("burn_in must be >= 0")
+    check_range("tail_fraction", tail_fraction, 0.0, 1.0, lo_open=True)
+    check_range("burn_in", burn_in, 0.0, np.inf)
     burn_in = min(burn_in, e.size)
     idx = np.arange(e.size)[burn_in:]
     tail = e[burn_in:]
@@ -208,8 +204,7 @@ def check_k_step_reduction(traj: Trajectory, k, rho_bound) -> PropertyReport:
 
     Blocks whose start sits at the error floor pass trivially.
     """
-    if k < 1:
-        raise DomainError("k must be >= 1")
+    check_range("k", k, 1.0, np.inf)
     if traj.n_points - 1 < 2 * k:
         raise DomainError("trajectory must contain at least 2k applications")
     e = traj.c_dist

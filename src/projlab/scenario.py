@@ -30,11 +30,13 @@ from . import runner as runner_mod
 from . import sets as sets_mod
 from .errors import (
     ConfigError,
+    DomainError,
     at_key,
     check_int,
     check_keys,
     check_number,
     check_positive,
+    check_range,
     table_entry,
 )
 from .intersection import IntersectionHandle
@@ -148,7 +150,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
     if not isinstance(analyses, list):
         raise ConfigError("analyses: must be a list")
     for i, record in enumerate(analyses):
-        check_analysis(record, f"analyses[{i}]")
+        check_analysis(record, f"analyses[{i}]", len(sets), len(ops))
     expected = cfg.get("expected", {})
     if not isinstance(expected, dict):
         raise ConfigError("expected: must be an object")
@@ -349,7 +351,7 @@ THEOREMS = {
                                          "alphas in [0,1]^m, at most one full step"),
     "rate_refined": Theorem((_GAMMAS, _BETAS, _KAPPA), "firm lists, block length m-1"),
     "rate_dist_qff": Theorem((_GAMMAS, _BETAS, _NU, _KAPPA),
-                             "quasi-firm lists, nu in (0,1], kappa > 0"),
+                             "quasi-firm lists, nu in (0,1], kappa >= 1"),
     "rate_cyclic_dr": Theorem((_GAMMAS, _BETAS, _NU, _KAPPA),
                               "per-block quasi-firm constants + coercivity nu"),
     "rate_dr_pair": Theorem(
@@ -406,17 +408,6 @@ class _Run:
         self.store(label, est, path)
         self.constants[label] = _fields_dict(est, drop=("anchor",))
 
-    def pick_set(self, value, path):
-        if type(value) is not int or not 0 <= value < len(self.sc.sets):  # a bool is no index
-            raise ConfigError(f"{path}: set index out of range")
-        return self.sc.sets[value]
-
-    def pick_operator(self, value, path):
-        members = self.sc.operators.members
-        if type(value) is not int or not 0 <= value < len(members):  # a bool is no index
-            raise ConfigError(f"{path}: operator index out of range")
-        return members[value]
-
     def pick_target(self, op, value, path):
         """A set by index, "intersection", or "target" (the operator's set)."""
         if value == "intersection":
@@ -425,7 +416,7 @@ class _Run:
             if not hasattr(op, "target"):
                 raise ConfigError(f"{path}: operator has no single target")
             return op.target
-        return self.pick_set(value, path)
+        return self.sc.sets[value]
 
 
 # Each handler runs one record and returns None or (PropertyReport or None,
@@ -433,7 +424,7 @@ class _Run:
 
 
 def _estimate_eps(run, rec, path, label):
-    s = run.pick_set(rec["set"], f"{path}.set")
+    s = run.sc.sets[rec["set"]]
     run.constant(label, analysis_mod.estimate_eps_regularity(
         s, run.sc.anchor, run.delta(rec), **run.sampling(rec)), path)
 
@@ -444,17 +435,19 @@ def _estimate_kappa(run, rec, path, label):
         **run.sampling(rec)), path)
 
 
+# The sets of an estimate_theta_bar record that gives none.
+_THETA_PAIR = (0, 1)
+
+
 def _estimate_theta_bar(run, rec, path, label):
-    pair = rec.get("sets", [0, 1])
-    a = run.pick_set(pair[0], f"{path}.sets[0]")
-    b = run.pick_set(pair[1], f"{path}.sets[1]")
+    a, b = (run.sc.sets[j] for j in rec.get("sets", _THETA_PAIR))
     run.constant(label, analysis_mod.estimate_theta_bar(
         a, b, run.sc.anchor, **run.sampling(rec)), path)
 
 
 def _strong_regularity(run, rec, path, label):
     idxs = rec.get("sets", list(range(len(run.sc.sets))))
-    system = [run.pick_set(j, f"{path}.sets") for j in idxs]
+    system = [run.sc.sets[j] for j in idxs]
     est = analysis_mod.check_strong_regularity(
         system, run.sc.anchor, run.delta(rec), **run.sampling(rec))
     run.constant(label, est, path)
@@ -469,7 +462,7 @@ def _strong_regularity(run, rec, path, label):
 
 
 def _quasi_firm_fejer(run, rec, path, label):
-    op = run.pick_operator(rec["operator"], f"{path}.operator")
+    op = run.sc.operators.members[rec["operator"]]
     refset = run.pick_target(op, rec.get("refset", "target"), f"{path}.refset")
     tag = operator_type(op)
     spec = OPERATOR_TYPES[tag]
@@ -486,7 +479,7 @@ def _quasi_firm_fejer(run, rec, path, label):
 
 
 def _quasi_coercive(run, rec, path, label):
-    op = run.pick_operator(rec["operator"], f"{path}.operator")
+    op = run.sc.operators.members[rec["operator"]]
     cset = run.pick_target(op, rec.get("cset", "target"), f"{path}.cset")
     nu_spec = rec.get("nu", "lambda")
     if nu_spec == "lambda":
@@ -505,7 +498,7 @@ def _quasi_coercive(run, rec, path, label):
 
 
 def _injectable(run, rec, path, label):
-    s = run.pick_set(rec["set"], f"{path}.set")
+    s = run.sc.sets[rec["set"]]
     tau = _resolve(rec["tau"], run.ctx, f"{path}.tau")
     rep = analysis_mod.check_injectable(s, tau, run.sc.anchor, run.delta(rec),
                                         **run.sampling(rec))
@@ -515,7 +508,7 @@ def _injectable(run, rec, path, label):
 
 
 def _obtuse_cone(run, rec, path, label):
-    s = run.pick_set(rec["set"], f"{path}.set")
+    s = run.sc.sets[rec["set"]]
     result = sets_mod.is_obtuse_cone(s, **run.sampling(rec))
     del result["name"]  # the check is named by its label
     return None, {"passed": result["obtuse"] == rec.get("expect", True), **_jsonable(result)}
@@ -633,7 +626,7 @@ def _affine_reduction(run, rec, path, label):
 
 
 def _affine_identities(run, rec, path, label):
-    s = run.pick_set(rec["set"], f"{path}.set")
+    s = run.sc.sets[rec["set"]]
     lam = _resolve(rec.get("lambda", 1.0), run.ctx, f"{path}.lambda")
     return affine_mod.verify_affine_identities(s, run.hull(), lam, **run.sampling(rec)), {}
 
@@ -651,8 +644,8 @@ def _expect_in(*allowed):
 
 def _set_list(what, accept):
     """Parse-time check that a record's `sets`, if given, is a list of
-    integers that `accept` takes, `what` in words; `_Run.pick_set` checks
-    that each names a set when the record runs."""
+    integers that `accept` takes, `what` in words; `_check_indices` checks
+    that each names a set."""
     def check(record):
         value = record.get("sets")
         if "sets" in record and not (isinstance(value, list)
@@ -746,20 +739,20 @@ ANALYSES = {
 }
 
 
-# The integers an analysis record may carry, by least value, and its finite numbers.
+# The integers an analysis record may carry, by least value, its finite
+# numbers and its booleans.
 _INT_KEYS = {"samples": 1, "seed": 0, "burn_in": 0, "k": 1, "expect_period": 1}
 _FINITE_KEYS = ("tail_fraction", "expect_rho", "expect_tol", "slack", "equality_tol",
                 "tol", "expect_min")
-# The range of each number an analysis takes from its record.  A literal
-# number is checked here; an "@label" or arithmetic value when it resolves.
-_RANGES = {"tau": (lambda v: v >= 0.0, "must be >= 0"),
-           "nu": (lambda v: v > 0.0, "must be > 0"),
-           "lambda": (lambda v: 0.0 < v <= 2.0, "must lie in (0, 2]"),
-           "tail_fraction": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")}
+_BOOL_KEYS = ("expect_non_convergent", "expect_equality")
+# The check_range bounds of each number an analysis takes from its record.  A
+# literal number is checked here; an "@label" or arithmetic value when it resolves.
+_RANGES = {"tau": (0.0, np.inf), "nu": (0.0, np.inf, True), "lambda": (0.0, 2.0, True),
+           "tail_fraction": (0.0, 1.0, True)}
 
 
-def _check_numbers(record):
-    """Parse-time check of the numbers a record carries."""
+def _check_values(record):
+    """Parse-time check of the numbers and booleans a record carries."""
     for key, value in record.items():
         if key in _INT_KEYS:
             check_int(value, key, _INT_KEYS[key])
@@ -767,21 +760,40 @@ def _check_numbers(record):
             check_positive(value, key)
         elif key in _FINITE_KEYS:
             check_number(value, key)
+        elif key in _BOOL_KEYS and type(value) is not bool:
+            raise ConfigError(f"{key}: must be true or false, got {json.dumps(value)}")
         # a bool is an int too, and check_number rejects it
         if key in _RANGES and isinstance(value, (int, float)):
-            accept, what = _RANGES[key]
-            if not accept(check_number(value, key)):
-                raise ConfigError(f"{key}: {what}")
+            try:
+                check_range(key, check_number(value, key), *_RANGES[key])
+            except DomainError as exc:
+                raise ConfigError(str(exc)) from exc
 
 
-def check_analysis(record, path):
-    """Validate one analysis record against its kind's table entry."""
+def _check_indices(record, n_sets, n_ops):
+    """Parse-time check that each set and operator index a record carries,
+    and estimate_theta_bar's default pair, names one of the scenario's."""
+    sets = record.get("sets", _THETA_PAIR if record["kind"] == "estimate_theta_bar" else ())
+    found = [(f"sets[{j}]", v, n_sets, "set") for j, v in enumerate(sets)]
+    found += [(key, record[key], n_sets, "set") for key in ("set", "refset", "cset")
+              if key in record and (key == "set" or record[key] not in ("intersection", "target"))]
+    if "operator" in record:
+        found.append(("operator", record["operator"], n_ops, "operator"))
+    for key, value, count, what in found:
+        if type(value) is not int or not 0 <= value < count:  # a bool is no index
+            raise ConfigError(f"{key}: {what} index out of range")
+
+
+def check_analysis(record, path, n_sets, n_ops):
+    """Validate one analysis record against its kind's table entry and a
+    scenario of `n_sets` sets and `n_ops` operators."""
     with at_key(path):
         spec = table_entry(record, ANALYSES, "analysis", tag="kind")
         check_keys(record, "", ("kind", "label") + spec.keys, spec.required, spec.modifiers)
-        _check_numbers(record)
+        _check_values(record)
         for check in spec.checks:
             check(record)
+        _check_indices(record, n_sets, n_ops)
 
 
 # ---------------------------------------------------------------------------

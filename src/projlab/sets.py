@@ -36,6 +36,7 @@ from .errors import (
     UnsupportedSet,
     at_key,
     check_keys,
+    check_range,
     table_entry,
 )
 
@@ -242,9 +243,8 @@ class _LinearSet(ClosedSet):
         a = as_vector(self.a)
         if np.linalg.norm(a) == 0.0:
             raise DomainError(f"{self.tag} normal must be nonzero")
-        b = float(self.b)
-        if not np.isfinite(b):
-            raise DomainError(f"{self.tag} offset b must be finite")
+        b = check_range(f"{self.tag} offset b", self.b, -np.inf, np.inf, lo_open=True,
+                        hi_open=True)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "dim", a.size)
@@ -365,9 +365,7 @@ class Ball(ClosedSet):
 
     def __post_init__(self):
         c = as_vector(self.center)
-        r = float(self.radius)
-        if not 0.0 <= r < np.inf:  # nan fails too
-            raise DomainError("ball radius must be finite and >= 0")
+        r = check_range("ball radius", self.radius, 0.0, np.inf, hi_open=True)
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
         object.__setattr__(self, "dim", c.size)
@@ -406,9 +404,7 @@ class Sphere(ClosedSet):
 
     def __post_init__(self):
         c = as_vector(self.center)
-        r = float(self.radius)
-        if not 0.0 < r < np.inf:  # nan fails too
-            raise DomainError("sphere radius must be finite and > 0")
+        r = check_range("sphere radius", self.radius, 0.0, np.inf, lo_open=True, hi_open=True)
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", r)
         object.__setattr__(self, "dim", c.size)
@@ -647,9 +643,8 @@ class Enlargement(ClosedSet):
     tau: float
 
     def __post_init__(self):
-        if not 0.0 <= float(self.tau) < np.inf:  # nan fails too
-            raise DomainError("enlargement radius must be finite and >= 0")
-        object.__setattr__(self, "tau", float(self.tau))
+        tau = check_range("enlargement radius", self.tau, 0.0, np.inf, hi_open=True)
+        object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "dim", self.inner.dim)
 
     def project(self, x):

@@ -309,7 +309,7 @@ class TestReportChecks:
         cfg = minimal_config()
         cfg["sets"][1] = {"type": "ball", "center": [0.0, 0.0], "radius": float("nan")}
         assert P.main(["run", _write(tmp_path, cfg)]) == 2
-        assert "sets[1]: ball radius must be finite and >= 0" in capsys.readouterr().err
+        assert "sets[1]: ball radius must lie in [0, inf), got nan" in capsys.readouterr().err
 
 
 class TestLiteralRanges:
@@ -318,28 +318,30 @@ class TestLiteralRanges:
     runs; an arithmetic value is still checked by the analysis."""
 
     @pytest.mark.parametrize("record, message", [
-        ({"kind": "injectable", "set": 0, "tau": -1.0}, "tau: must be >= 0"),
-        ({"kind": "quasi_coercive", "operator": 0, "nu": -0.5}, "nu: must be > 0"),
-        ({"kind": "affine_identities", "set": 0, "lambda": 3.0}, "lambda: must lie in (0, 2]"),
-        ({"kind": "rate_fit", "tail_fraction": 2.0}, "tail_fraction: must lie in (0, 1]"),
+        ({"kind": "injectable", "set": 0, "tau": -1.0}, "tau must lie in [0, inf], got -1.0"),
+        ({"kind": "quasi_coercive", "operator": 0, "nu": -0.5},
+         "nu must lie in (0, inf], got -0.5"),
+        ({"kind": "affine_identities", "set": 0, "lambda": 3.0},
+         "lambda must lie in (0, 2], got 3.0"),
+        ({"kind": "rate_fit", "tail_fraction": 2.0}, "tail_fraction must lie in (0, 1], got 2.0"),
     ], ids=["tau", "nu", "lambda", "tail_fraction"])
     def test_out_of_range_literal_exits_2(self, tmp_path, capsys, record, message):
         cfg = minimal_config(analyses=[record])
         path = _write(tmp_path, cfg)
         assert P.main(["run", path, "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == f"config error: {path}: analyses[0].{message}\n"
+        assert capsys.readouterr().err == f"config error: {path}: analyses[0]: {message}\n"
 
     def test_arithmetic_value_is_checked_when_run(self):
         sc = P.scenario_from_config(minimal_config(analyses=[
             {"kind": "injectable", "set": 0, "tau": {"value": 1.0, "times": -1.0}}]))
-        with pytest.raises(P.DomainError, match="tau must be >= 0"):
+        with pytest.raises(P.DomainError, match=r"tau must lie in \[0, inf\], got -1.0"):
             P.execute_scenario(sc)
 
 
 class TestRunTimeConfigErrors:
-    """A configuration error that shows only when the scenario runs (a set
-    or operator index, a reference, a label) exits 2 with its key path, as
-    one found at load time does."""
+    """A configuration error in an analysis record exits 2 with its key
+    path, whether it is found at load time (a set or operator index) or
+    only when the scenario runs (a reference, a label)."""
 
     @pytest.mark.parametrize("edit, message", [
         (lambda a: a[1].update(set=7), "analyses[1].set: set index out of range"),

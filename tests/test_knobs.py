@@ -14,16 +14,16 @@ KNOBS = {
     "analysis.check_quasi_coercive": ("samples", "seed"),
     "analysis.check_injectable": ("samples", "seed"),
     "analysis.estimate_eps_regularity": ("samples", "seed", "points"),
-    "analysis.estimate_linear_regularity": ("samples", "seed", "points"),
+    "analysis.estimate_linear_regularity": ("samples", "seed"),
     "analysis.estimate_theta_bar": ("samples", "seed"),
     "analysis.check_strong_regularity": ("samples", "seed"),
     "cli.verify_suite": ("workers", "out_root", "seed"),
     "cli.main": ("argv",),
+    "errors.check_range": ("lo_open", "hi_open"),
     "errors.check_keys": ("required", "modifiers"),
     "errors.check_int": ("most",),
     "errors.table_entry": ("tag",),
     "intersection.exact": ("members",),
-    "rates._check_range": ("lo_open", "hi_open"),
     "rates._certificate": ("start_prefactor", "stated_block"),
     "runner.run": ("max_cycles", "tol", "seed"),
     "runner.fit_rlinear": ("tail_fraction", "burn_in"),
@@ -77,4 +77,4 @@ def test_knob_inventory_is_pinned():
         PYTHONPATH=src:tests python -c "import pprint, test_knobs as t; pprint.pprint(t.knob_inventory(), width=100, sort_dicts=False)"
     """
     assert knob_inventory() == KNOBS
-    assert sum(map(len, KNOBS.values())) == 53
+    assert sum(map(len, KNOBS.values())) == 52

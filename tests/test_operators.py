@@ -132,7 +132,7 @@ class TestSemiIntrepidProjector:
 
     @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
     def test_nonfinite_tau_is_rejected(self, tau):
-        with pytest.raises(DomainError, match="must be finite"):
+        with pytest.raises(DomainError, match=r"injectability radius must lie in \[0, inf\)"):
             P.SemiIntrepidProjector(P.Ball(np.zeros(2), 1.0), 0.5, tau)
 
 

@@ -360,3 +360,37 @@ class TestCertificateProperties:
         cert = P.rate_dist_qff(gammas, betas, nu, kappa)
         assert 0.0 <= cert.rho_block
         assert cert.rho_block ** 2 <= float(np.prod(gammas)) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Finite Fejér lists and whole counts
+# ---------------------------------------------------------------------------
+
+
+class TestFiniteListsAndWholeCounts:
+    """A gamma lies in [1, inf) and a beta in (0, inf): an infinite one
+    gave a ZeroDivisionError or a NaN ratio.  A cycle length m or an index
+    j must be a whole number: m = 2.7 ran as 2 and j = 1.5 gave a
+    TypeError."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: P.rate_dist_qff([1.0, 1.0], [1.0, math.inf], 0.5, 2.0),
+         r"beta_i must lie in \(0, inf\), got inf"),
+        (lambda: P.rate_refined([1.0, 1.0], [1.0, math.inf], 2.0),
+         r"beta_i must lie in \(0, inf\), got inf"),
+        (lambda: P.rate_cyclic_dr([1.0], [math.inf], 0.5, 2.0),
+         r"beta_j must lie in \(0, inf\), got inf"),
+        (lambda: P.rate_dist_qff([math.inf, 1.0], [1.0, 1.0], 0.5, 2.0),
+         r"gamma_i must lie in \[1, inf\), got inf"),
+        (lambda: P.rate_cyclic_projections(2.7, 0.1, 2.0), "m must be a whole number, got 2.7"),
+        (lambda: P.rate_dist_qf([1.0, 1.0], [1.0], 1.5, 0.5, 2.0),
+         "j must be a whole number, got 1.5"),
+    ], ids=["dist_qff_beta_inf", "refined_beta_inf", "cyclic_dr_beta_inf", "gamma_inf",
+            "m_fraction", "j_fraction"])
+    def test_raises_domain_error(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()
+
+    def test_whole_floats_still_count(self):
+        assert P.rate_cyclic_projections(3.0, 0.1, 2.0) == P.rate_cyclic_projections(3, 0.1, 2.0)
+        assert P.rate_dist_qf([1.0, 1.0], [1.0], 1.0, 0.5, 2.0).inputs["j"] == 1

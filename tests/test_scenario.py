@@ -173,16 +173,17 @@ class TestValidation:
 
     @pytest.mark.parametrize("mutate, message", [
         pytest.param(lambda c: c["sets"][1].update(radius=-1),
-                     "sets[1]: ball radius must be finite and >= 0", id="ball_radius_negative"),
+                     "sets[1]: ball radius must lie in [0, inf), got -1.0", id="ball_radius_negative"),
         pytest.param(lambda c: c["sets"][1].update(radius=float("nan")),
-                     "sets[1]: ball radius must be finite and >= 0", id="ball_radius_nan"),
+                     "sets[1]: ball radius must lie in [0, inf), got nan", id="ball_radius_nan"),
         pytest.param(lambda c: c["sets"][0].update(b=float("nan")),
-                     "sets[0]: halfspace offset b must be finite", id="halfspace_b_nan"),
+                     "sets[0]: halfspace offset b must lie in (-inf, inf), got nan",
+                     id="halfspace_b_nan"),
         pytest.param(lambda c: c["sets"].__setitem__(1, {"type": "enlargement", "tau": 0.1,
                                                          "inner": {"type": "sphere",
                                                                    "center": [0.0, 0.0],
                                                                    "radius": float("inf")}}),
-                     "sets[1].inner: sphere radius must be finite and > 0",
+                     "sets[1].inner: sphere radius must lie in (0, inf), got inf",
                      id="inner_sphere_radius_inf"),
         pytest.param(lambda c: c["operators"][0].update({"lambda": 3.0}),
                      "operators[0]: relaxation parameter must lie in (0, 2], got 3.0",

@@ -233,13 +233,10 @@ class TestSamplingOverrides:
             assert call().samples == 12
 
     def test_explicit_points_ignore_samples(self):
-        """eps and kappa estimates on given points check no samples."""
+        """An eps estimate on given points checks no samples."""
         a = P.Halfspace(np.array([1.0, 0.0]), 0.0)
         points = P.uniform_ball(np.random.default_rng(17), np.zeros(2), 0.5, 50)
         est = P.estimate_eps_regularity(a, np.zeros(2), 1.0, samples=0, points=points)
-        assert est.samples == 50
-        est = P.estimate_linear_regularity([a], P.exact_intersection(a, (a,)), np.zeros(2),
-                                           1.0, samples=0, points=points)
         assert est.samples == 50
 
 
@@ -269,6 +266,19 @@ class TestRecordNumbers:
     def test_bad_number_names_the_key_path(self, record, message):
         assert _error(minimal_config(analyses=[{"kind": "rate_fit"}, record])) == \
             f"analyses[1].{message}"
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    @pytest.mark.parametrize("name, index, key", [
+        ("two_lines_angle_60", 6, "expect_non_convergent"),
+        ("qff_suite", 13, "expect_equality"),
+    ], ids=["expect_non_convergent", "expect_equality"])
+    def test_flags_must_be_json_booleans(self, name, index, key, value):
+        """A string or number flag was read as truthy: "false" turned the
+        rate_fit check below into a FAIL."""
+        cfg = _bundled_config(name)
+        cfg["analyses"][index][key] = value
+        assert _error(cfg) == \
+            f"analyses[{index}].{key}: must be true or false, got {json.dumps(value)}"
 
     @pytest.mark.parametrize("arithmetic, key", [
         ({"value": 0.5, "times": "2"}, "times"),
@@ -341,8 +351,8 @@ class TestModifiersAndRequiredKeys:
 
 class TestSetLists:
     """A record's `sets` is checked at parse time: strong_regularity takes
-    at least two distinct set indices and estimate_theta_bar exactly two.
-    Whether each index names a set is checked when the record runs."""
+    at least two distinct set indices and estimate_theta_bar exactly two,
+    each naming one of the scenario's sets."""
 
     @pytest.mark.parametrize("sets", [[], [0], [0, 0], 5, "01", [0, True], [0, 1.0], None],
                              ids=["empty", "one", "repeated", "int", "str", "bool", "float",
@@ -363,27 +373,37 @@ class TestSetLists:
         assert _error(cfg) == \
             f"analyses[2].sets: must be a list of two set indices, got {json.dumps(sets)}"
 
-    def test_index_range_is_checked_when_run(self):
+    def test_index_range_is_checked_at_parse_time(self):
         cfg = _bundled_config("degenerate_three_halfspaces")
         cfg["analyses"][1]["sets"] = [0, 3]
-        sc = P.scenario_from_config(cfg)
-        with pytest.raises(ConfigError, match=r"analyses\[1\]\.sets: set index out of range"):
-            P.execute_scenario(sc)
+        assert _error(cfg) == "analyses[1].sets[1]: set index out of range"
 
     @pytest.mark.parametrize("name, index, key, what", [
         ("two_lines_angle_45", 1, "set", "set"),
         ("qff_suite", 2, "operator", "operator"),
         ("qff_suite", 2, "refset", "set"),
     ])
-    def test_boolean_index_is_rejected_when_run(self, name, index, key, what):
-        """JSON true is no index, though a Python bool is an int; the
-        parent ran the estimate_eps record below on set 1 and passed."""
+    def test_boolean_index_is_rejected_at_parse_time(self, name, index, key, what):
+        """JSON true is no index, though a Python bool is an int."""
         cfg = _bundled_config(name)
         cfg["analyses"][index][key] = True
-        sc = P.scenario_from_config(cfg)
-        with pytest.raises(ConfigError,
-                           match=rf"analyses\[{index}\]\.{key}: {what} index out of range"):
-            P.execute_scenario(sc)
+        assert _error(cfg) == f"analyses[{index}].{key}: {what} index out of range"
+
+    @pytest.mark.parametrize("record, message", [
+        ({"kind": "estimate_eps", "set": 2}, "set: set index out of range"),
+        ({"kind": "estimate_theta_bar"}, "sets[1]: set index out of range"),
+        ({"kind": "quasi_firm_fejer", "operator": 0, "refset": "inner"},
+         "refset: set index out of range"),
+        ({"kind": "quasi_coercive", "operator": 0, "cset": 1.0}, "cset: set index out of range"),
+        ({"kind": "quasi_coercive", "operator": -1}, "operator: operator index out of range"),
+    ], ids=["set", "theta_default_pair", "refset_word", "cset_float", "operator"])
+    def test_indices_name_the_scenario_sets(self, record, message):
+        """Checked against a one-set, one-operator scenario, so
+        estimate_theta_bar's default pair [0, 1] names a missing set."""
+        cfg = minimal_config(analyses=[record])
+        cfg["sets"] = cfg["sets"][:1]
+        cfg["operators"] = cfg["operators"][:1]
+        assert _error(cfg) == f"analyses[0].{message}"
 
     def test_theta_bar_takes_no_delta(self):
         """estimate_theta_bar uses only the normal cones at the anchor, so
@@ -475,7 +495,7 @@ class TestCatalog:
                 record.update(theorem="rate_convex_cyclic", args={"lambdas": [1.0], "kappa": 1.0})
             if entry["name"] == "k_step":
                 record.update(rho_bound=0.5)
-            check_analysis(record, "analysis")
+            check_analysis(record, "analysis", 2, 1)
 
 
 def test_verify_is_serial_by_default(capsys):
