@@ -131,7 +131,7 @@ def check_quasi_firm_fejer(op, refset, gamma, beta, w, delta, samples=1000,
                            seed=0) -> PropertyReport:
     """Sampled test of ||x+ - xbar||^2 + beta ||x - x+||^2 <= gamma ||x - xbar||^2
     for x in B(w, delta/2) and xbar in refset intersected with B(w, delta)."""
-    gamma = check_range("gamma", gamma, 0.0, np.inf, lo_open=True)
+    gamma = check_range("gamma", gamma, 0.0, np.inf, lo_open=True, hi_open=True)
     beta = check_range("beta", beta, 0.0, np.inf)
     delta = check_range("delta", delta, 0.0, np.inf, lo_open=True, hi_open=True)
     samples = _positive_samples(samples)
@@ -151,7 +151,7 @@ def check_quasi_firm_fejer(op, refset, gamma, beta, w, delta, samples=1000,
 
 def check_quasi_coercive(op, cset, nu, w, delta, samples=1000, seed=0) -> PropertyReport:
     """Sampled test of ||x - x+|| >= nu * d_C(x) on B(w, delta/2)."""
-    nu = check_range("nu", nu, 0.0, np.inf, lo_open=True)
+    nu = check_range("nu", nu, 0.0, np.inf, lo_open=True, hi_open=True)
     delta = check_range("delta", delta, 0.0, np.inf, lo_open=True, hi_open=True)
     samples = _positive_samples(samples)
     w = as_vector(w)
@@ -171,7 +171,7 @@ def check_injectable(s: ClosedSet, tau, w, delta, samples=1000, seed=0) -> Prope
     [p, p + tau (p - x)/||p - x||] must stay in the set; each segment is
     probed at 20 evenly spaced points, all in one batch.
     """
-    tau = check_range("tau", tau, 0.0, np.inf)
+    tau = check_range("tau", tau, 0.0, np.inf, hi_open=True)
     delta = check_range("delta", delta, 0.0, np.inf, lo_open=True, hi_open=True)
     samples = _positive_samples(samples)
     w = as_vector(w)

@@ -1,6 +1,7 @@
-"""Exception types shared across the library, the one interval check that
-raises DomainError for every numeric parameter, and the key checks that
-raise ConfigError for every config record."""
+"""Exception types shared across the library, the one interval check and
+the one whole-number check that raise DomainError for every numeric
+parameter, and the key checks that raise ConfigError for every config
+record."""
 
 import re
 import sys
@@ -68,6 +69,14 @@ def check_range(name, value, lo, hi, lo_open=False, hi_open=False):
         raise DomainError(f"{name} must lie in {'(' if lo_open else '['}{lo:.16g}, "
                           f"{hi:.16g}{')' if hi_open else ']'}, got {v}")
     return v
+
+
+def check_whole(name, value):
+    """`value` as an int if it is a whole number, else a DomainError naming
+    `name`.  NaN and the infinities are not whole."""
+    if not float(value).is_integer():
+        raise DomainError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 # A message that starts with a key path, e.g. "members[1].radius: ...".

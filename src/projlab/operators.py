@@ -1,10 +1,12 @@
 """Projection-based fixed-point operators.
 
-All operators act on a single point and return a new array; selections are
-inherited from the canonical projections of the set catalog, so repeated
-application replays exactly.  Each family writes its step once, in a kernel
-on validated (n, d) rows that calls the catalog's `_nearest_many`: `apply`
-is its one-row call and `apply_many` maps each row of an (n, d) array.
+Selections are inherited from the canonical projections of the set catalog,
+so repeated application replays exactly.  Each family writes its step once,
+in a private kernel `_rows` on validated (n, d) rows that calls the catalog's
+`_nearest_many`, and reports its `dim`.  `apply` is the one-row call of
+`_rows` and `apply_many` its call on every row of an (n, d) array; both
+validate their input once.  `CyclicTuple.apply` and `runner.run` validate
+one point and then step a (1, d) row through the members' kernels.
 """
 
 from __future__ import annotations
@@ -31,6 +33,16 @@ def _relax(s: ClosedSet, lam, X):
     return X + lam * (s._nearest_many(X)[0] - X)
 
 
+def _one_row(self, x):
+    """The operator at one point: the one-row call of `_rows`, x validated once."""
+    return self._rows(as_vector(x, self.dim)[None, :])[0]
+
+
+def _each_row(self, X):
+    """Row i is apply(X[i]) for an (n, dim) array X."""
+    return self._rows(as_points(X, self.dim))
+
+
 @dataclass(frozen=True, eq=False)
 class RelaxedProjector:
     """x -> (1 - lam) x + lam P(x) with lam in (0, 2]; lam = 2 is the reflector."""
@@ -42,11 +54,16 @@ class RelaxedProjector:
         object.__setattr__(self, "lam", check_range("relaxation parameter", self.lam, 0.0, 2.0,
                                                     lo_open=True))
 
-    def apply(self, x):
-        return _relax(self.target, self.lam, as_vector(x, self.target.dim)[None, :])[0]
+    @property
+    def dim(self) -> int:
+        return self.target.dim
 
-    def apply_many(self, X):
-        return _relax(self.target, self.lam, as_points(X, self.target.dim))
+    apply = _one_row
+    apply_many = _each_row
+
+    def _rows(self, X):
+        """The step of each row of a validated (n, d) array X."""
+        return _relax(self.target, self.lam, X)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,11 +83,12 @@ class SemiIntrepidProjector:
         object.__setattr__(self, "tau", check_range("injectability radius", self.tau, 0.0,
                                                     np.inf, hi_open=True))
 
-    def apply(self, x):
-        return self._rows(as_vector(x, self.target.dim)[None, :])[0]
+    @property
+    def dim(self) -> int:
+        return self.target.dim
 
-    def apply_many(self, X):
-        return self._rows(as_points(X, self.target.dim))
+    apply = _one_row
+    apply_many = _each_row
 
     def _rows(self, X):
         """The step of each row of a validated (n, d) array X."""
@@ -103,15 +121,20 @@ class GeneralizedDR:
             object.__setattr__(self, name, check_range(name, getattr(self, name), 0.0, hi,
                                                        lo_open=True))
 
+    @property
+    def dim(self) -> int:
+        return self.set_a.dim
+
     def apply_with_trace(self, x):
         """Return (r, s, out): the two relaxed steps and the averaged point."""
-        return tuple(Y[0] for Y in self._steps_many(as_vector(x, self.set_a.dim)[None, :]))
+        return tuple(Y[0] for Y in self._steps_many(as_vector(x, self.dim)[None, :]))
 
-    def apply(self, x):
-        return self.apply_with_trace(x)[2]
+    apply = _one_row
+    apply_many = _each_row
 
-    def apply_many(self, X):
-        return self._steps_many(as_points(X, self.set_a.dim))[2]
+    def _rows(self, X):
+        """The step of each row of a validated (n, d) array X."""
+        return self._steps_many(X)[2]
 
     def _steps_many(self, X):
         """(R, S, out) for the rows of a validated (n, d) array X."""
@@ -122,7 +145,8 @@ class GeneralizedDR:
 
 @dataclass(frozen=True, eq=False)
 class CyclicTuple:
-    """A flat, nonempty tuple of operators applied in order (one full cycle)."""
+    """A flat, nonempty tuple of catalog operators of one dimension, applied
+    in order (one full cycle)."""
 
     members: tuple
 
@@ -130,14 +154,23 @@ class CyclicTuple:
         members = tuple(self.members)
         if not members:
             raise DomainError("cyclic tuple must be nonempty")
-        if any(isinstance(m, CyclicTuple) for m in members):
-            raise DomainError("cyclic tuples do not nest")
+        for m in members:
+            if type(m) not in _TAGS:  # a CyclicTuple is none, so tuples do not nest
+                raise DomainError(f"cyclic tuple members must be catalog operators, "
+                                  f"got {type(m).__name__}")
+        if len({m.dim for m in members}) > 1:
+            raise DimensionMismatch("cyclic tuple members must share one dimension")
         object.__setattr__(self, "members", members)
 
+    @property
+    def dim(self) -> int:
+        return self.members[0].dim
+
     def apply(self, x):
+        X = as_vector(x, self.dim)[None, :]
         for op in self.members:
-            x = op.apply(x)
-        return x
+            X = op._rows(X)
+        return X[0]
 
     def __len__(self):
         return len(self.members)

@@ -20,6 +20,7 @@ from .errors import (
     MoreThanOneReflection,
     StrongRegularityFailed,
     check_range,
+    check_whole,
 )
 
 
@@ -51,13 +52,6 @@ class RateCertificate:
         if not self.applicable:
             raise DomainError("sigma undefined for a non-applicable certificate")
         return self.gamma_total * (1.0 + self.gamma_total) * d0 / (1.0 - self.rho_block)
-
-
-def _whole(name, value):
-    """`value` as an int, or DomainError unless it is a whole number."""
-    if not float(value).is_integer():  # nan and inf fail
-        raise DomainError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
 
 
 def _certificate(theorem, inputs, gamma_total, bracket, block_len,
@@ -201,7 +195,7 @@ def rate_dist_qf(gamma_list, beta_list_no_j, j, nu, kappa) -> RateCertificate:
     m = len(gammas)
     if m < 2:
         raise DomainError("need at least two operators")
-    j = _whole("j", j)
+    j = check_whole("j", j)
     if not 0 <= j < m:
         raise DomainError(f"index j must name one of the {m} operators")
     if len(betas) != m - 1:
@@ -318,7 +312,7 @@ def rate_cyclic_overrelaxed(lam_list, eps, kappa) -> RateCertificate:
 def rate_cyclic_projections(m, eps, kappa) -> RateCertificate:
     """Plain cyclic projections over m sets:
     rho^(2(m-1)) = [(1-eps)^-(m-1) - ((m-1) kappa^2)^-1]_+."""
-    m = _whole("m", m)
+    m = check_whole("m", m)
     if m < 2:
         raise DomainError("need at least two sets")
     eps = check_range("eps", eps, 0.0, 1.0, hi_open=True)

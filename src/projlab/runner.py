@@ -10,13 +10,20 @@ comparisons convert both sides to per-iterate rates before applying slack.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import CHECK_TOL, PropertyReport, margin_report
-from .errors import CertificateViolated, DomainError, InsufficientData, check_range
+from .errors import (
+    CertificateViolated,
+    DomainError,
+    InsufficientData,
+    check_range,
+    check_whole,
+)
 from .intersection import IntersectionHandle
 from .operators import CyclicTuple
 from .rates import RateCertificate
@@ -73,34 +80,45 @@ def run(operators, x0, sets, intersection: IntersectionHandle,
         max_cycles=10_000, tol=1e-10, seed=0) -> Trajectory:
     """Iterate the cyclic tuple from x0 until the intersection distance at a
     cycle end drops to tol, the cycle budget runs out, or the iterate norm
-    exceeds 1e12 (stop_reason Diverged, never an exception)."""
+    exceeds 1e12 (stop_reason Diverged, never an exception).
+
+    x0 is validated once, against every operator's and the intersection's
+    dimension; the loop then steps a (1, d) row through the operators'
+    `_rows` kernels and the intersection's `_nearest_many`, the calls that
+    `apply` and `distance` make on one validated point.  An iterate with a
+    NaN entry raises the DomainError those entry points would raise.
+    """
     cycle = operators if isinstance(operators, CyclicTuple) else CyclicTuple(operators)
     members = cycle.members
     x = as_vector(x0)
     sets = tuple(sets)
-    check_range("max_cycles", max_cycles, 1.0, np.inf)
+    max_cycles = check_whole("max_cycles", check_range("max_cycles", max_cycles, 1.0, np.inf))
     check_range("tol", tol, 0.0, np.inf, lo_open=True)
+    for dim in (cycle.dim, intersection.dim):
+        as_vector(x, dim)
     t0 = time.perf_counter()
-    points = [x.copy()]
+    X = x[None, :].copy()
+    points = [X]
     op_index = [-1]
     stop = "Budget"
     for _ in range(max_cycles):
-        diverged = False
         for j, op in enumerate(members):
-            x = op.apply(x)
-            points.append(x.copy())
+            X = op._rows(X)
+            points.append(X)
             op_index.append(j)
-            if np.linalg.norm(x) > DIVERGENCE_NORM:
-                diverged = True
+            norm = row_norms(X)[0]
+            if norm > DIVERGENCE_NORM:
+                stop = "Diverged"
                 break
-        if diverged:
-            stop = "Diverged"
+            if math.isnan(norm):  # where the next apply or distance would raise
+                raise DomainError("vector entries must be finite")
+        if stop == "Diverged":
             break
-        if intersection.distance(x) <= tol:
+        if intersection._nearest_many(X)[1][0] <= tol:
             stop = "Converged"
             break
     wall = time.perf_counter() - t0
-    P = np.array(points)
+    P = np.concatenate(points)
     sd = np.column_stack([s.distance_many(P) for s in sets]) if sets \
         else np.zeros((P.shape[0], 0))
     cd = intersection.distance_many(P)
@@ -138,7 +156,7 @@ def fit_rlinear(errors, tail_fraction=0.5, burn_in=10) -> RateFit:
     if e.size < 10:
         raise InsufficientData(f"need at least 10 error entries, got {e.size}")
     check_range("tail_fraction", tail_fraction, 0.0, 1.0, lo_open=True)
-    check_range("burn_in", burn_in, 0.0, np.inf)
+    burn_in = check_whole("burn_in", check_range("burn_in", burn_in, 0.0, np.inf))
     burn_in = min(burn_in, e.size)
     idx = np.arange(e.size)[burn_in:]
     tail = e[burn_in:]
@@ -204,7 +222,7 @@ def check_k_step_reduction(traj: Trajectory, k, rho_bound) -> PropertyReport:
 
     Blocks whose start sits at the error floor pass trivially.
     """
-    check_range("k", k, 1.0, np.inf)
+    k = check_whole("k", check_range("k", k, 1.0, np.inf))
     if traj.n_points - 1 < 2 * k:
         raise DomainError("trajectory must contain at least 2k applications")
     e = traj.c_dist

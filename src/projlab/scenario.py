@@ -747,8 +747,8 @@ _FINITE_KEYS = ("tail_fraction", "expect_rho", "expect_tol", "slack", "equality_
 _BOOL_KEYS = ("expect_non_convergent", "expect_equality")
 # The check_range bounds of each number an analysis takes from its record.  A
 # literal number is checked here; an "@label" or arithmetic value when it resolves.
-_RANGES = {"tau": (0.0, np.inf), "nu": (0.0, np.inf, True), "lambda": (0.0, 2.0, True),
-           "tail_fraction": (0.0, 1.0, True)}
+_RANGES = {"tau": (0.0, np.inf, False, True), "nu": (0.0, np.inf, True, True),
+           "lambda": (0.0, 2.0, True), "tail_fraction": (0.0, 1.0, True)}
 
 
 def _check_values(record):

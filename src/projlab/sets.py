@@ -749,8 +749,11 @@ class FinitePointSet(ClosedSet):
             raise DimensionMismatch("points must be a nonempty (n, d) array")
         if not np.all(np.isfinite(pts)):
             raise DomainError("points must be finite")
+        rank = np.empty(pts.shape[0], dtype=int)
+        rank[np.lexsort(pts.T[::-1])] = np.arange(pts.shape[0])  # lexicographic
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "dim", pts.shape[1])
+        object.__setattr__(self, "_rank", rank)  # not a field, so not in to_config
 
     def project(self, x):
         x = as_vector(x, self.dim)
@@ -764,10 +767,7 @@ class FinitePointSet(ClosedSet):
     def _nearest_many(self, X):
         dists = np.linalg.norm(self.points - X[:, None, :], axis=2)
         dmin = dists.min(axis=1)
-        k = self.points.shape[0]
-        rank = np.empty(k, dtype=int)
-        rank[np.lexsort(self.points.T[::-1])] = np.arange(k)  # lexicographic
-        tied_rank = np.where(dists <= dmin[:, None] + TIE_TOL, rank, k)
+        tied_rank = np.where(dists <= dmin[:, None] + TIE_TOL, self._rank, self._rank.size)
         return self.points[np.argmin(tied_rank, axis=1)], dmin
 
     def _sole_minimizer_many(self, X):

@@ -318,9 +318,9 @@ class TestLiteralRanges:
     runs; an arithmetic value is still checked by the analysis."""
 
     @pytest.mark.parametrize("record, message", [
-        ({"kind": "injectable", "set": 0, "tau": -1.0}, "tau must lie in [0, inf], got -1.0"),
+        ({"kind": "injectable", "set": 0, "tau": -1.0}, "tau must lie in [0, inf), got -1.0"),
         ({"kind": "quasi_coercive", "operator": 0, "nu": -0.5},
-         "nu must lie in (0, inf], got -0.5"),
+         "nu must lie in (0, inf), got -0.5"),
         ({"kind": "affine_identities", "set": 0, "lambda": 3.0},
          "lambda must lie in (0, 2], got 3.0"),
         ({"kind": "rate_fit", "tail_fraction": 2.0}, "tail_fraction must lie in (0, 1], got 2.0"),
@@ -334,7 +334,7 @@ class TestLiteralRanges:
     def test_arithmetic_value_is_checked_when_run(self):
         sc = P.scenario_from_config(minimal_config(analyses=[
             {"kind": "injectable", "set": 0, "tau": {"value": 1.0, "times": -1.0}}]))
-        with pytest.raises(P.DomainError, match=r"tau must lie in \[0, inf\], got -1.0"):
+        with pytest.raises(P.DomainError, match=r"tau must lie in \[0, inf\), got -1.0"):
             P.execute_scenario(sc)
 
 

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import projlab as P
 from projlab import ConfigError, DomainError
+from projlab.operators import OPERATOR_TYPES
 
 
 def _convex_sets():
@@ -198,7 +202,7 @@ class TestCyclicTuple:
         cyc = P.CyclicTuple(ops)
         x = np.array([1.0, 2.0])
         manual = ops[1].apply(ops[0].apply(x))
-        assert np.allclose(cyc.apply(x), manual, atol=1e-15)
+        assert cyc.apply(x).tobytes() == manual.tobytes()
         assert len(cyc) == 2
         # order matters for these two sets
         other = P.CyclicTuple((ops[1], ops[0])).apply(x)
@@ -212,6 +216,43 @@ class TestCyclicTuple:
         )
         with pytest.raises(DomainError):
             P.CyclicTuple((inner,))
+
+    def test_rejects_a_non_catalog_member(self):
+        with pytest.raises(DomainError, match="catalog operators, got object"):
+            P.CyclicTuple((P.RelaxedProjector(P.Ball(np.zeros(2), 1.0), 1.0), object()))
+
+
+def _family_cases():
+    """One operator of each family, in R^3, on sets with closed forms."""
+    ball, half = P.Ball(np.array([0.2, 0.0, -0.1]), 1.0), P.Halfspace(np.ones(3), 0.5)
+    cone = P.PolyhedralCone(np.eye(3) + 0.2)
+    return {
+        "relaxed": P.RelaxedProjector(cone, 1.5),
+        "semi_intrepid": P.SemiIntrepidProjector(ball, 0.7, 0.3),
+        "generalized_dr": P.GeneralizedDR(half, ball, 2.0, 1.0, 0.5),
+    }
+
+
+FAMILY_CASES = _family_cases()
+
+
+class TestLayout:
+    """Each family writes its step once, in `_rows`, and `apply` is its
+    one-row call."""
+
+    @pytest.mark.parametrize("tag", sorted(OPERATOR_TYPES))
+    def test_each_family_defines_rows_and_dim(self, tag):
+        cls = OPERATOR_TYPES[tag].cls
+        assert "_rows" in cls.__dict__ and "dim" in cls.__dict__
+        assert FAMILY_CASES[tag].dim == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=arrays(float, 3, elements=st.floats(-5.0, 5.0, allow_subnormal=False)),
+           tag=st.sampled_from(sorted(OPERATOR_TYPES)))
+    def test_apply_is_the_one_row_call_of_rows(self, x, tag):
+        op = FAMILY_CASES[tag]
+        assert op.apply(x).tobytes() == op._rows(x[None, :])[0].tobytes()
+        assert op.apply_many(x[None, :]).tobytes() == op._rows(x[None, :]).tobytes()
 
 
 class TestOperatorConfig:

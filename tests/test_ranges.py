@@ -1,16 +1,18 @@
 """The one interval check, `errors.check_range`: its endpoints, NaN, which
 lies in no interval, and every public entry point whose numeric parameters
-go through it."""
+go through it; the one whole-number check, `errors.check_whole`, and the
+entry points whose counts go through it."""
 
 import ast
 import math
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import projlab as P
-from projlab.errors import check_range
+from projlab.errors import check_range, check_whole
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "projlab"
 NAN = math.nan
@@ -43,6 +45,18 @@ class TestCheckRange:
         assert check_range("k", np.int64(3), 1.0, math.inf) == 3.0
 
 
+class TestCheckWhole:
+    def test_whole_values_come_back_as_ints(self):
+        for v in (0, 3, 3.0, np.int64(7), -2.0):
+            got = check_whole("n", v)
+            assert type(got) is int and got == v
+
+    @pytest.mark.parametrize("v", [2.5, 1e-300, NAN, math.inf, -math.inf])
+    def test_fractions_nan_and_infinities_raise(self, v):
+        with pytest.raises(P.DomainError, match="n must be a whole number"):
+            check_whole("n", v)
+
+
 def _ball():
     return P.Ball(np.zeros(2), 1.0)
 
@@ -53,6 +67,12 @@ def _line():
 
 def _relaxed():
     return P.RelaxedProjector(_line(), 1.0)
+
+
+def _run(**kw):
+    """A run of one projector onto a line, which is its own intersection."""
+    return P.run([_relaxed()], np.array([1.0, 1.0]), [_line()],
+                 P.exact_intersection(_line(), (_line(),)), **kw)
 
 
 def _trajectory():
@@ -91,8 +111,7 @@ CALLS = {
     "GeneralizedDR": (lambda lam, mu, a: P.GeneralizedDR(_ball(), _line(), lam, mu, a),
                       (1.0, 1.0, 0.5)),
     "eta": (P.eta, (1.0, 1.0, 0.5)),
-    "run": (lambda tol: P.run([_relaxed()], np.array([1.0, 1.0]), [_line()],
-                              P.exact_intersection(_line(), (_line(),)), tol=tol), (1e-10,)),
+    "run": (lambda tol: _run(tol=tol), (1e-10,)),
     "fit_rlinear": (lambda tail, burn: P.fit_rlinear(0.5 ** np.arange(20.0), tail, burn),
                     (0.5, 2)),
     "check_k_step_reduction": (lambda k: P.check_k_step_reduction(_trajectory(), k, 0.5),
@@ -121,6 +140,38 @@ def test_nan_in_any_scalar_argument_raises(fn, good, bad):
     fn(*good)
     with pytest.raises(P.DomainError):
         fn(*bad)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _run(max_cycles=2.5), "max_cycles must be a whole number, got 2.5"),
+    (lambda: _run(max_cycles=math.inf), "max_cycles must be a whole number, got inf"),
+    (lambda: P.fit_rlinear(0.5 ** np.arange(20.0), 0.5, 2.5),
+     "burn_in must be a whole number, got 2.5"),
+    (lambda: P.check_k_step_reduction(_trajectory(), 1.5, 0.5),
+     "k must be a whole number, got 1.5"),
+], ids=["max_cycles_fraction", "max_cycles_inf", "burn_in_fraction", "k_fraction"])
+def test_whole_number_parameters_raise_domain_error(call, message):
+    with pytest.raises(P.DomainError, match=message):
+        call()
+
+
+def test_whole_floats_still_count():
+    traj = _trajectory()
+    assert P.check_k_step_reduction(traj, 2.0, 0.5).extra["k"] == 2
+    assert astuple(P.fit_rlinear(traj.c_dist, 0.5, 2.0)) \
+        == astuple(P.fit_rlinear(traj.c_dist, 0.5, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: P.check_injectable(_ball(), math.inf, np.zeros(2), 0.5, samples=20),
+    lambda: P.check_quasi_firm_fejer(_relaxed(), _line(), math.inf, 1.0, np.zeros(2), 0.5,
+                                     samples=20),
+    lambda: P.check_quasi_coercive(_relaxed(), _line(), math.inf, np.zeros(2), 0.5,
+                                   samples=20),
+], ids=["injectable_tau", "quasi_firm_fejer_gamma", "quasi_coercive_nu"])
+def test_an_infinite_constant_raises_rather_than_passing_vacuously(call):
+    with pytest.raises(P.DomainError, match=r"must lie in .*, inf\), got inf"):
+        call()
 
 
 def test_interval_wording_lives_in_check_range_only():

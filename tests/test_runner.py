@@ -5,9 +5,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import projlab as P
-from projlab import CertificateViolated, InsufficientData
+from projlab import CertificateViolated, DimensionMismatch, DomainError, InsufficientData
+from projlab.operators import OPERATOR_TYPES, operator_type
+from projlab.runner import DIVERGENCE_NORM
+from projlab.sets import ProjectionResult
 
 from conftest import two_lines
 
@@ -87,6 +93,213 @@ class TestRun:
         assert pts.shape[0] == traj.n_cycles + 1
         assert np.array_equal(pts[0], traj.points[0])
         assert np.array_equal(pts[1], traj.points[traj.cycle_len])
+
+
+def _reference_run(operators, x0, sets, intersection, max_cycles=10_000, tol=1e-10):
+    """The per-point loop `run` replaced, kept as its reference: one `apply`
+    and one `distance` per step, each validating its point.  Returns the
+    fields of a Trajectory that the loop decides."""
+    members = operators.members if isinstance(operators, P.CyclicTuple) else tuple(operators)
+    x = np.asarray(x0, dtype=float)
+    points = [x.copy()]
+    op_index = [-1]
+    stop = "Budget"
+    for _ in range(max_cycles):
+        diverged = False
+        for j, op in enumerate(members):
+            x = op.apply(x)
+            points.append(x.copy())
+            op_index.append(j)
+            if np.linalg.norm(x) > DIVERGENCE_NORM:
+                diverged = True
+                break
+        if diverged:
+            stop = "Diverged"
+            break
+        if intersection.distance(x) <= tol:
+            stop = "Converged"
+            break
+    pts = np.array(points)
+    sd = np.column_stack([s.distance_many(pts) for s in sets])
+    return pts, np.array(op_index, dtype=int), sd, intersection.distance_many(pts), stop
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _assert_run_matches_reference(ops, x0, sets, inter, **kw):
+    traj = P.run(ops, x0, sets, inter, **kw)
+    pts, op_index, sd, cd, stop = _reference_run(ops, x0, sets, inter, **kw)
+    assert traj.stop_reason == stop
+    for got, want in ((traj.points, pts), (traj.op_index, op_index),
+                      (traj.set_dists, sd), (traj.c_dist, cd)):
+        assert _same_bits(got, want)
+    return traj
+
+
+def _line(angle):
+    return P.Hyperplane(np.array([-math.sin(angle), math.cos(angle)]), 0.0)
+
+
+def _origin(d=2):
+    return P.FinitePointSet(np.zeros((1, d)))
+
+
+def _equivalence_cases():
+    """(ops, x0, sets, intersection, run keywords, expected stop) per case."""
+    a, b = _line(0.0), _line(math.pi / 6)
+    lines = (a, b)
+    exact = P.exact_intersection(_origin(), lines)
+    disc, half = P.Ball(np.zeros(2), 1.0), P.Halfspace(np.array([1.0, 1.0]), 0.5)
+    lens = (disc, P.Ball(np.array([1.2, 0.0]), 1.0))
+    pa, pb = P.FinitePointSet(np.array([[0.0, 0.0]])), P.FinitePointSet(np.array([[6e10, 0.0]]))
+    cone = P.PolyhedralCone(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, -1.0, 1.0]]))
+    plane = P.Hyperplane(np.array([0.2, 0.0, 1.0]), 0.0)
+    return {
+        "relaxed_lam1_exact": (
+            [P.RelaxedProjector(s, 1.0) for s in lines], np.array([0.9, 0.35]), lines, exact,
+            {"max_cycles": 300, "tol": 1e-12}, "Converged"),
+        "relaxed_lam2_budget": (
+            [P.RelaxedProjector(P.Orthant((1, 1)), 2.0),
+             P.RelaxedProjector(P.Orthant((-1, -1)), 2.0)], np.array([1.0, 2.0]),
+            (P.Orthant((1, 1)), P.Orthant((-1, -1))),
+            P.exact_intersection(_origin(), ()), {"max_cycles": 30, "tol": 1e-12}, "Budget"),
+        "relaxed_lam2_diverged": (
+            [P.RelaxedProjector(pa, 2.0), P.RelaxedProjector(pb, 2.0)], np.array([1.0, 1.0]),
+            (pa, pb), P.exact_intersection(_origin(), ()), {"max_cycles": 100}, "Diverged"),
+        "relaxed_oracle_budget": (
+            [P.RelaxedProjector(a, 1.5), P.RelaxedProjector(b, 1.0)], np.array([3.0, -2.0]),
+            lines, P.oracle_intersection(lines), {"max_cycles": 12, "tol": 1e-300}, "Budget"),
+        "semi_intrepid_oracle": (
+            [P.SemiIntrepidProjector(s, 0.5, 0.1) for s in lens], np.array([0.6, 2.0]), lens,
+            P.oracle_intersection(lens), {"max_cycles": 200}, "Converged"),
+        "semi_intrepid_oracle_lines": (
+            [P.SemiIntrepidProjector(s, 0.3, 0.05) for s in lines], np.array([1.0, -2.5]),
+            lines, P.oracle_intersection(lines), {"max_cycles": 500}, "Converged"),
+        "semi_intrepid_exact": (
+            [P.SemiIntrepidProjector(s, 0.3, 0.05) for s in lines], np.array([-2.0, 1.5]),
+            lines, exact, {"max_cycles": 500, "tol": 1e-12}, "Converged"),
+        "dr_exact": (
+            [P.GeneralizedDR(a, b, 2.0, 2.0, 0.5)], np.array([0.9, 0.35]), lines, exact,
+            {"max_cycles": 500, "tol": 1e-12}, "Converged"),
+        "dr_oracle": (
+            [P.GeneralizedDR(disc, half, 1.0, 1.5, 0.7)], np.array([-1.5, 2.5]), (disc, half),
+            P.oracle_intersection((disc, half)), {"max_cycles": 200}, "Converged"),
+        "mixed_families_cone": (
+            [P.RelaxedProjector(cone, 1.0), P.SemiIntrepidProjector(plane, 0.5, 0.2),
+             P.GeneralizedDR(cone, plane, 1.0, 1.0, 0.5)], np.array([0.8, 0.8, -0.5]),
+            (cone, plane), P.exact_intersection(_origin(3), (cone, plane)),
+            {"max_cycles": 50, "tol": 1e-300}, "Converged"),
+    }
+
+
+EQUIVALENCE_CASES = _equivalence_cases()
+
+
+class TestRunMatchesPerPointLoop:
+    """`run` steps a (1, d) row through private kernels; every field the
+    loop decides matches the per-point loop bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CASES))
+    def test_case_matches_reference(self, name):
+        ops, x0, sets, inter, kw, stop = EQUIVALENCE_CASES[name]
+        traj = _assert_run_matches_reference(ops, x0, sets, inter, **kw)
+        assert traj.stop_reason == stop
+
+    def test_cases_cover_every_family_stop_and_intersection(self):
+        cases = EQUIVALENCE_CASES.values()
+        ops = [op for case in cases for op in case[0]]
+        assert {operator_type(op) for op in ops} == set(OPERATOR_TYPES)
+        assert {op.lam for op in ops if isinstance(op, P.RelaxedProjector)} >= {1.0, 2.0}
+        assert {case[5] for case in cases} == {"Converged", "Budget", "Diverged"}
+        assert {case[3].approximate for case in cases} == {False, True}
+
+    @settings(max_examples=40, deadline=None)
+    @given(x0=arrays(float, 2, elements=st.floats(-4.0, 4.0, allow_subnormal=False)),
+           family=st.sampled_from(["relaxed_lam1_exact", "relaxed_oracle_budget",
+                                   "semi_intrepid_oracle_lines", "dr_exact", "dr_oracle"]))
+    def test_any_start_matches_reference(self, x0, family):
+        ops, _, sets, inter, kw, _ = EQUIVALENCE_CASES[family]
+        _assert_run_matches_reference(ops, x0, sets, inter, **dict(kw, max_cycles=20))
+
+
+class _CountingSet(P.ClosedSet):
+    """A test-only wrapper that counts the rows its oracle is asked for."""
+
+    def __init__(self, inner):
+        self.inner, self.dim, self.rows = inner, inner.dim, 0
+
+    def project(self, x):
+        self.rows += 1
+        return self.inner.project(x)
+
+    def _nearest_many(self, X):
+        self.rows += X.shape[0]
+        return self.inner._nearest_many(X)
+
+
+class _NanSet(P.ClosedSet):
+    """A test-only set whose projection is NaN everywhere."""
+
+    def __init__(self, dim):
+        self.dim, self.rows = dim, 0
+
+    def project(self, x):
+        self.rows += 1
+        p = np.full(self.dim, np.nan)
+        return ProjectionResult(p, (p,), False, math.nan)
+
+
+class TestRunErrors:
+    """`run` validates once: a bad input raises before any step, and a NaN
+    iterate raises where the per-point loop raised."""
+
+    def _counted_line(self):
+        line = _CountingSet(_line(0.0))
+        return line, [P.RelaxedProjector(line, 1.0)]
+
+    def test_x0_of_the_wrong_dimension(self):
+        line, ops = self._counted_line()
+        with pytest.raises(DimensionMismatch, match="expected dimension 2, got 3"):
+            P.run(ops, np.ones(3), [line], P.exact_intersection(_origin()))
+        assert line.rows == 0
+
+    def test_members_of_different_dimensions(self):
+        line, ops = self._counted_line()
+        other = P.RelaxedProjector(P.Ball(np.zeros(3), 1.0), 1.0)
+        with pytest.raises(DimensionMismatch, match="share one dimension"):
+            P.CyclicTuple((ops[0], other))
+        with pytest.raises(DimensionMismatch):
+            P.run(ops + [other], np.ones(2), [line], P.exact_intersection(_origin()))
+        assert line.rows == 0
+
+    def test_intersection_of_another_dimension(self):
+        line, ops = self._counted_line()
+        with pytest.raises(DimensionMismatch, match="expected dimension 3, got 2"):
+            P.run(ops, np.ones(2), [line], P.exact_intersection(_origin(3)))
+        assert line.rows == 0  # the per-point loop stepped once, then raised
+
+    @pytest.mark.parametrize("first", [False, True], ids=["last_member", "first_member"])
+    def test_nan_projection_raises_where_the_loop_raised(self, first):
+        def setup():
+            nan = _NanSet(2)
+            line = _CountingSet(_line(0.0))
+            ops = [P.RelaxedProjector(nan, 1.0), P.RelaxedProjector(line, 1.0)]
+            return nan, line, ops[::1 if first else -1]
+
+        for call in (P.run, _reference_run):
+            nan, line, ops = setup()
+            with pytest.raises(DomainError, match="vector entries must be finite"):
+                call(ops, np.array([1.0, 2.0]), [line], P.exact_intersection(_origin()))
+            assert (nan.rows, line.rows) == ((1, 0) if first else (1, 1))
+
+    def test_non_catalog_member_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="catalog operators, got function"):
+            P.CyclicTuple((lambda x: x,))
+        with pytest.raises(DomainError, match="catalog operators"):
+            P.run([object()], np.ones(2), [], P.exact_intersection(_origin()))
 
 
 class TestDetectCycle:
