@@ -30,6 +30,10 @@ _DUPLICATE_COS = 1.0 - 1e-9  # normal directions closer than this are one
 # Bound on the temporaries of one chunk of eps-regularity sites.
 _EPS_CHUNK_BYTES = 1 << 20
 _SIMPLEX_WEIGHT = 1e3  # weight of the sum-to-one row in _simplex_min_norm
+# The intervals of the injectability radius and the coercivity constant, as
+# check_range's (lo, hi, lo_open, hi_open).
+TAU_RANGE = (0.0, np.inf, False, True)
+NU_RANGE = (0.0, np.inf, True, True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +155,7 @@ def check_quasi_firm_fejer(op, refset, gamma, beta, w, delta, samples=1000,
 
 def check_quasi_coercive(op, cset, nu, w, delta, samples=1000, seed=0) -> PropertyReport:
     """Sampled test of ||x - x+|| >= nu * d_C(x) on B(w, delta/2)."""
-    nu = check_range("nu", nu, 0.0, np.inf, lo_open=True, hi_open=True)
+    nu = check_range("nu", nu, *NU_RANGE)
     delta = check_range("delta", delta, 0.0, np.inf, lo_open=True, hi_open=True)
     samples = _positive_samples(samples)
     w = as_vector(w)
@@ -171,7 +175,7 @@ def check_injectable(s: ClosedSet, tau, w, delta, samples=1000, seed=0) -> Prope
     [p, p + tau (p - x)/||p - x||] must stay in the set; each segment is
     probed at 20 evenly spaced points, all in one batch.
     """
-    tau = check_range("tau", tau, 0.0, np.inf, hi_open=True)
+    tau = check_range("tau", tau, *TAU_RANGE)
     delta = check_range("delta", delta, 0.0, np.inf, lo_open=True, hi_open=True)
     samples = _positive_samples(samples)
     w = as_vector(w)

@@ -8,9 +8,10 @@ approximate wherever it is reported.
 
 A handle answers `project_many`/`distance_many` as a catalog set does, and
 `nearest`/`distance` are their one-row calls, for exact and oracle handles
-alike.  The fallback sweeps every live row of a batch through the members at
-once; a row drops out after the first sweep that moves it by at most
-`_FALLBACK_TOL`, so each row gets the same sweeps it would get on its own.
+alike.  The fallback sweeps every live row of a batch through the members'
+`_canonical_many` at once, reading no member distance; a row drops out after
+the first sweep that moves it by at most `_FALLBACK_TOL`, so each row gets
+the same sweeps it would get on its own.
 """
 
 from __future__ import annotations
@@ -49,14 +50,14 @@ class IntersectionHandle:
         return self.members[0].dim
 
     def nearest(self, x) -> np.ndarray:
-        return self._nearest_many(as_vector(x, self.dim)[None, :])[0][0]
+        return self._canonical_many(as_vector(x, self.dim)[None, :])[0]
 
     def distance(self, x) -> float:
         return float(self._nearest_many(as_vector(x, self.dim)[None, :])[1][0])
 
     def project_many(self, X) -> np.ndarray:
         """Row i is nearest(X[i]) for an (n, dim) array X."""
-        return self._nearest_many(as_points(X, self.dim))[0]
+        return self._canonical_many(as_points(X, self.dim))
 
     def distance_many(self, X) -> np.ndarray:
         """Entry i is distance(X[i]) for an (n, dim) array X."""
@@ -66,6 +67,13 @@ class IntersectionHandle:
         """(nearest points, distances) of the rows of a validated X."""
         if self.descriptor is not None:
             return self.descriptor._nearest_many(X)
+        Y = self._canonical_many(X)
+        return Y, row_norms(X - Y)
+
+    def _canonical_many(self, X):
+        """The nearest points of the rows of a validated X."""
+        if self.descriptor is not None:
+            return self.descriptor._canonical_many(X)
         Y = X.copy()
         live = np.arange(X.shape[0])
         for _ in range(_FALLBACK_ITERS):
@@ -74,10 +82,10 @@ class IntersectionHandle:
             prev = Y[live]
             Z = prev
             for s in self.members:
-                Z = s._nearest_many(Z)[0]
+                Z = s._canonical_many(Z)
             Y[live] = Z
             live = live[row_norms(Z - prev) > _FALLBACK_TOL]
-        return Y, row_norms(X - Y)
+        return Y
 
 
 def exact(descriptor: ClosedSet, members=()) -> IntersectionHandle:

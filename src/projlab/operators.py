@@ -2,8 +2,9 @@
 
 Selections are inherited from the canonical projections of the set catalog,
 so repeated application replays exactly.  Each family writes its step once,
-in a private kernel `_rows` on validated (n, d) rows that calls the catalog's
-`_nearest_many`, and reports its `dim`.  `apply` is the one-row call of
+in a private kernel `_rows` on validated (n, d) rows, and reports its `dim`.
+The kernels read points only: they call the catalog's `_canonical_many`, so
+no step computes a distance.  `apply` is the one-row call of
 `_rows` and `apply_many` its call on every row of an (n, d) array; both
 validate their input once.  `CyclicTuple.apply` and `runner.run` validate
 one point and then step a (1, d) row through the members' kernels.
@@ -30,7 +31,7 @@ from .sets import ClosedSet, as_points, as_vector, row_norms
 
 def _relax(s: ClosedSet, lam, X):
     """x + lam (P_s(x) - x) for each row x of a validated (n, d) array X."""
-    return X + lam * (s._nearest_many(X)[0] - X)
+    return X + lam * (s._canonical_many(X) - X)
 
 
 def _one_row(self, x):
@@ -51,8 +52,8 @@ class RelaxedProjector:
     lam: float
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", check_range("relaxation parameter", self.lam, 0.0, 2.0,
-                                                    lo_open=True))
+        object.__setattr__(self, "lam", check_range("relaxation parameter", self.lam,
+                                                    *rates.LAMBDA_RANGE))
 
     @property
     def dim(self) -> int:
@@ -92,7 +93,7 @@ class SemiIntrepidProjector:
 
     def _rows(self, X):
         """The step of each row of a validated (n, d) array X."""
-        P = self.target._nearest_many(X)[0]
+        P = self.target._canonical_many(X)
         step = P - X
         gap = row_norms(step)
         moved = gap != 0.0

@@ -23,6 +23,10 @@ from .errors import (
     check_whole,
 )
 
+# The interval (0, 2] of a relaxation parameter, as check_range's
+# (lo, hi, lo_open, hi_open).
+LAMBDA_RANGE = (0.0, 2.0, True, False)
+
 
 @dataclass(frozen=True)
 class FejerConstants:
@@ -99,7 +103,7 @@ def _semi_intrepid_gamma(alpha, eps):
 def relaxed_projector_constants(lam, eps) -> FejerConstants:
     """Quasi firm Fejér constants of a relaxed projector onto an
     (eps, delta)-regular set: gamma = 1 + lam*eps/(1-eps), beta = (2-lam)/lam."""
-    lam = check_range("lambda", lam, 0.0, 2.0, lo_open=True)
+    lam = check_range("lambda", lam, *LAMBDA_RANGE)
     eps = check_range("eps", eps, 0.0, 1.0, hi_open=True)
     return FejerConstants(_relaxed_gamma(lam, eps), (2.0 - lam) / lam)
 
@@ -122,8 +126,8 @@ def semi_intrepid_constants(alpha, eps) -> FejerConstants:
 def dr_constants(lam, mu, alpha, eps1, eps2) -> FejerConstants:
     """Constants of the generalized Douglas-Rachford step on an
     (eps1, .)-regular first set and (eps2, .)-regular second set."""
-    lam = check_range("lambda", lam, 0.0, 2.0, lo_open=True)
-    mu = check_range("mu", mu, 0.0, 2.0, lo_open=True)
+    lam = check_range("lambda", lam, *LAMBDA_RANGE)
+    mu = check_range("mu", mu, *LAMBDA_RANGE)
     alpha = check_range("alpha", alpha, 0.0, 1.0, lo_open=True)
     eps1 = check_range("eps1", eps1, 0.0, 1.0 / 3.0)
     eps2 = check_range("eps2", eps2, 0.0, 1.0, hi_open=True)
@@ -138,8 +142,8 @@ def dr_coercivity(lam, mu, alpha, theta, kappa) -> float:
     theta bounds the pairing of proximal normals of the two sets near the
     reference point; theta >= 1 signals degenerate normal geometry.
     """
-    lam = check_range("lambda", lam, 0.0, 2.0, lo_open=True)
-    mu = check_range("mu", mu, 0.0, 2.0, lo_open=True)
+    lam = check_range("lambda", lam, *LAMBDA_RANGE)
+    mu = check_range("mu", mu, *LAMBDA_RANGE)
     alpha = check_range("alpha", alpha, 0.0, 1.0, lo_open=True)
     kappa = check_range("kappa", kappa, 1.0, math.inf)
     if float(theta) >= 1.0:
@@ -255,7 +259,7 @@ def rate_cyclic_relaxed(lam_list, eps, kappa) -> RateCertificate:
     rho^(2m) = [Gamma^2 - nu^2/kappa^2 (sum_{i not in J} lam_i/(2-lam_i))^-1
                 ((1+eps)/(1-eps))^|J|]_+ with J = {i : lam_i = 2}.
     """
-    lams = [check_range("lambda_i", v, 0.0, 2.0, lo_open=True) for v in lam_list]
+    lams = [check_range("lambda_i", v, *LAMBDA_RANGE) for v in lam_list]
     if not lams:
         raise DomainError("empty cycle")
     eps = check_range("eps", eps, 0.0, 1.0, hi_open=True)

@@ -32,6 +32,9 @@ from .sets import as_vector, row_norms
 DIVERGENCE_NORM = 1e12
 ERROR_FLOOR = 1e-14
 _K_STEP_TOL = 1e-12     # slack of the k-step reduction
+# The interval of fit_rlinear's tail fraction, as check_range's
+# (lo, hi, lo_open, hi_open).
+TAIL_FRACTION_RANGE = (0.0, 1.0, True, False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,8 +88,10 @@ def run(operators, x0, sets, intersection: IntersectionHandle,
     x0 is validated once, against every operator's and the intersection's
     dimension; the loop then steps a (1, d) row through the operators'
     `_rows` kernels and the intersection's `_nearest_many`, the calls that
-    `apply` and `distance` make on one validated point.  An iterate with a
-    NaN entry raises the DomainError those entry points would raise.
+    `apply` and `distance` make on one validated point.  The kernels read
+    projected points only; the cycle-end test and the tables after the loop
+    are the only distances asked for.  An iterate with a NaN entry raises
+    the DomainError those entry points would raise.
     """
     cycle = operators if isinstance(operators, CyclicTuple) else CyclicTuple(operators)
     members = cycle.members
@@ -155,7 +160,7 @@ def fit_rlinear(errors, tail_fraction=0.5, burn_in=10) -> RateFit:
         raise DomainError("errors must be nonnegative")
     if e.size < 10:
         raise InsufficientData(f"need at least 10 error entries, got {e.size}")
-    check_range("tail_fraction", tail_fraction, 0.0, 1.0, lo_open=True)
+    check_range("tail_fraction", tail_fraction, *TAIL_FRACTION_RANGE)
     burn_in = check_whole("burn_in", check_range("burn_in", burn_in, 0.0, np.inf))
     burn_in = min(burn_in, e.size)
     idx = np.arange(e.size)[burn_in:]

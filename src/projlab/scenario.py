@@ -745,10 +745,11 @@ _INT_KEYS = {"samples": 1, "seed": 0, "burn_in": 0, "k": 1, "expect_period": 1}
 _FINITE_KEYS = ("tail_fraction", "expect_rho", "expect_tol", "slack", "equality_tol",
                 "tol", "expect_min")
 _BOOL_KEYS = ("expect_non_convergent", "expect_equality")
-# The check_range bounds of each number an analysis takes from its record.  A
-# literal number is checked here; an "@label" or arithmetic value when it resolves.
-_RANGES = {"tau": (0.0, np.inf, False, True), "nu": (0.0, np.inf, True, True),
-           "lambda": (0.0, 2.0, True), "tail_fraction": (0.0, 1.0, True)}
+# The check_range bounds of each number an analysis takes from its record, the
+# intervals the library checks.  A literal number is checked here; an "@label"
+# or arithmetic value when it resolves.
+_RANGES = {"tau": analysis_mod.TAU_RANGE, "nu": analysis_mod.NU_RANGE,
+           "lambda": rates_mod.LAMBDA_RANGE, "tail_fraction": runner_mod.TAIL_FRACTION_RANGE}
 
 
 def _check_values(record):

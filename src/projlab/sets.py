@@ -10,10 +10,13 @@ center + radius * e1).  `project_many` and `distance_many` give the same
 canonical points and distances for each row of an (n, d) array.
 
 The single-valued closed forms (halfspace, hyperplane, affine, ball, box,
-orthant) write their projection once, in `_nearest_many`; their `project` is
-its one-row call.  The multivalued variants and the cone keep a scalar
-`project` that lists every minimizer, and a custom subclass needs only
-`project`.  No catalog projection returns memory shared with its input.
+orthant) write their canonical points once, in `_canonical_many`; their
+`_nearest_many` adds the distances ||x - p||, and their `project` is its
+one-row call.  Operators and the oracle sweep read points only, through
+`_canonical_many`, which every other set derives from its `_nearest_many`.
+The multivalued variants and the cone keep a scalar `project` that lists
+every minimizer, and a custom subclass needs only `project`.  No catalog
+projection returns memory shared with its input.
 
 Every normal cone is written once, batched, in `normal_generators_many`, and
 `normal_generators` is its one-row call.  The union, the finite point set and
@@ -156,7 +159,7 @@ class ClosedSet:
     def project_many(self, X) -> np.ndarray:
         """Row i is project(X[i]).canonical, with the same tie rules, for an
         (n, dim) array X."""
-        return self._nearest_many(as_points(X, self.dim))[0]
+        return self._canonical_many(as_points(X, self.dim))
 
     def distance_many(self, X) -> np.ndarray:
         """Entry i is distance(X[i]), by the same formula, for an (n, dim)
@@ -167,14 +170,21 @@ class ClosedSet:
         """(canonical points, distances) of the rows of a validated X.
 
         This default loops over `project`, so any subclass works.  Variants
-        with a closed form broadcast it here, and a single-valued one's
-        `project` is the one-row call.  Wrappers and operators call
-        `_nearest_many` directly, so X is validated once at the public
-        boundary.
+        with a closed form broadcast it here, or, single-valued, derive it
+        from `_canonical_many`, and then `project` is the one-row call.
+        Wrappers call the two kernels directly, so X is validated once at
+        the public boundary.
         """
         results = [self.project(x) for x in X]
         P = np.array([r.canonical for r in results], dtype=float).reshape(X.shape)
         return P, np.array([r.distance for r in results], dtype=float)
+
+    def _canonical_many(self, X):
+        """The canonical points of the rows of a validated X, for callers
+        that read no distance.  This default drops the distances of
+        `_nearest_many`; the single-valued closed forms write their points
+        here and derive `_nearest_many` from it."""
+        return self._nearest_many(X)[0]
 
     def _sole_minimizer_many(self, X):
         """Mask of the rows x of a validated X where project(x) lists its
@@ -222,9 +232,10 @@ class ClosedSet:
         return ProjectionResult(p, (p,), False, float(np.linalg.norm(x - p)))
 
 
-def _single_many(X, P):
-    """`ClosedSet._single` for a batch: the projections P with the distances
-    ||x - p|| of the rows."""
+def _with_distance(self, X):
+    """`_nearest_many` of a single-valued closed form: its `_canonical_many`
+    points P with the distances ||x - p|| of the rows."""
+    P = self._canonical_many(X)
     return P, row_norms(X - P)
 
 
@@ -257,13 +268,14 @@ class Halfspace(_LinearSet):
     tag, about = "halfspace", "{x : <a, x> <= b}, a != 0"
 
     project = _one_row_project
+    _nearest_many = _with_distance
 
-    def _nearest_many(self, X):
+    def _canonical_many(self, X):
         excess = np.vecdot(X, self.a) - self.b
         out = excess > 0.0
         P = X.copy()
         P[out] = X[out] - (excess[out] / float(self.a @ self.a))[:, None] * self.a
-        return _single_many(X, P)
+        return P
 
     def normal_generators_many(self, P):
         na = float(np.linalg.norm(self.a))
@@ -282,10 +294,11 @@ class Hyperplane(_LinearSet):
     tag, about = "hyperplane", "{x : <a, x> = b}, a != 0"
 
     project = _one_row_project
+    _nearest_many = _with_distance
 
-    def _nearest_many(self, X):
+    def _canonical_many(self, X):
         offset = np.vecdot(X, self.a) - self.b
-        return _single_many(X, X - (offset / float(self.a @ self.a))[:, None] * self.a)
+        return X - (offset / float(self.a @ self.a))[:, None] * self.a
 
     def normal_generators_many(self, P):
         n = as_points(P, self.dim).shape[0]
@@ -338,10 +351,11 @@ class AffineSubspaceSet(ClosedSet):
         return self.basis.shape[0]
 
     project = _one_row_project
+    _nearest_many = _with_distance
 
-    def _nearest_many(self, X):
+    def _canonical_many(self, X):
         coords = _rowwise(self.basis, X - self.anchor)
-        return _single_many(X, self.anchor + _rowwise(self.basis.T, coords))
+        return self.anchor + _rowwise(self.basis.T, coords)
 
     def normal_generators_many(self, P):
         n = as_points(P, self.dim).shape[0]
@@ -371,13 +385,14 @@ class Ball(ClosedSet):
         object.__setattr__(self, "dim", c.size)
 
     project = _one_row_project
+    _nearest_many = _with_distance
 
-    def _nearest_many(self, X):
+    def _canonical_many(self, X):
         dist = row_norms(X - self.center)
         out = dist > self.radius
         P = X.copy()
         P[out] = self.center + (self.radius / dist[out])[:, None] * (X[out] - self.center)
-        return _single_many(X, P)
+        return P
 
     def normal_generators_many(self, P):
         gap = as_points(P, self.dim) - self.center
@@ -460,11 +475,12 @@ class Box(ClosedSet):
         object.__setattr__(self, "dim", lo.size)
 
     project = _one_row_project
+    _nearest_many = _with_distance
 
-    def _nearest_many(self, X):
+    def _canonical_many(self, X):
         # not np.clip: on a batch with one column it keeps x over an equal
         # bound of the other zero sign, where a single row takes the bound
-        return _single_many(X, np.minimum(np.maximum(X, self.lower), self.upper))
+        return np.minimum(np.maximum(X, self.lower), self.upper)
 
     def normal_generators_many(self, P):
         P = as_points(P, self.dim)
@@ -510,10 +526,11 @@ class Orthant(ClosedSet):
         object.__setattr__(self, "dim", len(signs))
 
     project = _one_row_project
+    _nearest_many = _with_distance
 
-    def _nearest_many(self, X):
+    def _canonical_many(self, X):
         s = np.array(self.signs, dtype=float)
-        return _single_many(X, np.where((s != 0.0) & (s * X < 0.0), 0.0, X))
+        return np.where((s != 0.0) & (s * X < 0.0), 0.0, X)
 
     def normal_generators_many(self, P):
         s = np.array(self.signs, dtype=float)
@@ -621,10 +638,20 @@ class PolyhedralCone(ClosedSet):
         return _prefix_rows(R, active)
 
     def polar_generators(self):
-        """Generating unit rays of the polar cone {v : <v, g_i> <= 0}."""
+        """Generating unit rays of the polar cone {v : <v, g_i> <= 0}.
+
+        The enumeration decides ranks and signs at fixed cut-offs, which
+        near-dependent generators defeat, so every listed ray is checked
+        against every unit generator: one that leaves the polar cone by more
+        than 1e-9 raises UnsupportedSet."""
         if self.dim > 4:
             raise UnsupportedSet("polar enumeration supports dimension <= 4")
-        return _inequality_cone_generators(self.generators)
+        rays = _inequality_cone_generators(self.generators)
+        units = self.generators / row_norms(self.generators)[:, None]
+        if rays and np.max(np.array(rays) @ units.T) > 1e-9:
+            raise UnsupportedSet("cone generators too close to dependent for the polar "
+                                 "enumeration")
+        return rays
 
     def hull_points(self, rng):
         return [np.zeros(self.dim)] + list(self.generators)
@@ -757,21 +784,30 @@ class FinitePointSet(ClosedSet):
 
     def project(self, x):
         x = as_vector(x, self.dim)
-        dists = np.linalg.norm(self.points - x, axis=1)
+        dists = self._distances(x[None, :])[0]
         dmin = float(dists.min())
         near = self.points[np.flatnonzero(dists <= dmin + TIE_TOL)]
         # deduped in lexicographic order, so the canonical (smallest) point leads
         tied = _dedupe([q.copy() for q in sorted(near, key=tuple)])
         return ProjectionResult(tied[0], tuple(tied), len(tied) > 1, dmin)
 
+    def _distances(self, X):
+        """(n, k) distances from the rows of a validated X to the k points.
+        For real input this is the formula np.linalg.norm(..., axis=2) runs,
+        without its dispatch, so the bits are the same."""
+        D = self.points - X[:, None, :]
+        return np.sqrt(np.add.reduce(D * D, axis=2))
+
     def _nearest_many(self, X):
-        dists = np.linalg.norm(self.points - X[:, None, :], axis=2)
+        dists = self._distances(X)
+        if self._rank.size == 1:  # no ties to break
+            return self.points.repeat(X.shape[0], axis=0), dists[:, 0]
         dmin = dists.min(axis=1)
         tied_rank = np.where(dists <= dmin[:, None] + TIE_TOL, self._rank, self._rank.size)
         return self.points[np.argmin(tied_rank, axis=1)], dmin
 
     def _sole_minimizer_many(self, X):
-        dists = np.linalg.norm(self.points - X[:, None, :], axis=2)
+        dists = self._distances(X)
         return np.sum(dists <= dists.min(axis=1)[:, None] + TIE_TOL, axis=1) == 1
 
     def hull_points(self, rng):

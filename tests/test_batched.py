@@ -1024,3 +1024,145 @@ class TestEpsKernel:
         s, w = P.Halfspace(np.array([1.0, 0.0]), 0.0), np.zeros(2)
         est = self.estimate(s, w, np.array([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]]))
         assert (est.value, est.extra) == (0.0, {"pairs": 0, "vacuous": True})
+
+
+# ---------------------------------------------------------------------------
+# points-only kernels: `_canonical_many` against `_nearest_many`
+
+
+class _ProjectOnly(P.ClosedSet):
+    """A custom set that defines only `project`: the segment [0, e1] of R^d,
+    its ends included, projected by clipping the first coordinate."""
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def project(self, x):
+        x = P.sets.as_vector(x, self.dim)
+        p = np.zeros(self.dim)
+        p[0] = min(max(x[0], 0.0), 1.0)
+        return self._single(x, p)
+
+
+@st.composite
+def project_only_case(draw):
+    d = draw(st.integers(1, 4))
+    return _ProjectOnly(d), draw(batches(d, [np.zeros(d)]))
+
+
+@st.composite
+def one_point_case(draw):
+    """The point itself is a row, at distance 0."""
+    d = draw(st.integers(1, 4))
+    point = draw(vectors(d))
+    return P.FinitePointSet(point[None, :]), draw(batches(d, [point]))
+
+
+SPLIT_CASES = dict(CASES, custom=project_only_case(), one_point=one_point_case())
+CLOSED_FORMS = ("halfspace", "hyperplane", "affine", "ball", "box", "orthant")
+
+
+@pytest.mark.parametrize("tag", sorted(SPLIT_CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_canonical_many_is_the_nearest_point_bit_for_bit(tag, data):
+    """For every set type and a custom set: `_canonical_many` is
+    `_nearest_many`'s points and each row's `project(x).canonical`, and
+    shares no memory with X."""
+    s, X = data.draw(SPLIT_CASES[tag])
+    Q = s._canonical_many(X)
+    P_near, dist = s._nearest_many(X)
+    assert Q.shape == X.shape and _same_bits(Q, P_near)
+    assert all(_same_bits(q, s.project(x).canonical) for q, x in zip(Q, X))
+    assert not np.shares_memory(Q, X) and not np.shares_memory(P_near, X)
+    if tag in CLOSED_FORMS:
+        assert _same_bits(dist, P.sets.row_norms(X - Q))
+
+
+def test_the_closed_forms_derive_their_distances():
+    """The six closed forms write only their points; `_nearest_many` is the
+    one shared function that adds the distances, and nothing else is."""
+    derived = {tag for tag, cls in P.sets.SET_TYPES.items()
+               if cls.__dict__.get("_nearest_many") is P.sets._with_distance}
+    written = {tag for tag, cls in P.sets.SET_TYPES.items() if "_canonical_many" in cls.__dict__}
+    assert derived == written == set(CLOSED_FORMS)
+    assert not hasattr(P.sets, "_single_many")
+
+
+@pytest.mark.parametrize("case", [one_point_case(), finite_points_case()],
+                         ids=["one_point", "k_points"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_finite_point_distances_match_linalg_norm(case, data):
+    """Bit for bit against np.linalg.norm(points - x, axis=1), ties (the
+    midpoint of two points) and a one-point set included, and the points
+    returned share no memory with X or the set's points."""
+    s, X = data.draw(case)
+    D = s._distances(X)
+    for x, row in zip(X, D):
+        assert _same_bits(row, np.linalg.norm(s.points - x, axis=1))
+    Q, dist = s._nearest_many(X)
+    assert _same_bits(dist, D.min(axis=1, initial=np.inf))
+    assert all(_same_bits(s.project(x).distance, dm) for x, dm in zip(X, dist))
+    for out in (Q, s._canonical_many(X), s.project_many(X)):
+        assert not np.shares_memory(out, X) and not np.shares_memory(out, s.points)
+
+
+class _CountingHyperplane(P.Hyperplane):
+    """A test-only closed form that counts the calls of its two batched
+    kernels."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "calls", {"_canonical_many": 0, "_nearest_many": 0})
+
+    def _canonical_many(self, X):
+        self.calls["_canonical_many"] += 1
+        return super()._canonical_many(X)
+
+    def _nearest_many(self, X):
+        self.calls["_nearest_many"] += 1
+        return super()._nearest_many(X)
+
+
+class TestPointsOnlyKernels:
+    """Operators, the oracle sweep and the run loop read points only: they
+    call `_canonical_many` and never `_nearest_many`.  Only the distance
+    tables after a run and its cycle-end test ask for distances."""
+
+    def lines(self):
+        return (_CountingHyperplane(np.array([0.0, 1.0]), 0.0),
+                _CountingHyperplane(np.array([-np.sin(0.5), np.cos(0.5)]), 0.0))
+
+    def assert_points_only(self, *sets):
+        for s in sets:
+            assert s.calls["_canonical_many"] > 0 and s.calls["_nearest_many"] == 0, s.calls
+
+    @pytest.mark.parametrize("tag", sorted(P.operators.OPERATOR_TYPES))
+    def test_apply_many_of_every_family(self, tag):
+        a, b = self.lines()
+        op = {"relaxed": P.RelaxedProjector(a, 1.5),
+              "semi_intrepid": P.SemiIntrepidProjector(a, 0.5, 1.0),
+              "generalized_dr": P.GeneralizedDR(a, b, 2.0, 2.0, 0.5)}[tag]
+        op.apply_many(np.random.default_rng(4).normal(size=(5, 2)))
+        op.apply(np.ones(2))
+        self.assert_points_only(*((a, b) if tag == "generalized_dr" else (a,)))
+
+    def test_oracle_sweep(self):
+        a, b = self.lines()
+        handle = P.oracle_intersection((a, b))
+        handle.distance_many(np.random.default_rng(5).normal(size=(6, 2)))
+        handle.nearest(np.ones(2))
+        self.assert_points_only(a, b)
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["exact", "oracle"])
+    def test_run(self, oracle):
+        a, b = self.lines()
+        inter = P.oracle_intersection((a, b)) if oracle else \
+            P.exact_intersection(P.FinitePointSet(np.zeros((1, 2))))
+        ops = [P.RelaxedProjector(a, 1.0), P.SemiIntrepidProjector(b, 0.5, 0.1)]
+        traj = P.run(ops, np.array([3.0, 1.0]), (), inter, max_cycles=50)
+        assert traj.n_cycles > 1
+        self.assert_points_only(a, b)
+        P.run(ops, np.array([3.0, 1.0]), (a, b), inter, max_cycles=50)
+        assert a.calls["_nearest_many"] == b.calls["_nearest_many"] == 1  # the tables

@@ -187,3 +187,13 @@ def test_interval_wording_lives_in_check_range_only():
     assert found
     assert [f"{stem}.py:{line}" for stem, line in found
             if stem != "errors" or not check.lineno <= line <= check.end_lineno] == []
+
+
+@pytest.mark.parametrize("key, module, name", [
+    ("tau", "analysis", "TAU_RANGE"), ("nu", "analysis", "NU_RANGE"),
+    ("lambda", "rates", "LAMBDA_RANGE"), ("tail_fraction", "runner", "TAIL_FRACTION_RANGE"),
+])
+def test_parse_time_intervals_are_the_library_ones(key, module, name):
+    """Each interval a scenario checks at parse time is written once, beside
+    the library check that uses it."""
+    assert P.scenario._RANGES[key] is getattr(getattr(P, module), name)

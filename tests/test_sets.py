@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import nnls
 
 import projlab as P
@@ -376,6 +379,33 @@ class TestObtuseCone:
         with pytest.raises(P.UnsupportedSet, match="dimension <= 4"):
             P.is_obtuse_cone(cone)
         assert len(P.PolyhedralCone(np.eye(4)).polar_generators()) == 4
+
+    def test_near_dependent_generators_raise(self):
+        """For G = (1e-8, 3, 0), (0, 1, 0), (1, 0, 1) the enumeration's fixed
+        cut-offs list (-0.7071, 2.1e-9, 0.7071), which leaves the polar cone
+        (<r, g_2> = 2.1e-9), and miss (0, 0, -1); the normal cone at
+        (1, 1, 1) came out empty.  Every entry that reads the rays raises."""
+        cone = P.PolyhedralCone(np.array([[1e-8, 3.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]))
+        for call in (cone.polar_generators, lambda: cone.normal_generators(np.ones(3)),
+                     lambda: P.is_obtuse_cone(cone)):
+            with pytest.raises(P.UnsupportedSet, match="too close to dependent"):
+                call()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.lists(
+        arrays(float, d, elements=st.floats(-4.0, 4.0, allow_subnormal=False)).filter(
+            lambda g: np.linalg.norm(g) > 1e-3), min_size=1, max_size=6)))
+    def test_listed_polar_rays_lie_in_the_polar_cone(self, gens):
+        """Each listed ray r has <r, g> <= 1e-9 for every unit generator g,
+        or the enumeration raises."""
+        G = np.array(gens)
+        try:
+            rays = np.reshape(P.PolyhedralCone(G).polar_generators(), (-1, G.shape[1]))
+        except P.UnsupportedSet:
+            return
+        units = G / np.linalg.norm(G, axis=1)[:, None]
+        assert np.all(rays @ units.T <= 1e-9)
+        assert np.allclose(np.linalg.norm(rays, axis=1), 1.0)
 
 
 # ---------------------------------------------------------------------------
