@@ -9,14 +9,15 @@ smallest coordinate vector unless a variant documents its own rule
 center + radius * e1).  `project_many` and `distance_many` give the same
 canonical points and distances for each row of an (n, d) array.
 
-The single-valued closed forms (halfspace, hyperplane, affine, ball, box,
-orthant) write their canonical points once, in `_canonical_many`; their
-`_nearest_many` adds the distances ||x - p||, and their `project` is its
-one-row call.  Operators and the oracle sweep read points only, through
-`_canonical_many`, which every other set derives from its `_nearest_many`.
-The multivalued variants and the cone keep a scalar `project` that lists
-every minimizer, and a custom subclass needs only `project`.  No catalog
-projection returns memory shared with its input.
+Every projection is written once, batched, as each row's list of
+minimizers in `_minimizers_many`, and every catalog `project` is its
+one-row call.  The single-valued sets (halfspace, hyperplane, affine, ball,
+box, orthant, and the cone by one NNLS solve per row) write only their
+points, in `_canonical_many`.  The finite point set, the union and the
+enlargement also write `_nearest_many`, their cheaper canonical point.
+Operators and the oracle sweep read points only, through `_canonical_many`,
+and `distance` is the one-row call of `_nearest_many`.  A custom subclass
+needs only `project`.  No catalog projection shares memory with its input.
 
 Every normal cone is written once, batched, in `normal_generators_many`, and
 `normal_generators` is its one-row call.  The union, the finite point set and
@@ -111,18 +112,22 @@ def _prefix_rows(U, active):
 
 
 def _one_row_project(self, x):
-    """`project` of a single-valued variant with a batched closed form: the
-    one-row call of its `_nearest_many`, x validated once."""
-    (p,), (d,) = self._nearest_many(as_vector(x, self.dim)[None, :])
-    return ProjectionResult(p, (p,), False, float(d))
+    """`project` of every catalog set: the one-row call of its
+    `_minimizers_many`, x validated once."""
+    M, mask, multi, dist = self._minimizers_many(as_vector(x, self.dim)[None, :])
+    minimizers = tuple(M[0, mask[0]])
+    return ProjectionResult(minimizers[0], minimizers, bool(multi[0]), float(dist[0]))
 
 
-def _dedupe(points, tol=TIE_TOL):
-    out = []
-    for p in points:
-        if not any(np.max(np.abs(p - q)) <= tol for q in out):
-            out.append(p)
-    return out
+def _dedupe(M, mask, tol=TIE_TOL):
+    """The masked points of each row of an (n, k, d) array M less those within
+    tol (max-abs) of a point kept before them, moved to a prefix as
+    `_prefix_rows` does: a chain a ~ b ~ c with a far from c keeps a and c."""
+    M, mask = _prefix_rows(M, mask)
+    for j in range(1, M.shape[1]):
+        near = np.abs(M[:, :j] - M[:, j, None]).max(axis=2) <= tol
+        mask[:, j] &= ~np.any(near & mask[:, :j], axis=1)
+    return (M, mask) if M.shape[1] < 2 else _prefix_rows(M, mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +146,7 @@ class ProjectionResult:
 
 
 class ClosedSet:
-    """Base class for catalog sets; subclasses fill in `project`.
+    """Base class for catalog sets; a custom subclass fills in `project`.
 
     A catalog variant is a frozen dataclass with a `tag` (its config `type`)
     and `about` (its catalog line).  Its config keys are its field names, so
@@ -154,7 +159,8 @@ class ClosedSet:
         raise NotImplementedError
 
     def distance(self, x) -> float:
-        return self.project(x).distance
+        """The one-row call of `_nearest_many`: no minimizer list is built."""
+        return float(self._nearest_many(as_vector(x, self.dim)[None, :])[1][0])
 
     def project_many(self, X) -> np.ndarray:
         """Row i is project(X[i]).canonical, with the same tie rules, for an
@@ -166,32 +172,34 @@ class ClosedSet:
         array X."""
         return self._nearest_many(as_points(X, self.dim))[1]
 
-    def _nearest_many(self, X):
-        """(canonical points, distances) of the rows of a validated X.
-
-        This default loops over `project`, so any subclass works.  Variants
-        with a closed form broadcast it here, or, single-valued, derive it
-        from `_canonical_many`, and then `project` is the one-row call.
-        Wrappers call the two kernels directly, so X is validated once at
-        the public boundary.
-        """
+    def _minimizers_many(self, X):
+        """Every minimizer of each row of a validated (n, dim) X: padded
+        (n, k, dim) points, the canonical one in slot 0, an (n, k) prefix
+        mask, k the longest row, and the (n,) multivalued flags and
+        distances.  This default loops over `project` for a custom subclass:
+        the canonical point, then the other minimizers in `project`'s order.
+        Wrappers call the kernels directly, so X is validated once."""
         results = [self.project(x) for x in X]
-        P = np.array([r.canonical for r in results], dtype=float).reshape(X.shape)
-        return P, np.array([r.distance for r in results], dtype=float)
+        rows = [[r.canonical] + [q for q in r.minimizers if q is not r.canonical]
+                for r in results]
+        M = np.zeros((X.shape[0], max(map(len, rows), default=1), self.dim))
+        mask = np.zeros(M.shape[:2], bool)
+        for i, row in enumerate(rows):
+            M[i, :len(row)], mask[i, :len(row)] = row, True
+        return (M, mask, np.array([r.multivalued for r in results], bool),
+                np.array([r.distance for r in results], dtype=float))
+
+    def _nearest_many(self, X):
+        """(canonical points, distances) of the rows of a validated X: slot
+        0 of `_minimizers_many`.  Sets whose list costs more than their
+        canonical point write this kernel too."""
+        M, _, _, dist = self._minimizers_many(X)
+        return M[:, :1].reshape(X.shape), dist  # k is 0 on an empty batch
 
     def _canonical_many(self, X):
         """The canonical points of the rows of a validated X, for callers
-        that read no distance.  This default drops the distances of
-        `_nearest_many`; the single-valued closed forms write their points
-        here and derive `_nearest_many` from it."""
+        that read no distance: by default, `_nearest_many`'s points."""
         return self._nearest_many(X)[0]
-
-    def _sole_minimizer_many(self, X):
-        """Mask of the rows x of a validated X where project(x) lists its
-        canonical point as its only minimizer.  This default marks every row
-        of the single-valued closed forms, whose `project` is the one-row
-        call of `_nearest_many`, and no row of any other set."""
-        return np.full(X.shape[0], type(self).project is _one_row_project)
 
     def contains(self, x, tol=MEMBERSHIP_TOL) -> bool:
         return self.distance(x) <= tol
@@ -232,11 +240,17 @@ class ClosedSet:
         return ProjectionResult(p, (p,), False, float(np.linalg.norm(x - p)))
 
 
-def _with_distance(self, X):
-    """`_nearest_many` of a single-valued closed form: its `_canonical_many`
-    points P with the distances ||x - p|| of the rows."""
-    P = self._canonical_many(X)
-    return P, row_norms(X - P)
+class _SingleValued(ClosedSet):
+    """A set with one nearest point everywhere, written in `_canonical_many`:
+    the distances ||x - p|| and the one-point lists derive from it."""
+
+    def _nearest_many(self, X):
+        P = self._canonical_many(X)
+        return P, row_norms(X - P)
+
+    def _minimizers_many(self, X):
+        P, dist = self._nearest_many(X)
+        return P[:, None, :], np.ones((len(X), 1), bool), np.zeros(len(X), bool), dist
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +258,7 @@ def _with_distance(self, X):
 
 
 @dataclass(frozen=True, eq=False)
-class _LinearSet(ClosedSet):
+class _LinearSet(_SingleValued):
     """Fields and validation shared by halfspaces and hyperplanes."""
 
     a: np.ndarray
@@ -268,7 +282,6 @@ class Halfspace(_LinearSet):
     tag, about = "halfspace", "{x : <a, x> <= b}, a != 0"
 
     project = _one_row_project
-    _nearest_many = _with_distance
 
     def _canonical_many(self, X):
         excess = np.vecdot(X, self.a) - self.b
@@ -294,7 +307,6 @@ class Hyperplane(_LinearSet):
     tag, about = "hyperplane", "{x : <a, x> = b}, a != 0"
 
     project = _one_row_project
-    _nearest_many = _with_distance
 
     def _canonical_many(self, X):
         offset = np.vecdot(X, self.a) - self.b
@@ -325,7 +337,7 @@ def _orthonormal_complement(basis, dim):
 
 
 @dataclass(frozen=True, eq=False)
-class AffineSubspaceSet(ClosedSet):
+class AffineSubspaceSet(_SingleValued):
     """anchor + span(basis rows); basis rows orthonormal, possibly empty."""
 
     tag, about = "affine", "anchor + span(orthonormal basis rows)"
@@ -351,7 +363,6 @@ class AffineSubspaceSet(ClosedSet):
         return self.basis.shape[0]
 
     project = _one_row_project
-    _nearest_many = _with_distance
 
     def _canonical_many(self, X):
         coords = _rowwise(self.basis, X - self.anchor)
@@ -372,7 +383,7 @@ class AffineSubspaceSet(ClosedSet):
 
 
 @dataclass(frozen=True, eq=False)
-class Ball(ClosedSet):
+class Ball(_SingleValued):
     tag, about = "ball", "closed ball, radius >= 0"
     center: np.ndarray
     radius: float
@@ -385,7 +396,6 @@ class Ball(ClosedSet):
         object.__setattr__(self, "dim", c.size)
 
     project = _one_row_project
-    _nearest_many = _with_distance
 
     def _canonical_many(self, X):
         dist = row_norms(X - self.center)
@@ -424,26 +434,19 @@ class Sphere(ClosedSet):
         object.__setattr__(self, "radius", r)
         object.__setattr__(self, "dim", c.size)
 
-    def project(self, x):
-        x = as_vector(x, self.dim)
-        gap = x - self.center
-        dist = float(np.linalg.norm(gap))
-        if dist <= TIE_TOL:
-            # every sphere point minimizes; canonical ray is +e1
-            canon = self.center.copy()
-            canon[0] += self.radius
-            return ProjectionResult(canon, (canon,), True, self.radius)
-        p = self.center + (self.radius / dist) * gap
-        return self._single(x, p)
+    project = _one_row_project
 
-    def _nearest_many(self, X):
+    def _minimizers_many(self, X):
+        """Every sphere point is nearest to the center, which is multivalued
+        and lists its canonical point center + radius * e1 alone."""
         dist = row_norms(X - self.center)
         off = dist > TIE_TOL
         P = np.empty_like(X)
         P[off] = self.center + (self.radius / dist[off])[:, None] * (X[off] - self.center)
         P[~off] = self.center
         P[~off, 0] += self.radius
-        return P, np.where(off, row_norms(X - P), self.radius)
+        return (P[:, None, :], np.ones((X.shape[0], 1), bool), ~off,
+                np.where(off, row_norms(X - P), self.radius))
 
     def normal_generators_many(self, P):
         gap = as_points(P, self.dim) - self.center
@@ -460,7 +463,7 @@ class Sphere(ClosedSet):
 
 
 @dataclass(frozen=True, eq=False)
-class Box(ClosedSet):
+class Box(_SingleValued):
     tag, about = "box", "componentwise bounds lower <= upper"
     lower: np.ndarray
     upper: np.ndarray
@@ -475,7 +478,6 @@ class Box(ClosedSet):
         object.__setattr__(self, "dim", lo.size)
 
     project = _one_row_project
-    _nearest_many = _with_distance
 
     def _canonical_many(self, X):
         # not np.clip: on a batch with one column it keeps x over an equal
@@ -507,7 +509,7 @@ class Box(ClosedSet):
 
 
 @dataclass(frozen=True, eq=False)
-class Orthant(ClosedSet):
+class Orthant(_SingleValued):
     """Sign-pattern orthant {x : s_i * x_i >= 0 for s_i != 0}.
 
     A sign of 0 leaves the coordinate unconstrained.
@@ -526,7 +528,6 @@ class Orthant(ClosedSet):
         object.__setattr__(self, "dim", len(signs))
 
     project = _one_row_project
-    _nearest_many = _with_distance
 
     def _canonical_many(self, X):
         s = np.array(self.signs, dtype=float)
@@ -571,7 +572,7 @@ def _inequality_cone_generators(M):
         lin = np.eye(d)
     rays = [row for b in lin for row in (b, -b)]
     if lin.shape[0] == d:
-        return _dedupe(rays, tol)
+        return rays
     # pointed part lives in the orthogonal complement of the lineality space
     Q = _orthonormal_complement(lin, d)
     dprime = Q.shape[0]
@@ -592,17 +593,18 @@ def _inequality_cone_generators(M):
             if np.all(Mp @ w <= tol):
                 found.append(Q.T @ w)
     rays.extend(found)
-    rays = [r / np.linalg.norm(r) for r in rays if np.linalg.norm(r) > tol]
-    return _dedupe(rays, tol)
+    rays = np.array([r / np.linalg.norm(r) for r in rays if np.linalg.norm(r) > tol])
+    rays, kept = _dedupe(rays.reshape(1, -1, d), np.ones((1, len(rays)), bool), tol)
+    return list(rays[0, kept[0]])
 
 
 @dataclass(frozen=True, eq=False)
-class PolyhedralCone(ClosedSet):
+class PolyhedralCone(_SingleValued):
     """Finitely generated cone {sum t_i g_i : t_i >= 0}.
 
     The projection of x is G^T c for the nonnegative least-squares solution
-    c of min ||G^T c - x|| over c >= 0 (Lawson-Hanson NNLS, one scipy call),
-    which is exact for any number of generators.
+    c of min ||G^T c - x|| over c >= 0 (Lawson-Hanson NNLS, one scipy call
+    per row), which is exact for any number of generators.
     """
 
     tag, about = "cone", "finitely generated polyhedral cone, projected by NNLS"
@@ -620,10 +622,11 @@ class PolyhedralCone(ClosedSet):
         object.__setattr__(self, "generators", g)
         object.__setattr__(self, "dim", g.shape[1])
 
-    def project(self, x):
-        x = as_vector(x, self.dim)
-        coeff, _ = nnls(self.generators.T, x)
-        return self._single(x, self.generators.T @ coeff)
+    project = _one_row_project
+
+    def _canonical_many(self, X):
+        G = self.generators.T
+        return np.array([G @ nnls(G, x)[0] for x in X]).reshape(X.shape)
 
     def normal_generators_many(self, P):
         """The normal cone at p is {v in polar(K) : <v, p> = 0}, the face of
@@ -674,17 +677,19 @@ class Enlargement(ClosedSet):
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "dim", self.inner.dim)
 
-    def project(self, x):
-        x = as_vector(x, self.dim)
+    project = _one_row_project
+
+    def _minimizers_many(self, X):
+        """A row x outside moves each inner minimizer q by tau towards x,
+        to q + (tau / dist) (x - q); a row inside is its own sole minimizer."""
+        M, mask, multi, dist = self.inner._minimizers_many(X)
         if self.tau == 0.0:
-            return self.inner.project(x)
-        res = self.inner.project(x)
-        if res.distance <= self.tau:
-            return self._single(x, x.copy())
-        scale = self.tau / res.distance
-        mapped = tuple(q + scale * (x - q) for q in res.minimizers)
-        canon = res.canonical + scale * (x - res.canonical)
-        return ProjectionResult(canon, mapped, res.multivalued, res.distance - self.tau)
+            return M, mask, multi, dist
+        out = dist > self.tau
+        Y = np.repeat(X[:, None, :], M.shape[1], axis=1)
+        Y[out] = M[out] + (self.tau / dist[out])[:, None, None] * (Y[out] - M[out])
+        mask = mask & (out[:, None] | (np.arange(M.shape[1]) == 0))
+        return Y, mask, multi & out, np.where(out, dist - self.tau, 0.0)
 
     def _nearest_many(self, X):
         Q, dist = self.inner._nearest_many(X)
@@ -697,23 +702,14 @@ class Enlargement(ClosedSet):
 
     def normal_generators_many(self, P):
         """The unit vectors p - q over the inner minimizers q of each
-        boundary row p; none at an interior row.  One inner `_nearest_many`
-        call gives q at the rows the inner set marks as having a sole
-        minimizer; the other boundary rows (ties within TIE_TOL, or an inner
-        set that marks none) ask the inner `project` for every minimizer."""
+        boundary row p, from one inner `_minimizers_many` call; none at an
+        interior row."""
         P = as_points(P, self.dim)
         if self.tau == 0.0:
             return self.inner.normal_generators_many(P)
-        Q, dist = self.inner._nearest_many(P)
-        boundary = ~(dist < self.tau - MEMBERSHIP_TOL)
-        tied = np.flatnonzero(boundary & ~self.inner._sole_minimizer_many(P))
-        lists = [self.inner.project(P[i]).minimizers for i in tied]
-        U = np.zeros((P.shape[0], max(map(len, lists), default=1), self.dim))
-        active = np.zeros(U.shape[:2], bool)
-        U[:, 0], active[:, 0] = Q, boundary
-        for i, qs in zip(tied, lists):
-            U[i, :len(qs)], active[i, :len(qs)] = qs, True
-        U = P[:, None, :] - U
+        Q, active, _, dist = self.inner._minimizers_many(P)
+        active = active & ~(dist < self.tau - MEMBERSHIP_TOL)[:, None]
+        U = P[:, None, :] - Q
         nu = row_norms(U)
         active &= nu > TIE_TOL
         U[active] /= nu[active, None]
@@ -743,15 +739,20 @@ class UnionOfSets(ClosedSet):
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "dim", members[0].dim)
 
-    def project(self, x):
-        x = as_vector(x, self.dim)
-        results = [m.project(x) for m in self.members]
-        dmin = min(r.distance for r in results)
-        tied = [r for r in results if r.distance <= dmin + TIE_TOL]
-        minimizers = _dedupe([q for r in tied for q in r.minimizers])
-        canon = tied[0].canonical
-        multi = len(minimizers) > 1 or any(r.multivalued for r in tied)
-        return ProjectionResult(canon, tuple(minimizers), multi, dmin)
+    project = _one_row_project
+
+    def _minimizers_many(self, X):
+        """The minimizers of the members within TIE_TOL of the nearest, in
+        member order and deduplicated, so the lowest tied member's canonical
+        point leads."""
+        found = [m._minimizers_many(X) for m in self.members]
+        dists = np.stack([dist for *_, dist in found])
+        dmin = dists.min(axis=0)
+        tied = dists <= dmin + TIE_TOL
+        M, mask = _dedupe(np.concatenate([f[0] for f in found], axis=1),
+                          np.concatenate([f[1] & t[:, None] for f, t in zip(found, tied)], axis=1))
+        multi = np.any([f[2] & t for f, t in zip(found, tied)], axis=0)
+        return M, mask, multi | (mask.sum(axis=1) > 1), dmin
 
     def _nearest_many(self, X):
         found = [m._nearest_many(X) for m in self.members]
@@ -776,20 +777,21 @@ class FinitePointSet(ClosedSet):
             raise DimensionMismatch("points must be a nonempty (n, d) array")
         if not np.all(np.isfinite(pts)):
             raise DomainError("points must be finite")
-        rank = np.empty(pts.shape[0], dtype=int)
-        rank[np.lexsort(pts.T[::-1])] = np.arange(pts.shape[0])  # lexicographic
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "dim", pts.shape[1])
-        object.__setattr__(self, "_rank", rank)  # not a field, so not in to_config
+        # the point indices in lexicographic order; not a field, so not in to_config
+        object.__setattr__(self, "_lex", np.lexsort(pts.T[::-1]))
 
-    def project(self, x):
-        x = as_vector(x, self.dim)
-        dists = self._distances(x[None, :])[0]
-        dmin = float(dists.min())
-        near = self.points[np.flatnonzero(dists <= dmin + TIE_TOL)]
-        # deduped in lexicographic order, so the canonical (smallest) point leads
-        tied = _dedupe([q.copy() for q in sorted(near, key=tuple)])
-        return ProjectionResult(tied[0], tuple(tied), len(tied) > 1, dmin)
+    project = _one_row_project
+
+    def _minimizers_many(self, X):
+        """The points within TIE_TOL of the nearest, deduplicated in
+        lexicographic order, so the canonical (smallest) point leads."""
+        dists = self._distances(X)
+        dmin = dists.min(axis=1)
+        M, mask = _dedupe(np.broadcast_to(self.points[self._lex], (len(X),) + self.points.shape),
+                          (dists <= dmin[:, None] + TIE_TOL)[:, self._lex])
+        return M, mask, mask.sum(axis=1) > 1, dmin
 
     def _distances(self, X):
         """(n, k) distances from the rows of a validated X to the k points.
@@ -800,15 +802,11 @@ class FinitePointSet(ClosedSet):
 
     def _nearest_many(self, X):
         dists = self._distances(X)
-        if self._rank.size == 1:  # no ties to break
+        if self._lex.size == 1:  # no ties to break
             return self.points.repeat(X.shape[0], axis=0), dists[:, 0]
         dmin = dists.min(axis=1)
-        tied_rank = np.where(dists <= dmin[:, None] + TIE_TOL, self._rank, self._rank.size)
-        return self.points[np.argmin(tied_rank, axis=1)], dmin
-
-    def _sole_minimizer_many(self, X):
-        dists = self._distances(X)
-        return np.sum(dists <= dists.min(axis=1)[:, None] + TIE_TOL, axis=1) == 1
+        first = np.argmax((dists <= dmin[:, None] + TIE_TOL)[:, self._lex], axis=1)
+        return self.points[self._lex[first]], dmin
 
     def hull_points(self, rng):
         return list(self.points)
@@ -827,15 +825,11 @@ class Translate(ClosedSet):
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "dim", self.inner.dim)
 
-    def project(self, x):
-        x = as_vector(x, self.dim)
-        res = self.inner.project(x - self.shift)
-        mapped = tuple(q + self.shift for q in res.minimizers)
-        return ProjectionResult(res.canonical + self.shift, mapped, res.multivalued, res.distance)
+    project = _one_row_project
 
-    def _nearest_many(self, X):
-        Q, dist = self.inner._nearest_many(X - self.shift)
-        return Q + self.shift, dist
+    def _minimizers_many(self, X):
+        M, mask, multi, dist = self.inner._minimizers_many(X - self.shift)
+        return M + self.shift, mask, multi, dist
 
     def normal_generators_many(self, P):
         return self.inner.normal_generators_many(as_points(P, self.dim) - self.shift)

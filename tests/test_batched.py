@@ -16,6 +16,7 @@ from scipy.optimize import nnls
 import projlab as P
 from projlab import DimensionMismatch, DomainError, UnsupportedSet, analysis
 from projlab.analysis import margin_report
+from projlab.sets import TIE_TOL, ProjectionResult
 
 TOL = 1e-12
 COORD = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
@@ -146,53 +147,187 @@ def test_cases_cover_every_set_type():
     assert sorted(CASES) == sorted(P.sets.SET_TYPES)
 
 
+# ---------------------------------------------------------------------------
+# per-point projection references, independent of the batched kernels that
+# every catalog `project` now calls: the scalar formulas those kernels replaced
+
+
+def _dedupe_reference(points, tol=TIE_TOL):
+    """Each point unless within tol (max-abs) of a point kept before it."""
+    out = []
+    for p in points:
+        if not any(np.max(np.abs(p - q)) <= tol for q in out):
+            out.append(p)
+    return out
+
+
+def _single_reference(x, p):
+    p = np.asarray(p, dtype=float)
+    return ProjectionResult(p, (p,), False, float(np.linalg.norm(x - p)))
+
+
+def _halfspace_reference(s, x):
+    excess = float(s.a @ x - s.b)
+    return _single_reference(x, x if excess <= 0.0 else x - (excess / float(s.a @ s.a)) * s.a)
+
+
+def _orthant_reference(s, x):
+    p = x.copy()
+    for i, sign in enumerate(s.signs):
+        if sign != 0 and sign * p[i] < 0.0:
+            p[i] = 0.0
+    return _single_reference(x, p)
+
+
+def _ball_reference(s, x):
+    gap = x - s.center
+    dist = float(np.linalg.norm(gap))
+    return _single_reference(x, x if dist <= s.radius else s.center + (s.radius / dist) * gap)
+
+
+def _sphere_reference(s, x):
+    gap = x - s.center
+    dist = float(np.linalg.norm(gap))
+    if dist <= TIE_TOL:
+        # every sphere point minimizes; canonical ray is +e1
+        canon = s.center.copy()
+        canon[0] += s.radius
+        return ProjectionResult(canon, (canon,), True, s.radius)
+    return _single_reference(x, s.center + (s.radius / dist) * gap)
+
+
+def _cone_reference(s, x):
+    coeff, _ = nnls(s.generators.T, x)
+    return _single_reference(x, s.generators.T @ coeff)
+
+
+def _finite_points_reference(s, x):
+    dists = np.linalg.norm(s.points - x, axis=1)
+    dmin = float(dists.min())
+    near = s.points[np.flatnonzero(dists <= dmin + TIE_TOL)]
+    # deduped in lexicographic order, so the canonical (smallest) point leads
+    tied = _dedupe_reference([q.copy() for q in sorted(near, key=tuple)])
+    return ProjectionResult(tied[0], tuple(tied), len(tied) > 1, dmin)
+
+
+def _union_reference(s, x):
+    results = [_project_reference(m, x) for m in s.members]
+    dmin = min(r.distance for r in results)
+    tied = [r for r in results if r.distance <= dmin + TIE_TOL]
+    minimizers = _dedupe_reference([q for r in tied for q in r.minimizers])
+    multi = len(minimizers) > 1 or any(r.multivalued for r in tied)
+    return ProjectionResult(tied[0].canonical, tuple(minimizers), multi, dmin)
+
+
+def _enlargement_reference(s, x):
+    res = _project_reference(s.inner, x)
+    if s.tau == 0.0:
+        return res
+    if res.distance <= s.tau:
+        return _single_reference(x, x.copy())
+    scale = s.tau / res.distance
+    mapped = tuple(q + scale * (x - q) for q in res.minimizers)
+    canon = res.canonical + scale * (x - res.canonical)
+    return ProjectionResult(canon, mapped, res.multivalued, res.distance - s.tau)
+
+
+def _translate_reference(s, x):
+    res = _project_reference(s.inner, x - s.shift)
+    mapped = tuple(q + s.shift for q in res.minimizers)
+    return ProjectionResult(res.canonical + s.shift, mapped, res.multivalued, res.distance)
+
+
+PROJECT_REFERENCES = {
+    "halfspace": _halfspace_reference,
+    "hyperplane": lambda s, x: _single_reference(
+        x, x - (float(s.a @ x - s.b) / float(s.a @ s.a)) * s.a),
+    "affine": lambda s, x: _single_reference(x, s.anchor + s.basis.T @ (s.basis @ (x - s.anchor))),
+    "ball": _ball_reference, "sphere": _sphere_reference,
+    "box": lambda s, x: _single_reference(x, np.clip(x, s.lower, s.upper)),
+    "orthant": _orthant_reference, "cone": _cone_reference,
+    "finite_points": _finite_points_reference, "union": _union_reference,
+    "enlargement": _enlargement_reference, "translate": _translate_reference,
+}
+
+
 def _project_reference(s, x):
-    """The per-point projection formulas of the single-valued closed forms,
-    kept independent of the batched kernels their `project` now calls:
-    (canonical point, distance) of x, or None for the other variants."""
-    if isinstance(s, P.Halfspace):
-        excess = float(s.a @ x - s.b)
-        p = x if excess <= 0.0 else x - (excess / float(s.a @ s.a)) * s.a
-    elif isinstance(s, P.Hyperplane):
-        p = x - (float(s.a @ x - s.b) / float(s.a @ s.a)) * s.a
-    elif isinstance(s, P.AffineSubspaceSet):
-        p = s.anchor + s.basis.T @ (s.basis @ (x - s.anchor))
-    elif isinstance(s, P.Ball):
-        gap = x - s.center
-        dist = float(np.linalg.norm(gap))
-        p = x if dist <= s.radius else s.center + (s.radius / dist) * gap
-    elif isinstance(s, P.Box):
-        p = np.clip(x, s.lower, s.upper)
-    elif isinstance(s, P.Orthant):
-        p = x.copy()
-        for i, sign in enumerate(s.signs):
-            if sign != 0 and sign * p[i] < 0.0:
-                p[i] = 0.0
-    else:
-        return None
-    return p, float(np.linalg.norm(x - p))
+    """The per-point ProjectionResult of a catalog set, nested sets by their
+    own references; a custom set's own `project`."""
+    reference = PROJECT_REFERENCES.get(getattr(s, "tag", None))
+    return s.project(x) if reference is None else reference(s, x)
+
+
+def _same_result(got, want):
+    """Every ProjectionResult field bit for bit, the minimizers in order,
+    the flag a bool and the distance a float."""
+    return (_same_bits(got.canonical, want.canonical)
+            and len(got.minimizers) == len(want.minimizers)
+            and all(_same_bits(a, b) for a, b in zip(got.minimizers, want.minimizers))
+            and type(got.multivalued) is bool and got.multivalued == want.multivalued
+            and type(got.distance) is float and _same_bits(got.distance, want.distance))
+
+
+class _PointPair(P.ClosedSet):
+    """A custom multivalued set that defines only `project`: the points
+    +e1 and -e1 of R^d, both listed where they tie, +e1 first."""
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def project(self, x):
+        x = P.sets.as_vector(x, self.dim)
+        pts = [np.eye(self.dim)[0], -np.eye(self.dim)[0]]
+        dists = [float(np.linalg.norm(x - p)) for p in pts]
+        tied = tuple(p for p, dist in zip(pts, dists) if dist <= min(dists) + TIE_TOL)
+        return ProjectionResult(tied[0], tied, len(tied) > 1, min(dists))
+
+
+@st.composite
+def custom_case(draw):
+    """`_PointPair` alone and inside an enlargement, a translate and a union
+    that lists -e1 twice; the rows include a tie of its two points."""
+    d = draw(st.integers(1, 4))
+    pair, tie = _PointPair(d), draw(vectors(d))
+    tie[0] = 0.0
+    wrap = draw(st.sampled_from(["bare", "enlargement", "translate", "union"]))
+    if wrap == "enlargement":
+        return P.Enlargement(pair, draw(st.floats(0.0, 2.0))), draw(batches(d, [tie]))
+    if wrap == "translate":
+        shift = draw(vectors(d))
+        return P.Translate(pair, shift), draw(batches(d, [tie + shift]))
+    if wrap == "union":
+        return P.UnionOfSets((pair, P.FinitePointSet(-np.eye(d)[:1]))), draw(batches(d, [tie]))
+    return pair, draw(batches(d, [tie]))
 
 
 @pytest.mark.parametrize("tag", sorted(CASES))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_batched_oracles_match_scalar(tag, data):
-    """Within 1e-12 of the scalar call for every type; bit for bit, scalar
-    and batched alike, with `_project_reference` where it has a formula."""
+    """Bit for bit, for every type: row i of project_many and distance_many,
+    and distance(x), give the reference's canonical point and distance."""
     s, X = data.draw(CASES[tag])
     assert type(s).tag == tag
     P_many, D_many = s.project_many(X), s.distance_many(X)
     assert P_many.shape == X.shape and D_many.shape == (X.shape[0],)
     for x, p, dist in zip(X, P_many, D_many):
-        res = s.project(x)
-        np.testing.assert_allclose(p, res.canonical, rtol=0.0, atol=TOL)
-        assert abs(dist - s.distance(x)) <= TOL
         ref = _project_reference(s, x)
-        if ref is not None:
-            for got, got_dist in ((p, dist), (res.canonical, res.distance)):
-                assert _same_bits(got, ref[0]) and _same_bits(got_dist, ref[1])
-            assert len(res.minimizers) == 1 and res.minimizers[0] is res.canonical
-            assert not res.multivalued
+        assert _same_bits(p, ref.canonical) and _same_bits(dist, ref.distance)
+        assert _same_bits(s.distance(x), ref.distance)
+
+
+@pytest.mark.parametrize("tag", sorted(CASES) + ["custom"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_project_matches_the_reference_bit_for_bit(tag, data):
+    """Every field of project(x): the canonical point, each listed minimizer
+    and their order, the flag and the distance, for every type and for a
+    custom multivalued set inside the wrapping types."""
+    s, X = data.draw(custom_case() if tag == "custom" else CASES[tag])
+    for x in X:
+        got = s.project(x)
+        assert _same_result(got, _project_reference(s, x))
+        assert got.minimizers[0] is got.canonical
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -208,11 +343,14 @@ def test_box_takes_an_equal_bound_of_the_other_zero_sign(d):
 
 
 def test_reference_covers_the_one_row_projections():
+    """Every catalog `project` is the one-row call of the batched minimizer
+    list, and every type has its own per-point reference."""
     one_row = {tag for tag, cls in P.sets.SET_TYPES.items()
                if cls.__dict__["project"] is P.sets._one_row_project}
-    assert one_row == {"halfspace", "hyperplane", "affine", "ball", "box", "orthant"}
+    assert one_row == set(PROJECT_REFERENCES) == set(P.sets.SET_TYPES)
     for s in ONE_OF_EACH:
-        assert (_project_reference(s, np.zeros(s.dim)) is None) == (s.tag not in one_row)
+        x = np.full(s.dim, 3.0)
+        assert _same_result(s.project(x), PROJECT_REFERENCES[s.tag](s, x))
 
 
 def _enlargement_normals_reference(s, p):
@@ -451,6 +589,21 @@ class TestTieRules:
         s = P.FinitePointSet(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 5.0]]))
         np.testing.assert_array_equal(s.project_many(np.array([[1.0, 0.0]])), [[1.0, -1.0]])
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("kind", ["finite_points", "union"])
+    def test_tie_chain_keeps_both_ends(self, kind, d):
+        """a ~ b ~ c within TIE_TOL and a far from c: b goes as a duplicate
+        of a, and c stays, as it is far from a, the only point kept before
+        it."""
+        chain = np.zeros((3, d))
+        chain[1:, 0] = [0.8 * TIE_TOL, 1.6 * TIE_TOL]
+        s = P.FinitePointSet(chain) if kind == "finite_points" else \
+            P.UnionOfSets(tuple(P.FinitePointSet(p[None, :]) for p in chain))
+        x = 3.0 * np.eye(d)[1]
+        res = s.project(x)
+        assert res.multivalued and [q.tolist() for q in res.minimizers] == chain[[0, 2]].tolist()
+        assert _same_result(res, _project_reference(s, x))
+
     def test_finite_points_within_tie_tol_agree_with_scalar(self):
         # Distinct points closer than TIE_TOL: the canonical point is the
         # lexicographic minimum over every tied point, not the one dedupe keeps.
@@ -492,11 +645,10 @@ def operator_case(draw):
 
 def _apply_reference(op, x):
     """The per-point step formulas of the three operator families, over
-    `_project_reference` where it has a formula and scalar `project`
-    elsewhere.  For GeneralizedDR: (r, s, out), as apply_with_trace."""
+    `_project_reference`.  For GeneralizedDR: (r, s, out), as
+    apply_with_trace."""
     def proj(s, y):
-        ref = _project_reference(s, y)
-        return s.project(y).canonical if ref is None else ref[0]
+        return _project_reference(s, y).canonical
 
     if isinstance(op, P.RelaxedProjector):
         return x + op.lam * (proj(op.target, x) - x)
@@ -927,8 +1079,8 @@ class TestNormalArrays:
         """Nor for an enlargement whose inner projections do not tie: of one
         point, of two points away from their midpoint, of a box, and the
         circles of the bundled semi_intrepid_circles at its anchor.  Their
-        finite-point inner sets take one scalar `project`, the anchor's
-        membership check in the estimate, and none in the pool."""
+        finite-point inner sets take no scalar `project`, in the pool or in
+        the estimate, whose anchor membership check reads `_nearest_many`."""
         def scalar_call(self, p):
             raise AssertionError(f"scalar normal_generators on {type(self).__name__}")
 
@@ -944,38 +1096,35 @@ class TestNormalArrays:
             analysis._normal_pool(s, w, 0.5, np.random.default_rng(0), 40)
             assert not projects
             P.estimate_eps_regularity(s, w, 0.6, samples=40)
-            assert len(projects) <= 1
-            projects.clear()
+            assert not projects
         for s in _circles():
             P.estimate_eps_regularity(s, np.array([0.0, 1.0]), 0.5, seed=20801)
-            assert len(projects) == 1
-            projects.clear()
+            assert not projects
 
-    @pytest.mark.parametrize("inner, tau, asked", [
-        (P.FinitePointSet(np.array([[-1.0, 0.0], [1.0, 0.0]])), 1.0, [0]),
+    @pytest.mark.parametrize("inner, tau", [
+        (P.FinitePointSet(np.array([[-1.0, 0.0], [1.0, 0.0]])), 1.0),
         (P.UnionOfSets((P.FinitePointSet(np.array([[1.0, 0.0]])),
-                        P.FinitePointSet(np.array([[-1.0, 0.0]])))), 1.0, [0, 1, 3]),
+                        P.FinitePointSet(np.array([[-1.0, 0.0]])))), 1.0),
         (P.Translate(P.FinitePointSet(np.array([[-2.0, 1.0], [0.0, 1.0]])), np.array([1.0, -1.0])),
-         1.0, [0, 1, 3]),
-        (P.Enlargement(P.FinitePointSet(np.array([[-1.0, 0.0], [1.0, 0.0]])), 0.25), 0.75,
-         [0, 1, 3]),
+         1.0),
+        (P.Enlargement(P.FinitePointSet(np.array([[-1.0, 0.0], [1.0, 0.0]])), 0.25), 0.75),
     ], ids=["finite_points", "union", "translate", "enlargement"])
-    def test_enlargement_tie_rows_take_the_scalar_call(self, inner, tau, asked, monkeypatch):
+    def test_enlargement_tie_rows_take_the_scalar_call(self, inner, tau, monkeypatch):
         """The inner set is (-1, 0) and (1, 0), or their enlargement, and the
         enlargement reaches the midpoint (row 0), where the inner projection
         ties, and lists both directions there.  Rows 1 and 3 are boundary
-        points with one nearest inner point, row 2 is interior.  A finite
-        point set marks its rows with a sole minimizer, so only the midpoint
-        asks its scalar `project`; the other inner sets mark none, so every
-        boundary row asks."""
+        points with one nearest inner point, row 2 is interior.  One inner
+        `_minimizers_many` call lists every row's minimizers, so the tie
+        rows take no scalar `project` call, of any set."""
         s = P.Enlargement(inner, tau)
         X = np.array([[0.0, 0.0], [-2.0, 0.0], [1.0, 0.5], [1.0, 1.0]])
         calls = []
-        project = type(inner).project
-        monkeypatch.setattr(type(inner), "project", lambda self, x: (
-            calls.append(x.tolist()) if self is inner else None) or project(self, x))
+        for cls in P.sets.SET_TYPES.values():
+            project = cls.project
+            monkeypatch.setattr(cls, "project", lambda self, x, project=project: (
+                calls.append(type(self).__name__) or project(self, x)))
         dirs, mask = s.normal_generators_many(X)
-        assert calls == X[asked].tolist()
+        assert calls == []
         assert mask.sum(axis=1).tolist() == [2, 1, 0, 1]
         monkeypatch.undo()
         _rows_match_scalar(s, X)
@@ -1058,8 +1207,9 @@ def one_point_case(draw):
     return P.FinitePointSet(point[None, :]), draw(batches(d, [point]))
 
 
-SPLIT_CASES = dict(CASES, custom=project_only_case(), one_point=one_point_case())
-CLOSED_FORMS = ("halfspace", "hyperplane", "affine", "ball", "box", "orthant")
+SPLIT_CASES = dict(CASES, custom=project_only_case(), custom_pair=custom_case(),
+                   one_point=one_point_case())
+SINGLE_VALUED = ("halfspace", "hyperplane", "affine", "ball", "box", "orthant", "cone")
 
 
 @pytest.mark.parametrize("tag", sorted(SPLIT_CASES))
@@ -1075,18 +1225,39 @@ def test_canonical_many_is_the_nearest_point_bit_for_bit(tag, data):
     assert Q.shape == X.shape and _same_bits(Q, P_near)
     assert all(_same_bits(q, s.project(x).canonical) for q, x in zip(Q, X))
     assert not np.shares_memory(Q, X) and not np.shares_memory(P_near, X)
-    if tag in CLOSED_FORMS:
+    if tag in SINGLE_VALUED:
         assert _same_bits(dist, P.sets.row_norms(X - Q))
 
 
+@pytest.mark.parametrize("tag", sorted(SPLIT_CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_minimizer_lists_lead_with_the_nearest_point(tag, data):
+    """`_minimizers_many` and `_nearest_many` cannot drift apart: slot 0
+    and the distances are bit-equal, for every set type and a custom set.
+    The mask is a prefix that holds slot 0, a row that lists two points is
+    multivalued, and no point shares memory with X."""
+    s, X = data.draw(SPLIT_CASES[tag])
+    M, mask, multi, dist = s._minimizers_many(X)
+    Q, D = s._nearest_many(X)
+    n, k = mask.shape
+    assert M.shape == (n, k, s.dim) and multi.shape == dist.shape == (X.shape[0],) == (n,)
+    assert _same_bits(M[:, :1].reshape(X.shape), Q) and _same_bits(dist, D)
+    assert mask[:, :1].all() and np.array_equal(mask, np.arange(k) < mask.sum(axis=1)[:, None])
+    assert multi.dtype == bool and multi[mask.sum(axis=1) > 1].all()
+    assert not np.shares_memory(M, X)
+
+
 def test_the_closed_forms_derive_their_distances():
-    """The six closed forms write only their points; `_nearest_many` is the
-    one shared function that adds the distances, and nothing else is."""
+    """The seven single-valued sets, the cone included, write only their
+    points: one shared base adds the distances and lists each point alone,
+    and no other set writes `_canonical_many`."""
     derived = {tag for tag, cls in P.sets.SET_TYPES.items()
-               if cls.__dict__.get("_nearest_many") is P.sets._with_distance}
+               if issubclass(cls, P.sets._SingleValued)
+               and not {"_nearest_many", "_minimizers_many"} & set(cls.__dict__)}
     written = {tag for tag, cls in P.sets.SET_TYPES.items() if "_canonical_many" in cls.__dict__}
-    assert derived == written == set(CLOSED_FORMS)
-    assert not hasattr(P.sets, "_single_many")
+    assert derived == written == set(SINGLE_VALUED)
+    assert not hasattr(P.sets, "_single_many") and not hasattr(P.sets, "_with_distance")
 
 
 @pytest.mark.parametrize("case", [one_point_case(), finite_points_case()],

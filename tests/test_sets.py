@@ -255,6 +255,18 @@ class TestFrozenProjections:
             want = P.project(inner, x - shift).canonical + shift
             assert np.allclose(r.canonical, want, atol=1e-12)
 
+    @pytest.mark.parametrize("tag", sorted(P.sets.SET_TYPES))
+    def test_one_projection_formula_per_set(self, tag):
+        """Each class body binds `project` to the one-row call of its batched
+        minimizer list, and `distance` and `contains` stay the base class's,
+        where code that wraps each set type's methods finds them; the per-set
+        tie masks and the shared distance alias are gone."""
+        cls = P.sets.SET_TYPES[tag]
+        assert cls.__dict__["project"] is P.sets._one_row_project
+        assert {"distance", "contains"} <= set(P.sets.ClosedSet.__dict__)
+        assert not hasattr(cls, "_sole_minimizer_many")
+        assert not hasattr(P.sets, "_with_distance")
+
 
 # ---------------------------------------------------------------------------
 # Proximal normals
