@@ -269,7 +269,7 @@ def _max_normal_ratio(M, sites, normals, counts):
     return best, pair_count
 
 
-def estimate_linear_regularity(system, intersection: IntersectionHandle, w,
+def estimate_linear_regularity(system, intersection: ClosedSet, w,
                                delta, samples=2000, seed=0) -> RegularityEstimate:
     """Sampled lower bound of the linear-regularity modulus kappa on B(w, delta/2):
     max d_C(x) / max_i d_{C_i}(x) over draws with some d_{C_i}(x) > 0."""
@@ -284,7 +284,7 @@ def estimate_linear_regularity(system, intersection: IntersectionHandle, w,
     return RegularityEstimate("linear_regularity", float(kappa_hat), w,
                               delta, samples, seed, "lower",
                               {"used": used, "vacuous": used == 0,
-                               "approximate": intersection.approximate})
+                               "approximate": isinstance(intersection, IntersectionHandle)})
 
 
 def _closed_form_normals(s, P, k):

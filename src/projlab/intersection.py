@@ -1,17 +1,17 @@
 """Distance-to-intersection oracles.
 
-A scenario either declares the intersection as a catalog set (exact) or asks
-for the cyclic-projection fallback: iterate projections from the query point
-until the cycle stabilises and use the landing point as a surrogate nearest
-member.  The fallback overestimates the true distance and is flagged
-approximate wherever it is reported.
+The intersection C of a scenario's sets is itself a closed set.  A scenario
+either declares it as a catalog set (exact: `exact` returns that set) or
+asks for the cyclic-projection fallback, `IntersectionHandle`: iterate
+projections from the query point until the cycle stabilises and use the
+landing point as a surrogate nearest member.  The fallback overestimates the
+true distance and is flagged approximate wherever it is reported.
 
-A handle answers `project_many`/`distance_many` as a catalog set does, and
-`nearest`/`distance` are their one-row calls, for exact and oracle handles
-alike.  The fallback sweeps every live row of a batch through the members'
-`_canonical_many` at once, reading no member distance; a row drops out after
-the first sweep that moves it by at most `_FALLBACK_TOL`, so each row gets
-the same sweeps it would get on its own.
+The fallback is a single-valued set: its `_canonical_many` sweeps every live
+row of a batch through the members' `_canonical_many` at once, reading no
+member distance, and the rest of the set surface derives from it.  A row
+drops out after the first sweep that moves it by at most `_FALLBACK_TOL`,
+so each row gets the same sweeps it would get on its own.
 """
 
 from __future__ import annotations
@@ -20,60 +20,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .sets import ClosedSet, as_points, as_vector, row_norms
+from .errors import DimensionMismatch, DomainError
+from .sets import ClosedSet, _one_row_project, _SingleValued, as_vector, row_norms
 
 _FALLBACK_ITERS = 10_000
 _FALLBACK_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class IntersectionHandle:
-    """Wraps either an exact descriptor of the intersection or its members."""
+class IntersectionHandle(_SingleValued):
+    """The cyclic-projection surrogate of the intersection of `members`."""
 
-    descriptor: ClosedSet | None
     members: tuple
 
     def __post_init__(self):
-        if self.descriptor is None and not self.members:
-            raise DomainError("need a descriptor or the member sets")
-        object.__setattr__(self, "members", tuple(self.members))
+        members = tuple(self.members)
+        if not members:
+            raise DomainError("the oracle needs the member sets")
+        if len({m.dim for m in members}) != 1:
+            raise DimensionMismatch("oracle members disagree on dimension")
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "dim", members[0].dim)
 
-    @property
-    def approximate(self) -> bool:
-        return self.descriptor is None
-
-    @property
-    def dim(self) -> int:
-        if self.descriptor is not None:
-            return self.descriptor.dim
-        return self.members[0].dim
+    project = _one_row_project
+    # Bound here, not inherited, so the intersection's own calls can be
+    # patched apart from every catalog set's.
+    distance = ClosedSet.distance
 
     def nearest(self, x) -> np.ndarray:
         return self._canonical_many(as_vector(x, self.dim)[None, :])[0]
 
-    def distance(self, x) -> float:
-        return float(self._nearest_many(as_vector(x, self.dim)[None, :])[1][0])
-
-    def project_many(self, X) -> np.ndarray:
-        """Row i is nearest(X[i]) for an (n, dim) array X."""
-        return self._canonical_many(as_points(X, self.dim))
-
-    def distance_many(self, X) -> np.ndarray:
-        """Entry i is distance(X[i]) for an (n, dim) array X."""
-        return self._nearest_many(as_points(X, self.dim))[1]
-
-    def _nearest_many(self, X):
-        """(nearest points, distances) of the rows of a validated X."""
-        if self.descriptor is not None:
-            return self.descriptor._nearest_many(X)
-        Y = self._canonical_many(X)
-        return Y, row_norms(X - Y)
-
     def _canonical_many(self, X):
-        """The nearest points of the rows of a validated X."""
-        if self.descriptor is not None:
-            return self.descriptor._canonical_many(X)
+        """The landing points of the sweeps from the rows of a validated X."""
         Y = X.copy()
         live = np.arange(X.shape[0])
         for _ in range(_FALLBACK_ITERS):
@@ -88,9 +66,10 @@ class IntersectionHandle:
         return Y
 
 
-def exact(descriptor: ClosedSet, members=()) -> IntersectionHandle:
-    return IntersectionHandle(descriptor, tuple(members))
+def exact(descriptor: ClosedSet, members=()) -> ClosedSet:
+    """The intersection declared as a catalog set: the set itself."""
+    return descriptor
 
 
 def oracle(members) -> IntersectionHandle:
-    return IntersectionHandle(None, tuple(members))
+    return IntersectionHandle(members)

@@ -24,10 +24,9 @@ from .errors import (
     check_range,
     check_whole,
 )
-from .intersection import IntersectionHandle
 from .operators import CyclicTuple
 from .rates import RateCertificate
-from .sets import as_vector, row_norms
+from .sets import ClosedSet, as_vector, row_norms
 
 DIVERGENCE_NORM = 1e12
 ERROR_FLOOR = 1e-14
@@ -79,7 +78,7 @@ class Trajectory:
         return self.points[-1]
 
 
-def run(operators, x0, sets, intersection: IntersectionHandle,
+def run(operators, x0, sets, intersection: ClosedSet,
         max_cycles=10_000, tol=1e-10, seed=0) -> Trajectory:
     """Iterate the cyclic tuple from x0 until the intersection distance at a
     cycle end drops to tol, the cycle budget runs out, or the iterate norm

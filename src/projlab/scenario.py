@@ -40,7 +40,6 @@ from .errors import (
     table_entry,
 )
 from .intersection import IntersectionHandle
-from .intersection import exact as exact_intersection
 from .intersection import oracle as oracle_intersection
 from .operators import (
     OPERATOR_TYPES,
@@ -67,7 +66,7 @@ class Scenario:
     name: str
     dimension: int
     sets: tuple
-    intersection: IntersectionHandle
+    intersection: sets_mod.ClosedSet
     anchor: np.ndarray
     delta: float
     operators: CyclicTuple
@@ -119,17 +118,16 @@ def scenario_from_config(cfg: dict) -> Scenario:
         intersection = oracle_intersection(sets)
     else:
         with at_key("intersection"):
-            descriptor = set_from_config(raw_inter)
-        if descriptor.dim != dim:
-            raise ConfigError(f"intersection: dimension {descriptor.dim} != {dim}")
-        intersection = exact_intersection(descriptor, sets)
+            intersection = set_from_config(raw_inter)
+        if intersection.dim != dim:
+            raise ConfigError(f"intersection: dimension {intersection.dim} != {dim}")
 
     anchor = _vector(cfg["anchor"], dim, "anchor")
-    for i, s in enumerate(sets):
+    wheres = [f"every set; distance to sets[{i}]" for i in range(len(sets))]
+    for where, s in zip(wheres + ["the intersection; distance"], sets + (intersection,)):
         d = s.distance(anchor)
         if d > 1e-10:
-            raise ConfigError(
-                f"anchor: w must belong to every set; distance to sets[{i}] is {d:.3e}")
+            raise ConfigError(f"anchor: w must belong to {where} is {d:.3e}")
 
     delta = check_positive(cfg["delta"], "delta")
 
@@ -163,12 +161,12 @@ def scenario_from_config(cfg: dict) -> Scenario:
 
 def scenario_to_config(sc: Scenario) -> dict:
     """Canonical (normalized) config dict for a scenario."""
-    descriptor = sc.intersection.descriptor
+    inter = sc.intersection
     return {
         "name": sc.name,
         "dimension": sc.dimension,
         "sets": [s.to_config() for s in sc.sets],
-        "intersection": "oracle" if descriptor is None else descriptor.to_config(),
+        "intersection": "oracle" if isinstance(inter, IntersectionHandle) else inter.to_config(),
         "anchor": [float(v) for v in sc.anchor],
         "delta": sc.delta,
         "operators": [operator_to_config(op, sc.sets) for op in sc.operators.members],

@@ -105,8 +105,9 @@ def _prefix_rows(U, active):
     row's active candidates moved, in order, to a prefix, the padding zeroed
     and the columns cut to the longest row."""
     order = np.argsort(~active, axis=1, kind="stable")[:, :active.sum(axis=1).max(initial=0)]
-    mask = np.take_along_axis(active, order, axis=1)
-    dirs = U[order] if U.ndim == 2 else np.take_along_axis(U, order[:, :, None], axis=1)
+    rows = np.arange(active.shape[0])[:, None]
+    mask = active[rows, order]
+    dirs = U[order] if U.ndim == 2 else U[rows, order]
     dirs[~mask] = 0.0
     return dirs, mask
 

@@ -715,9 +715,10 @@ def test_malformed_points_raise(make_bad, error):
     calls += [P.RelaxedProjector(ball, 1.5).apply, P.SemiIntrepidProjector(sphere, 0.5, 1.0).apply,
               P.GeneralizedDR(ball, sphere, 1.0, 2.0, 0.5).apply,
               P.GeneralizedDR(ball, sphere, 1.0, 2.0, 0.5).apply_with_trace]
-    for handle in (P.exact_intersection(P.FinitePointSet(np.zeros((1, 2)))),
-                   P.oracle_intersection((ball, sphere))):
-        calls += [handle.nearest, handle.distance]
+    descriptor = P.exact_intersection(P.FinitePointSet(np.zeros((1, 2))))
+    oracle = P.oracle_intersection((ball, sphere))
+    calls += [descriptor.project, descriptor.distance,
+              oracle.project, oracle.nearest, oracle.distance]
     for call in calls:
         dim = getattr(call.__self__, "dim", 2)
         with pytest.raises(error):
@@ -736,27 +737,27 @@ def _alias_rows(s, rng):
 @pytest.mark.parametrize("s", ONE_OF_EACH, ids=lambda s: s.tag)
 def test_projections_never_share_memory_with_the_input(s):
     X = _alias_rows(s, np.random.default_rng(21))
-    handles = (P.exact_intersection(s), P.oracle_intersection((s,)))
+    oracle = P.oracle_intersection((s,))
     for i in range(X.shape[0]):
         x = X[i]
-        res = s.project(x)
-        for q in (res.canonical,) + res.minimizers:
-            assert not np.shares_memory(q, X)
-        for handle in handles:
-            assert not np.shares_memory(handle.nearest(x), X)
-    for batch in (s.project_many(X), *(h.project_many(X) for h in handles)):
-        assert not np.shares_memory(batch, X)
+        for c in (P.exact_intersection(s), oracle):
+            res = c.project(x)
+            for q in (res.canonical,) + res.minimizers:
+                assert not np.shares_memory(q, X)
+        assert not np.shares_memory(oracle.nearest(x), X)
+    for c in (s, oracle):
+        assert not np.shares_memory(c.project_many(X), X)
 
 
 
 def test_intersection_batches_match_scalar():
     a, b = P.Ball(np.zeros(2), 1.0), P.Halfspace(np.array([1.0, 1.0]), 0.0)
     X = np.random.default_rng(3).normal(scale=2.0, size=(20, 2))
-    for handle in (P.exact_intersection(P.FinitePointSet(np.zeros((1, 2))), (a, b)),
-                   P.oracle_intersection((a, b))):
-        np.testing.assert_array_equal(handle.distance_many(X),
-                                      [handle.distance(x) for x in X])
-        np.testing.assert_array_equal(handle.project_many(X), [handle.nearest(x) for x in X])
+    oracle = P.oracle_intersection((a, b))
+    for c in (P.exact_intersection(P.FinitePointSet(np.zeros((1, 2))), (a, b)), oracle):
+        np.testing.assert_array_equal(c.distance_many(X), [c.distance(x) for x in X])
+        np.testing.assert_array_equal(c.project_many(X), [c.project(x).canonical for x in X])
+    np.testing.assert_array_equal(oracle.project_many(X), [oracle.nearest(x) for x in X])
 
 
 def _fallback_reference(members, x):
@@ -845,6 +846,52 @@ class TestOracleFallback:
         handle = P.oracle_intersection(_circles())
         assert handle.project_many(np.zeros((0, 2))).shape == (0, 2)
         assert handle.distance_many(np.zeros((0, 2))).shape == (0,)
+
+
+class TestOracleIsASet:
+    """An exact intersection is its descriptor; the cyclic-projection oracle
+    is a single-valued ClosedSet whose surface derives from its sweep."""
+
+    def test_exact_returns_its_descriptor(self):
+        a, b = P.Hyperplane(np.array([1.0, 0.0]), 0.0), P.Hyperplane(np.array([0.0, 1.0]), 0.0)
+        d = P.FinitePointSet(np.zeros((1, 2)))
+        assert P.exact_intersection(d, (a, b)) is d
+        assert P.exact_intersection(d) is d
+
+    def test_project_is_the_one_row_sweep(self):
+        oracle = P.oracle_intersection(_circles())
+        assert isinstance(oracle, P.ClosedSet) and oracle.dim == 2
+        rng = np.random.default_rng(5)
+        for x in np.vstack([rng.uniform(-3.0, 3.0, size=(20, 2)), [[0.5, 0.0]]]):
+            res = oracle.project(x)
+            assert _same_bits(res.canonical, oracle.nearest(x))
+            assert len(res.minimizers) == 1 and res.minimizers[0] is res.canonical
+            assert res.multivalued is False
+            assert res.distance == oracle.distance(x)
+
+    def test_contains_a_point_of_c(self):
+        oracle = P.oracle_intersection(_circles())
+        assert oracle.contains(np.zeros(2))
+        assert not oracle.contains(np.array([3.0, 0.0]))
+
+    def test_no_closed_form_normal_cone(self):
+        oracle = P.oracle_intersection(_circles())
+        assert oracle.normal_generators_many(np.zeros((0, 2)))[0].shape == (0, 0, 2)
+        with pytest.raises(UnsupportedSet):
+            oracle.normal_generators_many(np.zeros((1, 2)))
+
+    def test_members_of_mixed_dimension_raise(self):
+        with pytest.raises(DimensionMismatch):
+            P.oracle_intersection((P.Ball(np.zeros(2), 1.0), P.Ball(np.zeros(3), 1.0)))
+        with pytest.raises(DomainError):
+            P.oracle_intersection(())
+
+    def test_linear_regularity_flags_the_oracle_approximate(self):
+        lines = tuple(P.Hyperplane(a, 0.0) for a in np.eye(2))
+        for c, approximate in ((P.oracle_intersection(lines), True),
+                               (P.exact_intersection(P.FinitePointSet(np.zeros((1, 2)))), False)):
+            est = analysis.estimate_linear_regularity(lines, c, np.zeros(2), 0.5, samples=50)
+            assert est.extra["approximate"] is approximate
 
 
 class TestMarginReport:

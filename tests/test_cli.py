@@ -311,6 +311,13 @@ class TestReportChecks:
         assert P.main(["run", _write(tmp_path, cfg)]) == 2
         assert "sets[1]: ball radius must lie in [0, inf), got nan" in capsys.readouterr().err
 
+    def test_run_exits_2_on_an_anchor_off_the_intersection(self, tmp_path, capsys):
+        cfg = minimal_config(intersection={"type": "finite_points", "points": [[0.3, 0.0]]})
+        path = _write(tmp_path, cfg)
+        assert P.main(["run", path]) == 2
+        assert capsys.readouterr().err == (f"config error: {path}: anchor: w must belong "
+                                           "to the intersection; distance is 3.000e-01\n")
+
 
 class TestLiteralRanges:
     """A literal number outside the range its analysis accepts fails at

@@ -214,7 +214,7 @@ class TestRunMatchesPerPointLoop:
         assert {operator_type(op) for op in ops} == set(OPERATOR_TYPES)
         assert {op.lam for op in ops if isinstance(op, P.RelaxedProjector)} >= {1.0, 2.0}
         assert {case[5] for case in cases} == {"Converged", "Budget", "Diverged"}
-        assert {case[3].approximate for case in cases} == {False, True}
+        assert {isinstance(case[3], P.IntersectionHandle) for case in cases} == {False, True}
 
     @settings(max_examples=40, deadline=None)
     @given(x0=arrays(float, 2, elements=st.floats(-4.0, 4.0, allow_subnormal=False)),

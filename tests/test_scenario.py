@@ -66,11 +66,14 @@ class TestParsing:
     def test_oracle_intersection_accepted(self):
         sc = P.scenario_from_config(minimal_config(intersection="oracle"))
         assert P.scenario_to_config(sc)["intersection"] == "oracle"
-        assert sc.intersection.approximate
+        assert isinstance(sc.intersection, P.IntersectionHandle)
+        assert sc.intersection.members == sc.sets
 
     def test_exact_intersection_not_approximate(self):
+        """A declared intersection is its catalog set, stored as parsed."""
         sc = P.scenario_from_config(minimal_config())
-        assert not sc.intersection.approximate
+        assert not isinstance(sc.intersection, P.IntersectionHandle)
+        assert sc.intersection.to_config() == minimal_config()["intersection"]
 
     def test_scenario_is_frozen(self):
         sc = P.scenario_from_config(minimal_config())
@@ -154,6 +157,13 @@ class TestValidation:
             P.scenario_from_config(cfg)
         assert "anchor" in str(exc.value)
 
+    def test_anchor_must_belong_to_the_declared_intersection(self):
+        cfg = minimal_config(intersection={"type": "finite_points", "points": [[0.3, 0.0]]})
+        with pytest.raises(ConfigError) as exc:
+            P.scenario_from_config(cfg)
+        assert str(exc.value) == \
+            "anchor: w must belong to the intersection; distance is 3.000e-01"
+
     def test_x0_length(self):
         cfg = minimal_config(x0=[1.0])
         with pytest.raises(ConfigError):
@@ -227,8 +237,8 @@ class TestRoundTrip:
         assert P.scenario_to_config(sc) == P.scenario_to_config(sc2)
 
     def test_scenario_built_in_code_keeps_its_intersection(self):
-        """The serialized intersection follows the handle the Scenario holds,
-        so a scenario built in code re-parses with the same kind of handle."""
+        """The serialized intersection follows the set the Scenario holds, so
+        a scenario built in code re-parses with the same intersection."""
         sc = P.load_bundled("two_lines_angle_45")
         direct = P.Scenario(sc.name, sc.dimension, sc.sets, sc.intersection, sc.anchor,
                             sc.delta, sc.operators, sc.x0, sc.max_cycles, sc.tol, sc.seed)
@@ -236,11 +246,12 @@ class TestRoundTrip:
         exact = P.scenario_from_config(minimal_config())
         for built in (direct, dataclasses.replace(oracle, intersection=exact.intersection)):
             cfg = P.scenario_to_config(built)
-            assert cfg["intersection"] == built.intersection.descriptor.to_config()
-            assert not P.scenario_from_config(cfg).intersection.approximate
+            assert cfg["intersection"] == built.intersection.to_config()
+            assert P.scenario_from_config(cfg).intersection.to_config() == cfg["intersection"]
         swapped = dataclasses.replace(exact, intersection=oracle.intersection)
         assert P.scenario_to_config(swapped)["intersection"] == "oracle"
-        assert P.scenario_from_config(P.scenario_to_config(swapped)).intersection.approximate
+        reparsed = P.scenario_from_config(P.scenario_to_config(swapped))
+        assert isinstance(reparsed.intersection, P.IntersectionHandle)
 
     def test_load_reports_json_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -298,6 +309,24 @@ class TestBundled:
         # normalized form also survives a JSON encode/decode cycle
         again = P.scenario_from_config(json.loads(json.dumps(norm1)))
         assert P.scenario_to_config(again) == norm1
+
+    def test_every_anchor_lies_in_its_intersection(self):
+        """Each bundled anchor is at distance 0 from its C, and moving a
+        declared C off the anchor fails at parse time, even where the run
+        and its analyses would still pass."""
+        declared = 0
+        for name in BUNDLED:
+            sc = P.load_bundled(name)
+            assert sc.intersection.distance(sc.anchor) == 0.0
+            cfg = P.scenario_to_config(sc)
+            if cfg["intersection"] != "oracle":
+                declared += 1
+                cfg["intersection"] = {"type": "finite_points",
+                                       "points": [list(sc.anchor + 0.3)]}
+                with pytest.raises(ConfigError, match="^anchor: w must belong to the "
+                                                      "intersection; distance is "):
+                    P.scenario_from_config(cfg)
+        assert declared == 12
 
     def test_unknown_bundled_name(self):
         with pytest.raises(ConfigError):
