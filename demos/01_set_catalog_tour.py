@@ -11,7 +11,7 @@ import projlab as P
 
 
 def show(title, s, x):
-    r = P.project(s, np.asarray(x, dtype=float))
+    r = s.project(np.asarray(x, dtype=float))
     tag = " (multivalued)" if r.multivalued else ""
     print(f"{title:28s} x={x}  ->  P(x)={np.round(r.canonical, 6)}"
           f"  d={r.distance:.6f}{tag}")
@@ -52,9 +52,10 @@ def main():
     print()
     print("Reflections of obtuse cones stay inside the cone:")
     cone = P.Orthant((1, 1))
+    reflector = P.RelaxedProjector(cone, 2.0)
     rng = np.random.default_rng(0)
     inside = sum(
-        P.membership(cone, P.reflect(cone, x), tol=1e-9)
+        cone.contains(reflector.apply(x), tol=1e-9)
         for x in rng.normal(size=(1000, 2))
     )
     print(f"  1000 random reflections, {inside} landed in the cone")

@@ -16,7 +16,7 @@ def main():
     line = P.Hyperplane(np.array([0.0, 1.0]), 0.0)  # the x-axis
     x = np.array([1.0, 2.0])
 
-    print(f"start x = {x}, target set = x-axis, P(x) = {P.project(line, x).canonical}")
+    print(f"start x = {x}, target set = x-axis, P(x) = {line.project(x).canonical}")
     print()
     print("relaxed projector, lambda from 0.5 to 2:")
     for lam in (0.5, 1.0, 1.5, 2.0):
@@ -28,7 +28,7 @@ def main():
     for alpha, tau in ((0.0, 1.0), (0.5, 10.0), (0.5, 0.3), (1.0, 0.3)):
         out = P.SemiIntrepidProjector(line, alpha, tau).apply(x)
         lam_eff = P.semi_intrepid_effective_relaxation(
-            x, P.project(line, x).canonical, alpha, tau
+            x, line.project(x).canonical, alpha, tau
         )
         print(f"  alpha={alpha:3.1f} tau={tau:4.1f} -> {out}   "
               f"(acts like lambda = {lam_eff:.3f})")

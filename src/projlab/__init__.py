@@ -30,7 +30,6 @@ from .analysis import (
 )
 from .cli import list_catalog, main, run_scenario, verify_suite
 from .errors import (
-    CertificateViolated,
     ConfigError,
     ContainmentViolated,
     DimensionMismatch,
@@ -54,7 +53,6 @@ from .operators import (
     SemiIntrepidProjector,
     operator_from_config,
     operator_to_config,
-    reflect,
     semi_intrepid_effective_relaxation,
 )
 from .rates import (
@@ -112,10 +110,7 @@ from .sets import (
     Sphere,
     Translate,
     UnionOfSets,
-    distance,
     is_obtuse_cone,
-    membership,
-    project,
     proximal_normals,
     set_from_config,
 )

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import PropertyReport, margin_report
-from .errors import ContainmentViolated, DomainError, ShadowRecursionViolated, check_range
+from .errors import (
+    ContainmentViolated,
+    DomainError,
+    ShadowRecursionViolated,
+    _positive_samples,
+    check_range,
+)
 from .operators import GeneralizedDR, RelaxedProjector
 from .runner import Trajectory
 from .sets import RANK_TOL, AffineSubspaceSet, ClosedSet, row_norms, svd_rank
@@ -57,6 +63,7 @@ def verify_affine_identities(s: ClosedSet, L: AffineSubspaceSet, lam,
 
     Requires s to be contained in L (ContainmentViolated otherwise).
     """
+    samples = _positive_samples(samples)
     rng = np.random.default_rng(seed)
     dim = L.anchor.size
     op = RelaxedProjector(s, lam)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import nnls
 
-from .errors import DomainError, SamplingFailure, UnsupportedSet, check_range
+from .errors import DomainError, SamplingFailure, UnsupportedSet, _positive_samples, check_range
 from .intersection import IntersectionHandle
 from .sets import ClosedSet, as_vector, conic_mixtures, row_norms
 
@@ -58,7 +58,7 @@ def margin_report(name, margins, witness, seed, check_tol, extra, samples=None,
                   empty_margin=np.inf) -> PropertyReport:
     """The PropertyReport of a sampled inequality from its margins.
 
-    A margin below -check_tol is a violation.  The worst margin is the
+    A margin below -check_tol, or NaN, is a violation.  The worst margin is the
     smallest (empty_margin when there are none) and the witness is
     witness(i) for the first i attaining it.  samples defaults to the
     number of margins.
@@ -69,7 +69,7 @@ def margin_report(name, margins, witness, seed, check_tol, extra, samples=None,
         i = int(np.argmin(margins))
         worst, found = margins[i], witness(i)
     return PropertyReport(name, margins.size if samples is None else samples,
-                          int(np.count_nonzero(margins < -check_tol)), float(worst),
+                          int(np.count_nonzero(~(margins >= -check_tol))), float(worst),
                           found, seed, check_tol, extra)
 
 
@@ -85,14 +85,6 @@ class RegularityEstimate:
     seed: int
     bound: str = "lower"      # direction of the sampled bound
     extra: dict = field(default_factory=dict)
-
-
-def _positive_samples(samples) -> int:
-    """samples as an int, or DomainError unless it is a positive integer
-    (a bool is not)."""
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise DomainError(f"samples must be a positive integer, got {samples!r}")
-    return int(samples)
 
 
 def uniform_ball(rng, center, radius, n) -> np.ndarray:

@@ -1,8 +1,9 @@
-"""Exception types shared across the library, the one interval check and
-the one whole-number check that raise DomainError for every numeric
-parameter, and the key checks that raise ConfigError for every config
-record."""
+"""Exception types shared across the library, the one interval check, the
+one whole-number check and the one sample-count check that raise
+DomainError for every numeric parameter, and the key checks that raise
+ConfigError for every config record."""
 
+import numbers
 import re
 import sys
 from contextlib import contextmanager
@@ -44,10 +45,6 @@ class StrongRegularityFailed(DomainError):
     """A coercivity constant was requested for a degenerate normal geometry."""
 
 
-class CertificateViolated(ProjlabError):
-    """An observed rate exceeded a certificate that claimed to bound it."""
-
-
 class ContainmentViolated(ProjlabError):
     """A set escapes the affine subspace it was claimed to live in."""
 
@@ -77,6 +74,14 @@ def check_whole(name, value):
     if not float(value).is_integer():
         raise DomainError(f"{name} must be a whole number, got {value!r}")
     return int(value)
+
+
+def _positive_samples(samples) -> int:
+    """samples as an int, or DomainError unless it is a positive integer
+    (a bool is not); the check of every sampled routine."""
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
+        raise DomainError(f"samples must be a positive integer, got {samples!r}")
+    return int(samples)
 
 
 # A message that starts with a key path, e.g. "members[1].radius: ...".

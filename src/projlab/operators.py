@@ -177,11 +177,6 @@ class CyclicTuple:
         return len(self.members)
 
 
-def reflect(s: ClosedSet, x):
-    """R(x) = 2 P(x) - x."""
-    return RelaxedProjector(s, 2.0).apply(x)
-
-
 def semi_intrepid_effective_relaxation(x, p, alpha, tau) -> float:
     """Relaxation 1 + min(alpha, tau / ||x - p||) realised by a semi-intrepid step.
 

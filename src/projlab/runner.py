@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import CHECK_TOL, PropertyReport, margin_report
-from .errors import (
-    CertificateViolated,
-    DomainError,
-    InsufficientData,
-    check_range,
-    check_whole,
-)
+from .errors import DomainError, InsufficientData, check_range, check_whole
 from .operators import CyclicTuple
 from .rates import RateCertificate
 from .sets import ClosedSet, as_vector, row_norms
@@ -31,9 +25,10 @@ from .sets import ClosedSet, as_vector, row_norms
 DIVERGENCE_NORM = 1e12
 ERROR_FLOOR = 1e-14
 _K_STEP_TOL = 1e-12     # slack of the k-step reduction
-# The interval of fit_rlinear's tail fraction, as check_range's
-# (lo, hi, lo_open, hi_open).
+# The intervals of fit_rlinear's tail fraction and detect_cycle's tolerance,
+# as check_range's (lo, hi, lo_open, hi_open).
 TAIL_FRACTION_RANGE = (0.0, 1.0, True, False)
+CYCLE_TOL_RANGE = (0.0, np.inf, False, True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,6 +201,7 @@ def detect_cycle(traj: Trajectory, tol=1e-12) -> CycleReport | None:
     """Find the smallest period p <= 8 (in single applications) such that the
     point sequence satisfies x[n + p] == x[n] within tol from some start
     index onward, with at least two full periods observed."""
+    check_range("tol", tol, *CYCLE_TOL_RANGE)
     y = traj.points
     n = y.shape[0]
     for p in range(1, 9):
@@ -286,9 +282,9 @@ def check_rlinear_envelope(traj: Trajectory, cert: RateCertificate) -> PropertyR
                           "block_len": k, "xbar_quality": float(traj.c_dist[-1])})
 
 
-def compare_certificate(traj: Trajectory, cert: RateCertificate, slack=0.02,
-                        raise_on_violation=True) -> dict:
-    """Compare the fitted contraction against the certificate.
+def compare_certificate(traj: Trajectory, cert: RateCertificate, slack=0.02) -> dict:
+    """Compare the fitted contraction against the certificate; the result's
+    `ok` is the verdict.
 
     The cycle-end error sequence is fitted by fit_rlinear with its defaults
     and converted to a per-iterate (single application) rate, which must not
@@ -330,10 +326,6 @@ def compare_certificate(traj: Trajectory, cert: RateCertificate, slack=0.02,
     result["non_convergent_fit"] = fit.non_convergent
     result["margin"] = float(cert.rho_per_iterate + slack - rho_iter_fit)
     result["ok"] = rho_iter_fit <= cert.rho_per_iterate + slack
-    if not result["ok"] and raise_on_violation:
-        raise CertificateViolated(
-            f"fitted per-iterate rate {rho_iter_fit:.6f} exceeds certified "
-            f"{cert.rho_per_iterate:.6f} + slack {slack}")
     return result
 
 

@@ -148,7 +148,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
     if not isinstance(analyses, list):
         raise ConfigError("analyses: must be a list")
     for i, record in enumerate(analyses):
-        check_analysis(record, f"analyses[{i}]", len(sets), len(ops))
+        check_analysis(record, f"analyses[{i}]", dim, len(sets), len(ops))
     expected = cfg.get("expected", {})
     if not isinstance(expected, dict):
         raise ConfigError("expected: must be an object")
@@ -562,8 +562,7 @@ def _k_step(run, rec, path, label):
 
 def _compare(run, rec, path, label):
     cert = _reference(rec["certificate"], run.ctx, f"{path}.certificate")
-    result = runner_mod.compare_certificate(run.traj, cert, raise_on_violation=False,
-                                            **_given(rec, "slack"))
+    result = runner_mod.compare_certificate(run.traj, cert, **_given(rec, "slack"))
     result["name"] = label
     run.comparisons.append(_jsonable(result))
 
@@ -730,7 +729,7 @@ ANALYSES = {
         ("tol", "expect_period", "expect_states")),
     "affine_reduction": Analysis(
         _affine_reduction, "affine_{}", "shadow split of a one-operator generalized DR run",
-        ("expect",)),
+        ("expect",), checks=(_expect_in("Intersection", "FixedPointShadow"),)),
     "affine_identities": Analysis(
         _affine_identities, "identities_{}", "relaxed projection commutes with the hull projection",
         ("set", "lambda", "samples", "seed"), ("set",)),
@@ -747,13 +746,20 @@ _BOOL_KEYS = ("expect_non_convergent", "expect_equality")
 # intervals the library checks.  A literal number is checked here; an "@label"
 # or arithmetic value when it resolves.
 _RANGES = {"tau": analysis_mod.TAU_RANGE, "nu": analysis_mod.NU_RANGE,
-           "lambda": rates_mod.LAMBDA_RANGE, "tail_fraction": runner_mod.TAIL_FRACTION_RANGE}
+           "lambda": rates_mod.LAMBDA_RANGE, "tail_fraction": runner_mod.TAIL_FRACTION_RANGE,
+           "tol": runner_mod.CYCLE_TOL_RANGE}
 
 
-def _check_values(record):
-    """Parse-time check of the numbers and booleans a record carries."""
+def _check_values(record, dim):
+    """Parse-time check of the numbers, booleans and states a record carries,
+    in a scenario of dimension `dim`."""
     for key, value in record.items():
-        if key in _INT_KEYS:
+        if key == "expect_states":
+            if not isinstance(value, list) or not value:
+                raise ConfigError(f"{key}: must be a nonempty list of states")
+            for i, state in enumerate(value):
+                _vector(state, dim, f"{key}[{i}]")
+        elif key in _INT_KEYS:
             check_int(value, key, _INT_KEYS[key])
         elif key == "delta":
             check_positive(value, key)
@@ -783,13 +789,13 @@ def _check_indices(record, n_sets, n_ops):
             raise ConfigError(f"{key}: {what} index out of range")
 
 
-def check_analysis(record, path, n_sets, n_ops):
+def check_analysis(record, path, dim, n_sets, n_ops):
     """Validate one analysis record against its kind's table entry and a
-    scenario of `n_sets` sets and `n_ops` operators."""
+    scenario of dimension `dim`, `n_sets` sets and `n_ops` operators."""
     with at_key(path):
         spec = table_entry(record, ANALYSES, "analysis", tag="kind")
         check_keys(record, "", ("kind", "label") + spec.keys, spec.required, spec.modifiers)
-        _check_values(record)
+        _check_values(record, dim)
         for check in spec.checks:
             check(record)
         _check_indices(record, n_sets, n_ops)

@@ -13,8 +13,8 @@ Every projection is written once, batched, as each row's list of
 minimizers in `_minimizers_many`, and every catalog `project` is its
 one-row call.  The single-valued sets (halfspace, hyperplane, affine, ball,
 box, orthant, and the cone by one NNLS solve per row) write only their
-points, in `_canonical_many`.  The finite point set, the union and the
-enlargement also write `_nearest_many`, their cheaper canonical point.
+points, in `_canonical_many`.  The finite point set and the union also
+write `_nearest_many`, their cheaper canonical point.
 Operators and the oracle sweep read points only, through `_canonical_many`,
 and `distance` is the one-row call of `_nearest_many`.  A custom subclass
 needs only `project`.  No catalog projection shares memory with its input.
@@ -38,6 +38,7 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     UnsupportedSet,
+    _positive_samples,
     at_key,
     check_keys,
     check_range,
@@ -74,15 +75,15 @@ def as_points(X, dim) -> np.ndarray:
 
 def row_norms(D) -> np.ndarray:
     """Euclidean norm of each row of D.  np.vecdot reduces each row with the
-    BLAS dot kernel, as np.linalg.norm does for one vector, so the results
-    agree bit for bit with the per-point norms."""
+    BLAS dot kernel, as np.linalg.norm does for one vector, so row i of a
+    batch equals the one-row call bit for bit."""
     return np.sqrt(np.vecdot(D, D))
 
 
 def _rowwise(M, X):
     """M @ x for each row x of X.  A stacked matmul runs one matrix-vector
-    product per row, the kernel the per-point code runs, so the results agree
-    bit for bit; a single matrix product would sum in another order."""
+    product per row, so row i of a batch equals the one-row call bit for
+    bit; a single matrix product would sum in another order."""
     return np.matmul(M, X[:, :, None])[:, :, 0]
 
 
@@ -235,10 +236,6 @@ class ClosedSet:
         random probes; variants with a closed form override it."""
         probes = rng.standard_normal((64, self.dim)) * 4.0
         return [self.project(z).canonical for z in probes]
-
-    def _single(self, x, p) -> ProjectionResult:
-        p = np.asarray(p, dtype=float)
-        return ProjectionResult(p, (p,), False, float(np.linalg.norm(x - p)))
 
 
 class _SingleValued(ClosedSet):
@@ -692,15 +689,6 @@ class Enlargement(ClosedSet):
         mask = mask & (out[:, None] | (np.arange(M.shape[1]) == 0))
         return Y, mask, multi & out, np.where(out, dist - self.tau, 0.0)
 
-    def _nearest_many(self, X):
-        Q, dist = self.inner._nearest_many(X)
-        if self.tau == 0.0:
-            return Q, dist
-        out = dist > self.tau
-        P = X.copy()
-        P[out] = Q[out] + (self.tau / dist[out])[:, None] * (X[out] - Q[out])
-        return P, np.where(out, dist - self.tau, 0.0)
-
     def normal_generators_many(self, P):
         """The unit vectors p - q over the inner minimizers q of each
         boundary row p, from one inner `_minimizers_many` call; none at an
@@ -840,19 +828,7 @@ class Translate(ClosedSet):
 
 
 # ---------------------------------------------------------------------------
-# module-level operation surface
-
-
-def membership(s: ClosedSet, x, tol=MEMBERSHIP_TOL) -> bool:
-    return s.contains(x, tol)
-
-
-def project(s: ClosedSet, x) -> ProjectionResult:
-    return s.project(x)
-
-
-def distance(s: ClosedSet, x) -> float:
-    return s.distance(x)
+# module-level functions
 
 
 def proximal_normals(s: ClosedSet, p) -> list:
@@ -878,8 +854,8 @@ def _cone_of(s):
 def conic_mixtures(rng, G, samples):
     """Unit directions of `samples` random conic combinations c @ G of the
     rows of G, c uniform in [0, 1)^k, in draw order; a combination of norm
-    at most 1e-12 is dropped.  One vector-matrix product per draw, as per
-    point, so each direction is bit-equal to normalising c @ G alone."""
+    at most 1e-12 is dropped.  One vector-matrix product per draw, so row i
+    equals the one-row product c_i @ G, normalised, bit for bit."""
     coeffs = rng.random((samples, G.shape[0]))
     mixed = np.matmul(coeffs[:, None, :], G)[:, 0, :]
     n = row_norms(mixed)
@@ -895,6 +871,7 @@ def is_obtuse_cone(s: ClosedSet, samples=256, seed=0):
     PropertyReport-like dict; violations count sampled polar directions v
     with -v outside K.
     """
+    samples = _positive_samples(samples)
     cone = _cone_of(s)
     rng = np.random.default_rng(seed)
     directions = np.array(cone.polar_generators(), dtype=float).reshape(-1, cone.dim)

@@ -27,6 +27,12 @@ def two_lines(theta: float):
     return a, b, inter
 
 
+def single_point(x, p):
+    """The projection result of a custom set whose one nearest point to x is p."""
+    p = np.asarray(p, dtype=float)
+    return P.sets.ProjectionResult(p, (p,), False, float(np.linalg.norm(x - p)))
+
+
 def sample_ball(rng, center, radius, n):
     """n points uniform in the ball B(center, radius)."""
     return P.uniform_ball(rng, np.asarray(center, dtype=float), radius, n)

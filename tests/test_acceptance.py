@@ -265,7 +265,7 @@ def test_criterion_7_affine_reduction_both_branches():
             assert abs(g - want) <= 1e-9 * want
         # the limit lies in the intersection of both sets
         for s in sc.sets:
-            assert P.distance(s, traj.final) <= 1e-8
+            assert s.distance(traj.final) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

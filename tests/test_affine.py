@@ -36,8 +36,8 @@ class TestAffineHull:
         b = P.AffineSubspaceSet(np.zeros(3), np.array([[0.0, 1.0, 0.0]]))
         L = P.affine_hull([a, b])
         assert L.basis.shape == (2, 3)
-        assert P.distance(L, np.array([3.0, -2.0, 0.0])) <= 1e-12
-        assert P.distance(L, np.array([0.0, 0.0, 1.0])) == pytest.approx(
+        assert L.distance(np.array([3.0, -2.0, 0.0])) <= 1e-12
+        assert L.distance(np.array([0.0, 0.0, 1.0])) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -46,7 +46,7 @@ class TestAffineHull:
         L = P.affine_hull([s])
         assert L.basis.shape == (0, 2)
         assert np.allclose(
-            P.project(L, np.array([9.0, -9.0])).canonical, [1.0, 2.0]
+            L.project(np.array([9.0, -9.0])).canonical, [1.0, 2.0]
         )
 
     def test_ball_spans_everything(self):
@@ -57,13 +57,13 @@ class TestAffineHull:
         box = P.Box(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
         L = P.affine_hull([box])
         assert L.basis.shape == (1, 2)
-        assert P.distance(L, np.array([5.0, 0.0])) <= 1e-12
+        assert L.distance(np.array([5.0, 0.0])) <= 1e-12
 
     def test_translate_unwraps(self):
         box = P.Box(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
         L = P.affine_hull([P.Translate(box, np.array([0.0, 2.0]))])
         assert L.basis.shape == (1, 2)
-        assert P.distance(L, np.array([0.5, 2.0])) <= 1e-12
+        assert L.distance(np.array([0.5, 2.0])) <= 1e-12
 
     def test_union_of_two_points_spans_their_line(self):
         u = P.UnionOfSets(
@@ -74,7 +74,7 @@ class TestAffineHull:
         )
         L = P.affine_hull([u])
         assert L.basis.shape == (1, 2)
-        assert P.distance(L, np.array([2.0, 2.0])) <= 1e-12
+        assert L.distance(np.array([2.0, 2.0])) <= 1e-12
 
     def test_projector_is_idempotent_and_nonexpansive(self):
         a, b, _ = _two_lines_3d()
@@ -83,9 +83,9 @@ class TestAffineHull:
         xs = rng.normal(scale=3.0, size=(100, 3))
         ys = rng.normal(scale=3.0, size=(100, 3))
         for x, y in zip(xs, ys):
-            px = P.project(L, x).canonical
-            py = P.project(L, y).canonical
-            assert np.linalg.norm(P.project(L, px).canonical - px) <= 1e-12
+            px = L.project(x).canonical
+            py = L.project(y).canonical
+            assert np.linalg.norm(L.project(px).canonical - px) <= 1e-12
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
     def test_probe_fallback_matches_the_catalog_line(self):
@@ -177,8 +177,8 @@ class TestShadowRun:
         assert rep.gap_law_residual <= 1e-9
         assert np.allclose(rep.gap_ratios, 0.5, atol=1e-9)
         # the full limit reaches the intersection of both sets
-        assert P.distance(a, rep.full_limit) <= 1e-8
-        assert P.distance(b, rep.full_limit) <= 1e-8
+        assert a.distance(rep.full_limit) <= 1e-8
+        assert b.distance(rep.full_limit) <= 1e-8
 
     def test_gap_law_matches_closed_form(self):
         traj = _dr_run(1.0, 1.0, 0.5, max_cycles=40, tol=1e-15)

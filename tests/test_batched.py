@@ -18,6 +18,8 @@ from projlab import DimensionMismatch, DomainError, UnsupportedSet, analysis
 from projlab.analysis import margin_report
 from projlab.sets import TIE_TOL, ProjectionResult
 
+from conftest import single_point
+
 TOL = 1e-12
 COORD = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
 
@@ -905,6 +907,20 @@ class TestMarginReport:
         assert (rep.samples, rep.violations, rep.worst_margin, rep.witness) == (3, 0, 0.0, None)
         assert margin_report("demo", [], lambda i: i, 0, 1e-9, {}).worst_margin == np.inf
 
+    def test_nan_margins_are_violations(self):
+        """A NaN margin holds no inequality, so it counts as a violation."""
+        rep = margin_report("demo", [0.5, np.nan, -2e-10, np.nan], lambda i: i, 0, 1e-9, {})
+        assert (rep.violations, rep.witness) == (2, 1) and not rep.passed
+        assert np.isnan(rep.worst_margin)
+
+    def test_nan_rho_bound_fails_every_live_block(self):
+        a, b = (P.Hyperplane(np.array([0.0, 1.0]), 0.0), P.Hyperplane(np.array([1.0, -1.0]), 0.0))
+        traj = P.run([P.RelaxedProjector(s, 1.0) for s in (a, b)], np.array([3.0, 1.0]), (a, b),
+                     P.exact_intersection(P.FinitePointSet(np.zeros((1, 2))), (a, b)),
+                     max_cycles=12, tol=1e-300)
+        rep = P.check_k_step_reduction(traj, 2, np.nan)
+        assert rep.samples == 12 and rep.violations == 12 and not rep.passed
+
 
 # ---------------------------------------------------------------------------
 # normal pools and the eps site loop against the per-point code they replace
@@ -1047,7 +1063,7 @@ class _ChainSet(P.ClosedSet):
         self.chain = [np.r_[np.cos(t), np.sin(t), np.zeros(dim - 2)] for t in (0.0, 3e-5, 6e-5)]
 
     def project(self, x):
-        return self._single(x, x)
+        return single_point(x, x)
 
     def normal_generators_many(self, X):
         n = X.shape[0]
@@ -1237,7 +1253,7 @@ class _ProjectOnly(P.ClosedSet):
         x = P.sets.as_vector(x, self.dim)
         p = np.zeros(self.dim)
         p[0] = min(max(x[0], 0.0), 1.0)
-        return self._single(x, p)
+        return single_point(x, p)
 
 
 @st.composite

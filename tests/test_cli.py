@@ -331,12 +331,21 @@ class TestLiteralRanges:
         ({"kind": "affine_identities", "set": 0, "lambda": 3.0},
          "lambda must lie in (0, 2], got 3.0"),
         ({"kind": "rate_fit", "tail_fraction": 2.0}, "tail_fraction must lie in (0, 1], got 2.0"),
-    ], ids=["tau", "nu", "lambda", "tail_fraction"])
+        ({"kind": "cycle_detect", "tol": -1e-12}, "tol must lie in [0, inf), got -1e-12"),
+    ], ids=["tau", "nu", "lambda", "tail_fraction", "cycle_tol"])
     def test_out_of_range_literal_exits_2(self, tmp_path, capsys, record, message):
         cfg = minimal_config(analyses=[record])
         path = _write(tmp_path, cfg)
         assert P.main(["run", path, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"config error: {path}: analyses[0]: {message}\n"
+
+    def test_malformed_expected_states_exit_2(self, tmp_path, capsys):
+        """Strings in a state died with a ValueError traceback and exit 1."""
+        cfg = minimal_config(analyses=[{"kind": "cycle_detect", "expect_states": [["a", "b"]]}])
+        path = _write(tmp_path, cfg)
+        assert P.main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (f"config error: {path}: analyses[0]."
+                                           "expect_states[0]: not a numeric vector\n")
 
     def test_arithmetic_value_is_checked_when_run(self):
         sc = P.scenario_from_config(minimal_config(analyses=[

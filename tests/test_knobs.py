@@ -28,7 +28,7 @@ KNOBS = {
     "runner.run": ("max_cycles", "tol", "seed"),
     "runner.fit_rlinear": ("tail_fraction", "burn_in"),
     "runner.detect_cycle": ("tol",),
-    "runner.compare_certificate": ("slack", "raise_on_violation"),
+    "runner.compare_certificate": ("slack",),
     "scenario._fields_dict": ("drop",),
     "scenario._reference": ("cls",),
     "scenario.execute_scenario": ("out_dir", "seed_override"),
@@ -36,7 +36,6 @@ KNOBS = {
     "sets.svd_rank": ("full_matrices",),
     "sets._dedupe": ("tol",),
     "sets.ClosedSet.contains": ("tol",),
-    "sets.membership": ("tol",),
     "sets.is_obtuse_cone": ("samples", "seed"),
 }
 
@@ -77,4 +76,4 @@ def test_knob_inventory_is_pinned():
         PYTHONPATH=src:tests python -c "import pprint, test_knobs as t; pprint.pprint(t.knob_inventory(), width=100, sort_dicts=False)"
     """
     assert knob_inventory() == KNOBS
-    assert sum(map(len, KNOBS.values())) == 52
+    assert sum(map(len, KNOBS.values())) == 50

@@ -116,6 +116,7 @@ CALLS = {
                     (0.5, 2)),
     "check_k_step_reduction": (lambda k: P.check_k_step_reduction(_trajectory(), k, 0.5),
                                (1,)),
+    "detect_cycle": (lambda tol: P.detect_cycle(_trajectory(), tol), (1e-12,)),
     "check_quasi_firm_fejer": (lambda g, b, delta: P.check_quasi_firm_fejer(
         _relaxed(), _line(), g, b, np.zeros(2), delta, samples=20), (1.0, 1.0, 0.5)),
     "check_quasi_coercive": (lambda nu, delta: P.check_quasi_coercive(
@@ -155,6 +156,35 @@ def test_whole_number_parameters_raise_domain_error(call, message):
         call()
 
 
+@pytest.mark.parametrize("tol", [-1e-12, -math.inf, math.inf])
+def test_detect_cycle_tolerance_lies_in_zero_to_infinity(tol):
+    """A negative tolerance found no cycle, silently; zero asks for exact
+    repeats."""
+    with pytest.raises(P.DomainError, match=r"tol must lie in \[0, inf\)"):
+        P.detect_cycle(_trajectory(), tol)
+    assert P.detect_cycle(_trajectory(), 0.0) is None
+
+
+# The sampled routines outside analysis, each returning its sample count.
+SAMPLED_ELSEWHERE = {
+    "verify_affine_identities": lambda n: P.verify_affine_identities(
+        _line(), P.affine_hull([_line()]), 1.0, samples=n).samples,
+    # the orthant's two polar rays come on top of the draws
+    "is_obtuse_cone": lambda n: P.is_obtuse_cone(P.Orthant((1, 1)), samples=n)["samples"] - 2,
+}
+
+
+@pytest.mark.parametrize("samples", [0, -3, 2.5, True, "10", None])
+@pytest.mark.parametrize("name", SAMPLED_ELSEWHERE)
+def test_sampled_routines_outside_analysis_check_samples(name, samples):
+    """They run the check the sampled analyses run: 0 drew nothing and
+    passed, -3 and 2.5 reached numpy."""
+    call = SAMPLED_ELSEWHERE[name]
+    assert call(np.int64(12)) == 12
+    with pytest.raises(P.DomainError, match="samples must be a positive integer"):
+        call(samples)
+
+
 def test_whole_floats_still_count():
     traj = _trajectory()
     assert P.check_k_step_reduction(traj, 2.0, 0.5).extra["k"] == 2
@@ -192,6 +222,7 @@ def test_interval_wording_lives_in_check_range_only():
 @pytest.mark.parametrize("key, module, name", [
     ("tau", "analysis", "TAU_RANGE"), ("nu", "analysis", "NU_RANGE"),
     ("lambda", "rates", "LAMBDA_RANGE"), ("tail_fraction", "runner", "TAIL_FRACTION_RANGE"),
+    ("tol", "runner", "CYCLE_TOL_RANGE"),
 ])
 def test_parse_time_intervals_are_the_library_ones(key, module, name):
     """Each interval a scenario checks at parse time is written once, beside

@@ -19,6 +19,7 @@ from projlab.operators import OPERATOR_TYPES
 from projlab.scenario import ANALYSES, THEOREMS, check_analysis
 from projlab.sets import SET_TYPES
 
+from conftest import single_point
 from test_scenario import BUNDLED, minimal_config
 
 
@@ -116,8 +117,11 @@ class TestExpectValues:
          'analyses[1].expect: must be one of true, false, got "false"'),
         ({"kind": "obtuse_cone", "set": 0, "expect": 1},
          "analyses[1].expect: must be one of true, false, got 1"),
+        ({"kind": "affine_reduction", "expect": "intersection"},
+         'analyses[1].expect: must be one of "Intersection", "FixedPointShadow", '
+         'got "intersection"'),
     ], ids=["strong-capitalised", "strong-boolean", "injectable-typo", "obtuse-string",
-            "obtuse-number"])
+            "obtuse-number", "affine-typo"])
     def test_bad_expect_names_the_key_path(self, record, message):
         cfg = minimal_config(analyses=[{"kind": "rate_fit"}, record])
         assert _error(cfg) == message
@@ -261,11 +265,27 @@ class TestRecordNumbers:
          "expect_period: must be a positive integer"),
         ({"kind": "strong_regularity", "expect_min": float("nan")},
          "expect_min: must be a finite number"),
+        ({"kind": "cycle_detect", "expect_states": [["a", "b"]]},
+         "expect_states[0]: not a numeric vector"),
+        ({"kind": "cycle_detect", "expect_states": [[0.0, 1.0], [0.0, 1.0, 2.0]]},
+         "expect_states[1]: expected a vector of length 2"),
+        ({"kind": "cycle_detect", "expect_states": [[0.0, float("inf")]]},
+         "expect_states[0]: entries must be finite"),
+        ({"kind": "cycle_detect", "expect_states": [0.0, 1.0]},
+         "expect_states[0]: expected a vector of length 2"),
+        ({"kind": "cycle_detect", "expect_states": []},
+         "expect_states: must be a nonempty list of states"),
     ], ids=["tail_fraction", "burn_in", "expect_rho", "expect_tol", "slack", "equality_tol",
-            "tol", "k", "expect_period", "expect_min"])
+            "tol", "k", "expect_period", "expect_min",
+            "state_strings", "state_length", "state_infinite", "states_flat", "states_empty"])
     def test_bad_number_names_the_key_path(self, record, message):
         assert _error(minimal_config(analyses=[{"kind": "rate_fit"}, record])) == \
             f"analyses[1].{message}"
+
+    def test_negative_cycle_tolerance_fails_at_parse_time(self):
+        """detect_cycle found nothing, silently, with a negative tol."""
+        cfg = minimal_config(analyses=[{"kind": "cycle_detect", "tol": -1e-12}])
+        assert _error(cfg) == "analyses[0]: tol must lie in [0, inf), got -1e-12"
 
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     @pytest.mark.parametrize("name, index, key", [
@@ -495,7 +515,7 @@ class TestCatalog:
                 record.update(theorem="rate_convex_cyclic", args={"lambdas": [1.0], "kappa": 1.0})
             if entry["name"] == "k_step":
                 record.update(rho_bound=0.5)
-            check_analysis(record, "analysis", 2, 1)
+            check_analysis(record, "analysis", 2, 2, 1)
 
 
 def test_verify_is_serial_by_default(capsys):
@@ -512,7 +532,7 @@ def test_probe_fallback_spans_a_custom_set():
         dim = 2
 
         def project(self, x):
-            return self._single(x, np.array([min(max(x[0], 0.0), 1.0), 0.0]))
+            return single_point(x, np.array([min(max(x[0], 0.0), 1.0), 0.0]))
 
     L = P.affine_hull([Segment()], seed=1)
     assert L.subspace_dim == 1

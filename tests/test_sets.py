@@ -73,25 +73,25 @@ class TestProjectionInvariants:
     def test_canonical_is_member(self, catalog_set):
         rng = np.random.default_rng(RNG_SEED)
         for x in rng.normal(scale=3.0, size=(200, 2)):
-            r = P.project(catalog_set, x)
-            assert P.membership(catalog_set, r.canonical, tol=1e-9)
+            r = catalog_set.project(x)
+            assert catalog_set.contains(r.canonical, tol=1e-9)
 
     def test_distance_matches_canonical_gap(self, catalog_set):
         rng = np.random.default_rng(RNG_SEED + 1)
         for x in rng.normal(scale=3.0, size=(200, 2)):
-            r = P.project(catalog_set, x)
+            r = catalog_set.project(x)
             assert np.linalg.norm(x - r.canonical) == pytest.approx(
                 r.distance, abs=1e-12
             )
-            assert P.distance(catalog_set, x) == pytest.approx(
+            assert catalog_set.distance(x) == pytest.approx(
                 r.distance, abs=1e-12
             )
 
     def test_idempotence(self, catalog_set):
         rng = np.random.default_rng(RNG_SEED + 2)
         for x in rng.normal(scale=3.0, size=(200, 2)):
-            p = P.project(catalog_set, x).canonical
-            p2 = P.project(catalog_set, p).canonical
+            p = catalog_set.project(x).canonical
+            p2 = catalog_set.project(p).canonical
             assert np.linalg.norm(p2 - p) <= 1e-12
 
     def test_optimality_against_sampled_members(self, catalog_set):
@@ -99,12 +99,12 @@ class TestProjectionInvariants:
         rng = np.random.default_rng(RNG_SEED + 3)
         members = np.array(
             [
-                P.project(catalog_set, y).canonical
+                catalog_set.project(y).canonical
                 for y in rng.normal(scale=4.0, size=(200, 2))
             ]
         )
         for x in rng.normal(scale=3.0, size=(100, 2)):
-            d = P.project(catalog_set, x).distance
+            d = catalog_set.project(x).distance
             best = np.min(np.linalg.norm(members - x, axis=1))
             assert d <= best + 1e-9
 
@@ -114,8 +114,8 @@ class TestProjectionInvariants:
         xs = rng.normal(scale=3.0, size=(100, 2))
         ys = rng.normal(scale=3.0, size=(100, 2))
         for x, y in zip(xs, ys):
-            dx = P.distance(catalog_set, x)
-            dy = P.distance(catalog_set, y)
+            dx = catalog_set.distance(x)
+            dy = catalog_set.distance(y)
             assert abs(dx - dy) <= np.linalg.norm(x - y) + 1e-12
 
 
@@ -127,69 +127,69 @@ class TestProjectionInvariants:
 class TestFrozenProjections:
     def test_halfspace(self):
         s = P.Halfspace(np.array([1.0, 0.0]), 1.0)
-        r = P.project(s, np.array([2.0, 3.0]))
+        r = s.project(np.array([2.0, 3.0]))
         assert np.allclose(r.canonical, [1.0, 3.0], atol=1e-15)
         assert r.distance == pytest.approx(1.0, abs=1e-15)
         # interior point is fixed
-        r = P.project(s, np.array([0.2, -9.0]))
+        r = s.project(np.array([0.2, -9.0]))
         assert np.allclose(r.canonical, [0.2, -9.0], atol=1e-15)
         assert r.distance == 0.0
 
     def test_hyperplane(self):
         s = P.Hyperplane(np.array([0.0, 1.0]), 2.0)
-        r = P.project(s, np.array([5.0, 7.0]))
+        r = s.project(np.array([5.0, 7.0]))
         assert np.allclose(r.canonical, [5.0, 2.0], atol=1e-15)
         assert r.distance == pytest.approx(5.0, abs=1e-15)
 
     def test_affine_subspace(self):
         s = P.AffineSubspaceSet(np.zeros(3), np.array([[1.0, 0.0, 0.0]]))
-        r = P.project(s, np.array([1.0, 2.0, 3.0]))
+        r = s.project(np.array([1.0, 2.0, 3.0]))
         assert np.allclose(r.canonical, [1.0, 0.0, 0.0], atol=1e-15)
         assert r.distance == pytest.approx(math.sqrt(13.0), rel=1e-15)
 
     def test_ball_and_sphere(self):
         b = P.Ball(np.zeros(2), 1.0)
-        r = P.project(b, np.array([3.0, 4.0]))
+        r = b.project(np.array([3.0, 4.0]))
         assert np.allclose(r.canonical, [0.6, 0.8], atol=1e-15)
         assert r.distance == pytest.approx(4.0, abs=1e-14)
         # interior of the ball is fixed, but not for the sphere
-        assert P.project(b, np.array([0.1, 0.0])).distance == 0.0
+        assert b.project(np.array([0.1, 0.0])).distance == 0.0
         s = P.Sphere(np.zeros(2), 2.0)
-        r = P.project(s, np.array([3.0, 4.0]))
+        r = s.project(np.array([3.0, 4.0]))
         assert np.allclose(r.canonical, [1.2, 1.6], atol=1e-14)
         assert r.distance == pytest.approx(3.0, abs=1e-14)
-        r = P.project(s, np.array([0.1, 0.0]))
+        r = s.project(np.array([0.1, 0.0]))
         assert np.allclose(r.canonical, [2.0, 0.0], atol=1e-14)
         assert r.distance == pytest.approx(1.9, abs=1e-14)
 
     def test_sphere_center_is_multivalued(self):
         s = P.Sphere(np.zeros(2), 2.0)
-        r = P.project(s, np.zeros(2))
+        r = s.project(np.zeros(2))
         assert r.multivalued
         assert r.distance == pytest.approx(2.0, abs=1e-15)
         assert np.linalg.norm(r.canonical) == pytest.approx(2.0, abs=1e-14)
 
     def test_box(self):
         s = P.Box(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-        r = P.project(s, np.array([2.0, -1.0]))
+        r = s.project(np.array([2.0, -1.0]))
         assert np.allclose(r.canonical, [1.0, 0.0], atol=1e-15)
         assert r.distance == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_orthant(self):
         s = P.Orthant((1, -1))
-        r = P.project(s, np.array([-1.0, 1.0]))
+        r = s.project(np.array([-1.0, 1.0]))
         assert np.allclose(r.canonical, [0.0, 0.0], atol=1e-15)
         assert r.distance == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        r = P.project(s, np.array([2.0, 1.0]))
+        r = s.project(np.array([2.0, 1.0]))
         assert np.allclose(r.canonical, [2.0, 0.0], atol=1e-15)
 
     def test_polyhedral_cone_frozen(self):
         s = P.PolyhedralCone(np.array([[1.0, 0.0], [1.0, 1.0]]))
-        r = P.project(s, np.array([0.0, 1.0]))
+        r = s.project(np.array([0.0, 1.0]))
         assert np.allclose(r.canonical, [0.5, 0.5], atol=1e-12)
         assert r.distance == pytest.approx(math.sqrt(0.5), rel=1e-12)
         # inside the cone: fixed
-        r = P.project(s, np.array([2.0, 1.0]))
+        r = s.project(np.array([2.0, 1.0]))
         assert np.allclose(r.canonical, [2.0, 1.0], atol=1e-12)
 
     def test_polyhedral_cone_against_nnls(self):
@@ -200,7 +200,7 @@ class TestFrozenProjections:
             gens = rng.normal(size=(k, d))
             s = P.PolyhedralCone(gens)
             for x in rng.normal(scale=2.0, size=(30, d)):
-                r = P.project(s, x)
+                r = s.project(x)
                 q = _cone_projection_by_faces(gens, x)
                 assert r.distance == pytest.approx(np.linalg.norm(x - q), abs=1e-9)
                 np.testing.assert_allclose(r.canonical, q, rtol=0.0, atol=1e-7)
@@ -211,8 +211,8 @@ class TestFrozenProjections:
         s = P.Enlargement(inner, tau)
         rng = np.random.default_rng(5)
         for x in rng.normal(scale=3.0, size=(500, 2)):
-            want = max(0.0, P.distance(inner, x) - tau)
-            assert P.distance(s, x) == pytest.approx(want, abs=1e-12)
+            want = max(0.0, inner.distance(x) - tau)
+            assert s.distance(x) == pytest.approx(want, abs=1e-12)
 
     def test_union(self):
         u = P.UnionOfSets(
@@ -221,17 +221,17 @@ class TestFrozenProjections:
                 P.FinitePointSet(np.array([[3.0, 0.0]])),
             )
         )
-        r = P.project(u, np.array([1.0, 0.0]))
+        r = u.project(np.array([1.0, 0.0]))
         assert np.allclose(r.canonical, [0.0, 0.0], atol=1e-15)
-        r = P.project(u, np.array([1.5, 0.0]))
+        r = u.project(np.array([1.5, 0.0]))
         assert r.multivalued
         assert len(r.minimizers) == 2
 
     def test_finite_points(self):
         s = P.FinitePointSet(np.array([[0.0, 0.0], [2.0, 0.0]]))
-        r = P.project(s, np.array([0.9, 5.0]))
+        r = s.project(np.array([0.9, 5.0]))
         assert np.allclose(r.canonical, [0.0, 0.0], atol=1e-15)
-        r = P.project(s, np.array([1.0, 3.0]))
+        r = s.project(np.array([1.0, 3.0]))
         assert r.multivalued
         assert len(r.minimizers) == 2
 
@@ -239,7 +239,7 @@ class TestFrozenProjections:
         """(0, 1e-13) and (0, 0) tie within TIE_TOL; the tie keeps its
         lexicographically smallest point, which is the canonical one."""
         s = P.FinitePointSet(np.array([[0.0, 1e-13], [0.0, 0.0]]))
-        r = P.project(s, np.array([5.0, 0.0]))
+        r = s.project(np.array([5.0, 0.0]))
         assert r.canonical.tolist() == [0.0, 0.0]
         assert [m.tolist() for m in r.minimizers] == [[0.0, 0.0]]
         normals = P.Enlargement(s, 1.0).normal_generators(np.array([1.0, 0.0]))
@@ -251,8 +251,8 @@ class TestFrozenProjections:
         s = P.Translate(inner, shift)
         rng = np.random.default_rng(6)
         for x in rng.normal(scale=3.0, size=(100, 2)):
-            r = P.project(s, x)
-            want = P.project(inner, x - shift).canonical + shift
+            r = s.project(x)
+            want = inner.project(x - shift).canonical + shift
             assert np.allclose(r.canonical, want, atol=1e-12)
 
     @pytest.mark.parametrize("tag", sorted(P.sets.SET_TYPES))
@@ -295,7 +295,7 @@ class TestProximalNormals:
         for u in normals:
             assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
             for t in (1e-6, 1e-3):
-                back = P.project(s, p + t * u).canonical
+                back = s.project(p + t * u).canonical
                 assert np.linalg.norm(back - p) <= 10.0 * t * 1e-3 + 1e-12
 
     def test_box_corner_in_16d_lists_every_normal(self):
@@ -427,12 +427,10 @@ class TestObtuseCone:
 
 class TestMembershipAndConfig:
     def test_membership_examples(self):
-        assert P.membership(P.Ball(np.zeros(2), 1.0), np.array([0.5, 0.0]))
-        assert not P.membership(P.Ball(np.zeros(2), 1.0), np.array([2.0, 0.0]))
-        assert P.membership(P.Sphere(np.zeros(2), 1.0), np.array([0.0, 1.0]))
-        assert not P.membership(
-            P.Sphere(np.zeros(2), 1.0), np.array([0.0, 0.5])
-        )
+        assert P.Ball(np.zeros(2), 1.0).contains(np.array([0.5, 0.0]))
+        assert not P.Ball(np.zeros(2), 1.0).contains(np.array([2.0, 0.0]))
+        assert P.Sphere(np.zeros(2), 1.0).contains(np.array([0.0, 1.0]))
+        assert not P.Sphere(np.zeros(2), 1.0).contains(np.array([0.0, 0.5]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("build", [
@@ -451,7 +449,7 @@ class TestMembershipAndConfig:
         rebuilt = P.set_from_config(cfg)
         rng = np.random.default_rng(11)
         for x in rng.normal(scale=3.0, size=(50, 2)):
-            a = P.project(catalog_set, x)
-            b = P.project(rebuilt, x)
+            a = catalog_set.project(x)
+            b = rebuilt.project(x)
             assert np.allclose(a.canonical, b.canonical, atol=1e-14)
             assert a.distance == pytest.approx(b.distance, abs=1e-14)
