@@ -25,6 +25,7 @@ from .sets import ClosedSet, as_vector, row_norms
 DIVERGENCE_NORM = 1e12
 ERROR_FLOOR = 1e-14
 _K_STEP_TOL = 1e-12     # slack of the k-step reduction
+_TEST_BATCH = 8         # most cycle ends `run` tests in one call
 # The intervals of fit_rlinear's tail fraction and detect_cycle's tolerance,
 # as check_range's (lo, hi, lo_open, hi_open).
 TAIL_FRACTION_RANGE = (0.0, 1.0, True, False)
@@ -79,50 +80,66 @@ def run(operators, x0, sets, intersection: ClosedSet,
     cycle end drops to tol, the cycle budget runs out, or the iterate norm
     exceeds 1e12 (stop_reason Diverged, never an exception).
 
-    x0 is validated once, against every operator's and the intersection's
-    dimension; the loop then steps a (1, d) row through the operators'
-    `_rows` kernels and the intersection's `_nearest_many`, the calls that
-    `apply` and `distance` make on one validated point.  The kernels read
-    projected points only; the cycle-end test and the tables after the loop
-    are the only distances asked for.  An iterate with a NaN entry raises
-    the DomainError those entry points would raise.
+    x0 is validated once; the loop then steps a (1, d) row through the
+    operators' `_rows` kernels (a NaN iterate raises DomainError) and tests
+    the cycle ends after cycles 1, 2, 4, 8, every 8 more and max_cycles, by
+    one `_nearest_many` call on the ends not yet tested.  The first end at or
+    below tol stops the run, dropping at most min(c - 1, 7) computed cycles
+    for a stop at cycle c.  A step that diverges or raises tests the ends
+    before it first; its exception is raised again only if none converged.
     """
     cycle = operators if isinstance(operators, CyclicTuple) else CyclicTuple(operators)
     members = cycle.members
+    m = len(members)
     x = as_vector(x0)
     sets = tuple(sets)
     max_cycles = check_whole("max_cycles", check_range("max_cycles", max_cycles, 1.0, np.inf))
     check_range("tol", tol, 0.0, np.inf, lo_open=True)
     for dim in (cycle.dim, intersection.dim):
         as_vector(x, dim)
+
+    def first_converged(tested, last):
+        """The first cycle end in tested+1..last at or below tol, or None."""
+        if last <= tested:
+            return None
+        ends = np.concatenate(points[(tested + 1) * m:last * m + 1:m])
+        hits = np.flatnonzero(intersection._nearest_many(ends)[1] <= tol)
+        return tested + 1 + int(hits[0]) if hits.size else None
+
     t0 = time.perf_counter()
     X = x[None, :].copy()
     points = [X]
-    op_index = [-1]
-    stop = "Budget"
-    for _ in range(max_cycles):
-        for j, op in enumerate(members):
-            X = op._rows(X)
-            points.append(X)
-            op_index.append(j)
-            norm = row_norms(X)[0]
-            if norm > DIVERGENCE_NORM:
-                stop = "Diverged"
+    stop, hit, tested, due = "Budget", None, 0, 1
+    for c in range(1, max_cycles + 1):
+        try:
+            for op in members:
+                X = op._rows(X)
+                points.append(X)
+                norm = row_norms(X)[0]
+                if norm > DIVERGENCE_NORM:
+                    stop = "Diverged"
+                    break
+                if math.isnan(norm):  # where the next apply or distance would raise
+                    raise DomainError("vector entries must be finite")
+        except Exception:  # a loop testing every cycle end stopped before this step
+            if (hit := first_converged(tested, c - 1)) is None:
+                raise
+            break
+        if stop == "Diverged" or c == due or c == max_cycles:
+            hit = first_converged(tested, c - 1 if stop == "Diverged" else c)
+            if hit is not None or stop == "Diverged":
                 break
-            if math.isnan(norm):  # where the next apply or distance would raise
-                raise DomainError("vector entries must be finite")
-        if stop == "Diverged":
-            break
-        if intersection._nearest_many(X)[1][0] <= tol:
-            stop = "Converged"
-            break
+            tested, due = c, c + min(c, _TEST_BATCH)
+    if hit is not None:
+        stop = "Converged"
+        del points[hit * m + 1:]
     wall = time.perf_counter() - t0
     P = np.concatenate(points)
     sd = np.column_stack([s.distance_many(P) for s in sets]) if sets \
         else np.zeros((P.shape[0], 0))
     cd = intersection.distance_many(P)
-    return Trajectory(P, np.array(op_index, dtype=int), sd, cd,
-                      len(members), stop, float(tol), int(seed), wall, cycle)
+    return Trajectory(P, np.r_[-1, np.arange(P.shape[0] - 1) % m], sd, cd,
+                      m, stop, float(tol), int(seed), wall, cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +167,8 @@ def fit_rlinear(errors, tail_fraction=0.5, burn_in=10) -> RateFit:
     e = np.asarray(errors, dtype=float)
     if e.ndim != 1:
         raise DomainError("errors must be a flat sequence")
-    if np.any(e < 0.0):
-        raise DomainError("errors must be nonnegative")
+    if not np.all((e >= 0.0) & (e < np.inf)):  # NaN fails both
+        raise DomainError("errors must be finite and nonnegative")
     if e.size < 10:
         raise InsufficientData(f"need at least 10 error entries, got {e.size}")
     check_range("tail_fraction", tail_fraction, *TAIL_FRACTION_RANGE)

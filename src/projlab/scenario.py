@@ -50,7 +50,7 @@ from .operators import (
     operator_type,
 )
 from .rates import RateCertificate
-from .sets import set_from_config
+from .sets import _check_entries, set_from_config
 
 MAX_DIMENSION = 16
 
@@ -87,6 +87,7 @@ def _vector(value, dim, path):
         raise ConfigError(f"{path}: expected a vector of length {dim}")
     if not np.all(np.isfinite(v)):
         raise ConfigError(f"{path}: entries must be finite")
+    _check_entries(value, path)
     return v
 
 

@@ -81,9 +81,11 @@ def row_norms(D) -> np.ndarray:
 
 
 def _rowwise(M, X):
-    """M @ x for each row x of X.  A stacked matmul runs one matrix-vector
-    product per row, so row i of a batch equals the one-row call bit for
-    bit; a single matrix product would sum in another order."""
+    """M @ x for each row x of X by one gemv per row: a stacked matmul, or
+    np.dot on one row, which skips the stack's set-up.  So row i of a batch
+    equals the one-row call bit for bit; one matrix product would not."""
+    if X.shape[0] == 1:
+        return np.dot(M, X[0])[None, :]
     return np.matmul(M, X[:, :, None])[:, :, 0]
 
 
@@ -909,13 +911,23 @@ def _encode(value):
     return value
 
 
+def _check_entries(value, key):
+    """Reject a bool or string in `value` or its nested lists, as check_number does."""
+    if isinstance(value, (list, tuple)):
+        for i, entry in enumerate(value):
+            _check_entries(entry, f"{key}[{i}]")
+    elif isinstance(value, (bool, str)):
+        raise ConfigError(f"{key}: must be a finite number")
+
+
 def _decode(value, path):
     """A field value from its config form: a record is a nested set and a
-    nonempty list of records a tuple of sets; anything else is left to the
-    variant's own validation."""
+    nonempty list of records a tuple of sets; anything else must hold no
+    bool or string, and is left to the variant's own validation."""
     if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
         return tuple(_decode(v, f"{path}[{i}]") for i, v in enumerate(value))
     if not isinstance(value, dict):
+        _check_entries(value, path)
         return value
     with at_key(path):
         return set_from_config(value)

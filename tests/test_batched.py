@@ -344,6 +344,21 @@ def test_box_takes_an_equal_bound_of_the_other_zero_sign(d):
         assert all(_same_bits(p, ref) for p in s.project_many(X))
 
 
+@pytest.mark.parametrize("d", range(2, 17))
+def test_one_row_rowwise_is_the_stacked_product_bit_for_bit(d):
+    """`_rowwise` takes one row through np.dot; it must give the stacked
+    matmul's bits, with the C-ordered basis and its F-ordered transpose."""
+    rng = np.random.default_rng(d)
+    for k in sorted({1, d // 2, d}):
+        basis = _orthonormal_rows(d, d, k)
+        for M in (basis, basis.T):
+            X = rng.standard_normal((20, M.shape[1])) * 10.0 ** rng.uniform(-6, 6, (20, 1))
+            stacked = np.matmul(M, X[:, :, None])[:, :, 0]
+            for i in range(X.shape[0]):
+                assert _same_bits(P.sets._rowwise(M, X[i:i + 1]), stacked[i:i + 1])
+            assert _same_bits(P.sets._rowwise(M, X), stacked)
+
+
 def test_reference_covers_the_one_row_projections():
     """Every catalog `project` is the one-row call of the batched minimizer
     list, and every type has its own per-point reference."""

@@ -147,6 +147,49 @@ def _origin(d=2):
     return P.FinitePointSet(np.zeros((1, d)))
 
 
+class _FailsBeyond(P.ClosedSet):
+    """A test-only line y = 0 in R^2 whose projection of a point of norm
+    above `radius` is NaN, or raises `error` when one is given."""
+
+    def __init__(self, radius, error=None):
+        self.dim, self.radius, self.error = 2, radius, error
+
+    def project(self, x):
+        if np.linalg.norm(x) > self.radius:
+            if self.error is not None:
+                raise self.error("projection failed")
+            p = np.full(2, np.nan)
+        else:
+            p = np.array([x[0], 0.0])
+        return ProjectionResult(p, (p,), False, float(np.linalg.norm(x - p)))
+
+
+def _walk(b, last=None, cycle_ends_at=None):
+    """Reflect through 0, reflect through (b, 0), project onto y = 0: from
+    x0 = (1, 1) the end of cycle k is (1 + 2bk, 0), exactly for these b.
+    `last` replaces the projection; the intersection is the origin, or the
+    point where cycle `cycle_ends_at` ends."""
+    pa, pb = P.FinitePointSet(np.zeros((1, 2))), P.FinitePointSet(np.array([[b, 0.0]]))
+    line = _line(0.0)
+    ops = [P.RelaxedProjector(pa, 2.0), P.RelaxedProjector(pb, 2.0),
+           P.RelaxedProjector(line if last is None else last, 1.0)]
+    end = [0.0, 0.0] if cycle_ends_at is None else [1.0 + 2.0 * b * cycle_ends_at, 0.0]
+    return ops, np.array([1.0, 1.0]), (pa, pb, line), P.FinitePointSet(np.array([end]))
+
+
+STOP_CYCLES = (1, 2, 3, 5, 8, 9, 17)  # batch ends 1, 2, 8, 16 and the cycles between
+
+
+def _stop_at(cycles):
+    """Alternating projections on two lines whose tol is the reference's
+    intersection distance after `cycles` cycles, where the run must stop."""
+    lines = (_line(0.0), _line(math.pi / 9))
+    ops, x0 = [P.RelaxedProjector(s, 1.0) for s in lines], np.array([0.9, 0.35])
+    exact = P.exact_intersection(_origin(), lines)
+    errors = _reference_run(ops, x0, lines, exact, max_cycles=20, tol=1e-300)[3][::2]
+    return ops, x0, lines, exact, {"max_cycles": 20, "tol": errors[cycles]}, "Converged"
+
+
 def _equivalence_cases():
     """(ops, x0, sets, intersection, run keywords, expected stop) per case."""
     a, b = _line(0.0), _line(math.pi / 6)
@@ -192,6 +235,19 @@ def _equivalence_cases():
              P.GeneralizedDR(cone, plane, 1.0, 1.0, 0.5)], np.array([0.8, 0.8, -0.5]),
             (cone, plane), P.exact_intersection(_origin(3), (cone, plane)),
             {"max_cycles": 50, "tol": 1e-300}, "Converged"),
+        "relaxed_budget_between_batch_ends": (
+            [P.RelaxedProjector(s, 1.0) for s in lines], np.array([0.9, 0.35]), lines, exact,
+            {"max_cycles": 11, "tol": 1e-300}, "Budget"),
+        # the norm passes 1e12 at the second step of cycle 6, after cycle
+        # end 5 and before the batch ends at cycle 8
+        "diverged_inside_a_batch": (*_walk(9e10), {"max_cycles": 100}, "Diverged"),
+        # cycle end 3 converges untested; cycle 4 diverges
+        "converged_before_divergence": (*_walk(1.5e11, cycle_ends_at=3),
+                                        {"max_cycles": 100, "tol": 0.5}, "Converged"),
+        # cycle end 3 converges untested; a projection in cycle 4 raises
+        "converged_before_a_raise": (*_walk(1.0, _FailsBeyond(8.0, RuntimeError), 3),
+                                     {"max_cycles": 100, "tol": 0.5}, "Converged"),
+        **{f"relaxed_stop_at_cycle_{c}": _stop_at(c) for c in STOP_CYCLES},
     }
 
 
@@ -216,6 +272,18 @@ class TestRunMatchesPerPointLoop:
         assert {case[5] for case in cases} == {"Converged", "Budget", "Diverged"}
         assert {isinstance(case[3], P.IntersectionHandle) for case in cases} == {False, True}
 
+    @pytest.mark.parametrize("cycles", STOP_CYCLES)
+    def test_stops_at_the_first_converged_cycle_end(self, cycles):
+        ops, x0, sets, inter, kw, _ = EQUIVALENCE_CASES[f"relaxed_stop_at_cycle_{cycles}"]
+        assert P.run(ops, x0, sets, inter, **kw).n_cycles == cycles
+
+    def test_each_cycle_end_is_tested_once_in_batches(self):
+        ops, x0, sets, inter, _, _ = EQUIVALENCE_CASES["relaxed_lam1_exact"]
+        counted = _CountingSet(inter)
+        traj = P.run(ops, x0, sets, counted, max_cycles=20, tol=1e-300)
+        # cycle ends 1, 2, 3-4, 5-8, 9-16, 17-20, then the table of every point
+        assert counted.batches == [1, 1, 2, 4, 8, 4, traj.n_points]
+
     @settings(max_examples=40, deadline=None)
     @given(x0=arrays(float, 2, elements=st.floats(-4.0, 4.0, allow_subnormal=False)),
            family=st.sampled_from(["relaxed_lam1_exact", "relaxed_oracle_budget",
@@ -229,7 +297,7 @@ class _CountingSet(P.ClosedSet):
     """A test-only wrapper that counts the rows its oracle is asked for."""
 
     def __init__(self, inner):
-        self.inner, self.dim, self.rows = inner, inner.dim, 0
+        self.inner, self.dim, self.rows, self.batches = inner, inner.dim, 0, []
 
     def project(self, x):
         self.rows += 1
@@ -237,6 +305,7 @@ class _CountingSet(P.ClosedSet):
 
     def _nearest_many(self, X):
         self.rows += X.shape[0]
+        self.batches.append(X.shape[0])
         return self.inner._nearest_many(X)
 
 
@@ -294,6 +363,18 @@ class TestRunErrors:
             with pytest.raises(DomainError, match="vector entries must be finite"):
                 call(ops, np.array([1.0, 2.0]), [line], P.exact_intersection(_origin()))
             assert (nan.rows, line.rows) == ((1, 0) if first else (1, 1))
+
+    @pytest.mark.parametrize("error, exc, match", [
+        (None, DomainError, "vector entries must be finite"),
+        (RuntimeError, RuntimeError, "projection failed"),
+    ], ids=["nan", "raise"])
+    def test_failure_after_untested_cycle_ends_raises(self, error, exc, match):
+        """The projection fails in cycle 10, two cycles into the batch of
+        cycle ends 9-16; cycle end 9 is tested first and is not converged."""
+        ops, x0, sets, inter = _walk(1.0, _FailsBeyond(20.0, error))
+        for call in (P.run, _reference_run):
+            with pytest.raises(exc, match=match):
+                call(ops, x0, sets, inter, max_cycles=100)
 
     def test_non_catalog_member_is_a_domain_error(self):
         with pytest.raises(DomainError, match="catalog operators, got function"):
@@ -377,6 +458,15 @@ class TestFitRlinear:
         fit = P.fit_rlinear(errs)
         assert fit.censored == 1
         assert 0.45 <= fit.rho <= 0.55
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_nan_infinite_or_negative_entries_raise(self, bad):
+        """A NaN entry was counted as censored, and an infinite one reached
+        lstsq's RuntimeWarning."""
+        errs = 0.9 ** np.arange(40.0)
+        errs[30] = bad
+        with pytest.raises(DomainError, match="errors must be finite and nonnegative"):
+            P.fit_rlinear(errs)
 
     def test_window_controls(self):
         errs = [1.0] * 20 + [0.5 ** n for n in range(30)]

@@ -322,6 +322,47 @@ class TestRecordNumbers:
         assert str(exc.value) == "analyses[0].args.m: must be an integer, got 2.9"
 
 
+class TestVectorEntries:
+    """A bool or a string where a vector entry belongs is a ConfigError at the
+    entry's key path; np.asarray read ["0", False] as (0, 0)."""
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"anchor": ["0", False]}, "anchor[0]: must be a finite number"),
+        ({"anchor": [0.0, False]}, "anchor[1]: must be a finite number"),
+        ({"x0": ["1.5", "2"]}, "x0[0]: must be a finite number"),
+        ({"x0": [3.0, True]}, "x0[1]: must be a finite number"),
+        ({"analyses": [{"kind": "cycle_detect", "expect_states": [[0.0, 0.0], ["0", "0"]]}]},
+         "analyses[0].expect_states[1][0]: must be a finite number"),
+        ({"analyses": [{"kind": "cycle_detect", "expect_states": [[False, 0.0]]}]},
+         "analyses[0].expect_states[0][0]: must be a finite number"),
+    ], ids=["anchor_string", "anchor_bool", "x0_strings", "x0_bool", "state_strings",
+            "state_bool"])
+    def test_scenario_vectors(self, overrides, message):
+        assert _error(minimal_config(**overrides)) == message
+
+    @pytest.mark.parametrize("record, message", [
+        ({"type": "ball", "center": ["0", "0"], "radius": 1.0},
+         "center[0]: must be a finite number"),
+        ({"type": "ball", "center": [0.0, 0.0], "radius": "1"},
+         "radius: must be a finite number"),
+        ({"type": "ball", "center": [0.0, 0.0], "radius": True},
+         "radius: must be a finite number"),
+        ({"type": "affine", "anchor": [0.0, 0.0], "basis": [[1.0, False]]},
+         "basis[0][1]: must be a finite number"),
+        ({"type": "orthant", "signs": [1, True]}, "signs[1]: must be a finite number"),
+        ({"type": "union", "members": [{"type": "ball", "center": [0.0, "0"], "radius": 1.0}]},
+         "members[0].center[1]: must be a finite number"),
+    ], ids=["center", "radius_string", "radius_bool", "basis", "signs", "nested"])
+    def test_set_records(self, record, message):
+        cfg = minimal_config()
+        cfg["sets"][1] = record
+        assert _error(cfg) == f"sets[1].{message}"
+
+    def test_numbers_still_parse(self):
+        sc = P.scenario_from_config(minimal_config(anchor=[0, 0.0], x0=[3, 4.0]))
+        assert sc.x0.tolist() == [3.0, 4.0]
+
+
 class TestModifiersAndRequiredKeys:
     @pytest.mark.parametrize("record, message", [
         ({"kind": "rate_fit", "expect_tol": 0.01},
