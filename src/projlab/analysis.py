@@ -15,11 +15,10 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import DomainError, SamplingFailure, UnsupportedSet, _positive_samples, check_range
 from .intersection import IntersectionHandle
-from .sets import ClosedSet, as_vector, conic_mixtures, row_norms
+from .sets import ClosedSet, _nnls, as_vector, conic_mixtures, row_norms
 
 CHECK_TOL = 1e-9
 STRONG_TOL = 1e-6
@@ -357,8 +356,8 @@ def _simplex_min_norm(G):
     simplex point s; it is 0 when y = 0.
     """
     d, k = G.shape
-    t, _ = nnls(np.vstack([G, np.full(k, _SIMPLEX_WEIGHT)]),
-                np.append(np.zeros(d), _SIMPLEX_WEIGHT))
+    t, _ = _nnls()(np.vstack([G, np.full(k, _SIMPLEX_WEIGHT)]),
+                   np.append(np.zeros(d), _SIMPLEX_WEIGHT))
     t /= t.sum()
     y = G @ t
     norm = float(np.linalg.norm(y))

@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     check_keys,
+    check_number,
     check_range,
     table_entry,
 )
@@ -235,7 +236,8 @@ def operator_type(op) -> str:
 
 
 def operator_from_config(record: dict, sets) -> object:
-    """Build an operator from a tagged record, resolving set indices."""
+    """Build an operator from a tagged record, resolving set indices; each
+    parameter must be a finite number (a bool or a string is not)."""
     spec = table_entry(record, OPERATOR_TYPES, "operator")
     check_keys(record, "", ("type",) + spec.keys, required=spec.keys)
     args = []
@@ -245,7 +247,7 @@ def operator_from_config(record: dict, sets) -> object:
             raise ConfigError(f"{key}: must index the scenario sets, got {idx!r}")
         args.append(sets[idx])
     try:
-        return spec.cls(*args, *(record[key] for key in spec.params))
+        return spec.cls(*args, *(check_number(record[key], key) for key in spec.params))
     except (DomainError, DimensionMismatch) as exc:  # at_key prefixes the record's path
         raise ConfigError(str(exc)) from exc
 

@@ -23,6 +23,9 @@ Every normal cone is written once, batched, in `normal_generators_many`, and
 `normal_generators` is its one-row call.  The union, the finite point set and
 a custom subclass that does not define `normal_generators_many` have no
 closed-form normal cone: they raise UnsupportedSet on a nonempty batch.
+
+The cone's NNLS solver comes from `scipy.optimize`, which `_nnls` imports on
+first use, so `import projlab` does not load scipy.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import itertools
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import (
     ConfigError,
@@ -42,6 +44,7 @@ from .errors import (
     at_key,
     check_keys,
     check_range,
+    check_whole,
     table_entry,
 )
 
@@ -49,6 +52,16 @@ MEMBERSHIP_TOL = 1e-10
 TIE_TOL = 1e-12
 # Relative singular-value cut-off that ranks affine-hull directions.
 RANK_TOL = 1e-9
+
+
+def _nnls():
+    """scipy's `nnls`, imported on first use.  `scipy.optimize` is most of the
+    time `import projlab` takes, and only cone projections and
+    `check_strong_regularity` need it, so a caller that projects onto no
+    cone never loads it."""
+    from scipy.optimize import nnls
+
+    return nnls
 
 
 def as_vector(x, dim=None) -> np.ndarray:
@@ -519,7 +532,7 @@ class Orthant(_SingleValued):
     signs: tuple
 
     def __post_init__(self):
-        signs = tuple(int(s) for s in self.signs)
+        signs = tuple(check_whole("orthant sign", s) for s in self.signs)
         if not signs:
             raise DomainError("orthant needs at least one coordinate")
         if any(s not in (-1, 0, 1) for s in signs):
@@ -625,7 +638,7 @@ class PolyhedralCone(_SingleValued):
     project = _one_row_project
 
     def _canonical_many(self, X):
-        G = self.generators.T
+        G, nnls = self.generators.T, _nnls()
         return np.array([G @ nnls(G, x)[0] for x in X]).reshape(X.shape)
 
     def normal_generators_many(self, P):

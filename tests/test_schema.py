@@ -358,9 +358,23 @@ class TestVectorEntries:
         cfg["sets"][1] = record
         assert _error(cfg) == f"sets[1].{message}"
 
+    @pytest.mark.parametrize("value", ["0.5", True], ids=["string", "bool"])
+    @pytest.mark.parametrize("tag, key", [
+        ("relaxed", "lambda"), ("semi_intrepid", "alpha"), ("semi_intrepid", "tau"),
+        ("generalized_dr", "lambda"), ("generalized_dr", "mu"), ("generalized_dr", "alpha"),
+    ])
+    def test_operator_records(self, tag, key, value):
+        """float() read "0.5" as 0.5 and True as 1.0, both admissible values."""
+        cfg = minimal_config()
+        cfg["operators"][1] = {"type": tag, **OPERATOR_SAMPLES[tag], key: value}
+        assert _error(cfg) == f"operators[1].{key}: must be a finite number"
+
     def test_numbers_still_parse(self):
-        sc = P.scenario_from_config(minimal_config(anchor=[0, 0.0], x0=[3, 4.0]))
+        cfg = minimal_config(anchor=[0, 0.0], x0=[3, 4.0])
+        cfg["operators"][0]["lambda"] = 1
+        sc = P.scenario_from_config(cfg)
         assert sc.x0.tolist() == [3.0, 4.0]
+        assert sc.operators.members[0].lam == 1.0
 
 
 class TestModifiersAndRequiredKeys:

@@ -444,6 +444,16 @@ class TestMembershipAndConfig:
         with pytest.raises(P.DomainError, match=r"must lie in .*inf\), got"):
             build(bad)
 
+    @pytest.mark.parametrize("signs", [(0.5, 1), (-1.9, 1), (1, math.nan)],
+                             ids=["half", "minus_1_9", "nan"])
+    def test_orthant_signs_are_not_truncated(self, signs):
+        """int() read 0.5 as a free coordinate and -1.9 as -1."""
+        with pytest.raises(P.DomainError, match=r"orthant sign must be a whole number"):
+            P.Orthant(signs)
+
+    def test_whole_float_signs_parse(self):
+        assert P.Orthant((1.0, -1.0, 0.0)).signs == (1, -1, 0)
+
     def test_set_config_round_trip(self, catalog_set):
         cfg = catalog_set.to_config()
         rebuilt = P.set_from_config(cfg)
