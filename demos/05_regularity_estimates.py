@@ -25,7 +25,8 @@ def line_pair(theta):
 
 def main():
     # epsilon-hat: how far a projector deviates from firm nonexpansiveness.
-    # Convex sets give (numerically) zero; a sphere is genuinely nonconvex.
+    # A convex set gives exactly zero, with nothing sampled (bound "exact");
+    # a sphere is genuinely nonconvex, and its estimate is a sampled lower bound.
     ball = P.Ball(np.zeros(2), 1.0)
     sphere = P.Sphere(np.zeros(2), 1.0)
     anchor = np.array([1.0, 0.0])

@@ -4,9 +4,11 @@ Estimators report sampled bounds: an estimate from finitely many draws never
 certifies the true modulus, so every result carries its bound direction
 ("lower" for eps/kappa/theta, "upper" for the strong-regularity zeta, whose
 extra["zeta_lower"] bounds it below over the sampled normals) and the seed
-that reproduces it bit for bit.  Checks return a PropertyReport whose
-margin convention is uniform: margin >= 0 means the sampled inequality holds,
-and violations == 0 iff the worst margin >= -check_tol.
+that reproduces it bit for bit.  Where the geometry gives the value, the
+direction is "exact": eps is 0 on a convex set, with nothing sampled.
+Checks return a PropertyReport whose margin convention is uniform: margin
+>= 0 means the sampled inequality holds, and violations == 0 iff the worst
+margin >= -check_tol.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, SamplingFailure, UnsupportedSet, _positive_samples, check_range
 from .intersection import IntersectionHandle
-from .sets import ClosedSet, _nnls, as_vector, conic_mixtures, row_norms
+from .sets import ClosedSet, _nnls, as_points, as_vector, conic_mixtures, row_norms
 
 CHECK_TOL = 1e-9
 STRONG_TOL = 1e-6
@@ -74,7 +76,8 @@ def margin_report(name, margins, witness, seed, check_tol, extra, samples=None,
 
 @dataclass(frozen=True, eq=False)
 class RegularityEstimate:
-    """A sampled regularity constant (lower or upper bound, never exact)."""
+    """A regularity constant: a sampled lower or upper bound, or the exact
+    value where the geometry gives it (`bound` says which)."""
 
     kind: str
     value: float
@@ -192,16 +195,23 @@ def check_injectable(s: ClosedSet, tau, w, delta, samples=1000, seed=0) -> Prope
 
 def estimate_eps_regularity(s: ClosedSet, w, delta, samples=600, seed=0,
                             points=None) -> RegularityEstimate:
-    """Sampled lower bound of the regularity epsilon at w over B(w, delta).
+    """Sampled lower bound of the regularity epsilon at w over B(w, delta),
+    or its exact value 0 on a convex set.
 
-    Members x are projections of points z drawn in B(w, delta/2) (these stay
-    in the delta-ball), or of the given `points`.  The unit normals at x
-    are the preimage direction (z - x)/||z - x|| and the first 8 closed-form
-    generators.  The estimate is max(0, max <u, y - x> / ||y - x||), capped
-    at 1, over the sites x with a normal u and the rows y of (w, members)
-    at least _PAIR_FLOOR from x; extra["pairs"] counts the (u, y) pairs and
-    `vacuous` flags none.  It is bit-reproducible for a seed on a given
-    numpy and BLAS build; see _max_normal_ratio for the kernel.
+    Every proximal normal u of a convex set at x has <u, y - x> <= 0 for
+    every member y, so when s.convex the arguments are checked and the
+    estimate is 0.0 with bound "exact" and extra {"convex": True}; nothing
+    is drawn, projected or paired.
+
+    Otherwise members x are projections of points z drawn in B(w, delta/2)
+    (these stay in the delta-ball), or of the given `points`.  The unit
+    normals at x are the preimage direction (z - x)/||z - x|| and the first
+    8 closed-form generators.  The estimate is
+    max(0, max <u, y - x> / ||y - x||), capped at 1, over the sites x with a
+    normal u and the rows y of (w, members) at least _PAIR_FLOOR from x;
+    extra["pairs"] counts the (u, y) pairs and `vacuous` flags none.  It is
+    bit-reproducible for a seed on a given numpy and BLAS build; see
+    _max_normal_ratio for the kernel.
     """
     delta = check_range("delta", delta, 0.0, np.inf, lo_open=True, hi_open=True)
     if points is None:
@@ -209,6 +219,10 @@ def estimate_eps_regularity(s: ClosedSet, w, delta, samples=600, seed=0,
     w = as_vector(w)
     if not s.contains(w, 1e-8):
         raise DomainError("anchor w must belong to the set")
+    if s.convex:
+        n = samples if points is None else as_points(points, s.dim).shape[0]
+        return RegularityEstimate("eps_regularity", 0.0, w, delta, n, seed, "exact",
+                                  {"convex": True})
     rng = np.random.default_rng(seed)
     zs = uniform_ball(rng, w, delta / 2.0, samples) if points is None \
         else np.asarray(points, dtype=float)
@@ -267,6 +281,9 @@ def estimate_linear_regularity(system, intersection: ClosedSet, w,
     delta = check_range("delta", delta, 0.0, np.inf, lo_open=True, hi_open=True)
     samples = _positive_samples(samples)
     w = as_vector(w)
+    system = list(system)
+    if not system:
+        raise DomainError("the system needs at least one set")
     xs = uniform_ball(np.random.default_rng(seed), w, delta / 2.0, samples)
     dmax = np.max([s.distance_many(xs) for s in system], axis=0)
     live = dmax >= _DIRECTION_FLOOR

@@ -42,6 +42,12 @@ class IntersectionHandle(_SingleValued):
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "dim", members[0].dim)
 
+    @property
+    def convex(self):
+        """True when every member is convex.  The sweep's landing point is
+        not the nearest one, so single-valuedness does not make it so."""
+        return all(m.convex for m in self.members)
+
     project = _one_row_project
     # Bound here, not inherited, so the intersection's own calls can be
     # patched apart from every catalog set's.

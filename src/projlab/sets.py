@@ -24,6 +24,13 @@ Every normal cone is written once, batched, in `normal_generators_many`, and
 a custom subclass that does not define `normal_generators_many` have no
 closed-form normal cone: they raise UnsupportedSet on a nonempty batch.
 
+`convex` is True only where the set is known to be convex, and callers may
+then use what convexity gives exactly (eps-regularity 0, for one).  The
+single-valued sets are convex; a finite point set is when it holds one
+distinct point, a translate or an enlargement when its inner set is, and
+the oracle intersection when its members are.  Spheres, unions and a custom
+subclass read False, the safe answer, unless the subclass sets it.
+
 The cone's NNLS solver comes from `scipy.optimize`, which `_nnls` imports on
 first use, so `import projlab` does not load scipy.
 """
@@ -171,6 +178,8 @@ class ClosedSet:
     """
 
     dim: int
+    # True only where the set is known to be convex; see the module docstring.
+    convex = False
 
     def project(self, x) -> ProjectionResult:
         raise NotImplementedError
@@ -255,7 +264,10 @@ class ClosedSet:
 
 class _SingleValued(ClosedSet):
     """A set with one nearest point everywhere, written in `_canonical_many`:
-    the distances ||x - p|| and the one-point lists derive from it."""
+    the distances ||x - p|| and the one-point lists derive from it.  Such a
+    closed set of R^d is convex (Bunt-Motzkin)."""
+
+    convex = True
 
     def _nearest_many(self, X):
         P = self._canonical_many(X)
@@ -692,6 +704,12 @@ class Enlargement(ClosedSet):
 
     project = _one_row_project
 
+    @property
+    def convex(self):
+        """The inner set's flag: an enlarged convex set is convex, and False
+        is the safe answer otherwise."""
+        return self.inner.convex
+
     def _minimizers_many(self, X):
         """A row x outside moves each inner minimizer q by tau towards x,
         to q + (tau / dist) (x - q); a row inside is its own sole minimizer."""
@@ -788,6 +806,11 @@ class FinitePointSet(ClosedSet):
 
     project = _one_row_project
 
+    @property
+    def convex(self):
+        """True when the set holds one distinct point."""
+        return bool(np.all(self.points == self.points[0]))
+
     def _minimizers_many(self, X):
         """The points within TIE_TOL of the nearest, deduplicated in
         lexicographic order, so the canonical (smallest) point leads."""
@@ -830,6 +853,10 @@ class Translate(ClosedSet):
         object.__setattr__(self, "dim", self.inner.dim)
 
     project = _one_row_project
+
+    @property
+    def convex(self):
+        return self.inner.convex
 
     def _minimizers_many(self, X):
         M, mask, multi, dist = self.inner._minimizers_many(X - self.shift)

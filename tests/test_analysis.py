@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import projlab as P
 from projlab import DomainError
@@ -161,7 +163,10 @@ class TestInjectable:
 
 
 class TestEpsRegularity:
-    def test_convex_sets_have_zero_eps(self):
+    def test_convex_sets_have_zero_eps(self, monkeypatch):
+        """On the sampled path: the estimator's convex shortcut is off."""
+        for cls in (P.Halfspace, P.Ball, P.Box):
+            monkeypatch.setattr(cls, "convex", False)
         for s, w in [
             (P.Halfspace(np.array([1.0, 0.0]), 1.0), np.array([1.0, 0.0])),
             (P.Ball(np.zeros(2), 1.0), np.array([0.0, 1.0])),
@@ -199,6 +204,133 @@ class TestEpsRegularity:
         assert large.value >= small.value - 1e-15
 
 
+def _convex_instances(d):
+    """(name, set, anchor in the set) in R^d for every type flagged convex,
+    turned and moved off the origin by a seeded orthogonal matrix: the
+    catalog's seven, a translate and an enlargement of convex inner sets, a
+    one-point finite set (its point listed twice) and an oracle of two
+    halfspaces with orthogonal normals, whose sweep lands on the nearest
+    point."""
+    q, _ = np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))
+    e = np.eye(d)
+    box = P.Box(-np.ones(d), np.ones(d))
+    return [
+        ("halfspace", P.Halfspace(q[0], 0.5), 0.5 * q[0] + 0.3 * q[-1]),
+        ("hyperplane", P.Hyperplane(q[0], -0.2), -0.2 * q[0]),
+        ("affine", P.AffineSubspaceSet(q[-1], q[:max(1, d // 2)]), q[-1]),
+        ("ball", P.Ball(q[-1], 1.0), q[-1] + q[0]),
+        ("box", box, np.ones(d)),
+        ("orthant", P.Orthant(((1, -1, 0) * d)[:d]), np.zeros(d)),
+        ("cone", P.PolyhedralCone(np.abs(q[:min(3, d)]) + 0.1), np.zeros(d)),
+        ("translate", P.Translate(box, q[0]), q[0] + np.ones(d)),
+        ("enlargement", P.Enlargement(box, 0.5), np.r_[1.5, np.zeros(d - 1)]),
+        ("one_point", P.FinitePointSet(np.vstack([q[0], q[0]])), q[0]),
+        ("oracle", P.IntersectionHandle((P.Halfspace(e[0], 0.0), P.Halfspace(e[1], 0.0))),
+         np.zeros(d)),
+    ]
+
+
+CONVEX_CASES = [(d, *case) for d in (2, 3, 8) for case in _convex_instances(d)]
+# The pair kernel's reading on a convex set: 0 up to rounding.  On the flat
+# sets (halfspace, hyperplane, affine, cone) it read up to 3.5e-9 over 40
+# seeds, from pairs under 1e-7 apart and preimages under 1e-5 long, where a
+# coordinate's last-bit error is divided by that length; the curved and
+# polyhedral-corner instances read exactly 0.
+SAMPLED_CONVEX_TOL = 1e-7
+
+
+def _sampled_everywhere(monkeypatch):
+    """Every set reads convex False, so eps goes through the pair kernel."""
+    for cls in (*P.sets.SET_TYPES.values(), P.IntersectionHandle):
+        monkeypatch.setattr(cls, "convex", False)
+
+
+class TestEpsOnConvexSets:
+    @pytest.mark.parametrize("d, name, s, w", CONVEX_CASES,
+                             ids=[f"{c[1]}_d{c[0]}" for c in CONVEX_CASES])
+    def test_exact_zero_without_sampling(self, d, name, s, w, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sampled on a convex set")
+
+        monkeypatch.setattr(analysis, "uniform_ball", refuse)
+        monkeypatch.setattr(analysis, "_max_normal_ratio", refuse)
+        monkeypatch.setattr(type(s), "project_many", refuse)
+        assert s.convex
+        est = P.estimate_eps_regularity(s, w, 0.6, samples=37, seed=5)
+        assert (est.value, est.bound, est.extra) == (0.0, "exact", {"convex": True})
+        assert (est.kind, est.delta, est.samples, est.seed) == ("eps_regularity", 0.6, 37, 5)
+        assert np.array_equal(est.anchor, w)
+        pts = P.uniform_ball(np.random.default_rng(0), w, 0.3, 11)
+        assert P.estimate_eps_regularity(s, w, 0.6, samples=0, points=pts).samples == 11
+
+    @pytest.mark.parametrize("d, name, s, w", CONVEX_CASES,
+                             ids=[f"{c[1]}_d{c[0]}" for c in CONVEX_CASES])
+    def test_sampled_eps_vanishes(self, d, name, s, w, monkeypatch):
+        """The flag is right: with it off, the pair kernel finds no pair
+        (u, y) with <u, y - x> > 0 beyond rounding, over 3 seeds."""
+        _sampled_everywhere(monkeypatch)
+        for seed in range(3):
+            est = P.estimate_eps_regularity(s, w, 0.6, seed=seed)
+            assert est.bound == "lower"
+            assert est.extra["pairs"] > 0 or name == "one_point"
+            assert est.value <= SAMPLED_CONVEX_TOL
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_nonconvex_sets_stay_sampled(self, d):
+        """The same reading is well above SAMPLED_CONVEX_TOL on sets the
+        flag leaves False: a sphere, two points, their enlargement, a
+        union of two balls, a translated sphere and an oracle with a
+        sphere member."""
+        e = np.eye(d)
+        sphere = P.Sphere(np.zeros(d), 1.0)
+        two = P.FinitePointSet(np.vstack([np.zeros(d), 0.4 * e[0]]))
+        for s, w in [
+            (sphere, e[0]),
+            (two, np.zeros(d)),
+            (P.Enlargement(two, 0.25), 0.2 * e[0] + 0.15 * e[1]),
+            (P.UnionOfSets((P.Ball(np.zeros(d), 0.5), P.Ball(1.2 * e[0], 0.5))), 0.5 * e[0]),
+            (P.Translate(sphere, e[-1]), e[-1] + e[0]),
+            (P.IntersectionHandle((sphere, P.Halfspace(e[1], 0.0))), e[0]),
+        ]:
+            assert not s.convex
+            est = P.estimate_eps_regularity(s, w, 0.6)
+            assert est.bound == "lower" and est.value > 0.05, type(s).__name__
+
+    def test_arguments_are_checked_in_order(self):
+        """delta, samples, the anchor and its membership, then the points,
+        on the exact path as on the sampled one."""
+        for s, w, off in [(P.Ball(np.zeros(2), 1.0), np.array([1.0, 0.0]), np.array([2.0, 0.0])),
+                          (P.Sphere(np.zeros(2), 1.0), np.array([1.0, 0.0]), np.zeros(2))]:
+            with pytest.raises(DomainError, match="delta"):
+                P.estimate_eps_regularity(s, off, 0.0, samples=0)
+            with pytest.raises(DomainError, match="samples"):
+                P.estimate_eps_regularity(s, off, 0.6, samples=0)
+            with pytest.raises(P.DimensionMismatch):
+                P.estimate_eps_regularity(s, np.zeros(3), 0.6, points=np.zeros((1, 3)))
+            with pytest.raises(DomainError, match="anchor"):
+                P.estimate_eps_regularity(s, off, 0.6, points=np.zeros((2, 3)))
+            with pytest.raises(P.DimensionMismatch):
+                P.estimate_eps_regularity(s, w, 0.6, points=np.zeros((2, 3)))
+            with pytest.raises(DomainError, match="finite"):
+                P.estimate_eps_regularity(s, w, 0.6, points=[[np.nan, 0.0]])
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([2, 3, 8]), r=st.floats(0.25, 4.0),
+           frac=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_sphere_eps_stays_under_the_exact_value(self, d, r, frac, seed):
+        """ROADMAP item 3: on a sphere of radius r, eps over B(w, delta) is
+        delta sqrt(1 - delta^2 / (4 r^2)) / r, the ratio ||x - y|| / (2r)
+        on the longest chord in the ball.  The sampled lower bound stays
+        under it; 1e-9 covers the site filter's slack and rounding."""
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(d)
+        center = rng.uniform(-1.0, 1.0, d)
+        w = center + r * u / np.linalg.norm(u)
+        delta = frac * r
+        est = P.estimate_eps_regularity(P.Sphere(center, r), w, delta, seed=seed)
+        assert est.value <= delta * math.sqrt(1.0 - delta ** 2 / (4.0 * r ** 2)) / r + 1e-9
+
+
 # ---------------------------------------------------------------------------
 # linear-regularity estimator
 # ---------------------------------------------------------------------------
@@ -223,6 +355,11 @@ class TestLinearRegularity:
         )
         assert est.value == pytest.approx(1.0, abs=1e-12)
         assert est.value >= 1.0
+
+    def test_empty_system_raises(self):
+        a = P.Hyperplane(np.array([0.0, 1.0]), 0.0)
+        with pytest.raises(DomainError, match="at least one set"):
+            P.estimate_linear_regularity([], a, np.zeros(2), 1.0)
 
 
 # ---------------------------------------------------------------------------

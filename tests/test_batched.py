@@ -1062,6 +1062,14 @@ CLOSED_FORM_TYPES = (P.Halfspace, P.Hyperplane, P.AffineSubspaceSet, P.Ball, P.S
                      P.Orthant, P.Translate)
 
 
+def _sampled(monkeypatch, s):
+    """Keep an eps estimate of s on the pair kernel: a convex set's class
+    reads convex False, so the estimator samples it instead of returning
+    its exact 0."""
+    if s.convex:
+        monkeypatch.setattr(type(s), "convex", False)
+
+
 def _same_bits(a, b):
     return np.array_equal(np.asarray(a, dtype=float).view(np.int64),
                           np.asarray(b, dtype=float).view(np.int64))
@@ -1094,7 +1102,7 @@ class TestNormalArrays:
             assert _same_bits(pool, np.reshape(ref, (-1, s.dim)))
 
     @pytest.mark.parametrize("name, s, w", NORMAL_CASES, ids=[c[0] for c in NORMAL_CASES])
-    def test_eps_matches_reference(self, name, s, w):
+    def test_eps_matches_reference(self, name, s, w, monkeypatch):
         """Against the per-site, per-normal loop that the coordinate-major
         kernel replaced: the same pairs, and eps_hat within (3d + 4) 2^-53.
 
@@ -1108,6 +1116,7 @@ class TestNormalArrays:
         exact ratio, to first order, as the ratios are at most 1 in size;
         the two forms differ by at most twice that.  The max over the same
         pairs and the clamps to [0, 1] move no further."""
+        _sampled(monkeypatch, s)
         for samples in (1, 2, 3, 37, 38, 39, 40, 150):
             est = P.estimate_eps_regularity(s, w, 0.6, samples=samples, seed=samples)
             eps, pairs = _eps_reference(s, w, 0.6, samples, samples)
@@ -1115,8 +1124,9 @@ class TestNormalArrays:
             assert abs(est.value - eps) <= _eps_drift_bound(s.dim)
 
     @pytest.mark.parametrize("name, s, w", NORMAL_CASES, ids=[c[0] for c in NORMAL_CASES])
-    def test_eps_matches_site_reference(self, name, s, w):
+    def test_eps_matches_site_reference(self, name, s, w, monkeypatch):
         """Chunking and batching keep every bit of the per-site form."""
+        _sampled(monkeypatch, s)
         for samples in (1, 2, 3, 37, 38, 39, 40, 150):
             est = P.estimate_eps_regularity(s, w, 0.6, samples=samples, seed=samples)
             eps, pairs = _eps_site_reference(s, w, 0.6, samples, samples)
@@ -1170,6 +1180,8 @@ class TestNormalArrays:
                             lambda self, x: projects.append(x) or project(self, x))
         enlarged = [(P.Enlargement(P.FinitePointSet(np.zeros((1, 3))), 0.5), np.r_[0.5, 0.0, 0.0]),
                     (P.Enlargement(P.Box(-np.ones(3), np.ones(3)), 0.5), np.r_[1.5, 1.0, 0.0])]
+        for cls in (P.Halfspace, P.Box, P.AffineSubspaceSet, P.FinitePointSet):
+            monkeypatch.setattr(cls, "convex", False)
         for s, w in [c[1:] for c in NORMAL_CASES] + enlarged:
             analysis._normal_pool(s, w, 0.5, np.random.default_rng(0), 40)
             assert not projects
@@ -1235,20 +1247,22 @@ class TestEpsKernel:
         assert analysis._closed_form_normals(s, X, 8)[1].sum(axis=1).tolist() == [2, 1, 1, 1, 0]
         assert self.estimate(s, w, points).value > 0.1
 
-    def test_box_pairs_by_hand(self):
+    def test_box_pairs_by_hand(self, monkeypatch):
         """Face, edge and corner sites of a box have 1, 2 and 3 closed-form
         normals besides their preimage direction; an interior point is no
         site.  A site pairs with the rows of M = (w, projections) other
         than itself: 5 of the 6, and 4 for the corner site, which is w."""
         s, w = P.Box(-np.ones(3), np.ones(3)), np.ones(3)
+        _sampled(monkeypatch, s)
         points = np.array([[1.2, 0.9, 0.8], [1.1, 1.2, 0.9], [1.1, 1.1, 1.1], [0.9, 0.9, 0.9],
                            [1.2, 0.7, 0.95]])
         est = self.estimate(s, w, points)
         assert est.value == 0.0 and est.extra["pairs"] == 2 * 5 + 3 * 5 + 4 * 4 + 2 * 5
 
-    def test_every_pair_under_the_floor(self):
+    def test_every_pair_under_the_floor(self, monkeypatch):
         """Every point projects to w, so no pair is far enough apart."""
         s, w = P.Halfspace(np.array([1.0, 0.0]), 0.0), np.zeros(2)
+        _sampled(monkeypatch, s)
         est = self.estimate(s, w, np.array([[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]]))
         assert (est.value, est.extra) == (0.0, {"pairs": 0, "vacuous": True})
 

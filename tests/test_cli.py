@@ -231,8 +231,8 @@ class TestVerifyCommand:
             assert (base / "report.json").is_file()
 
     @pytest.mark.parametrize("seed, digest", [
-        (None, "14c54b80e4bcccfaf8155766785067bcac0a4a42f941259e13199431295166aa"),
-        (12345, "c6195bf384f85ed31bccdef33a6ffa9bc87e9ebe89d7c2f7166a16191e2af279"),
+        (None, "22fec042c4bf294c39027bc33bd0225cb079bd53c7ccc7acf1905d3acb805969"),
+        (12345, "e2283ea765af38cd0f99397f0fe82130110fd0b8ed2934316029815cb32a6a80"),
     ])
     def test_verify_report_is_pinned(self, seed, digest):
         """The suite report stays byte-identical once `timing` is removed.  A

@@ -268,6 +268,48 @@ class TestFrozenProjections:
         assert not hasattr(P.sets, "_with_distance")
 
 
+# The convex flag of _catalog()'s instance of each type.  A new set type
+# fails test_every_type_declares_its_flag until it is listed here.
+CONVEX_BY_TAG = {
+    "halfspace": True, "hyperplane": True, "affine": True, "ball": True, "sphere": False,
+    "box": True, "orthant": True, "cone": True,
+    "enlargement": True,     # of a box
+    "union": False,          # of two disjoint balls
+    "finite_points": False,  # three points
+    "translate": True,       # of an orthant
+}
+
+
+class TestConvexFlag:
+    def test_every_type_declares_its_flag(self):
+        assert sorted(CONVEX_BY_TAG) == sorted(P.sets.SET_TYPES)
+        assert {s.tag: s.convex for s in _catalog()} == CONVEX_BY_TAG
+
+    def test_derived_flags(self):
+        e = np.eye(2)
+        sphere, ball = P.Sphere(np.zeros(2), 1.0), P.Ball(np.zeros(2), 1.0)
+        point, two = P.FinitePointSet(e[:1]), P.FinitePointSet(e)
+        cases = [
+            (P.FinitePointSet(np.vstack([e[0], e[0], e[0]])), True),  # one distinct point
+            (P.Enlargement(point, 0.5), True),
+            (P.Enlargement(two, 0.5), False),
+            (P.Enlargement(sphere, 0.5), False),
+            (P.Translate(sphere, e[0]), False),
+            (P.Translate(P.Translate(ball, e[0]), e[1]), True),
+            (P.UnionOfSets((ball,)), False),
+            (P.oracle_intersection((ball, P.Halfspace(e[0], 0.0))), True),
+            (P.oracle_intersection((ball, sphere)), False),
+        ]
+        for s, convex in cases:
+            assert s.convex is convex, s
+
+    def test_custom_subclass_defaults_to_false(self):
+        class Line(P.ClosedSet):
+            dim = 2
+
+        assert P.ClosedSet.convex is False and Line().convex is False
+
+
 # ---------------------------------------------------------------------------
 # Proximal normals
 # ---------------------------------------------------------------------------
