@@ -233,7 +233,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("seed, digest", [
         (None, "22fec042c4bf294c39027bc33bd0225cb079bd53c7ccc7acf1905d3acb805969"),
         (12345, "e2283ea765af38cd0f99397f0fe82130110fd0b8ed2934316029815cb32a6a80"),
-    ])
+    ], ids=["seed_default", "seed_12345"])  # ids that a re-pin leaves alone
     def test_verify_report_is_pinned(self, seed, digest):
         """The suite report stays byte-identical once `timing` is removed.  A
         change meant to move a reported number says which fields moved and
