@@ -40,7 +40,7 @@ def main():
         [P.RelaxedProjector(q1, 2.0), P.RelaxedProjector(q3, 2.0)],
         np.array([1.0, 2.0]),
         [q1, q3],
-        P.exact_intersection(origin, (q1, q3)),
+        origin,
         max_cycles=200,
         tol=1e-12,
     )
@@ -54,7 +54,7 @@ def main():
         [P.RelaxedProjector(ax_x, 2.0), P.RelaxedProjector(ax_y, 1.0)],
         np.array([0.0, 1.0]),
         [ax_x, ax_y],
-        P.exact_intersection(origin, (ax_x, ax_y)),
+        origin,
         max_cycles=200,
         tol=1e-12,
     )

@@ -18,7 +18,7 @@ def two_lines(theta):
     a = P.AffineSubspaceSet(np.zeros(2), np.array([[1.0, 0.0]]))
     d = np.array([math.cos(theta), math.sin(theta)])
     b = P.AffineSubspaceSet(np.zeros(2), d.reshape(1, 2))
-    inter = P.exact_intersection(P.FinitePointSet(np.zeros((1, 2))), (a, b))
+    inter = P.FinitePointSet(np.zeros((1, 2)))
     return a, b, inter
 
 

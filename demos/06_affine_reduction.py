@@ -21,7 +21,7 @@ def main():
     a = P.AffineSubspaceSet(np.zeros(3), np.array([[1.0, 0.0, 0.0]]))
     d = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
     b = P.AffineSubspaceSet(np.zeros(3), d.reshape(1, 3))
-    inter = P.exact_intersection(P.FinitePointSet(np.zeros((1, 3))), (a, b))
+    inter = P.FinitePointSet(np.zeros((1, 3)))
     x0 = np.array([1.0, 0.0, 1.0])
 
     hull = P.affine_hull([a, b], seed=0)

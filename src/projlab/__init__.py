@@ -44,8 +44,6 @@ from .errors import (
     UnsupportedSet,
 )
 from .intersection import IntersectionHandle
-from .intersection import exact as exact_intersection
-from .intersection import oracle as oracle_intersection
 from .operators import (
     CyclicTuple,
     GeneralizedDR,

@@ -10,7 +10,6 @@ full sequence inherits the shadow limit (Intersection).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +20,10 @@ from .errors import (
     DomainError,
     ShadowRecursionViolated,
     _positive_samples,
-    check_range,
 )
 from .operators import GeneralizedDR, RelaxedProjector
-from .runner import Trajectory
+from .rates import _dr_domain
+from .runner import Trajectory, _write_csv
 from .sets import RANK_TOL, AffineSubspaceSet, ClosedSet, row_norms, svd_rank
 
 # Largest deviation of the commutation identities and of shadow_run's steps.
@@ -86,8 +85,7 @@ def verify_affine_identities(s: ClosedSet, L: AffineSubspaceSet, lam,
 def eta(lam, mu, alpha) -> float:
     """Gap decay factor of the blended two-set iteration:
     eta = (1 - alpha) + alpha (1 - lambda)(1 - mu)."""
-    for name, v, hi in (("lambda", lam, 2.0), ("mu", mu, 2.0), ("alpha", alpha, 1.0)):
-        check_range(name, v, 0.0, hi, lo_open=True)
+    lam, mu, alpha = _dr_domain(lam, mu, alpha)
     return float((1.0 - alpha) + alpha * (1.0 - lam) * (1.0 - mu))
 
 
@@ -171,13 +169,6 @@ def export_shadow_csv(traj: Trajectory, shadow: np.ndarray, path) -> None:
     d = x.shape[1]
     header = (["n"] + [f"y_{i + 1}" for i in range(d)]
               + [f"gap_{i + 1}" for i in range(d)] + ["gap_norm"])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(header)
-        for n in range(x.shape[0]):
-            gap = x[n] - shadow[n]
-            row = [str(n)]
-            row += ["%.17g" % v for v in shadow[n]]
-            row += ["%.17g" % v for v in gap]
-            row.append("%.17g" % float(np.linalg.norm(gap)))
-            writer.writerow(row)
+    gaps = [x[n] - shadow[n] for n in range(x.shape[0])]
+    _write_csv(path, header, (((n,), np.concatenate([shadow[n], gap, [np.linalg.norm(gap)]]))
+                              for n, gap in enumerate(gaps)))

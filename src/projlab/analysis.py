@@ -100,6 +100,30 @@ def uniform_ball(rng, center, radius, n) -> np.ndarray:
     return center + (g / norms[:, None]) * radii[:, None]
 
 
+def _ball_args(delta, samples, w, seed):
+    """The checked delta, samples and w of a routine sampling B(w, delta),
+    in that order, and the generator of its seed."""
+    delta = check_range("delta", delta, 0.0, np.inf, lo_open=True, hi_open=True)
+    return delta, _positive_samples(samples), as_vector(w), np.random.default_rng(seed)
+
+
+def _system(system):
+    """The sets of `system` as a list, or DomainError when there are none."""
+    system = list(system)
+    if not system:
+        raise DomainError("the system needs at least one set")
+    return system
+
+
+def _fejer_margins(x, xp, xbar, gamma, beta):
+    """The quasi-firm Fejér margin gamma ||x - xbar||^2 - ||xp - xbar||^2 -
+    beta ||x - xp||^2 of each row's step x -> xp; gamma, beta and xbar are
+    one for all rows or one per row."""
+    to_ref, step_to_ref, step = x - xbar, xp - xbar, x - xp
+    return (gamma * np.vecdot(to_ref, to_ref) - np.vecdot(step_to_ref, step_to_ref)
+            - beta * np.vecdot(step, step))
+
+
 def _member_pool(refset, w, delta, rng, want):
     """The first `want` members of refset within B(w, delta), in draw order,
     found by projecting ball samples."""
@@ -131,18 +155,12 @@ def check_quasi_firm_fejer(op, refset, gamma, beta, w, delta, samples=1000,
     for x in B(w, delta/2) and xbar in refset intersected with B(w, delta)."""
     gamma = check_range("gamma", gamma, 0.0, np.inf, lo_open=True, hi_open=True)
     beta = check_range("beta", beta, 0.0, np.inf)
-    delta = check_range("delta", delta, 0.0, np.inf, lo_open=True, hi_open=True)
-    samples = _positive_samples(samples)
-    w = as_vector(w)
-    rng = np.random.default_rng(seed)
+    delta, samples, w, rng = _ball_args(delta, samples, w, seed)
     pool = _member_pool(refset, w, delta, rng, min(samples, 256))
     xs = uniform_ball(rng, w, delta / 2.0, samples)
     xbars = pool[np.arange(samples) % pool.shape[0]]
     xps = op.apply_many(xs)
-    to_ref, step_to_ref, step = xs - xbars, xps - xbars, xs - xps
-    margins = (gamma * np.vecdot(to_ref, to_ref) - np.vecdot(step_to_ref, step_to_ref)
-               - beta * np.vecdot(step, step))
-    return margin_report("quasi_firm_fejer", margins,
+    return margin_report("quasi_firm_fejer", _fejer_margins(xs, xps, xbars, gamma, beta),
                          lambda i: (xs[i].copy(), xbars[i].copy(), xps[i].copy()), seed, CHECK_TOL,
                          {"gamma": gamma, "beta": beta})
 
@@ -150,10 +168,7 @@ def check_quasi_firm_fejer(op, refset, gamma, beta, w, delta, samples=1000,
 def check_quasi_coercive(op, cset, nu, w, delta, samples=1000, seed=0) -> PropertyReport:
     """Sampled test of ||x - x+|| >= nu * d_C(x) on B(w, delta/2)."""
     nu = check_range("nu", nu, *NU_RANGE)
-    delta = check_range("delta", delta, 0.0, np.inf, lo_open=True, hi_open=True)
-    samples = _positive_samples(samples)
-    w = as_vector(w)
-    rng = np.random.default_rng(seed)
+    delta, samples, w, rng = _ball_args(delta, samples, w, seed)
     xs = uniform_ball(rng, w, delta / 2.0, samples)
     xps = op.apply_many(xs)
     margins = row_norms(xs - xps) - nu * cset.distance_many(xs)
@@ -170,10 +185,7 @@ def check_injectable(s: ClosedSet, tau, w, delta, samples=1000, seed=0) -> Prope
     probed at 20 evenly spaced points, all in one batch.
     """
     tau = check_range("tau", tau, *TAU_RANGE)
-    delta = check_range("delta", delta, 0.0, np.inf, lo_open=True, hi_open=True)
-    samples = _positive_samples(samples)
-    w = as_vector(w)
-    rng = np.random.default_rng(seed)
+    delta, samples, w, rng = _ball_args(delta, samples, w, seed)
     xs = uniform_ball(rng, w, delta, samples)
     ps = s.project_many(xs)
     gaps = ps - xs
@@ -278,13 +290,9 @@ def estimate_linear_regularity(system, intersection: ClosedSet, w,
                                delta, samples=2000, seed=0) -> RegularityEstimate:
     """Sampled lower bound of the linear-regularity modulus kappa on B(w, delta/2):
     max d_C(x) / max_i d_{C_i}(x) over draws with some d_{C_i}(x) > 0."""
-    delta = check_range("delta", delta, 0.0, np.inf, lo_open=True, hi_open=True)
-    samples = _positive_samples(samples)
-    w = as_vector(w)
-    system = list(system)
-    if not system:
-        raise DomainError("the system needs at least one set")
-    xs = uniform_ball(np.random.default_rng(seed), w, delta / 2.0, samples)
+    delta, samples, w, rng = _ball_args(delta, samples, w, seed)
+    system = _system(system)
+    xs = uniform_ball(rng, w, delta / 2.0, samples)
     dmax = np.max([s.distance_many(xs) for s in system], axis=0)
     live = dmax >= _DIRECTION_FLOOR
     kappa_hat = np.max(intersection.distance_many(xs[live]) / dmax[live], initial=1.0)
@@ -397,14 +405,14 @@ def check_strong_regularity(system, w, delta, samples=2000, seed=0) -> Regularit
     STRONG_TOL, False when value <= STRONG_TOL, and None (undetermined)
     otherwise, e.g. when a pool holds opposite directions (a hyperplane or
     an affine set) that cancel inside it.  The bracket is about the pooled
-    directions; pools sampled too thinly miss normals.
+    directions; pools sampled too thinly miss normals.  An empty system, or
+    a w more than 1e-8 from one of its sets, raises DomainError.
     """
-    delta = check_range("delta", delta, 0.0, np.inf, lo_open=True, hi_open=True)
-    samples = _positive_samples(samples)
-    w = as_vector(w)
-    system = list(system)
-    rng = np.random.default_rng(seed)
-    budget = max(16, samples // (4 * max(1, len(system))))
+    delta, samples, w, rng = _ball_args(delta, samples, w, seed)
+    system = _system(system)
+    if not all(s.contains(w, 1e-8) for s in system):
+        raise DomainError("anchor w must belong to every set")
+    budget = max(16, samples // (4 * len(system)))
     pools = [_normal_pool(s, w, delta, rng, budget) for s in system]
     active = [p for p in pools if len(p)]
     if not active:

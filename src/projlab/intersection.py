@@ -1,11 +1,12 @@
 """Distance-to-intersection oracles.
 
 The intersection C of a scenario's sets is itself a closed set.  A scenario
-either declares it as a catalog set (exact: `exact` returns that set) or
-asks for the cyclic-projection fallback, `IntersectionHandle`: iterate
+either declares it as a catalog set, used as it is, or asks for the
+cyclic-projection fallback, `IntersectionHandle(members)`: iterate
 projections from the query point until the cycle stabilises and use the
 landing point as a surrogate nearest member.  The fallback overestimates the
-true distance and is flagged approximate wherever it is reported.
+true distance and is flagged approximate wherever it is reported.  `exact`
+and `oracle` are kept only for the benchmark's workloads, which call them.
 
 The fallback is a single-valued set: its `_canonical_many` sweeps every live
 row of a batch through the members' `_canonical_many` at once, reading no
@@ -14,14 +15,11 @@ drops out after the first sweep that moves it by at most `_FALLBACK_TOL`,
 so each row gets the same sweeps it would get on its own.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError
-from .sets import ClosedSet, _one_row_project, _SingleValued, as_vector, row_norms
+from .sets import ClosedSet, _member_tuple, _one_row_project, _SingleValued, as_vector, row_norms
 
 _FALLBACK_ITERS = 10_000
 _FALLBACK_TOL = 1e-12
@@ -34,13 +32,8 @@ class IntersectionHandle(_SingleValued):
     members: tuple
 
     def __post_init__(self):
-        members = tuple(self.members)
-        if not members:
-            raise DomainError("the oracle needs the member sets")
-        if len({m.dim for m in members}) != 1:
-            raise DimensionMismatch("oracle members disagree on dimension")
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "dim", members[0].dim)
+        object.__setattr__(self, "members", _member_tuple(self.members, "oracle"))
+        object.__setattr__(self, "dim", self.members[0].dim)
 
     @property
     def convex(self):
@@ -73,7 +66,7 @@ class IntersectionHandle(_SingleValued):
 
 
 def exact(descriptor: ClosedSet, members=()) -> ClosedSet:
-    """The intersection declared as a catalog set: the set itself."""
+    """The descriptor itself; kept only for the benchmark's workloads."""
     return descriptor
 
 

@@ -27,7 +27,7 @@ from .errors import (
     check_range,
     table_entry,
 )
-from .sets import ClosedSet, as_points, as_vector, row_norms
+from .sets import ClosedSet, _member_tuple, as_points, as_vector, row_norms
 
 
 def _relax(s: ClosedSet, lam, X):
@@ -56,12 +56,12 @@ class RelaxedProjector:
         object.__setattr__(self, "lam", check_range("relaxation parameter", self.lam,
                                                     *rates.LAMBDA_RANGE))
 
+    apply = _one_row
+    apply_many = _each_row
+
     @property
     def dim(self) -> int:
         return self.target.dim
-
-    apply = _one_row
-    apply_many = _each_row
 
     def _rows(self, X):
         """The step of each row of a validated (n, d) array X."""
@@ -85,12 +85,12 @@ class SemiIntrepidProjector:
         object.__setattr__(self, "tau", check_range("injectability radius", self.tau, 0.0,
                                                     np.inf, hi_open=True))
 
+    apply = _one_row
+    apply_many = _each_row
+
     @property
     def dim(self) -> int:
         return self.target.dim
-
-    apply = _one_row
-    apply_many = _each_row
 
     def _rows(self, X):
         """The step of each row of a validated (n, d) array X."""
@@ -119,9 +119,9 @@ class GeneralizedDR:
     def __post_init__(self):
         if self.set_a.dim != self.set_b.dim:
             raise DomainError("DR operator needs two sets of equal dimension")
-        for name, hi in (("lam", 2.0), ("mu", 2.0), ("alpha", 1.0)):
-            object.__setattr__(self, name, check_range(name, getattr(self, name), 0.0, hi,
-                                                       lo_open=True))
+        lam, mu, alpha = rates._dr_domain(self.lam, self.mu, self.alpha)
+        for name, v in (("lam", lam), ("mu", mu), ("alpha", alpha)):
+            object.__setattr__(self, name, v)
 
     @property
     def dim(self) -> int:
@@ -154,15 +154,11 @@ class CyclicTuple:
 
     def __post_init__(self):
         members = tuple(self.members)
-        if not members:
-            raise DomainError("cyclic tuple must be nonempty")
         for m in members:
             if type(m) not in _TAGS:  # a CyclicTuple is none, so tuples do not nest
                 raise DomainError(f"cyclic tuple members must be catalog operators, "
                                   f"got {type(m).__name__}")
-        if len({m.dim for m in members}) > 1:
-            raise DimensionMismatch("cyclic tuple members must share one dimension")
-        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "members", _member_tuple(members, "cyclic tuple"))
 
     @property
     def dim(self) -> int:

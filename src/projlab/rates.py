@@ -28,6 +28,18 @@ from .errors import (
 LAMBDA_RANGE = (0.0, 2.0, True, False)
 
 
+def _dr_domain(lam, mu, alpha):
+    """The generalized DR step's lam, mu in (0, 2] and alpha in (0, 1]."""
+    return (check_range("lambda", lam, *LAMBDA_RANGE), check_range("mu", mu, *LAMBDA_RANGE),
+            check_range("alpha", alpha, 0.0, 1.0, lo_open=True))
+
+
+def _eps_kappa(eps, kappa):
+    """A concrete rate theorem's eps in [0, 1) and kappa in [1, inf]."""
+    return (check_range("eps", eps, 0.0, 1.0, hi_open=True),
+            check_range("kappa", kappa, 1.0, math.inf))
+
+
 @dataclass(frozen=True)
 class FejerConstants:
     """(gamma, beta) of a quasi firm Fejér inequality
@@ -126,9 +138,7 @@ def semi_intrepid_constants(alpha, eps) -> FejerConstants:
 def dr_constants(lam, mu, alpha, eps1, eps2) -> FejerConstants:
     """Constants of the generalized Douglas-Rachford step on an
     (eps1, .)-regular first set and (eps2, .)-regular second set."""
-    lam = check_range("lambda", lam, *LAMBDA_RANGE)
-    mu = check_range("mu", mu, *LAMBDA_RANGE)
-    alpha = check_range("alpha", alpha, 0.0, 1.0, lo_open=True)
+    lam, mu, alpha = _dr_domain(lam, mu, alpha)
     eps1 = check_range("eps1", eps1, 0.0, 1.0 / 3.0)
     eps2 = check_range("eps2", eps2, 0.0, 1.0, hi_open=True)
     gamma = 1.0 - alpha + alpha * _relaxed_gamma(lam, eps1) * _relaxed_gamma(mu, eps2)
@@ -142,9 +152,7 @@ def dr_coercivity(lam, mu, alpha, theta, kappa) -> float:
     theta bounds the pairing of proximal normals of the two sets near the
     reference point; theta >= 1 signals degenerate normal geometry.
     """
-    lam = check_range("lambda", lam, *LAMBDA_RANGE)
-    mu = check_range("mu", mu, *LAMBDA_RANGE)
-    alpha = check_range("alpha", alpha, 0.0, 1.0, lo_open=True)
+    lam, mu, alpha = _dr_domain(lam, mu, alpha)
     kappa = check_range("kappa", kappa, 1.0, math.inf)
     if float(theta) >= 1.0:
         raise StrongRegularityFailed(f"theta must be < 1, got {float(theta)}")
@@ -262,8 +270,7 @@ def rate_cyclic_relaxed(lam_list, eps, kappa) -> RateCertificate:
     lams = [check_range("lambda_i", v, *LAMBDA_RANGE) for v in lam_list]
     if not lams:
         raise DomainError("empty cycle")
-    eps = check_range("eps", eps, 0.0, 1.0, hi_open=True)
-    kappa = check_range("kappa", kappa, 1.0, math.inf)
+    eps, kappa = _eps_kappa(eps, kappa)
     J = _infer_full(lams, 2.0, MoreThanOneReflection, "reflector (lambda = 2)")
     others = [v for v in lams if v != 2.0]
     if not others:
@@ -293,8 +300,7 @@ def rate_cyclic_overrelaxed(lam_list, eps, kappa) -> RateCertificate:
     lams = [check_range("lambda_i", v, 1.0, 2.0, hi_open=True) for v in lam_list]
     if len(lams) < 2:
         raise DomainError("need at least two operators")
-    eps = check_range("eps", eps, 0.0, 1.0, hi_open=True)
-    kappa = check_range("kappa", kappa, 1.0, math.inf)
+    eps, kappa = _eps_kappa(eps, kappa)
     m = len(lams)
     gammas = [_relaxed_gamma(v, eps) for v in lams]
     gamma_sq = math.prod(gammas) / min(gammas)
@@ -319,8 +325,7 @@ def rate_cyclic_projections(m, eps, kappa) -> RateCertificate:
     m = check_whole("m", m)
     if m < 2:
         raise DomainError("need at least two sets")
-    eps = check_range("eps", eps, 0.0, 1.0, hi_open=True)
-    kappa = check_range("kappa", kappa, 1.0, math.inf)
+    eps, kappa = _eps_kappa(eps, kappa)
     gamma = 1.0 / (1.0 - eps)
     gamma_sq = gamma ** (m - 1)
     gamma_total = math.sqrt(gamma_sq)
@@ -352,8 +357,7 @@ def rate_cyclic_semi_intrepid(alpha_list, eps, kappa) -> RateCertificate:
     alphas = [check_range("alpha_i", v, 0.0, 1.0) for v in alpha_list]
     if len(alphas) < 2:
         raise DomainError("need at least two operators")
-    eps = check_range("eps", eps, 0.0, 1.0, hi_open=True)
-    kappa = check_range("kappa", kappa, 1.0, math.inf)
+    eps, kappa = _eps_kappa(eps, kappa)
     J = _infer_full(alphas, 1.0, MoreThanOneFullIntrepid, "full overshoot (alpha = 1)")
     m = len(alphas)
     gammas = [_semi_intrepid_gamma(a, eps) for a in alphas]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import CHECK_TOL, PropertyReport, margin_report
+from .analysis import CHECK_TOL, PropertyReport, _fejer_margins, margin_report
 from .errors import DomainError, InsufficientData, check_range, check_whole
 from .operators import CyclicTuple
 from .rates import RateCertificate
@@ -270,13 +270,9 @@ def check_fejer_trace(traj: Trajectory, constants, xbar) -> PropertyReport:
         if len(table) != traj.cycle_len:
             raise DomainError("need one (gamma, beta) pair per cycle phase")
     gammas, betas = np.array(table).T[:, traj.op_index[1:]]
-    P = traj.points
-    x, xp = P[:-1], P[1:]
-    to_ref, step_to_ref, step = x - xbar, xp - xbar, x - xp
-    margins = (gammas * np.vecdot(to_ref, to_ref) - np.vecdot(step_to_ref, step_to_ref)
-               - betas * np.vecdot(step, step))
-    return margin_report("fejer_trace", margins, lambda n: (n, x[n], xp[n]),
-                         traj.seed, CHECK_TOL, {})
+    x, xp = traj.points[:-1], traj.points[1:]
+    return margin_report("fejer_trace", _fejer_margins(x, xp, xbar, gammas, betas),
+                         lambda n: (n, x[n], xp[n]), traj.seed, CHECK_TOL, {})
 
 
 def check_rlinear_envelope(traj: Trajectory, cert: RateCertificate) -> PropertyReport:
@@ -361,12 +357,15 @@ def export_trajectory_csv(traj: Trajectory, path) -> None:
               + [f"x_{i + 1}" for i in range(d)]
               + [f"dC_{j + 1}" for j in range(m)]
               + ["dC"])
+    numbers = np.column_stack([traj.points, traj.set_dists, traj.c_dist])
+    _write_csv(path, header, zip(enumerate(traj.op_index.tolist()), numbers))
+
+
+def _write_csv(path, header, rows):
+    """Write `header` and `rows` as RFC-4180 CSV, each row a pair (labels,
+    numbers): the labels by str, the numbers to 17 significant digits."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(header)
-        for n in range(traj.n_points):
-            row = [str(n), str(int(traj.op_index[n]))]
-            row += ["%.17g" % v for v in traj.points[n]]
-            row += ["%.17g" % v for v in traj.set_dists[n]]
-            row.append("%.17g" % traj.c_dist[n])
-            writer.writerow(row)
+        for labels, numbers in rows:
+            writer.writerow([str(v) for v in labels] + ["%.17g" % v for v in numbers])

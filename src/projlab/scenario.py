@@ -40,7 +40,6 @@ from .errors import (
     table_entry,
 )
 from .intersection import IntersectionHandle
-from .intersection import oracle as oracle_intersection
 from .operators import (
     OPERATOR_TYPES,
     CyclicTuple,
@@ -116,7 +115,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
 
     raw_inter = cfg["intersection"]
     if raw_inter == "oracle":
-        intersection = oracle_intersection(sets)
+        intersection = IntersectionHandle(sets)
     else:
         with at_key("intersection"):
             intersection = set_from_config(raw_inter)

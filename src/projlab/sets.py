@@ -143,6 +143,30 @@ def _one_row_project(self, x):
     return ProjectionResult(minimizers[0], minimizers, bool(multi[0]), float(dist[0]))
 
 
+def _member_tuple(members, owner):
+    """`members` as a nonempty tuple of one dimension; errors name `owner`."""
+    members = tuple(members)
+    if not members:
+        raise DomainError(f"{owner} needs at least one member")
+    if len({m.dim for m in members}) != 1:
+        raise DimensionMismatch(f"{owner} members must share one dimension")
+    return members
+
+
+def _centered(self, kind, lo_open):
+    """Store the checked center, radius and dim of a ball or sphere (`kind`)."""
+    c = as_vector(self.center)
+    r = check_range(f"{kind} radius", self.radius, 0.0, np.inf, lo_open=lo_open, hi_open=True)
+    object.__setattr__(self, "center", c)
+    object.__setattr__(self, "radius", r)
+    object.__setattr__(self, "dim", c.size)
+
+
+def _radial(self, X, dist):
+    """The point at the radius on the ray from the center through each row of X."""
+    return self.center + (self.radius / dist)[:, None] * (X - self.center)
+
+
 def _dedupe(M, mask, tol=TIE_TOL):
     """The masked points of each row of an (n, k, d) array M less those within
     tol (max-abs) of a point kept before them, moved to a prefix as
@@ -414,11 +438,7 @@ class Ball(_SingleValued):
     radius: float
 
     def __post_init__(self):
-        c = as_vector(self.center)
-        r = check_range("ball radius", self.radius, 0.0, np.inf, hi_open=True)
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", r)
-        object.__setattr__(self, "dim", c.size)
+        _centered(self, "ball", lo_open=False)
 
     project = _one_row_project
 
@@ -426,7 +446,7 @@ class Ball(_SingleValued):
         dist = row_norms(X - self.center)
         out = dist > self.radius
         P = X.copy()
-        P[out] = self.center + (self.radius / dist[out])[:, None] * (X[out] - self.center)
+        P[out] = _radial(self, X[out], dist[out])
         return P
 
     def normal_generators_many(self, P):
@@ -453,11 +473,7 @@ class Sphere(ClosedSet):
     radius: float
 
     def __post_init__(self):
-        c = as_vector(self.center)
-        r = check_range("sphere radius", self.radius, 0.0, np.inf, lo_open=True, hi_open=True)
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", r)
-        object.__setattr__(self, "dim", c.size)
+        _centered(self, "sphere", lo_open=True)
 
     project = _one_row_project
 
@@ -467,7 +483,7 @@ class Sphere(ClosedSet):
         dist = row_norms(X - self.center)
         off = dist > TIE_TOL
         P = np.empty_like(X)
-        P[off] = self.center + (self.radius / dist[off])[:, None] * (X[off] - self.center)
+        P[off] = _radial(self, X[off], dist[off])
         P[~off] = self.center
         P[~off, 0] += self.radius
         return (P[:, None, :], np.ones((X.shape[0], 1), bool), ~off,
@@ -752,14 +768,8 @@ class UnionOfSets(ClosedSet):
     members: tuple
 
     def __post_init__(self):
-        members = tuple(self.members)
-        if not members:
-            raise DomainError("union needs at least one member")
-        dims = {m.dim for m in members}
-        if len(dims) != 1:
-            raise DimensionMismatch("union members disagree on dimension")
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "dim", members[0].dim)
+        object.__setattr__(self, "members", _member_tuple(self.members, "union"))
+        object.__setattr__(self, "dim", self.members[0].dim)
 
     project = _one_row_project
 
@@ -852,11 +862,11 @@ class Translate(ClosedSet):
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "dim", self.inner.dim)
 
-    project = _one_row_project
-
     @property
     def convex(self):
         return self.inner.convex
+
+    project = _one_row_project
 
     def _minimizers_many(self, X):
         M, mask, multi, dist = self.inner._minimizers_many(X - self.shift)

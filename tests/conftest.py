@@ -23,7 +23,7 @@ def two_lines(theta: float):
     b = P.AffineSubspaceSet(
         np.zeros(2), np.array([[math.cos(theta), math.sin(theta)]])
     )
-    inter = P.exact_intersection(P.FinitePointSet(np.zeros((1, 2))), (a, b))
+    inter = P.FinitePointSet(np.zeros((1, 2)))
     return a, b, inter
 
 

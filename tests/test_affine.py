@@ -17,7 +17,7 @@ def _two_lines_3d():
     a = P.AffineSubspaceSet(np.zeros(3), np.array([[1.0, 0.0, 0.0]]))
     s = 1.0 / math.sqrt(2.0)
     b = P.AffineSubspaceSet(np.zeros(3), np.array([[s, s, 0.0]]))
-    inter = P.exact_intersection(P.FinitePointSet(np.zeros((1, 3))), (a, b))
+    inter = P.FinitePointSet(np.zeros((1, 3)))
     return a, b, inter
 
 

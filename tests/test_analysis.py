@@ -70,7 +70,7 @@ class TestQuasiFirmFejer:
         a = P.AffineSubspaceSet(np.zeros(3), np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
         b = P.AffineSubspaceSet(np.zeros(3), np.array([[c, s, 0.0], [0.0, 0.0, 1.0]]))
         op = P.RelaxedProjector(a, 1.0)
-        handle = P.oracle_intersection((a, b))
+        handle = P.IntersectionHandle((a, b))
         w = np.array([0.0, 0.0, 0.5])
         rep = P.check_quasi_firm_fejer(op, handle, 1.0, 1.0, w, 1.0, samples=400, seed=3)
         assert rep.samples == 400 and rep.violations == 0
@@ -349,7 +349,7 @@ class TestLinearRegularity:
 
     def test_identical_sets_give_one(self):
         a = P.Hyperplane(np.array([0.0, 1.0]), 0.0)
-        inter = P.exact_intersection(a, (a, a))
+        inter = a
         est = P.estimate_linear_regularity(
             [a, a], inter, np.zeros(2), 1.0, samples=500, seed=0
         )
@@ -432,6 +432,19 @@ class TestStrongRegularity:
         a = P.check_strong_regularity(hs[:2], np.zeros(2), 1.0, samples=500, seed=9)
         b = P.check_strong_regularity(hs[:2], np.zeros(2), 1.0, samples=500, seed=9)
         assert a.value == b.value
+
+    def test_empty_system_raises(self):
+        """An empty system has no normals to pool; it is not strongly regular."""
+        with pytest.raises(DomainError, match="^the system needs at least one set$"):
+            P.check_strong_regularity([], np.zeros(2), 1.0)
+
+    def test_anchor_must_belong_to_every_set(self):
+        """w up to 1e-8 outside a set passes, as in the eps and theta
+        estimators; further out it raises before anything is drawn."""
+        hs = _three_halfspaces()
+        P.check_strong_regularity(hs, np.array([-1e-9, 0.0]), 1.0, samples=100)
+        with pytest.raises(DomainError, match="^anchor w must belong to every set$"):
+            P.check_strong_regularity(hs, np.array([-1e-6, 0.0]), 1.0, samples=100)
 
 
 def _kkt_min_norm(G):

@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import nnls
 
 import projlab as P
-from projlab import DimensionMismatch, DomainError, UnsupportedSet, analysis
+from projlab import DimensionMismatch, DomainError, UnsupportedSet, analysis, intersection
 from projlab.analysis import margin_report
 from projlab.sets import TIE_TOL, ProjectionResult
 
@@ -709,12 +709,12 @@ def test_apply_many_matches_apply(kind, case):
 ])
 def test_malformed_batches_raise(bad, error):
     s = P.UnionOfSets((P.Ball(np.zeros(2), 1.0), P.Sphere(np.ones(2), 1.0)))
-    handle = P.exact_intersection(P.FinitePointSet(np.zeros((1, 2))))
+    handle = P.FinitePointSet(np.zeros((1, 2)))
     for call in (s.project_many, s.distance_many, P.RelaxedProjector(s, 1.0).apply_many,
                  P.SemiIntrepidProjector(s, 0.5, 1.0).apply_many,
                  P.GeneralizedDR(s, s, 1.0, 1.0, 0.5).apply_many,
                  P.PolyhedralCone(np.eye(2)).project_many, handle.distance_many,
-                 P.oracle_intersection((s,)).distance_many):
+                 P.IntersectionHandle((s,)).distance_many):
         with pytest.raises(error):
             call(bad)
 
@@ -732,8 +732,8 @@ def test_malformed_points_raise(make_bad, error):
     calls += [P.RelaxedProjector(ball, 1.5).apply, P.SemiIntrepidProjector(sphere, 0.5, 1.0).apply,
               P.GeneralizedDR(ball, sphere, 1.0, 2.0, 0.5).apply,
               P.GeneralizedDR(ball, sphere, 1.0, 2.0, 0.5).apply_with_trace]
-    descriptor = P.exact_intersection(P.FinitePointSet(np.zeros((1, 2))))
-    oracle = P.oracle_intersection((ball, sphere))
+    descriptor = P.FinitePointSet(np.zeros((1, 2)))
+    oracle = P.IntersectionHandle((ball, sphere))
     calls += [descriptor.project, descriptor.distance,
               oracle.project, oracle.nearest, oracle.distance]
     for call in calls:
@@ -754,10 +754,10 @@ def _alias_rows(s, rng):
 @pytest.mark.parametrize("s", ONE_OF_EACH, ids=lambda s: s.tag)
 def test_projections_never_share_memory_with_the_input(s):
     X = _alias_rows(s, np.random.default_rng(21))
-    oracle = P.oracle_intersection((s,))
+    oracle = P.IntersectionHandle((s,))
     for i in range(X.shape[0]):
         x = X[i]
-        for c in (P.exact_intersection(s), oracle):
+        for c in (s, oracle):
             res = c.project(x)
             for q in (res.canonical,) + res.minimizers:
                 assert not np.shares_memory(q, X)
@@ -770,8 +770,8 @@ def test_projections_never_share_memory_with_the_input(s):
 def test_intersection_batches_match_scalar():
     a, b = P.Ball(np.zeros(2), 1.0), P.Halfspace(np.array([1.0, 1.0]), 0.0)
     X = np.random.default_rng(3).normal(scale=2.0, size=(20, 2))
-    oracle = P.oracle_intersection((a, b))
-    for c in (P.exact_intersection(P.FinitePointSet(np.zeros((1, 2))), (a, b)), oracle):
+    oracle = P.IntersectionHandle((a, b))
+    for c in (P.FinitePointSet(np.zeros((1, 2))), oracle):
         np.testing.assert_array_equal(c.distance_many(X), [c.distance(x) for x in X])
         np.testing.assert_array_equal(c.project_many(X), [c.project(x).canonical for x in X])
     np.testing.assert_array_equal(oracle.project_many(X), [oracle.nearest(x) for x in X])
@@ -827,7 +827,7 @@ class TestOracleFallback:
     """The batched fallback equals the per-point fallback bit for bit."""
 
     def assert_matches_reference(self, members, X):
-        handle = P.oracle_intersection(members)
+        handle = P.IntersectionHandle(members)
         P_many, d_many = handle.project_many(X), handle.distance_many(X)
         ref = [_fallback_reference(members, x) for x in X]
         np.testing.assert_array_equal(P_many, np.array([y for y, _ in ref]).reshape(X.shape))
@@ -856,11 +856,11 @@ class TestOracleFallback:
         X = np.vstack([inside, far, inside[1:2]])
         self.assert_matches_reference((a, b), X)
         counting = _CountingSet(a)
-        P.oracle_intersection((counting, b)).project_many(X)
+        P.IntersectionHandle((counting, b)).project_many(X)
         assert counting.rows[0] == 6 and max(counting.rows[1:]) == 2
 
     def test_empty_batch(self):
-        handle = P.oracle_intersection(_circles())
+        handle = P.IntersectionHandle(_circles())
         assert handle.project_many(np.zeros((0, 2))).shape == (0, 2)
         assert handle.distance_many(np.zeros((0, 2))).shape == (0,)
 
@@ -872,11 +872,11 @@ class TestOracleIsASet:
     def test_exact_returns_its_descriptor(self):
         a, b = P.Hyperplane(np.array([1.0, 0.0]), 0.0), P.Hyperplane(np.array([0.0, 1.0]), 0.0)
         d = P.FinitePointSet(np.zeros((1, 2)))
-        assert P.exact_intersection(d, (a, b)) is d
-        assert P.exact_intersection(d) is d
+        assert intersection.exact(d, (a, b)) is d
+        assert intersection.exact(d) is d
 
     def test_project_is_the_one_row_sweep(self):
-        oracle = P.oracle_intersection(_circles())
+        oracle = P.IntersectionHandle(_circles())
         assert isinstance(oracle, P.ClosedSet) and oracle.dim == 2
         rng = np.random.default_rng(5)
         for x in np.vstack([rng.uniform(-3.0, 3.0, size=(20, 2)), [[0.5, 0.0]]]):
@@ -887,26 +887,26 @@ class TestOracleIsASet:
             assert res.distance == oracle.distance(x)
 
     def test_contains_a_point_of_c(self):
-        oracle = P.oracle_intersection(_circles())
+        oracle = P.IntersectionHandle(_circles())
         assert oracle.contains(np.zeros(2))
         assert not oracle.contains(np.array([3.0, 0.0]))
 
     def test_no_closed_form_normal_cone(self):
-        oracle = P.oracle_intersection(_circles())
+        oracle = P.IntersectionHandle(_circles())
         assert oracle.normal_generators_many(np.zeros((0, 2)))[0].shape == (0, 0, 2)
         with pytest.raises(UnsupportedSet):
             oracle.normal_generators_many(np.zeros((1, 2)))
 
     def test_members_of_mixed_dimension_raise(self):
         with pytest.raises(DimensionMismatch):
-            P.oracle_intersection((P.Ball(np.zeros(2), 1.0), P.Ball(np.zeros(3), 1.0)))
+            P.IntersectionHandle((P.Ball(np.zeros(2), 1.0), P.Ball(np.zeros(3), 1.0)))
         with pytest.raises(DomainError):
-            P.oracle_intersection(())
+            P.IntersectionHandle(())
 
     def test_linear_regularity_flags_the_oracle_approximate(self):
         lines = tuple(P.Hyperplane(a, 0.0) for a in np.eye(2))
-        for c, approximate in ((P.oracle_intersection(lines), True),
-                               (P.exact_intersection(P.FinitePointSet(np.zeros((1, 2)))), False)):
+        for c, approximate in ((P.IntersectionHandle(lines), True),
+                               (P.FinitePointSet(np.zeros((1, 2))), False)):
             est = analysis.estimate_linear_regularity(lines, c, np.zeros(2), 0.5, samples=50)
             assert est.extra["approximate"] is approximate
 
@@ -931,7 +931,7 @@ class TestMarginReport:
     def test_nan_rho_bound_fails_every_live_block(self):
         a, b = (P.Hyperplane(np.array([0.0, 1.0]), 0.0), P.Hyperplane(np.array([1.0, -1.0]), 0.0))
         traj = P.run([P.RelaxedProjector(s, 1.0) for s in (a, b)], np.array([3.0, 1.0]), (a, b),
-                     P.exact_intersection(P.FinitePointSet(np.zeros((1, 2))), (a, b)),
+                     P.FinitePointSet(np.zeros((1, 2))),
                      max_cycles=12, tol=1e-300)
         rep = P.check_k_step_reduction(traj, 2, np.nan)
         assert rep.samples == 12 and rep.violations == 12 and not rep.passed
@@ -1413,7 +1413,7 @@ class TestPointsOnlyKernels:
 
     def test_oracle_sweep(self):
         a, b = self.lines()
-        handle = P.oracle_intersection((a, b))
+        handle = P.IntersectionHandle((a, b))
         handle.distance_many(np.random.default_rng(5).normal(size=(6, 2)))
         handle.nearest(np.ones(2))
         self.assert_points_only(a, b)
@@ -1421,8 +1421,8 @@ class TestPointsOnlyKernels:
     @pytest.mark.parametrize("oracle", [False, True], ids=["exact", "oracle"])
     def test_run(self, oracle):
         a, b = self.lines()
-        inter = P.oracle_intersection((a, b)) if oracle else \
-            P.exact_intersection(P.FinitePointSet(np.zeros((1, 2))))
+        inter = P.IntersectionHandle((a, b)) if oracle else \
+            P.FinitePointSet(np.zeros((1, 2)))
         ops = [P.RelaxedProjector(a, 1.0), P.SemiIntrepidProjector(b, 0.5, 0.1)]
         traj = P.run(ops, np.array([3.0, 1.0]), (), inter, max_cycles=50)
         assert traj.n_cycles > 1

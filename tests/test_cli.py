@@ -243,6 +243,21 @@ class TestVerifyCommand:
         """
         assert _verify_digest(seed) == digest
 
+    def test_exported_csv_bytes_are_pinned(self, tmp_path):
+        """One sha256 over the CSV files `execute_scenario` writes for the
+        bundled scenarios at their default seeds, in name order, each
+        scenario's shadow.csv (where there is one) before its trajectory.csv:
+        both writers keep every byte."""
+        digest = hashlib.sha256()
+        for name in P.bundled_scenario_names():
+            out = tmp_path / name
+            P.execute_scenario(P.load_bundled(name), out_dir=str(out))
+            for fname in ("shadow.csv", "trajectory.csv"):
+                if (out / fname).is_file():
+                    digest.update((out / fname).read_bytes())
+        assert digest.hexdigest() == \
+            "8fce43822ccdbaf1e5a29bd37310700f6a7f5baa111d3a1b9014507fb82d66be"
+
     def test_verify_refuses_nonempty_out_without_force(self, tmp_path, capsys):
         out = tmp_path / "suite"
         out.mkdir()

@@ -178,7 +178,7 @@ class TestGeneralizedDR:
     def test_parameter_domains(self):
         a = P.Hyperplane(np.array([0.0, 1.0]), 0.0)
         b = P.Hyperplane(np.array([1.0, 0.0]), 0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^lambda must lie in \(0, 2\], got 0.0$"):
             P.GeneralizedDR(a, b, 0.0, 1.0, 0.5)
         with pytest.raises(DomainError):
             P.GeneralizedDR(a, b, 1.0, 2.5, 0.5)
@@ -211,7 +211,7 @@ class TestCyclicTuple:
         assert np.linalg.norm(other - manual) > 1e-3
 
     def test_rejects_empty_and_nested(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^cyclic tuple needs at least one member$"):
             P.CyclicTuple(())
         inner = P.CyclicTuple(
             (P.RelaxedProjector(P.Ball(np.zeros(2), 1.0), 1.0),)

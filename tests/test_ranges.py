@@ -71,8 +71,7 @@ def _relaxed():
 
 def _run(**kw):
     """A run of one projector onto a line, which is its own intersection."""
-    return P.run([_relaxed()], np.array([1.0, 1.0]), [_line()],
-                 P.exact_intersection(_line(), (_line(),)), **kw)
+    return P.run([_relaxed()], np.array([1.0, 1.0]), [_line()], _line(), **kw)
 
 
 def _trajectory():
@@ -80,7 +79,7 @@ def _trajectory():
     lines = (_line(), P.Hyperplane(np.array([1.0, -1.0]), 0.0))
     origin = P.FinitePointSet(np.zeros((1, 2)))
     return P.run([P.RelaxedProjector(s, 1.0) for s in lines], np.array([3.0, 1.0]), lines,
-                 P.exact_intersection(origin, lines), max_cycles=10, tol=1e-300)
+                 origin, max_cycles=10, tol=1e-300)
 
 
 # Each entry point with valid arguments; every scalar among them, and the

@@ -21,7 +21,7 @@ from conftest import two_lines
 def _orthogonal_lines_run(x0=(3.0, 4.0), **kw):
     a = P.Hyperplane(np.array([0.0, 1.0]), 0.0)  # x-axis
     b = P.Hyperplane(np.array([1.0, 0.0]), 0.0)  # y-axis
-    inter = P.exact_intersection(P.FinitePointSet(np.zeros((1, 2))), (a, b))
+    inter = P.FinitePointSet(np.zeros((1, 2)))
     ops = [P.RelaxedProjector(a, 1.0), P.RelaxedProjector(b, 1.0)]
     kw.setdefault("max_cycles", 50)
     kw.setdefault("tol", 1e-10)
@@ -39,7 +39,7 @@ def _two_lines_run(theta, x0=(0.9, 0.35), lam=(1.0, 1.0), **kw):
 def _reflector_pair_run(max_cycles=30):
     a = P.Orthant((1, 1))
     b = P.Orthant((-1, -1))
-    inter = P.exact_intersection(P.FinitePointSet(np.zeros((1, 2))), (a, b))
+    inter = P.FinitePointSet(np.zeros((1, 2)))
     ops = [P.RelaxedProjector(a, 2.0), P.RelaxedProjector(b, 2.0)]
     return P.run(
         ops, np.array([1.0, 2.0]), [a, b], inter,
@@ -78,7 +78,7 @@ class TestRun:
         run must stop with the divergence flag once the norm blows up."""
         pa = P.FinitePointSet(np.array([[0.0, 0.0]]))
         pb = P.FinitePointSet(np.array([[6e10, 0.0]]))
-        inter = P.exact_intersection(P.FinitePointSet(np.zeros((1, 2))), (pa, pb))
+        inter = P.FinitePointSet(np.zeros((1, 2)))
         ops = [P.RelaxedProjector(pa, 2.0), P.RelaxedProjector(pb, 2.0)]
         traj = P.run(
             ops, np.array([1.0, 1.0]), [pa, pb], inter,
@@ -185,7 +185,7 @@ def _stop_at(cycles):
     intersection distance after `cycles` cycles, where the run must stop."""
     lines = (_line(0.0), _line(math.pi / 9))
     ops, x0 = [P.RelaxedProjector(s, 1.0) for s in lines], np.array([0.9, 0.35])
-    exact = P.exact_intersection(_origin(), lines)
+    exact = _origin()
     errors = _reference_run(ops, x0, lines, exact, max_cycles=20, tol=1e-300)[3][::2]
     return ops, x0, lines, exact, {"max_cycles": 20, "tol": errors[cycles]}, "Converged"
 
@@ -194,7 +194,7 @@ def _equivalence_cases():
     """(ops, x0, sets, intersection, run keywords, expected stop) per case."""
     a, b = _line(0.0), _line(math.pi / 6)
     lines = (a, b)
-    exact = P.exact_intersection(_origin(), lines)
+    exact = _origin()
     disc, half = P.Ball(np.zeros(2), 1.0), P.Halfspace(np.array([1.0, 1.0]), 0.5)
     lens = (disc, P.Ball(np.array([1.2, 0.0]), 1.0))
     pa, pb = P.FinitePointSet(np.array([[0.0, 0.0]])), P.FinitePointSet(np.array([[6e10, 0.0]]))
@@ -208,19 +208,19 @@ def _equivalence_cases():
             [P.RelaxedProjector(P.Orthant((1, 1)), 2.0),
              P.RelaxedProjector(P.Orthant((-1, -1)), 2.0)], np.array([1.0, 2.0]),
             (P.Orthant((1, 1)), P.Orthant((-1, -1))),
-            P.exact_intersection(_origin(), ()), {"max_cycles": 30, "tol": 1e-12}, "Budget"),
+            _origin(), {"max_cycles": 30, "tol": 1e-12}, "Budget"),
         "relaxed_lam2_diverged": (
             [P.RelaxedProjector(pa, 2.0), P.RelaxedProjector(pb, 2.0)], np.array([1.0, 1.0]),
-            (pa, pb), P.exact_intersection(_origin(), ()), {"max_cycles": 100}, "Diverged"),
+            (pa, pb), _origin(), {"max_cycles": 100}, "Diverged"),
         "relaxed_oracle_budget": (
             [P.RelaxedProjector(a, 1.5), P.RelaxedProjector(b, 1.0)], np.array([3.0, -2.0]),
-            lines, P.oracle_intersection(lines), {"max_cycles": 12, "tol": 1e-300}, "Budget"),
+            lines, P.IntersectionHandle(lines), {"max_cycles": 12, "tol": 1e-300}, "Budget"),
         "semi_intrepid_oracle": (
             [P.SemiIntrepidProjector(s, 0.5, 0.1) for s in lens], np.array([0.6, 2.0]), lens,
-            P.oracle_intersection(lens), {"max_cycles": 200}, "Converged"),
+            P.IntersectionHandle(lens), {"max_cycles": 200}, "Converged"),
         "semi_intrepid_oracle_lines": (
             [P.SemiIntrepidProjector(s, 0.3, 0.05) for s in lines], np.array([1.0, -2.5]),
-            lines, P.oracle_intersection(lines), {"max_cycles": 500}, "Converged"),
+            lines, P.IntersectionHandle(lines), {"max_cycles": 500}, "Converged"),
         "semi_intrepid_exact": (
             [P.SemiIntrepidProjector(s, 0.3, 0.05) for s in lines], np.array([-2.0, 1.5]),
             lines, exact, {"max_cycles": 500, "tol": 1e-12}, "Converged"),
@@ -229,11 +229,11 @@ def _equivalence_cases():
             {"max_cycles": 500, "tol": 1e-12}, "Converged"),
         "dr_oracle": (
             [P.GeneralizedDR(disc, half, 1.0, 1.5, 0.7)], np.array([-1.5, 2.5]), (disc, half),
-            P.oracle_intersection((disc, half)), {"max_cycles": 200}, "Converged"),
+            P.IntersectionHandle((disc, half)), {"max_cycles": 200}, "Converged"),
         "mixed_families_cone": (
             [P.RelaxedProjector(cone, 1.0), P.SemiIntrepidProjector(plane, 0.5, 0.2),
              P.GeneralizedDR(cone, plane, 1.0, 1.0, 0.5)], np.array([0.8, 0.8, -0.5]),
-            (cone, plane), P.exact_intersection(_origin(3), (cone, plane)),
+            (cone, plane), _origin(3),
             {"max_cycles": 50, "tol": 1e-300}, "Converged"),
         "relaxed_budget_between_batch_ends": (
             [P.RelaxedProjector(s, 1.0) for s in lines], np.array([0.9, 0.35]), lines, exact,
@@ -332,7 +332,7 @@ class TestRunErrors:
     def test_x0_of_the_wrong_dimension(self):
         line, ops = self._counted_line()
         with pytest.raises(DimensionMismatch, match="expected dimension 2, got 3"):
-            P.run(ops, np.ones(3), [line], P.exact_intersection(_origin()))
+            P.run(ops, np.ones(3), [line], _origin())
         assert line.rows == 0
 
     def test_members_of_different_dimensions(self):
@@ -340,14 +340,17 @@ class TestRunErrors:
         other = P.RelaxedProjector(P.Ball(np.zeros(3), 1.0), 1.0)
         with pytest.raises(DimensionMismatch, match="share one dimension"):
             P.CyclicTuple((ops[0], other))
+        for make in (P.UnionOfSets, P.IntersectionHandle):
+            with pytest.raises(DimensionMismatch, match="share one dimension"):
+                make((line, other.target))
         with pytest.raises(DimensionMismatch):
-            P.run(ops + [other], np.ones(2), [line], P.exact_intersection(_origin()))
+            P.run(ops + [other], np.ones(2), [line], _origin())
         assert line.rows == 0
 
     def test_intersection_of_another_dimension(self):
         line, ops = self._counted_line()
         with pytest.raises(DimensionMismatch, match="expected dimension 3, got 2"):
-            P.run(ops, np.ones(2), [line], P.exact_intersection(_origin(3)))
+            P.run(ops, np.ones(2), [line], _origin(3))
         assert line.rows == 0  # the per-point loop stepped once, then raised
 
     @pytest.mark.parametrize("first", [False, True], ids=["last_member", "first_member"])
@@ -361,7 +364,7 @@ class TestRunErrors:
         for call in (P.run, _reference_run):
             nan, line, ops = setup()
             with pytest.raises(DomainError, match="vector entries must be finite"):
-                call(ops, np.array([1.0, 2.0]), [line], P.exact_intersection(_origin()))
+                call(ops, np.array([1.0, 2.0]), [line], _origin())
             assert (nan.rows, line.rows) == ((1, 0) if first else (1, 1))
 
     @pytest.mark.parametrize("error, exc, match", [
@@ -380,7 +383,7 @@ class TestRunErrors:
         with pytest.raises(DomainError, match="catalog operators, got function"):
             P.CyclicTuple((lambda x: x,))
         with pytest.raises(DomainError, match="catalog operators"):
-            P.run([object()], np.ones(2), [], P.exact_intersection(_origin()))
+            P.run([object()], np.ones(2), [], _origin())
 
 
 class TestDetectCycle:
@@ -398,7 +401,7 @@ class TestDetectCycle:
     def test_reflection_projection_four_pattern(self):
         a = P.Hyperplane(np.array([0.0, 1.0]), 0.0)  # x-axis
         b = P.Hyperplane(np.array([1.0, 0.0]), 0.0)  # y-axis
-        inter = P.exact_intersection(P.FinitePointSet(np.zeros((1, 2))), (a, b))
+        inter = P.FinitePointSet(np.zeros((1, 2)))
         ops = [P.RelaxedProjector(a, 2.0), P.RelaxedProjector(b, 1.0)]
         traj = P.run(
             ops, np.array([0.0, 1.0]), [a, b], inter,

@@ -153,8 +153,7 @@ def _sampled_analyses(delta, **kwargs):
     op = P.RelaxedProjector(a, 1.0)
     return [
         lambda: P.estimate_eps_regularity(a, w, delta, **kwargs),
-        lambda: P.estimate_linear_regularity([a], P.exact_intersection(a, (a,)), w, delta,
-                                             **kwargs),
+        lambda: P.estimate_linear_regularity([a], a, w, delta, **kwargs),
         lambda: P.check_strong_regularity([a], w, delta, **kwargs),
         lambda: P.check_quasi_firm_fejer(op, a, 1.0, 0.0, w, delta, **kwargs),
         lambda: P.check_quasi_coercive(op, a, 1.0, w, delta, **kwargs),

@@ -297,8 +297,8 @@ class TestConvexFlag:
             (P.Translate(sphere, e[0]), False),
             (P.Translate(P.Translate(ball, e[0]), e[1]), True),
             (P.UnionOfSets((ball,)), False),
-            (P.oracle_intersection((ball, P.Halfspace(e[0], 0.0))), True),
-            (P.oracle_intersection((ball, sphere)), False),
+            (P.IntersectionHandle((ball, P.Halfspace(e[0], 0.0))), True),
+            (P.IntersectionHandle((ball, sphere)), False),
         ]
         for s, convex in cases:
             assert s.convex is convex, s
