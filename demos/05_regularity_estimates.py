@@ -25,8 +25,9 @@ def line_pair(theta):
 
 def main():
     # epsilon-hat: how far a projector deviates from firm nonexpansiveness.
-    # A convex set gives exactly zero, with nothing sampled (bound "exact");
-    # a sphere is genuinely nonconvex, and its estimate is a sampled lower bound.
+    # Both are exact, with nothing sampled (bound "exact"): a convex set gives
+    # zero, and a sphere of radius r gives delta sqrt(1 - delta^2 / 4r^2) / r
+    # at a point on it, the longest chord in the ball over 2r.
     ball = P.Ball(np.zeros(2), 1.0)
     sphere = P.Sphere(np.zeros(2), 1.0)
     anchor = np.array([1.0, 0.0])

@@ -5,7 +5,8 @@ certifies the true modulus, so every result carries its bound direction
 ("lower" for eps/kappa/theta, "upper" for the strong-regularity zeta, whose
 extra["zeta_lower"] bounds it below over the sampled normals) and the seed
 that reproduces it bit for bit.  Where the geometry gives the value, the
-direction is "exact": eps is 0 on a convex set, with nothing sampled.
+direction is "exact": eps on a convex set (0) or a sphere, with nothing
+sampled.
 Checks return a PropertyReport whose margin convention is uniform: margin
 >= 0 means the sampled inequality holds, and violations == 0 iff the worst
 margin >= -check_tol.
@@ -100,11 +101,12 @@ def uniform_ball(rng, center, radius, n) -> np.ndarray:
     return center + (g / norms[:, None]) * radii[:, None]
 
 
-def _ball_args(delta, samples, w, seed):
-    """The checked delta, samples and w of a routine sampling B(w, delta),
-    in that order, and the generator of its seed."""
+def _ball_args(delta, samples, w, dim, seed):
+    """The checked delta, samples and w (of dimension dim, unless dim is
+    None) of a routine sampling B(w, delta), in that order, and the
+    generator of its seed."""
     delta = check_range("delta", delta, 0.0, np.inf, lo_open=True, hi_open=True)
-    return delta, _positive_samples(samples), as_vector(w), np.random.default_rng(seed)
+    return delta, _positive_samples(samples), as_vector(w, dim), np.random.default_rng(seed)
 
 
 def _system(system):
@@ -155,7 +157,7 @@ def check_quasi_firm_fejer(op, refset, gamma, beta, w, delta, samples=1000,
     for x in B(w, delta/2) and xbar in refset intersected with B(w, delta)."""
     gamma = check_range("gamma", gamma, 0.0, np.inf, lo_open=True, hi_open=True)
     beta = check_range("beta", beta, 0.0, np.inf)
-    delta, samples, w, rng = _ball_args(delta, samples, w, seed)
+    delta, samples, w, rng = _ball_args(delta, samples, w, refset.dim, seed)
     pool = _member_pool(refset, w, delta, rng, min(samples, 256))
     xs = uniform_ball(rng, w, delta / 2.0, samples)
     xbars = pool[np.arange(samples) % pool.shape[0]]
@@ -168,7 +170,7 @@ def check_quasi_firm_fejer(op, refset, gamma, beta, w, delta, samples=1000,
 def check_quasi_coercive(op, cset, nu, w, delta, samples=1000, seed=0) -> PropertyReport:
     """Sampled test of ||x - x+|| >= nu * d_C(x) on B(w, delta/2)."""
     nu = check_range("nu", nu, *NU_RANGE)
-    delta, samples, w, rng = _ball_args(delta, samples, w, seed)
+    delta, samples, w, rng = _ball_args(delta, samples, w, cset.dim, seed)
     xs = uniform_ball(rng, w, delta / 2.0, samples)
     xps = op.apply_many(xs)
     margins = row_norms(xs - xps) - nu * cset.distance_many(xs)
@@ -185,7 +187,7 @@ def check_injectable(s: ClosedSet, tau, w, delta, samples=1000, seed=0) -> Prope
     probed at 20 evenly spaced points, all in one batch.
     """
     tau = check_range("tau", tau, *TAU_RANGE)
-    delta, samples, w, rng = _ball_args(delta, samples, w, seed)
+    delta, samples, w, rng = _ball_args(delta, samples, w, s.dim, seed)
     xs = uniform_ball(rng, w, delta, samples)
     ps = s.project_many(xs)
     gaps = ps - xs
@@ -207,13 +209,13 @@ def check_injectable(s: ClosedSet, tau, w, delta, samples=1000, seed=0) -> Prope
 
 def estimate_eps_regularity(s: ClosedSet, w, delta, samples=600, seed=0,
                             points=None) -> RegularityEstimate:
-    """Sampled lower bound of the regularity epsilon at w over B(w, delta),
-    or its exact value 0 on a convex set.
+    """The regularity epsilon at w over B(w, delta): exact where the
+    geometry gives it, else a sampled lower bound.
 
-    Every proximal normal u of a convex set at x has <u, y - x> <= 0 for
-    every member y, so when s.convex the arguments are checked and the
-    estimate is 0.0 with bound "exact" and extra {"convex": True}; nothing
-    is drawn, projected or paired.
+    After the argument checks the set's `_exact_eps` hook is asked once.  A
+    convex set gives 0 and a sphere (d >= 2) its cap formula; the estimate
+    is then that value with bound "exact" and extra {"convex": s.convex},
+    and nothing is drawn, projected or paired.
 
     Otherwise members x are projections of points z drawn in B(w, delta/2)
     (these stay in the delta-ball), or of the given `points`.  The unit
@@ -231,13 +233,15 @@ def estimate_eps_regularity(s: ClosedSet, w, delta, samples=600, seed=0,
     w = as_vector(w)
     if not s.contains(w, 1e-8):
         raise DomainError("anchor w must belong to the set")
-    if s.convex:
-        n = samples if points is None else as_points(points, s.dim).shape[0]
-        return RegularityEstimate("eps_regularity", 0.0, w, delta, n, seed, "exact",
-                                  {"convex": True})
+    zs = None if points is None else as_points(points, s.dim)
+    exact = s._exact_eps(w, delta)
+    if exact is not None:
+        return RegularityEstimate("eps_regularity", exact, w, delta,
+                                  samples if zs is None else len(zs), seed, "exact",
+                                  {"convex": s.convex})
     rng = np.random.default_rng(seed)
-    zs = uniform_ball(rng, w, delta / 2.0, samples) if points is None \
-        else np.asarray(points, dtype=float)
+    if zs is None:
+        zs = uniform_ball(rng, w, delta / 2.0, samples)
     xs = s.project_many(zs)
     near = row_norms(xs - w) <= delta + 1e-9
     xs, preimages = xs[near], (zs - xs)[near]
@@ -290,7 +294,7 @@ def estimate_linear_regularity(system, intersection: ClosedSet, w,
                                delta, samples=2000, seed=0) -> RegularityEstimate:
     """Sampled lower bound of the linear-regularity modulus kappa on B(w, delta/2):
     max d_C(x) / max_i d_{C_i}(x) over draws with some d_{C_i}(x) > 0."""
-    delta, samples, w, rng = _ball_args(delta, samples, w, seed)
+    delta, samples, w, rng = _ball_args(delta, samples, w, intersection.dim, seed)
     system = _system(system)
     xs = uniform_ball(rng, w, delta / 2.0, samples)
     dmax = np.max([s.distance_many(xs) for s in system], axis=0)
@@ -408,7 +412,8 @@ def check_strong_regularity(system, w, delta, samples=2000, seed=0) -> Regularit
     directions; pools sampled too thinly miss normals.  An empty system, or
     a w more than 1e-8 from one of its sets, raises DomainError.
     """
-    delta, samples, w, rng = _ball_args(delta, samples, w, seed)
+    # w's dimension is checked by the membership test below
+    delta, samples, w, rng = _ball_args(delta, samples, w, None, seed)
     system = _system(system)
     if not all(s.contains(w, 1e-8) for s in system):
         raise DomainError("anchor w must belong to every set")

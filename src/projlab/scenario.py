@@ -678,7 +678,8 @@ _SAMPLED = ("samples", "seed", "delta")
 _FEJER_KEYS = tuple(dict.fromkeys(k for spec in OPERATOR_TYPES.values() for k in spec.fejer_keys))
 ANALYSES = {
     "estimate_eps": Analysis(
-        _estimate_eps, "eps", "eps-regularity of one set: 0 if convex, else a sampled lower bound",
+        _estimate_eps, "eps",
+        "eps-regularity of one set: exact on a convex set or a sphere, else a sampled lower bound",
         ("set",) + _SAMPLED, ("set",)),
     "estimate_kappa": Analysis(
         _estimate_kappa, "kappa", "sampled linear-regularity constant of the system (lower bound)",

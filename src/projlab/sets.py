@@ -25,11 +25,13 @@ a custom subclass that does not define `normal_generators_many` have no
 closed-form normal cone: they raise UnsupportedSet on a nonempty batch.
 
 `convex` is True only where the set is known to be convex, and callers may
-then use what convexity gives exactly (eps-regularity 0, for one).  The
-single-valued sets are convex; a finite point set is when it holds one
-distinct point, a translate or an enlargement when its inner set is, and
-the oracle intersection when its members are.  Spheres, unions and a custom
-subclass read False, the safe answer, unless the subclass sets it.
+then use what convexity gives exactly.  The single-valued sets are convex; a
+finite point set is when it holds one distinct point, a translate or an
+enlargement when its inner set is, and the oracle intersection when its
+members are.  Spheres, unions and a custom subclass read False, the safe
+answer, unless the subclass sets it.  `_exact_eps` gives the exact
+eps-regularity where the geometry does: 0 on a convex set, the cap formula
+on a sphere of dimension 2 or more, and None (sample it) elsewhere.
 
 The cone's NNLS solver comes from `scipy.optimize`, which `_nnls` imports on
 first use, so `import projlab` does not load scipy.
@@ -38,6 +40,7 @@ first use, so `import projlab` does not load scipy.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -273,6 +276,12 @@ class ClosedSet:
             raise UnsupportedSet(f"{type(self).__name__} has no closed-form normal cone")
         return np.zeros((0, 0, self.dim)), np.zeros((0, 0), bool)
 
+    def _exact_eps(self, w, delta):
+        """The exact eps-regularity over B(w, delta), or None when there is
+        no closed form.  Every proximal normal u of a convex set at x has
+        <u, y - x> <= 0 for every member y, so a convex set reads 0."""
+        return 0.0 if self.convex else None
+
     def to_config(self) -> dict:
         cfg = {"type": self.tag}
         for f in fields(self):
@@ -496,6 +505,26 @@ class Sphere(ClosedSet):
             raise DomainError("sphere normal requested at the center")
         U = gap / rr[:, None]
         return _prefix_rows(np.stack([U, -U], axis=1), np.ones((U.shape[0], 2), bool))
+
+    def _exact_eps(self, w, delta):
+        """The normal -(x - c)/r at a member x gives <u, y - x> = ||y - x||^2/(2r)
+        for a member y, so eps is the longest chord of the cap over 2r: 1
+        once the cap reaches a great sphere (cos phi <= 0), else sin phi =
+        sqrt(1 - min(cos phi, 1)^2), where t = ||w - c|| and the cap's
+        angular radius phi has cos phi = (r^2 + t^2 - delta^2)/(2rt).  The
+        square root takes (2rt)^2 (1 - cos^2 phi) as a product of four
+        linear factors, which keeps its digits for a small delta.  In d = 1
+        the sphere is two points, and w = c has no cap axis: None."""
+        r, t = self.radius, math.dist(w, self.center)
+        if self.dim == 1 or t == 0.0:
+            return None
+        if delta * delta >= r * r + t * t:
+            return 1.0
+        gap = abs(r - t)
+        if delta <= gap:
+            return 0.0
+        return min(1.0, math.sqrt((delta - gap) * (delta + gap) * (r + t - delta)
+                                  * (r + t + delta)) / (2.0 * r * t))
 
     def hull_points(self, rng):
         if self.center.size == 1:
@@ -874,6 +903,9 @@ class Translate(ClosedSet):
 
     def normal_generators_many(self, P):
         return self.inner.normal_generators_many(as_points(P, self.dim) - self.shift)
+
+    def _exact_eps(self, w, delta):
+        return self.inner._exact_eps(w - self.shift, delta)
 
     def hull_points(self, rng):
         return [p + self.shift for p in self.inner.hull_points(rng)]

@@ -157,9 +157,32 @@ class TestInjectable:
             P.check_injectable(P.Ball(np.zeros(2), 1.0), -1.0, np.zeros(2), 1.0)
 
 
+_CIRCLE = P.Sphere(np.zeros(2), 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda w: P.check_injectable(_CIRCLE, 0.5, w, 0.2),
+    lambda w: P.check_quasi_firm_fejer(P.RelaxedProjector(_CIRCLE, 1.0), _CIRCLE, 1.0, 1.0,
+                                       w, 0.2),
+    lambda w: P.check_quasi_coercive(P.RelaxedProjector(_CIRCLE, 1.0), _CIRCLE, 1.0, w, 0.2),
+    lambda w: P.estimate_linear_regularity([_CIRCLE], _CIRCLE, w, 0.2),
+], ids=["injectable", "quasi_firm_fejer", "quasi_coercive", "linear_regularity"])
+def test_anchor_of_another_dimension_is_named(call):
+    """The ball-sampled analyses check w against the sets' dimension before
+    drawing, not in the batch of samples."""
+    with pytest.raises(P.DimensionMismatch, match=r"^expected dimension 2, got 3$"):
+        call([1.0, 0.0, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # epsilon-regularity estimator
 # ---------------------------------------------------------------------------
+
+
+def _sampled_spheres(monkeypatch):
+    """The sphere's exact-eps hook reads None, so eps on a sphere (or a
+    translate of one) goes through the pair kernel."""
+    monkeypatch.setattr(P.Sphere, "_exact_eps", lambda self, w, delta: None)
 
 
 class TestEpsRegularity:
@@ -175,10 +198,11 @@ class TestEpsRegularity:
             e = P.estimate_eps_regularity(s, w, 1.0, samples=400, seed=0)
             assert e.value <= 1e-9
 
-    def test_sphere_eps_scales_with_delta(self):
+    def test_sphere_eps_scales_with_delta(self, monkeypatch):
         """On B(w, 0.2) the unit sphere's sampled eps sits near 0.1 (half the
         arc angle subtended by the ball)."""
         s = P.Sphere(np.zeros(2), 1.0)
+        _sampled_spheres(monkeypatch)
         e = P.estimate_eps_regularity(
             s, np.array([1.0, 0.0]), 0.2, samples=600, seed=0
         )
@@ -190,8 +214,9 @@ class TestEpsRegularity:
         with pytest.raises(DomainError):
             P.estimate_eps_regularity(s, np.array([0.5, 0.0]), 0.2)
 
-    def test_deterministic_and_monotone_in_pool(self):
+    def test_deterministic_and_monotone_in_pool(self, monkeypatch):
         s = P.Sphere(np.zeros(2), 1.0)
+        _sampled_spheres(monkeypatch)
         w = np.array([1.0, 0.0])
         a = P.estimate_eps_regularity(s, w, 0.3, samples=300, seed=5)
         b = P.estimate_eps_regularity(s, w, 0.3, samples=300, seed=5)
@@ -276,11 +301,12 @@ class TestEpsOnConvexSets:
             assert est.value <= SAMPLED_CONVEX_TOL
 
     @pytest.mark.parametrize("d", [2, 3, 8])
-    def test_nonconvex_sets_stay_sampled(self, d):
+    def test_nonconvex_sets_stay_sampled(self, d, monkeypatch):
         """The same reading is well above SAMPLED_CONVEX_TOL on sets the
         flag leaves False: a sphere, two points, their enlargement, a
         union of two balls, a translated sphere and an oracle with a
-        sphere member."""
+        sphere member.  The spheres' exact hook is off."""
+        _sampled_spheres(monkeypatch)
         e = np.eye(d)
         sphere = P.Sphere(np.zeros(d), 1.0)
         two = P.FinitePointSet(np.vstack([np.zeros(d), 0.4 * e[0]]))
@@ -320,15 +346,87 @@ class TestEpsOnConvexSets:
     def test_sphere_eps_stays_under_the_exact_value(self, d, r, frac, seed):
         """ROADMAP item 3: on a sphere of radius r, eps over B(w, delta) is
         delta sqrt(1 - delta^2 / (4 r^2)) / r, the ratio ||x - y|| / (2r)
-        on the longest chord in the ball.  The sampled lower bound stays
-        under it; 1e-9 covers the site filter's slack and rounding."""
+        on the longest chord in the ball.  The sampled lower bound (the
+        exact hook off) stays under it, and under the exact estimate, which
+        this formula for w on the sphere reaches by another route than the
+        hook's cap formula; 1e-9 covers the site filter's slack and
+        rounding."""
         rng = np.random.default_rng(seed)
         u = rng.standard_normal(d)
         center = rng.uniform(-1.0, 1.0, d)
         w = center + r * u / np.linalg.norm(u)
         delta = frac * r
-        est = P.estimate_eps_regularity(P.Sphere(center, r), w, delta, seed=seed)
-        assert est.value <= delta * math.sqrt(1.0 - delta ** 2 / (4.0 * r ** 2)) / r + 1e-9
+        formula = delta * math.sqrt(1.0 - delta ** 2 / (4.0 * r ** 2)) / r
+        exact = P.estimate_eps_regularity(P.Sphere(center, r), w, delta, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            _sampled_spheres(mp)
+            est = P.estimate_eps_regularity(P.Sphere(center, r), w, delta, seed=seed)
+        assert est.value <= formula + 1e-9
+        assert exact.bound == "exact" and exact.value == pytest.approx(formula, rel=1e-12)
+        assert est.value <= exact.value + 1e-9
+
+
+class _CustomCircle(P.ClosedSet):
+    """The unit circle of R^2 as a custom subclass: only `project`."""
+
+    dim = 2
+
+    def project(self, x):
+        return P.Sphere(np.zeros(2), 1.0).project(x)
+
+
+class TestEpsOnSpheres:
+    """The sphere's exact eps (its `_exact_eps` cap formula) against other
+    routes: the pair kernel, a translate, and the chord geometry."""
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_sampled_over_the_whole_ball_reaches_it(self, d, monkeypatch):
+        """Sites projected from 3000 points over all of B(w, delta): the pair
+        kernel's eps_hat stays under the exact value and comes within 0.01
+        of it (0.0069 the most seen in d = 8 over 10 seeds)."""
+        s, w, delta = P.Sphere(np.zeros(d), 1.0), np.eye(d)[0], 0.3
+        exact = P.estimate_eps_regularity(s, w, delta)
+        _sampled_spheres(monkeypatch)
+        points = P.uniform_ball(np.random.default_rng(d), w, delta, 3000)
+        est = P.estimate_eps_regularity(s, w, delta, points=points)
+        assert (exact.bound, exact.extra, est.bound) == ("exact", {"convex": False}, "lower")
+        assert est.value <= exact.value + 1e-12
+        assert exact.value - est.value <= 0.01
+
+    def test_translate_is_the_sphere_at_the_shifted_anchor(self):
+        sphere = P.Sphere(np.array([0.5, -1.0, 2.0]), 1.5)
+        shift = np.array([0.25, 3.0, -1.0])
+        w = sphere.center + np.array([0.0, 1.5, 0.0])
+        for delta in (0.1, 0.7, 1.9, 2.5):
+            moved = P.estimate_eps_regularity(P.Translate(sphere, shift), w + shift, delta)
+            est = P.estimate_eps_regularity(sphere, w, delta)
+            assert (moved.value, moved.bound) == (est.value, "exact")
+
+    def test_anchor_just_off_the_sphere(self):
+        """A w 1e-9 off the sphere passes the membership check, and the cap
+        formula at its distance t = r +- 1e-9 is the on-sphere value to
+        about 1e-9."""
+        s, delta = P.Sphere(np.zeros(3), 2.0), 0.5
+        on = delta * math.sqrt(1.0 - delta ** 2 / 16.0) / 2.0
+        for t in (2.0 - 1e-9, 2.0 + 1e-9):
+            est = P.estimate_eps_regularity(s, np.array([0.0, t, 0.0]), delta)
+            assert est.bound == "exact" and abs(est.value - on) <= 1e-8
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 3.0])
+    def test_a_ball_past_sqrt2_r_reaches_a_great_sphere(self, r):
+        """From delta = sqrt(2) r the cap holds a great sphere, whose
+        antipodal points make the chord 2r: eps 1."""
+        w = np.array([r, 0.0])
+        for delta in (math.sqrt(2.0) * r, 1.5 * r, 2.0 * r, 10.0 * r):
+            assert P.estimate_eps_regularity(P.Sphere(np.zeros(2), r), w, delta).value == 1.0
+
+    def test_one_dimensional_and_custom_spheres_stay_sampled(self):
+        """A sphere of R^1 is two points, and a custom subclass has no hook
+        of its own."""
+        one = P.estimate_eps_regularity(P.Sphere(np.zeros(1), 1.0), np.array([1.0]), 2.5)
+        assert (one.bound, one.value) == ("lower", 1.0)
+        est = P.estimate_eps_regularity(_CustomCircle(), np.array([1.0, 0.0]), 0.2, samples=100)
+        assert est.bound == "lower" and est.value > 0.05
 
 
 # ---------------------------------------------------------------------------

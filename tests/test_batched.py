@@ -1063,11 +1063,10 @@ CLOSED_FORM_TYPES = (P.Halfspace, P.Hyperplane, P.AffineSubspaceSet, P.Ball, P.S
 
 
 def _sampled(monkeypatch, s):
-    """Keep an eps estimate of s on the pair kernel: a convex set's class
-    reads convex False, so the estimator samples it instead of returning
-    its exact 0."""
-    if s.convex:
-        monkeypatch.setattr(type(s), "convex", False)
+    """Keep an eps estimate of s on the pair kernel: the exact-eps hook of
+    s's class reads None, so the estimator samples s instead of returning
+    its exact value (0 on a convex set, the cap formula on a sphere)."""
+    monkeypatch.setattr(type(s), "_exact_eps", lambda self, w, delta: None)
 
 
 def _same_bits(a, b):
@@ -1132,8 +1131,9 @@ class TestNormalArrays:
             eps, pairs = _eps_site_reference(s, w, 0.6, samples, samples)
             assert (est.value.hex(), est.extra["pairs"]) == (eps.hex(), pairs)
 
-    def test_eps_matches_reference_on_given_points(self):
+    def test_eps_matches_reference_on_given_points(self, monkeypatch):
         s = P.Sphere(np.zeros(3), 1.0)
+        _sampled(monkeypatch, s)
         w = np.array([0.0, 0.0, 1.0])
         pts = w + np.random.default_rng(4).normal(scale=0.1, size=(45, 3))
         for n in (1, 2, 3, 4, 5, 45):
@@ -1146,6 +1146,7 @@ class TestNormalArrays:
     def test_chunking_keeps_the_result(self, monkeypatch):
         """Chunks of 1, 2, 3, 5 and 7 sites: 150 sites leave a partial chunk."""
         s, w = P.Sphere(np.zeros(3), 1.0), np.array([1.0, 0.0, 0.0])
+        _sampled(monkeypatch, s)
         whole = P.estimate_eps_regularity(s, w, 0.6, samples=150, seed=9)
         assert whole.value > 0.0
         per_site = 8 * 151 * (3 + 3 + 1)  # 151 rows, d = 3, 3 normals
@@ -1180,14 +1181,14 @@ class TestNormalArrays:
                             lambda self, x: projects.append(x) or project(self, x))
         enlarged = [(P.Enlargement(P.FinitePointSet(np.zeros((1, 3))), 0.5), np.r_[0.5, 0.0, 0.0]),
                     (P.Enlargement(P.Box(-np.ones(3), np.ones(3)), 0.5), np.r_[1.5, 1.0, 0.0])]
-        for cls in (P.Halfspace, P.Box, P.AffineSubspaceSet, P.FinitePointSet):
-            monkeypatch.setattr(cls, "convex", False)
         for s, w in [c[1:] for c in NORMAL_CASES] + enlarged:
+            _sampled(monkeypatch, s)
             analysis._normal_pool(s, w, 0.5, np.random.default_rng(0), 40)
             assert not projects
             P.estimate_eps_regularity(s, w, 0.6, samples=40)
             assert not projects
         for s in _circles():
+            _sampled(monkeypatch, s)
             P.estimate_eps_regularity(s, np.array([0.0, 1.0]), 0.5, seed=20801)
             assert not projects
 
