@@ -15,16 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import PropertyReport, margin_report
-from .errors import (
-    ContainmentViolated,
-    DomainError,
-    ShadowRecursionViolated,
-    _positive_samples,
-)
+from .errors import ContainmentViolated, DomainError, ShadowRecursionViolated, check_count
 from .operators import GeneralizedDR, RelaxedProjector
 from .rates import _dr_domain
 from .runner import Trajectory, _write_csv
-from .sets import RANK_TOL, AffineSubspaceSet, ClosedSet, row_norms, svd_rank
+from .sets import RANK_TOL, AffineSubspaceSet, ClosedSet, _seeded, row_norms, svd_rank
 
 # Largest deviation of the commutation identities and of shadow_run's steps.
 _AFFINE_TOL = 1e-10
@@ -36,10 +31,8 @@ def affine_hull(sets, seed=0) -> AffineSubspaceSet:
     Uses closed forms per catalog variant and falls back to projecting 64
     random probes; directions are ranked by SVD with tolerance 1e-9.
     """
-    rng = np.random.default_rng(seed)
-    pts = []
-    for s in sets:
-        pts.extend(s.hull_points(rng))
+    _, rng = _seeded(seed)
+    pts = [p for s in sets for p in s.hull_points(rng)]
     if not pts:
         raise DomainError("no points available to span a hull")
     P = np.array(pts)
@@ -62,8 +55,8 @@ def verify_affine_identities(s: ClosedSet, L: AffineSubspaceSet, lam,
 
     Requires s to be contained in L (ContainmentViolated otherwise).
     """
-    samples = _positive_samples(samples)
-    rng = np.random.default_rng(seed)
+    samples = check_count("samples", samples, 1)
+    seed, rng = _seeded(seed)
     dim = L.anchor.size
     op = RelaxedProjector(s, lam)
     probes = rng.standard_normal((max(16, samples // 8), dim)) * 3.0

@@ -6,7 +6,8 @@ certifies the true modulus, so every result carries its bound direction
 extra["zeta_lower"] bounds it below over the sampled normals) and the seed
 that reproduces it bit for bit.  Where the geometry gives the value, the
 direction is "exact": eps on a convex set (0) or a sphere, with nothing
-sampled.
+sampled.  Every routine draws its own points from its seed, a nonnegative
+integer checked with its other arguments, on the exact path too.
 Checks return a PropertyReport whose margin convention is uniform: margin
 >= 0 means the sampled inequality holds, and violations == 0 iff the worst
 margin >= -check_tol.
@@ -19,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SamplingFailure, UnsupportedSet, _positive_samples, check_range
+from .errors import DomainError, SamplingFailure, UnsupportedSet, check_count, check_range
 from .intersection import IntersectionHandle
-from .sets import ClosedSet, _nnls, as_points, as_vector, conic_mixtures, row_norms
+from .sets import ClosedSet, _member_tuple, _nnls, _seeded, as_vector, conic_mixtures, row_norms
 
 CHECK_TOL = 1e-9
 STRONG_TOL = 1e-6
@@ -93,6 +94,8 @@ class RegularityEstimate:
 def uniform_ball(rng, center, radius, n) -> np.ndarray:
     """n points uniform in the closed ball: Gaussian direction, U^(1/d) radius."""
     center = as_vector(center)
+    radius = check_range("radius", radius, 0.0, np.inf, hi_open=True)
+    n = check_count("n", n, 0)
     d = center.size
     g = rng.standard_normal((n, d))
     norms = np.linalg.norm(g, axis=1)
@@ -102,19 +105,17 @@ def uniform_ball(rng, center, radius, n) -> np.ndarray:
 
 
 def _ball_args(delta, samples, w, dim, seed):
-    """The checked delta, samples and w (of dimension dim, unless dim is
-    None) of a routine sampling B(w, delta), in that order, and the
-    generator of its seed."""
+    """The checked delta, samples, w (of dimension dim, unless dim is None)
+    and seed of a routine sampling B(w, delta), in that order, and the
+    generator of the seed."""
     delta = check_range("delta", delta, 0.0, np.inf, lo_open=True, hi_open=True)
-    return delta, _positive_samples(samples), as_vector(w, dim), np.random.default_rng(seed)
+    return (delta, check_count("samples", samples, 1), as_vector(w, dim), *_seeded(seed))
 
 
-def _system(system):
-    """The sets of `system` as a list, or DomainError when there are none."""
-    system = list(system)
-    if not system:
-        raise DomainError("the system needs at least one set")
-    return system
+def _anchored(w, sets):
+    """DomainError unless w lies within 1e-8 of every one of `sets`."""
+    if not all(s.contains(w, 1e-8) for s in sets):
+        raise DomainError("anchor w must belong to every set")
 
 
 def _fejer_margins(x, xp, xbar, gamma, beta):
@@ -129,9 +130,7 @@ def _fejer_margins(x, xp, xbar, gamma, beta):
 def _member_pool(refset, w, delta, rng, want):
     """The first `want` members of refset within B(w, delta), in draw order,
     found by projecting ball samples."""
-    found = []
-    count = 0
-    attempts = 0
+    found, count, attempts = [], 0, 0
     chunk = max(64, want)
     while count < want and attempts < 100_000:
         zs = uniform_ball(rng, w, delta, chunk)
@@ -157,7 +156,7 @@ def check_quasi_firm_fejer(op, refset, gamma, beta, w, delta, samples=1000,
     for x in B(w, delta/2) and xbar in refset intersected with B(w, delta)."""
     gamma = check_range("gamma", gamma, 0.0, np.inf, lo_open=True, hi_open=True)
     beta = check_range("beta", beta, 0.0, np.inf)
-    delta, samples, w, rng = _ball_args(delta, samples, w, refset.dim, seed)
+    delta, samples, w, seed, rng = _ball_args(delta, samples, w, refset.dim, seed)
     pool = _member_pool(refset, w, delta, rng, min(samples, 256))
     xs = uniform_ball(rng, w, delta / 2.0, samples)
     xbars = pool[np.arange(samples) % pool.shape[0]]
@@ -170,7 +169,7 @@ def check_quasi_firm_fejer(op, refset, gamma, beta, w, delta, samples=1000,
 def check_quasi_coercive(op, cset, nu, w, delta, samples=1000, seed=0) -> PropertyReport:
     """Sampled test of ||x - x+|| >= nu * d_C(x) on B(w, delta/2)."""
     nu = check_range("nu", nu, *NU_RANGE)
-    delta, samples, w, rng = _ball_args(delta, samples, w, cset.dim, seed)
+    delta, samples, w, seed, rng = _ball_args(delta, samples, w, cset.dim, seed)
     xs = uniform_ball(rng, w, delta / 2.0, samples)
     xps = op.apply_many(xs)
     margins = row_norms(xs - xps) - nu * cset.distance_many(xs)
@@ -187,7 +186,7 @@ def check_injectable(s: ClosedSet, tau, w, delta, samples=1000, seed=0) -> Prope
     probed at 20 evenly spaced points, all in one batch.
     """
     tau = check_range("tau", tau, *TAU_RANGE)
-    delta, samples, w, rng = _ball_args(delta, samples, w, s.dim, seed)
+    delta, samples, w, seed, rng = _ball_args(delta, samples, w, s.dim, seed)
     xs = uniform_ball(rng, w, delta, samples)
     ps = s.project_many(xs)
     gaps = ps - xs
@@ -207,41 +206,33 @@ def check_injectable(s: ClosedSet, tau, w, delta, samples=1000, seed=0) -> Prope
 # regularity estimators
 
 
-def estimate_eps_regularity(s: ClosedSet, w, delta, samples=600, seed=0,
-                            points=None) -> RegularityEstimate:
+def estimate_eps_regularity(s: ClosedSet, w, delta, samples=600, seed=0) -> RegularityEstimate:
     """The regularity epsilon at w over B(w, delta): exact where the
     geometry gives it, else a sampled lower bound.
 
-    After the argument checks the set's `_exact_eps` hook is asked once.  A
-    convex set gives 0 and a sphere (d >= 2) its cap formula; the estimate
-    is then that value with bound "exact" and extra {"convex": s.convex},
-    and nothing is drawn, projected or paired.
+    After the argument checks (delta, samples, w, seed, then w's
+    membership) the set's `_exact_eps` hook is asked once.  A convex set
+    gives 0 and a sphere (d >= 2) its cap formula; the estimate is then that
+    value with bound "exact" and extra {"convex": s.convex}, and nothing is
+    drawn, projected or paired.
 
-    Otherwise members x are projections of points z drawn in B(w, delta/2)
-    (these stay in the delta-ball), or of the given `points`.  The unit
-    normals at x are the preimage direction (z - x)/||z - x|| and the first
-    8 closed-form generators.  The estimate is
+    Otherwise members x are projections of `samples` points z drawn in
+    B(w, delta/2) (these stay in the delta-ball).  The unit normals at x are
+    the preimage direction (z - x)/||z - x|| and the first 8 closed-form
+    generators.  The estimate is
     max(0, max <u, y - x> / ||y - x||), capped at 1, over the sites x with a
     normal u and the rows y of (w, members) at least _PAIR_FLOOR from x;
     extra["pairs"] counts the (u, y) pairs and `vacuous` flags none.  It is
     bit-reproducible for a seed on a given numpy and BLAS build; see
     _max_normal_ratio for the kernel.
     """
-    delta = check_range("delta", delta, 0.0, np.inf, lo_open=True, hi_open=True)
-    if points is None:
-        samples = _positive_samples(samples)
-    w = as_vector(w)
-    if not s.contains(w, 1e-8):
-        raise DomainError("anchor w must belong to the set")
-    zs = None if points is None else as_points(points, s.dim)
+    delta, samples, w, seed, rng = _ball_args(delta, samples, w, s.dim, seed)
+    _anchored(w, (s,))
     exact = s._exact_eps(w, delta)
     if exact is not None:
-        return RegularityEstimate("eps_regularity", exact, w, delta,
-                                  samples if zs is None else len(zs), seed, "exact",
+        return RegularityEstimate("eps_regularity", exact, w, delta, samples, seed, "exact",
                                   {"convex": s.convex})
-    rng = np.random.default_rng(seed)
-    if zs is None:
-        zs = uniform_ball(rng, w, delta / 2.0, samples)
+    zs = uniform_ball(rng, w, delta / 2.0, samples)
     xs = s.project_many(zs)
     near = row_norms(xs - w) <= delta + 1e-9
     xs, preimages = xs[near], (zs - xs)[near]
@@ -256,7 +247,7 @@ def estimate_eps_regularity(s: ClosedSet, w, delta, samples=600, seed=0,
     best, pair_count = _max_normal_ratio(np.vstack([w, xs]), xs[sites], normals[sites],
                                          counts[sites])
     return RegularityEstimate("eps_regularity", min(best, 1.0), w, delta,
-                              len(zs), seed, "lower",
+                              samples, seed, "lower",
                               {"pairs": pair_count, "vacuous": pair_count == 0})
 
 
@@ -294,8 +285,8 @@ def estimate_linear_regularity(system, intersection: ClosedSet, w,
                                delta, samples=2000, seed=0) -> RegularityEstimate:
     """Sampled lower bound of the linear-regularity modulus kappa on B(w, delta/2):
     max d_C(x) / max_i d_{C_i}(x) over draws with some d_{C_i}(x) > 0."""
-    delta, samples, w, rng = _ball_args(delta, samples, w, intersection.dim, seed)
-    system = _system(system)
+    delta, samples, w, seed, rng = _ball_args(delta, samples, w, intersection.dim, seed)
+    system = _member_tuple(system, "system")
     xs = uniform_ball(rng, w, delta / 2.0, samples)
     dmax = np.max([s.distance_many(xs) for s in system], axis=0)
     live = dmax >= _DIRECTION_FLOOR
@@ -352,12 +343,10 @@ def estimate_theta_bar(set_a, set_b, w, samples=256, seed=0) -> RegularityEstima
     the estimate records delta 0.  Returns 0 with a trivial flag when either
     normal cone is {0}.
     """
-    samples = _positive_samples(samples)
+    samples = check_count("samples", samples, 1)
     w = as_vector(w)
-    for s in (set_a, set_b):
-        if not s.contains(w, 1e-8):
-            raise DomainError("anchor w must belong to both sets")
-    rng = np.random.default_rng(seed)
+    _anchored(w, (set_a, set_b))
+    seed, rng = _seeded(seed)
 
     def cone_dirs(s):
         dirs = s.normal_generators(w)
@@ -413,10 +402,9 @@ def check_strong_regularity(system, w, delta, samples=2000, seed=0) -> Regularit
     a w more than 1e-8 from one of its sets, raises DomainError.
     """
     # w's dimension is checked by the membership test below
-    delta, samples, w, rng = _ball_args(delta, samples, w, None, seed)
-    system = _system(system)
-    if not all(s.contains(w, 1e-8) for s in system):
-        raise DomainError("anchor w must belong to every set")
+    delta, samples, w, seed, rng = _ball_args(delta, samples, w, None, seed)
+    system = _member_tuple(system, "system")
+    _anchored(w, system)
     budget = max(16, samples // (4 * len(system)))
     pools = [_normal_pool(s, w, delta, rng, budget) for s in system]
     active = [p for p in pools if len(p)]

@@ -16,7 +16,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
-from .errors import ConfigError, ProjlabError
+from .errors import ConfigError, DomainError, ProjlabError, check_count
 from .operators import OPERATOR_TYPES
 from .scenario import (
     ANALYSES,
@@ -186,6 +186,14 @@ def list_catalog(fmt) -> str:
 # argument parsing
 
 
+def _seed(text):
+    """A --seed value by the library's seed rule; a bad one is a usage error."""
+    try:
+        return check_count("seed", int(text), 0)
+    except (ValueError, DomainError):
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="projlab",
@@ -198,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default="out", help="output directory root")
     p_run.add_argument("--force", action="store_true",
                        help="overwrite existing output files")
-    p_run.add_argument("--seed", type=int, default=None,
+    p_run.add_argument("--seed", type=_seed, default=None,
                        help="override the scenario seed")
     p_run.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -206,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None, help="write per-scenario artifacts")
     p_verify.add_argument("--force", action="store_true",
                           help="overwrite existing output files")
-    p_verify.add_argument("--seed", type=int, default=None,
+    p_verify.add_argument("--seed", type=_seed, default=None,
                           help="override every scenario seed")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -1,7 +1,7 @@
 """Exception types shared across the library, the one interval check, the
-one whole-number check and the one sample-count check that raise
-DomainError for every numeric parameter, and the key checks that raise
-ConfigError for every config record."""
+one whole-number check and the one counting rule (sample counts and seeds)
+that raise DomainError for every numeric parameter, and the key checks that
+raise ConfigError for every config record."""
 
 import numbers
 import re
@@ -76,12 +76,14 @@ def check_whole(name, value):
     return int(value)
 
 
-def _positive_samples(samples) -> int:
-    """samples as an int, or DomainError unless it is a positive integer
-    (a bool is not); the check of every sampled routine."""
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 1:
-        raise DomainError(f"samples must be a positive integer, got {samples!r}")
-    return int(samples)
+def check_count(name, value, least):
+    """`value` as an int if it is an integer (a bool is not) of at least
+    `least`, else a DomainError naming `name`: the rule of every sample
+    count (least 1) and every seed (least 0)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise DomainError(f"{name} must be a {'positive' if least == 1 else 'nonnegative'} "
+                          f"integer, got {value!r}")
+    return int(value)
 
 
 # A message that starts with a key path, e.g. "members[1].radius: ...".

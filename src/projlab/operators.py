@@ -68,6 +68,12 @@ class RelaxedProjector:
         return _relax(self.target, self.lam, X)
 
 
+def _semi_intrepid_domain(alpha, tau):
+    """The semi-intrepid step's alpha in [0, 1] and tau in [0, inf)."""
+    return (check_range("intrepidity parameter", alpha, 0.0, 1.0),
+            check_range("injectability radius", tau, 0.0, np.inf, hi_open=True))
+
+
 @dataclass(frozen=True, eq=False)
 class SemiIntrepidProjector:
     """x -> p + (p - x) * min(alpha, tau / ||p - x||), with p = P(x).
@@ -80,10 +86,8 @@ class SemiIntrepidProjector:
     tau: float
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", check_range("intrepidity parameter", self.alpha,
-                                                      0.0, 1.0))
-        object.__setattr__(self, "tau", check_range("injectability radius", self.tau, 0.0,
-                                                    np.inf, hi_open=True))
+        for name, v in zip(("alpha", "tau"), _semi_intrepid_domain(self.alpha, self.tau)):
+            object.__setattr__(self, name, v)
 
     apply = _one_row
     apply_many = _each_row
@@ -119,8 +123,7 @@ class GeneralizedDR:
     def __post_init__(self):
         if self.set_a.dim != self.set_b.dim:
             raise DomainError("DR operator needs two sets of equal dimension")
-        lam, mu, alpha = rates._dr_domain(self.lam, self.mu, self.alpha)
-        for name, v in (("lam", lam), ("mu", mu), ("alpha", alpha)):
+        for name, v in zip(("lam", "mu", "alpha"), rates._dr_domain(self.lam, self.mu, self.alpha)):
             object.__setattr__(self, name, v)
 
     @property
@@ -179,10 +182,11 @@ def semi_intrepid_effective_relaxation(x, p, alpha, tau) -> float:
 
     Equals 1 when x = p (pure projection step).
     """
+    alpha, tau = _semi_intrepid_domain(alpha, tau)
     gap = float(np.linalg.norm(as_vector(x) - as_vector(p)))
     if gap == 0.0:
         return 1.0
-    return 1.0 + min(float(alpha), float(tau) / gap)
+    return 1.0 + min(alpha, tau / gap)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import CHECK_TOL, PropertyReport, _fejer_margins, margin_report
-from .errors import DomainError, InsufficientData, check_range, check_whole
+from .errors import DomainError, InsufficientData, check_count, check_range, check_whole
 from .operators import CyclicTuple
 from .rates import RateCertificate
 from .sets import ClosedSet, as_vector, row_norms
@@ -26,10 +26,11 @@ DIVERGENCE_NORM = 1e12
 ERROR_FLOOR = 1e-14
 _K_STEP_TOL = 1e-12     # slack of the k-step reduction
 _TEST_BATCH = 8         # most cycle ends `run` tests in one call
-# The intervals of fit_rlinear's tail fraction and detect_cycle's tolerance,
-# as check_range's (lo, hi, lo_open, hi_open).
+# The intervals of fit_rlinear's tail fraction, detect_cycle's tolerance and
+# compare_certificate's slack, as check_range's (lo, hi, lo_open, hi_open).
 TAIL_FRACTION_RANGE = (0.0, 1.0, True, False)
 CYCLE_TOL_RANGE = (0.0, np.inf, False, True)
+SLACK_RANGE = (0.0, np.inf, False, True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,6 +96,7 @@ def run(operators, x0, sets, intersection: ClosedSet,
     sets = tuple(sets)
     max_cycles = check_whole("max_cycles", check_range("max_cycles", max_cycles, 1.0, np.inf))
     check_range("tol", tol, 0.0, np.inf, lo_open=True)
+    seed = check_count("seed", seed, 0)
     for dim in (cycle.dim, intersection.dim):
         as_vector(x, dim)
 
@@ -139,7 +141,7 @@ def run(operators, x0, sets, intersection: ClosedSet,
         else np.zeros((P.shape[0], 0))
     cd = intersection.distance_many(P)
     return Trajectory(P, np.r_[-1, np.arange(P.shape[0] - 1) % m], sd, cd,
-                      m, stop, float(tol), int(seed), wall, cycle)
+                      m, stop, float(tol), seed, wall, cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +307,11 @@ def compare_certificate(traj: Trajectory, cert: RateCertificate, slack=0.02) -> 
     floor) passes trivially; a certificate that is not applicable makes no
     claim and the comparison is vacuous.
     """
+    slack = check_range("slack", slack, *SLACK_RANGE)
     result = {
         "theorem": cert.theorem,
         "applicable": cert.applicable,
-        "slack": float(slack),
+        "slack": slack,
         "vacuous": False,
         "finite_convergence": False,
         "ok": True,

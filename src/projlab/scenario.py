@@ -147,8 +147,15 @@ def scenario_from_config(cfg: dict) -> Scenario:
     analyses = cfg.get("analyses", [])
     if not isinstance(analyses, list):
         raise ConfigError("analyses: must be a list")
+    labels = set()
     for i, record in enumerate(analyses):
         check_analysis(record, f"analyses[{i}]", dim, len(sets), len(ops))
+        label = _label(record, i)
+        if not isinstance(label, str) or not label:
+            raise ConfigError(f"analyses[{i}].label: must be a nonempty string")
+        if label in labels:
+            raise ConfigError(f"analyses[{i}].label: duplicate label '{label}'")
+        labels.add(label)
     expected = cfg.get("expected", {})
     if not isinstance(expected, dict):
         raise ConfigError("expected: must be an object")
@@ -204,11 +211,8 @@ def save_scenario(sc: Scenario, path) -> None:
 
 def bundled_scenario_names() -> list:
     """Names of the scenarios shipped with the package, sorted."""
-    names = []
-    for entry in resources.files("projlab.scenarios").iterdir():
-        if entry.name.endswith(".json"):
-            names.append(entry.name[:-5])
-    return sorted(names)
+    return sorted(entry.name[:-5] for entry in resources.files("projlab.scenarios").iterdir()
+                  if entry.name.endswith(".json"))
 
 
 def load_bundled(name: str) -> Scenario:
@@ -234,12 +238,8 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):  # a numpy scalar: its Python value
+        return obj.item()
     if isinstance(obj, float) and not np.isfinite(obj):
         return repr(obj)
     return obj
@@ -375,8 +375,8 @@ def _check_certificate(record):
 class _Run:
     """One scenario run: its trajectory and what its analyses produced."""
 
-    def __init__(self, sc: Scenario, traj, seed):
-        self.sc, self.traj, self.seed = sc, traj, seed
+    def __init__(self, sc: Scenario, traj):
+        self.sc, self.traj, self.seed = sc, traj, traj.seed  # run checked the seed
         self.ctx = {}  # label -> estimate, certificate or fit, for '@label'
         self.constants, self.certificates, self.fits = {}, {}, {}
         self.comparisons, self.checks = [], []
@@ -395,15 +395,8 @@ class _Run:
     def delta(self, record):
         return float(record.get("delta", self.sc.delta))
 
-    def store(self, label, obj, path):
-        if not isinstance(label, str) or not label:
-            raise ConfigError(f"{path}.label: must be a nonempty string")
-        if label in self.ctx:
-            raise ConfigError(f"{path}.label: duplicate label '{label}'")
-        self.ctx[label] = obj
-
-    def constant(self, label, est, path):
-        self.store(label, est, path)
+    def constant(self, label, est):
+        self.ctx[label] = est
         self.constants[label] = _fields_dict(est, drop=("anchor",))
 
     def pick_target(self, op, value, path):
@@ -424,13 +417,13 @@ class _Run:
 def _estimate_eps(run, rec, path, label):
     s = run.sc.sets[rec["set"]]
     run.constant(label, analysis_mod.estimate_eps_regularity(
-        s, run.sc.anchor, run.delta(rec), **run.sampling(rec)), path)
+        s, run.sc.anchor, run.delta(rec), **run.sampling(rec)))
 
 
 def _estimate_kappa(run, rec, path, label):
     run.constant(label, analysis_mod.estimate_linear_regularity(
         run.sc.sets, run.sc.intersection, run.sc.anchor, run.delta(rec),
-        **run.sampling(rec)), path)
+        **run.sampling(rec)))
 
 
 # The sets of an estimate_theta_bar record that gives none.
@@ -440,7 +433,7 @@ _THETA_PAIR = (0, 1)
 def _estimate_theta_bar(run, rec, path, label):
     a, b = (run.sc.sets[j] for j in rec.get("sets", _THETA_PAIR))
     run.constant(label, analysis_mod.estimate_theta_bar(
-        a, b, run.sc.anchor, **run.sampling(rec)), path)
+        a, b, run.sc.anchor, **run.sampling(rec)))
 
 
 def _strong_regularity(run, rec, path, label):
@@ -448,7 +441,7 @@ def _strong_regularity(run, rec, path, label):
     system = [run.sc.sets[j] for j in idxs]
     est = analysis_mod.check_strong_regularity(
         system, run.sc.anchor, run.delta(rec), **run.sampling(rec))
-    run.constant(label, est, path)
+    run.constant(label, est)
     strong = est.extra["strong"]  # None: undetermined, which no expect accepts
     entry = {"sets": list(idxs), "value": est.value, "strong": strong}
     passed = {"fail": strong is False, "pass": strong is True, None: True}[rec.get("expect")]
@@ -516,15 +509,13 @@ def _certificate(run, rec, path, label):
     name = rec["theorem"]
     theorem = THEOREMS[name]
     args = rec.get("args", {})
-    values = []
-    for key, resolve, *default in theorem.args:
-        values.append(resolve(args[key], run.ctx, f"{path}.args.{key}")
-                      if key in args else default[0])
+    values = [resolve(args[key], run.ctx, f"{path}.args.{key}") if key in args else default[0]
+              for key, resolve, *default in theorem.args]
     if theorem.build is None:
         cert, derived = getattr(rates_mod, name)(*values), {}
     else:
         cert, derived = theorem.build(*values)
-    run.store(label, cert, path)
+    run.ctx[label] = cert
     entry = _fields_dict(cert)
     if derived:
         entry["derived"] = _jsonable(derived)
@@ -534,7 +525,7 @@ def _certificate(run, rec, path, label):
 def _rate_fit(run, rec, path, label):
     fit = runner_mod.fit_rlinear(run.traj.cycle_errors(),
                                  **_given(rec, "tail_fraction", "burn_in"))
-    run.store(label, fit, path)
+    run.ctx[label] = fit
     run.fits[label] = _fields_dict(fit)
     if "expect_rho" not in rec and not rec.get("expect_non_convergent"):
         return None
@@ -748,7 +739,7 @@ _BOOL_KEYS = ("expect_non_convergent", "expect_equality")
 # or arithmetic value when it resolves.
 _RANGES = {"tau": analysis_mod.TAU_RANGE, "nu": analysis_mod.NU_RANGE,
            "lambda": rates_mod.LAMBDA_RANGE, "tail_fraction": runner_mod.TAIL_FRACTION_RANGE,
-           "tol": runner_mod.CYCLE_TOL_RANGE}
+           "tol": runner_mod.CYCLE_TOL_RANGE, "slack": runner_mod.SLACK_RANGE}
 
 
 def _check_values(record, dim):
@@ -790,6 +781,12 @@ def _check_indices(record, n_sets, n_ops):
             raise ConfigError(f"{key}: {what} index out of range")
 
 
+def _label(record, index):
+    """The label of the analysis record at `index`: its own, else its kind's
+    default."""
+    return record.get("label", ANALYSES[record["kind"]].label.format(index))
+
+
 def check_analysis(record, path, dim, n_sets, n_ops):
     """Validate one analysis record against its kind's table entry and a
     scenario of dimension `dim`, `n_sets` sets and `n_ops` operators."""
@@ -813,11 +810,10 @@ def execute_scenario(sc: Scenario, out_dir=None, seed_override=None) -> dict:
     certificates, fit, comparisons, checks, passed, timing).  If out_dir is
     given, writes trajectory.csv / report.json / shadow.csv there.
     """
-    seed = sc.seed if seed_override is None else int(seed_override)
     t0 = time.perf_counter()
-    traj = runner_mod.run(sc.operators, sc.x0, sc.sets, sc.intersection,
-                          max_cycles=sc.max_cycles, tol=sc.tol, seed=seed)
-    run = _Run(sc, traj, seed)
+    traj = runner_mod.run(sc.operators, sc.x0, sc.sets, sc.intersection, max_cycles=sc.max_cycles,
+                          tol=sc.tol, seed=sc.seed if seed_override is None else seed_override)
+    run = _Run(sc, traj)
     if "stop_reason" in sc.expected:
         run.checks.append({
             "name": "stop_reason", "kind": "expected",
@@ -826,10 +822,8 @@ def execute_scenario(sc: Scenario, out_dir=None, seed_override=None) -> dict:
         })
 
     for i, record in enumerate(sc.analyses):
-        kind = record["kind"]
-        spec = ANALYSES[kind]
-        label = record.get("label", spec.label.format(i))
-        out = spec.execute(run, record, f"analyses[{i}]", label)
+        kind, label = record["kind"], _label(record, i)
+        out = ANALYSES[kind].execute(run, record, f"analyses[{i}]", label)
         if out is not None:
             rep, extra = out
             entry = {} if rep is None else _fields_dict(rep, ("witness",), passed=rep.passed)
@@ -841,7 +835,7 @@ def execute_scenario(sc: Scenario, out_dir=None, seed_override=None) -> dict:
         "scenario": {
             "name": sc.name,
             "dimension": sc.dimension,
-            "seed": seed,
+            "seed": traj.seed,
             "stop_reason": traj.stop_reason,
             "n_cycles": traj.n_cycles,
             "final": _jsonable(traj.final),

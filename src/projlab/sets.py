@@ -50,8 +50,8 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     UnsupportedSet,
-    _positive_samples,
     at_key,
+    check_count,
     check_keys,
     check_range,
     check_whole,
@@ -154,6 +154,14 @@ def _member_tuple(members, owner):
     if len({m.dim for m in members}) != 1:
         raise DimensionMismatch(f"{owner} members must share one dimension")
     return members
+
+
+def _seeded(seed):
+    """(seed as an int, its numpy generator), or DomainError unless the seed
+    is a nonnegative integer: the one door through which every randomized
+    routine seeds numpy."""
+    seed = check_count("seed", seed, 0)
+    return seed, np.random.default_rng(seed)
 
 
 def _centered(self, kind, lo_open):
@@ -955,9 +963,9 @@ def is_obtuse_cone(s: ClosedSet, samples=256, seed=0):
     PropertyReport-like dict; violations count sampled polar directions v
     with -v outside K.
     """
-    samples = _positive_samples(samples)
+    samples = check_count("samples", samples, 1)
     cone = _cone_of(s)
-    rng = np.random.default_rng(seed)
+    seed, rng = _seeded(seed)
     directions = np.array(cone.polar_generators(), dtype=float).reshape(-1, cone.dim)
     if directions.shape[0]:
         directions = np.vstack([directions, conic_mixtures(rng, directions, samples)])

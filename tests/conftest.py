@@ -33,6 +33,13 @@ def single_point(x, p):
     return P.sets.ProjectionResult(p, (p,), False, float(np.linalg.norm(x - p)))
 
 
+def given_draws(monkeypatch, points):
+    """Every ball draw in projlab.analysis returns `points`: how a test hands
+    a sampled estimator the points it samples."""
+    points = np.asarray(points, dtype=float)
+    monkeypatch.setattr(P.analysis, "uniform_ball", lambda rng, center, radius, n: points)
+
+
 def sample_ball(rng, center, radius, n):
     """n points uniform in the ball B(center, radius)."""
     return P.uniform_ball(rng, np.asarray(center, dtype=float), radius, n)

@@ -18,7 +18,7 @@ import projlab as P
 from projlab import DomainError
 from projlab import analysis
 
-from conftest import two_lines
+from conftest import given_draws, two_lines
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +224,10 @@ class TestEpsRegularity:
         # growing the sample pool can only raise the sampled lower bound
         rng = np.random.default_rng(17)
         pool = P.uniform_ball(rng, w, 0.15, 400)
-        small = P.estimate_eps_regularity(s, w, 0.3, points=pool[:100])
-        large = P.estimate_eps_regularity(s, w, 0.3, points=pool)
+        given_draws(monkeypatch, pool[:100])
+        small = P.estimate_eps_regularity(s, w, 0.3, samples=100)
+        given_draws(monkeypatch, pool)
+        large = P.estimate_eps_regularity(s, w, 0.3, samples=400)
         assert large.value >= small.value - 1e-15
 
 
@@ -285,8 +287,7 @@ class TestEpsOnConvexSets:
         assert (est.value, est.bound, est.extra) == (0.0, "exact", {"convex": True})
         assert (est.kind, est.delta, est.samples, est.seed) == ("eps_regularity", 0.6, 37, 5)
         assert np.array_equal(est.anchor, w)
-        pts = P.uniform_ball(np.random.default_rng(0), w, 0.3, 11)
-        assert P.estimate_eps_regularity(s, w, 0.6, samples=0, points=pts).samples == 11
+        assert P.estimate_eps_regularity(s, w, 0.6, samples=11).samples == 11
 
     @pytest.mark.parametrize("d, name, s, w", CONVEX_CASES,
                              ids=[f"{c[1]}_d{c[0]}" for c in CONVEX_CASES])
@@ -323,8 +324,8 @@ class TestEpsOnConvexSets:
             assert est.bound == "lower" and est.value > 0.05, type(s).__name__
 
     def test_arguments_are_checked_in_order(self):
-        """delta, samples, the anchor and its membership, then the points,
-        on the exact path as on the sampled one."""
+        """delta, samples, the anchor's dimension, the seed, then the
+        anchor's membership, on the exact path as on the sampled one."""
         for s, w, off in [(P.Ball(np.zeros(2), 1.0), np.array([1.0, 0.0]), np.array([2.0, 0.0])),
                           (P.Sphere(np.zeros(2), 1.0), np.array([1.0, 0.0]), np.zeros(2))]:
             with pytest.raises(DomainError, match="delta"):
@@ -332,13 +333,12 @@ class TestEpsOnConvexSets:
             with pytest.raises(DomainError, match="samples"):
                 P.estimate_eps_regularity(s, off, 0.6, samples=0)
             with pytest.raises(P.DimensionMismatch):
-                P.estimate_eps_regularity(s, np.zeros(3), 0.6, points=np.zeros((1, 3)))
+                P.estimate_eps_regularity(s, np.zeros(3), 0.6, seed=-1)
+            with pytest.raises(DomainError, match="seed"):
+                P.estimate_eps_regularity(s, off, 0.6, seed=-1)
             with pytest.raises(DomainError, match="anchor"):
-                P.estimate_eps_regularity(s, off, 0.6, points=np.zeros((2, 3)))
-            with pytest.raises(P.DimensionMismatch):
-                P.estimate_eps_regularity(s, w, 0.6, points=np.zeros((2, 3)))
-            with pytest.raises(DomainError, match="finite"):
-                P.estimate_eps_regularity(s, w, 0.6, points=[[np.nan, 0.0]])
+                P.estimate_eps_regularity(s, off, 0.6)
+            assert P.estimate_eps_regularity(s, w, 0.6, samples=20).samples == 20
 
     @settings(max_examples=40, deadline=None)
     @given(d=st.sampled_from([2, 3, 8]), r=st.floats(0.25, 4.0),
@@ -387,8 +387,8 @@ class TestEpsOnSpheres:
         s, w, delta = P.Sphere(np.zeros(d), 1.0), np.eye(d)[0], 0.3
         exact = P.estimate_eps_regularity(s, w, delta)
         _sampled_spheres(monkeypatch)
-        points = P.uniform_ball(np.random.default_rng(d), w, delta, 3000)
-        est = P.estimate_eps_regularity(s, w, delta, points=points)
+        given_draws(monkeypatch, P.uniform_ball(np.random.default_rng(d), w, delta, 3000))
+        est = P.estimate_eps_regularity(s, w, delta, samples=3000)
         assert (exact.bound, exact.extra, est.bound) == ("exact", {"convex": False}, "lower")
         assert est.value <= exact.value + 1e-12
         assert exact.value - est.value <= 0.01
@@ -456,7 +456,7 @@ class TestLinearRegularity:
 
     def test_empty_system_raises(self):
         a = P.Hyperplane(np.array([0.0, 1.0]), 0.0)
-        with pytest.raises(DomainError, match="at least one set"):
+        with pytest.raises(DomainError, match="^system needs at least one member$"):
             P.estimate_linear_regularity([], a, np.zeros(2), 1.0)
 
 
@@ -533,7 +533,7 @@ class TestStrongRegularity:
 
     def test_empty_system_raises(self):
         """An empty system has no normals to pool; it is not strongly regular."""
-        with pytest.raises(DomainError, match="^the system needs at least one set$"):
+        with pytest.raises(DomainError, match="^system needs at least one member$"):
             P.check_strong_regularity([], np.zeros(2), 1.0)
 
     def test_anchor_must_belong_to_every_set(self):

@@ -18,7 +18,7 @@ from projlab import DimensionMismatch, DomainError, UnsupportedSet, analysis, in
 from projlab.analysis import margin_report
 from projlab.sets import TIE_TOL, ProjectionResult
 
-from conftest import single_point
+from conftest import given_draws, single_point
 
 TOL = 1e-12
 COORD = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
@@ -1137,7 +1137,8 @@ class TestNormalArrays:
         w = np.array([0.0, 0.0, 1.0])
         pts = w + np.random.default_rng(4).normal(scale=0.1, size=(45, 3))
         for n in (1, 2, 3, 4, 5, 45):
-            est = P.estimate_eps_regularity(s, w, 0.6, points=pts[:n])
+            given_draws(monkeypatch, pts[:n])
+            est = P.estimate_eps_regularity(s, w, 0.6, samples=n)
             eps, pairs = _eps_reference(s, w, 0.6, n, 0, points=pts[:n])
             assert est.extra["pairs"] == pairs and abs(est.value - eps) <= _eps_drift_bound(3)
             eps, pairs = _eps_site_reference(s, w, 0.6, n, 0, points=pts[:n])
@@ -1227,9 +1228,10 @@ class TestEpsKernel:
     than _PAIR_FLOOR must divide silently."""
 
     def estimate(self, s, w, points):
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
             warnings.simplefilter("error")
-            est = P.estimate_eps_regularity(s, w, 0.6, points=points)
+            given_draws(mp, points)
+            est = P.estimate_eps_regularity(s, w, 0.6, samples=len(points))
         eps, pairs = _eps_site_reference(s, w, 0.6, len(points), 0, points=points)
         assert (est.value.hex(), est.extra["pairs"]) == (eps.hex(), pairs)
         eps, pairs = _eps_reference(s, w, 0.6, len(points), 0, points=points)

@@ -347,7 +347,9 @@ class TestLiteralRanges:
          "lambda must lie in (0, 2], got 3.0"),
         ({"kind": "rate_fit", "tail_fraction": 2.0}, "tail_fraction must lie in (0, 1], got 2.0"),
         ({"kind": "cycle_detect", "tol": -1e-12}, "tol must lie in [0, inf), got -1e-12"),
-    ], ids=["tau", "nu", "lambda", "tail_fraction", "cycle_tol"])
+        ({"kind": "compare", "certificate": "@cert", "slack": -0.1},
+         "slack must lie in [0, inf), got -0.1"),
+    ], ids=["tau", "nu", "lambda", "tail_fraction", "cycle_tol", "slack"])
     def test_out_of_range_literal_exits_2(self, tmp_path, capsys, record, message):
         cfg = minimal_config(analyses=[record])
         path = _write(tmp_path, cfg)
@@ -371,8 +373,8 @@ class TestLiteralRanges:
 
 class TestRunTimeConfigErrors:
     """A configuration error in an analysis record exits 2 with its key
-    path, whether it is found at load time (a set or operator index) or
-    only when the scenario runs (a reference, a label)."""
+    path, whether it is found at load time (a set or operator index, a
+    label) or only when the scenario runs (a reference)."""
 
     @pytest.mark.parametrize("edit, message", [
         (lambda a: a[1].update(set=7), "analyses[1].set: set index out of range"),
@@ -414,3 +416,13 @@ class TestUsageErrors:
 
     def test_unknown_flag(self, capsys):
         assert P.main(["run", "x.json", "--bogus"]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command):
+        """`verify --seed -1` died in numpy's ValueError traceback."""
+        argv = ["run", _write(tmp_path, minimal_config())] if command == "run" else ["verify"]
+        assert P.main(argv + ["--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"usage: projlab {command}")
+        assert captured.err.endswith("argument --seed: must be a nonnegative integer, got '-1'\n")
+        assert "Traceback" not in captured.err

@@ -13,7 +13,7 @@ KNOBS = {
     "analysis.check_quasi_firm_fejer": ("samples", "seed"),
     "analysis.check_quasi_coercive": ("samples", "seed"),
     "analysis.check_injectable": ("samples", "seed"),
-    "analysis.estimate_eps_regularity": ("samples", "seed", "points"),
+    "analysis.estimate_eps_regularity": ("samples", "seed"),
     "analysis.estimate_linear_regularity": ("samples", "seed"),
     "analysis.estimate_theta_bar": ("samples", "seed"),
     "analysis.check_strong_regularity": ("samples", "seed"),
@@ -76,4 +76,4 @@ def test_knob_inventory_is_pinned():
         PYTHONPATH=src:tests python -c "import pprint, test_knobs as t; pprint.pprint(t.knob_inventory(), width=100, sort_dicts=False)"
     """
     assert knob_inventory() == KNOBS
-    assert sum(map(len, KNOBS.values())) == 50
+    assert sum(map(len, KNOBS.values())) == 49

@@ -1,7 +1,9 @@
 """The one interval check, `errors.check_range`: its endpoints, NaN, which
 lies in no interval, and every public entry point whose numeric parameters
 go through it; the one whole-number check, `errors.check_whole`, and the
-entry points whose counts go through it."""
+entry points whose counts go through it; the one counting rule,
+`errors.check_count`, and every randomized routine, whose samples and seed
+go through it."""
 
 import ast
 import math
@@ -74,6 +76,12 @@ def _run(**kw):
     return P.run([_relaxed()], np.array([1.0, 1.0]), [_line()], _line(), **kw)
 
 
+def _finite_run():
+    """One projection onto a line from off it: converged in one step, too
+    few errors to fit."""
+    return _run()
+
+
 def _trajectory():
     """Ten cycles of alternating projections onto two lines through 0."""
     lines = (_line(), P.Hyperplane(np.array([1.0, -1.0]), 0.0))
@@ -124,6 +132,12 @@ CALLS = {
         _ball(), tau, np.zeros(2), delta, samples=20), (0.1, 0.5)),
     "estimate_eps_regularity": (lambda delta: P.estimate_eps_regularity(
         _line(), np.zeros(2), delta, samples=20), (0.5,)),
+    "uniform_ball": (lambda radius, n: P.uniform_ball(
+        np.random.default_rng(0), np.zeros(2), radius, n), (1.0, 5)),
+    "semi_intrepid_effective_relaxation": (lambda a, tau: P.semi_intrepid_effective_relaxation(
+        np.array([2.0, 0.0]), np.zeros(2), a, tau), (0.5, 1.0)),
+    "compare_certificate": (lambda slack: P.compare_certificate(
+        _finite_run(), P.rate_convex_cyclic([1.0], 2.0), slack), (0.02,)),
 }
 
 
@@ -184,6 +198,94 @@ def test_sampled_routines_outside_analysis_check_samples(name, samples):
         call(samples)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: P.uniform_ball(np.random.default_rng(0), np.zeros(2), -1.0, 5),
+     r"radius must lie in \[0, inf\), got -1.0"),
+    (lambda: P.uniform_ball(np.random.default_rng(0), np.zeros(2), 1.0, -3),
+     "n must be a nonnegative integer, got -3"),
+    (lambda: P.uniform_ball(np.random.default_rng(0), np.zeros(2), 1.0, 2.5),
+     "n must be a nonnegative integer, got 2.5"),
+    (lambda: P.semi_intrepid_effective_relaxation(np.array([2.0, 0.0]), np.zeros(2), -5, 1),
+     r"intrepidity parameter must lie in \[0, 1\], got -5.0"),
+    (lambda: P.compare_certificate(_finite_run(), P.rate_convex_cyclic([1.0], 2.0), -0.1),
+     r"slack must lie in \[0, inf\), got -0.1"),
+], ids=["negative_radius", "negative_count", "fractional_count", "negative_alpha",
+        "negative_slack"])
+def test_helpers_outside_the_analyses_check_their_domain(call, message):
+    """uniform_ball mirrored a negative radius and handed a negative count
+    to numpy, the effective relaxation of alpha -5 read -4.0, and a NaN
+    slack passed a finitely converged run with a NaN margin."""
+    with pytest.raises(P.DomainError, match=message):
+        call()
+
+
+def _seeded_routines():
+    """Every randomized routine with valid arguments but its seed, each
+    returning the seed it records (affine_hull records none)."""
+    two = (_line(), P.Hyperplane(np.array([1.0, -1.0]), 0.0))
+    union = P.UnionOfSets((P.Ball(np.zeros(2), 0.5), P.Ball(np.array([1.2, 0.0]), 0.5)))
+    return {
+        "check_quasi_firm_fejer": lambda seed: P.check_quasi_firm_fejer(
+            _relaxed(), _line(), 1.0, 1.0, np.zeros(2), 0.5, samples=20, seed=seed).seed,
+        "check_quasi_coercive": lambda seed: P.check_quasi_coercive(
+            _relaxed(), _line(), 1.0, np.zeros(2), 0.5, samples=20, seed=seed).seed,
+        "check_injectable": lambda seed: P.check_injectable(
+            _ball(), 0.1, np.zeros(2), 0.5, samples=20, seed=seed).seed,
+        "estimate_eps_regularity_exact": lambda seed: P.estimate_eps_regularity(
+            _ball(), np.array([1.0, 0.0]), 0.2, seed=seed).seed,
+        "estimate_eps_regularity_sampled": lambda seed: P.estimate_eps_regularity(
+            union, np.array([0.5, 0.0]), 0.6, samples=20, seed=seed).seed,
+        "estimate_linear_regularity": lambda seed: P.estimate_linear_regularity(
+            two, P.FinitePointSet(np.zeros((1, 2))), np.zeros(2), 0.5, samples=20,
+            seed=seed).seed,
+        "estimate_theta_bar": lambda seed: P.estimate_theta_bar(
+            *two, np.zeros(2), samples=20, seed=seed).seed,
+        "check_strong_regularity": lambda seed: P.check_strong_regularity(
+            two, np.zeros(2), 0.5, samples=20, seed=seed).seed,
+        "is_obtuse_cone": lambda seed: P.is_obtuse_cone(
+            P.Orthant((1, 1)), samples=20, seed=seed)["seed"],
+        "affine_hull": lambda seed: P.affine_hull([_line()], seed=seed) and None,
+        "verify_affine_identities": lambda seed: P.verify_affine_identities(
+            _line(), P.affine_hull([_line()]), 1.0, samples=20, seed=seed).seed,
+        "run": lambda seed: _run(seed=seed).seed,
+        "execute_scenario": lambda seed: P.execute_scenario(
+            P.load_bundled("two_lines_angle_45"), seed_override=seed)["scenario"]["seed"],
+    }
+
+
+SEEDED = _seeded_routines()
+
+
+def _bad_seed_cases():
+    """Each routine with each bad seed; execute_scenario's seed_override of
+    None means the scenario's own seed."""
+    for name in SEEDED:
+        for seed in (None, True, -1, 2.5, "x"):
+            if not (name == "execute_scenario" and seed is None):
+                yield pytest.param(name, seed, id=f"{name}[{seed!r}]")
+
+
+@pytest.mark.parametrize("name, seed", _bad_seed_cases())
+def test_every_randomized_routine_checks_its_seed(name, seed):
+    """A seed that is not a nonnegative integer raises before anything is
+    drawn, on the exact eps path too: None drew an irreproducible estimate,
+    2.5 was recorded as 2, "x" was echoed and -1 reached numpy."""
+    with pytest.raises(P.DomainError, match=f"^seed must be a nonnegative integer, got {seed!r}$"):
+        SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint32(7)], ids=["int64", "uint32"])
+@pytest.mark.parametrize("name", SEEDED)
+def test_numpy_integer_seeds_are_recorded_as_int(name, seed):
+    recorded = SEEDED[name](seed)
+    assert recorded is None if name == "affine_hull" else (type(recorded), recorded) == (int, 7)
+
+
+def test_no_override_runs_the_scenarios_seed():
+    sc = P.load_bundled("two_lines_angle_45")
+    assert P.execute_scenario(sc, seed_override=None)["scenario"]["seed"] == sc.seed
+
+
 def test_whole_floats_still_count():
     traj = _trajectory()
     assert P.check_k_step_reduction(traj, 2.0, 0.5).extra["k"] == 2
@@ -221,7 +323,7 @@ def test_interval_wording_lives_in_check_range_only():
 @pytest.mark.parametrize("key, module, name", [
     ("tau", "analysis", "TAU_RANGE"), ("nu", "analysis", "NU_RANGE"),
     ("lambda", "rates", "LAMBDA_RANGE"), ("tail_fraction", "runner", "TAIL_FRACTION_RANGE"),
-    ("tol", "runner", "CYCLE_TOL_RANGE"),
+    ("tol", "runner", "CYCLE_TOL_RANGE"), ("slack", "runner", "SLACK_RANGE"),
 ])
 def test_parse_time_intervals_are_the_library_ones(key, module, name):
     """Each interval a scenario checks at parse time is written once, beside

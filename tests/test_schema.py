@@ -235,12 +235,24 @@ class TestSamplingOverrides:
         for call in _sampled_analyses(1.0, samples=np.int64(12)):
             assert call().samples == 12
 
-    def test_explicit_points_ignore_samples(self):
-        """An eps estimate on given points checks no samples."""
-        a = P.Halfspace(np.array([1.0, 0.0]), 0.0)
-        points = P.uniform_ball(np.random.default_rng(17), np.zeros(2), 0.5, 50)
-        est = P.estimate_eps_regularity(a, np.zeros(2), 1.0, samples=0, points=points)
-        assert est.samples == 50
+
+class TestLabels:
+    """A label is a nonempty string that no other record's label, given or
+    default, repeats.  Each was found only after the trajectory had run,
+    and a check's repeated label not at all."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda a: a[1].update(label=5), "analyses[1].label: must be a nonempty string"),
+        (lambda a: a[1].update(label=""), "analyses[1].label: must be a nonempty string"),
+        (lambda a: a.append({"kind": "estimate_kappa"}),
+         "analyses[12].label: duplicate label 'kappa'"),
+        (lambda a: a[8].update(label="vs_convex"),
+         "analyses[8].label: duplicate label 'vs_convex'"),
+    ], ids=["number", "empty", "default_kappa", "check"])
+    def test_bad_label_fails_at_parse_time(self, edit, message):
+        cfg = _bundled_config("two_lines_angle_45")
+        edit(cfg["analyses"])
+        assert _error(cfg) == message
 
 
 class TestRecordNumbers:
