@@ -33,8 +33,9 @@ _DUPLICATE_COS = 1.0 - 1e-9  # normal directions closer than this are one
 # Bound on the temporaries of one chunk of eps-regularity sites.
 _EPS_CHUNK_BYTES = 1 << 20
 _SIMPLEX_WEIGHT = 1e3  # weight of the sum-to-one row in _simplex_min_norm
-# The intervals of the injectability radius and the coercivity constant, as
-# check_range's (lo, hi, lo_open, hi_open).
+# The intervals of the locality radius, the injectability radius and the
+# coercivity constant, as check_range's (lo, hi, lo_open, hi_open).
+DELTA_RANGE = (0.0, np.inf, True, True)
 TAU_RANGE = (0.0, np.inf, False, True)
 NU_RANGE = (0.0, np.inf, True, True)
 
@@ -108,7 +109,7 @@ def _ball_args(delta, samples, w, dim, seed):
     """The checked delta, samples, w (of dimension dim, unless dim is None)
     and seed of a routine sampling B(w, delta), in that order, and the
     generator of the seed."""
-    delta = check_range("delta", delta, 0.0, np.inf, lo_open=True, hi_open=True)
+    delta = check_range("delta", delta, *DELTA_RANGE)
     return (delta, check_count("samples", samples, 1), as_vector(w, dim), *_seeded(seed))
 
 
@@ -150,12 +151,17 @@ def _member_pool(refset, w, delta, rng, want):
 # inequality checks
 
 
+def _fejer_pair(gamma, beta):
+    """The quasi-firm Fejér constants gamma in (0, inf) and beta in [0, inf]."""
+    return (check_range("gamma", gamma, 0.0, np.inf, lo_open=True, hi_open=True),
+            check_range("beta", beta, 0.0, np.inf))
+
+
 def check_quasi_firm_fejer(op, refset, gamma, beta, w, delta, samples=1000,
                            seed=0) -> PropertyReport:
     """Sampled test of ||x+ - xbar||^2 + beta ||x - x+||^2 <= gamma ||x - xbar||^2
     for x in B(w, delta/2) and xbar in refset intersected with B(w, delta)."""
-    gamma = check_range("gamma", gamma, 0.0, np.inf, lo_open=True, hi_open=True)
-    beta = check_range("beta", beta, 0.0, np.inf)
+    gamma, beta = _fejer_pair(gamma, beta)
     delta, samples, w, seed, rng = _ball_args(delta, samples, w, refset.dim, seed)
     pool = _member_pool(refset, w, delta, rng, min(samples, 256))
     xs = uniform_ball(rng, w, delta / 2.0, samples)

@@ -99,7 +99,10 @@ def run_scenario(config_path, out_root, force, seed, fmt) -> int:
 def verify_suite(workers=1, out_root=None, seed=None) -> dict:
     """Execute every bundled scenario on `workers` threads and collect the
     reports.  Threads do not speed the suite up (small numpy calls hold the
-    GIL), so the default is one."""
+    GIL), so the default is one.  A `seed` other than None overrides every
+    scenario's seed, and is checked once, before any runs."""
+    if seed is not None:
+        seed = check_count("seed", seed, 0)
     t0 = time.perf_counter()
     names = bundled_scenario_names()
 
@@ -188,10 +191,10 @@ def list_catalog(fmt) -> str:
 
 def _seed(text):
     """A --seed value by the library's seed rule; a bad one is a usage error."""
-    try:
-        return check_count("seed", int(text), 0)
-    except (ValueError, DomainError):
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}") from None
+    try:  # text that is no integer stays text, which check_count names
+        return check_count("seed", int(text) if text.lstrip("+-").isdigit() else text, 0)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

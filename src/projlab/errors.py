@@ -1,11 +1,16 @@
-"""Exception types shared across the library, the one interval check, the
-one whole-number check and the one counting rule (sample counts and seeds)
-that raise DomainError for every numeric parameter, and the key checks that
-raise ConfigError for every config record."""
+"""Exception types shared across the library, the number rule, and the key
+checks of config records.
 
+The number rule, `check_real`: a number is a Python or numpy int or float,
+not a bool, a string or None.  The interval check `check_range`, the
+whole-number check `check_whole` and the counting rule `check_count` (sample
+counts and seeds) apply it to every numeric parameter, library and config
+alike, each raising a DomainError that names the parameter; `at_key` makes
+that a ConfigError at the value's key path."""
+
+import math
 import numbers
 import re
-import sys
 from contextlib import contextmanager
 
 
@@ -57,11 +62,24 @@ class ConfigError(ProjlabError):
     """A scenario configuration failed to parse or validate."""
 
 
+def check_real(name, value):
+    """`value` as a float if it is a real number, else a DomainError naming
+    `name`.  An int too large for a float reads as +-inf."""
+    if isinstance(value, float):  # np.float64 is one
+        return float(value)
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def check_range(name, value, lo, hi, lo_open=False, hi_open=False):
-    """`value` as a float if it lies in the interval from lo to hi, closed at
-    each end unless that end's flag opens it, else a DomainError naming
-    `name`.  NaN lies in no interval."""
-    v = float(value)
+    """`value` as a float if it is a real number in the interval from lo to
+    hi, closed at each end unless that end's flag opens it, else a
+    DomainError naming `name`.  NaN lies in no interval."""
+    v = value if type(value) is float else check_real(name, value)
     if not ((lo < v if lo_open else lo <= v) and (v < hi if hi_open else v <= hi)):
         raise DomainError(f"{name} must lie in {'(' if lo_open else '['}{lo:.16g}, "
                           f"{hi:.16g}{')' if hi_open else ']'}, got {v}")
@@ -69,9 +87,9 @@ def check_range(name, value, lo, hi, lo_open=False, hi_open=False):
 
 
 def check_whole(name, value):
-    """`value` as an int if it is a whole number, else a DomainError naming
-    `name`.  NaN and the infinities are not whole."""
-    if not float(value).is_integer():
+    """`value` as an int if it is a real number that is whole, else a
+    DomainError naming `name`.  NaN and the infinities are not whole."""
+    if not check_real(name, value).is_integer():
         raise DomainError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
@@ -92,15 +110,17 @@ _KEY_PATH = re.compile(r"\w+(\[\d+\])*(\.\w+(\[\d+\])*)*: ")
 
 @contextmanager
 def at_key(prefix):
-    """Report a ConfigError raised in the block from the enclosing record,
-    where the value read sits at key path `prefix`: a message that starts
-    with a key path extends it."""
+    """Report an error in the value read in the block, which sits at key path
+    `prefix` of the enclosing record (the top level if it is empty), as a
+    ConfigError there.  A DomainError or DimensionMismatch is such an error
+    too, and a message that starts with a key path extends it."""
     try:
         yield
-    except ConfigError as exc:
+    except (ConfigError, DomainError, DimensionMismatch) as exc:
         msg = str(exc)
-        raise ConfigError(f"{prefix}.{msg}" if _KEY_PATH.match(msg)
-                          else f"{prefix}: {msg}") from exc
+        if prefix:
+            msg = f"{prefix}.{msg}" if _KEY_PATH.match(msg) else f"{prefix}: {msg}"
+        raise ConfigError(msg) from exc
 
 
 def check_keys(record, path, allowed, required=(), modifiers=()):
@@ -118,35 +138,6 @@ def check_keys(record, path, allowed, required=(), modifiers=()):
     for key, base in modifiers:
         if key in record and base not in record:
             raise ConfigError(f"{at}{key}: given without '{base}'")
-
-
-def check_int(value, key, least, most=None):
-    """`value` if it is an int (a bool is not) in [least, most], else a
-    ConfigError at `key`."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least \
-            or (most is not None and value > most):
-        what = (f"an integer in [{least}, {most}]" if most is not None
-                else "a positive integer" if least == 1 else "a nonnegative integer")
-        raise ConfigError(f"{key}: must be {what}")
-    return value
-
-
-def check_positive(value, key):
-    """`value` as a float if it is a positive finite number (a bool is not),
-    else a ConfigError at `key`."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not 0 < value <= sys.float_info.max:  # nan, inf and 1e400 fail
-        raise ConfigError(f"{key}: must be a positive number")
-    return float(value)
-
-
-def check_number(value, key):
-    """`value` as a float if it is a finite number (a bool is not), else a
-    ConfigError at `key`."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not abs(value) <= sys.float_info.max:  # nan, inf and 1e400 fail
-        raise ConfigError(f"{key}: must be a finite number")
-    return float(value)
 
 
 def table_entry(record, table, what, tag="type"):

@@ -18,15 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import rates
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    DomainError,
-    check_keys,
-    check_number,
-    check_range,
-    table_entry,
-)
+from .errors import ConfigError, DomainError, at_key, check_keys, check_range, table_entry
 from .sets import ClosedSet, _member_tuple, as_points, as_vector, row_norms
 
 
@@ -53,8 +45,7 @@ class RelaxedProjector:
     lam: float
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", check_range("relaxation parameter", self.lam,
-                                                    *rates.LAMBDA_RANGE))
+        object.__setattr__(self, "lam", check_range("lambda", self.lam, *rates.LAMBDA_RANGE))
 
     apply = _one_row
     apply_many = _each_row
@@ -70,8 +61,8 @@ class RelaxedProjector:
 
 def _semi_intrepid_domain(alpha, tau):
     """The semi-intrepid step's alpha in [0, 1] and tau in [0, inf)."""
-    return (check_range("intrepidity parameter", alpha, 0.0, 1.0),
-            check_range("injectability radius", tau, 0.0, np.inf, hi_open=True))
+    return (check_range("alpha", alpha, 0.0, 1.0),
+            check_range("tau", tau, 0.0, np.inf, hi_open=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,8 +227,9 @@ def operator_type(op) -> str:
 
 
 def operator_from_config(record: dict, sets) -> object:
-    """Build an operator from a tagged record, resolving set indices; each
-    parameter must be a finite number (a bool or a string is not)."""
+    """Build an operator from a tagged record, resolving set indices; the
+    operator checks each parameter, named by its key, by the number rule and
+    its interval."""
     spec = table_entry(record, OPERATOR_TYPES, "operator")
     check_keys(record, "", ("type",) + spec.keys, required=spec.keys)
     args = []
@@ -246,10 +238,8 @@ def operator_from_config(record: dict, sets) -> object:
         if type(idx) is not int or not 0 <= idx < len(sets):  # a bool is no index
             raise ConfigError(f"{key}: must index the scenario sets, got {idx!r}")
         args.append(sets[idx])
-    try:
-        return spec.cls(*args, *(check_number(record[key], key) for key in spec.params))
-    except (DomainError, DimensionMismatch) as exc:  # at_key prefixes the record's path
-        raise ConfigError(str(exc)) from exc
+    with at_key(""):  # an enclosing at_key prefixes the record's path
+        return spec.cls(*args, *(record[key] for key in spec.params))
 
 
 def operator_to_config(op, sets) -> dict:

@@ -20,6 +20,7 @@ from .errors import (
     MoreThanOneReflection,
     StrongRegularityFailed,
     check_range,
+    check_real,
     check_whole,
 )
 
@@ -154,8 +155,8 @@ def dr_coercivity(lam, mu, alpha, theta, kappa) -> float:
     """
     lam, mu, alpha = _dr_domain(lam, mu, alpha)
     kappa = check_range("kappa", kappa, 1.0, math.inf)
-    if float(theta) >= 1.0:
-        raise StrongRegularityFailed(f"theta must be < 1, got {float(theta)}")
+    if (t := check_real("theta", theta)) >= 1.0:
+        raise StrongRegularityFailed(f"theta must be < 1, got {t}")
     theta = check_range("theta", theta, -1.0, 1.0, lo_open=True, hi_open=True)
     return alpha * math.sqrt(1.0 - theta) / kappa * min(lam, mu / math.sqrt(1.0 + mu * mu))
 

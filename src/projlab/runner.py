@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import CHECK_TOL, PropertyReport, _fejer_margins, margin_report
+from .analysis import CHECK_TOL, PropertyReport, _fejer_margins, _fejer_pair, margin_report
 from .errors import DomainError, InsufficientData, check_count, check_range, check_whole
 from .operators import CyclicTuple
 from .rates import RateCertificate
@@ -26,10 +26,13 @@ DIVERGENCE_NORM = 1e12
 ERROR_FLOOR = 1e-14
 _K_STEP_TOL = 1e-12     # slack of the k-step reduction
 _TEST_BATCH = 8         # most cycle ends `run` tests in one call
-# The intervals of fit_rlinear's tail fraction, detect_cycle's tolerance and
+# The intervals of run's tolerance, fit_rlinear's tail fraction,
+# detect_cycle's tolerance, check_k_step_reduction's rho_bound and
 # compare_certificate's slack, as check_range's (lo, hi, lo_open, hi_open).
+TOL_RANGE = (0.0, np.inf, True, True)
 TAIL_FRACTION_RANGE = (0.0, 1.0, True, False)
 CYCLE_TOL_RANGE = (0.0, np.inf, False, True)
+RHO_BOUND_RANGE = (0.0, np.inf, False, True)
 SLACK_RANGE = (0.0, np.inf, False, True)
 
 
@@ -95,7 +98,7 @@ def run(operators, x0, sets, intersection: ClosedSet,
     x = as_vector(x0)
     sets = tuple(sets)
     max_cycles = check_whole("max_cycles", check_range("max_cycles", max_cycles, 1.0, np.inf))
-    check_range("tol", tol, 0.0, np.inf, lo_open=True)
+    tol = check_range("tol", tol, *TOL_RANGE)
     seed = check_count("seed", seed, 0)
     for dim in (cycle.dim, intersection.dim):
         as_vector(x, dim)
@@ -141,7 +144,7 @@ def run(operators, x0, sets, intersection: ClosedSet,
         else np.zeros((P.shape[0], 0))
     cd = intersection.distance_many(P)
     return Trajectory(P, np.r_[-1, np.arange(P.shape[0] - 1) % m], sd, cd,
-                      m, stop, float(tol), seed, wall, cycle)
+                      m, stop, tol, seed, wall, cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +176,7 @@ def fit_rlinear(errors, tail_fraction=0.5, burn_in=10) -> RateFit:
         raise DomainError("errors must be finite and nonnegative")
     if e.size < 10:
         raise InsufficientData(f"need at least 10 error entries, got {e.size}")
-    check_range("tail_fraction", tail_fraction, *TAIL_FRACTION_RANGE)
+    tail_fraction = check_range("tail_fraction", tail_fraction, *TAIL_FRACTION_RANGE)
     burn_in = check_whole("burn_in", check_range("burn_in", burn_in, 0.0, np.inf))
     burn_in = min(burn_in, e.size)
     idx = np.arange(e.size)[burn_in:]
@@ -220,7 +223,7 @@ def detect_cycle(traj: Trajectory, tol=1e-12) -> CycleReport | None:
     """Find the smallest period p <= 8 (in single applications) such that the
     point sequence satisfies x[n + p] == x[n] within tol from some start
     index onward, with at least two full periods observed."""
-    check_range("tol", tol, *CYCLE_TOL_RANGE)
+    tol = check_range("tol", tol, *CYCLE_TOL_RANGE)
     y = traj.points
     n = y.shape[0]
     for p in range(1, 9):
@@ -242,6 +245,7 @@ def check_k_step_reduction(traj: Trajectory, k, rho_bound) -> PropertyReport:
     Blocks whose start sits at the error floor pass trivially.
     """
     k = check_whole("k", check_range("k", k, 1.0, np.inf))
+    rho_bound = check_range("rho_bound", rho_bound, *RHO_BOUND_RANGE)
     if traj.n_points - 1 < 2 * k:
         raise DomainError("trajectory must contain at least 2k applications")
     e = traj.c_dist
@@ -252,7 +256,7 @@ def check_k_step_reduction(traj: Trajectory, k, rho_bound) -> PropertyReport:
         "k_step_reduction", rho_bound * e[live] - e[live + k],
         lambda i: (int(live[i]), float(e[live[i]]), float(e[live[i] + k])),
         traj.seed, _K_STEP_TOL,
-        {"k": k, "rho_bound": float(rho_bound),
+        {"k": k, "rho_bound": rho_bound,
          "worst_ratio": float(np.max(ratios, initial=0.0))},
         samples=int(starts.size), empty_margin=0.0)
 
@@ -261,14 +265,15 @@ def check_fejer_trace(traj: Trajectory, constants, xbar) -> PropertyReport:
     """Verify the quasi-firm inequality along consecutive trajectory points.
 
     `constants` is one (gamma, beta) pair applied to every step, or a list of
-    per-phase pairs matching the cycle length.
+    per-phase pairs matching the cycle length; each pair is checked as
+    `check_quasi_firm_fejer` checks its constants.
     """
     xbar = as_vector(xbar)
     if isinstance(constants, (tuple, list)) and len(constants) == 2 \
-            and np.isscalar(constants[0]):
-        table = [(float(constants[0]), float(constants[1]))] * traj.cycle_len
+            and np.ndim(constants[0]) == 0:
+        table = [_fejer_pair(*constants)] * traj.cycle_len
     else:
-        table = [(float(g), float(b)) for g, b in constants]
+        table = [_fejer_pair(g, b) for g, b in constants]
         if len(table) != traj.cycle_len:
             raise DomainError("need one (gamma, beta) pair per cycle phase")
     gammas, betas = np.array(table).T[:, traj.op_index[1:]]

@@ -14,6 +14,7 @@ the timing subtrees are dropped.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import os
 import time
@@ -30,13 +31,11 @@ from . import runner as runner_mod
 from . import sets as sets_mod
 from .errors import (
     ConfigError,
-    DomainError,
     at_key,
-    check_int,
+    check_count,
     check_keys,
-    check_number,
-    check_positive,
     check_range,
+    check_whole,
     table_entry,
 )
 from .intersection import IntersectionHandle
@@ -49,7 +48,7 @@ from .operators import (
     operator_type,
 )
 from .rates import RateCertificate
-from .sets import _check_entries, set_from_config
+from .sets import as_vector, set_from_config
 
 MAX_DIMENSION = 16
 
@@ -78,16 +77,8 @@ class Scenario:
 
 
 def _vector(value, dim, path):
-    try:
-        v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: not a numeric vector") from exc
-    if v.ndim != 1 or v.size != dim:
-        raise ConfigError(f"{path}: expected a vector of length {dim}")
-    if not np.all(np.isfinite(v)):
-        raise ConfigError(f"{path}: entries must be finite")
-    _check_entries(value, path)
-    return v
+    with at_key(path):
+        return as_vector(value, dim)
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
@@ -98,8 +89,13 @@ def scenario_from_config(cfg: dict) -> Scenario:
     name = cfg["name"]
     if not isinstance(name, str) or not name:
         raise ConfigError("name: must be a nonempty string")
-    dim = check_int(cfg["dimension"], "dimension", 1, MAX_DIMENSION)
-    seed = check_int(cfg["seed"], "seed", 0)
+    with at_key(""):
+        dim = check_count("dimension", cfg["dimension"], 1)
+        check_range("dimension", dim, 1, MAX_DIMENSION)
+        seed = check_count("seed", cfg["seed"], 0)
+        delta = check_range("delta", cfg["delta"], *analysis_mod.DELTA_RANGE)
+        max_cycles = check_count("max_cycles", cfg["max_cycles"], 1)
+        tol = check_range("tol", cfg["tol"], *runner_mod.TOL_RANGE)
 
     raw_sets = cfg["sets"]
     if not isinstance(raw_sets, list) or not raw_sets:
@@ -129,8 +125,6 @@ def scenario_from_config(cfg: dict) -> Scenario:
         if d > 1e-10:
             raise ConfigError(f"anchor: w must belong to {where} is {d:.3e}")
 
-    delta = check_positive(cfg["delta"], "delta")
-
     raw_ops = cfg["operators"]
     if not isinstance(raw_ops, list) or not raw_ops:
         raise ConfigError("operators: must be a nonempty list")
@@ -141,8 +135,6 @@ def scenario_from_config(cfg: dict) -> Scenario:
     operators = CyclicTuple(tuple(ops))
 
     x0 = _vector(cfg["x0"], dim, "x0")
-    max_cycles = check_int(cfg["max_cycles"], "max_cycles", 1)
-    tol = check_positive(cfg["tol"], "tol")
 
     analyses = cfg.get("analyses", [])
     if not isinstance(analyses, list):
@@ -257,14 +249,20 @@ def _fields_dict(obj, drop=(), **more):
 # Arithmetic on a resolved value, applied in this order.
 _ARITHMETIC = (("times", operator.mul), ("plus", operator.add),
                ("clamp_min", max), ("clamp_max", min))
+# The interval of a finite number, as check_range's (lo, hi, lo_open, hi_open).
+_FINITE = (-math.inf, math.inf, True, True)
+
+
+def _literal(value, path):
+    """A literal number of an analysis record, which must be finite."""
+    with at_key(""):
+        return check_range(path, value, *_FINITE)
 
 
 def _resolve(value, ctx, path):
     """Resolve a scalar analysis argument: a finite number, an "@label"
     reference to an earlier result, or {"ref"/"value", "times", "plus",
     "clamp_min", "clamp_max"} arithmetic on one by finite numbers."""
-    if isinstance(value, (int, float)):  # a bool too, which check_number rejects
-        return check_number(value, path)
     if isinstance(value, str):
         return float(_reference(value, ctx, path, analysis_mod.RegularityEstimate).value)
     if isinstance(value, dict):
@@ -277,16 +275,15 @@ def _resolve(value, ctx, path):
             raise ConfigError(f"{path}: need 'ref' or 'value'")
         for key, op in _ARITHMETIC:
             if key in value:
-                base = op(base, check_number(value[key], f"{path}.{key}"))
+                base = op(base, _literal(value[key], f"{path}.{key}"))
         return base
-    raise ConfigError(f"{path}: cannot resolve {value!r}")
+    return _literal(value, path)
 
 
 def _resolve_int(value, ctx, path):
     number = _resolve(value, ctx, path)
-    if not number.is_integer():
-        raise ConfigError(f"{path}: must be an integer, got {number!r}")
-    return int(number)
+    with at_key(""):
+        return check_whole(path, number)
 
 
 def _resolve_list(value, ctx, path):
@@ -728,43 +725,37 @@ ANALYSES = {
 }
 
 
-# The integers an analysis record may carry, by least value, its finite
-# numbers and its booleans.
-_INT_KEYS = {"samples": 1, "seed": 0, "burn_in": 0, "k": 1, "expect_period": 1}
-_FINITE_KEYS = ("tail_fraction", "expect_rho", "expect_tol", "slack", "equality_tol",
-                "tol", "expect_min")
 _BOOL_KEYS = ("expect_non_convergent", "expect_equality")
-# The check_range bounds of each number an analysis takes from its record, the
-# intervals the library checks.  A literal number is checked here; an "@label"
-# or arithmetic value when it resolves.
-_RANGES = {"tau": analysis_mod.TAU_RANGE, "nu": analysis_mod.NU_RANGE,
-           "lambda": rates_mod.LAMBDA_RANGE, "tail_fraction": runner_mod.TAIL_FRACTION_RANGE,
-           "tol": runner_mod.CYCLE_TOL_RANGE, "slack": runner_mod.SLACK_RANGE}
+# The rule of each number an analysis record may carry, the library's own: a
+# count's least value for check_count, else a check_range interval.  A key
+# of _RESOLVED may hold an "@label" or arithmetic value, checked when it
+# resolves; a literal number is checked here.
+_RANGES = {"samples": 1, "seed": 0, "burn_in": 0, "k": 1, "expect_period": 1,
+           "delta": analysis_mod.DELTA_RANGE, "tau": analysis_mod.TAU_RANGE,
+           "nu": analysis_mod.NU_RANGE, "lambda": rates_mod.LAMBDA_RANGE,
+           "tail_fraction": runner_mod.TAIL_FRACTION_RANGE, "tol": runner_mod.CYCLE_TOL_RANGE,
+           "slack": runner_mod.SLACK_RANGE, "rho_bound": runner_mod.RHO_BOUND_RANGE,
+           "expect_rho": _FINITE, "expect_tol": _FINITE, "equality_tol": _FINITE,
+           "expect_min": _FINITE}
+_RESOLVED = ("tau", "nu", "lambda", "rho_bound")
 
 
 def _check_values(record, dim):
     """Parse-time check of the numbers, booleans and states a record carries,
     in a scenario of dimension `dim`."""
     for key, value in record.items():
+        rule = _RANGES.get(key)
         if key == "expect_states":
             if not isinstance(value, list) or not value:
                 raise ConfigError(f"{key}: must be a nonempty list of states")
             for i, state in enumerate(value):
                 _vector(state, dim, f"{key}[{i}]")
-        elif key in _INT_KEYS:
-            check_int(value, key, _INT_KEYS[key])
-        elif key == "delta":
-            check_positive(value, key)
-        elif key in _FINITE_KEYS:
-            check_number(value, key)
         elif key in _BOOL_KEYS and type(value) is not bool:
             raise ConfigError(f"{key}: must be true or false, got {json.dumps(value)}")
-        # a bool is an int too, and check_number rejects it
-        if key in _RANGES and isinstance(value, (int, float)):
-            try:
-                check_range(key, check_number(value, key), *_RANGES[key])
-            except DomainError as exc:
-                raise ConfigError(str(exc)) from exc
+        elif type(rule) is int:
+            check_count(key, value, rule)
+        elif rule is not None and not (key in _RESOLVED and isinstance(value, (str, dict))):
+            check_range(key, value, *rule)
 
 
 def _check_indices(record, n_sets, n_ops):

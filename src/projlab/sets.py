@@ -46,7 +46,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DimensionMismatch,
     DomainError,
     UnsupportedSet,
@@ -54,6 +53,7 @@ from .errors import (
     check_count,
     check_keys,
     check_range,
+    check_real,
     check_whole,
     table_entry,
 )
@@ -74,13 +74,42 @@ def _nnls():
     return nnls
 
 
+def _check_entries(value, path):
+    """The array rule's walk: each entry of `value` (nested lists, tuples and
+    arrays other than int or float ones) is a real number by
+    `errors.check_real`, else a DomainError naming its key path below `path`."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind in "iuf":
+            return
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        for i, entry in enumerate(value):
+            if type(entry) is not float:
+                _check_entries(entry, f"{path}[{i}]")
+    else:
+        check_real(path, value)
+
+
+def _real_array(x, path):
+    """The array rule: `x` as a float array of finite real numbers, else a
+    DomainError (a DimensionMismatch for ragged nesting) naming `path`.  A
+    float array costs one dtype test."""
+    if type(x) is not np.ndarray or x.dtype.kind != "f":
+        _check_entries(x, path)
+    try:
+        A = np.asarray(x, dtype=float)
+    except ValueError as exc:  # nested lists of unequal lengths
+        raise DimensionMismatch(f"{path} is not a rectangular array") from exc
+    if not np.all(np.isfinite(A)):
+        raise DomainError(f"{path} entries must be finite")
+    return A
+
+
 def as_vector(x, dim=None) -> np.ndarray:
     """Validate and convert `x` to a finite 1-D float array."""
-    v = np.asarray(x, dtype=float)
+    v = _real_array(x, "vector")
     if v.ndim != 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("vector entries must be finite")
     if dim is not None and v.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {v.size}")
     return v
@@ -88,11 +117,9 @@ def as_vector(x, dim=None) -> np.ndarray:
 
 def as_points(X, dim) -> np.ndarray:
     """Validate and convert `X` to a finite (n, dim) float array, n >= 0."""
-    P = np.asarray(X, dtype=float)
+    P = _real_array(X, "points")
     if P.ndim != 2 or P.shape[1] != dim:
         raise DimensionMismatch(f"expected an (n, {dim}) array, got shape {P.shape}")
-    if not np.all(np.isfinite(P)):
-        raise DomainError("point entries must be finite")
     return P
 
 
@@ -412,7 +439,7 @@ class AffineSubspaceSet(_SingleValued):
 
     def __post_init__(self):
         anchor = as_vector(self.anchor)
-        basis = np.asarray(self.basis, dtype=float)
+        basis = _real_array(self.basis, "basis")
         if basis.size == 0:
             basis = np.zeros((0, anchor.size))
         if basis.ndim != 2 or basis.shape[1] != anchor.size:
@@ -689,11 +716,9 @@ class PolyhedralCone(_SingleValued):
     generators: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.generators, dtype=float)
+        g = _real_array(self.generators, "generators")
         if g.ndim != 2 or g.shape[0] == 0:
             raise DimensionMismatch("generators must be a nonempty (k, d) array")
-        if not np.all(np.isfinite(g)):
-            raise DomainError("generators must be finite")
         norms = np.linalg.norm(g, axis=1)
         if np.any(norms == 0.0):
             raise DomainError("zero generator ray")
@@ -841,11 +866,9 @@ class FinitePointSet(ClosedSet):
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = _real_array(self.points, "points")
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise DimensionMismatch("points must be a nonempty (n, d) array")
-        if not np.all(np.isfinite(pts)):
-            raise DomainError("points must be finite")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "dim", pts.shape[1])
         # the point indices in lexicographic order; not a field, so not in to_config
@@ -1001,19 +1024,10 @@ def _encode(value):
     return value
 
 
-def _check_entries(value, key):
-    """Reject a bool or string in `value` or its nested lists, as check_number does."""
-    if isinstance(value, (list, tuple)):
-        for i, entry in enumerate(value):
-            _check_entries(entry, f"{key}[{i}]")
-    elif isinstance(value, (bool, str)):
-        raise ConfigError(f"{key}: must be a finite number")
-
-
 def _decode(value, path):
     """A field value from its config form: a record is a nested set and a
-    nonempty list of records a tuple of sets; anything else must hold no
-    bool or string, and is left to the variant's own validation."""
+    nonempty list of records a tuple of sets; anything else must hold only
+    real numbers, and is left to the variant's own validation."""
     if isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
         return tuple(_decode(v, f"{path}[{i}]") for i, v in enumerate(value))
     if not isinstance(value, dict):
@@ -1028,8 +1042,5 @@ def set_from_config(cfg: dict) -> ClosedSet:
     cls = table_entry(cfg, SET_TYPES, "set")
     keys = [f.name for f in fields(cls)]
     check_keys(cfg, "", ["type"] + keys, required=keys)
-    kwargs = {key: _decode(cfg[key], key) for key in keys}
-    try:
-        return cls(**kwargs)
-    except (DomainError, DimensionMismatch) as exc:  # at_key prefixes the record's path
-        raise ConfigError(str(exc)) from exc
+    with at_key(""):  # an enclosing at_key prefixes the record's path
+        return cls(**{key: _decode(cfg[key], key) for key in keys})

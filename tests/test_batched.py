@@ -929,12 +929,15 @@ class TestMarginReport:
         assert np.isnan(rep.worst_margin)
 
     def test_nan_rho_bound_fails_every_live_block(self):
+        """A NaN rho_bound made a report failing every block with a NaN
+        margin; it now lies outside rho_bound's interval, as inf does."""
         a, b = (P.Hyperplane(np.array([0.0, 1.0]), 0.0), P.Hyperplane(np.array([1.0, -1.0]), 0.0))
         traj = P.run([P.RelaxedProjector(s, 1.0) for s in (a, b)], np.array([3.0, 1.0]), (a, b),
                      P.FinitePointSet(np.zeros((1, 2))),
                      max_cycles=12, tol=1e-300)
-        rep = P.check_k_step_reduction(traj, 2, np.nan)
-        assert rep.samples == 12 and rep.violations == 12 and not rep.passed
+        for bound in (np.nan, np.inf):
+            with pytest.raises(P.DomainError, match=r"rho_bound must lie in \[0, inf\)"):
+                P.check_k_step_reduction(traj, 2, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,15 @@ class TestVerifyCommand:
         assert digest.hexdigest() == \
             "8fce43822ccdbaf1e5a29bd37310700f6a7f5baa111d3a1b9014507fb82d66be"
 
+    @pytest.mark.parametrize("seed", [-1, True, 2.5, "7"])
+    def test_verify_suite_checks_its_seed_once(self, monkeypatch, seed):
+        """A bad seed ran every scenario and returned one error report each."""
+        loaded = []
+        monkeypatch.setattr(P.cli, "load_bundled", loaded.append)
+        with pytest.raises(P.DomainError, match="^seed must be a nonnegative integer"):
+            P.cli.verify_suite(seed=seed)
+        assert loaded == []
+
     def test_verify_refuses_nonempty_out_without_force(self, tmp_path, capsys):
         out = tmp_path / "suite"
         out.mkdir()
@@ -349,20 +358,37 @@ class TestLiteralRanges:
         ({"kind": "cycle_detect", "tol": -1e-12}, "tol must lie in [0, inf), got -1e-12"),
         ({"kind": "compare", "certificate": "@cert", "slack": -0.1},
          "slack must lie in [0, inf), got -0.1"),
-    ], ids=["tau", "nu", "lambda", "tail_fraction", "cycle_tol", "slack"])
+        ({"kind": "k_step", "rho_bound": float("nan")}, "rho_bound must lie in [0, inf), got nan"),
+        ({"kind": "injectable", "set": 0, "tau": True}, "tau must be a real number, got True"),
+    ], ids=["tau", "nu", "lambda", "tail_fraction", "cycle_tol", "slack", "rho_bound",
+            "tau_bool"])
     def test_out_of_range_literal_exits_2(self, tmp_path, capsys, record, message):
         cfg = minimal_config(analyses=[record])
         path = _write(tmp_path, cfg)
         assert P.main(["run", path, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"config error: {path}: analyses[0]: {message}\n"
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c.update(tol="1e-3"), "tol must be a real number, got '1e-3'"),
+        (lambda c: c.update(delta=None), "delta must be a real number, got None"),
+        (lambda c: c["sets"][1].update(b=True), "sets[1]: b must be a real number, got True"),
+        (lambda c: c["operators"][0].update({"lambda": "1.5"}),
+         "operators[0]: lambda must be a real number, got '1.5'"),
+    ], ids=["tol", "delta", "set_offset", "operator_lambda"])
+    def test_a_non_number_exits_2(self, tmp_path, capsys, edit, message):
+        cfg = minimal_config()
+        edit(cfg)
+        path = _write(tmp_path, cfg)
+        assert P.main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: {message}\n"
+
     def test_malformed_expected_states_exit_2(self, tmp_path, capsys):
         """Strings in a state died with a ValueError traceback and exit 1."""
         cfg = minimal_config(analyses=[{"kind": "cycle_detect", "expect_states": [["a", "b"]]}])
         path = _write(tmp_path, cfg)
         assert P.main(["run", path, "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (f"config error: {path}: analyses[0]."
-                                           "expect_states[0]: not a numeric vector\n")
+        assert capsys.readouterr().err == (f"config error: {path}: analyses[0].expect_states[0]: "
+                                           "vector[0] must be a real number, got 'a'\n")
 
     def test_arithmetic_value_is_checked_when_run(self):
         sc = P.scenario_from_config(minimal_config(analyses=[
@@ -424,5 +450,6 @@ class TestUsageErrors:
         assert P.main(argv + ["--out", str(tmp_path / "out"), "--seed", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"usage: projlab {command}")
-        assert captured.err.endswith("argument --seed: must be a nonnegative integer, got '-1'\n")
+        assert captured.err.endswith(
+            "argument --seed: seed must be a nonnegative integer, got -1\n")
         assert "Traceback" not in captured.err

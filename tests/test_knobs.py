@@ -21,7 +21,6 @@ KNOBS = {
     "cli.main": ("argv",),
     "errors.check_range": ("lo_open", "hi_open"),
     "errors.check_keys": ("required", "modifiers"),
-    "errors.check_int": ("most",),
     "errors.table_entry": ("tag",),
     "intersection.exact": ("members",),
     "rates._certificate": ("start_prefactor", "stated_block"),
@@ -76,4 +75,4 @@ def test_knob_inventory_is_pinned():
         PYTHONPATH=src:tests python -c "import pprint, test_knobs as t; pprint.pprint(t.knob_inventory(), width=100, sort_dicts=False)"
     """
     assert knob_inventory() == KNOBS
-    assert sum(map(len, KNOBS.values())) == 49
+    assert sum(map(len, KNOBS.values())) == 48

@@ -137,7 +137,7 @@ class TestSemiIntrepidProjector:
 
     @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
     def test_nonfinite_tau_is_rejected(self, tau):
-        with pytest.raises(DomainError, match=r"injectability radius must lie in \[0, inf\)"):
+        with pytest.raises(DomainError, match=r"tau must lie in \[0, inf\)"):
             P.SemiIntrepidProjector(P.Ball(np.zeros(2), 1.0), 0.5, tau)
 
 
@@ -297,5 +297,5 @@ class TestOperatorConfig:
 
     def test_constructor_errors_become_config_errors(self):
         sets = [P.Ball(np.zeros(2), 1.0)]
-        with pytest.raises(ConfigError, match=r"relaxation parameter must lie in \(0, 2\]"):
+        with pytest.raises(ConfigError, match=r"lambda must lie in \(0, 2\]"):
             P.operator_from_config({"type": "relaxed", "set": 0, "lambda": 3.0}, sets)

@@ -1,12 +1,16 @@
-"""The one interval check, `errors.check_range`: its endpoints, NaN, which
-lies in no interval, and every public entry point whose numeric parameters
-go through it; the one whole-number check, `errors.check_whole`, and the
-entry points whose counts go through it; the one counting rule,
-`errors.check_count`, and every randomized routine, whose samples and seed
-go through it."""
+"""The number rule, `errors.check_real`: a bool, a string and None are no
+number, and every public entry point whose numeric parameters go through
+it; the array rule, which `as_vector`, `as_points` and the sets that read a
+matrix apply to every entry; the one interval check, `errors.check_range`:
+its endpoints, NaN, which lies in no interval, and every public entry point
+whose numeric parameters go through it; the one whole-number check,
+`errors.check_whole`, and the entry points whose counts go through it; the
+one counting rule, `errors.check_count`, and every randomized routine, whose
+samples and seed go through it."""
 
 import ast
 import math
+import re
 from dataclasses import astuple
 from pathlib import Path
 
@@ -121,8 +125,10 @@ CALLS = {
     "run": (lambda tol: _run(tol=tol), (1e-10,)),
     "fit_rlinear": (lambda tail, burn: P.fit_rlinear(0.5 ** np.arange(20.0), tail, burn),
                     (0.5, 2)),
-    "check_k_step_reduction": (lambda k: P.check_k_step_reduction(_trajectory(), k, 0.5),
-                               (1,)),
+    "check_k_step_reduction": (lambda k, rho: P.check_k_step_reduction(_trajectory(), k, rho),
+                               (1, 0.5)),
+    "check_fejer_trace": (lambda g, b: P.check_fejer_trace(_trajectory(), (g, b), np.zeros(2)),
+                          (1.0, 0.0)),
     "detect_cycle": (lambda tol: P.detect_cycle(_trajectory(), tol), (1e-12,)),
     "check_quasi_firm_fejer": (lambda g, b, delta: P.check_quasi_firm_fejer(
         _relaxed(), _line(), g, b, np.zeros(2), delta, samples=20), (1.0, 1.0, 0.5)),
@@ -141,19 +147,77 @@ CALLS = {
 }
 
 
-def _nan_cases():
+def _replaced(value, suffix):
+    """Each CALLS entry with one scalar, or the first entry of one list,
+    replaced by `value`."""
     for name, (fn, args) in CALLS.items():
         for i, arg in enumerate(args):
-            bad = [NAN, *arg[1:]] if isinstance(arg, list) else NAN
-            yield pytest.param(fn, args, (*args[:i], bad, *args[i + 1:]), id=f"{name}[{i}]")
+            bad = [value, *arg[1:]] if isinstance(arg, list) else value
+            yield pytest.param(fn, args, (*args[:i], bad, *args[i + 1:]),
+                               id=f"{name}[{i}]{suffix}")
 
 
-@pytest.mark.parametrize("fn, good, bad", _nan_cases())
+@pytest.mark.parametrize("fn, good, bad", _replaced(NAN, ""))
 def test_nan_in_any_scalar_argument_raises(fn, good, bad):
     """The valid call succeeds; NaN in one of its numbers raises DomainError."""
     fn(*good)
     with pytest.raises(P.DomainError):
         fn(*bad)
+
+
+@pytest.mark.parametrize("fn, good, bad", [
+    case for value, suffix in ((True, "-bool"), ("1", "-string"), (None, "-none"))
+    for case in _replaced(value, suffix)])
+def test_a_non_number_in_any_scalar_argument_raises(fn, good, bad):
+    """True, "1" and None are no numbers: float() read the first two as 1.0
+    and None leaked a TypeError."""
+    fn(*good)
+    with pytest.raises(P.DomainError, match="must be a"):
+        fn(*bad)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: P.rate_cyclic_projections(2, 10**400, 2.0), r"^eps must lie in \[0, 1\), got inf$"),
+    (lambda: P.rate_cyclic_projections(2, 0.1, -10**400),
+     r"^kappa must lie in \[1, inf\], got -inf$"),
+    (lambda: P.Ball(["1", "0"], 1), r"^vector\[0\] must be a real number, got '1'$"),
+    (lambda: P.Box([False], [True]), r"^vector\[0\] must be a real number, got False$"),
+    (lambda: P.FinitePointSet([[True, 0.0]]),
+     r"^points\[0\]\[0\] must be a real number, got True$"),
+    (lambda: P.PolyhedralCone([["1", "0"]]),
+     r"^generators\[0\]\[0\] must be a real number, got '1'$"),
+    (lambda: P.AffineSubspaceSet([0.0, 0.0], [[1.0, None]]),
+     r"^basis\[0\]\[1\] must be a real number, got None$"),
+    (lambda: P.Orthant(np.array([True, False])), "^orthant sign must be a real number"),
+    (lambda: P.Ball(np.array([True, False]), 1.0), r"^vector\[0\] must be a real number"),
+    (lambda: P.FinitePointSet(np.array([["1", "0"]])), r"^points\[0\]\[0\] must be a real"),
+    (lambda: _ball().project([0.5, "0"]), r"^vector\[1\] must be a real number, got '0'$"),
+    (lambda: _ball().project_many([[0.5, 0.0], [True, 0.0]]),
+     r"^points\[1\]\[0\] must be a real number, got True$"),
+    (lambda: P.AffineSubspaceSet([0.0, 0.0], [[NAN, 0.0]]), "^basis entries must be finite$"),
+], ids=["int_overflow", "negative_int_overflow", "string_center", "bool_bounds",
+        "bool_points", "string_generators", "none_basis", "bool_signs_array",
+        "bool_center_array", "string_points_array", "project", "project_many", "nan_basis"])
+def test_non_numbers_and_overflowing_ints_raise(call, message):
+    """An int too large for a float is +-inf, which leaked an OverflowError;
+    np.asarray read a bool or string entry as a number, and a NaN basis
+    passed the orthonormality test."""
+    with pytest.raises(P.DomainError, match=message):
+        call()
+
+
+def test_numpy_scalars_and_integer_lists_are_numbers():
+    for v in (np.float64(0.5), np.float32(0.5), np.int64(1), np.uint8(1), 1, 0.5):
+        got = check_range("x", v, 0.0, 1.0)
+        assert type(got) is float and got == v
+    assert P.rate_cyclic_projections(np.int64(2), np.float32(0.5), np.float64(2.0)) \
+        == P.rate_cyclic_projections(2, 0.5, 2.0)
+    ball = P.Ball([0, 0], np.int64(1))
+    assert ball.center.dtype == float and ball.radius == 1.0
+    assert P.FinitePointSet([[1, 2], [3, 4]]).points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert P.PolyhedralCone(np.array([[1, 0], [0, 1]])).generators.dtype == float
+    assert P.Orthant((np.int64(1), -1.0, 0)).signs == (1, -1, 0)
+    assert ball.distance((np.float32(2.0), 0)) == 1.0
 
 
 @pytest.mark.parametrize("call, message", [
@@ -206,7 +270,7 @@ def test_sampled_routines_outside_analysis_check_samples(name, samples):
     (lambda: P.uniform_ball(np.random.default_rng(0), np.zeros(2), 1.0, 2.5),
      "n must be a nonnegative integer, got 2.5"),
     (lambda: P.semi_intrepid_effective_relaxation(np.array([2.0, 0.0]), np.zeros(2), -5, 1),
-     r"intrepidity parameter must lie in \[0, 1\], got -5.0"),
+     r"alpha must lie in \[0, 1\], got -5.0"),
     (lambda: P.compare_certificate(_finite_run(), P.rate_convex_cyclic([1.0], 2.0), -0.1),
      r"slack must lie in \[0, inf\), got -0.1"),
 ], ids=["negative_radius", "negative_count", "fractional_count", "negative_alpha",
@@ -318,6 +382,19 @@ def test_interval_wording_lives_in_check_range_only():
     assert found
     assert [f"{stem}.py:{line}" for stem, line in found
             if stem != "errors" or not check.lineno <= line <= check.end_lineno] == []
+
+
+def test_number_wording_lives_in_errors_only():
+    """Every message that words a number check comes from errors.py, so no
+    module states its own number rule."""
+    words = re.compile(r"must (lie in|be an? (real|whole|finite|positive|nonnegative|integer))")
+    found = {path.stem: [node.lineno
+                         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                         if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                         and words.search(node.value)]
+             for path in sorted(SRC.glob("*.py"))}
+    assert found.pop("errors")
+    assert {stem: lines for stem, lines in found.items() if lines} == {}
 
 
 @pytest.mark.parametrize("key, module, name", [

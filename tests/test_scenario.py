@@ -108,16 +108,26 @@ class TestValidation:
         assert fragment in str(exc.value)
 
     @pytest.mark.parametrize("key, value, message", [
-        ("seed", True, "seed: must be a nonnegative integer"),
-        ("max_cycles", True, "max_cycles: must be a positive integer"),
-        ("dimension", True, "dimension: must be an integer in [1, 16]"),
-        ("delta", True, "delta: must be a positive number"),
-        ("delta", float("inf"), "delta: must be a positive number"),
-        ("delta", float("nan"), "delta: must be a positive number"),
-        ("tol", True, "tol: must be a positive number"),
-        ("tol", float("inf"), "tol: must be a positive number"),
-        pytest.param("tol", 10**400, "tol: must be a positive number", id="tol-1e400"),
-    ])
+        ("seed", True, "seed must be a nonnegative integer, got True"),
+        ("max_cycles", True, "max_cycles must be a positive integer, got True"),
+        ("dimension", True, "dimension must be a positive integer, got True"),
+        ("dimension", 17, "dimension must lie in [1, 16], got 17.0"),
+        ("delta", True, "delta must be a real number, got True"),
+        ("delta", None, "delta must be a real number, got None"),
+        ("delta", float("inf"), "delta must lie in (0, inf), got inf"),
+        ("delta", float("nan"), "delta must lie in (0, inf), got nan"),
+        ("tol", True, "tol must be a real number, got True"),
+        ("tol", "1e-3", "tol must be a real number, got '1e-3'"),
+        ("tol", float("inf"), "tol must lie in (0, inf), got inf"),
+        pytest.param("tol", 10**400, "tol must lie in (0, inf), got inf", id="tol-1e400"),
+    ], ids=[  # each case named by the rule it breaks, as first written
+        "seed-True-seed: must be a nonnegative integer",
+        "max_cycles-True-max_cycles: must be a positive integer",
+        "dimension-True-dimension: must be an integer in [1, 16]",
+        "dimension-17", "delta-True-delta: must be a positive number", "delta-None",
+        "delta-inf-delta: must be a positive number", "delta-nan-delta: must be a positive number",
+        "tol-True-tol: must be a positive number", "tol-string",
+        "tol-inf-tol: must be a positive number", "tol-1e400"])
     def test_booleans_and_infinities_are_rejected(self, key, value, message):
         """Bundled two_lines_angle_45 with one top-level number replaced:
         JSON `true` is not 1, and `Infinity` is not a tolerance."""
@@ -133,7 +143,7 @@ class TestValidation:
         cfg = minimal_config()
         path = tmp_path / "inf.json"
         path.write_text(json.dumps(cfg).replace('"tol": 1e-10', '"tol": Infinity'))
-        with pytest.raises(ConfigError, match=r"tol: must be a positive number"):
+        with pytest.raises(ConfigError, match=r"json: tol must lie in \(0, inf\), got inf"):
             P.load_scenario(path)
 
     def test_set_dimension_mismatch(self):
@@ -196,7 +206,7 @@ class TestValidation:
                      "sets[1].inner: sphere radius must lie in (0, inf), got inf",
                      id="inner_sphere_radius_inf"),
         pytest.param(lambda c: c["operators"][0].update({"lambda": 3.0}),
-                     "operators[0]: relaxation parameter must lie in (0, 2], got 3.0",
+                     "operators[0]: lambda must lie in (0, 2], got 3.0",
                      id="relaxed_lambda"),
     ])
     def test_constructor_errors_carry_the_key_path(self, mutate, message):

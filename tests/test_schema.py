@@ -162,29 +162,38 @@ def _sampled_analyses(delta, **kwargs):
     ]
 
 
+# Bad per-record overrides and their messages; each case's id names the rule
+# it breaks, as the case was first written.
+_OVERRIDE_RULES = {"delta": "positive number", "samples": "positive integer",
+                   "seed": "nonnegative integer"}
+_OVERRIDES = [
+    ("delta", -1, "delta must lie in (0, inf), got -1.0"),
+    ("delta", 0.0, "delta must lie in (0, inf), got 0.0"),
+    ("delta", "x", "delta must be a real number, got 'x'"),
+    ("delta", True, "delta must be a real number, got True"),
+    ("delta", float("inf"), "delta must lie in (0, inf), got inf"),
+    ("samples", 0, "samples must be a positive integer, got 0"),
+    ("samples", -5, "samples must be a positive integer, got -5"),
+    ("samples", 2.5, "samples must be a positive integer, got 2.5"),
+    ("samples", True, "samples must be a positive integer, got True"),
+    ("seed", -1, "seed must be a nonnegative integer, got -1"),
+    ("seed", 1.5, "seed must be a nonnegative integer, got 1.5"),
+    ("seed", "7", "seed must be a nonnegative integer, got '7'"),
+]
+
+
 class TestSamplingOverrides:
     """Per-record samples, seed and delta are checked at parse time, and the
     sampled analyses themselves reject a delta that is not positive and a
     samples that is not a positive integer."""
 
-    @pytest.mark.parametrize("key, value, message", [
-        ("delta", -1, "delta: must be a positive number"),
-        ("delta", 0.0, "delta: must be a positive number"),
-        ("delta", "x", "delta: must be a positive number"),
-        ("delta", True, "delta: must be a positive number"),
-        ("delta", float("inf"), "delta: must be a positive number"),
-        ("samples", 0, "samples: must be a positive integer"),
-        ("samples", -5, "samples: must be a positive integer"),
-        ("samples", 2.5, "samples: must be a positive integer"),
-        ("samples", True, "samples: must be a positive integer"),
-        ("seed", -1, "seed: must be a nonnegative integer"),
-        ("seed", 1.5, "seed: must be a nonnegative integer"),
-        ("seed", "7", "seed: must be a nonnegative integer"),
-    ])
+    @pytest.mark.parametrize("key, value, message", _OVERRIDES,
+                             ids=[f"{key}-{value}-{key}: must be a {_OVERRIDE_RULES[key]}"
+                                  for key, value, _ in _OVERRIDES])
     def test_bad_override_names_the_key_path(self, key, value, message):
         cfg = _bundled_config("degenerate_three_halfspaces")
         cfg["analyses"][2][key] = value
-        assert _error(cfg) == f"analyses[2].{message}"
+        assert _error(cfg) == f"analyses[2]: {message}"
 
     def test_valid_overrides_are_used(self):
         cfg = _bundled_config("degenerate_three_halfspaces")
@@ -258,40 +267,63 @@ class TestLabels:
 class TestRecordNumbers:
     """The numbers an analysis record carries are checked at parse time, not
     coerced: a string, a boolean, a fraction where an integer belongs or a
-    non-finite value is a ConfigError at its key path."""
+    non-finite value is a ConfigError at its key path, in the library's
+    words."""
 
     @pytest.mark.parametrize("record, message", [
-        ({"kind": "rate_fit", "tail_fraction": "0.5"}, "tail_fraction: must be a finite number"),
-        ({"kind": "rate_fit", "burn_in": True}, "burn_in: must be a nonnegative integer"),
-        ({"kind": "rate_fit", "expect_rho": "0.5"}, "expect_rho: must be a finite number"),
+        ({"kind": "rate_fit", "tail_fraction": "0.5"},
+         ": tail_fraction must be a real number, got '0.5'"),
+        ({"kind": "rate_fit", "burn_in": True},
+         ": burn_in must be a nonnegative integer, got True"),
+        ({"kind": "rate_fit", "expect_rho": "0.5"},
+         ": expect_rho must be a real number, got '0.5'"),
         ({"kind": "rate_fit", "expect_rho": 0.5, "expect_tol": float("inf")},
-         "expect_tol: must be a finite number"),
+         ": expect_tol must lie in (-inf, inf), got inf"),
         ({"kind": "compare", "certificate": "@cert", "slack": "0.5"},
-         "slack: must be a finite number"),
+         ": slack must be a real number, got '0.5'"),
         ({"kind": "quasi_coercive", "operator": 0, "expect_equality": True,
-          "equality_tol": True}, "equality_tol: must be a finite number"),
-        ({"kind": "cycle_detect", "tol": None}, "tol: must be a finite number"),
-        ({"kind": "k_step", "k": 2.9, "rho_bound": 0.5}, "k: must be a positive integer"),
+          "equality_tol": True}, ": equality_tol must be a real number, got True"),
+        ({"kind": "cycle_detect", "tol": None}, ": tol must be a real number, got None"),
+        ({"kind": "k_step", "k": 2.9, "rho_bound": 0.5}, ": k must be a positive integer, got 2.9"),
         ({"kind": "cycle_detect", "expect_period": "2"},
-         "expect_period: must be a positive integer"),
+         ": expect_period must be a positive integer, got '2'"),
         ({"kind": "strong_regularity", "expect_min": float("nan")},
-         "expect_min: must be a finite number"),
+         ": expect_min must lie in (-inf, inf), got nan"),
         ({"kind": "cycle_detect", "expect_states": [["a", "b"]]},
-         "expect_states[0]: not a numeric vector"),
+         ".expect_states[0]: vector[0] must be a real number, got 'a'"),
         ({"kind": "cycle_detect", "expect_states": [[0.0, 1.0], [0.0, 1.0, 2.0]]},
-         "expect_states[1]: expected a vector of length 2"),
+         ".expect_states[1]: expected dimension 2, got 3"),
         ({"kind": "cycle_detect", "expect_states": [[0.0, float("inf")]]},
-         "expect_states[0]: entries must be finite"),
+         ".expect_states[0]: vector entries must be finite"),
         ({"kind": "cycle_detect", "expect_states": [0.0, 1.0]},
-         "expect_states[0]: expected a vector of length 2"),
+         ".expect_states[0]: expected a 1-D vector, got shape ()"),
+        ({"kind": "cycle_detect", "expect_states": [[0.0], [0.0, 1.0]]},
+         ".expect_states[0]: expected dimension 2, got 1"),
+        ({"kind": "cycle_detect", "expect_states": [[0.0, [1.0, 2.0]]]},
+         ".expect_states[0]: vector is not a rectangular array"),
         ({"kind": "cycle_detect", "expect_states": []},
-         "expect_states: must be a nonempty list of states"),
+         ".expect_states: must be a nonempty list of states"),
     ], ids=["tail_fraction", "burn_in", "expect_rho", "expect_tol", "slack", "equality_tol",
             "tol", "k", "expect_period", "expect_min",
-            "state_strings", "state_length", "state_infinite", "states_flat", "states_empty"])
+            "state_strings", "state_length", "state_infinite", "states_flat", "state_short",
+            "state_ragged", "states_empty"])
     def test_bad_number_names_the_key_path(self, record, message):
         assert _error(minimal_config(analyses=[{"kind": "rate_fit"}, record])) == \
-            f"analyses[1].{message}"
+            f"analyses[1]{message}"
+
+    @pytest.mark.parametrize("key, value", [("tau", -1.0), ("tau", True), ("nu", 0.0),
+                                            ("nu", None), ("rho_bound", float("nan")),
+                                            ("rho_bound", True), ("lambda", 3.0)])
+    def test_literal_resolved_values_are_checked_at_parse_time(self, key, value):
+        """A literal number where an "@label" may stand is checked when the
+        scenario parses; a NaN rho_bound made a failing report with a NaN
+        margin."""
+        record = {"tau": {"kind": "injectable", "set": 0},
+                  "nu": {"kind": "quasi_coercive", "operator": 0},
+                  "rho_bound": {"kind": "k_step"},
+                  "lambda": {"kind": "affine_identities", "set": 0}}[key]
+        assert _error(minimal_config(analyses=[{**record, key: value}])).startswith(
+            f"analyses[0]: {key} must ")
 
     def test_negative_cycle_tolerance_fails_at_parse_time(self):
         """detect_cycle found nothing, silently, with a negative tol."""
@@ -322,7 +354,7 @@ class TestRecordNumbers:
             {"kind": "k_step", "rho_bound": arithmetic}]))
         with pytest.raises(ConfigError) as exc:
             P.execute_scenario(sc)
-        assert str(exc.value) == f"analyses[0].rho_bound.{key}: must be a finite number"
+        assert str(exc.value).startswith(f"analyses[0].rho_bound.{key} must ")
 
     def test_theorem_count_is_not_truncated(self):
         sc = P.scenario_from_config(minimal_config(analyses=[
@@ -330,44 +362,49 @@ class TestRecordNumbers:
              "args": {"m": 2.9, "eps": 0.0, "kappa": 2.0}}]))
         with pytest.raises(ConfigError) as exc:
             P.execute_scenario(sc)
-        assert str(exc.value) == "analyses[0].args.m: must be an integer, got 2.9"
+        assert str(exc.value) == "analyses[0].args.m must be a whole number, got 2.9"
 
 
 class TestVectorEntries:
     """A bool or a string where a vector entry belongs is a ConfigError at the
-    entry's key path; np.asarray read ["0", False] as (0, 0)."""
+    field's key path that names the entry; np.asarray read ["0", False] as
+    (0, 0)."""
 
     @pytest.mark.parametrize("overrides, message", [
-        ({"anchor": ["0", False]}, "anchor[0]: must be a finite number"),
-        ({"anchor": [0.0, False]}, "anchor[1]: must be a finite number"),
-        ({"x0": ["1.5", "2"]}, "x0[0]: must be a finite number"),
-        ({"x0": [3.0, True]}, "x0[1]: must be a finite number"),
+        ({"anchor": ["0", False]}, "anchor: vector[0] must be a real number, got '0'"),
+        ({"anchor": [0.0, False]}, "anchor: vector[1] must be a real number, got False"),
+        ({"x0": ["1.5", "2"]}, "x0: vector[0] must be a real number, got '1.5'"),
+        ({"x0": [3.0, True]}, "x0: vector[1] must be a real number, got True"),
+        ({"x0": [3.0, None]}, "x0: vector[1] must be a real number, got None"),
         ({"analyses": [{"kind": "cycle_detect", "expect_states": [[0.0, 0.0], ["0", "0"]]}]},
-         "analyses[0].expect_states[1][0]: must be a finite number"),
+         "analyses[0].expect_states[1]: vector[0] must be a real number, got '0'"),
         ({"analyses": [{"kind": "cycle_detect", "expect_states": [[False, 0.0]]}]},
-         "analyses[0].expect_states[0][0]: must be a finite number"),
-    ], ids=["anchor_string", "anchor_bool", "x0_strings", "x0_bool", "state_strings",
-            "state_bool"])
+         "analyses[0].expect_states[0]: vector[0] must be a real number, got False"),
+    ], ids=["anchor_string", "anchor_bool", "x0_strings", "x0_bool", "x0_null",
+            "state_strings", "state_bool"])
     def test_scenario_vectors(self, overrides, message):
         assert _error(minimal_config(**overrides)) == message
 
     @pytest.mark.parametrize("record, message", [
         ({"type": "ball", "center": ["0", "0"], "radius": 1.0},
-         "center[0]: must be a finite number"),
+         ": center[0] must be a real number, got '0'"),
         ({"type": "ball", "center": [0.0, 0.0], "radius": "1"},
-         "radius: must be a finite number"),
+         ": radius must be a real number, got '1'"),
         ({"type": "ball", "center": [0.0, 0.0], "radius": True},
-         "radius: must be a finite number"),
+         ": radius must be a real number, got True"),
+        ({"type": "ball", "center": [0.0, 0.0], "radius": None},
+         ": radius must be a real number, got None"),
         ({"type": "affine", "anchor": [0.0, 0.0], "basis": [[1.0, False]]},
-         "basis[0][1]: must be a finite number"),
-        ({"type": "orthant", "signs": [1, True]}, "signs[1]: must be a finite number"),
+         ": basis[0][1] must be a real number, got False"),
+        ({"type": "orthant", "signs": [1, True]}, ": signs[1] must be a real number, got True"),
         ({"type": "union", "members": [{"type": "ball", "center": [0.0, "0"], "radius": 1.0}]},
-         "members[0].center[1]: must be a finite number"),
-    ], ids=["center", "radius_string", "radius_bool", "basis", "signs", "nested"])
+         ".members[0]: center[1] must be a real number, got '0'"),
+    ], ids=["center", "radius_string", "radius_bool", "radius_null", "basis", "signs",
+            "nested"])
     def test_set_records(self, record, message):
         cfg = minimal_config()
         cfg["sets"][1] = record
-        assert _error(cfg) == f"sets[1].{message}"
+        assert _error(cfg) == f"sets[1]{message}"
 
     @pytest.mark.parametrize("value", ["0.5", True], ids=["string", "bool"])
     @pytest.mark.parametrize("tag, key", [
@@ -378,7 +415,7 @@ class TestVectorEntries:
         """float() read "0.5" as 0.5 and True as 1.0, both admissible values."""
         cfg = minimal_config()
         cfg["operators"][1] = {"type": tag, **OPERATOR_SAMPLES[tag], key: value}
-        assert _error(cfg) == f"operators[1].{key}: must be a finite number"
+        assert _error(cfg) == f"operators[1]: {key} must be a real number, got {value!r}"
 
     def test_numbers_still_parse(self):
         cfg = minimal_config(anchor=[0, 0.0], x0=[3, 4.0])
