@@ -4,9 +4,11 @@ Estimators report sampled bounds: an estimate from finitely many draws never
 certifies the true modulus, so every result carries its bound direction
 ("lower" for eps/kappa/theta, "upper" for the strong-regularity zeta, whose
 extra["zeta_lower"] bounds it below over the sampled normals) and the seed
-that reproduces it bit for bit.  Where the geometry gives the value, the
-direction is "exact": eps on a convex set (0) or a sphere, with nothing
-sampled.  Every routine draws its own points from its seed, a nonnegative
+that reproduces it bit for bit.  Where the geometry gives the value, nothing
+is sampled and the direction is "exact": eps on a convex set (0), a sphere
+or a finite point set, and kappa on one affine set or two that are not
+strictly nested; kappa on other affine systems is a computed "upper"
+bound.  Every routine draws its own points from its seed, a nonnegative
 integer checked with its other arguments, on the exact path too.
 Checks return a PropertyReport whose margin convention is uniform: margin
 >= 0 means the sampled inequality holds, and violations == 0 iff the worst
@@ -22,7 +24,16 @@ import numpy as np
 
 from .errors import DomainError, SamplingFailure, UnsupportedSet, check_count, check_range
 from .intersection import IntersectionHandle
-from .sets import ClosedSet, _member_tuple, _nnls, _seeded, as_vector, conic_mixtures, row_norms
+from .sets import (
+    RANK_TOL,
+    ClosedSet,
+    _member_tuple,
+    _nnls,
+    _seeded,
+    as_vector,
+    conic_mixtures,
+    row_norms,
+)
 
 CHECK_TOL = 1e-9
 STRONG_TOL = 1e-6
@@ -33,6 +44,10 @@ _DUPLICATE_COS = 1.0 - 1e-9  # normal directions closer than this are one
 # Bound on the temporaries of one chunk of eps-regularity sites.
 _EPS_CHUNK_BYTES = 1 << 20
 _SIMPLEX_WEIGHT = 1e3  # weight of the sum-to-one row in _simplex_min_norm
+# Exact kappa needs Q's eigenvalues on L_C^perp at least RANK_TOL times this
+# and its mass off L_C^perp at most RANK_TOL over it: nearer the cut-off, a
+# spanned direction and a missing one are not told apart, and kappa is sampled.
+_KAPPA_MARGIN = 1e3
 # The intervals of the locality radius, the injectability radius and the
 # coercivity constant, as check_range's (lo, hi, lo_open, hi_open).
 DELTA_RANGE = (0.0, np.inf, True, True)
@@ -113,9 +128,14 @@ def _ball_args(delta, samples, w, dim, seed):
     return (delta, check_count("samples", samples, 1), as_vector(w, dim), *_seeded(seed))
 
 
+def _on_every(w, sets):
+    """True when w lies within 1e-8 of every one of `sets`."""
+    return all(s.contains(w, 1e-8) for s in sets)
+
+
 def _anchored(w, sets):
     """DomainError unless w lies within 1e-8 of every one of `sets`."""
-    if not all(s.contains(w, 1e-8) for s in sets):
+    if not _on_every(w, sets):
         raise DomainError("anchor w must belong to every set")
 
 
@@ -218,7 +238,8 @@ def estimate_eps_regularity(s: ClosedSet, w, delta, samples=600, seed=0) -> Regu
 
     After the argument checks (delta, samples, w, seed, then w's
     membership) the set's `_exact_eps` hook is asked once.  A convex set
-    gives 0 and a sphere (d >= 2) its cap formula; the estimate is then that
+    gives 0, a sphere (d >= 2) its cap formula and a finite point set 1 or
+    0 (two distinct points in the ball or not); the estimate is then that
     value with bound "exact" and extra {"convex": s.convex}, and nothing is
     drawn, projected or paired.
 
@@ -289,10 +310,41 @@ def _max_normal_ratio(M, sites, normals, counts):
 
 def estimate_linear_regularity(system, intersection: ClosedSet, w,
                                delta, samples=2000, seed=0) -> RegularityEstimate:
-    """Sampled lower bound of the linear-regularity modulus kappa on B(w, delta/2):
-    max d_C(x) / max_i d_{C_i}(x) over draws with some d_{C_i}(x) > 0."""
+    """The linear-regularity modulus kappa, sup d_C(x) / max_i d_{C_i}(x)
+    over B(w, delta/2): exact or an upper bound on an affine system, else a
+    sampled lower bound.
+
+    After the argument checks (delta, samples, w, seed, then the system)
+    each set's `_normal_space` hook is asked once: rows N_i spanning
+    L_i^perp, L_i the linear part of an affine set.  When every set of the
+    system and the intersection C give one, w lies in each of them, and
+    C's L_C^perp is the span of the stacked N_i (C is the sets' own
+    intersection), kappa = 1/sqrt(lambda_min), lambda_min the least
+    eigenvalue of Q = (1/m) sum_i N_i^T N_i on L_C^perp.  Since
+    max_i d_i^2 >= mean_i d_i^2 >= lambda_min d_C^2 and the ratio is the
+    same at every scale about w, this bounds kappa above.  It is attained,
+    and `bound` reads "exact", for one set and for two sets neither of
+    which strictly contains the other.  Otherwise `bound` reads "upper":
+    for three or more sets, and for a strictly nested pair, whose C is the
+    smaller set and whose kappa is 1 where the formula reads sqrt 2.
+    Nothing is drawn, and extra holds lambda_min, used 0, and vacuous and
+    approximate False.  An eigenvalue too near RANK_TOL to tell a spanned
+    direction from a missing one (see _KAPPA_MARGIN) sends the system to
+    the sampled path, as does every other system.
+
+    Sampled: the max of d_C(x) / max_i d_{C_i}(x) over `samples` draws x
+    with some d_{C_i}(x) > 0, a lower bound ("lower"); extra["used"]
+    counts those draws, `vacuous` flags none (the value is then 1), and
+    `approximate` flags an oracle intersection, whose sweep overstates d_C.
+    """
     delta, samples, w, seed, rng = _ball_args(delta, samples, w, intersection.dim, seed)
     system = _member_tuple(system, "system")
+    exact = _affine_kappa(system, intersection, w)
+    if exact is not None:
+        kappa, bound, lam = exact
+        return RegularityEstimate("linear_regularity", kappa, w, delta, samples, seed, bound,
+                                  {"used": 0, "vacuous": False, "approximate": False,
+                                   "lambda_min": lam})
     xs = uniform_ball(rng, w, delta / 2.0, samples)
     dmax = np.max([s.distance_many(xs) for s in system], axis=0)
     live = dmax >= _DIRECTION_FLOOR
@@ -302,6 +354,30 @@ def estimate_linear_regularity(system, intersection: ClosedSet, w,
                               delta, samples, seed, "lower",
                               {"used": used, "vacuous": used == 0,
                                "approximate": isinstance(intersection, IntersectionHandle)})
+
+
+def _affine_kappa(system, intersection, w):
+    """(kappa, bound, lambda_min) of an affine system by the eigenvalues of
+    Q on L_C^perp, or None when estimate_linear_regularity must sample."""
+    spaces = [s._normal_space() for s in system]
+    normal_c = intersection._normal_space()
+    if (normal_c is None or any(n is None for n in spaces)
+            or not _on_every(w, system + (intersection,))):
+        return None
+    stacked = np.vstack(spaces)
+    q = stacked.T @ stacked / len(system)
+    lam = np.linalg.eigvalsh(normal_c @ q @ normal_c.T)
+    # Q's mass off L_C^perp: 0 when the stacked rows lie in it
+    off = float(np.trace(q) - lam.sum())
+    lam_min = float(np.min(lam, initial=1.0))
+    if off > RANK_TOL / _KAPPA_MARGIN or lam_min < RANK_TOL * _KAPPA_MARGIN:
+        return None
+    # a pair is strictly nested when the larger normal space is all of
+    # L_C^perp and the other is smaller: C is the smaller set and kappa 1
+    ranks = [n.shape[0] for n in spaces]
+    nested = len(ranks) == 2 and min(ranks) < max(ranks) == normal_c.shape[0]
+    bound = "exact" if len(ranks) <= 2 and not nested else "upper"
+    return float(1.0 / np.sqrt(lam_min)), bound, lam_min
 
 
 def _closed_form_normals(s, P, k):

@@ -19,7 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import ClosedSet, _member_tuple, _one_row_project, _SingleValued, as_vector, row_norms
+from .sets import (
+    RANK_TOL,
+    ClosedSet,
+    _member_tuple,
+    _one_row_project,
+    _SingleValued,
+    as_vector,
+    row_norms,
+    svd_rank,
+)
 
 _FALLBACK_ITERS = 10_000
 _FALLBACK_TOL = 1e-12
@@ -63,6 +72,16 @@ class IntersectionHandle(_SingleValued):
             Y[live] = Z
             live = live[row_norms(Z - prev) > _FALLBACK_TOL]
         return Y
+
+    def _normal_space(self):
+        """The row space of the members' stacked normal spaces, with no
+        sweep: the affine members meet in a set whose L^perp is the sum of
+        theirs.  None when a member is not known to be affine."""
+        spaces = [m._normal_space() for m in self.members]
+        if any(n is None for n in spaces):
+            return None
+        vt, rank = svd_rank(np.vstack(spaces), RANK_TOL)
+        return vt[:rank]
 
 
 def exact(descriptor: ClosedSet, members=()) -> ClosedSet:

@@ -20,7 +20,7 @@ from .analysis import CHECK_TOL, PropertyReport, _fejer_margins, _fejer_pair, ma
 from .errors import DomainError, InsufficientData, check_count, check_range, check_whole
 from .operators import CyclicTuple
 from .rates import RateCertificate
-from .sets import ClosedSet, as_vector, row_norms
+from .sets import ClosedSet, _real_entries, as_vector, row_norms
 
 DIVERGENCE_NORM = 1e12
 ERROR_FLOOR = 1e-14
@@ -169,7 +169,7 @@ def fit_rlinear(errors, tail_fraction=0.5, burn_in=10) -> RateFit:
     squares over the trailing window (after dropping the burn-in prefix);
     entries at or below ERROR_FLOOR are censored.  Raises InsufficientData for
     sequences shorter than 10 or with fewer than 5 usable points."""
-    e = np.asarray(errors, dtype=float)
+    e = _real_entries(errors, "errors")  # a bool or a string is not an error
     if e.ndim != 1:
         raise DomainError("errors must be a flat sequence")
     if not np.all((e >= 0.0) & (e < np.inf)):  # NaN fails both

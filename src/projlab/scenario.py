@@ -667,10 +667,13 @@ _FEJER_KEYS = tuple(dict.fromkeys(k for spec in OPERATOR_TYPES.values() for k in
 ANALYSES = {
     "estimate_eps": Analysis(
         _estimate_eps, "eps",
-        "eps-regularity of one set: exact on a convex set or a sphere, else a sampled lower bound",
+        "eps-regularity of one set: exact on a convex set, a sphere or a finite point set, "
+        "else a sampled lower bound",
         ("set",) + _SAMPLED, ("set",)),
     "estimate_kappa": Analysis(
-        _estimate_kappa, "kappa", "sampled linear-regularity constant of the system (lower bound)",
+        _estimate_kappa, "kappa",
+        "linear-regularity constant of the system: exact or an upper bound on affine sets, "
+        "else a sampled lower bound",
         _SAMPLED),
     "estimate_theta_bar": Analysis(
         _estimate_theta_bar, "theta", "sampled normal-cone angle bound of two sets (lower bound)",

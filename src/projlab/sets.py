@@ -31,7 +31,11 @@ enlargement when its inner set is, and the oracle intersection when its
 members are.  Spheres, unions and a custom subclass read False, the safe
 answer, unless the subclass sets it.  `_exact_eps` gives the exact
 eps-regularity where the geometry does: 0 on a convex set, the cap formula
-on a sphere of dimension 2 or more, and None (sample it) elsewhere.
+on a sphere of dimension 2 or more, 0 or 1 on a finite point set, and None
+(sample it) elsewhere.  `_normal_space` gives orthonormal rows spanning the
+orthogonal complement of an affine set's linear part (a hyperplane, an
+affine set, a one-point set, a translate of one, and the oracle
+intersection of such members) and None elsewhere.
 
 The cone's NNLS solver comes from `scipy.optimize`, which `_nnls` imports on
 first use, so `import projlab` does not load scipy.
@@ -90,16 +94,22 @@ def _check_entries(value, path):
         check_real(path, value)
 
 
-def _real_array(x, path):
-    """The array rule: `x` as a float array of finite real numbers, else a
-    DomainError (a DimensionMismatch for ragged nesting) naming `path`.  A
-    float array costs one dtype test."""
+def _real_entries(x, path):
+    """`x` as a float array of real numbers, else a DomainError (a
+    DimensionMismatch for ragged nesting) naming `path`.  A float array
+    costs one dtype test."""
     if type(x) is not np.ndarray or x.dtype.kind != "f":
         _check_entries(x, path)
     try:
-        A = np.asarray(x, dtype=float)
+        return np.asarray(x, dtype=float)
     except ValueError as exc:  # nested lists of unequal lengths
         raise DimensionMismatch(f"{path} is not a rectangular array") from exc
+
+
+def _real_array(x, path):
+    """The array rule: `x` as a float array of finite real numbers by
+    `_real_entries`, else a DomainError naming `path`."""
+    A = _real_entries(x, path)
     if not np.all(np.isfinite(A)):
         raise DomainError(f"{path} entries must be finite")
     return A
@@ -317,6 +327,11 @@ class ClosedSet:
         <u, y - x> <= 0 for every member y, so a convex set reads 0."""
         return 0.0 if self.convex else None
 
+    def _normal_space(self):
+        """Orthonormal rows spanning L^perp, L the linear part of an affine
+        set, or None when the set is not known to be affine."""
+        return None
+
     def to_config(self) -> dict:
         cfg = {"type": self.tag}
         for f in fields(self):
@@ -410,6 +425,9 @@ class Hyperplane(_LinearSet):
         u = self.a / float(np.linalg.norm(self.a))
         return _prefix_rows(np.stack([u, -u]), np.ones((n, 2), bool))
 
+    def _normal_space(self):
+        return (self.a / float(np.linalg.norm(self.a)))[None, :]
+
     def hull_points(self, rng):
         a, aa = self.a, np.dot(self.a, self.a)
         anchor = a * (self.b / float(aa))
@@ -466,6 +484,9 @@ class AffineSubspaceSet(_SingleValued):
         comp = _orthonormal_complement(self.basis, self.dim)
         pairs = np.stack([comp, -comp], axis=1).reshape(-1, self.dim)  # u0, -u0, u1, ...
         return _prefix_rows(pairs, np.ones((n, pairs.shape[0]), bool))
+
+    def _normal_space(self):
+        return _orthonormal_complement(self.basis, self.dim)
 
     def hull_points(self, rng):
         return [self.anchor] + [self.anchor + b for b in self.basis]
@@ -905,6 +926,16 @@ class FinitePointSet(ClosedSet):
         first = np.argmax((dists <= dmin[:, None] + TIE_TOL)[:, self._lex], axis=1)
         return self.points[self._lex[first]], dmin
 
+    def _exact_eps(self, w, delta):
+        """Every unit vector is a proximal normal at an isolated point, so
+        eps is 1 when two distinct points lie in B(w, delta), else 0."""
+        near = self.points[row_norms(self.points - w) <= delta]
+        return 1.0 if np.unique(near, axis=0).shape[0] > 1 else 0.0
+
+    def _normal_space(self):
+        """One distinct point is an affine set whose linear part is {0}."""
+        return np.eye(self.dim) if self.convex else None
+
     def hull_points(self, rng):
         return list(self.points)
 
@@ -937,6 +968,9 @@ class Translate(ClosedSet):
 
     def _exact_eps(self, w, delta):
         return self.inner._exact_eps(w - self.shift, delta)
+
+    def _normal_space(self):
+        return self.inner._normal_space()
 
     def hull_points(self, rng):
         return [p + self.shift for p in self.inner.hull_points(rng)]

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import projlab as P
@@ -267,9 +267,11 @@ SAMPLED_CONVEX_TOL = 1e-7
 
 
 def _sampled_everywhere(monkeypatch):
-    """Every set reads convex False, so eps goes through the pair kernel."""
+    """Every set reads convex False and the finite point set's own hook is
+    off, so eps goes through the pair kernel."""
     for cls in (*P.sets.SET_TYPES.values(), P.IntersectionHandle):
         monkeypatch.setattr(cls, "convex", False)
+    monkeypatch.setattr(P.FinitePointSet, "_exact_eps", lambda self, w, delta: None)
 
 
 class TestEpsOnConvexSets:
@@ -304,16 +306,15 @@ class TestEpsOnConvexSets:
     @pytest.mark.parametrize("d", [2, 3, 8])
     def test_nonconvex_sets_stay_sampled(self, d, monkeypatch):
         """The same reading is well above SAMPLED_CONVEX_TOL on sets the
-        flag leaves False: a sphere, two points, their enlargement, a
-        union of two balls, a translated sphere and an oracle with a
-        sphere member.  The spheres' exact hook is off."""
+        flag leaves False: a sphere, an enlargement of two points, a union
+        of two balls, a translated sphere and an oracle with a sphere
+        member.  The spheres' exact hook is off."""
         _sampled_spheres(monkeypatch)
         e = np.eye(d)
         sphere = P.Sphere(np.zeros(d), 1.0)
         two = P.FinitePointSet(np.vstack([np.zeros(d), 0.4 * e[0]]))
         for s, w in [
             (sphere, e[0]),
-            (two, np.zeros(d)),
             (P.Enlargement(two, 0.25), 0.2 * e[0] + 0.15 * e[1]),
             (P.UnionOfSets((P.Ball(np.zeros(d), 0.5), P.Ball(1.2 * e[0], 0.5))), 0.5 * e[0]),
             (P.Translate(sphere, e[-1]), e[-1] + e[0]),
@@ -322,6 +323,36 @@ class TestEpsOnConvexSets:
             assert not s.convex
             est = P.estimate_eps_regularity(s, w, 0.6)
             assert est.bound == "lower" and est.value > 0.05, type(s).__name__
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_finite_points_are_exact(self, d, monkeypatch):
+        """Every unit vector is a proximal normal at an isolated point, so
+        eps is 1 once two distinct points lie in the closed ball B(w, delta)
+        and 0 otherwise (a repeated point is one point), with nothing
+        drawn; a translate forwards.  With the hook off, the pair kernel
+        reads below 1 on two points in the ball (0.997 in d = 3, 0.80 in
+        d = 8 at seed 0)."""
+        e = np.eye(d)
+        two = P.FinitePointSet(np.vstack([np.zeros(d), 0.4 * e[0]]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(P.FinitePointSet, "_exact_eps", lambda self, w, delta: None)
+            sampled = P.estimate_eps_regularity(two, np.zeros(d), 0.6)
+        assert sampled.bound == "lower" and 0.5 < sampled.value <= 1.0
+        _refuse_draws(monkeypatch)
+        doubled = P.FinitePointSet(np.vstack([np.zeros(d), np.zeros(d), 2.0 * e[1]]))
+        for s, w, delta, want in [
+            (two, np.zeros(d), 0.6, 1.0),
+            (two, np.zeros(d), 0.4, 1.0),         # the second point on the sphere
+            (two, np.zeros(d), 0.39, 0.0),
+            (two, 0.4 * e[0], 0.1, 0.0),
+            (doubled, np.zeros(d), 1.0, 0.0),     # one distinct point in the ball
+            (doubled, np.zeros(d), 2.0, 1.0),
+            (P.Translate(two, e[-1]), e[-1], 0.6, 1.0),
+            (P.Translate(two, e[-1]), e[-1], 0.3, 0.0),
+        ]:
+            est = P.estimate_eps_regularity(s, w, delta, samples=9, seed=4)
+            assert (est.value, est.bound, est.samples, est.seed) == (want, "exact", 9, 4)
+            assert est.extra == {"convex": False}
 
     def test_arguments_are_checked_in_order(self):
         """delta, samples, the anchor's dimension, the seed, then the
@@ -458,6 +489,192 @@ class TestLinearRegularity:
         a = P.Hyperplane(np.array([0.0, 1.0]), 0.0)
         with pytest.raises(DomainError, match="^system needs at least one member$"):
             P.estimate_linear_regularity([], a, np.zeros(2), 1.0)
+
+
+def _subspace(rng, d, k, anchor):
+    """anchor + a seeded k-dimensional subspace of R^d (QR of a Gaussian)."""
+    basis = np.linalg.qr(rng.standard_normal((d, k)))[0].T if k else np.zeros((0, d))
+    return P.AffineSubspaceSet(anchor, basis)
+
+
+def _friedrichs_cosine(a, b):
+    """cos theta_F of two subspaces: the largest singular value of Q_A Q_B^T
+    below 1 - 1e-9, those at 1 spanning the intersection (0 if none)."""
+    s = np.linalg.svd(a.basis @ b.basis.T, compute_uv=False)
+    return float(np.max(s[s < 1.0 - 1e-9], initial=0.0))
+
+
+def _refuse_draws(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sampled where the value is exact")
+
+    monkeypatch.setattr(analysis, "uniform_ball", refuse)
+
+
+def _sampled_kappa(mp):
+    """Every set's normal-space hook reads None, so kappa is sampled."""
+    for cls in (*P.sets.SET_TYPES.values(), P.IntersectionHandle):
+        mp.setattr(cls, "_normal_space", lambda self: None)
+
+
+def _subspace_pairs(n):
+    """The first n seeds whose pair of subspaces of R^4 to R^8, of dimensions
+    1 to d - 1, meet at a Friedrichs angle of 10 degrees or more, with the
+    pairs."""
+    found = []
+    for seed in itertools.count():
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(4, 9))
+        pair = tuple(_subspace(rng, d, int(k), np.zeros(d)) for k in rng.integers(1, d, 2))
+        if math.degrees(math.acos(_friedrichs_cosine(*pair))) >= 10.0:
+            found.append((seed, pair))
+        if len(found) == n:
+            return found
+
+
+SUBSPACE_PAIRS = _subspace_pairs(12)
+
+
+class TestExactLinearRegularity:
+    """Exact kappa on affine systems, checked by routes other than the
+    eigenvalues of Q: the principal angles, the 2-D closed form and the
+    sampler."""
+
+    @pytest.mark.parametrize("seed, pair", SUBSPACE_PAIRS, ids=[c[0] for c in SUBSPACE_PAIRS])
+    def test_subspace_pairs_match_the_friedrichs_angle(self, seed, pair, monkeypatch):
+        """kappa = 1/sin(theta_F/2), theta_F from the SVD of Q_A Q_B^T, on
+        pairs in R^4 to R^8 that meet in {0} or in a subspace, the
+        intersection declared as a point or given by the oracle."""
+        _refuse_draws(monkeypatch)
+        a, b = pair
+        d = a.dim
+        want = 1.0 / math.sin(math.acos(_friedrichs_cosine(a, b)) / 2.0)
+        meet = a.subspace_dim + b.subspace_dim > d
+        cs = [P.IntersectionHandle(pair)] + ([] if meet else [P.FinitePointSet(np.zeros((1, d)))])
+        for c in cs:
+            est = P.estimate_linear_regularity(pair, c, np.zeros(d), 1.0)
+            assert est.bound == "exact" and est.value == pytest.approx(want, rel=1e-12)
+            assert est.extra["used"] == 0 and not est.extra["approximate"]
+            assert est.extra["lambda_min"] == pytest.approx(1.0 / want ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("deg", [3, 30, 45, 60, 90, 120, 177])
+    def test_two_lines_closed_form(self, deg, monkeypatch):
+        """Lines at angle theta meet at Friedrichs angle min(theta, pi -
+        theta), so kappa = 1/sin of half of it, whichever line type."""
+        _refuse_draws(monkeypatch)
+        theta = math.radians(deg)
+        want = 1.0 / math.sin(min(theta, math.pi - theta) / 2.0)
+        a, b, inter = two_lines(theta)
+        h = P.Hyperplane(np.array([-math.sin(theta), math.cos(theta)]), 0.0)
+        for system in ([a, b], [a, h], [h, a]):
+            est = P.estimate_linear_regularity(system, inter, np.zeros(2), 1.0, samples=7, seed=3)
+            assert est.value == pytest.approx(want, rel=1e-12)
+            assert (est.bound, est.samples, est.seed, est.delta) == ("exact", 7, 3, 1.0)
+
+    def test_translates_and_oracles_take_the_exact_path(self, monkeypatch):
+        """A translate of an affine set, a shifted hyperplane and their
+        oracle, all through p: the value of the pair at the origin.  The
+        oracle's hook stacks its members' rows without a sweep."""
+        rng = np.random.default_rng(7)
+        p = rng.standard_normal(4)
+        a, b = (_subspace(rng, 4, k, np.zeros(4)) for k in (2, 1))
+        n = np.linalg.qr(rng.standard_normal((4, 4)))[0][0]
+        h = P.Hyperplane(n, 0.0)
+        origin = P.estimate_linear_regularity([a, b, h], P.FinitePointSet(np.zeros((1, 4))),
+                                              np.zeros(4), 1.0)
+        moved = [P.Translate(a, p), P.Translate(b, p), P.Hyperplane(n, float(n @ p))]
+        oracle = P.IntersectionHandle(moved)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(P.IntersectionHandle, "_canonical_many", None)  # no sweep
+            assert oracle._normal_space().shape == (4, 4)
+        _refuse_draws(monkeypatch)
+        for c in (oracle, P.FinitePointSet(p[None, :]), P.Translate(oracle, np.zeros(4))):
+            est = P.estimate_linear_regularity(moved, c, p, 1.0)
+            assert est.bound == origin.bound == "upper"
+            assert est.value == pytest.approx(origin.value, rel=1e-12)
+
+    def test_other_systems_stay_sampled(self):
+        """A w off C, a declared point or line that is not the sets'
+        intersection (two planes of R^3 meet in a line), a halfspace member,
+        and an intersection C that differs from the oracle of the sets."""
+        a, b, inter = two_lines(math.pi / 3)
+        e = np.eye(3)
+        planes = [P.Hyperplane(e[0], 0.0), P.Hyperplane(e[1] + e[0], 0.0)]
+        half = P.Halfspace(np.array([0.0, 1.0]), 0.0)
+        for system, c, w in [
+            ([a, b], inter, np.array([0.5, 0.0])),
+            ([a, b], P.FinitePointSet(np.array([[0.5, 0.0]])), np.array([0.5, 0.0])),
+            (planes, P.FinitePointSet(np.zeros((1, 3))), np.zeros(3)),
+            (planes, P.AffineSubspaceSet(np.zeros(3), e[:1]), np.zeros(3)),
+            ([a, half], inter, np.zeros(2)),
+            ([a, b], P.IntersectionHandle((half, b)), np.zeros(2)),
+            ([a, b], P.IntersectionHandle((a,)), np.zeros(2)),
+        ]:
+            est = P.estimate_linear_regularity(system, c, w, 1.0, samples=50)
+            assert est.bound == "lower" and "lambda_min" not in est.extra
+            assert est.extra["used"] > 0
+
+    def test_strictly_nested_pairs_read_upper(self):
+        """When one set strictly contains the other, C is the smaller set and
+        kappa is 1, where the formula reads sqrt 2: the bound is not
+        attained, so it reads "upper".  Equal sets read exact 1."""
+        line = P.Hyperplane(np.array([0.0, 1.0]), 0.0)
+        point = P.FinitePointSet(np.zeros((1, 2)))
+        e = np.eye(3)
+        plane, axis = P.Hyperplane(e[2], 0.0), P.AffineSubspaceSet(np.zeros(3), e[:1])
+        for system, c in [([line, point], point), ([point, line], point), ([plane, axis], axis)]:
+            w = np.zeros(c.dim)
+            est = P.estimate_linear_regularity(system, c, w, 1.0)
+            assert (est.bound, est.value) == ("upper", pytest.approx(math.sqrt(2.0), rel=1e-12))
+            with pytest.MonkeyPatch.context() as mp:
+                _sampled_kappa(mp)
+                assert P.estimate_linear_regularity(system, c, w, 1.0).value == 1.0
+        for system in ([line], [line, line]):
+            est = P.estimate_linear_regularity(system, line, np.zeros(2), 1.0)
+            assert (est.bound, est.value) == ("exact", 1.0)
+
+    def test_three_lines_read_upper(self):
+        """Three lines of R^2 at 60 degrees: Q = I/2, so the bound is sqrt 2,
+        above the sampled reading."""
+        lines = [P.Hyperplane(np.array([math.cos(t), math.sin(t)]), 0.0)
+                 for t in (0.0, math.pi / 3, 2 * math.pi / 3)]
+        inter = P.FinitePointSet(np.zeros((1, 2)))
+        est = P.estimate_linear_regularity(lines, inter, np.zeros(2), 1.0)
+        assert est.bound == "upper" and est.value == pytest.approx(math.sqrt(2.0), rel=1e-12)
+        with pytest.MonkeyPatch.context() as mp:
+            _sampled_kappa(mp)
+            sampled = P.estimate_linear_regularity(lines, inter, np.zeros(2), 1.0)
+        assert 1.0 < sampled.value <= est.value
+
+    def test_near_the_cut_off_is_sampled(self):
+        """Two lines 1e-4 rad apart have lambda_min 2.5e-9, within
+        _KAPPA_MARGIN of RANK_TOL, so kappa is sampled; 1e-2 rad is exact."""
+        for theta, bound in ((1e-4, "lower"), (1e-2, "exact")):
+            a, b, inter = two_lines(theta)
+            est = P.estimate_linear_regularity([a, b], inter, np.zeros(2), 1.0, samples=50)
+            assert est.bound == bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.sampled_from([2, 3]), d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    def test_sampled_kappa_stays_under_the_exact_path(self, m, d, seed):
+        """With the hooks off, the sampled kappa of m affine sets through a
+        point p stays at or below the exact value (m = 2) or the upper one
+        (m = 3), which bounds every ratio."""
+        rng = np.random.default_rng(seed)
+        p = rng.standard_normal(d)
+        dims = rng.integers(0, d, m)
+        if sum(d - k for k in dims) < d:  # the sets meet in more than p
+            dims[0] = 0
+        system = [_subspace(rng, d, int(k), p) for k in dims]
+        inter = P.FinitePointSet(p[None, :])
+        exact = P.estimate_linear_regularity(system, inter, p, 1.0, seed=seed)
+        assume(exact.bound != "lower")  # lambda_min too near the cut-off
+        assert exact.bound in (("exact", "upper") if m == 2 else ("upper",))
+        with pytest.MonkeyPatch.context() as mp:
+            _sampled_kappa(mp)
+            est = P.estimate_linear_regularity(system, inter, p, 1.0, samples=200, seed=seed)
+        assert est.bound == "lower"
+        assert est.value <= exact.value + 1e-12
 
 
 # ---------------------------------------------------------------------------

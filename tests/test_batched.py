@@ -904,11 +904,13 @@ class TestOracleIsASet:
             P.IntersectionHandle(())
 
     def test_linear_regularity_flags_the_oracle_approximate(self):
-        lines = tuple(P.Hyperplane(a, 0.0) for a in np.eye(2))
-        for c, approximate in ((P.IntersectionHandle(lines), True),
-                               (P.FinitePointSet(np.zeros((1, 2))), False)):
-            est = analysis.estimate_linear_regularity(lines, c, np.zeros(2), 0.5, samples=50)
-            assert est.extra["approximate"] is approximate
+        """Halfspace members keep kappa on the sampled path, where the
+        oracle's sweep gives d_C."""
+        halves = tuple(P.Halfspace(a, 0.0) for a in np.eye(2))
+        for c, approximate in ((P.IntersectionHandle(halves), True),
+                               (P.Orthant((-1, -1)), False)):
+            est = analysis.estimate_linear_regularity(halves, c, np.zeros(2), 0.5, samples=50)
+            assert est.bound == "lower" and est.extra["approximate"] is approximate
 
 
 class TestMarginReport:

@@ -15,8 +15,8 @@ DIGESTS = {
     "01_set_catalog_tour": "7f4984051951301d58ff4361bdd782902ae4c0f6362c2fa99d140b05ebe9bb9d",
     "02_operator_gallery": "78d67fc4bb93a911f166cc8f0caea605ada01c48a82c641a02bd9cfb7372d23f",
     "03_nonconvergent_cycles": "95fe0f6a3267d410c71949ea8ac84607a1350b1eddf9f6ec96c4124efdbe30bb",
-    "04_two_line_rates": "7a784e7a3f3a2730170c1155c6a5a997550c59989b6ece4b9cdf79a57d019d67",
-    "05_regularity_estimates": "7000016dfa157e24cc89d37e8830d76e3e18a078b8c44d8daf33cb7634129370",
+    "04_two_line_rates": "ef53ecf30ec81533b947015f8e0b3704e42764cfaa370303bd5238500c9463a7",
+    "05_regularity_estimates": "c347f940d463a3c2c92affbf4ad316deb617ac3d0c23b8a7ab7622581e4f7b02",
     "06_affine_reduction": "2a10f56d6ad44049f66e881e78a955b108ed92785836875575b748a31b332a68",
 }
 

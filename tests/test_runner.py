@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -470,6 +471,26 @@ class TestFitRlinear:
         errs[30] = bad
         with pytest.raises(DomainError, match="errors must be finite and nonnegative"):
             P.fit_rlinear(errs)
+
+    @pytest.mark.parametrize("errs, entry", [
+        ([str(0.5 ** k) for k in range(20)], "errors[0] must be a real number, got '1.0'"),
+        ([True] * 20, "errors[0] must be a real number, got True"),
+        (np.array([0.5] * 19 + [True], dtype=object), "errors[19] must be a real number"),
+        (np.ones(20, dtype=bool), "errors[0] must be a real number, got True"),
+    ], ids=["strings", "bools", "object_array", "bool_array"])
+    def test_strings_and_bools_are_not_errors(self, errs, entry):
+        """The array rule's entry walk: a string read as 0.5 and a bool as
+        1.0."""
+        with pytest.raises(DomainError, match="^" + re.escape(entry)):
+            P.fit_rlinear(errs)
+
+    def test_a_float_array_skips_the_entry_walk(self, monkeypatch):
+        """`trajectory` fits float arrays: they cost one dtype test."""
+        def refuse(*args):
+            raise AssertionError("walked a float array")
+
+        monkeypatch.setattr(P.sets, "_check_entries", refuse)
+        assert P.fit_rlinear(0.5 ** np.arange(20.0)).rho == pytest.approx(0.5, rel=1e-12)
 
     def test_window_controls(self):
         errs = [1.0] * 20 + [0.5 ** n for n in range(30)]
