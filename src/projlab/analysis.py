@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SamplingFailure, UnsupportedSet, check_count, check_range
-from .intersection import IntersectionHandle
 from .sets import (
     RANK_TOL,
     ClosedSet,
@@ -335,7 +334,8 @@ def estimate_linear_regularity(system, intersection: ClosedSet, w,
     Sampled: the max of d_C(x) / max_i d_{C_i}(x) over `samples` draws x
     with some d_{C_i}(x) > 0, a lower bound ("lower"); extra["used"]
     counts those draws, `vacuous` flags none (the value is then 1), and
-    `approximate` flags an oracle intersection, whose sweep overstates d_C.
+    `approximate` is C's flag: an oracle, whose sweep overstates d_C, or a
+    translate, enlargement or union of one.
     """
     delta, samples, w, seed, rng = _ball_args(delta, samples, w, intersection.dim, seed)
     system = _member_tuple(system, "system")
@@ -353,7 +353,7 @@ def estimate_linear_regularity(system, intersection: ClosedSet, w,
     return RegularityEstimate("linear_regularity", float(kappa_hat), w,
                               delta, samples, seed, "lower",
                               {"used": used, "vacuous": used == 0,
-                               "approximate": isinstance(intersection, IntersectionHandle)})
+                               "approximate": intersection.approximate})
 
 
 def _affine_kappa(system, intersection, w):

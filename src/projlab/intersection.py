@@ -5,8 +5,8 @@ either declares it as a catalog set, used as it is, or asks for the
 cyclic-projection fallback, `IntersectionHandle(members)`: iterate
 projections from the query point until the cycle stabilises and use the
 landing point as a surrogate nearest member.  The fallback overestimates the
-true distance and is flagged approximate wherever it is reported.  `exact`
-and `oracle` are kept only for the benchmark's workloads, which call them.
+true distance, so its `approximate` flag is True.  `exact` and `oracle` are
+kept only for the benchmark's workloads, which call them.
 
 The fallback is a single-valued set: its `_canonical_many` sweeps every live
 row of a batch through the members' `_canonical_many` at once, reading no
@@ -39,6 +39,7 @@ class IntersectionHandle(_SingleValued):
     """The cyclic-projection surrogate of the intersection of `members`."""
 
     members: tuple
+    approximate = True  # the sweep overstates the distance
 
     def __post_init__(self):
         object.__setattr__(self, "members", _member_tuple(self.members, "oracle"))

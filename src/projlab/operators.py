@@ -7,7 +7,8 @@ The kernels read points only: they call the catalog's `_canonical_many`, so
 no step computes a distance.  `apply` is the one-row call of
 `_rows` and `apply_many` its call on every row of an (n, d) array; both
 validate their input once.  `CyclicTuple.apply` and `runner.run` validate
-one point and then step a (1, d) row through the members' kernels.
+one point and then step a (1, d) row through the members' kernels; a
+one-row form (the affine set's) keeps a batch row's bits.
 """
 
 from __future__ import annotations
@@ -174,7 +175,8 @@ def semi_intrepid_effective_relaxation(x, p, alpha, tau) -> float:
     Equals 1 when x = p (pure projection step).
     """
     alpha, tau = _semi_intrepid_domain(alpha, tau)
-    gap = float(np.linalg.norm(as_vector(x) - as_vector(p)))
+    x = as_vector(x)
+    gap = float(np.linalg.norm(x - as_vector(p, x.size)))
     if gap == 0.0:
         return 1.0
     return 1.0 + min(alpha, tau / gap)

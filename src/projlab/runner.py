@@ -84,13 +84,16 @@ def run(operators, x0, sets, intersection: ClosedSet,
     cycle end drops to tol, the cycle budget runs out, or the iterate norm
     exceeds 1e12 (stop_reason Diverged, never an exception).
 
-    x0 is validated once; the loop then steps a (1, d) row through the
-    operators' `_rows` kernels (a NaN iterate raises DomainError) and tests
-    the cycle ends after cycles 1, 2, 4, 8, every 8 more and max_cycles, by
-    one `_nearest_many` call on the ends not yet tested.  The first end at or
-    below tol stops the run, dropping at most min(c - 1, 7) computed cycles
-    for a stop at cycle c.  A step that diverges or raises tests the ends
-    before it first; its exception is raised again only if none converged.
+    x0 is validated once, against the cycle's, the intersection's and every
+    set's dimension; the loop then steps a (1, d) row through the operators'
+    `_rows` kernels, whose one-row forms keep a batch row's bits, and reads
+    its norm as math.sqrt(np.dot(x, x)), the BLAS dot of `row_norms` (a NaN
+    iterate raises DomainError).  It tests the cycle ends after cycles 1, 2,
+    4, 8, every 8 more and max_cycles, by one `_nearest_many` call on the
+    ends not yet tested.  The first end at or below tol stops the run,
+    dropping at most min(c - 1, 7) computed cycles for a stop at cycle c.  A
+    step that diverges or raises tests the ends before it first; its
+    exception is raised again only if none converged.
     """
     cycle = operators if isinstance(operators, CyclicTuple) else CyclicTuple(operators)
     members = cycle.members
@@ -100,7 +103,7 @@ def run(operators, x0, sets, intersection: ClosedSet,
     max_cycles = check_whole("max_cycles", check_range("max_cycles", max_cycles, 1.0, np.inf))
     tol = check_range("tol", tol, *TOL_RANGE)
     seed = check_count("seed", seed, 0)
-    for dim in (cycle.dim, intersection.dim):
+    for dim in (cycle.dim, intersection.dim, *(s.dim for s in sets)):
         as_vector(x, dim)
 
     def first_converged(tested, last):
@@ -120,7 +123,7 @@ def run(operators, x0, sets, intersection: ClosedSet,
             for op in members:
                 X = op._rows(X)
                 points.append(X)
-                norm = row_norms(X)[0]
+                norm = math.sqrt(np.dot(X[0], X[0]))
                 if norm > DIVERGENCE_NORM:
                     stop = "Diverged"
                     break

@@ -29,10 +29,12 @@ then use what convexity gives exactly.  The single-valued sets are convex; a
 finite point set is when it holds one distinct point, a translate or an
 enlargement when its inner set is, and the oracle intersection when its
 members are.  Spheres, unions and a custom subclass read False, the safe
-answer, unless the subclass sets it.  `_exact_eps` gives the exact
-eps-regularity where the geometry does: 0 on a convex set, the cap formula
-on a sphere of dimension 2 or more, 0 or 1 on a finite point set, and None
-(sample it) elsewhere.  `_normal_space` gives orthonormal rows spanning the
+answer, unless the subclass sets it.  `approximate` is True where `distance`
+may overstate the true one: on the oracle intersection and on a translate,
+enlargement or union of one.  `_exact_eps` gives the exact eps-regularity
+where the geometry does: 0 on a convex set, the cap formula on a sphere of
+dimension 2 or more, 0 or 1 on a finite point set, and None (sample it)
+elsewhere.  `_normal_space` gives orthonormal rows spanning the
 orthogonal complement of an affine set's linear part (a hyperplane, an
 affine set, a one-point set, a translate of one, and the oracle
 intersection of such members) and None elsewhere.
@@ -141,11 +143,9 @@ def row_norms(D) -> np.ndarray:
 
 
 def _rowwise(M, X):
-    """M @ x for each row x of X by one gemv per row: a stacked matmul, or
-    np.dot on one row, which skips the stack's set-up.  So row i of a batch
-    equals the one-row call bit for bit; one matrix product would not."""
-    if X.shape[0] == 1:
-        return np.dot(M, X[0])[None, :]
+    """M @ x for each row x of X by a stacked matmul, one gemv per row: row
+    i is np.dot(M, X[i]) bit for bit, the form the affine kernel takes on
+    one row.  A single matrix product would not give those bits."""
     return np.matmul(M, X[:, :, None])[:, :, 0]
 
 
@@ -181,6 +181,12 @@ def _one_row_project(self, x):
     M, mask, multi, dist = self._minimizers_many(as_vector(x, self.dim)[None, :])
     minimizers = tuple(M[0, mask[0]])
     return ProjectionResult(minimizers[0], minimizers, bool(multi[0]), float(dist[0]))
+
+
+def _inner_flag(name):
+    """The inner set's flag `name`: a set whose points and distance derive
+    from its inner set's is convex, or approximate, when that set is."""
+    return property(lambda self: getattr(self.inner, name))
 
 
 def _member_tuple(members, owner):
@@ -250,8 +256,8 @@ class ClosedSet:
     """
 
     dim: int
-    # True only where the set is known to be convex; see the module docstring.
-    convex = False
+    # True where known convex, and where `distance` may overstate; see the module docstring
+    convex = approximate = False
 
     def project(self, x) -> ProjectionResult:
         raise NotImplementedError
@@ -381,6 +387,7 @@ class _LinearSet(_SingleValued):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "dim", a.size)
+        object.__setattr__(self, "_aa", float(a @ a))  # ||a||^2; not a field
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,7 +402,7 @@ class Halfspace(_LinearSet):
         excess = np.vecdot(X, self.a) - self.b
         out = excess > 0.0
         P = X.copy()
-        P[out] = X[out] - (excess[out] / float(self.a @ self.a))[:, None] * self.a
+        P[out] = X[out] - (excess[out] / self._aa)[:, None] * self.a
         return P
 
     def normal_generators_many(self, P):
@@ -405,7 +412,7 @@ class Halfspace(_LinearSet):
         return _prefix_rows((self.a / na)[None, :], face[:, None])
 
     def hull_points(self, rng):
-        return _full_space_points(self.a * (self.b / float(np.dot(self.a, self.a))))
+        return _full_space_points(self.a * (self.b / self._aa))
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,7 +425,7 @@ class Hyperplane(_LinearSet):
 
     def _canonical_many(self, X):
         offset = np.vecdot(X, self.a) - self.b
-        return X - (offset / float(self.a @ self.a))[:, None] * self.a
+        return X - (offset / self._aa)[:, None] * self.a
 
     def normal_generators_many(self, P):
         n = as_points(P, self.dim).shape[0]
@@ -429,8 +436,8 @@ class Hyperplane(_LinearSet):
         return (self.a / float(np.linalg.norm(self.a)))[None, :]
 
     def hull_points(self, rng):
-        a, aa = self.a, np.dot(self.a, self.a)
-        anchor = a * (self.b / float(aa))
+        a, aa = self.a, self._aa
+        anchor = a * (self.b / aa)
         pts = [anchor]
         for v in np.eye(anchor.size):
             proj = v - (np.dot(v, a) / aa) * a
@@ -476,6 +483,10 @@ class AffineSubspaceSet(_SingleValued):
     project = _one_row_project
 
     def _canonical_many(self, X):
+        """anchor + B^T B (x - anchor); one row by np.dot, a batch row's bits."""
+        if X.shape[0] == 1:
+            x = X[0] - self.anchor
+            return (self.anchor + np.dot(self.basis.T, np.dot(self.basis, x)))[None, :]
         coords = _rowwise(self.basis, X - self.anchor)
         return self.anchor + _rowwise(self.basis.T, coords)
 
@@ -803,11 +814,7 @@ class Enlargement(ClosedSet):
 
     project = _one_row_project
 
-    @property
-    def convex(self):
-        """The inner set's flag: an enlarged convex set is convex, and False
-        is the safe answer otherwise."""
-        return self.inner.convex
+    convex, approximate = _inner_flag("convex"), _inner_flag("approximate")
 
     def _minimizers_many(self, X):
         """A row x outside moves each inner minimizer q by tau towards x,
@@ -854,6 +861,7 @@ class UnionOfSets(ClosedSet):
         object.__setattr__(self, "members", _member_tuple(self.members, "union"))
         object.__setattr__(self, "dim", self.members[0].dim)
 
+    approximate = property(lambda self: any(m.approximate for m in self.members))
     project = _one_row_project
 
     def _minimizers_many(self, X):
@@ -953,10 +961,7 @@ class Translate(ClosedSet):
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "dim", self.inner.dim)
 
-    @property
-    def convex(self):
-        return self.inner.convex
-
+    convex, approximate = _inner_flag("convex"), _inner_flag("approximate")
     project = _one_row_project
 
     def _minimizers_many(self, X):

@@ -344,19 +344,41 @@ def test_box_takes_an_equal_bound_of_the_other_zero_sign(d):
         assert all(_same_bits(p, ref) for p in s.project_many(X))
 
 
+def _scaled_rows(rng, n, d):
+    """n normal rows of R^d, each scaled by 10^u, u uniform in [-6, 6]."""
+    return rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-6, 6, (n, 1))
+
+
 @pytest.mark.parametrize("d", range(2, 17))
 def test_one_row_rowwise_is_the_stacked_product_bit_for_bit(d):
-    """`_rowwise` takes one row through np.dot; it must give the stacked
-    matmul's bits, with the C-ordered basis and its F-ordered transpose."""
+    """np.dot on one row, which the affine kernel's one-row form takes,
+    gives row i of `_rowwise`'s stacked matmul bit for bit, with the
+    C-ordered basis and its F-ordered transpose."""
     rng = np.random.default_rng(d)
     for k in sorted({1, d // 2, d}):
         basis = _orthonormal_rows(d, d, k)
         for M in (basis, basis.T):
-            X = rng.standard_normal((20, M.shape[1])) * 10.0 ** rng.uniform(-6, 6, (20, 1))
-            stacked = np.matmul(M, X[:, :, None])[:, :, 0]
+            X = _scaled_rows(rng, 20, M.shape[1])
+            stacked = P.sets._rowwise(M, X)
+            assert _same_bits(stacked, np.matmul(M, X[:, :, None])[:, :, 0])
             for i in range(X.shape[0]):
-                assert _same_bits(P.sets._rowwise(M, X[i:i + 1]), stacked[i:i + 1])
-            assert _same_bits(P.sets._rowwise(M, X), stacked)
+                assert _same_bits(np.dot(M, X[i]), stacked[i])
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_affine_one_row_kernel_is_a_stacked_row_bit_for_bit(d):
+    """The affine kernel's one-row call, which `project`, `apply` and
+    `runner.run` take, equals row i of a stacked batch bit for bit, at
+    every subspace dimension from the point to the whole space, with a
+    nonzero anchor and rows across twelve decades."""
+    rng = np.random.default_rng(100 + d)
+    for k in sorted({0, 1, d // 2, d}):
+        s = P.AffineSubspaceSet(_scaled_rows(rng, 1, d)[0], _orthonormal_rows(d, d, k))
+        X = _scaled_rows(rng, 20, d)
+        stacked = s._canonical_many(X)
+        for i in range(X.shape[0]):
+            assert _same_bits(s._canonical_many(X[i:i + 1]), stacked[i:i + 1])
+            assert _same_bits(s.project(X[i]).canonical, stacked[i])
 
 
 def test_reference_covers_the_one_row_projections():
@@ -905,10 +927,17 @@ class TestOracleIsASet:
 
     def test_linear_regularity_flags_the_oracle_approximate(self):
         """Halfspace members keep kappa on the sampled path, where the
-        oracle's sweep gives d_C."""
+        oracle's sweep gives d_C; a translate, an enlargement or a union
+        that reads the oracle's distance is flagged as the oracle is."""
         halves = tuple(P.Halfspace(a, 0.0) for a in np.eye(2))
-        for c, approximate in ((P.IntersectionHandle(halves), True),
-                               (P.Orthant((-1, -1)), False)):
+        oracle, orthant = P.IntersectionHandle(halves), P.Orthant((-1, -1))
+        for c, approximate in ((oracle, True), (orthant, False),
+                               (P.Translate(oracle, np.zeros(2)), True),
+                               (P.Translate(orthant, np.zeros(2)), False),
+                               (P.Enlargement(oracle, 0.0), True),
+                               (P.UnionOfSets((orthant, oracle)), True),
+                               (P.UnionOfSets((orthant, halves[0])), False)):
+            assert c.approximate is approximate
             est = analysis.estimate_linear_regularity(halves, c, np.zeros(2), 0.5, samples=50)
             assert est.bound == "lower" and est.extra["approximate"] is approximate
 

@@ -117,6 +117,13 @@ class TestSemiIntrepidProjector:
         assert lam == pytest.approx(1.05, rel=1e-15)
         assert P.semi_intrepid_effective_relaxation(p, p, 0.5, 0.3) == 1.0
 
+    @pytest.mark.parametrize("p", [np.zeros(3), np.zeros(1)], ids=["longer", "shorter"])
+    def test_effective_relaxation_needs_one_dimension(self, p):
+        """A p of another dimension is a DimensionMismatch: a longer one
+        leaked numpy's ValueError and a one-entry p broadcast to 1.1."""
+        with pytest.raises(P.DimensionMismatch, match=f"expected dimension 2, got {p.size}"):
+            P.semi_intrepid_effective_relaxation(np.array([1.0, 0.0]), p, 0.1, 1.0)
+
     def test_inclusion_for_enlargement(self):
         """For a tau-enlarged set the semi-intrepid step with matching tau
         lands inside the set (the inward segment stays within the set)."""

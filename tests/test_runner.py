@@ -191,6 +191,36 @@ def _stop_at(cycles):
     return ops, x0, lines, exact, {"max_cycles": 20, "tol": errors[cycles]}, "Converged"
 
 
+def _affine_pair(d, seed):
+    """Two affine sets of R^d with nonzero anchors, of dimensions 2 and 2
+    (d = 4) or 5 and 4 (d = 8), whose linear parts meet at principal angles
+    of 35 and 60 degrees, and their intersection: a point or a line."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    c = rng.standard_normal(d)
+
+    def turned(i, j, degrees):  # q[i] turned towards q[j]
+        t = math.radians(degrees)
+        return math.cos(t) * q[i] + math.sin(t) * q[j]
+
+    if d == 4:
+        basis_a, basis_c = q[:2], q[:0]
+        basis_b = np.stack([turned(0, 2, 35), turned(1, 3, 60)])
+    else:
+        basis_a, basis_c = q[:5], q[:1]
+        basis_b = np.stack([q[0], turned(1, 5, 35), turned(2, 6, 60), turned(3, 7, 35)])
+    return (P.AffineSubspaceSet(c + 0.7 * basis_a[1], basis_a),
+            P.AffineSubspaceSet(c - 1.3 * basis_b[1], basis_b), P.AffineSubspaceSet(c, basis_c))
+
+
+def _affine_case(d, ops, seed=0):
+    """An affine pair of R^d stepped by ops(A, B) from a point off both, to
+    their intersection within 1e-12."""
+    a, b, inter = _affine_pair(d, seed)
+    x0 = inter.anchor + np.random.default_rng(seed + 1).standard_normal(d)
+    return ops(a, b), x0, (a, b), inter, {"max_cycles": 500, "tol": 1e-12}, "Converged"
+
+
 def _equivalence_cases():
     """(ops, x0, sets, intersection, run keywords, expected stop) per case."""
     a, b = _line(0.0), _line(math.pi / 6)
@@ -249,6 +279,12 @@ def _equivalence_cases():
         "converged_before_a_raise": (*_walk(1.0, _FailsBeyond(8.0, RuntimeError), 3),
                                      {"max_cycles": 100, "tol": 0.5}, "Converged"),
         **{f"relaxed_stop_at_cycle_{c}": _stop_at(c) for c in STOP_CYCLES},
+        # the affine kernel's one-row form
+        **{f"affine_relaxed_lam{lam}_d{d}": _affine_case(
+            d, lambda a, b, lam=lam: [P.RelaxedProjector(a, lam), P.RelaxedProjector(b, lam)])
+           for d in (4, 8) for lam in (1, 1.5)},
+        **{f"affine_dr_d{d}": _affine_case(d, lambda a, b: [P.GeneralizedDR(a, b, 2.0, 2.0, 0.5)])
+           for d in (4, 8)},
     }
 
 
@@ -272,6 +308,9 @@ class TestRunMatchesPerPointLoop:
         assert {op.lam for op in ops if isinstance(op, P.RelaxedProjector)} >= {1.0, 2.0}
         assert {case[5] for case in cases} == {"Converged", "Budget", "Diverged"}
         assert {isinstance(case[3], P.IntersectionHandle) for case in cases} == {False, True}
+        assert {(len(case[1]), type(op).__name__) for case in cases for op in case[0]
+                if isinstance(case[2][0], P.AffineSubspaceSet)} == {
+            (d, family) for d in (4, 8) for family in ("RelaxedProjector", "GeneralizedDR")}
 
     @pytest.mark.parametrize("cycles", STOP_CYCLES)
     def test_stops_at_the_first_converged_cycle_end(self, cycles):
@@ -346,6 +385,14 @@ class TestRunErrors:
                 make((line, other.target))
         with pytest.raises(DimensionMismatch):
             P.run(ops + [other], np.ones(2), [line], _origin())
+        assert line.rows == 0
+
+    def test_a_set_of_another_dimension(self):
+        """Every set of the distance tables is checked against x0 before
+        any step, not in the tables after the loop."""
+        line, ops = self._counted_line()
+        with pytest.raises(DimensionMismatch, match="expected dimension 3, got 2"):
+            P.run(ops, np.ones(2), [line, P.Ball(np.zeros(3), 1.0)], _origin())
         assert line.rows == 0
 
     def test_intersection_of_another_dimension(self):
