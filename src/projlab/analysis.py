@@ -109,6 +109,8 @@ class RegularityEstimate:
 def uniform_ball(rng, center, radius, n) -> np.ndarray:
     """n points uniform in the closed ball: Gaussian direction, U^(1/d) radius."""
     center = as_vector(center)
+    if center.size == 0:
+        raise DomainError("the ball's center needs dimension at least 1")
     radius = check_range("radius", radius, 0.0, np.inf, hi_open=True)
     n = check_count("n", n, 0)
     d = center.size
@@ -207,8 +209,14 @@ def check_injectable(s: ClosedSet, tau, w, delta, samples=1000, seed=0) -> Prope
     """Sampled test of tau-injectability on B(w, delta).
 
     For x sampled in the ball and p its projection, the inward segment
-    [p, p + tau (p - x)/||p - x||] must stay in the set; each segment is
-    probed at 20 evenly spaced points, all in one batch.
+    [p, p + tau (p - x)/||p - x||] must stay in the set; the probes of
+    every segment go to `distance_many` in one batch.  On a convex set
+    that is not approximate only the two ends are probed: d_C is convex, so
+    its largest value on a segment is at an end, and these two probes are
+    the 20-point grid's first and last rows bit for bit.  Every other set
+    keeps 20 evenly spaced probes: a sphere's inward segment of length 2r
+    has both ends on the sphere, and an approximate set's overstated
+    distance need not be convex along a segment.
     """
     tau = check_range("tau", tau, *TAU_RANGE)
     delta, samples, w, seed, rng = _ball_args(delta, samples, w, s.dim, seed)
@@ -218,7 +226,7 @@ def check_injectable(s: ClosedSet, tau, w, delta, samples=1000, seed=0) -> Prope
     n = row_norms(gaps)
     moved = n > _DIRECTION_FLOOR
     units = gaps[moved] / n[moved, None]
-    depths = np.linspace(0.0, 1.0, 20) * tau
+    depths = np.linspace(0.0, 1.0, 2 if s.convex and not s.approximate else 20) * tau
     probes = ps[moved, None, :] + depths[:, None] * units[:, None, :]
     dists = s.distance_many(probes.reshape(-1, s.dim)).reshape(probes.shape[:2])
     margins = np.zeros(samples)

@@ -24,6 +24,7 @@ from .sets import (
     ClosedSet,
     _member_tuple,
     _one_row_project,
+    _set_dim,
     _SingleValued,
     as_vector,
     row_norms,
@@ -43,7 +44,7 @@ class IntersectionHandle(_SingleValued):
 
     def __post_init__(self):
         object.__setattr__(self, "members", _member_tuple(self.members, "oracle"))
-        object.__setattr__(self, "dim", self.members[0].dim)
+        _set_dim(self, self.members[0].dim)
 
     @property
     def convex(self):

@@ -103,8 +103,11 @@ def run(operators, x0, sets, intersection: ClosedSet,
     max_cycles = check_whole("max_cycles", check_range("max_cycles", max_cycles, 1.0, np.inf))
     tol = check_range("tol", tol, *TOL_RANGE)
     seed = check_count("seed", seed, 0)
-    for dim in (cycle.dim, intersection.dim, *(s.dim for s in sets)):
-        as_vector(x, dim)
+    as_vector(x, cycle.dim)
+    for s in (intersection, *sets):
+        if not isinstance(s, ClosedSet):
+            raise DomainError(f"run's sets must be ClosedSets, got {type(s).__name__}")
+        as_vector(x, s.dim)
 
     def first_converged(tested, last):
         """The first cycle end in tested+1..last at or below tol, or None."""

@@ -31,13 +31,17 @@ enlargement when its inner set is, and the oracle intersection when its
 members are.  Spheres, unions and a custom subclass read False, the safe
 answer, unless the subclass sets it.  `approximate` is True where `distance`
 may overstate the true one: on the oracle intersection and on a translate,
-enlargement or union of one.  `_exact_eps` gives the exact eps-regularity
-where the geometry does: 0 on a convex set, the cap formula on a sphere of
-dimension 2 or more, 0 or 1 on a finite point set, and None (sample it)
-elsewhere.  `_normal_space` gives orthonormal rows spanning the
-orthogonal complement of an affine set's linear part (a hyperplane, an
-affine set, a one-point set, a translate of one, and the oracle
-intersection of such members) and None elsewhere.
+enlargement or union of one.  Callers use the flags so: eps is exact (0)
+on a convex set; `check_injectable` probes only the two ends of each
+segment on a convex set that is not approximate, whose distance is a
+convex function; and kappa reports `approximate` on its sampled path.
+`_exact_eps` gives the exact eps-regularity where the geometry does: 0 on
+a convex set, the cap formula on a sphere of dimension 2 or more, 0 or 1
+on a finite point set, and None (sample it) elsewhere.  `_normal_space`
+gives orthonormal rows spanning the orthogonal complement of an affine
+set's linear part (a hyperplane, an affine set, a one-point set, a
+translate of one, and the oracle intersection of such members) and None
+elsewhere.  Every set has dim >= 1, by one rule, `_set_dim`.
 
 The cone's NNLS solver comes from `scipy.optimize`, which `_nnls` imports on
 first use, so `import projlab` does not load scipy.
@@ -207,13 +211,21 @@ def _seeded(seed):
     return seed, np.random.default_rng(seed)
 
 
+def _set_dim(self, dim):
+    """Store `dim` on a set being built, or DomainError for dimension 0: the
+    one rule that a set lives in R^d with d >= 1."""
+    if dim == 0:
+        raise DomainError(f"{type(self).__name__} needs dimension at least 1")
+    object.__setattr__(self, "dim", dim)
+
+
 def _centered(self, kind, lo_open):
     """Store the checked center, radius and dim of a ball or sphere (`kind`)."""
     c = as_vector(self.center)
     r = check_range(f"{kind} radius", self.radius, 0.0, np.inf, lo_open=lo_open, hi_open=True)
     object.__setattr__(self, "center", c)
     object.__setattr__(self, "radius", r)
-    object.__setattr__(self, "dim", c.size)
+    _set_dim(self, c.size)
 
 
 def _radial(self, X, dist):
@@ -386,7 +398,7 @@ class _LinearSet(_SingleValued):
                         hi_open=True)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "dim", a.size)
+        _set_dim(self, a.size)
         object.__setattr__(self, "_aa", float(a @ a))  # ||a||^2; not a field
 
 
@@ -474,7 +486,7 @@ class AffineSubspaceSet(_SingleValued):
             raise DomainError("basis rows must be orthonormal")
         object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "dim", anchor.size)
+        _set_dim(self, anchor.size)
 
     @property
     def subspace_dim(self) -> int:
@@ -612,7 +624,7 @@ class Box(_SingleValued):
             raise DomainError("box lower bound exceeds upper bound")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        object.__setattr__(self, "dim", lo.size)
+        _set_dim(self, lo.size)
 
     project = _one_row_project
 
@@ -657,12 +669,10 @@ class Orthant(_SingleValued):
 
     def __post_init__(self):
         signs = tuple(check_whole("orthant sign", s) for s in self.signs)
-        if not signs:
-            raise DomainError("orthant needs at least one coordinate")
         if any(s not in (-1, 0, 1) for s in signs):
             raise DomainError("orthant signs must be -1, 0 or +1")
         object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "dim", len(signs))
+        _set_dim(self, len(signs))
 
     project = _one_row_project
 
@@ -755,7 +765,7 @@ class PolyhedralCone(_SingleValued):
         if np.any(norms == 0.0):
             raise DomainError("zero generator ray")
         object.__setattr__(self, "generators", g)
-        object.__setattr__(self, "dim", g.shape[1])
+        _set_dim(self, g.shape[1])
 
     project = _one_row_project
 
@@ -810,7 +820,7 @@ class Enlargement(ClosedSet):
     def __post_init__(self):
         tau = check_range("enlargement radius", self.tau, 0.0, np.inf, hi_open=True)
         object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "dim", self.inner.dim)
+        _set_dim(self, self.inner.dim)
 
     project = _one_row_project
 
@@ -859,7 +869,7 @@ class UnionOfSets(ClosedSet):
 
     def __post_init__(self):
         object.__setattr__(self, "members", _member_tuple(self.members, "union"))
-        object.__setattr__(self, "dim", self.members[0].dim)
+        _set_dim(self, self.members[0].dim)
 
     approximate = property(lambda self: any(m.approximate for m in self.members))
     project = _one_row_project
@@ -899,7 +909,7 @@ class FinitePointSet(ClosedSet):
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise DimensionMismatch("points must be a nonempty (n, d) array")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "dim", pts.shape[1])
+        _set_dim(self, pts.shape[1])
         # the point indices in lexicographic order; not a field, so not in to_config
         object.__setattr__(self, "_lex", np.lexsort(pts.T[::-1]))
 
@@ -959,7 +969,7 @@ class Translate(ClosedSet):
     def __post_init__(self):
         shift = as_vector(self.shift, self.inner.dim)
         object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "dim", self.inner.dim)
+        _set_dim(self, self.inner.dim)
 
     convex, approximate = _inner_flag("convex"), _inner_flag("approximate")
     project = _one_row_project

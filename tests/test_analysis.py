@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import projlab as P
 from projlab import DomainError
 from projlab import analysis
+from projlab.sets import row_norms
 
 from conftest import given_draws, two_lines
 
@@ -126,6 +127,69 @@ class TestQuasiCoercive:
 # ---------------------------------------------------------------------------
 
 
+def _grid_injectable(s, tau, w, delta, samples, seed):
+    """The injectability check with 20 evenly spaced probes per segment on
+    every set: the reference the two-end rule must match."""
+    xs = analysis.uniform_ball(np.random.default_rng(seed), w, delta, samples)
+    ps = s.project_many(xs)
+    gaps = ps - xs
+    n = row_norms(gaps)
+    moved = n > 1e-12
+    units = gaps[moved] / n[moved, None]
+    depths = np.linspace(0.0, 1.0, 20) * tau
+    probes = ps[moved, None, :] + depths[:, None] * units[:, None, :]
+    dists = s.distance_many(probes.reshape(-1, s.dim)).reshape(probes.shape[:2])
+    margins = np.zeros(samples)
+    margins[moved] = -dists.max(axis=1)
+    return analysis.margin_report("injectable", margins, lambda i: (xs[i].copy(), ps[i].copy()),
+                                  seed, analysis.CHECK_TOL, {"tau": tau})
+
+
+def _assert_same_report(rep, ref):
+    assert (rep.name, rep.samples, rep.violations, rep.seed, rep.extra) == \
+        (ref.name, ref.samples, ref.violations, ref.seed, ref.extra)
+    assert np.float64(rep.worst_margin).tobytes() == np.float64(ref.worst_margin).tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(rep.witness, ref.witness))
+
+
+def _injectable_args(rng, d, samples=120):
+    """(tau, w, delta, samples, seed): tau 0 now and then, w near the origin."""
+    tau = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.01, 3.0))
+    return tau, rng.normal(size=d), float(rng.uniform(0.2, 3.0)), samples, int(rng.integers(1000))
+
+
+def _wrapped(s, wrap, rng):
+    if wrap == "translate":
+        return P.Translate(s, rng.normal(size=s.dim))
+    if wrap == "enlargement":
+        return P.Enlargement(s, float(rng.uniform(0.0, 1.0)))
+    return s
+
+
+def _orthonormal_rows(rng, k, d):
+    return np.linalg.qr(rng.normal(size=(d, d)))[0][:, :k].T.copy()
+
+
+def _box(rng, d):
+    lower = rng.normal(size=d)
+    widths = rng.uniform(0.0, 2.0, size=d) * (rng.random(d) < 0.8)  # some flat sides
+    return P.Box(lower, lower + widths)
+
+
+# A random convex, non-approximate set of R^d for each catalog type.
+_CONVEX_KINDS = {
+    "ball": lambda rng, d: P.Ball(rng.normal(size=d), float(rng.uniform(0.0, 2.0))),
+    "box": _box,
+    "halfspace": lambda rng, d: P.Halfspace(rng.normal(size=d), float(rng.normal())),
+    "hyperplane": lambda rng, d: P.Hyperplane(rng.normal(size=d), float(rng.normal())),
+    "affine": lambda rng, d: P.AffineSubspaceSet(
+        rng.normal(size=d), _orthonormal_rows(rng, int(rng.integers(0, d + 1)), d)),
+    "orthant": lambda rng, d: P.Orthant(tuple(int(v) for v in rng.integers(-1, 2, size=d))),
+    "one_point": lambda rng, d: P.FinitePointSet(np.repeat(rng.normal(size=(1, d)),
+                                                           int(rng.integers(1, 3)), axis=0)),
+}
+
+
 class TestInjectable:
     def test_enlargement_is_two_tau_injectable(self):
         segment = P.Box(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
@@ -155,6 +219,78 @@ class TestInjectable:
     def test_tau_domain(self):
         with pytest.raises(DomainError):
             P.check_injectable(P.Ball(np.zeros(2), 1.0), -1.0, np.zeros(2), 1.0)
+
+    @pytest.mark.parametrize("wrap", ["bare", "translate", "enlargement"])
+    @pytest.mark.parametrize("kind", sorted(_CONVEX_KINDS))
+    def test_two_end_probes_match_the_grid_bit_for_bit(self, kind, wrap):
+        """On a convex set that is not approximate, the two end probes give
+        the 20-probe grid's report bit for bit: d_C is convex along each
+        segment, and the ends are the grid's first and last rows."""
+        rng = np.random.default_rng([ord(c) for c in kind + wrap])
+        for d in (1, 2, 3, 8, 16):
+            for _ in range(3):
+                s = _wrapped(_CONVEX_KINDS[kind](rng, d), wrap, rng)
+                assert s.convex and not s.approximate
+                args = _injectable_args(rng, d)
+                _assert_same_report(P.check_injectable(s, *args), _grid_injectable(s, *args))
+
+    def test_cones_match_the_grid_to_rounding(self):
+        """A cone's distance comes from one NNLS solve per row, whose
+        rounding can lift an interior probe of a segment inside the cone a
+        few ulps above its ends.  The verdict holds, the worst margin moves
+        by at most 1e-12, and where a segment leaves the cone the witness is
+        the same; inside, the worst margin is rounding and picks any sample."""
+        rng = np.random.default_rng(30)
+        failed = 0
+        for d in (1, 2, 3, 4):
+            for wrap in ("bare", "translate", "enlargement"):
+                for _ in range(4):
+                    gens = rng.normal(size=(int(rng.integers(1, 2 * d + 1)), d))
+                    s = _wrapped(P.PolyhedralCone(gens), wrap, rng)
+                    args = _injectable_args(rng, d, samples=60)
+                    rep, ref = P.check_injectable(s, *args), _grid_injectable(s, *args)
+                    assert (rep.samples, rep.violations) == (ref.samples, ref.violations)
+                    assert abs(rep.worst_margin - ref.worst_margin) <= 1e-12
+                    if ref.violations:
+                        failed += 1
+                        assert all(np.array_equal(a, b)
+                                   for a, b in zip(rep.witness, ref.witness))
+        assert failed >= 10
+
+    def test_sphere_still_fails_through_its_interior_probes(self, monkeypatch):
+        """An inward segment of length 2r from outside the unit circle runs
+        through the center to the antipode: both ends lie on the sphere, so
+        only the grid's interior probes see it leave.  The sphere is not
+        convex and keeps the grid; read as convex, it would pass."""
+        s, w = P.Sphere(np.zeros(2), 1.0), np.array([2.0, 0.0])
+        rep = P.check_injectable(s, 2.0, w, 0.5, samples=200, seed=0)
+        assert rep.violations == 200
+        assert rep.worst_margin < -0.9
+        monkeypatch.setattr(P.Sphere, "convex", True)
+        assert P.check_injectable(s, 2.0, w, 0.5, samples=200, seed=0).violations == 0
+
+    @pytest.mark.parametrize("s, probes", [
+        (P.IntersectionHandle((P.Ball(np.zeros(2), 1.0),
+                               P.Halfspace(np.array([1.0, 0.0]), 0.5))), 20),
+        (P.Translate(P.IntersectionHandle((P.Ball(np.zeros(2), 1.0),)), np.zeros(2)), 20),
+        (P.Ball(np.zeros(2), 1.0), 2),
+        (P.Enlargement(P.Box(np.zeros(2), np.ones(2)), 0.1), 2),
+    ], ids=["oracle", "translated_oracle", "ball", "enlarged_box"])
+    def test_rows_sent_to_the_oracle(self, monkeypatch, s, probes):
+        """An approximate set keeps 20 probes per moved sample, whose
+        overstated distance need not be convex along a segment; a convex set
+        that is not approximate sends 2.  Every sample here moves."""
+        sent = []
+        distance_many = type(s).distance_many
+
+        def counted(self, X):
+            sent.append(len(X))
+            return distance_many(self, X)
+
+        monkeypatch.setattr(type(s), "distance_many", counted)
+        P.check_injectable(s, 0.5, np.array([3.0, 3.0]), 1.0, samples=50, seed=0)
+        assert sent == [probes * 50]
+
 
 
 _CIRCLE = P.Sphere(np.zeros(2), 1.0)

@@ -395,6 +395,16 @@ class TestRunErrors:
             P.run(ops, np.ones(2), [line, P.Ball(np.zeros(3), 1.0)], _origin())
         assert line.rows == 0
 
+    @pytest.mark.parametrize("where", ["set", "intersection"])
+    def test_a_non_set_is_named(self, where):
+        """A set or an intersection that is not a ClosedSet is a DomainError
+        naming its type, raised before any step."""
+        line, ops = self._counted_line()
+        sets, inter = ([line, object()], _origin()) if where == "set" else ([line], object())
+        with pytest.raises(DomainError, match=r"^run.s sets must be ClosedSets, got object$"):
+            P.run(ops, np.ones(2), sets, inter)
+        assert line.rows == 0
+
     def test_intersection_of_another_dimension(self):
         line, ops = self._counted_line()
         with pytest.raises(DimensionMismatch, match="expected dimension 3, got 2"):

@@ -493,6 +493,24 @@ class TestMembershipAndConfig:
         with pytest.raises(P.DomainError, match=r"orthant sign must be a whole number"):
             P.Orthant(signs)
 
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: P.Ball(np.zeros(0), 1.0), id="ball"),
+        pytest.param(lambda: P.Sphere(np.zeros(0), 1.0), id="sphere"),
+        pytest.param(lambda: P.Box([], []), id="box"),
+        pytest.param(lambda: P.AffineSubspaceSet(np.zeros(0), np.zeros((0, 0))), id="affine"),
+        pytest.param(lambda: P.FinitePointSet(np.zeros((1, 0))), id="finite_points"),
+        pytest.param(lambda: P.Orthant(()), id="orthant"),
+    ])
+    def test_zero_dimensional_sets_are_rejected(self, build):
+        """Each constructor stores its dimension through one rule that
+        rejects 0."""
+        with pytest.raises(P.DomainError, match=r"needs dimension at least 1$"):
+            build()
+
+    def test_uniform_ball_needs_a_center(self):
+        with pytest.raises(P.DomainError, match=r"needs dimension at least 1$"):
+            P.uniform_ball(np.random.default_rng(0), [], 1.0, 3)
+
     def test_whole_float_signs_parse(self):
         assert P.Orthant((1.0, -1.0, 0.0)).signs == (1, -1, 0)
 
