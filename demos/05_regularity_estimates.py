@@ -3,10 +3,11 @@
 Every rate certificate takes regularity constants as input: a projector
 quality epsilon, a linear-regularity constant kappa, an angle proxy
 theta-bar, or a strong-regularity margin zeta.  Where the geometry gives the
-value (epsilon on a convex set or a sphere, kappa on affine sets) the
-estimate is computed and marked exact; elsewhere the estimator draws points
-from a ball around an anchor and reports the worst observed value, a bound
-that is reproducible from its seed.
+value (epsilon on a convex set or a sphere, kappa on affine sets, theta-bar
+and zeta where each normal cone is a ray or a line, as on halfspaces,
+hyperplanes and lines) the estimate is computed and marked exact; elsewhere
+the estimator draws points from a ball around an anchor and reports the
+worst observed value, a bound that is reproducible from its seed.
 """
 
 import math
@@ -50,7 +51,8 @@ def main():
               f"1/sin(theta/2) = {truth:.4f}")
 
     print()
-    # theta-bar: the angle proxy for the same pair is exactly cos(theta).
+    # theta-bar: the angle proxy for the same pair is exactly cos(theta),
+    # read from the two normal lines with nothing sampled.
     for deg in (30, 60, 90):
         a, b, _ = line_pair(math.radians(deg))
         est = P.estimate_theta_bar(a, b, np.zeros(2), samples=600, seed=0)
@@ -59,7 +61,9 @@ def main():
 
     print()
     # zeta-hat: strong regularity.  Three halfspaces whose normals are
-    # linearly dependent fail as a triple but every pair passes.
+    # linearly dependent fail as a triple but every pair passes.  Each
+    # normal cone at the origin is one ray, so zeta is exact and nothing is
+    # drawn.
     h = [
         P.Halfspace(np.array([1.0, 1.0]) / math.sqrt(2.0), 0.0),
         P.Halfspace(np.array([1.0, -1.0]) / math.sqrt(2.0), 0.0),

@@ -6,10 +6,13 @@ certifies the true modulus, so every result carries its bound direction
 extra["zeta_lower"] bounds it below over the sampled normals) and the seed
 that reproduces it bit for bit.  Where the geometry gives the value, nothing
 is sampled and the direction is "exact": eps on a convex set (0), a sphere
-or a finite point set, and kappa on one affine set or two that are not
-strictly nested; kappa on other affine systems is a computed "upper"
-bound.  Every routine draws its own points from its seed, a nonnegative
-integer checked with its other arguments, on the exact path too.
+or a finite point set; kappa on one affine set or two that are not
+strictly nested; zeta where each set's normal cone at w (`_normal_cone`)
+is {0}, a ray or a line with no other face within delta/2; and theta-bar
+where each cone is a subspace or one ray.  kappa on other affine systems
+is a computed "upper" bound.  Every routine draws its own points from its
+seed, a nonnegative integer checked with its other arguments, on the exact
+path too.
 Checks return a PropertyReport whose margin convention is uniform: margin
 >= 0 means the sampled inequality holds, and violations == 0 iff the worst
 margin >= -check_tol.
@@ -26,6 +29,7 @@ from .errors import DomainError, SamplingFailure, UnsupportedSet, check_count, c
 from .sets import (
     RANK_TOL,
     ClosedSet,
+    _affine_lines,
     _member_tuple,
     _nnls,
     _seeded,
@@ -43,6 +47,7 @@ _DUPLICATE_COS = 1.0 - 1e-9  # normal directions closer than this are one
 # Bound on the temporaries of one chunk of eps-regularity sites.
 _EPS_CHUNK_BYTES = 1 << 20
 _SIMPLEX_WEIGHT = 1e3  # weight of the sum-to-one row in _simplex_min_norm
+_VERTEX_CAP = 4096  # most one-generator-per-pool assignments searched for zeta
 # Exact kappa needs Q's eigenvalues on L_C^perp at least RANK_TOL times this
 # and its mass off L_C^perp at most RANK_TOL over it: nearer the cut-off, a
 # spanned direction and a missing one are not told apart, and kappa is sampled.
@@ -322,10 +327,11 @@ def estimate_linear_regularity(system, intersection: ClosedSet, w,
     sampled lower bound.
 
     After the argument checks (delta, samples, w, seed, then the system)
-    each set's `_normal_space` hook is asked once: rows N_i spanning
-    L_i^perp, L_i the linear part of an affine set.  When every set of the
-    system and the intersection C give one, w lies in each of them, and
-    C's L_C^perp is the span of the stacked N_i (C is the sets' own
+    each set's `_normal_cone` hook is asked once at w.  An affine set's
+    cone is the subspace L_i^perp, L_i its linear part, given as rows N_i
+    with no ray and reach inf.  When every set of the system and the
+    intersection C give one, w lies in each of them, and C's
+    L_C^perp is the span of the stacked N_i (C is the sets' own
     intersection), kappa = 1/sqrt(lambda_min), lambda_min the least
     eigenvalue of Q = (1/m) sum_i N_i^T N_i on L_C^perp.  Since
     max_i d_i^2 >= mean_i d_i^2 >= lambda_min d_C^2 and the ratio is the
@@ -367,10 +373,12 @@ def estimate_linear_regularity(system, intersection: ClosedSet, w,
 def _affine_kappa(system, intersection, w):
     """(kappa, bound, lambda_min) of an affine system by the eigenvalues of
     Q on L_C^perp, or None when estimate_linear_regularity must sample."""
-    spaces = [s._normal_space() for s in system]
-    normal_c = intersection._normal_space()
-    if (normal_c is None or any(n is None for n in spaces)
-            or not _on_every(w, system + (intersection,))):
+    normal_c = _affine_lines(intersection._normal_cone(w))
+    # membership first: it checks each set's dimension before its hook reads w
+    if normal_c is None or not _on_every(w, system + (intersection,)):
+        return None
+    spaces = [_affine_lines(s._normal_cone(w)) for s in system]
+    if any(n is None for n in spaces):
         return None
     stacked = np.vstack(spaces)
     q = stacked.T @ stacked / len(system)
@@ -426,17 +434,46 @@ def _normal_pool(s, w, delta, rng, budget):
     return found[live]
 
 
+def _exact_theta(cone_a, cone_b):
+    """(theta, trivial) of estimate_theta_bar's exact path from two
+    `_normal_cone` answers, or None unless each is a subspace or one ray."""
+    if any(c is None or len(c[1]) > 1 or len(c[1]) and len(c[0]) for c in (cone_a, cone_b)):
+        return None
+    na, nb = (np.vstack(c[:2]) for c in (cone_a, cone_b))
+    if not len(na) or not len(nb):
+        return 0.0, True
+    if len(cone_a[1]) and len(cone_b[1]):
+        return float(na[0] @ -nb[0]), False
+    return float(np.linalg.norm(na @ nb.T, 2)), False
+
+
 def estimate_theta_bar(set_a, set_b, w, samples=256, seed=0) -> RegularityEstimate:
-    """Sampled lower bound of sup <u, v> over unit u in N_A(w), v in -N_B(w).
+    """sup <u, v> over unit u in N_A(w), v in -N_B(w): exact where each
+    set's `_normal_cone` at w is a subspace or one ray, else a sampled
+    lower bound.
 
     Uses only the normal cones at w itself, not a neighbourhood of it, so
     the estimate records delta 0.  Returns 0 with a trivial flag when either
-    normal cone is {0}.
+    normal cone is {0}.  On the exact path (bound "exact", nothing drawn)
+    two rays r_A, r_B give <r_A, -r_B>, and any other pair the largest
+    singular value of N_A N_B^T, the rows N a subspace's lines or a ray (a
+    subspace holds -v with v).  Elsewhere (bound "lower") it is the largest
+    product over each cone's closed-form generators at w and `samples`
+    conic mixtures of them.
     """
     samples = check_count("samples", samples, 1)
     w = as_vector(w)
     _anchored(w, (set_a, set_b))
     seed, rng = _seeded(seed)
+    exact = _exact_theta(set_a._normal_cone(w), set_b._normal_cone(w))
+    theta, trivial = _sampled_theta(set_a, set_b, w, rng, samples) if exact is None else exact
+    return RegularityEstimate("theta_bar", min(max(theta, -1.0), 1.0), w, 0.0, samples, seed,
+                              "lower" if exact is None else "exact", {"trivial": trivial})
+
+
+def _sampled_theta(set_a, set_b, w, rng, samples):
+    """(theta, trivial) over each set's closed-form normal generators at w
+    and, where it has two or more, `samples` conic mixtures of them."""
 
     def cone_dirs(s):
         dirs = s.normal_generators(w)
@@ -447,9 +484,7 @@ def estimate_theta_bar(set_a, set_b, w, samples=256, seed=0) -> RegularityEstima
     dirs_a = cone_dirs(set_a)
     dirs_b = cone_dirs(set_b)
     trivial = not dirs_a or not dirs_b
-    theta = 0.0 if trivial else float(np.max(np.array(dirs_a) @ -np.array(dirs_b).T))
-    return RegularityEstimate("theta_bar", min(max(theta, -1.0), 1.0), w, 0.0,
-                              samples, seed, "lower", {"trivial": trivial})
+    return 0.0 if trivial else float(np.max(np.array(dirs_a) @ -np.array(dirs_b).T)), trivial
 
 
 def _simplex_min_norm(G):
@@ -472,22 +507,47 @@ def _simplex_min_norm(G):
     return t, max(0.0, float(np.min(G.T @ y)) / norm) if norm > 0.0 else 0.0
 
 
+def _exact_pools(system, w, delta):
+    """check_strong_regularity's exact pools, each cone's generators at w
+    (a line n as n and -n), or None where it must sample; at most
+    _VERTEX_CAP sign choices of the lines are searched."""
+    pools = []
+    for s in system:
+        cone = s._normal_cone(w)
+        if cone is None or cone[2] <= delta / 2.0 or len(cone[0]) + len(cone[1]) > 1:
+            return None
+        lines, rays, _ = cone
+        pools.append(np.vstack([lines, -lines, rays]))
+    return pools if 2 ** sum(len(p) == 2 for p in pools) <= _VERTEX_CAP else None
+
+
 def check_strong_regularity(system, w, delta, samples=2000, seed=0) -> RegularityEstimate:
     """A bracket [zeta_lower, value] of the strong-regularity constant zeta:
     min ||sum u_i|| over tuples of u_i in the cones spanned by the unit
     proximal normals pooled near w, with sum ||u_i|| = 1.
 
-    `samples` sets only the pool budget.  The upper bound `value` is the
-    least of two searches, each min ||G t|| over the simplex by
-    _simplex_min_norm: one generator per pool (at most 4096 assignments),
-    and the witness tuple u_i = G_i t_i of all pooled directions at once,
-    whose ratio ||sum u_i|| / sum ||u_i|| counts.  The lower bound
-    `zeta_lower` is the certified one of that all-directions solve: a tuple
-    u_i = G_i s_i has ||u_i|| <= sum s_i, so its ratio is at least the
-    min-norm over the simplex.  extra["strong"] is True when zeta_lower >
-    STRONG_TOL, False when value <= STRONG_TOL, and None (undetermined)
-    otherwise, e.g. when a pool holds opposite directions (a hyperplane or
-    an affine set) that cancel inside it.  The bracket is about the pooled
+    When each set's `_normal_cone` at w is {0}, a ray or a line, and no face
+    that misses w lies within delta/2 of it, the pools are those generators
+    and nothing is drawn: projection is nonexpansive, so every pooled point
+    lies in B(w, delta/2), where such a set's normals are the ones at w.
+    zeta is then the least simplex min-norm over the one-generator-per-pool
+    assignments (a line's sign is its member's choice), so `value` is the
+    least _simplex_min_norm over them, `zeta_lower` the least certified
+    lower bound, and `bound` reads "exact".
+
+    Elsewhere (bound "upper") `samples` sets only the pool budget, and the
+    upper bound `value` is the least of two searches, each min ||G t|| over
+    the simplex by _simplex_min_norm: one generator per pool (at most
+    _VERTEX_CAP assignments), and the witness tuple u_i = G_i t_i of all
+    pooled directions at once, whose ratio ||sum u_i|| / sum ||u_i||
+    counts.  The lower bound `zeta_lower` is the certified one of that
+    all-directions solve: a tuple u_i = G_i s_i has ||u_i|| <= sum s_i, so
+    its ratio is at least the min-norm over the simplex.
+
+    extra["strong"] is True when zeta_lower > STRONG_TOL, False when value
+    <= STRONG_TOL, and None (undetermined) otherwise, e.g. when a sampled
+    pool holds opposite directions (an affine set of codimension 2 or
+    more) that cancel inside it.  A sampled bracket is about the pooled
     directions; pools sampled too thinly miss normals.  An empty system, or
     a w more than 1e-8 from one of its sets, raises DomainError.
     """
@@ -495,31 +555,36 @@ def check_strong_regularity(system, w, delta, samples=2000, seed=0) -> Regularit
     delta, samples, w, seed, rng = _ball_args(delta, samples, w, None, seed)
     system = _member_tuple(system, "system")
     _anchored(w, system)
-    budget = max(16, samples // (4 * len(system)))
-    pools = [_normal_pool(s, w, delta, rng, budget) for s in system]
+    pools = _exact_pools(system, w, delta)
+    exact = pools is not None
+    if not exact:
+        budget = max(16, samples // (4 * len(system)))
+        pools = [_normal_pool(s, w, delta, rng, budget) for s in system]
     active = [p for p in pools if len(p)]
+    bound = "exact" if exact else "upper"
     if not active:
-        return RegularityEstimate("strong_regularity", 1.0, w, delta,
-                                  samples, seed, "upper",
+        return RegularityEstimate("strong_regularity", 1.0, w, delta, samples, seed, bound,
                                   {"strong": True, "trivial": True, "zeta_lower": 1.0})
-    value = np.inf
-    for combo in itertools.islice(itertools.product(*active), 4096):
+    value = lower = np.inf
+    for combo in itertools.islice(itertools.product(*active), _VERTEX_CAP):
         G = np.column_stack(combo)
-        t, _ = _simplex_min_norm(G)
+        t, low = _simplex_min_norm(G)
         value = min(value, float(np.linalg.norm(G @ t)))
-    t, lower = _simplex_min_norm(np.vstack(active).T)
-    ends = np.cumsum([len(p) for p in active])[:-1]
-    parts = [c @ p for c, p in zip(np.split(t, ends), active)]
-    total = sum(float(np.linalg.norm(u)) for u in parts)
-    if total > _DIRECTION_FLOOR:
-        value = min(value, float(np.linalg.norm(sum(parts))) / total)
+        lower = min(lower, low)
+    if not exact:
+        t, lower = _simplex_min_norm(np.vstack(active).T)
+        ends = np.cumsum([len(p) for p in active])[:-1]
+        parts = [c @ p for c, p in zip(np.split(t, ends), active)]
+        total = sum(float(np.linalg.norm(u)) for u in parts)
+        if total > _DIRECTION_FLOOR:
+            value = min(value, float(np.linalg.norm(sum(parts))) / total)
     strong = None  # undetermined: the bracket straddles STRONG_TOL
     if lower > STRONG_TOL:
         strong = True
     elif value <= STRONG_TOL:
         strong = False
     return RegularityEstimate("strong_regularity", value, w, delta,
-                              samples, seed, "upper",
+                              samples, seed, bound,
                               {"strong": strong,
                                "strong_tol": STRONG_TOL,
                                "pools": [len(p) for p in pools],

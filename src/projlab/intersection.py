@@ -22,10 +22,12 @@ import numpy as np
 from .sets import (
     RANK_TOL,
     ClosedSet,
+    _affine_lines,
     _member_tuple,
     _one_row_project,
     _set_dim,
     _SingleValued,
+    _subspace_cone,
     as_vector,
     row_norms,
     svd_rank,
@@ -75,15 +77,15 @@ class IntersectionHandle(_SingleValued):
             live = live[row_norms(Z - prev) > _FALLBACK_TOL]
         return Y
 
-    def _normal_space(self):
-        """The row space of the members' stacked normal spaces, with no
-        sweep: the affine members meet in a set whose L^perp is the sum of
-        theirs.  None when a member is not known to be affine."""
-        spaces = [m._normal_space() for m in self.members]
+    def _normal_cone(self, w):
+        """The row space of the members' stacked lines, with no sweep: the
+        affine members meet in a set whose L^perp is the sum of theirs.
+        None unless every member's cone at w is a subspace of reach inf."""
+        spaces = [_affine_lines(m._normal_cone(w)) for m in self.members]
         if any(n is None for n in spaces):
             return None
         vt, rank = svd_rank(np.vstack(spaces), RANK_TOL)
-        return vt[:rank]
+        return _subspace_cone(vt[:rank])
 
 
 def exact(descriptor: ClosedSet, members=()) -> ClosedSet:

@@ -676,12 +676,15 @@ ANALYSES = {
         "else a sampled lower bound",
         _SAMPLED),
     "estimate_theta_bar": Analysis(
-        _estimate_theta_bar, "theta", "sampled normal-cone angle bound of two sets (lower bound)",
+        _estimate_theta_bar, "theta",
+        "normal-cone angle of two sets: exact where each cone is a subspace or one ray, "
+        "else a sampled lower bound",
         ("sets", "samples", "seed"),
         checks=(_set_list("a list of two set indices", lambda v: len(v) == 2),)),
     "strong_regularity": Analysis(
         _strong_regularity, "zeta_{}",
-        "bracket of the strong-regularity constant zeta over sampled normals",
+        "bracket of the strong-regularity constant zeta: exact where each normal cone is "
+        "{0}, a ray or a line, else over sampled normals",
         ("sets", "expect", "expect_min") + _SAMPLED,
         checks=(_expect_in("pass", "fail"),
                 _set_list("a list of at least two distinct set indices",

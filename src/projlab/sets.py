@@ -37,11 +37,16 @@ segment on a convex set that is not approximate, whose distance is a
 convex function; and kappa reports `approximate` on its sampled path.
 `_exact_eps` gives the exact eps-regularity where the geometry does: 0 on
 a convex set, the cap formula on a sphere of dimension 2 or more, 0 or 1
-on a finite point set, and None (sample it) elsewhere.  `_normal_space`
-gives orthonormal rows spanning the orthogonal complement of an affine
-set's linear part (a hyperplane, an affine set, a one-point set, a
-translate of one, and the oracle intersection of such members) and None
-elsewhere.  Every set has dim >= 1, by one rule, `_set_dim`.
+on a finite point set, and None (sample it) elsewhere.  `_normal_cone(w)`
+gives the exact normal cone at a member w as (lines, rays, reach):
+orthonormal rows spanning its lineality space, unit ray rows, and the
+distance from w to the nearest face that misses w.  A hyperplane, an affine
+set and a one-point set give L^perp as lines, with reach inf; a halfspace
+gives one ray on its boundary and the {0} cone inside, reaching to the
+boundary; a translate forwards with w shifted; the oracle intersection
+gives the span of its members' lines when each member's cone is a subspace
+of reach inf.  Every other set gives None.  Every set has dim >= 1, by one
+rule, `_set_dim`.
 
 The cone's NNLS solver comes from `scipy.optimize`, which `_nnls` imports on
 first use, so `import projlab` does not load scipy.
@@ -72,6 +77,8 @@ MEMBERSHIP_TOL = 1e-10
 TIE_TOL = 1e-12
 # Relative singular-value cut-off that ranks affine-hull directions.
 RANK_TOL = 1e-9
+# Least norm of a conic mixture of unit rows, relative to its weights.
+_MIX_FLOOR = 1e-3
 
 
 def _nnls():
@@ -177,6 +184,20 @@ def _prefix_rows(U, active):
     dirs = U[order] if U.ndim == 2 else U[rows, order]
     dirs[~mask] = 0.0
     return dirs, mask
+
+
+def _subspace_cone(lines):
+    """The `_normal_cone` answer of a normal cone that is the subspace
+    spanned by the orthonormal `lines`: no rays, and every face holds w."""
+    return lines, np.zeros((0, lines.shape[1])), np.inf
+
+
+def _affine_lines(cone):
+    """The lines of a `_normal_cone` answer that is a subspace whose faces
+    all hold w, as an affine set's is; else None."""
+    if cone is None or len(cone[1]) or cone[2] < np.inf:
+        return None
+    return cone[0]
 
 
 def _one_row_project(self, x):
@@ -345,9 +366,12 @@ class ClosedSet:
         <u, y - x> <= 0 for every member y, so a convex set reads 0."""
         return 0.0 if self.convex else None
 
-    def _normal_space(self):
-        """Orthonormal rows spanning L^perp, L the linear part of an affine
-        set, or None when the set is not known to be affine."""
+    def _normal_cone(self, w):
+        """The normal cone at a member w as (lines, rays, reach): orthonormal
+        rows spanning its lineality space, unit rows of its other
+        generators, and the least distance from w to a face that does not
+        hold w (inf when every face holds it).  None when the set gives no
+        exact cone."""
         return None
 
     def to_config(self) -> dict:
@@ -423,6 +447,15 @@ class Halfspace(_LinearSet):
         face = excess >= -MEMBERSHIP_TOL * max(1.0, na)  # interior: zero cone
         return _prefix_rows((self.a / na)[None, :], face[:, None])
 
+    def _normal_cone(self, w):
+        """One ray on the boundary (the face test of normal_generators_many);
+        inside, the {0} cone, whose reach is the boundary's distance."""
+        na = float(np.linalg.norm(self.a))
+        excess = float(np.dot(w, self.a)) - self.b
+        if excess >= -MEMBERSHIP_TOL * max(1.0, na):
+            return np.zeros((0, self.dim)), (self.a / na)[None, :], np.inf
+        return np.zeros((0, self.dim)), np.zeros((0, self.dim)), -excess / na
+
     def hull_points(self, rng):
         return _full_space_points(self.a * (self.b / self._aa))
 
@@ -444,8 +477,8 @@ class Hyperplane(_LinearSet):
         u = self.a / float(np.linalg.norm(self.a))
         return _prefix_rows(np.stack([u, -u]), np.ones((n, 2), bool))
 
-    def _normal_space(self):
-        return (self.a / float(np.linalg.norm(self.a)))[None, :]
+    def _normal_cone(self, w):
+        return _subspace_cone((self.a / float(np.linalg.norm(self.a)))[None, :])
 
     def hull_points(self, rng):
         a, aa = self.a, self._aa
@@ -508,8 +541,8 @@ class AffineSubspaceSet(_SingleValued):
         pairs = np.stack([comp, -comp], axis=1).reshape(-1, self.dim)  # u0, -u0, u1, ...
         return _prefix_rows(pairs, np.ones((n, pairs.shape[0]), bool))
 
-    def _normal_space(self):
-        return _orthonormal_complement(self.basis, self.dim)
+    def _normal_cone(self, w):
+        return _subspace_cone(_orthonormal_complement(self.basis, self.dim))
 
     def hull_points(self, rng):
         return [self.anchor] + [self.anchor + b for b in self.basis]
@@ -950,9 +983,9 @@ class FinitePointSet(ClosedSet):
         near = self.points[row_norms(self.points - w) <= delta]
         return 1.0 if np.unique(near, axis=0).shape[0] > 1 else 0.0
 
-    def _normal_space(self):
-        """One distinct point is an affine set whose linear part is {0}."""
-        return np.eye(self.dim) if self.convex else None
+    def _normal_cone(self, w):
+        """One distinct point is an affine set whose normal cone is R^d."""
+        return _subspace_cone(np.eye(self.dim)) if self.convex else None
 
     def hull_points(self, rng):
         return list(self.points)
@@ -984,8 +1017,8 @@ class Translate(ClosedSet):
     def _exact_eps(self, w, delta):
         return self.inner._exact_eps(w - self.shift, delta)
 
-    def _normal_space(self):
-        return self.inner._normal_space()
+    def _normal_cone(self, w):
+        return self.inner._normal_cone(w - self.shift)
 
     def hull_points(self, rng):
         return [p + self.shift for p in self.inner.hull_points(rng)]
@@ -1017,13 +1050,15 @@ def _cone_of(s):
 
 def conic_mixtures(rng, G, samples):
     """Unit directions of `samples` random conic combinations c @ G of the
-    rows of G, c uniform in [0, 1)^k, in draw order; a combination of norm
-    at most 1e-12 is dropped.  One vector-matrix product per draw, so row i
-    equals the one-row product c_i @ G, normalised, bit for bit."""
+    unit rows of G, c uniform in [0, 1)^k, in draw order.  A combination of
+    norm at most _MIX_FLOOR * sum(c) is dropped: its terms cancel, and its
+    direction would carry their rounding divided by that ratio.  One
+    vector-matrix product per draw, so row i equals the one-row product
+    c_i @ G, normalised, bit for bit."""
     coeffs = rng.random((samples, G.shape[0]))
     mixed = np.matmul(coeffs[:, None, :], G)[:, 0, :]
     n = row_norms(mixed)
-    keep = n > 1e-12
+    keep = n > _MIX_FLOOR * coeffs.sum(axis=1)
     return mixed[keep] / n[keep, None]
 
 

@@ -640,17 +640,18 @@ def _friedrichs_cosine(a, b):
     return float(np.max(s[s < 1.0 - 1e-9], initial=0.0))
 
 
-def _refuse_draws(monkeypatch):
+def _refuse_draws(monkeypatch, sampler="uniform_ball"):
     def refuse(*args):
         raise AssertionError("sampled where the value is exact")
 
-    monkeypatch.setattr(analysis, "uniform_ball", refuse)
+    monkeypatch.setattr(analysis, sampler, refuse)
 
 
-def _sampled_kappa(mp):
-    """Every set's normal-space hook reads None, so kappa is sampled."""
+def _no_normal_cones(mp):
+    """Every set's normal-cone hook reads None, so kappa, zeta and theta
+    are sampled."""
     for cls in (*P.sets.SET_TYPES.values(), P.IntersectionHandle):
-        mp.setattr(cls, "_normal_space", lambda self: None)
+        mp.setattr(cls, "_normal_cone", lambda self, w: None)
 
 
 def _subspace_pairs(n):
@@ -722,7 +723,7 @@ class TestExactLinearRegularity:
         oracle = P.IntersectionHandle(moved)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(P.IntersectionHandle, "_canonical_many", None)  # no sweep
-            assert oracle._normal_space().shape == (4, 4)
+            assert oracle._normal_cone(p)[0].shape == (4, 4)
         _refuse_draws(monkeypatch)
         for c in (oracle, P.FinitePointSet(p[None, :]), P.Translate(oracle, np.zeros(4))):
             est = P.estimate_linear_regularity(moved, c, p, 1.0)
@@ -763,7 +764,7 @@ class TestExactLinearRegularity:
             est = P.estimate_linear_regularity(system, c, w, 1.0)
             assert (est.bound, est.value) == ("upper", pytest.approx(math.sqrt(2.0), rel=1e-12))
             with pytest.MonkeyPatch.context() as mp:
-                _sampled_kappa(mp)
+                _no_normal_cones(mp)
                 assert P.estimate_linear_regularity(system, c, w, 1.0).value == 1.0
         for system in ([line], [line, line]):
             est = P.estimate_linear_regularity(system, line, np.zeros(2), 1.0)
@@ -778,7 +779,7 @@ class TestExactLinearRegularity:
         est = P.estimate_linear_regularity(lines, inter, np.zeros(2), 1.0)
         assert est.bound == "upper" and est.value == pytest.approx(math.sqrt(2.0), rel=1e-12)
         with pytest.MonkeyPatch.context() as mp:
-            _sampled_kappa(mp)
+            _no_normal_cones(mp)
             sampled = P.estimate_linear_regularity(lines, inter, np.zeros(2), 1.0)
         assert 1.0 < sampled.value <= est.value
 
@@ -807,7 +808,7 @@ class TestExactLinearRegularity:
         assume(exact.bound != "lower")  # lambda_min too near the cut-off
         assert exact.bound in (("exact", "upper") if m == 2 else ("upper",))
         with pytest.MonkeyPatch.context() as mp:
-            _sampled_kappa(mp)
+            _no_normal_cones(mp)
             est = P.estimate_linear_regularity(system, inter, p, 1.0, samples=200, seed=seed)
         assert est.bound == "lower"
         assert est.value <= exact.value + 1e-12
@@ -831,6 +832,21 @@ class TestThetaBar:
         est = P.estimate_theta_bar(ball, line, np.zeros(2), samples=64, seed=0)
         assert est.value == 0.0
         assert est.extra["trivial"]
+
+    def test_cancelling_mixtures_are_dropped(self):
+        """Weights 0.5 and 0.5 + 1e-9 on u and -u leave a combination of
+        norm 1e-9 whose direction carries their rounding over 1e-9; it is
+        dropped, and the kept combination is -u to the last bits."""
+        u = np.array([0.6, -0.8, 0.0]) + 1e-3 * np.arange(1.0, 4.0)
+        u /= np.linalg.norm(u)
+
+        class Weights:
+            def random(self, shape):
+                return np.array([[0.5, 0.5 + 1e-9], [0.3, 0.7]])
+
+        dirs = P.sets.conic_mixtures(Weights(), np.stack([u, -u]), 2)
+        assert dirs.shape == (1, 3)
+        assert np.max(np.abs(dirs[0] + u)) <= 4e-16
 
     def test_anchor_must_belong_to_both(self):
         a, b, _ = two_lines(math.pi / 4)
@@ -1031,14 +1047,151 @@ class TestStrongRegularityBracket:
         assert analysis.STRONG_TOL < est.extra["zeta_lower"] <= 1 / math.sqrt(2) <= est.value
 
     def test_cancelling_pool_is_undetermined(self):
-        """The hyperplane {x = 0} pools e1 and -e1, which cancel inside that
-        pool, so the lower bound is 0 while the upper bound is 1/sqrt(2)."""
-        system = [P.Hyperplane(np.array([1.0, 0.0]), 0.0),
-                  P.Halfspace(np.array([0.0, 1.0]), 0.0)]
-        est = P.check_strong_regularity(system, np.zeros(2), 1.0, samples=2000, seed=0)
-        assert est.extra["pools"] == [2, 1]
+        """The line span(e3) of R^3 has the normal plane span(e1, e2), which
+        the exact path leaves to the sampler; its pool holds opposite
+        directions that cancel inside it, so the lower bound is 0 while the
+        upper bound is zeta = 1/sqrt(2)."""
+        e = np.eye(3)
+        system = [P.AffineSubspaceSet(np.zeros(3), e[2:]), P.Halfspace(e[2], 0.0)]
+        est = P.check_strong_regularity(system, np.zeros(3), 1.0, samples=2000, seed=0)
+        assert est.bound == "upper" and est.extra["pools"] == [253, 1]
         assert est.extra["zeta_lower"] <= analysis.STRONG_TOL < est.value
         assert est.extra["strong"] is None
+
+
+def _flat_system(rng, d, m, w, codims):
+    """m sets through w, each a halfspace with w on its boundary, a halfspace
+    with w inside at distance 0.55 to 2 from its boundary, a hyperplane or
+    an affine set of a codimension in `codims`, and each a translate of
+    such a set half the time."""
+    system = []
+    for _ in range(m):
+        shift = rng.standard_normal(d) if rng.random() < 0.5 else None
+        v = w if shift is None else w - shift
+        a = rng.standard_normal(d)
+        kind = rng.integers(4)
+        if kind == 0:
+            s = P.Halfspace(a, float(np.dot(v, a)))
+        elif kind == 1:
+            s = P.Halfspace(a, float(np.dot(v, a)) + rng.uniform(0.55, 2.0) * np.linalg.norm(a))
+        elif kind == 2:
+            s = P.Hyperplane(a, float(np.dot(v, a)))
+        else:
+            s = _subspace(rng, d, d - int(rng.choice(codims)), v)
+        system.append(s if shift is None else P.Translate(s, shift))
+    return system
+
+
+class TestExactNormalCones:
+    """zeta and theta-bar from the sets' `_normal_cone` hooks, checked
+    against the sampled path with the hooks switched off."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 8), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_sampled_zeta_bracket_holds_the_exact_value(self, d, m, seed):
+        """Rays, lines and {0} cones whose reach exceeds delta/2 give zeta
+        with nothing drawn; the sampled bracket holds it."""
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(d)
+        system = _flat_system(rng, d, m, w, (1,))
+        with pytest.MonkeyPatch.context() as mp:
+            _refuse_draws(mp)
+            exact = P.check_strong_regularity(system, w, 1.0, seed=seed)
+        assert exact.bound == "exact"
+        assert exact.extra["zeta_lower"] <= exact.value + 1e-12
+        with pytest.MonkeyPatch.context() as mp:
+            _no_normal_cones(mp)
+            est = P.check_strong_regularity(system, w, 1.0, seed=seed)
+        assert est.bound == "upper"
+        assert est.extra["zeta_lower"] - 1e-12 <= exact.value <= est.value + 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+    def test_sampled_theta_stays_under_the_exact_value(self, d, seed):
+        """Subspaces of any dimension, rays and {0} cones give theta-bar
+        with nothing drawn; the sampled value stays at or below it."""
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(d)
+        a, b = _flat_system(rng, d, 2, w, range(1, d + 1))
+        with pytest.MonkeyPatch.context() as mp:
+            _refuse_draws(mp, "conic_mixtures")
+            exact = P.estimate_theta_bar(a, b, w, seed=seed)
+        assert exact.bound == "exact"
+        with pytest.MonkeyPatch.context() as mp:
+            _no_normal_cones(mp)
+            est = P.estimate_theta_bar(a, b, w, seed=seed)
+        assert est.bound == "lower" and est.extra == exact.extra
+        assert est.value <= exact.value + 1e-12
+
+    @pytest.mark.parametrize("r", [0.25, 0.5, 0.5 + 1e-9, 2.0])
+    def test_a_face_within_half_delta_is_sampled(self, r, monkeypatch):
+        """A halfspace whose boundary lies r from w, with a line through w:
+        past delta/2 its cone is {0} and zeta is the line's 1; within
+        delta/2 the report is the sampled one, bit for bit."""
+        system = [P.Halfspace(np.array([0.0, 1.0]), r), P.Hyperplane(np.array([1.0, 1.0]), 0.0)]
+        w = np.zeros(2)
+        est = P.check_strong_regularity(system, w, 1.0, seed=5)
+        with pytest.MonkeyPatch.context() as mp:
+            _no_normal_cones(mp)
+            sampled = P.check_strong_regularity(system, w, 1.0, seed=5)
+        if r > 0.5:
+            assert (est.bound, est.extra["pools"]) == ("exact", [0, 2])
+            assert est.value == pytest.approx(1.0, rel=1e-15)
+            assert est.extra["strong"] is True
+        else:
+            assert est.bound == sampled.bound == "upper"
+            assert est.value.hex() == sampled.value.hex()
+            assert est.extra == sampled.extra
+
+    def test_which_sets_answer(self):
+        """Halfspaces, hyperplanes, affine sets, one-point sets, their
+        translates and the oracle of subspaces answer; every other type,
+        and an oracle with a member that has a ray, reads None."""
+        e = np.eye(2)
+        half = P.Halfspace(e[0], 0.0)
+        line = P.Hyperplane(e[1], 0.0)
+        ball = P.Ball(np.zeros(2), 1.0)
+        answers = {
+            half: ([], [[1.0, 0.0]], np.inf),
+            P.Halfspace(e[0], 3.0): ([], [], 3.0),
+            line: ([[0.0, 1.0]], [], np.inf),
+            P.AffineSubspaceSet(np.zeros(2), e[:1]): ([[0.0, 1.0]], [], np.inf),
+            P.FinitePointSet(np.zeros((1, 2))): (e, [], np.inf),
+            P.Translate(half, np.array([2.0, 0.0])): ([], [], 2.0),
+            P.IntersectionHandle((line, P.Hyperplane(e[0], 0.0))): (e, [], np.inf),
+        }
+        for s, (lines, rays, reach) in answers.items():
+            got = s._normal_cone(np.zeros(2))
+            assert np.allclose(np.abs(got[0]), np.reshape(lines, (-1, 2)), atol=1e-15), s
+            assert np.array_equal(got[1], np.reshape(rays, (-1, 2))) and got[2] == reach, s
+        silent = (ball, P.Sphere(e[0], 1.0), P.Box(-e[0], e[1]), P.Orthant((1, -1)),
+                  P.PolyhedralCone(np.array([[1.0, 0.0], [1.0, 1.0]])),
+                  P.Enlargement(half, 0.5), P.UnionOfSets((half, ball)),
+                  P.FinitePointSet(np.array([[0.0, 0.0], [1.0, 0.0]])),
+                  P.Translate(ball, e[0]), P.IntersectionHandle((half, line)))
+        for s in silent:
+            assert s._normal_cone(np.zeros(2)) is None, s
+        tags = {getattr(s, "tag", None) for s in (*answers, *silent)}
+        assert tags - {None} == set(P.sets.SET_TYPES)
+
+    def test_one_point_set_is_all_of_rd(self, monkeypatch):
+        """A one-point set's normal cone is R^d: theta-bar is 1 against a
+        nonzero cone and 0 (trivial) against {0}."""
+        _refuse_draws(monkeypatch, "conic_mixtures")
+        point = P.FinitePointSet(np.zeros((1, 2)))
+        line = P.Hyperplane(np.array([1.0, 2.0]), 0.0)
+        for a, b in ((point, line), (line, point),
+                     (point, P.Halfspace(np.array([1.0, 0.0]), 0.0))):
+            est = P.estimate_theta_bar(a, b, np.zeros(2))
+            assert (est.value, est.bound, est.extra["trivial"]) == (1.0, "exact", False)
+
+    def test_one_point_set_against_the_zero_cone(self, monkeypatch):
+        _refuse_draws(monkeypatch, "conic_mixtures")
+        point = P.FinitePointSet(np.zeros((1, 2)))
+        inside = P.Halfspace(np.array([1.0, 0.0]), 1.0)
+        for a, b in ((point, inside), (inside, point)):
+            est = P.estimate_theta_bar(a, b, np.zeros(2))
+            assert (est.value, est.bound, est.extra["trivial"]) == (0.0, "exact", True)
 
 
 # ---------------------------------------------------------------------------

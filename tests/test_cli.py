@@ -231,8 +231,8 @@ class TestVerifyCommand:
             assert (base / "report.json").is_file()
 
     @pytest.mark.parametrize("seed, digest", [
-        (None, "59ee79468ff7c066de5bec76b2ce601431c646a3380eecbe2d42e509ed12f8a3"),
-        (12345, "f69f24cac4a18a89870ec9f4e13f518a5d1eead608d1715154a0e28ced24a46b"),
+        (None, "01d5a15761ca854e2b96a7873decaddd3837819dbd3d4183965e1d5e22f2217d"),
+        (12345, "45c27069981097b04d716bebc7738b1cf69abc7436428c2ee1d2d09d5684ba24"),
     ], ids=["seed_default", "seed_12345"])  # ids that a re-pin leaves alone
     def test_verify_report_is_pinned(self, seed, digest):
         """The suite report stays byte-identical once `timing` is removed.  A
@@ -299,12 +299,15 @@ class TestReportChecks:
 
     @pytest.mark.parametrize("expect", ["pass", "fail"])
     def test_undetermined_strong_regularity_fails_either_expectation(self, expect):
-        """{x = 0} and {y <= 0} at 0: the hyperplane's normals e1 and -e1
-        cancel inside its pool, so the verdict is null (undetermined), which
-        neither expectation accepts."""
+        """The line span(e3) of R^3 and {z <= 0} at 0: the line's sampled
+        normals cancel inside its pool, so the verdict is null
+        (undetermined), which neither expectation accepts."""
         cfg = minimal_config(
-            sets=[{"type": "hyperplane", "a": [1.0, 0.0], "b": 0.0},
-                  {"type": "halfspace", "a": [0.0, 1.0], "b": 0.0}],
+            dimension=3,
+            sets=[{"type": "affine", "anchor": [0.0, 0.0, 0.0], "basis": [[0.0, 0.0, 1.0]]},
+                  {"type": "halfspace", "a": [0.0, 0.0, 1.0], "b": 0.0}],
+            intersection={"type": "finite_points", "points": [[0.0, 0.0, 0.0]]},
+            anchor=[0.0, 0.0, 0.0], x0=[3.0, 4.0, 5.0],
             analyses=[{"kind": "strong_regularity", "expect": expect, "label": "zeta"}])
         report = P.execute_scenario(P.scenario_from_config(cfg))
         (check,) = report["checks"]
