@@ -87,13 +87,14 @@ def run(operators, x0, sets, intersection: ClosedSet,
     x0 is validated once, against the cycle's, the intersection's and every
     set's dimension; the loop then steps a (1, d) row through the operators'
     `_rows` kernels, whose one-row forms keep a batch row's bits, and reads
-    its norm as math.sqrt(np.dot(x, x)), the BLAS dot of `row_norms` (a NaN
-    iterate raises DomainError).  It tests the cycle ends after cycles 1, 2,
-    4, 8, every 8 more and max_cycles, by one `_nearest_many` call on the
-    ends not yet tested.  The first end at or below tol stops the run,
-    dropping at most min(c - 1, 7) computed cycles for a stop at cycle c.  A
-    step that diverges or raises tests the ends before it first; its
-    exception is raised again only if none converged.
+    its norm as math.sqrt(x.dot(x)), the BLAS dot of `row_norms` called
+    without np.dot's dispatch (a NaN iterate raises DomainError).  It tests
+    the cycle ends after cycles 1, 2, 4, 8, every 8 more and max_cycles, by
+    one `_nearest_many` call on the ends not yet tested.  The first end at
+    or below tol stops the run, dropping at most min(c - 1, 7) computed
+    cycles for a stop at cycle c.  A step that diverges or raises tests the
+    ends before it first; its exception is raised again only if none
+    converged.
     """
     cycle = operators if isinstance(operators, CyclicTuple) else CyclicTuple(operators)
     members = cycle.members
@@ -126,7 +127,8 @@ def run(operators, x0, sets, intersection: ClosedSet,
             for op in members:
                 X = op._rows(X)
                 points.append(X)
-                norm = math.sqrt(np.dot(X[0], X[0]))
+                x = X[0]
+                norm = math.sqrt(x.dot(x))
                 if norm > DIVERGENCE_NORM:
                     stop = "Diverged"
                     break

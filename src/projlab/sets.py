@@ -48,12 +48,15 @@ gives the span of its members' lines when each member's cone is a subspace
 of reach inf.  Every other set gives None.  Every set has dim >= 1, by one
 rule, `_set_dim`.
 
-The cone's NNLS solver comes from `scipy.optimize`, which `_nnls` imports on
+The cone's NNLS solver is the compiled Lawson-Hanson routine that
+`scipy.optimize.nnls` wraps, called directly with the wrapper's arguments
+(the public `nnls` where scipy has no such routine).  `_nnls` imports it on
 first use, so `import projlab` does not load scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -81,12 +84,32 @@ RANK_TOL = 1e-9
 _MIX_FLOOR = 1e-3
 
 
+@functools.cache
 def _nnls():
-    """scipy's `nnls`, imported on first use.  `scipy.optimize` is most of the
-    time `import projlab` takes, and only cone projections and
+    """The NNLS solver (A, b) -> (x, rnorm) of `scipy.optimize.nnls`, imported
+    on first use and looked up once.  `scipy.optimize` is most of the time
+    `import projlab` takes, and only cone projections and
     `check_strong_regularity` need it, so a caller that projects onto no
-    cone never loads it."""
-    from scipy.optimize import nnls
+    cone never loads it.
+
+    The solver calls the compiled Lawson-Hanson routine that `nnls` wraps,
+    with what the wrapper passes it (maxiter = 3 k for k columns) and its
+    error on reaching maxiter, so it returns the wrapper's bits without its
+    finiteness, shape and deprecation checks, which cost about 6 us a call.
+    Both callers pass float64 arrays they have validated, A C-contiguous.
+    Where scipy has no such routine, the solver is `nnls` itself."""
+    try:
+        from scipy.optimize._nnls import _nnls as lawson_hanson
+    except ImportError:
+        from scipy.optimize import nnls
+
+        return nnls
+
+    def nnls(A, b):
+        x, rnorm, info = lawson_hanson(A, b, 3 * A.shape[1])
+        if info == 3:
+            raise RuntimeError("Maximum number of iterations reached.")
+        return x, rnorm
 
     return nnls
 
@@ -519,6 +542,7 @@ class AffineSubspaceSet(_SingleValued):
             raise DomainError("basis rows must be orthonormal")
         object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_bt", basis.T)  # B^T, read per row; not a field
         _set_dim(self, anchor.size)
 
     @property
@@ -528,12 +552,13 @@ class AffineSubspaceSet(_SingleValued):
     project = _one_row_project
 
     def _canonical_many(self, X):
-        """anchor + B^T B (x - anchor); one row by np.dot, a batch row's bits."""
+        """anchor + B^T B (x - anchor); one row by ndarray.dot, a batch row's
+        bits (np.dot's routine without its dispatch)."""
         if X.shape[0] == 1:
             x = X[0] - self.anchor
-            return (self.anchor + np.dot(self.basis.T, np.dot(self.basis, x)))[None, :]
+            return (self.anchor + self._bt.dot(self.basis.dot(x)))[None, :]
         coords = _rowwise(self.basis, X - self.anchor)
-        return self.anchor + _rowwise(self.basis.T, coords)
+        return self.anchor + _rowwise(self._bt, coords)
 
     def normal_generators_many(self, P):
         n = as_points(P, self.dim).shape[0]
@@ -783,8 +808,9 @@ class PolyhedralCone(_SingleValued):
     """Finitely generated cone {sum t_i g_i : t_i >= 0}.
 
     The projection of x is G^T c for the nonnegative least-squares solution
-    c of min ||G^T c - x|| over c >= 0 (Lawson-Hanson NNLS, one scipy call
-    per row), which is exact for any number of generators.
+    c of min ||G^T c - x|| over c >= 0 (Lawson-Hanson NNLS, one call of the
+    compiled solver per row, on G^T stored C-contiguous once), which is
+    exact for any number of generators.
     """
 
     tag, about = "cone", "finitely generated polyhedral cone, projected by NNLS"
@@ -798,13 +824,19 @@ class PolyhedralCone(_SingleValued):
         if np.any(norms == 0.0):
             raise DomainError("zero generator ray")
         object.__setattr__(self, "generators", g)
+        object.__setattr__(self, "_gt", np.ascontiguousarray(g.T))  # NNLS's A; not a field
         _set_dim(self, g.shape[1])
 
     project = _one_row_project
 
     def _canonical_many(self, X):
-        G, nnls = self.generators.T, _nnls()
-        return np.array([G @ nnls(G, x)[0] for x in X]).reshape(X.shape)
+        # the product keeps the strided G^T it has always used: a C-ordered
+        # one takes another BLAS kernel, whose sums round differently
+        G, A, nnls = self.generators.T, self._gt, _nnls()
+        P = np.empty(X.shape)
+        for i, x in enumerate(X):
+            P[i] = G @ nnls(A, x)[0]
+        return P
 
     def normal_generators_many(self, P):
         """The normal cone at p is {v in polar(K) : <v, p> = 0}, the face of

@@ -2,7 +2,8 @@
 at module level, and only the entry points import the command-line front end,
 so no library module depends on it.
 
-The one exception is `sets._nnls`, which imports scipy's `nnls` on first use:
+The one exception is `sets._nnls`, which imports scipy's compiled NNLS routine
+on first use, or the public `nnls` where scipy has no such routine:
 `scipy.optimize` is most of the time `import projlab` takes, and only cone
 projections and `check_strong_regularity` need it.  A fresh interpreter
 checks that `import projlab` and a scenario that solves no NNLS problem
@@ -21,7 +22,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "projlab"
 MODULES = sorted(SRC.glob("*.py"))
 ENTRY_POINTS = ("__init__", "__main__")
 # (module, function, imported name) of every import inside a function body.
-DEFERRED_IMPORTS = {("sets.py", "_nnls", "scipy.optimize.nnls")}
+DEFERRED_IMPORTS = {("sets.py", "_nnls", "scipy.optimize._nnls._nnls"),
+                    ("sets.py", "_nnls", "scipy.optimize.nnls")}
 
 
 def _tree(path):

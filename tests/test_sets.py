@@ -6,6 +6,7 @@ scipy.optimize.nnls for cones) before the implementations were tested.
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -523,3 +524,103 @@ class TestMembershipAndConfig:
             b = rebuilt.project(x)
             assert np.allclose(a.canonical, b.canonical, atol=1e-14)
             assert a.distance == pytest.approx(b.distance, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Hot kernels call the compiled routines: the same bits as the public calls
+# ---------------------------------------------------------------------------
+
+
+def _cone_problem(rng):
+    """A cone projection's NNLS problem: A = G^T, C-contiguous, for k
+    standard normal generators in R^d (d 1-8, k 1-10), b scaled by 1e-6 to
+    1e6."""
+    d, k = int(rng.integers(1, 9)), int(rng.integers(1, 11))
+    A = np.ascontiguousarray(rng.standard_normal((k, d)).T)
+    return A, rng.standard_normal(d) * 10.0 ** rng.uniform(-6.0, 6.0)
+
+
+def _simplex_problem(rng):
+    """`_simplex_min_norm`'s weighted (d + 1, k) problem for unit columns."""
+    d, k = int(rng.integers(1, 9)), int(rng.integers(1, 11))
+    G = rng.standard_normal((d, k))
+    G /= np.linalg.norm(G, axis=0)
+    w = P.analysis._SIMPLEX_WEIGHT
+    return np.vstack([G, np.full(k, w)]), np.append(np.zeros(d), w)
+
+
+@pytest.fixture
+def fresh_solver():
+    """Look the NNLS routine up again inside the test and once more after it,
+    so a monkeypatched scipy reaches `_nnls` and leaves it afterwards."""
+    P.sets._nnls.cache_clear()
+    yield
+    P.sets._nnls.cache_clear()
+
+
+class TestCompiledKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([_cone_problem, _simplex_problem]))
+    def test_direct_nnls_matches_scipy_bit_for_bit(self, seed, problem):
+        """The solver `_nnls` returns gives `scipy.optimize.nnls`'s solution
+        and residual bits, on cone-shaped and simplex-shaped problems."""
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            A, b = problem(rng)
+            x, rnorm = P.sets._nnls()(A, b)
+            want_x, want_rnorm = nnls(A, b)
+            assert x.tobytes() == want_x.tobytes() and rnorm == want_rnorm
+
+    def test_without_the_routine_the_public_nnls_keeps_the_bits(self, monkeypatch,
+                                                                fresh_solver):
+        """Where scipy has no compiled routine to call, `_nnls` is the public
+        `nnls`, and cone projections and simplex minima keep their bits."""
+        import scipy.optimize
+
+        rng = np.random.default_rng(RNG_SEED)
+        cones = [P.PolyhedralCone(rng.standard_normal((k, d)))
+                 for d, k in ((2, 3), (3, 1), (5, 8))]
+        points = [rng.standard_normal((7, c.dim)) * 10.0 ** rng.uniform(-3, 3, (7, 1))
+                  for c in cones]
+        mats = [_simplex_problem(rng)[0][:-1] for _ in range(20)]
+
+        def outputs():
+            return ([c.project_many(X).tobytes() for c, X in zip(cones, points)]
+                    + [c.project(X[0]).canonical.tobytes() for c, X in zip(cones, points)]
+                    + [(t.tobytes(), low) for t, low in map(P.analysis._simplex_min_norm, mats)])
+
+        assert P.sets._nnls() is not scipy.optimize.nnls
+        direct = outputs()
+        monkeypatch.setitem(sys.modules, "scipy.optimize._nnls", None)  # import fails
+        P.sets._nnls.cache_clear()
+        assert P.sets._nnls() is scipy.optimize.nnls
+        assert outputs() == direct
+
+    def test_reaching_maxiter_raises_scipys_error(self, monkeypatch, fresh_solver):
+        """A routine that reports info 3 raises the wrapper's RuntimeError."""
+        import scipy.optimize._nnls as scipy_nnls
+
+        monkeypatch.setattr(scipy_nnls, "_nnls", lambda A, b, maxiter: (np.zeros(A.shape[1]),
+                                                                       0.0, 3))
+        A, b = np.eye(2), np.ones(2)
+        with pytest.raises(RuntimeError) as public:
+            nnls(A, b)
+        with pytest.raises(RuntimeError, match=r"^Maximum number of iterations reached\.$") \
+                as direct:
+            P.sets._nnls()(A, b)
+        assert str(direct.value) == str(public.value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_one_row_dots_equal_their_np_dot_forms(self, seed):
+        """A one-row affine projection and `run`'s iterate norm give the bits
+        of their np.dot forms."""
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 17))
+        basis = np.linalg.qr(rng.standard_normal((d, int(rng.integers(0, d + 1)))))[0].T
+        s = P.AffineSubspaceSet(rng.standard_normal(d), basis)
+        x = rng.standard_normal(d) * 10.0 ** rng.uniform(-6.0, 6.0)
+        v = x - s.anchor
+        want = s.anchor + np.dot(s.basis.T, np.dot(s.basis, v))
+        assert s._canonical_many(x[None, :])[0].tobytes() == want.tobytes()
+        assert math.sqrt(x.dot(x)) == math.sqrt(np.dot(x, x)) == P.sets.row_norms(x[None, :])[0]
