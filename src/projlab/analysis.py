@@ -30,6 +30,7 @@ from .sets import (
     RANK_TOL,
     ClosedSet,
     _affine_lines,
+    _cone_rows,
     _member_tuple,
     _nnls,
     _seeded,
@@ -509,15 +510,14 @@ def _simplex_min_norm(G):
 
 def _exact_pools(system, w, delta):
     """check_strong_regularity's exact pools, each cone's generators at w
-    (a line n as n and -n), or None where it must sample; at most
-    _VERTEX_CAP sign choices of the lines are searched."""
+    by `_cone_rows` (a line n as n and -n), or None where it must sample; at
+    most _VERTEX_CAP sign choices of the lines are searched."""
     pools = []
     for s in system:
         cone = s._normal_cone(w)
         if cone is None or cone[2] <= delta / 2.0 or len(cone[0]) + len(cone[1]) > 1:
             return None
-        lines, rays, _ = cone
-        pools.append(np.vstack([lines, -lines, rays]))
+        pools.append(_cone_rows(cone))
     return pools if 2 ** sum(len(p) == 2 for p in pools) <= _VERTEX_CAP else None
 
 

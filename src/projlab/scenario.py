@@ -17,6 +17,7 @@ import json
 import math
 import operator
 import os
+import pathlib
 import time
 from dataclasses import dataclass, field, fields
 from importlib import resources
@@ -178,21 +179,21 @@ def scenario_to_config(sc: Scenario) -> dict:
     }
 
 
+def _parse(read, where):
+    """The validated Scenario of the JSON text read() returns.  A failed read
+    and every ConfigError name `where` first: the file path or bundled 'name'."""
+    try:
+        return scenario_from_config(json.loads(read()))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{where}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                          f"{exc.msg}") from exc
+    except (OSError, ConfigError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}") from exc
-    try:
-        return scenario_from_config(cfg)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _parse(lambda: pathlib.Path(path).read_text(encoding="utf-8"), path)
 
 
 def save_scenario(sc: Scenario, path) -> None:
@@ -212,11 +213,7 @@ def load_bundled(name: str) -> Scenario:
     ref = resources.files("projlab.scenarios") / f"{name}.json"
     if not ref.is_file():
         raise ConfigError(f"no bundled scenario named '{name}'")
-    cfg = json.loads(ref.read_text(encoding="utf-8"))
-    try:
-        return scenario_from_config(cfg)
-    except ConfigError as exc:
-        raise ConfigError(f"bundled '{name}': {exc}") from exc
+    return _parse(lambda: ref.read_text(encoding="utf-8"), f"bundled '{name}'")
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +246,10 @@ def _fields_dict(obj, drop=(), **more):
 # Arithmetic on a resolved value, applied in this order.
 _ARITHMETIC = (("times", operator.mul), ("plus", operator.add),
                ("clamp_min", max), ("clamp_max", min))
-# The interval of a finite number, as check_range's (lo, hi, lo_open, hi_open).
+# The intervals of a finite number and of a finite nonnegative one, as
+# check_range's (lo, hi, lo_open, hi_open).
 _FINITE = (-math.inf, math.inf, True, True)
+_NONNEGATIVE = (0.0, math.inf, False, True)
 
 
 def _literal(value, path):
@@ -741,8 +740,8 @@ _RANGES = {"samples": 1, "seed": 0, "burn_in": 0, "k": 1, "expect_period": 1,
            "nu": analysis_mod.NU_RANGE, "lambda": rates_mod.LAMBDA_RANGE,
            "tail_fraction": runner_mod.TAIL_FRACTION_RANGE, "tol": runner_mod.CYCLE_TOL_RANGE,
            "slack": runner_mod.SLACK_RANGE, "rho_bound": runner_mod.RHO_BOUND_RANGE,
-           "expect_rho": _FINITE, "expect_tol": _FINITE, "equality_tol": _FINITE,
-           "expect_min": _FINITE}
+           "expect_rho": _NONNEGATIVE, "expect_tol": _NONNEGATIVE, "equality_tol": _NONNEGATIVE,
+           "expect_min": (0.0, 1.0, False, False)}  # zeta lies in [0, 1]
 _RESOLVED = ("tau", "nu", "lambda", "rho_bound")
 
 

@@ -19,10 +19,15 @@ Operators and the oracle sweep read points only, through `_canonical_many`,
 and `distance` is the one-row call of `_nearest_many`.  A custom subclass
 needs only `project`.  No catalog projection shares memory with its input.
 
-Every normal cone is written once, batched, in `normal_generators_many`, and
-`normal_generators` is its one-row call.  The union, the finite point set and
-a custom subclass that does not define `normal_generators_many` have no
-closed-form normal cone: they raise UnsupportedSet on a nonempty batch.
+Every normal cone is written once.  `_normal_cone(w)` gives the exact cone
+at a member w as (lines, rays, reach): orthonormal lineality rows, unit ray
+rows, and the distance from w to the nearest face that misses w, or None.
+An affine set (hyperplane, affine, one-point set, an oracle of affine
+members) gives L^perp with reach inf and writes only this hook, whose lines
+the base `normal_generators_many` lists at every row, each as n then -n.
+Other sets list their cone, batched, in `normal_generators_many` (a
+halfspace's two hooks read one face test; a translate forwards both) or
+raise UnsupportedSet.  `normal_generators` is the one-row call.
 
 `convex` is True only where the set is known to be convex, and callers may
 then use what convexity gives exactly.  The single-valued sets are convex; a
@@ -37,16 +42,8 @@ segment on a convex set that is not approximate, whose distance is a
 convex function; and kappa reports `approximate` on its sampled path.
 `_exact_eps` gives the exact eps-regularity where the geometry does: 0 on
 a convex set, the cap formula on a sphere of dimension 2 or more, 0 or 1
-on a finite point set, and None (sample it) elsewhere.  `_normal_cone(w)`
-gives the exact normal cone at a member w as (lines, rays, reach):
-orthonormal rows spanning its lineality space, unit ray rows, and the
-distance from w to the nearest face that misses w.  A hyperplane, an affine
-set and a one-point set give L^perp as lines, with reach inf; a halfspace
-gives one ray on its boundary and the {0} cone inside, reaching to the
-boundary; a translate forwards with w shifted; the oracle intersection
-gives the span of its members' lines when each member's cone is a subspace
-of reach inf.  Every other set gives None.  Every set has dim >= 1, by one
-rule, `_set_dim`.
+on a finite point set, and None (sample it) elsewhere.  Every set has dim
+>= 1, by one rule, `_set_dim`.
 
 The cone's NNLS solver is the compiled Lawson-Hanson routine that
 `scipy.optimize.nnls` wraps, called directly with the wrapper's arguments
@@ -223,6 +220,12 @@ def _affine_lines(cone):
     return cone[0]
 
 
+def _cone_rows(cone):
+    """A `_normal_cone`'s generators as rows: each line n as n then -n, then the rays."""
+    lines, rays, _ = cone
+    return np.vstack([np.stack([lines, -lines], axis=1).reshape(-1, lines.shape[1]), rays])
+
+
 def _one_row_project(self, x):
     """`project` of every catalog set: the one-row call of its
     `_minimizers_many`, x validated once."""
@@ -376,12 +379,16 @@ class ClosedSet:
         (n, k, dim) directions and an (n, k) mask, k the longest row.  The
         mask is a prefix and the padding is zero.
 
-        Variants with a closed form broadcast it here; this default has
-        none, so it raises UnsupportedSet on a nonempty batch.
+        This default reads `_normal_cone` at the first row: a subspace whose
+        faces all hold it is an affine set's cone, the same at every member,
+        listed at every row.  Anything else raises UnsupportedSet.
         """
-        if as_points(P, self.dim).shape[0]:
+        P = as_points(P, self.dim)
+        cone = self._normal_cone(P[0]) if len(P) else _subspace_cone(np.zeros((0, self.dim)))
+        if _affine_lines(cone) is None:
             raise UnsupportedSet(f"{type(self).__name__} has no closed-form normal cone")
-        return np.zeros((0, 0, self.dim)), np.zeros((0, 0), bool)
+        rows = _cone_rows(cone)
+        return _prefix_rows(rows, np.ones((len(P), len(rows)), bool))
 
     def _exact_eps(self, w, delta):
         """The exact eps-regularity over B(w, delta), or None when there is
@@ -439,14 +446,17 @@ class _LinearSet(_SingleValued):
 
     def __post_init__(self):
         a = as_vector(self.a)
-        if np.linalg.norm(a) == 0.0:
-            raise DomainError(f"{self.tag} normal must be nonzero")
+        with np.errstate(over="ignore", under="ignore"):
+            aa = float(a @ a)
+        # every projection divides by it: zero, subnormal or inf gives wrong steps
+        aa = check_range(f"{self.tag} squared normal norm", aa, np.finfo(float).tiny, np.inf,
+                         hi_open=True)
         b = check_range(f"{self.tag} offset b", self.b, -np.inf, np.inf, lo_open=True,
                         hi_open=True)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         _set_dim(self, a.size)
-        object.__setattr__(self, "_aa", float(a @ a))  # ||a||^2; not a field
+        object.__setattr__(self, "_aa", aa)  # ||a||^2; not a field
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,20 +474,21 @@ class Halfspace(_LinearSet):
         P[out] = X[out] - (excess[out] / self._aa)[:, None] * self.a
         return P
 
-    def normal_generators_many(self, P):
+    def _face(self, excess):
+        """(||a||, whether excess <a, p> - b puts p on the boundary): both hooks' test."""
         na = float(np.linalg.norm(self.a))
-        excess = np.vecdot(as_points(P, self.dim), self.a) - self.b
-        face = excess >= -MEMBERSHIP_TOL * max(1.0, na)  # interior: zero cone
+        return na, excess >= -MEMBERSHIP_TOL * max(1.0, na)
+
+    def normal_generators_many(self, P):
+        na, face = self._face(np.vecdot(as_points(P, self.dim), self.a) - self.b)
         return _prefix_rows((self.a / na)[None, :], face[:, None])
 
     def _normal_cone(self, w):
-        """One ray on the boundary (the face test of normal_generators_many);
-        inside, the {0} cone, whose reach is the boundary's distance."""
-        na = float(np.linalg.norm(self.a))
+        """A ray on the boundary; inside, {0}, reaching to the boundary."""
         excess = float(np.dot(w, self.a)) - self.b
-        if excess >= -MEMBERSHIP_TOL * max(1.0, na):
-            return np.zeros((0, self.dim)), (self.a / na)[None, :], np.inf
-        return np.zeros((0, self.dim)), np.zeros((0, self.dim)), -excess / na
+        na, face = self._face(excess)
+        none = np.zeros((0, self.dim))
+        return (none, (self.a / na)[None, :], np.inf) if face else (none, none, -excess / na)
 
     def hull_points(self, rng):
         return _full_space_points(self.a * (self.b / self._aa))
@@ -494,11 +505,6 @@ class Hyperplane(_LinearSet):
     def _canonical_many(self, X):
         offset = np.vecdot(X, self.a) - self.b
         return X - (offset / self._aa)[:, None] * self.a
-
-    def normal_generators_many(self, P):
-        n = as_points(P, self.dim).shape[0]
-        u = self.a / float(np.linalg.norm(self.a))
-        return _prefix_rows(np.stack([u, -u]), np.ones((n, 2), bool))
 
     def _normal_cone(self, w):
         return _subspace_cone((self.a / float(np.linalg.norm(self.a)))[None, :])
@@ -559,12 +565,6 @@ class AffineSubspaceSet(_SingleValued):
             return (self.anchor + self._bt.dot(self.basis.dot(x)))[None, :]
         coords = _rowwise(self.basis, X - self.anchor)
         return self.anchor + _rowwise(self._bt, coords)
-
-    def normal_generators_many(self, P):
-        n = as_points(P, self.dim).shape[0]
-        comp = _orthonormal_complement(self.basis, self.dim)
-        pairs = np.stack([comp, -comp], axis=1).reshape(-1, self.dim)  # u0, -u0, u1, ...
-        return _prefix_rows(pairs, np.ones((n, pairs.shape[0]), bool))
 
     def _normal_cone(self, w):
         return _subspace_cone(_orthonormal_complement(self.basis, self.dim))

@@ -648,10 +648,11 @@ def _refuse_draws(monkeypatch, sampler="uniform_ball"):
 
 
 def _no_normal_cones(mp):
-    """Every set's normal-cone hook reads None, so kappa, zeta and theta
-    are sampled."""
-    for cls in (*P.sets.SET_TYPES.values(), P.IntersectionHandle):
-        mp.setattr(cls, "_normal_cone", lambda self, w: None)
+    """The exact-path readers of the sets' normal-cone hooks read None, so
+    kappa, zeta and theta are sampled.  The hooks stay on, and with them the
+    normal lists that affine sets derive from theirs."""
+    for reader in ("_affine_kappa", "_exact_theta", "_exact_pools"):
+        mp.setattr(analysis, reader, lambda *args: None)
 
 
 def _subspace_pairs(n):
@@ -1184,6 +1185,18 @@ class TestExactNormalCones:
                      (point, P.Halfspace(np.array([1.0, 0.0]), 0.0))):
             est = P.estimate_theta_bar(a, b, np.zeros(2))
             assert (est.value, est.bound, est.extra["trivial"]) == (1.0, "exact", False)
+
+    def test_one_point_set_and_a_line_are_not_strongly_regular(self):
+        """A one-point set's cone R^d holds -n for the line's normal n, so
+        zeta is 0.  Its pool now starts with the derived lines +-e1, +-e2,
+        and the vertex search finds e2 and -e2; without them the sampled
+        pool left the report undetermined (value 0.0034)."""
+        point = P.FinitePointSet(np.zeros((1, 2)))
+        line = P.Hyperplane(np.array([0.0, 1.0]), 0.0)
+        for system in ([point, line], [line, point]):
+            est = P.check_strong_regularity(system, np.zeros(2), 0.5)
+            assert est.bound == "upper" and est.extra["strong"] is False
+            assert est.value <= 1e-15 and est.extra["zeta_lower"] == 0.0
 
     def test_one_point_set_against_the_zero_cone(self, monkeypatch):
         _refuse_draws(monkeypatch, "conic_mixtures")

@@ -612,6 +612,117 @@ class TestBatchedNormals:
         assert len(s.normal_generators(1e-11 * np.ones(3))) == len(s.polar_generators()) == 3
 
 
+# ---------------------------------------------------------------------------
+# normal lists derived from `_normal_cone`
+
+
+def _hyperplane_normals_reference(s, X):
+    """The hyperplane kernel that the derived list replaced: u = a / ||a||
+    and -u at every row."""
+    u = s.a / float(np.linalg.norm(s.a))
+    return P.sets._prefix_rows(np.stack([u, -u]), np.ones((X.shape[0], 2), bool))
+
+
+def _affine_normals_reference(s, X):
+    """The affine kernel that the derived list replaced: each complement
+    row u_i as u_i then -u_i at every row."""
+    comp = P.sets._orthonormal_complement(s.basis, s.dim)
+    pairs = np.stack([comp, -comp], axis=1).reshape(-1, s.dim)
+    return P.sets._prefix_rows(pairs, np.ones((X.shape[0], pairs.shape[0]), bool))
+
+
+@pytest.mark.parametrize("case, reference", [
+    (hyperplane_case(), _hyperplane_normals_reference),
+    (affine_case(), _affine_normals_reference),
+], ids=["hyperplane", "affine"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_derived_normals_match_the_deleted_kernels(case, reference, data):
+    """Directions and mask bit for bit, in the same shape, at any rows."""
+    s, X = data.draw(case)
+    dirs, mask = s.normal_generators_many(X)
+    want_dirs, want_mask = reference(s, X)
+    assert dirs.shape == want_dirs.shape and np.array_equal(mask, want_mask)
+    assert _same_bits(dirs, want_dirs)
+
+
+@st.composite
+def one_point_case(draw):
+    d = draw(st.integers(1, 4))
+    return P.FinitePointSet(draw(vectors(d))[None, :]), draw(batches(d))
+
+
+@st.composite
+def hook_case(draw):
+    """A set of any type or a one-point set, as it is, translated, or as an
+    oracle alone or with a hyperplane, and the members of the drawn set."""
+    s, X = draw(st.one_of(*CASES.values(), one_point_case()))
+    members = s.project_many(X)
+    wrap = draw(st.sampled_from(["plain", "translate", "oracle", "oracle_pair"]))
+    if wrap == "translate":
+        shift = draw(vectors(s.dim))
+        return P.Translate(s, shift), members + shift
+    if wrap == "oracle":
+        return P.IntersectionHandle((s,)), members
+    if wrap == "oracle_pair":
+        return P.IntersectionHandle((s, P.Hyperplane(draw(nonzero(s.dim)), 0.0))), members
+    return s, members
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=hook_case())
+def test_the_two_normal_hooks_agree(case):
+    """Wherever `_normal_cone(w)` answers, `normal_generators(w)` lists its
+    lines as (n, -n) pairs and then its rays, bit for bit.  The oracles
+    are asked at their first member's points, with no sweep: neither hook
+    reads membership."""
+    s, W = case
+    for w in W:
+        cone = s._normal_cone(w)
+        if cone is None:
+            continue
+        lines, rays, _ = cone
+        want = np.reshape([row for n in lines for row in (n, -n)] + list(rays), (-1, s.dim))
+        got = np.reshape(s.normal_generators(w), (-1, s.dim))
+        assert got.shape == want.shape and _same_bits(got, want)
+
+
+class TestDerivedNormals:
+    def test_one_point_set_lists_both_signs_of_each_axis(self):
+        s = P.FinitePointSet(np.array([[2.0, -1.0]]))
+        e = np.eye(2)
+        assert _same_bits(s.normal_generators(np.array([2.0, -1.0])), [e[0], -e[0], e[1], -e[1]])
+        dirs, mask = s.normal_generators_many(np.tile([2.0, -1.0], (3, 1)))
+        assert dirs.shape == (3, 4, 2) and mask.all()
+        assert all(_same_bits(row, dirs[0]) for row in dirs)
+
+    def test_oracle_of_the_coordinate_lines_lists_its_lines(self):
+        e = np.eye(2)
+        oracle = P.IntersectionHandle((P.Hyperplane(e[1], 0.0), P.Hyperplane(e[0], 0.0)))
+        got = np.array(oracle.normal_generators(np.zeros(2)))
+        lines = oracle._normal_cone(np.zeros(2))[0]
+        assert _same_bits(got, [lines[0], -lines[0], lines[1], -lines[1]])
+        assert np.allclose(np.abs(lines), np.fliplr(e)) or np.allclose(np.abs(lines), e)
+
+    @pytest.mark.parametrize("s", [
+        P.UnionOfSets((P.Hyperplane(np.array([0.0, 1.0]), 0.0),)),
+        P.FinitePointSet(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])),
+        P.IntersectionHandle((P.Halfspace(np.array([1.0, 0.0]), 0.0),
+                              P.Hyperplane(np.array([0.0, 1.0]), 0.0))),
+        P.IntersectionHandle((P.Halfspace(np.array([1.0, 0.0]), 1.0),
+                              P.Hyperplane(np.array([0.0, 1.0]), 0.0))),
+    ], ids=["union_of_a_line", "two_points", "oracle_halfspace_face",
+            "oracle_halfspace_inside"])
+    def test_other_sets_still_raise(self, s):
+        """A union, even of one line; two distinct points; an oracle with a
+        halfspace member, on its face and inside it."""
+        with pytest.raises(UnsupportedSet):
+            s.normal_generators(np.zeros(2))
+        with pytest.raises(UnsupportedSet):
+            s.normal_generators_many(np.zeros((2, 2)))
+        assert s.normal_generators_many(np.zeros((0, 2)))[0].shape == (0, 0, 2)
+
+
 class TestTieRules:
     def test_sphere_center_maps_to_e1(self):
         s = P.Sphere(np.array([1.0, -2.0]), 0.5)

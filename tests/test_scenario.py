@@ -341,3 +341,20 @@ class TestBundled:
     def test_unknown_bundled_name(self):
         with pytest.raises(ConfigError):
             P.load_bundled("missing_scenario")
+
+    def test_both_loaders_prefix_the_parse_step_error(self, tmp_path, monkeypatch):
+        """One parse step reads the module's `scenario_from_config` when it
+        runs, so a patched one is the one called, and prefixes its
+        ConfigError with the file path or the bundled name."""
+        def refuse(cfg):
+            raise ConfigError(f"name: refused '{cfg['name']}'")
+
+        monkeypatch.setattr(P.scenario, "scenario_from_config", refuse)
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(minimal_config()))
+        with pytest.raises(ConfigError) as exc:
+            P.load_scenario(path)
+        assert str(exc.value) == f"{path}: name: refused 'unit'"
+        with pytest.raises(ConfigError) as exc:
+            P.scenario.load_bundled("two_lines_angle_45")
+        assert str(exc.value) == "bundled 'two_lines_angle_45': name: refused 'two_lines_angle_45'"

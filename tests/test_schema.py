@@ -278,7 +278,7 @@ class TestRecordNumbers:
         ({"kind": "rate_fit", "expect_rho": "0.5"},
          ": expect_rho must be a real number, got '0.5'"),
         ({"kind": "rate_fit", "expect_rho": 0.5, "expect_tol": float("inf")},
-         ": expect_tol must lie in (-inf, inf), got inf"),
+         ": expect_tol must lie in [0, inf), got inf"),
         ({"kind": "compare", "certificate": "@cert", "slack": "0.5"},
          ": slack must be a real number, got '0.5'"),
         ({"kind": "quasi_coercive", "operator": 0, "expect_equality": True,
@@ -288,7 +288,7 @@ class TestRecordNumbers:
         ({"kind": "cycle_detect", "expect_period": "2"},
          ": expect_period must be a positive integer, got '2'"),
         ({"kind": "strong_regularity", "expect_min": float("nan")},
-         ": expect_min must lie in (-inf, inf), got nan"),
+         ": expect_min must lie in [0, 1], got nan"),
         ({"kind": "cycle_detect", "expect_states": [["a", "b"]]},
          ".expect_states[0]: vector[0] must be a real number, got 'a'"),
         ({"kind": "cycle_detect", "expect_states": [[0.0, 1.0], [0.0, 1.0, 2.0]]},
@@ -310,6 +310,32 @@ class TestRecordNumbers:
     def test_bad_number_names_the_key_path(self, record, message):
         assert _error(minimal_config(analyses=[{"kind": "rate_fit"}, record])) == \
             f"analyses[1]{message}"
+
+    @pytest.mark.parametrize("record, key, bad, edges", [
+        ({"kind": "rate_fit", "expect_rho": 0.5}, "expect_tol", -1.0, (0.0,)),
+        ({"kind": "quasi_coercive", "operator": 0, "expect_equality": True},
+         "equality_tol", -1e-12, (0.0,)),
+        ({"kind": "rate_fit"}, "expect_rho", -0.5, (0.0,)),
+        ({"kind": "strong_regularity"}, "expect_min", -0.1, (0.0, 1.0)),
+        ({"kind": "strong_regularity"}, "expect_min", 1.5, (0.0, 1.0)),
+    ], ids=["expect_tol", "equality_tol", "expect_rho", "expect_min_below",
+            "expect_min_above"])
+    def test_expect_numbers_take_the_interval_of_what_they_bound(self, record, key, bad, edges):
+        """Tolerances and rates are nonnegative and a zeta floor lies in
+        [0, 1].  A negative expect_tol turned a fit into a FAIL, and a
+        negative expect_min let the floor pass whatever zeta read; each is
+        a ConfigError at its key path, and the interval's ends parse."""
+        interval = "[0, 1]" if key == "expect_min" else "[0, inf)"
+        assert _error(minimal_config(analyses=[{**record, key: bad}])) == \
+            f"analyses[0]: {key} must lie in {interval}, got {bad!r}"
+        for edge in edges:
+            P.scenario_from_config(minimal_config(analyses=[{**record, key: edge}]))
+
+    def test_negative_expect_tol_on_dr_affine_blend_fails_to_parse(self):
+        cfg = _bundled_config("dr_affine_blend")
+        (i, fit), = [(i, a) for i, a in enumerate(cfg["analyses"]) if a["kind"] == "rate_fit"]
+        fit["expect_tol"] = -1
+        assert _error(cfg) == f"analyses[{i}]: expect_tol must lie in [0, inf), got -1.0"
 
     @pytest.mark.parametrize("key, value", [("tau", -1.0), ("tau", True), ("nu", 0.0),
                                             ("nu", None), ("rho_bound", float("nan")),

@@ -7,6 +7,7 @@ scipy.optimize.nnls for cones) before the implementations were tested.
 import itertools
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -361,14 +362,19 @@ class TestProximalNormals:
 
     @pytest.mark.parametrize("tag", sorted(P.sets.SET_TYPES))
     def test_one_normal_formula_per_set(self, tag):
-        """Each normal cone is written once, batched: no variant defines the
-        scalar `normal_generators`, which stays the base class's one-row
-        call, and every variant with a closed-form normal cone defines
-        `normal_generators_many` itself."""
+        """Each normal cone is written once: no variant defines the scalar
+        `normal_generators`, which stays the base class's one-row call.  A
+        variant whose cone changes from member to member lists it, batched,
+        in `normal_generators_many` (a translate forwards it); an affine
+        variant writes only `_normal_cone`, from which the base class derives
+        the list; a union writes neither."""
         cls = P.sets.SET_TYPES[tag]
         assert "normal_generators" not in cls.__dict__
-        closed_form = tag not in ("union", "finite_points")
-        assert ("normal_generators_many" in cls.__dict__) == closed_form
+        listed = {"halfspace", "ball", "sphere", "box", "orthant", "cone", "enlargement",
+                  "translate"}
+        derived = {"hyperplane", "affine", "finite_points"}
+        assert ("normal_generators_many" in cls.__dict__) == (tag in listed)
+        assert ("_normal_cone" in cls.__dict__) == (tag in derived | {"halfspace", "translate"})
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +492,34 @@ class TestMembershipAndConfig:
     def test_nonfinite_scalars_are_rejected(self, build, bad):
         with pytest.raises(P.DomainError, match=r"must lie in .*inf\), got"):
             build(bad)
+
+    @pytest.mark.parametrize("scale, got", [(1e200, "inf"), (1e-160, "1e-320")],
+                             ids=["overflow", "subnormal"])
+    @pytest.mark.parametrize("cls", [P.Halfspace, P.Hyperplane], ids=["halfspace", "hyperplane"])
+    def test_normal_with_an_unusable_squared_norm_is_rejected(self, cls, scale, got):
+        """Every projection divides by ||a||^2.  Overflowed, it read (1, 1)
+        as a member of {x = 0}; subnormal, it projected (1, 1) to
+        (-1.1e-5, 1), no member.  The check raises no warning, and from a
+        config it is a ConfigError at the set's key path."""
+        message = (rf"{cls.tag} squared normal norm must lie in \[2.225073858507201e-308, "
+                   rf"inf\), got {got}$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(P.DomainError, match="^" + message):
+                cls(np.array([scale, 0.0]), 0.0)
+        cfg = {"type": "translate", "shift": [0.0, 0.0],
+               "inner": {"type": cls.tag, "a": [scale, 0.0], "b": 0.0}}
+        with pytest.raises(P.ConfigError, match="^inner: " + message):
+            P.set_from_config(cfg)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    @pytest.mark.parametrize("cls", [P.Halfspace, P.Hyperplane], ids=["halfspace", "hyperplane"])
+    def test_normals_near_the_float_range_still_project(self, cls, scale):
+        s = cls(np.array([scale, 0.0]), 0.0)
+        res = s.project(np.ones(2))
+        assert res.canonical == pytest.approx([0.0, 1.0], abs=1e-15)
+        assert res.distance == pytest.approx(1.0, rel=1e-15)
+        assert s.contains(res.canonical) and not s.contains(np.ones(2))
 
     @pytest.mark.parametrize("signs", [(0.5, 1), (-1.9, 1), (1, math.nan)],
                              ids=["half", "minus_1_9", "nan"])
