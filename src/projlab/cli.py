@@ -33,23 +33,29 @@ from .sets import SET_TYPES, is_obtuse_cone  # is_obtuse_cone: perfbench/tracing
 # subcommand implementations
 
 
+def _number(value, spec):
+    """A report number formatted by `spec`; a number that is not finite is
+    held in the report as its string ("inf", "-inf", "nan"), shown as it is."""
+    return value if isinstance(value, str) else format(value, spec)
+
+
 def _format_report_text(report) -> str:
     lines = []
     sc = report["scenario"]
     lines.append(f"scenario {sc['name']}: stop={sc['stop_reason']} "
-                 f"cycles={sc['n_cycles']} final_dC={sc['final_dC']:.3e}")
+                 f"cycles={sc['n_cycles']} final_dC={_number(sc['final_dC'], '.3e')}")
     for label in sorted(report["constants"]):
         c = report["constants"][label]
-        lines.append(f"  constant {label}: {c['value']:.6g} ({c['kind']})")
+        lines.append(f"  constant {label}: {_number(c['value'], '.6g')} ({c['kind']})")
     for label in sorted(report["certificates"]):
         c = report["certificates"][label]
         lines.append(
-            f"  certificate {label}: {c['theorem']} rho_block={c['rho_block']:.6g} "
+            f"  certificate {label}: {c['theorem']} rho_block={_number(c['rho_block'], '.6g')} "
             f"block={c['block_len']} applicable={c['applicable']}")
     for label in sorted(report["fit"]):
         f = report["fit"][label]
-        lines.append(f"  fit {label}: rho={f['rho']:.6g} R2={f['r_squared']:.4f} "
-                     f"non_convergent={f['non_convergent']}")
+        lines.append(f"  fit {label}: rho={_number(f['rho'], '.6g')} "
+                     f"R2={_number(f['r_squared'], '.4f')} non_convergent={f['non_convergent']}")
     for comp in report["comparisons"]:
         status = "PASS" if comp.get("ok", True) else "FAIL"
         lines.append(
@@ -59,9 +65,9 @@ def _format_report_text(report) -> str:
         status = "PASS" if check.get("passed", True) else "FAIL"
         detail = ""
         if "worst_margin" in check:
-            detail = f" worst_margin={check['worst_margin']:.3e}"
+            detail = f" worst_margin={_number(check['worst_margin'], '.3e')}"
         elif "value" in check:
-            detail = f" value={check['value']:.6g}"
+            detail = f" value={_number(check['value'], '.6g')}"
         lines.append(f"  check {check['name']} ({check['kind']}): [{status}]{detail}")
     lines.append(f"result: {'PASS' if report['passed'] else 'FAIL'}")
     return "\n".join(lines)
@@ -191,8 +197,9 @@ def list_catalog(fmt) -> str:
 
 def _seed(text):
     """A --seed value by the library's seed rule; a bad one is a usage error."""
+    digits = text[1:] if text[:1] in ("+", "-") else text  # one sign, as int() takes
     try:  # text that is no integer stays text, which check_count names
-        return check_count("seed", int(text) if text.lstrip("+-").isdigit() else text, 0)
+        return check_count("seed", int(text) if digits.isdecimal() else text, 0)
     except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

@@ -24,9 +24,12 @@ from .errors import (
     check_whole,
 )
 
-# The interval (0, 2] of a relaxation parameter, as check_range's
+# The interval (0, 2] of a relaxation parameter, and those of the error
+# levels: eps and eps2 in [0, 1), eps1 in [0, 1/3]; as check_range's
 # (lo, hi, lo_open, hi_open).
 LAMBDA_RANGE = (0.0, 2.0, True, False)
+EPS_RANGE = (0.0, 1.0, False, True)
+EPS1_RANGE = (0.0, 1.0 / 3.0, False, False)
 
 
 def _dr_domain(lam, mu, alpha):
@@ -37,7 +40,7 @@ def _dr_domain(lam, mu, alpha):
 
 def _eps_kappa(eps, kappa):
     """A concrete rate theorem's eps in [0, 1) and kappa in [1, inf]."""
-    return (check_range("eps", eps, 0.0, 1.0, hi_open=True),
+    return (check_range("eps", eps, *EPS_RANGE),
             check_range("kappa", kappa, 1.0, math.inf))
 
 
@@ -117,7 +120,7 @@ def relaxed_projector_constants(lam, eps) -> FejerConstants:
     """Quasi firm Fejér constants of a relaxed projector onto an
     (eps, delta)-regular set: gamma = 1 + lam*eps/(1-eps), beta = (2-lam)/lam."""
     lam = check_range("lambda", lam, *LAMBDA_RANGE)
-    eps = check_range("eps", eps, 0.0, 1.0, hi_open=True)
+    eps = check_range("eps", eps, *EPS_RANGE)
     return FejerConstants(_relaxed_gamma(lam, eps), (2.0 - lam) / lam)
 
 
@@ -132,7 +135,7 @@ def averaged_constants(gamma, beta, lam) -> FejerConstants:
 def semi_intrepid_constants(alpha, eps) -> FejerConstants:
     """gamma = (1 + alpha*eps)/(1 - eps), beta = (1 - alpha)/(1 + alpha)."""
     alpha = check_range("alpha", alpha, 0.0, 1.0)
-    eps = check_range("eps", eps, 0.0, 1.0, hi_open=True)
+    eps = check_range("eps", eps, *EPS_RANGE)
     return FejerConstants(_semi_intrepid_gamma(alpha, eps), (1.0 - alpha) / (1.0 + alpha))
 
 
@@ -140,8 +143,8 @@ def dr_constants(lam, mu, alpha, eps1, eps2) -> FejerConstants:
     """Constants of the generalized Douglas-Rachford step on an
     (eps1, .)-regular first set and (eps2, .)-regular second set."""
     lam, mu, alpha = _dr_domain(lam, mu, alpha)
-    eps1 = check_range("eps1", eps1, 0.0, 1.0 / 3.0)
-    eps2 = check_range("eps2", eps2, 0.0, 1.0, hi_open=True)
+    eps1 = check_range("eps1", eps1, *EPS1_RANGE)
+    eps2 = check_range("eps2", eps2, *EPS_RANGE)
     gamma = 1.0 - alpha + alpha * _relaxed_gamma(lam, eps1) * _relaxed_gamma(mu, eps2)
     return FejerConstants(gamma, (1.0 - alpha) / alpha)
 

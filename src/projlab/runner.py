@@ -38,11 +38,11 @@ SLACK_RANGE = (0.0, np.inf, False, True)
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Iterates of a cyclic operator tuple with per-point set distances."""
+    """Iterates of a cyclic operator tuple with their distances to the
+    intersection."""
 
     points: np.ndarray          # (N+1, d); row 0 is x0
     op_index: np.ndarray        # (N+1,); -1 for x0, else operator position
-    set_dists: np.ndarray       # (N+1, m) distance to each member set
     c_dist: np.ndarray          # (N+1,) distance to the intersection
     cycle_len: int
     stop_reason: str            # Converged | Budget | Diverged
@@ -50,6 +50,7 @@ class Trajectory:
     seed: int
     wall_time_s: float
     operators: CyclicTuple
+    sets: tuple                 # the member sets run was given
 
     @property
     def n_points(self) -> int:
@@ -94,7 +95,9 @@ def run(operators, x0, sets, intersection: ClosedSet,
     or below tol stops the run, dropping at most min(c - 1, 7) computed
     cycles for a stop at cycle c.  A step that diverges or raises tests the
     ends before it first; its exception is raised again only if none
-    converged.
+    converged.  The intersection distance of every point is then one
+    `distance_many` call; the member sets are checked and kept, and only
+    `export_trajectory_csv` measures distances to them.
     """
     cycle = operators if isinstance(operators, CyclicTuple) else CyclicTuple(operators)
     members = cycle.members
@@ -148,11 +151,8 @@ def run(operators, x0, sets, intersection: ClosedSet,
         del points[hit * m + 1:]
     wall = time.perf_counter() - t0
     P = np.concatenate(points)
-    sd = np.column_stack([s.distance_many(P) for s in sets]) if sets \
-        else np.zeros((P.shape[0], 0))
-    cd = intersection.distance_many(P)
-    return Trajectory(P, np.r_[-1, np.arange(P.shape[0] - 1) % m], sd, cd,
-                      m, stop, tol, seed, wall, cycle)
+    return Trajectory(P, np.r_[-1, np.arange(P.shape[0] - 1) % m],
+                      intersection.distance_many(P), m, stop, tol, seed, wall, cycle, sets)
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +365,15 @@ def compare_certificate(traj: Trajectory, cert: RateCertificate, slack=0.02) -> 
 def export_trajectory_csv(traj: Trajectory, path) -> None:
     """Write the trajectory as RFC-4180 CSV with 17 significant digits.
 
-    Columns: n, op_index, x_1..x_d, dC_1..dC_m, dC.
+    Columns: n, op_index, x_1..x_d, dC_1..dC_m, dC; dC_j, the distance to the
+    j-th of the run's sets, is computed here, as no other reader needs it.
     """
-    d = traj.dim
-    m = traj.set_dists.shape[1]
     header = (["n", "op_index"]
-              + [f"x_{i + 1}" for i in range(d)]
-              + [f"dC_{j + 1}" for j in range(m)]
+              + [f"x_{i + 1}" for i in range(traj.dim)]
+              + [f"dC_{j + 1}" for j in range(len(traj.sets))]
               + ["dC"])
-    numbers = np.column_stack([traj.points, traj.set_dists, traj.c_dist])
+    numbers = np.column_stack([traj.points, *(s.distance_many(traj.points) for s in traj.sets),
+                               traj.c_dist])
     _write_csv(path, header, zip(enumerate(traj.op_index.tolist()), numbers))
 
 

@@ -279,6 +279,15 @@ def _resolve(value, ctx, path):
     return _literal(value, path)
 
 
+def _resolve_in_range(value, key, ctx, path):
+    """Resolve the value of record key `key` and check it by the key's
+    `_RANGES` rule, as a literal is checked when the record loads: a value
+    outside it is a ConfigError at `path`, the record's key path."""
+    number = _resolve(value, ctx, f"{path}.{key}")
+    with at_key(path):
+        return check_range(key, number, *_RANGES[key])
+
+
 def _resolve_int(value, ctx, path):
     number = _resolve(value, ctx, path)
     with at_key(""):
@@ -456,7 +465,7 @@ def _quasi_firm_fejer(run, rec, path, label):
     for key in _FEJER_KEYS:
         if key in rec and key not in spec.fejer_keys:
             raise ConfigError(f"{path}.{key}: not a constant of a {tag} operator")
-    eps = [_resolve(rec.get(key, 0.0), run.ctx, f"{path}.{key}") for key in spec.fejer_keys]
+    eps = [_resolve_in_range(rec.get(key, 0.0), key, run.ctx, path) for key in spec.fejer_keys]
     consts = spec.fejer(op, *eps)
     rep = analysis_mod.check_quasi_firm_fejer(
         op, refset, consts.gamma, consts.beta, run.sc.anchor, run.delta(rec),
@@ -474,7 +483,7 @@ def _quasi_coercive(run, rec, path, label):
             raise ConfigError(f"{path}.nu: 'lambda' needs a relaxed projector")
         nu = op.lam
     else:
-        nu = _resolve(nu_spec, run.ctx, f"{path}.nu")
+        nu = _resolve_in_range(nu_spec, "nu", run.ctx, path)
     rep = analysis_mod.check_quasi_coercive(
         op, cset, nu, run.sc.anchor, run.delta(rec), **run.sampling(rec))
     if not rec.get("expect_equality"):
@@ -486,7 +495,7 @@ def _quasi_coercive(run, rec, path, label):
 
 def _injectable(run, rec, path, label):
     s = run.sc.sets[rec["set"]]
-    tau = _resolve(rec["tau"], run.ctx, f"{path}.tau")
+    tau = _resolve_in_range(rec["tau"], "tau", run.ctx, path)
     rep = analysis_mod.check_injectable(s, tau, run.sc.anchor, run.delta(rec),
                                         **run.sampling(rec))
     if rec.get("expect") == "fail":
@@ -543,7 +552,7 @@ def _k_step(run, rec, path, label):
         k, rho_bound = cert.block_len, cert.rho_block
     else:
         k = rec.get("k", 1)
-        rho_bound = _resolve(rec["rho_bound"], run.ctx, f"{path}.rho_bound")
+        rho_bound = _resolve_in_range(rec["rho_bound"], "rho_bound", run.ctx, path)
     return runner_mod.check_k_step_reduction(run.traj, k, rho_bound), {}
 
 
@@ -611,7 +620,7 @@ def _affine_reduction(run, rec, path, label):
 
 def _affine_identities(run, rec, path, label):
     s = run.sc.sets[rec["set"]]
-    lam = _resolve(rec.get("lambda", 1.0), run.ctx, f"{path}.lambda")
+    lam = _resolve_in_range(rec.get("lambda", 1.0), "lambda", run.ctx, path)
     return affine_mod.verify_affine_identities(s, run.hull(), lam, **run.sampling(rec)), {}
 
 
@@ -733,16 +742,17 @@ ANALYSES = {
 _BOOL_KEYS = ("expect_non_convergent", "expect_equality")
 # The rule of each number an analysis record may carry, the library's own: a
 # count's least value for check_count, else a check_range interval.  A key
-# of _RESOLVED may hold an "@label" or arithmetic value, checked when it
-# resolves; a literal number is checked here.
+# of _RESOLVED may hold an "@label" or arithmetic value, checked by the same
+# rule when it resolves (_resolve_in_range); a literal number is checked here.
 _RANGES = {"samples": 1, "seed": 0, "burn_in": 0, "k": 1, "expect_period": 1,
            "delta": analysis_mod.DELTA_RANGE, "tau": analysis_mod.TAU_RANGE,
            "nu": analysis_mod.NU_RANGE, "lambda": rates_mod.LAMBDA_RANGE,
            "tail_fraction": runner_mod.TAIL_FRACTION_RANGE, "tol": runner_mod.CYCLE_TOL_RANGE,
            "slack": runner_mod.SLACK_RANGE, "rho_bound": runner_mod.RHO_BOUND_RANGE,
            "expect_rho": _NONNEGATIVE, "expect_tol": _NONNEGATIVE, "equality_tol": _NONNEGATIVE,
-           "expect_min": (0.0, 1.0, False, False)}  # zeta lies in [0, 1]
-_RESOLVED = ("tau", "nu", "lambda", "rho_bound")
+           "expect_min": (0.0, 1.0, False, False),  # zeta lies in [0, 1]
+           "eps": rates_mod.EPS_RANGE, "eps1": rates_mod.EPS1_RANGE, "eps2": rates_mod.EPS_RANGE}
+_RESOLVED = ("tau", "nu", "lambda", "rho_bound", "eps", "eps1", "eps2")
 
 
 def _check_values(record, dim):

@@ -1538,8 +1538,9 @@ class _CountingHyperplane(P.Hyperplane):
 
 class TestPointsOnlyKernels:
     """Operators, the oracle sweep and the run loop read points only: they
-    call `_canonical_many` and never `_nearest_many`.  Only the distance
-    tables after a run and its cycle-end test ask for distances."""
+    call `_canonical_many` and never `_nearest_many`.  Only a run's
+    intersection distances, its cycle-end test and the CSV writer's per-set
+    columns ask for distances."""
 
     def lines(self):
         return (_CountingHyperplane(np.array([0.0, 1.0]), 0.0),
@@ -1567,7 +1568,7 @@ class TestPointsOnlyKernels:
         self.assert_points_only(a, b)
 
     @pytest.mark.parametrize("oracle", [False, True], ids=["exact", "oracle"])
-    def test_run(self, oracle):
+    def test_run(self, oracle, tmp_path):
         a, b = self.lines()
         inter = P.IntersectionHandle((a, b)) if oracle else \
             P.FinitePointSet(np.zeros((1, 2)))
@@ -1575,5 +1576,7 @@ class TestPointsOnlyKernels:
         traj = P.run(ops, np.array([3.0, 1.0]), (), inter, max_cycles=50)
         assert traj.n_cycles > 1
         self.assert_points_only(a, b)
-        P.run(ops, np.array([3.0, 1.0]), (a, b), inter, max_cycles=50)
-        assert a.calls["_nearest_many"] == b.calls["_nearest_many"] == 1  # the tables
+        traj = P.run(ops, np.array([3.0, 1.0]), (a, b), inter, max_cycles=50)
+        self.assert_points_only(a, b)  # run keeps its sets but measures none
+        P.export_trajectory_csv(traj, tmp_path / "trajectory.csv")
+        assert a.calls["_nearest_many"] == b.calls["_nearest_many"] == 1  # the dC_j columns

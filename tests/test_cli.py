@@ -7,6 +7,7 @@ import json
 import os
 from importlib import resources
 
+import numpy as np
 import pytest
 
 import projlab as P
@@ -75,6 +76,44 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "PASS" in out
+
+    def test_text_report_prints_a_non_finite_margin(self, tmp_path, capsys):
+        """A report holds a number that is not finite as its string; the
+        text form formatted "-inf" with :.3e and died in a ValueError
+        traceback.  tau = 1e308 is a valid depth whose probes overflow."""
+        ref = resources.files("projlab.scenarios") / "enlargement_injectability.json"
+        cfg = json.loads(ref.read_text(encoding="utf-8"))
+        cfg["analyses"][0]["tau"] = 1e308
+        path = _write(tmp_path, cfg)
+        for fmt, line in (("text", "  check inj_enlarge_01 (injectable): [FAIL] worst_margin=-inf"),
+                          ("json", '      "worst_margin": "-inf"')):
+            with np.errstate(over="ignore"):
+                rc = P.main(["run", path, "--out", str(tmp_path / fmt), "--format", fmt])
+            captured = capsys.readouterr()
+            assert (rc, captured.err) == (1, "")
+            assert line in captured.out.splitlines()
+
+    def test_every_text_number_passes_a_non_finite_string_through(self):
+        report = {
+            "scenario": {"name": "s", "stop_reason": "Budget", "n_cycles": 3, "final_dC": "inf"},
+            "constants": {"kappa": {"value": "inf", "kind": "lower"}},
+            "certificates": {"cert": {"theorem": "t", "rho_block": "nan", "block_len": 2,
+                                      "applicable": False}},
+            "fit": {"fit": {"rho": "inf", "r_squared": "nan", "non_convergent": True}},
+            "comparisons": [],
+            "checks": [{"name": "zeta", "kind": "strong_regularity", "value": "nan"},
+                       {"name": "inj", "kind": "injectable", "worst_margin": "-inf"}],
+            "passed": False,
+        }
+        assert P.cli._format_report_text(report).splitlines() == [
+            "scenario s: stop=Budget cycles=3 final_dC=inf",
+            "  constant kappa: inf (lower)",
+            "  certificate cert: t rho_block=nan block=2 applicable=False",
+            "  fit fit: rho=inf R2=nan non_convergent=True",
+            "  check zeta (strong_regularity): [PASS] value=nan",
+            "  check inj (injectable): [PASS] worst_margin=-inf",
+            "result: FAIL",
+        ]
 
     def test_output_layout(self, tmp_path):
         path = _write(tmp_path, minimal_config())
@@ -349,7 +388,8 @@ class TestReportChecks:
 class TestLiteralRanges:
     """A literal number outside the range its analysis accepts fails at
     parse time with its key path and exit code 2, not when the analysis
-    runs; an arithmetic value is still checked by the analysis."""
+    runs; a resolved value meets the same rule when it resolves, with the
+    same key path and exit code."""
 
     @pytest.mark.parametrize("record, message", [
         ({"kind": "injectable", "set": 0, "tau": -1.0}, "tau must lie in [0, inf), got -1.0"),
@@ -363,8 +403,9 @@ class TestLiteralRanges:
          "slack must lie in [0, inf), got -0.1"),
         ({"kind": "k_step", "rho_bound": float("nan")}, "rho_bound must lie in [0, inf), got nan"),
         ({"kind": "injectable", "set": 0, "tau": True}, "tau must be a real number, got True"),
+        ({"kind": "quasi_firm_fejer", "operator": 0, "eps": 5}, "eps must lie in [0, 1), got 5.0"),
     ], ids=["tau", "nu", "lambda", "tail_fraction", "cycle_tol", "slack", "rho_bound",
-            "tau_bool"])
+            "tau_bool", "eps"])
     def test_out_of_range_literal_exits_2(self, tmp_path, capsys, record, message):
         cfg = minimal_config(analyses=[record])
         path = _write(tmp_path, cfg)
@@ -393,10 +434,45 @@ class TestLiteralRanges:
         assert capsys.readouterr().err == (f"config error: {path}: analyses[0].expect_states[0]: "
                                            "vector[0] must be a real number, got 'a'\n")
 
+    @pytest.mark.parametrize("record, key, message", [
+        ({"kind": "injectable", "set": 0}, "tau", "tau must lie in [0, inf), got -0.5"),
+        ({"kind": "quasi_coercive", "operator": 0}, "nu", "nu must lie in (0, inf), got -0.5"),
+        ({"kind": "affine_identities", "set": 0}, "lambda", "lambda must lie in (0, 2], got -0.5"),
+        ({"kind": "k_step"}, "rho_bound", "rho_bound must lie in [0, inf), got -0.5"),
+        ({"kind": "quasi_firm_fejer", "operator": 0}, "eps", "eps must lie in [0, 1), got -0.5"),
+    ], ids=["tau", "nu", "lambda", "rho_bound", "eps"])
+    def test_out_of_range_resolved_value_exits_2(self, tmp_path, capsys, record, key, message):
+        """0.5 times -1 failed in the library, exit 1 without a key path."""
+        path = _write(tmp_path, minimal_config(analyses=[
+            {**record, key: {"value": 0.5, "times": -1}}]))
+        assert P.main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: analyses[0]: {message}\n"
+
+    @pytest.mark.parametrize("name, label, key, value, message", [
+        ("enlargement_injectability", "inj_enlarge_01", "tau", {"value": 0.5, "times": -1},
+         "tau must lie in [0, inf), got -0.5"),
+        ("qff_suite", "qff_halfspace_half", "eps", 5, "eps must lie in [0, 1), got 5.0"),
+        ("qff_suite", "qff_sphere_half", "eps", {"ref": "@eps_sphere", "plus": 1.0},
+         "eps must lie in [0, 1), got "),
+    ], ids=["arithmetic_tau", "literal_eps", "reference_eps"])
+    def test_bundled_records_name_their_key_path(self, tmp_path, capsys, name, label, key,
+                                                 value, message):
+        ref = resources.files("projlab.scenarios") / f"{name}.json"
+        cfg = json.loads(ref.read_text(encoding="utf-8"))
+        i = [a.get("label") for a in cfg["analyses"]].index(label)
+        cfg["analyses"][i][key] = value
+        path = _write(tmp_path, cfg)
+        assert P.main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {path}: analyses[{i}]: {message}")
+
     def test_arithmetic_value_is_checked_when_run(self):
+        """A resolved value is checked by its key's rule under the record's
+        key path, as a literal is when the record loads."""
         sc = P.scenario_from_config(minimal_config(analyses=[
             {"kind": "injectable", "set": 0, "tau": {"value": 1.0, "times": -1.0}}]))
-        with pytest.raises(P.DomainError, match=r"tau must lie in \[0, inf\), got -1.0"):
+        with pytest.raises(P.ConfigError,
+                           match=r"^analyses\[0\]: tau must lie in \[0, inf\), got -1.0$"):
             P.execute_scenario(sc)
 
 
@@ -456,3 +532,11 @@ class TestUsageErrors:
         assert captured.err.endswith(
             "argument --seed: seed must be a nonnegative integer, got -1\n")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("seed", ["+-5", "++5", "5_0"])
+    def test_a_seed_int_would_refuse_states_the_seed_rule(self, capsys, seed):
+        """`--seed +-5` read "invalid _seed value: '+-5'": a second sign
+        passed the digit test, and int() refused it."""
+        assert P.main(["verify", "--seed", seed]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"argument --seed: seed must be a nonnegative integer, got {seed!r}\n")

@@ -401,6 +401,7 @@ def test_number_wording_lives_in_errors_only():
     ("tau", "analysis", "TAU_RANGE"), ("nu", "analysis", "NU_RANGE"),
     ("lambda", "rates", "LAMBDA_RANGE"), ("tail_fraction", "runner", "TAIL_FRACTION_RANGE"),
     ("tol", "runner", "CYCLE_TOL_RANGE"), ("slack", "runner", "SLACK_RANGE"),
+    ("eps", "rates", "EPS_RANGE"), ("eps1", "rates", "EPS1_RANGE"), ("eps2", "rates", "EPS_RANGE"),
 ])
 def test_parse_time_intervals_are_the_library_ones(key, module, name):
     """Each interval a scenario checks at parse time is written once, beside

@@ -72,7 +72,8 @@ class TestRun:
 
     def test_intersection_distance_dominates_members(self):
         traj = _two_lines_run(math.pi / 6)
-        assert np.all(traj.c_dist >= traj.set_dists.max(axis=1) - 1e-12)
+        members = np.column_stack([s.distance_many(traj.points) for s in traj.sets])
+        assert np.all(traj.c_dist >= members.max(axis=1) - 1e-12)
 
     def test_divergence_guard(self):
         """Two point reflectors act as a huge translation per cycle; the
@@ -99,7 +100,8 @@ class TestRun:
 def _reference_run(operators, x0, sets, intersection, max_cycles=10_000, tol=1e-10):
     """The per-point loop `run` replaced, kept as its reference: one `apply`
     and one `distance` per step, each validating its point.  Returns the
-    fields of a Trajectory that the loop decides."""
+    fields of a Trajectory that the loop decides; `sets`, which the loop
+    does not read, keeps `run`'s signature."""
     members = operators.members if isinstance(operators, P.CyclicTuple) else tuple(operators)
     x = np.asarray(x0, dtype=float)
     points = [x.copy()]
@@ -121,8 +123,7 @@ def _reference_run(operators, x0, sets, intersection, max_cycles=10_000, tol=1e-
             stop = "Converged"
             break
     pts = np.array(points)
-    sd = np.column_stack([s.distance_many(pts) for s in sets])
-    return pts, np.array(op_index, dtype=int), sd, intersection.distance_many(pts), stop
+    return pts, np.array(op_index, dtype=int), intersection.distance_many(pts), stop
 
 
 def _same_bits(a, b):
@@ -132,10 +133,9 @@ def _same_bits(a, b):
 
 def _assert_run_matches_reference(ops, x0, sets, inter, **kw):
     traj = P.run(ops, x0, sets, inter, **kw)
-    pts, op_index, sd, cd, stop = _reference_run(ops, x0, sets, inter, **kw)
+    pts, op_index, cd, stop = _reference_run(ops, x0, sets, inter, **kw)
     assert traj.stop_reason == stop
-    for got, want in ((traj.points, pts), (traj.op_index, op_index),
-                      (traj.set_dists, sd), (traj.c_dist, cd)):
+    for got, want in ((traj.points, pts), (traj.op_index, op_index), (traj.c_dist, cd)):
         assert _same_bits(got, want)
     return traj
 
@@ -187,7 +187,7 @@ def _stop_at(cycles):
     lines = (_line(0.0), _line(math.pi / 9))
     ops, x0 = [P.RelaxedProjector(s, 1.0) for s in lines], np.array([0.9, 0.35])
     exact = _origin()
-    errors = _reference_run(ops, x0, lines, exact, max_cycles=20, tol=1e-300)[3][::2]
+    errors = _reference_run(ops, x0, lines, exact, max_cycles=20, tol=1e-300)[2][::2]
     return ops, x0, lines, exact, {"max_cycles": 20, "tol": errors[cycles]}, "Converged"
 
 
@@ -323,6 +323,17 @@ class TestRunMatchesPerPointLoop:
         traj = P.run(ops, x0, sets, counted, max_cycles=20, tol=1e-300)
         # cycle ends 1, 2, 3-4, 5-8, 9-16, 17-20, then the table of every point
         assert counted.batches == [1, 1, 2, 4, 8, 4, traj.n_points]
+
+    def test_member_sets_are_kept_but_not_measured(self, tmp_path):
+        """`run` checks and keeps its sets but asks none of them for a
+        distance; only the CSV writer does, one batch of every point each."""
+        ops, x0, sets, inter, kw, _ = EQUIVALENCE_CASES["relaxed_lam1_exact"]
+        counted = tuple(_CountingSet(s) for s in sets)
+        traj = P.run(ops, x0, counted, inter, **kw)
+        assert traj.sets == counted and not hasattr(traj, "set_dists")
+        assert [(s.rows, s.batches) for s in counted] == [(0, [])] * len(counted)
+        P.export_trajectory_csv(traj, tmp_path / "trajectory.csv")
+        assert [s.batches for s in counted] == [[traj.n_points]] * len(counted)
 
     @settings(max_examples=40, deadline=None)
     @given(x0=arrays(float, 2, elements=st.floats(-4.0, 4.0, allow_subnormal=False)),

@@ -55,6 +55,10 @@ def _records(cfg):
             yield f"analyses[{i}].args", record["args"]
 
 
+# One generalized DR operator on the two sets of minimal_config.
+_DR = {"type": "generalized_dr", "set_a": 0, "set_b": 1, "lambda": 1.0, "mu": 1.0, "alpha": 0.5}
+
+
 def _error(cfg):
     with pytest.raises(ConfigError) as exc:
         P.scenario_from_config(cfg)
@@ -350,6 +354,39 @@ class TestRecordNumbers:
                   "lambda": {"kind": "affine_identities", "set": 0}}[key]
         assert _error(minimal_config(analyses=[{**record, key: value}])).startswith(
             f"analyses[0]: {key} must ")
+
+    @pytest.mark.parametrize("key, bad, interval, edges", [
+        ("eps", 5, "[0, 1)", (0.0, 0.5)),
+        ("eps", -0.1, "[0, 1)", (0.0,)),
+        ("eps1", 0.5, "[0, 0.3333333333333333]", (0.0, 1.0 / 3.0)),
+        ("eps2", 1.0, "[0, 1)", (0.0, 0.5)),
+    ], ids=["eps_above", "eps_below", "eps1", "eps2"])
+    def test_fejer_error_levels_take_their_interval(self, key, bad, interval, edges):
+        """`"eps": 5` parsed and failed only when the scenario ran, without
+        its key path; each error level is checked like any number here, in
+        the interval its rates function takes."""
+
+        def config(value):  # eps is a relaxed projector's level, eps1 and eps2 a DR step's
+            ops = {} if key == "eps" else {"operators": [_DR]}
+            return minimal_config(**ops, analyses=[
+                {"kind": "quasi_firm_fejer", "operator": 0, key: value}])
+
+        assert _error(config(bad)) == \
+            f"analyses[0]: {key} must lie in {interval}, got {float(bad)!r}"
+        for edge in edges:
+            P.scenario_from_config(config(edge))
+
+    @pytest.mark.parametrize("key, resolved, interval", [
+        ("eps1", 0.5, "[0, 0.3333333333333333]"), ("eps2", 1.0, "[0, 1)")])
+    def test_resolved_dr_error_levels_are_checked_at_the_record(self, key, resolved, interval):
+        """A resolved eps1 or eps2 out of its interval is a ConfigError at
+        the record's key path, raised before the operator's constants."""
+        sc = P.scenario_from_config(minimal_config(operators=[_DR], analyses=[
+            {"kind": "quasi_firm_fejer", "operator": 0, "refset": "intersection",
+             key: {"value": resolved / 2, "times": 2}}]))
+        with pytest.raises(ConfigError) as exc:
+            P.execute_scenario(sc)
+        assert str(exc.value) == f"analyses[0]: {key} must lie in {interval}, got {resolved!r}"
 
     def test_negative_cycle_tolerance_fails_at_parse_time(self):
         """detect_cycle found nothing, silently, with a negative tol."""
