@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SamplingFailure, UnsupportedSet, check_count, check_range
+from .rates import _fejer_pair
 from .sets import (
     RANK_TOL,
     ClosedSet,
@@ -178,12 +179,6 @@ def _member_pool(refset, w, delta, rng, want):
 # inequality checks
 
 
-def _fejer_pair(gamma, beta):
-    """The quasi-firm Fejér constants gamma in (0, inf) and beta in [0, inf]."""
-    return (check_range("gamma", gamma, 0.0, np.inf, lo_open=True, hi_open=True),
-            check_range("beta", beta, 0.0, np.inf))
-
-
 def check_quasi_firm_fejer(op, refset, gamma, beta, w, delta, samples=1000,
                            seed=0) -> PropertyReport:
     """Sampled test of ||x+ - xbar||^2 + beta ||x - x+||^2 <= gamma ||x - xbar||^2
@@ -233,8 +228,11 @@ def check_injectable(s: ClosedSet, tau, w, delta, samples=1000, seed=0) -> Prope
     moved = n > _DIRECTION_FLOOR
     units = gaps[moved] / n[moved, None]
     depths = np.linspace(0.0, 1.0, 2 if s.convex and not s.approximate else 20) * tau
-    probes = ps[moved, None, :] + depths[:, None] * units[:, None, :]
-    dists = s.distance_many(probes.reshape(-1, s.dim)).reshape(probes.shape[:2])
+    with np.errstate(over="ignore"):  # a deep segment's probes may overflow
+        probes = ps[moved, None, :] + depths[:, None] * units[:, None, :]
+        dists = s.distance_many(probes.reshape(-1, s.dim)).reshape(probes.shape[:2])
+    if not np.isfinite(dists).all():
+        raise DomainError(f"tau: the probe distances at depth {tau} are not finite")
     margins = np.zeros(samples)
     margins[moved] = -dists.max(axis=1)
     return margin_report("injectable", margins, lambda i: (xs[i].copy(), ps[i].copy()), seed,

@@ -62,7 +62,7 @@ class RelaxedProjector:
 
 def _semi_intrepid_domain(alpha, tau):
     """The semi-intrepid step's alpha in [0, 1] and tau in [0, inf)."""
-    return (check_range("alpha", alpha, 0.0, 1.0),
+    return (check_range("alpha", alpha, *rates.ALPHA_RANGE),
             check_range("tau", tau, 0.0, np.inf, hi_open=True))
 
 

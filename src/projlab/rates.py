@@ -7,6 +7,16 @@ ratio delta0/delta, and the admissible start-radius fraction
 (1 - rho) / (2 + Gamma - rho).  Rates that come out >= 1 are reported with
 applicable=False rather than raised: a vacuous bound is a result, not an
 error.
+
+Each interval of the paper's constants is named once, here, and every check
+of that constant reads it: LAMBDA_RANGE (0, 2] for a relaxation parameter,
+EPS_RANGE [0, 1) for the error levels eps and eps2, EPS1_RANGE [0, 1/3]
+for eps1, ALPHA_RANGE [0, 1] for a semi-intrepid alpha, KAPPA_RANGE
+[1, inf] for the regularity kappa and THEOREM_NU_RANGE (0, 1] for the
+coercivity nu of a rate theorem.  `_fejer_pair` is the one domain of a
+quasi-firm Fejér pair, gamma in (0, inf) and beta in [0, inf], which
+`averaged_constants` and the sampled and trajectory checks of the
+inequality share.
 """
 
 from __future__ import annotations
@@ -24,12 +34,14 @@ from .errors import (
     check_whole,
 )
 
-# The interval (0, 2] of a relaxation parameter, and those of the error
-# levels: eps and eps2 in [0, 1), eps1 in [0, 1/3]; as check_range's
-# (lo, hi, lo_open, hi_open).
+# The intervals of the paper's constants (see the module docstring), as
+# check_range's (lo, hi, lo_open, hi_open).
 LAMBDA_RANGE = (0.0, 2.0, True, False)
 EPS_RANGE = (0.0, 1.0, False, True)
 EPS1_RANGE = (0.0, 1.0 / 3.0, False, False)
+ALPHA_RANGE = (0.0, 1.0, False, False)
+KAPPA_RANGE = (1.0, math.inf, False, False)
+THEOREM_NU_RANGE = (0.0, 1.0, True, False)
 
 
 def _dr_domain(lam, mu, alpha):
@@ -41,7 +53,13 @@ def _dr_domain(lam, mu, alpha):
 def _eps_kappa(eps, kappa):
     """A concrete rate theorem's eps in [0, 1) and kappa in [1, inf]."""
     return (check_range("eps", eps, *EPS_RANGE),
-            check_range("kappa", kappa, 1.0, math.inf))
+            check_range("kappa", kappa, *KAPPA_RANGE))
+
+
+def _fejer_pair(gamma, beta):
+    """The quasi-firm Fejér constants gamma in (0, inf) and beta in [0, inf]."""
+    return (check_range("gamma", gamma, 0.0, math.inf, lo_open=True, hi_open=True),
+            check_range("beta", beta, 0.0, math.inf))
 
 
 @dataclass(frozen=True)
@@ -126,15 +144,14 @@ def relaxed_projector_constants(lam, eps) -> FejerConstants:
 
 def averaged_constants(gamma, beta, lam) -> FejerConstants:
     """Constants of (1-lam) Id + lam T given (gamma, beta) for T; lam in (0, 1+beta]."""
-    gamma = check_range("gamma", gamma, 0.0, math.inf, lo_open=True)
-    beta = check_range("beta", beta, 0.0, math.inf)
+    gamma, beta = _fejer_pair(gamma, beta)
     lam = check_range("averaging parameter", lam, 0.0, 1.0 + beta, lo_open=True)
     return FejerConstants(1.0 - lam + lam * gamma, (1.0 - lam + beta) / lam)
 
 
 def semi_intrepid_constants(alpha, eps) -> FejerConstants:
     """gamma = (1 + alpha*eps)/(1 - eps), beta = (1 - alpha)/(1 + alpha)."""
-    alpha = check_range("alpha", alpha, 0.0, 1.0)
+    alpha = check_range("alpha", alpha, *ALPHA_RANGE)
     eps = check_range("eps", eps, *EPS_RANGE)
     return FejerConstants(_semi_intrepid_gamma(alpha, eps), (1.0 - alpha) / (1.0 + alpha))
 
@@ -157,7 +174,7 @@ def dr_coercivity(lam, mu, alpha, theta, kappa) -> float:
     reference point; theta >= 1 signals degenerate normal geometry.
     """
     lam, mu, alpha = _dr_domain(lam, mu, alpha)
-    kappa = check_range("kappa", kappa, 1.0, math.inf)
+    kappa = check_range("kappa", kappa, *KAPPA_RANGE)
     if (t := check_real("theta", theta)) >= 1.0:
         raise StrongRegularityFailed(f"theta must be < 1, got {t}")
     theta = check_range("theta", theta, -1.0, 1.0, lo_open=True, hi_open=True)
@@ -183,8 +200,8 @@ def _qff_cycle(theorem, count_key, index, gamma_list, beta_list, nu, kappa):
     gammas, betas = _fejer_lists(index, gamma_list, beta_list)
     if len(gammas) != len(betas) or not gammas:
         raise DomainError("gamma and beta lists must be nonempty and equally long")
-    nu = check_range("nu", nu, 0.0, 1.0, lo_open=True)
-    kappa = check_range("kappa", kappa, 1.0, math.inf)
+    nu = check_range("nu", nu, *THEOREM_NU_RANGE)
+    kappa = check_range("kappa", kappa, *KAPPA_RANGE)
     m = len(gammas)
     gamma_sq = math.prod(gammas)
     gamma_total = math.sqrt(gamma_sq)
@@ -216,8 +233,8 @@ def rate_dist_qf(gamma_list, beta_list_no_j, j, nu, kappa) -> RateCertificate:
         raise DomainError(f"index j must name one of the {m} operators")
     if len(betas) != m - 1:
         raise DomainError("beta list must omit exactly the j-th operator")
-    nu = check_range("nu", nu, 0.0, 1.0, lo_open=True)
-    kappa = check_range("kappa", kappa, 1.0, math.inf)
+    nu = check_range("nu", nu, *THEOREM_NU_RANGE)
+    kappa = check_range("kappa", kappa, *KAPPA_RANGE)
     gamma_sq = math.prod(gammas)
     gamma_total = math.sqrt(gamma_sq)
     bracket = gamma_sq - gammas[j] * (nu * nu / (kappa * kappa)) / sum(1.0 / b for b in betas)
@@ -237,7 +254,7 @@ def rate_refined(gamma_list, beta_list, kappa) -> RateCertificate:
     gammas, betas = _fejer_lists("i", gamma_list, beta_list)
     if len(gammas) != len(betas) or len(gammas) < 2:
         raise DomainError("need matched lists with at least two operators")
-    kappa = check_range("kappa", kappa, 1.0, math.inf)
+    kappa = check_range("kappa", kappa, *KAPPA_RANGE)
     m = len(gammas)
     gamma_sq = math.prod(gammas) / min(gammas)
     gamma_total = math.sqrt(gamma_sq)
@@ -358,7 +375,7 @@ def rate_cyclic_semi_intrepid(alpha_list, eps, kappa) -> RateCertificate:
 
     gamma_i = (1 + alpha_i eps)/(1 - eps); block length m - 1 + |J|.
     """
-    alphas = [check_range("alpha_i", v, 0.0, 1.0) for v in alpha_list]
+    alphas = [check_range("alpha_i", v, *ALPHA_RANGE) for v in alpha_list]
     if len(alphas) < 2:
         raise DomainError("need at least two operators")
     eps, kappa = _eps_kappa(eps, kappa)

@@ -16,15 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import CHECK_TOL, PropertyReport, _fejer_margins, _fejer_pair, margin_report
+from .analysis import CHECK_TOL, PropertyReport, _fejer_margins, margin_report
 from .errors import DomainError, InsufficientData, check_count, check_range, check_whole
 from .operators import CyclicTuple
-from .rates import RateCertificate
+from .rates import RateCertificate, _fejer_pair
 from .sets import ClosedSet, _real_entries, as_vector, row_norms
 
 DIVERGENCE_NORM = 1e12
 ERROR_FLOOR = 1e-14
 _K_STEP_TOL = 1e-12     # slack of the k-step reduction
+_CYCLE_TOL = 1e-12      # default tolerance of detect_cycle
 _TEST_BATCH = 8         # most cycle ends `run` tests in one call
 # The intervals of run's tolerance, fit_rlinear's tail fraction,
 # detect_cycle's tolerance, check_k_step_reduction's rho_bound and
@@ -227,7 +228,7 @@ class CycleReport:
     max_deviation: float
 
 
-def detect_cycle(traj: Trajectory, tol=1e-12) -> CycleReport | None:
+def detect_cycle(traj: Trajectory, tol=_CYCLE_TOL) -> CycleReport | None:
     """Find the smallest period p <= 8 (in single applications) such that the
     point sequence satisfies x[n + p] == x[n] within tol from some start
     index onward, with at least two full periods observed."""

@@ -53,10 +53,6 @@ from .sets import as_vector, set_from_config
 
 MAX_DIMENSION = 16
 
-# Top-level keys of a scenario; all but the last two are required.
-_KEYS = ("name", "dimension", "seed", "sets", "intersection", "anchor", "delta",
-         "operators", "x0", "max_cycles", "tol", "analyses", "expected")
-
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
@@ -77,9 +73,27 @@ class Scenario:
     expected: dict = field(default_factory=dict)
 
 
+# Top-level keys of a scenario document, the Scenario fields; all but the
+# last two are required.
+_KEYS = tuple(f.name for f in fields(Scenario))
+
+
 def _vector(value, dim, path):
     with at_key(path):
         return as_vector(value, dim)
+
+
+def _records(cfg, key, build):
+    """What `build` makes of each record of the nonempty list cfg[key], as
+    a tuple; each record is built at its key path."""
+    raw = cfg[key]
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"{key}: must be a nonempty list")
+    built = []
+    for i, record in enumerate(raw):
+        with at_key(f"{key}[{i}]"):
+            built.append(build(record))
+    return tuple(built)
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
@@ -90,6 +104,9 @@ def scenario_from_config(cfg: dict) -> Scenario:
     name = cfg["name"]
     if not isinstance(name, str) or not name:
         raise ConfigError("name: must be a nonempty string")
+    if name in (".", "..") or not set(name).isdisjoint("/\\\0"):
+        raise ConfigError(f"name: must be one path component: not '.' or '..', and no '/', "
+                          f"'\\' or NUL, got {json.dumps(name)}")
     with at_key(""):
         dim = check_count("dimension", cfg["dimension"], 1)
         check_range("dimension", dim, 1, MAX_DIMENSION)
@@ -98,17 +115,13 @@ def scenario_from_config(cfg: dict) -> Scenario:
         max_cycles = check_count("max_cycles", cfg["max_cycles"], 1)
         tol = check_range("tol", cfg["tol"], *runner_mod.TOL_RANGE)
 
-    raw_sets = cfg["sets"]
-    if not isinstance(raw_sets, list) or not raw_sets:
-        raise ConfigError("sets: must be a nonempty list")
-    sets = []
-    for i, record in enumerate(raw_sets):
-        with at_key(f"sets[{i}]"):
-            s = set_from_config(record)
+    def member(record):
+        s = set_from_config(record)
         if s.dim != dim:
-            raise ConfigError(f"sets[{i}]: dimension {s.dim} != scenario dimension {dim}")
-        sets.append(s)
-    sets = tuple(sets)
+            raise ConfigError(f"dimension {s.dim} != scenario dimension {dim}")
+        return s
+
+    sets = _records(cfg, "sets", member)
 
     raw_inter = cfg["intersection"]
     if raw_inter == "oracle":
@@ -126,14 +139,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
         if d > 1e-10:
             raise ConfigError(f"anchor: w must belong to {where} is {d:.3e}")
 
-    raw_ops = cfg["operators"]
-    if not isinstance(raw_ops, list) or not raw_ops:
-        raise ConfigError("operators: must be a nonempty list")
-    ops = []
-    for i, record in enumerate(raw_ops):
-        with at_key(f"operators[{i}]"):
-            ops.append(operator_from_config(record, sets))
-    operators = CyclicTuple(tuple(ops))
+    operators = CyclicTuple(_records(cfg, "operators",
+                                     lambda record: operator_from_config(record, sets)))
 
     x0 = _vector(cfg["x0"], dim, "x0")
 
@@ -142,7 +149,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
         raise ConfigError("analyses: must be a list")
     labels = set()
     for i, record in enumerate(analyses):
-        check_analysis(record, f"analyses[{i}]", dim, len(sets), len(ops))
+        check_analysis(record, f"analyses[{i}]", dim, len(sets), len(operators))
         label = _label(record, i)
         if not isinstance(label, str) or not label:
             raise ConfigError(f"analyses[{i}].label: must be a nonempty string")
@@ -160,23 +167,15 @@ def scenario_from_config(cfg: dict) -> Scenario:
 
 
 def scenario_to_config(sc: Scenario) -> dict:
-    """Canonical (normalized) config dict for a scenario."""
-    inter = sc.intersection
-    return {
-        "name": sc.name,
-        "dimension": sc.dimension,
-        "sets": [s.to_config() for s in sc.sets],
-        "intersection": "oracle" if isinstance(inter, IntersectionHandle) else inter.to_config(),
-        "anchor": [float(v) for v in sc.anchor],
-        "delta": sc.delta,
-        "operators": [operator_to_config(op, sc.sets) for op in sc.operators.members],
-        "x0": [float(v) for v in sc.x0],
-        "max_cycles": sc.max_cycles,
-        "tol": sc.tol,
-        "seed": sc.seed,
-        "analyses": [dict(a) for a in sc.analyses],
-        "expected": dict(sc.expected),
-    }
+    """Canonical (normalized) config dict for a scenario: each field in its
+    config form (`sets._encode`), but the cyclic-projection intersection is
+    "oracle", operators name their sets by index, and the analysis records
+    and expectations are copied."""
+    own = {"operators": [operator_to_config(op, sc.sets) for op in sc.operators.members],
+           "analyses": [dict(a) for a in sc.analyses], "expected": dict(sc.expected)}
+    if isinstance(sc.intersection, IntersectionHandle):
+        own["intersection"] = "oracle"
+    return {key: own[key] if key in own else sets_mod._encode(getattr(sc, key)) for key in _KEYS}
 
 
 def _parse(read, where):
@@ -583,7 +582,7 @@ def _states_match(want, got, tol):
 
 
 def _cycle_detect(run, rec, path, label):
-    tol = rec.get("tol", 1e-12)
+    tol = rec.get("tol", runner_mod._CYCLE_TOL)
     found = runner_mod.detect_cycle(run.traj, tol=tol)
     if found is None:
         return None, {"passed": "expect_period" not in rec and "expect_states" not in rec,

@@ -220,6 +220,23 @@ class TestInjectable:
         with pytest.raises(DomainError):
             P.check_injectable(P.Ball(np.zeros(2), 1.0), -1.0, np.zeros(2), 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_depth_whose_probe_distances_overflow_raises(self):
+        """tau = 1e308 is a valid depth, but the probe distances of an
+        enlarged segment overflow: numpy warned and the worst margin read
+        -inf, a failure no distance measured."""
+        s = P.Enlargement(P.Box(np.zeros(2), np.array([1.0, 0.0])), 0.1)
+        with pytest.raises(DomainError, match=r"^tau: the probe distances at depth 1e\+308 "
+                                              r"are not finite$"):
+            P.check_injectable(s, 1e308, np.zeros(2), 1.0, samples=200, seed=0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_halfspace_takes_the_largest_depths(self):
+        s = P.Halfspace(np.array([0.0, 1.0]), 0.0)
+        for tau in (1e308, np.finfo(float).max):
+            rep = P.check_injectable(s, tau, np.zeros(2), 1.0, samples=200, seed=0)
+            assert (rep.violations, rep.worst_margin) == (0, 0.0)
+
     @pytest.mark.parametrize("wrap", ["bare", "translate", "enlargement"])
     @pytest.mark.parametrize("kind", sorted(_CONVEX_KINDS))
     def test_two_end_probes_match_the_grid_bit_for_bit(self, kind, wrap):

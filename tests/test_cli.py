@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, output layout, report shape."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 from importlib import resources
 
@@ -77,18 +79,21 @@ class TestRunCommand:
         assert rc == 0
         assert "PASS" in out
 
-    def test_text_report_prints_a_non_finite_margin(self, tmp_path, capsys):
+    def test_text_report_prints_a_non_finite_margin(self, tmp_path, capsys, monkeypatch):
         """A report holds a number that is not finite as its string; the
         text form formatted "-inf" with :.3e and died in a ValueError
-        traceback.  tau = 1e308 is a valid depth whose probes overflow."""
-        ref = resources.files("projlab.scenarios") / "enlargement_injectability.json"
-        cfg = json.loads(ref.read_text(encoding="utf-8"))
-        cfg["analyses"][0]["tau"] = 1e308
-        path = _write(tmp_path, cfg)
+        traceback.  A patched check reports the margin -inf."""
+        def check(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), violations=1,
+                                       worst_margin=-math.inf)
+
+        real = P.analysis.check_injectable
+        monkeypatch.setattr(P.analysis, "check_injectable", check)
+        path = _write(tmp_path, json.loads((resources.files("projlab.scenarios")
+                                            / "enlargement_injectability.json").read_text()))
         for fmt, line in (("text", "  check inj_enlarge_01 (injectable): [FAIL] worst_margin=-inf"),
                           ("json", '      "worst_margin": "-inf"')):
-            with np.errstate(over="ignore"):
-                rc = P.main(["run", path, "--out", str(tmp_path / fmt), "--format", fmt])
+            rc = P.main(["run", path, "--out", str(tmp_path / fmt), "--format", fmt])
             captured = capsys.readouterr()
             assert (rc, captured.err) == (1, "")
             assert line in captured.out.splitlines()
@@ -202,6 +207,23 @@ class TestRunCommand:
             ["run", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("name", ["../escaped", "ABSOLUTE", "a/b", "a\\b", "..", "."])
+    def test_a_name_that_is_no_plain_path_component_writes_nothing(self, tmp_path, capsys, name):
+        """The output directory is --out joined with the name: "../escaped"
+        wrote beside --out, and an absolute name wherever it pointed."""
+        if name == "ABSOLUTE":
+            name = str(tmp_path / "absolute")
+        config = tmp_path / "config"
+        config.mkdir()
+        path = _write(config, minimal_config(name=name))
+        rc = P.main(["run", path, "--out", str(tmp_path / "out" / "inner")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: {path}: name: must be one path component: not '.' or '..', "
+            f"and no '/', '\\' or NUL, got {json.dumps(name)}\n")
+        assert [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")] \
+            == ["config", "config/scenario.json"]
 
     def test_anchor_violation_exit_two(self, tmp_path, capsys):
         cfg = minimal_config(anchor=[0.0, 1.0])

@@ -363,8 +363,13 @@ def test_whole_floats_still_count():
                                      samples=20),
     lambda: P.check_quasi_coercive(_relaxed(), _line(), math.inf, np.zeros(2), 0.5,
                                    samples=20),
-], ids=["injectable_tau", "quasi_firm_fejer_gamma", "quasi_coercive_nu"])
+    lambda: P.check_fejer_trace(_trajectory(), (math.inf, 0.5), np.zeros(2)),
+    lambda: P.averaged_constants(math.inf, 0.5, 0.5),
+], ids=["injectable_tau", "quasi_firm_fejer_gamma", "quasi_coercive_nu", "fejer_trace_gamma",
+        "averaged_constants_gamma"])
 def test_an_infinite_constant_raises_rather_than_passing_vacuously(call):
+    """averaged_constants returned gamma = inf, beta = 2 for gamma = inf,
+    which the checks of the inequality reject; they share one pair rule."""
     with pytest.raises(P.DomainError, match=r"must lie in .*, inf\), got inf"):
         call()
 
@@ -395,6 +400,48 @@ def test_number_wording_lives_in_errors_only():
              for path in sorted(SRC.glob("*.py"))}
     assert found.pop("errors")
     assert {stem: lines for stem, lines in found.items() if lines} == {}
+
+
+# Each public entry that takes the regularity kappa, the coercivity nu of a
+# rate theorem or the semi-intrepid alpha: (CALLS entry, argument index,
+# name in messages, constant); a list argument has its first entry replaced.
+PAPER_CONSTANTS = [
+    ("dr_coercivity", 4, "kappa", "kappa"),
+    ("rate_dist_qff", 2, "nu", "nu"), ("rate_dist_qff", 3, "kappa", "kappa"),
+    ("rate_dist_qf", 3, "nu", "nu"), ("rate_dist_qf", 4, "kappa", "kappa"),
+    ("rate_refined", 2, "kappa", "kappa"),
+    ("rate_cyclic_relaxed", 2, "kappa", "kappa"),
+    ("rate_cyclic_overrelaxed", 2, "kappa", "kappa"),
+    ("rate_cyclic_projections", 2, "kappa", "kappa"),
+    ("rate_convex_cyclic", 1, "kappa", "kappa"),
+    ("rate_cyclic_semi_intrepid", 0, "alpha_i", "alpha"),
+    ("rate_cyclic_semi_intrepid", 2, "kappa", "kappa"),
+    ("rate_cyclic_dr", 2, "nu", "nu"), ("rate_cyclic_dr", 3, "kappa", "kappa"),
+    ("semi_intrepid_constants", 0, "alpha", "alpha"),
+    ("SemiIntrepidProjector", 0, "alpha", "alpha"),
+    ("semi_intrepid_effective_relaxation", 0, "alpha", "alpha"),
+]
+# Each constant's interval as messages word it, and the values just outside it.
+OUTSIDE = {
+    "kappa": ("[1, inf]", (math.nextafter(1.0, 0.0),)),
+    "nu": ("(0, 1]", (0.0, math.nextafter(1.0, 2.0))),
+    "alpha": ("[0, 1]", (math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0))),
+}
+
+
+@pytest.mark.parametrize("entry, index, name, constant", PAPER_CONSTANTS,
+                         ids=[f"{e}[{i}]" for e, i, _, _ in PAPER_CONSTANTS])
+def test_each_paper_constant_has_one_interval(entry, index, name, constant):
+    """kappa in [1, inf], a theorem's nu in (0, 1] and the semi-intrepid
+    alpha in [0, 1] are each one named interval of `rates`; every entry
+    rejects the values just outside it with the interval's message."""
+    fn, args = CALLS[entry]
+    interval, values = OUTSIDE[constant]
+    for value in values:
+        bad = [value, *args[index][1:]] if isinstance(args[index], list) else value
+        with pytest.raises(P.DomainError) as exc:
+            fn(*args[:index], bad, *args[index + 1:])
+        assert str(exc.value) == f"{name} must lie in {interval}, got {value}"
 
 
 @pytest.mark.parametrize("key, module, name", [

@@ -63,6 +63,16 @@ class TestParsing:
         assert np.allclose(sc.x0, [3.0, 4.0])
         assert sc.expected == {}
 
+    @pytest.mark.parametrize("name", ["..", ".", "a/b", "/abs", "a\\b", "a\0b", "../up"])
+    def test_name_is_one_path_component(self, name):
+        """The name becomes a directory below the output root."""
+        with pytest.raises(ConfigError, match=r"^name: must be one path component: "):
+            P.scenario_from_config(minimal_config(name=name))
+
+    @pytest.mark.parametrize("name", ["...", ".hidden", "a.b", "a b", "..x"])
+    def test_a_name_with_dots_is_still_one_component(self, name):
+        assert P.scenario_from_config(minimal_config(name=name)).name == name
+
     def test_oracle_intersection_accepted(self):
         sc = P.scenario_from_config(minimal_config(intersection="oracle"))
         assert P.scenario_to_config(sc)["intersection"] == "oracle"
@@ -238,6 +248,12 @@ class TestRoundTrip:
         sc2 = P.scenario_from_config(norm1)
         norm2 = P.scenario_to_config(sc2)
         assert norm1 == norm2
+
+    @pytest.mark.parametrize("intersection", ["oracle", None])
+    def test_config_keys_are_the_scenario_fields(self, intersection):
+        cfg = minimal_config(**({"intersection": intersection} if intersection else {}))
+        assert list(P.scenario_to_config(P.scenario_from_config(cfg))) \
+            == [f.name for f in dataclasses.fields(P.Scenario)]
 
     def test_save_and_load(self, tmp_path):
         sc = P.scenario_from_config(minimal_config())
