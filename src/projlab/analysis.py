@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SamplingFailure, UnsupportedSet, check_count, check_range
-from .rates import _fejer_pair
+from .rates import TAU_RANGE, _fejer_pair
 from .sets import (
     RANK_TOL,
     ClosedSet,
@@ -54,10 +54,10 @@ _VERTEX_CAP = 4096  # most one-generator-per-pool assignments searched for zeta
 # and its mass off L_C^perp at most RANK_TOL over it: nearer the cut-off, a
 # spanned direction and a missing one are not told apart, and kappa is sampled.
 _KAPPA_MARGIN = 1e3
-# The intervals of the locality radius, the injectability radius and the
-# coercivity constant, as check_range's (lo, hi, lo_open, hi_open).
+# The intervals of the locality radius and the coercivity constant, as
+# check_range's (lo, hi, lo_open, hi_open); the injectability radius takes
+# rates.TAU_RANGE.
 DELTA_RANGE = (0.0, np.inf, True, True)
-TAU_RANGE = (0.0, np.inf, False, True)
 NU_RANGE = (0.0, np.inf, True, True)
 
 

@@ -12,11 +12,12 @@ Each interval of the paper's constants is named once, here, and every check
 of that constant reads it: LAMBDA_RANGE (0, 2] for a relaxation parameter,
 EPS_RANGE [0, 1) for the error levels eps and eps2, EPS1_RANGE [0, 1/3]
 for eps1, ALPHA_RANGE [0, 1] for a semi-intrepid alpha, KAPPA_RANGE
-[1, inf] for the regularity kappa and THEOREM_NU_RANGE (0, 1] for the
-coercivity nu of a rate theorem.  `_fejer_pair` is the one domain of a
-quasi-firm Fejér pair, gamma in (0, inf) and beta in [0, inf], which
-`averaged_constants` and the sampled and trajectory checks of the
-inequality share.
+[1, inf] for the regularity kappa, THEOREM_NU_RANGE (0, 1] for the
+coercivity nu of a rate theorem and TAU_RANGE [0, inf) for a depth tau
+(the semi-intrepid step's and the injectability radius).  `_fejer_pair` is
+the one domain of a quasi-firm Fejér pair, gamma in (0, inf) and beta in
+[0, inf], which `averaged_constants` and the sampled and trajectory checks
+of the inequality share.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ LAMBDA_RANGE = (0.0, 2.0, True, False)
 EPS_RANGE = (0.0, 1.0, False, True)
 EPS1_RANGE = (0.0, 1.0 / 3.0, False, False)
 ALPHA_RANGE = (0.0, 1.0, False, False)
+TAU_RANGE = (0.0, math.inf, False, True)
 KAPPA_RANGE = (1.0, math.inf, False, False)
 THEOREM_NU_RANGE = (0.0, 1.0, True, False)
 

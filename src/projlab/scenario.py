@@ -744,7 +744,7 @@ _BOOL_KEYS = ("expect_non_convergent", "expect_equality")
 # of _RESOLVED may hold an "@label" or arithmetic value, checked by the same
 # rule when it resolves (_resolve_in_range); a literal number is checked here.
 _RANGES = {"samples": 1, "seed": 0, "burn_in": 0, "k": 1, "expect_period": 1,
-           "delta": analysis_mod.DELTA_RANGE, "tau": analysis_mod.TAU_RANGE,
+           "delta": analysis_mod.DELTA_RANGE, "tau": rates_mod.TAU_RANGE,
            "nu": analysis_mod.NU_RANGE, "lambda": rates_mod.LAMBDA_RANGE,
            "tail_fraction": runner_mod.TAIL_FRACTION_RANGE, "tol": runner_mod.CYCLE_TOL_RANGE,
            "slack": runner_mod.SLACK_RANGE, "rho_bound": runner_mod.RHO_BOUND_RANGE,

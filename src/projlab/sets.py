@@ -27,7 +27,10 @@ members) gives L^perp with reach inf and writes only this hook, whose lines
 the base `normal_generators_many` lists at every row, each as n then -n.
 Other sets list their cone, batched, in `normal_generators_many` (a
 halfspace's two hooks read one face test; a translate forwards both) or
-raise UnsupportedSet.  `normal_generators` is the one-row call.
+raise UnsupportedSet.  `normal_generators` is the one-row call.  The
+hyperplane and the affine set also give their projection as an affine map
+in closed form, `_affine_map`: (P, q) with P_S(x) = P x + q; every other
+set gives None.
 
 `convex` is True only where the set is known to be convex, and callers may
 then use what convexity gives exactly.  The single-valued sets are convex; a
@@ -404,6 +407,11 @@ class ClosedSet:
         exact cone."""
         return None
 
+    def _affine_map(self):
+        """(P, q) with P_S(x) = P x + q for every x, in closed form, where the
+        projection is an affine map; None when the set gives none."""
+        return None
+
     def to_config(self) -> dict:
         cfg = {"type": self.tag}
         for f in fields(self):
@@ -509,6 +517,10 @@ class Hyperplane(_LinearSet):
     def _normal_cone(self, w):
         return _subspace_cone((self.a / float(np.linalg.norm(self.a)))[None, :])
 
+    def _affine_map(self):
+        """P = I - a a^T / ||a||^2 and q = (b / ||a||^2) a."""
+        return np.eye(self.dim) - np.outer(self.a, self.a) / self._aa, (self.b / self._aa) * self.a
+
     def hull_points(self, rng):
         a, aa = self.a, self._aa
         anchor = a * (self.b / aa)
@@ -568,6 +580,11 @@ class AffineSubspaceSet(_SingleValued):
 
     def _normal_cone(self, w):
         return _subspace_cone(_orthonormal_complement(self.basis, self.dim))
+
+    def _affine_map(self):
+        """P = B^T B and q = anchor - P anchor."""
+        P = self._bt.dot(self.basis)
+        return P, self.anchor - P.dot(self.anchor)
 
     def hull_points(self, rng):
         return [self.anchor] + [self.anchor + b for b in self.basis]

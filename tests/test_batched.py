@@ -18,7 +18,7 @@ from projlab import DimensionMismatch, DomainError, UnsupportedSet, analysis, in
 from projlab.analysis import margin_report
 from projlab.sets import TIE_TOL, ProjectionResult
 
-from conftest import given_draws, single_point
+from conftest import FormulaHyperplane, affine_step_bound, given_draws, single_point, underflows
 
 TOL = 1e-12
 COORD = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
@@ -818,9 +818,15 @@ def _apply_reference(op, x):
 @given(case=operator_case())
 def test_apply_many_matches_apply(kind, case):
     """Within 1e-12 of the scalar apply, and both bit for bit equal to
-    `_apply_reference`."""
+    `_apply_reference`.  A relaxed or DR operator whose sets are all
+    hyperplanes steps by its affine map: there a batch row equals the
+    scalar apply bit for bit, and both lie within `affine_step_bound` of
+    the reference wherever neither the map nor the reference underflows
+    (the bound's model); `apply_with_trace` keeps the reference's bits."""
     a, b, params, X = case
     op = _operator(kind, a, b, params)
+    mapped = kind != "semi_intrepid" and all(
+        isinstance(s, P.Hyperplane) for s in ((a,) if kind == "relaxed" else (a, b)))
     Y = op.apply_many(X)
     assert Y.shape == X.shape
     for x, y in zip(X, Y):
@@ -830,7 +836,12 @@ def test_apply_many_matches_apply(kind, case):
         if kind == "generalized_dr":
             assert all(_same_bits(t, r) for t, r in zip(op.apply_with_trace(x), ref))
             ref = ref[2]
-        assert _same_bits(y, ref) and _same_bits(got, ref)
+        if not mapped:
+            assert _same_bits(y, ref) and _same_bits(got, ref)
+            continue
+        assert _same_bits(y, got)
+        if not underflows(lambda: (_operator(kind, a, b, params), _apply_reference(op, x))):
+            assert np.all(np.abs(got - ref) <= affine_step_bound(op, x))
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -1519,9 +1530,10 @@ def test_finite_point_distances_match_linalg_norm(case, data):
         assert not np.shares_memory(out, X) and not np.shares_memory(out, s.points)
 
 
-class _CountingHyperplane(P.Hyperplane):
+class _CountingHyperplane(FormulaHyperplane):
     """A test-only closed form that counts the calls of its two batched
-    kernels."""
+    kernels.  It gives no affine map, so an operator on it takes the step
+    formula, as on a set that is not affine."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -1536,11 +1548,18 @@ class _CountingHyperplane(P.Hyperplane):
         return super()._nearest_many(X)
 
 
+class _CountingMappedHyperplane(_CountingHyperplane):
+    """The counting hyperplane with the catalog's affine map."""
+
+    _affine_map = P.Hyperplane._affine_map
+
+
 class TestPointsOnlyKernels:
     """Operators, the oracle sweep and the run loop read points only: they
     call `_canonical_many` and never `_nearest_many`.  Only a run's
     intersection distances, its cycle-end test and the CSV writer's per-set
-    columns ask for distances."""
+    columns ask for distances.  An operator that steps by its affine map
+    calls neither kernel."""
 
     def lines(self):
         return (_CountingHyperplane(np.array([0.0, 1.0]), 0.0),
@@ -1559,6 +1578,16 @@ class TestPointsOnlyKernels:
         op.apply_many(np.random.default_rng(4).normal(size=(5, 2)))
         op.apply(np.ones(2))
         self.assert_points_only(*((a, b) if tag == "generalized_dr" else (a,)))
+
+    def test_an_affine_map_calls_no_kernel(self):
+        a, b = (_CountingMappedHyperplane(s.a, s.b) for s in self.lines())
+        X = np.random.default_rng(4).normal(size=(5, 2))
+        for op in (P.RelaxedProjector(a, 1.5), P.GeneralizedDR(a, b, 2.0, 2.0, 0.5)):
+            op.apply_many(X)
+            op.apply(np.ones(2))
+        P.run([P.RelaxedProjector(a, 1.0), P.RelaxedProjector(b, 1.0)], np.array([3.0, 1.0]),
+              (a, b), P.FinitePointSet(np.zeros((1, 2))), max_cycles=50)
+        assert a.calls == b.calls == {"_canonical_many": 0, "_nearest_many": 0}
 
     def test_oracle_sweep(self):
         a, b = self.lines()

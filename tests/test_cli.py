@@ -292,8 +292,8 @@ class TestVerifyCommand:
             assert (base / "report.json").is_file()
 
     @pytest.mark.parametrize("seed, digest", [
-        (None, "01d5a15761ca854e2b96a7873decaddd3837819dbd3d4183965e1d5e22f2217d"),
-        (12345, "45c27069981097b04d716bebc7738b1cf69abc7436428c2ee1d2d09d5684ba24"),
+        (None, "f44f50c73d7010035520cb7ef7adb9d109ca4a5df37f7a0a274ee8ea22863635"),
+        (12345, "952e7cc56ba21a69d310f2ed0c5356df410aefc8e6a7922021b93fde8fc53431"),
     ], ids=["seed_default", "seed_12345"])  # ids that a re-pin leaves alone
     def test_verify_report_is_pinned(self, seed, digest):
         """The suite report stays byte-identical once `timing` is removed.  A
@@ -317,7 +317,7 @@ class TestVerifyCommand:
                 if (out / fname).is_file():
                     digest.update((out / fname).read_bytes())
         assert digest.hexdigest() == \
-            "8fce43822ccdbaf1e5a29bd37310700f6a7f5baa111d3a1b9014507fb82d66be"
+            "09f56415a5e7e96406074b0394f74465663b68b87e3d87a9044db7744cd6d96d"
 
     @pytest.mark.parametrize("seed", [-1, True, 2.5, "7"])
     def test_verify_suite_checks_its_seed_once(self, monkeypatch, seed):

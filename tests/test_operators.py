@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import projlab as P
 from projlab import ConfigError, DomainError
 from projlab.operators import OPERATOR_TYPES
+
+from conftest import FormulaHyperplane, affine_step_bound, underflows
 
 
 def _convex_sets():
@@ -306,3 +308,113 @@ class TestOperatorConfig:
         sets = [P.Ball(np.zeros(2), 1.0)]
         with pytest.raises(ConfigError, match=r"lambda must lie in \(0, 2\]"):
             P.operator_from_config({"type": "relaxed", "set": 0, "lambda": 3.0}, sets)
+
+
+FAR = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+STEP = st.floats(0.0, 2.0, exclude_min=True, allow_subnormal=False)
+
+
+@st.composite
+def affine_target(draw, d):
+    """A hyperplane through a point, or an affine set with its anchor, up to
+    1e3 from the origin."""
+    point = draw(arrays(float, d, elements=FAR))
+    if draw(st.booleans()):
+        a = draw(arrays(float, d, elements=st.floats(-4.0, 4.0, allow_subnormal=False))
+                 .filter(lambda a: np.linalg.norm(a) > 1e-3))
+        return P.Hyperplane(a, float(a @ point))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return P.AffineSubspaceSet(point, q[:draw(st.integers(0, d))].copy())
+
+
+@st.composite
+def affine_operator(draw):
+    """A relaxed or generalized DR operator on affine sets and a batch.  The
+    bound holds in the standard model, where nothing underflows: a draw
+    whose map underflows as it is built is rejected."""
+    d = draw(st.integers(1, 8))
+    a = draw(affine_target(d))
+    if draw(st.booleans()):
+        cls, args = P.RelaxedProjector, (a, draw(STEP))
+    else:
+        cls, args = P.GeneralizedDR, (a, draw(affine_target(d)), draw(STEP), draw(STEP),
+                                      draw(st.floats(0.0, 1.0, exclude_min=True,
+                                                     allow_subnormal=False)))
+    assume(not underflows(lambda: cls(*args)))
+    return cls(*args), draw(arrays(float, st.tuples(st.integers(1, 6), st.just(d)), elements=FAR))
+
+
+def _step_formula(op, x):
+    """The step as the operators wrote it before they stepped by their map."""
+    if isinstance(op, P.GeneralizedDR):
+        return op.apply_with_trace(x)[2]
+    return x + op.lam * (op.target.project(x).canonical - x)
+
+
+class TestAffineMap:
+    """A relaxed or generalized DR operator whose sets are all affine steps
+    by its map x -> M x + c, built once: a batch row keeps the one-row
+    bits, M is nonexpansive, and every step lies within the rounding bound
+    of the step formula (conftest.affine_step_bound derives it)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=affine_operator())
+    def test_map_steps_match_the_formula(self, case):
+        op, X = case
+        M, c = op._map
+        assert np.linalg.norm(M, 2) <= 1.0 + 1e-12
+        Y = op.apply_many(X)
+        for x, y in zip(X, Y):
+            got = op.apply(x)
+            assert got.tobytes() == y.tobytes()
+            if not underflows(lambda: _step_formula(op, x)):
+                assert np.all(np.abs(got - _step_formula(op, x)) <= affine_step_bound(op, x))
+
+    def test_only_affine_sets_give_a_map(self):
+        line, ball = P.Hyperplane(np.array([0.0, 1.0]), 0.5), P.Ball(np.zeros(2), 1.0)
+        assert P.RelaxedProjector(line, 1.5)._map is not None
+        assert P.GeneralizedDR(line, line, 2.0, 2.0, 0.5)._map is not None
+        for op in (P.RelaxedProjector(ball, 1.5), P.SemiIntrepidProjector(line, 0.5, 1.0),
+                   P.GeneralizedDR(line, ball, 2.0, 2.0, 0.5),
+                   P.RelaxedProjector(FormulaHyperplane(line.a, line.b), 1.5)):
+            assert getattr(op, "_map", None) is None
+
+    def test_closed_forms(self):
+        """P_S(x) = P x + q in the closed forms, not differences of steps."""
+        a = np.array([3.0, 4.0])
+        P_h, q_h = P.Hyperplane(a, 10.0)._affine_map()
+        np.testing.assert_array_equal(P_h, np.eye(2) - np.outer(a, a) / 25.0)
+        np.testing.assert_array_equal(q_h, 0.4 * a)
+        B = np.array([[0.6, 0.8]])
+        P_a, q_a = P.AffineSubspaceSet(np.array([1.0, 2.0]), B)._affine_map()
+        np.testing.assert_array_equal(P_a, B.T @ B)
+        np.testing.assert_array_equal(q_a, np.array([1.0, 2.0]) - P_a @ np.array([1.0, 2.0]))
+        assert P.Ball(np.zeros(2), 1.0)._affine_map() is None
+
+
+def _far_lines(s, theta_deg, cls):
+    """Two lines of R^2 meeting at w = (s, -0.7 s) at theta_deg degrees, the
+    point w, and x0 = w + (1, 1)."""
+    w, t = np.array([s, -0.7 * s]), np.radians(theta_deg)
+    a, b = (cls(n, float(n @ w)) for n in (np.array([0.0, 1.0]),
+                                           np.array([-np.sin(t), np.cos(t)])))
+    return a, b, P.FinitePointSet(w[None, :]), w + 1.0
+
+
+@pytest.mark.parametrize("path", [P.Hyperplane, FormulaHyperplane], ids=["map", "formula"])
+@pytest.mark.parametrize("method", ["ap", "dr"])
+@pytest.mark.parametrize("theta", [30.0, 3.0])
+@pytest.mark.parametrize("s", [1.0, 1e3])
+def test_far_anchor_reach(s, theta, method, path):
+    """Alternating projections and DR (lambda = mu = 2, alpha = 1/2) reach
+    tol 1e-9 within 20 000 cycles, by the map and by the step formula, with
+    the lines' meeting point up to 1e3 from the origin.  Rounding leaves d_C
+    a floor of order eps |w| / (1 - rho); at s = 1e5 and 3 degrees (rho
+    cos^2 3 or cos 3 per cycle) it reaches 1e-9, and runs there stop at the
+    budget or reach tol by chance, so the pinned range ends at 1e3."""
+    a, b, inter, x0 = _far_lines(s, theta, path)
+    ops = ([P.RelaxedProjector(a, 1.0), P.RelaxedProjector(b, 1.0)] if method == "ap"
+           else [P.GeneralizedDR(a, b, 2.0, 2.0, 0.5)])
+    traj = P.run(ops, x0, (a, b), inter, max_cycles=20_000, tol=1e-9)
+    assert traj.stop_reason == "Converged" and traj.c_dist[-1] <= 1e-9

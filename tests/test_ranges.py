@@ -445,7 +445,7 @@ def test_each_paper_constant_has_one_interval(entry, index, name, constant):
 
 
 @pytest.mark.parametrize("key, module, name", [
-    ("tau", "analysis", "TAU_RANGE"), ("nu", "analysis", "NU_RANGE"),
+    ("tau", "rates", "TAU_RANGE"), ("nu", "analysis", "NU_RANGE"),
     ("lambda", "rates", "LAMBDA_RANGE"), ("tail_fraction", "runner", "TAIL_FRACTION_RANGE"),
     ("tol", "runner", "CYCLE_TOL_RANGE"), ("slack", "runner", "SLACK_RANGE"),
     ("eps", "rates", "EPS_RANGE"), ("eps1", "rates", "EPS1_RANGE"), ("eps2", "rates", "EPS_RANGE"),
