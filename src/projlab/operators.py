@@ -11,10 +11,12 @@ construction, and its `_rows` is M x + c, calling no oracle; the
 semi-intrepid step, which is not affine, and operators on any other set
 keep the step formula, as `apply_with_trace` does.  `apply` is the one-row
 call of `_rows` and `apply_many` its call on every row of an (n, d) array;
-both validate their input once.  `CyclicTuple.apply` and `runner.run`
-validate one point and then step a (1, d) row through the members'
-kernels; a one-row form (the affine set's, and the map's by ndarray.dot)
-keeps a batch row's bits.
+both validate their input once.  `CyclicTuple.apply` validates one point
+and then steps a (1, d) row through the members' kernels; a one-row form
+(the affine set's, and the map's by ndarray.dot) keeps a batch row's bits.
+`runner.run` steps that way where a member has no map; where every member
+has one, it steps a round of cycles by one product over the cycle's
+stacked prefix maps (`_cycle_prefixes`), which rounds differently.
 """
 
 from __future__ import annotations
@@ -49,6 +51,28 @@ def _map_rows(affine_map, X):
     if X.shape[0] == 1:
         return (M.dot(X[0]) + c)[None, :]
     return _rowwise(M, X) + c
+
+
+def _cycle_prefixes(maps, cycles, built):
+    """The stacked prefix maps of at least `cycles` cycles of the affine
+    steps `maps`, a list of (M_i, c_i), as (A, b): block j of d rows of A
+    and of b is the map x -> A_j x + b_j of the first j steps, A_j = M_j
+    A_(j-1) and b_j = M_j b_(j-1) + c_j, member j taken cyclically.
+    Block m is the cycle's own map.  With `built` None the first cycle is
+    that chain; `built`, this function's result for fewer cycles, is
+    extended by doubling, c cycles to 2c: A_(cm+i) = A_i A_cm and
+    b_(cm+i) = A_i b_cm + b_i."""
+    if built is None:
+        A, b = [maps[0][0]], [maps[0][1]]
+        for M, c in maps[1:]:
+            A.append(M.dot(A[-1]))
+            b.append(M.dot(b[-1]) + c)
+        built = np.concatenate(A), np.concatenate(b)
+    A, b = built
+    d = A.shape[1]
+    while A.shape[0] < cycles * len(maps) * d:
+        A, b = np.concatenate([A, A.dot(A[-d:])]), np.concatenate([b, A.dot(b[-d:]) + b])
+    return A, b
 
 
 def _one_row(self, x):

@@ -104,3 +104,78 @@ def affine_step_bound(op, x):
         A = (1.0 - op.alpha) * y + op.alpha * inner
     gamma = K * 2.0 ** -53 / (1.0 - K * 2.0 ** -53)
     return 2.0 * gamma * (1.0 + gamma) * A
+
+
+class FormulaAffineSet(P.AffineSubspaceSet):
+    """An affine set that gives no affine map, as `FormulaHyperplane` is a
+    hyperplane that gives none."""
+
+    def _affine_map(self):
+        return None
+
+
+def formula_counterpart(s):
+    """s as a `FormulaHyperplane` or `FormulaAffineSet` where it is a
+    hyperplane or an affine set, so an operator on it takes the step
+    formula and `run` its per-step loop; any other set as it is."""
+    if isinstance(s, P.Hyperplane):
+        return FormulaHyperplane(s.a, s.b)
+    if isinstance(s, P.AffineSubspaceSet):
+        return FormulaAffineSet(s.anchor, s.basis)
+    return s
+
+
+def _gamma_over(K):
+    """gamma_K / (1 - gamma_K): the bound on |fl(e) - e| per unit of the sum
+    of the magnitudes of e's terms, computed in floating point, where every
+    term passes through at most K roundings, u = 2^-53."""
+    gamma = K * 2.0 ** -53 / (1.0 - K * 2.0 ** -53)
+    return gamma / (1.0 - gamma)
+
+
+def affine_block_bound(operators, reference, block):
+    """Bound on ||block[n] - reference[n]||_2 for each row n that two runs of
+    a cycle of relaxed or generalized DR operators on affine sets share:
+    `reference` steps by one map at a time (x_i = fl(M_i x_(i-1) + c_i), as
+    `apply` does), `block` by `run`'s rounds of stacked prefix maps, from
+    the rows 0, m, 2m, 4m, 8m and then every 8m (runner._TEST_BATCH).
+
+    Take the computed (M_i, c_i) as exact and write T_i for x -> M_i x + c_i.
+    Every value either run computes is a sum of products of entries of the
+    M_i, the c_i and x0, the terms of the exact chain, and in the standard
+    model, where nothing underflows, a sum whose every term passes through
+    at most K roundings is within gamma_K of the exact times the sum of its
+    terms' magnitudes (`_gamma_over`, with the error of computing that
+    sum):
+    - a reference step, a gemv and + c, takes K = d + 1, so x_i = T_i(x_(i-1))
+      + f_i with |f_i| <= gamma_(d+1) (|M_i| |x_(i-1)| + |c_i|);
+    - the j-th row of a round from y takes fl(A_j y + b_j), with A_j =
+      M_j ... M_1 formed by matrix products in any order, within
+      gamma_((j-1)d) |M_j| ... |M_1| (Higham, Accuracy and Stability of
+      Numerical Algorithms, 2nd ed., sec. 3.5), b_j by the chain and by
+      doublings b_(cm+i) = A_i b_cm + b_i, within (j-1)(d+1) roundings, and
+      the final gemv and + b_j: K = j (d + 1), so the row is the exact chain
+      from y plus g_j, |g_j| <= gamma_(j(d+1)) z_j with z_0 = |y| and z_j =
+      |M_j| z_(j-1) + |c_j|.
+    The linear part of T_i is M_i, of 2-norm at most sigma, the largest
+    computed ||M_i||_2 (at least 1; an exact relaxed or DR step is
+    nonexpansive), so the gap at row s + j of a round from row s is at most
+    sigma^j times the gap at row s, plus ||g_j||, plus sum over i of
+    sigma^(s+j-i) ||f_i|| for the reference's steps in the round.
+    """
+    maps = [op._map for op in operators]
+    m, d, rows = len(maps), reference.shape[1], min(len(reference), len(block))
+    sigma = max(1.0, *(np.linalg.norm(M, 2) for M, _ in maps)) * (1.0 + 1e-12)  # SVD's rounding
+    bound = np.zeros(rows)
+    start, tested = 0, 0
+    while start < rows - 1:
+        k = min(max(tested, 1), P.runner._TEST_BATCH)
+        carried, reference_gap, z = bound[start], 0.0, np.abs(block[start])
+        for j in range(1, min(k * m, rows - 1 - start) + 1):
+            M, c = maps[(start + j - 1) % m]
+            z = np.abs(M).dot(z) + np.abs(c)
+            f = _gamma_over(d + 1) * (np.abs(M).dot(np.abs(reference[start + j - 1])) + np.abs(c))
+            carried, reference_gap = sigma * carried, sigma * reference_gap + np.linalg.norm(f)
+            bound[start + j] = carried + reference_gap + np.linalg.norm(_gamma_over(j * (d + 1)) * z)
+        start, tested = start + k * m, tested + k
+    return bound

@@ -292,8 +292,8 @@ class TestVerifyCommand:
             assert (base / "report.json").is_file()
 
     @pytest.mark.parametrize("seed, digest", [
-        (None, "f44f50c73d7010035520cb7ef7adb9d109ca4a5df37f7a0a274ee8ea22863635"),
-        (12345, "952e7cc56ba21a69d310f2ed0c5356df410aefc8e6a7922021b93fde8fc53431"),
+        (None, "f0bc012a94329d5e528d7f4694c9fb6353e39f848f5a848aa08b62f56b25e643"),
+        (12345, "7b04e0adf39899fdbc0534c8b4848fb8563de793dfe10d3c2a631489730f851f"),
     ], ids=["seed_default", "seed_12345"])  # ids that a re-pin leaves alone
     def test_verify_report_is_pinned(self, seed, digest):
         """The suite report stays byte-identical once `timing` is removed.  A
@@ -317,7 +317,7 @@ class TestVerifyCommand:
                 if (out / fname).is_file():
                     digest.update((out / fname).read_bytes())
         assert digest.hexdigest() == \
-            "09f56415a5e7e96406074b0394f74465663b68b87e3d87a9044db7744cd6d96d"
+            "dbae5474a34c196d74071b5c15654886f3085c5d988e62939336fc0d75cba2d8"
 
     @pytest.mark.parametrize("seed", [-1, True, 2.5, "7"])
     def test_verify_suite_checks_its_seed_once(self, monkeypatch, seed):

@@ -17,7 +17,7 @@ DIGESTS = {
     "03_nonconvergent_cycles": "95fe0f6a3267d410c71949ea8ac84607a1350b1eddf9f6ec96c4124efdbe30bb",
     "04_two_line_rates": "ef53ecf30ec81533b947015f8e0b3704e42764cfaa370303bd5238500c9463a7",
     "05_regularity_estimates": "c347f940d463a3c2c92affbf4ad316deb617ac3d0c23b8a7ab7622581e4f7b02",
-    "06_affine_reduction": "fe8efdee71677e900f5c3c26f766f63b440e2b9c114c08f5507d0203a56ecc64",
+    "06_affine_reduction": "cc8f62122b84178a3576b8379958ebdc9019cca0962866f4fc70de28ea739e10",
 }
 
 

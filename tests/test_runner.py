@@ -1,5 +1,6 @@
 """Trajectory engine: runs, cycle detection, rate fits, certificate checks."""
 
+import dataclasses
 import math
 import os
 import re
@@ -16,7 +17,8 @@ from projlab.operators import OPERATOR_TYPES, operator_type
 from projlab.runner import DIVERGENCE_NORM
 from projlab.sets import ProjectionResult
 
-from conftest import two_lines
+from conftest import (FormulaHyperplane, affine_block_bound, formula_counterpart, two_lines,
+                      underflows)
 
 
 def _orthogonal_lines_run(x0=(3.0, 4.0), **kw):
@@ -131,13 +133,44 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _by_blocks(ops):
+    """Whether `run` steps this cycle by blocks: every member steps by an
+    affine map, in a dimension up to the block limit."""
+    return (all(getattr(op, "_map", None) is not None for op in ops)
+            and ops[0].dim <= P.runner._BLOCK_DIM)
+
+
 def _assert_run_matches_reference(ops, x0, sets, inter, **kw):
+    """`run` against the per-point loop: the stop reason and op_index
+    exactly; the points and distances bit for bit, or, where `run` steps by
+    blocks and nothing underflows, each point within `affine_block_bound`
+    of the loop's and each distance within that bound plus the rounding of
+    the two distance evaluations, 8 units of 2^-53 of the larger point
+    norm (the distance is 1-Lipschitz)."""
     traj = P.run(ops, x0, sets, inter, **kw)
     pts, op_index, cd, stop = _reference_run(ops, x0, sets, inter, **kw)
     assert traj.stop_reason == stop
-    for got, want in ((traj.points, pts), (traj.op_index, op_index), (traj.c_dist, cd)):
-        assert _same_bits(got, want)
+    assert _same_bits(traj.op_index, op_index)
+    if not _by_blocks(ops):
+        assert _same_bits(traj.points, pts) and _same_bits(traj.c_dist, cd)
+    elif not underflows(lambda: (P.run(ops, x0, sets, inter, **kw),
+                                 _reference_run(ops, x0, sets, inter, **kw))):
+        bound = affine_block_bound(ops, pts, traj.points)
+        assert np.all(np.linalg.norm(traj.points - pts, axis=1) <= bound)
+        scale = np.maximum(np.linalg.norm(traj.points, axis=1), np.linalg.norm(pts, axis=1))
+        assert np.all(np.abs(traj.c_dist - cd) <= bound + 8 * 2.0 ** -53 * scale)
     return traj
+
+
+def _formula_case(case):
+    """A case with each hyperplane and affine set replaced by its formula
+    counterpart, so `run` takes its per-step loop there."""
+    ops, x0, sets, inter, kw, stop = case
+    ops = [dataclasses.replace(op, **{f.name: formula_counterpart(getattr(op, f.name))
+                                      for f in dataclasses.fields(op)
+                                      if isinstance(getattr(op, f.name), P.ClosedSet)})
+           for op in ops]
+    return ops, x0, tuple(map(formula_counterpart, sets)), inter, kw, stop
 
 
 def _line(angle):
@@ -181,13 +214,19 @@ def _walk(b, last=None, cycle_ends_at=None):
 STOP_CYCLES = (1, 2, 3, 5, 8, 9, 17)  # batch ends 1, 2, 8, 16 and the cycles between
 
 
-def _stop_at(cycles):
-    """Alternating projections on two lines whose tol is the reference's
-    intersection distance after `cycles` cycles, where the run must stop."""
+def _stop_at(cycles, counterpart=None):
+    """Alternating projections on two lines whose tol is the intersection
+    distance after `cycles` cycles, where the run must stop.  With
+    `counterpart` None the lines are the catalog's, which `run` steps by
+    blocks, and the distance is `run`'s own; else they are the lines
+    `counterpart` gives and the distance is the per-point loop's."""
     lines = (_line(0.0), _line(math.pi / 9))
+    if counterpart is not None:
+        lines = tuple(map(counterpart, lines))
     ops, x0 = [P.RelaxedProjector(s, 1.0) for s in lines], np.array([0.9, 0.35])
     exact = _origin()
-    errors = _reference_run(ops, x0, lines, exact, max_cycles=20, tol=1e-300)[2][::2]
+    errors = (P.run(ops, x0, lines, exact, max_cycles=20, tol=1e-300).c_dist if counterpart is None
+              else _reference_run(ops, x0, lines, exact, max_cycles=20, tol=1e-300)[2])[::2]
     return ops, x0, lines, exact, {"max_cycles": 20, "tol": errors[cycles]}, "Converged"
 
 
@@ -231,7 +270,7 @@ def _equivalence_cases():
     pa, pb = P.FinitePointSet(np.array([[0.0, 0.0]])), P.FinitePointSet(np.array([[6e10, 0.0]]))
     cone = P.PolyhedralCone(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, -1.0, 1.0]]))
     plane = P.Hyperplane(np.array([0.2, 0.0, 1.0]), 0.0)
-    return {
+    cases = {
         "relaxed_lam1_exact": (
             [P.RelaxedProjector(s, 1.0) for s in lines], np.array([0.9, 0.35]), lines, exact,
             {"max_cycles": 300, "tol": 1e-12}, "Converged"),
@@ -286,14 +325,31 @@ def _equivalence_cases():
         **{f"affine_dr_d{d}": _affine_case(d, lambda a, b: [P.GeneralizedDR(a, b, 2.0, 2.0, 0.5)])
            for d in (4, 8)},
     }
+    # each case `run` steps by blocks keeps a counterpart on the step
+    # formula, whose per-step loop matches the reference bit for bit
+    cases.update({f"{name}_formula": (_stop_at(int(name.rsplit("_", 1)[1]), formula_counterpart)
+                                      if name.startswith("relaxed_stop_at_cycle_")
+                                      else _formula_case(case))
+                  for name, case in cases.items() if _by_blocks(case[0])})
+    return cases
 
 
 EQUIVALENCE_CASES = _equivalence_cases()
 
 
+BLOCK_CASES = {"relaxed_lam1_exact", "dr_exact", "relaxed_oracle_budget",
+               "relaxed_budget_between_batch_ends",
+               *(f"relaxed_stop_at_cycle_{c}" for c in STOP_CYCLES),
+               *(name for name in EQUIVALENCE_CASES
+                 if name.startswith("affine_") and not name.endswith("_formula"))}
+
+
 class TestRunMatchesPerPointLoop:
-    """`run` steps a (1, d) row through private kernels; every field the
-    loop decides matches the per-point loop bit for bit."""
+    """Every field the loop decides matches the per-point loop's.  `run`
+    steps a (1, d) row through private kernels, bit for bit, except where
+    every member steps by an affine map: there it steps by blocks, and its
+    points lie within the rounding bound of the loop's; each such case has
+    a counterpart on the step formula, which keeps the bits."""
 
     @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CASES))
     def test_case_matches_reference(self, name):
@@ -312,10 +368,20 @@ class TestRunMatchesPerPointLoop:
                 if isinstance(case[2][0], P.AffineSubspaceSet)} == {
             (d, family) for d in (4, 8) for family in ("RelaxedProjector", "GeneralizedDR")}
 
+    def test_cases_on_lines_and_affine_sets_step_by_blocks(self):
+        """The cases `run` steps by blocks are those on lines, hyperplanes
+        and affine sets, each with its counterpart on the step formula."""
+        blocks = {name for name, case in EQUIVALENCE_CASES.items() if _by_blocks(case[0])}
+        assert blocks == BLOCK_CASES
+        assert {name for name in EQUIVALENCE_CASES if name.endswith("_formula")} == {
+            f"{name}_formula" for name in BLOCK_CASES}
+
     @pytest.mark.parametrize("cycles", STOP_CYCLES)
     def test_stops_at_the_first_converged_cycle_end(self, cycles):
-        ops, x0, sets, inter, kw, _ = EQUIVALENCE_CASES[f"relaxed_stop_at_cycle_{cycles}"]
-        assert P.run(ops, x0, sets, inter, **kw).n_cycles == cycles
+        """By blocks and on the step formula."""
+        for suffix in ("", "_formula"):
+            ops, x0, sets, inter, kw, _ = EQUIVALENCE_CASES[f"relaxed_stop_at_cycle_{cycles}{suffix}"]
+            assert P.run(ops, x0, sets, inter, **kw).n_cycles == cycles
 
     def test_each_cycle_end_is_tested_once_in_batches(self):
         ops, x0, sets, inter, _, _ = EQUIVALENCE_CASES["relaxed_lam1_exact"]
@@ -338,10 +404,127 @@ class TestRunMatchesPerPointLoop:
     @settings(max_examples=40, deadline=None)
     @given(x0=arrays(float, 2, elements=st.floats(-4.0, 4.0, allow_subnormal=False)),
            family=st.sampled_from(["relaxed_lam1_exact", "relaxed_oracle_budget",
-                                   "semi_intrepid_oracle_lines", "dr_exact", "dr_oracle"]))
+                                   "semi_intrepid_oracle_lines", "dr_exact", "dr_oracle",
+                                   "relaxed_lam1_exact_formula", "dr_exact_formula"]))
     def test_any_start_matches_reference(self, x0, family):
         ops, _, sets, inter, kw, _ = EQUIVALENCE_CASES[family]
         _assert_run_matches_reference(ops, x0, sets, inter, **dict(kw, max_cycles=20))
+
+
+def _affine_cycle(seed):
+    """A seeded cycle of 1-4 relaxed and generalized DR members in R^d, d
+    1-8, on hyperplanes and affine sets through one point w up to 1e3 from
+    the origin, with their anchors up to 1e3 from w; lambda and mu in
+    (0, 2] and alpha in (0, 1].  Returns (ops, x0, sets, C, max_cycles), C
+    the sets' exact intersection, w plus the common part of their linear
+    parts."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 9))
+    w = rng.standard_normal(d) * 10.0 ** rng.uniform(-1.0, 3.0)
+    sets, normals = [], [np.zeros((1, d))]
+
+    def target():
+        if rng.random() < 0.5:
+            a = rng.standard_normal(d)
+            sets.append(P.Hyperplane(a, float(a @ w)))
+            normals.append(a[None, :])
+        else:
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            k = int(rng.integers(0, d + 1))
+            sets.append(P.AffineSubspaceSet(w + rng.uniform(-1e3, 1e3, k) @ q[:k], q[:k].copy()))
+            normals.append(q[k:])
+        return sets[-1]
+
+    def step():
+        return 2.0 - rng.uniform(0.0, 2.0)
+
+    ops = [P.RelaxedProjector(target(), step()) if rng.random() < 0.5
+           else P.GeneralizedDR(target(), target(), step(), step(), 1.0 - rng.uniform(0.0, 1.0))
+           for _ in range(int(rng.integers(1, 5)))]
+    vt, rank = P.sets.svd_rank(np.vstack(normals), P.sets.RANK_TOL)
+    x0 = w + rng.standard_normal(d) * 10.0 ** rng.uniform(-2.0, 2.0)
+    return ops, x0, sets, P.AffineSubspaceSet(w, vt[rank:]), int(rng.integers(1, 41))
+
+
+class TestRunByBlocks:
+    """Where every member steps by an affine map, `run` steps a round of
+    cycles by one product over the cycle's stacked prefix maps; the
+    decided fields are the per-point loop's and the points lie within
+    `affine_block_bound` of its points."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_seeded_affine_cycles_match_the_reference(self, seed):
+        ops, x0, sets, inter, max_cycles = _affine_cycle(seed)
+        assert _by_blocks(ops)
+        traj = _assert_run_matches_reference(ops, x0, sets, inter,
+                                             max_cycles=max_cycles, tol=1e-5)
+        assert traj.n_cycles == (len(traj.op_index) - 1) // len(ops)
+
+    @pytest.mark.parametrize("line", [P.Hyperplane, FormulaHyperplane], ids=["blocks", "formula"])
+    def test_translation_diverges_at_the_same_step(self, line):
+        """Reflections in the parallel lines y = 0 and y = 1 translate by
+        (0, 2) a cycle: from x0 just below 1e12 the norm passes 1e12 at the
+        second step of cycle 3, on both paths as in the per-point loop."""
+        lines = (line(np.array([0.0, 1.0]), 0.0), line(np.array([0.0, 1.0]), 1.0))
+        ops = [P.RelaxedProjector(s, 2.0) for s in lines]
+        x0 = np.array([0.0, DIVERGENCE_NORM - 5.0])
+        traj = _assert_run_matches_reference(ops, x0, lines, _origin(), max_cycles=100)
+        assert traj.stop_reason == "Diverged" and traj.n_points == 7
+        assert traj.final[1] == DIVERGENCE_NORM + 1.0
+
+    def test_above_the_dimension_limit_the_steps_keep_their_bits(self):
+        d = P.runner._BLOCK_DIM + 1
+        rng = np.random.default_rng(3)
+        a, b = (P.Hyperplane(rng.standard_normal(d), 0.0) for _ in range(2))
+        ops = [P.RelaxedProjector(a, 1.0), P.RelaxedProjector(b, 1.5)]
+        assert not _by_blocks(ops)
+        pts, _, cd, stop = _reference_run(ops, rng.standard_normal(d), (a, b), _origin(d),
+                                          max_cycles=30)
+        traj = P.run(ops, pts[0], (a, b), _origin(d), max_cycles=30)
+        assert traj.stop_reason == stop
+        assert _same_bits(traj.points, pts) and _same_bits(traj.c_dist, cd)
+
+    @pytest.mark.parametrize("max_cycles, built", [(1, 1), (2, 1), (3, 1), (4, 2), (7, 4), (8, 4), (20, 8)])
+    def test_prefix_maps_are_built_as_the_rounds_need_them(self, monkeypatch, max_cycles,
+                                                           built):
+        """A run that stops at cycle 1 builds one cycle's m maps; the
+        rounds of 1, 1, 2, 4 and 8 cycles double them when first needed."""
+        sizes = []
+
+        def counted(maps, cycles, done):
+            A, b = prefixes(maps, cycles, done)
+            sizes.append(A.shape[0] // A.shape[1])
+            return A, b
+
+        prefixes = P.runner._cycle_prefixes
+        monkeypatch.setattr(P.runner, "_cycle_prefixes", counted)
+        ops, x0, sets, inter, _, _ = EQUIVALENCE_CASES["relaxed_lam1_exact"]
+        traj = P.run(ops, x0, sets, inter, max_cycles=max_cycles, tol=1e-300)
+        assert traj.n_cycles == max_cycles and max(sizes) == built * len(ops)
+
+    def test_the_cycle_map_is_the_mth_prefix(self):
+        """Block m of the stacked maps is the cycle's own map: its product
+        with x is one cycle of the members' maps, to rounding."""
+        ops, x0, _, _, _, _ = EQUIVALENCE_CASES["affine_relaxed_lam1.5_d8"]
+        A, b = P.runner._cycle_prefixes([op._map for op in ops], 1, None)
+        d = len(x0)
+        assert A.shape == (2 * d, d) and b.shape == (2 * d,)
+        np.testing.assert_allclose(A[d:].dot(x0) + b[d:], P.CyclicTuple(ops).apply(x0),
+                                   rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("line", [P.Hyperplane, FormulaHyperplane], ids=["blocks", "formula"])
+    def test_an_overflowing_norm_reads_as_diverged(self, line):
+        """From x0 = (1e160, 1e160) the first step's squared norm
+        overflows: the run stops Diverged with no overflow warning, and a
+        distance whose square overflows reads inf."""
+        lines = (line(np.array([0.0, 1.0]), 0.0), line(np.array([1.0, -1.0]), 0.0))
+        ops = [P.RelaxedProjector(s, 1.0) for s in lines]
+        traj = P.run(ops, np.array([1e160, 1e160]), lines, _origin())
+        assert traj.stop_reason == "Diverged" and traj.n_points == 2
+        assert traj.points[1].tolist() == [1e160, 0.0]
+        assert traj.c_dist.tolist() == [math.inf, math.inf]
 
 
 class _CountingSet(P.ClosedSet):
