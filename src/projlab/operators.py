@@ -16,7 +16,9 @@ and then steps a (1, d) row through the members' kernels; a one-row form
 (the affine set's, and the map's by ndarray.dot) keeps a batch row's bits.
 `runner.run` steps that way where a member has no map; where every member
 has one, it steps a round of cycles by one product over the cycle's
-stacked prefix maps (`_cycle_prefixes`), which rounds differently.
+stacked prefix maps (`_cycle_prefixes`, doubled as the rounds grow to as
+many cycles as 1024 rows of maps hold, and at least 8), which rounds
+differently.
 """
 
 from __future__ import annotations

@@ -26,7 +26,15 @@ DIVERGENCE_NORM = 1e12
 ERROR_FLOOR = 1e-14
 _K_STEP_TOL = 1e-12     # slack of the k-step reduction
 _CYCLE_TOL = 1e-12      # default tolerance of detect_cycle
-_TEST_BATCH = 8         # most cycles in one round of `run`, whose ends one call tests
+_TEST_BATCH = 8         # cycles of `run`'s longest round by steps, its shortest cap by blocks
+# The most rows k m d of stacked prefix maps that one round of `run` by
+# blocks reads, k cycles of m steps in R^d.  Building the stack costs about
+# k m d^3 and a round's product k m d^2, against some 15 us of fixed calls a
+# round; at 1024 rows (AP and DR on two d/2-planes, d = 2..32, one core) no
+# run of 1 to 400 cycles took longer than with rounds of 8 cycles, beyond
+# timing noise, and a 186- or 373-cycle run at d <= 16 took 0.35 to 0.65
+# times as long.
+_BLOCK_ROWS = 1024
 # The largest dimension in which `run` steps an affine cycle by blocks: at
 # d = 48 and 64 a 10-cycle run by blocks took up to 1.3 times as long as by
 # steps, at d <= 32 at most 1.03 times (AP and DR on two d/2-planes, one core).
@@ -91,24 +99,30 @@ def run(operators, x0, sets, intersection: ClosedSet,
     exceeds 1e12 (stop_reason Diverged, never an exception).
 
     x0 is validated once, against the cycle's, the intersection's and every
-    set's dimension.  The run goes in rounds of 1, 1, 2, 4 and 8 cycles and
-    then 8 at a time, the last cut to max_cycles; each round's cycle ends
-    are tested by one `_nearest_many` call, and the first end at or below
-    tol stops the run, dropping at most min(c - 1, 7) computed cycles for a
+    set's dimension.  The run goes in rounds of as many cycles as so far,
+    at least 1, up to a cap (`_rounds`): 1, 1, 2, 4, 8 and so on, the
+    last cut to max_cycles.  Each round's cycle ends are tested by one
+    `_nearest_many` call, and the first end at or below tol stops the run,
+    dropping the round's later cycles: at most min(c - 1, cap - 1) for a
     stop at cycle c.  A round's rows come one of two ways:
 
     - where every member steps by an affine map (`_map`) and the dimension
       is at most _BLOCK_DIM, by one product from the round's start x,
       A x + b over the cycle's stacked prefix maps (`_cycle_prefixes`, built
-      as the rounds first need them).  The rows differ from the per-step
+      as the rounds first need them).  The cap is a size: the largest
+      power of two of cycles whose k m d rows of maps are at most
+      _BLOCK_ROWS, and at least 8; for two members that is 16 cycles at
+      d = 32 and 128 at d = 4.  The rows differ from the per-step
       chain of maps in their last bits: that product rounds the terms of
       the chain in another order, so each is within gamma_K of the exact
       value times the sum of its terms' magnitudes, K = j (d + 1) for the
       j-th step of a round (the tests' `affine_block_bound` derives it);
     - everywhere else one member's `_rows` kernel a step on a (1, d) row,
       the call `apply` makes, so the iterates are `apply`'s bit for bit.
-      A step that raises ends the round, and its exception is raised after
-      the cycle ends before it are tested, unless one of them converged.
+      The cap is 8 cycles (_TEST_BATCH), so a stop at cycle c drops at
+      most min(c - 1, 7) computed cycles.  A step that raises ends the
+      round, and its exception is raised after the cycle ends before it
+      are tested, unless one of them converged.
 
     One rule ends a run on both paths: the first row whose norm, the BLAS
     dot of `row_norms`, exceeds 1e12 or is NaN is the last kept; its cycle
@@ -134,16 +148,15 @@ def run(operators, x0, sets, intersection: ClosedSet,
             raise DomainError(f"run's sets must be ClosedSets, got {type(s).__name__}")
         as_vector(x, s.dim)
     maps = [getattr(op, "_map", None) for op in members]
-    block = cycle.dim <= _BLOCK_DIM and None not in maps
+    block_rows = m * cycle.dim if cycle.dim <= _BLOCK_DIM and None not in maps else 0
 
     t0 = time.perf_counter()
-    points, prefixes, stop, tested = [x[None, :]], None, "Budget", 0
+    points, prefixes, stop = [x[None, :]], None, "Budget"
     with np.errstate(over="ignore"):
-        while tested < max_cycles:
-            k = min(max(tested, 1), _TEST_BATCH, max_cycles - tested)
-            if block:
+        for k in _rounds(max_cycles, block_rows):
+            if block_rows:
                 prefixes = _cycle_prefixes(maps, k, prefixes)
-                n = k * m * cycle.dim
+                n = k * block_rows
                 rows = (prefixes[0][:n].dot(points[-1][-1]) + prefixes[1][:n]).reshape(k * m, -1)
                 norms, error = row_norms(rows), None
             else:
@@ -168,12 +181,27 @@ def run(operators, x0, sets, intersection: ClosedSet,
             points.append(rows)
             if stop == "Diverged":
                 break
-            tested += k
         wall = time.perf_counter() - t0
         P = np.concatenate(points)
         c_dist = intersection.distance_many(P)
     return Trajectory(P, np.r_[-1, np.arange(P.shape[0] - 1) % m],
                       c_dist, m, stop, tol, seed, wall, cycle, sets)
+
+
+def _rounds(max_cycles, block_rows):
+    """The cycles of each round of `run`, in order: as many as so far (at
+    least 1) up to a cap, the last cut to `max_cycles`.  The cap is
+    _TEST_BATCH on the per-step path (`block_rows` 0); by blocks, with
+    `block_rows` the m d rows of stacked maps a cycle, it is the largest
+    power of two of cycles that read at most _BLOCK_ROWS rows, and at
+    least _TEST_BATCH."""
+    cap, tested = _TEST_BATCH, 0
+    while block_rows and 2 * cap * block_rows <= _BLOCK_ROWS:
+        cap *= 2
+    while tested < max_cycles:
+        k = min(max(tested, 1), cap, max_cycles - tested)
+        yield k
+        tested += k
 
 
 def _steps(members, x, n):

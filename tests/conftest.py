@@ -138,7 +138,8 @@ def affine_block_bound(operators, reference, block):
     a cycle of relaxed or generalized DR operators on affine sets share:
     `reference` steps by one map at a time (x_i = fl(M_i x_(i-1) + c_i), as
     `apply` does), `block` by `run`'s rounds of stacked prefix maps, from
-    the rows 0, m, 2m, 4m, 8m and then every 8m (runner._TEST_BATCH).
+    the rows 0, m, 2m, 4m, 8m and so on, the rounds `runner._rounds` gives
+    the block path.
 
     Take the computed (M_i, c_i) as exact and write T_i for x -> M_i x + c_i.
     Every value either run computes is a sum of products of entries of the
@@ -167,9 +168,11 @@ def affine_block_bound(operators, reference, block):
     m, d, rows = len(maps), reference.shape[1], min(len(reference), len(block))
     sigma = max(1.0, *(np.linalg.norm(M, 2) for M, _ in maps)) * (1.0 + 1e-12)  # SVD's rounding
     bound = np.zeros(rows)
-    start, tested = 0, 0
+    start = 0
+    # uncut: the rows the two runs share end where `run`'s last round does
+    rounds = P.runner._rounds(math.inf, m * d)
     while start < rows - 1:
-        k = min(max(tested, 1), P.runner._TEST_BATCH)
+        k = next(rounds)
         carried, reference_gap, z = bound[start], 0.0, np.abs(block[start])
         for j in range(1, min(k * m, rows - 1 - start) + 1):
             M, c = maps[(start + j - 1) % m]
@@ -177,5 +180,5 @@ def affine_block_bound(operators, reference, block):
             f = _gamma_over(d + 1) * (np.abs(M).dot(np.abs(reference[start + j - 1])) + np.abs(c))
             carried, reference_gap = sigma * carried, sigma * reference_gap + np.linalg.norm(f)
             bound[start + j] = carried + reference_gap + np.linalg.norm(_gamma_over(j * (d + 1)) * z)
-        start, tested = start + k * m, tested + k
+        start += k * m
     return bound

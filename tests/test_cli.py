@@ -27,15 +27,43 @@ def _strip_timing(obj):
     return obj
 
 
-def _verify_digest(seed):
-    """sha256 of the `verify --format json` report with every `timing` key
-    removed, re-dumped with indent=2 and sorted keys."""
+# The pinned digests; `tests/repin.py` prints them afresh and lists the
+# report leaves that moved.
+VERIFY_DIGESTS = {
+    None: "ec393be94794cba7891e15d18c866101b86bf42b500287181f673f8ef8d0aee1",
+    12345: "b2c4212d314d9824ae134d6c4cd775b33c4562db1bb66e9a55f9e85c69aa20f1",
+}
+CSV_DIGEST = "4bc306c4f8322ff35b430f2388be049c4e3ea6bfcbc60353a22cabc5b6b1129f"
+
+
+def _verify_report(seed):
+    """The `verify --format json` report at `seed` (None: the scenarios'
+    own) with every `timing` key removed."""
     argv = ["verify", "--format", "json"] + ([] if seed is None else ["--seed", str(seed)])
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert P.main(argv) == 0
-    report = _strip_timing(json.loads(out.getvalue()))
+    return _strip_timing(json.loads(out.getvalue()))
+
+
+def _report_digest(report):
+    """sha256 of a report dumped with indent=2 and sorted keys."""
     return hashlib.sha256(json.dumps(report, indent=2, sort_keys=True).encode()).hexdigest()
+
+
+def _csv_digest(out_root):
+    """One sha256 over the CSV files `execute_scenario` writes under
+    `out_root` for the bundled scenarios at their default seeds, in name
+    order, each scenario's shadow.csv (where there is one) before its
+    trajectory.csv."""
+    digest = hashlib.sha256()
+    for name in P.bundled_scenario_names():
+        out = out_root / name
+        P.execute_scenario(P.load_bundled(name), out_dir=str(out))
+        for fname in ("shadow.csv", "trajectory.csv"):
+            if (out / fname).is_file():
+                digest.update((out / fname).read_bytes())
+    return digest.hexdigest()
 
 
 def _write(tmp_path, cfg, name="scenario.json"):
@@ -291,33 +319,29 @@ class TestVerifyCommand:
             assert (base / "trajectory.csv").is_file()
             assert (base / "report.json").is_file()
 
-    @pytest.mark.parametrize("seed, digest", [
-        (None, "f0bc012a94329d5e528d7f4694c9fb6353e39f848f5a848aa08b62f56b25e643"),
-        (12345, "7b04e0adf39899fdbc0534c8b4848fb8563de793dfe10d3c2a631489730f851f"),
-    ], ids=["seed_default", "seed_12345"])  # ids that a re-pin leaves alone
+    @pytest.mark.parametrize("seed, digest", VERIFY_DIGESTS.items(),
+                             ids=["seed_default", "seed_12345"])  # ids that a re-pin leaves alone
     def test_verify_report_is_pinned(self, seed, digest):
         """The suite report stays byte-identical once `timing` is removed.  A
         change meant to move a reported number says which fields moved and
-        regenerates the digests from the repository root with
-
-            PYTHONPATH=src:tests python -c "import test_cli as t; print(t._verify_digest(None), t._verify_digest(12345))"
-        """
-        assert _verify_digest(seed) == digest
+        re-pins with `tests/repin.py`, which prints the digests and lists
+        the moved fields."""
+        assert _report_digest(_verify_report(seed)) == digest
 
     def test_exported_csv_bytes_are_pinned(self, tmp_path):
-        """One sha256 over the CSV files `execute_scenario` writes for the
-        bundled scenarios at their default seeds, in name order, each
-        scenario's shadow.csv (where there is one) before its trajectory.csv:
-        both writers keep every byte."""
-        digest = hashlib.sha256()
-        for name in P.bundled_scenario_names():
-            out = tmp_path / name
-            P.execute_scenario(P.load_bundled(name), out_dir=str(out))
-            for fname in ("shadow.csv", "trajectory.csv"):
-                if (out / fname).is_file():
-                    digest.update((out / fname).read_bytes())
-        assert digest.hexdigest() == \
-            "dbae5474a34c196d74071b5c15654886f3085c5d988e62939336fc0d75cba2d8"
+        """Both CSV writers keep every byte (`_csv_digest`; re-pinned with
+        `tests/repin.py`)."""
+        assert _csv_digest(tmp_path) == CSV_DIGEST
+
+    def test_repin_lists_each_moved_leaf(self):
+        """`tests/repin.py` names a moved report leaf by its path, with its
+        old and new value and the relative change."""
+        import repin
+        old = {"a": {"b": [1.0, 2.0], "c": "PASS"}, "d": 0.0, "e": True}
+        new = {"a": {"b": [1.0, 2.5], "c": "FAIL"}, "d": 1e-30, "e": 1}
+        assert repin.moved_leaves(old, old) == []
+        assert repin.moved_leaves(old, new) == [
+            'a.b[1]: 2.0 -> 2.5 (+2.5e-01)', 'a.c: "PASS" -> "FAIL"', 'd: 0.0 -> 1e-30', 'e: true -> 1']
 
     @pytest.mark.parametrize("seed", [-1, True, 2.5, "7"])
     def test_verify_suite_checks_its_seed_once(self, monkeypatch, seed):

@@ -17,7 +17,7 @@ DIGESTS = {
     "03_nonconvergent_cycles": "95fe0f6a3267d410c71949ea8ac84607a1350b1eddf9f6ec96c4124efdbe30bb",
     "04_two_line_rates": "ef53ecf30ec81533b947015f8e0b3704e42764cfaa370303bd5238500c9463a7",
     "05_regularity_estimates": "c347f940d463a3c2c92affbf4ad316deb617ac3d0c23b8a7ab7622581e4f7b02",
-    "06_affine_reduction": "cc8f62122b84178a3576b8379958ebdc9019cca0962866f4fc70de28ea739e10",
+    "06_affine_reduction": "f6c21b0641585af26f338b46d274d86d8c096881b0952f7f843a8be3a9f496aa",
 }
 
 
@@ -38,9 +38,6 @@ def test_demos_found():
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(path):
     """A demo prints the same bytes on every run.  A change meant to move a
-    demo's output says which lines moved and regenerates the digests from
-    the repository root with
-
-        PYTHONPATH=src:tests python -c "import test_demos as t; [print(p.stem, t._demo_digest(p)) for p in t.DEMOS]"
-    """
+    demo's output says which lines moved and re-pins with `tests/repin.py`,
+    which prints every demo's digest."""
     assert _demo_digest(path) == DIGESTS[path.stem]

@@ -230,6 +230,17 @@ def _stop_at(cycles, counterpart=None):
     return ops, x0, lines, exact, {"max_cycles": 20, "tol": errors[cycles]}, "Converged"
 
 
+def _planes_ap(d):
+    """Alternating projections onto two (d/2)-planes of R^d through 0 at
+    principal angles of 30 degrees, from a point off both: (ops, x0, sets,
+    the origin)."""
+    q, _ = np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))
+    t = math.radians(30.0)
+    sets = (P.AffineSubspaceSet(np.zeros(d), q[:d // 2]),
+            P.AffineSubspaceSet(np.zeros(d), math.cos(t) * q[:d // 2] + math.sin(t) * q[d // 2:]))
+    return [P.RelaxedProjector(s, 1.0) for s in sets], q.sum(axis=0), sets, _origin(d)
+
+
 def _affine_pair(d, seed):
     """Two affine sets of R^d with nonzero anchors, of dimensions 2 and 2
     (d = 4) or 5 and 4 (d = 8), whose linear parts meet at principal angles
@@ -389,6 +400,16 @@ class TestRunMatchesPerPointLoop:
         traj = P.run(ops, x0, sets, counted, max_cycles=20, tol=1e-300)
         # cycle ends 1, 2, 3-4, 5-8, 9-16, 17-20, then the table of every point
         assert counted.batches == [1, 1, 2, 4, 8, 4, traj.n_points]
+        # by blocks a round keeps doubling up to 256 cycles, the 1024 rows
+        # of runner._BLOCK_ROWS at 2 steps in R^2; the last is cut to the budget
+        counted = _CountingSet(inter)
+        traj = P.run(ops, x0, sets, counted, max_cycles=1000, tol=1e-300)
+        assert counted.batches == [1, 1, 2, 4, 8, 16, 32, 64, 128, 256, 256, 232, traj.n_points]
+        # by steps the rounds stop at 8 cycles (runner._TEST_BATCH)
+        ops, x0, sets, inter, _, _ = EQUIVALENCE_CASES["relaxed_lam1_exact_formula"]
+        counted = _CountingSet(inter)
+        traj = P.run(ops, x0, sets, counted, max_cycles=1000, tol=1e-300)
+        assert counted.batches == [1, 1, 2, 4] + [8] * 124 + [traj.n_points]
 
     def test_member_sets_are_kept_but_not_measured(self, tmp_path):
         """`run` checks and keeps its sets but asks none of them for a
@@ -411,15 +432,15 @@ class TestRunMatchesPerPointLoop:
         _assert_run_matches_reference(ops, x0, sets, inter, **dict(kw, max_cycles=20))
 
 
-def _affine_cycle(seed):
+def _affine_cycle(seed, dim=None):
     """A seeded cycle of 1-4 relaxed and generalized DR members in R^d, d
-    1-8, on hyperplanes and affine sets through one point w up to 1e3 from
-    the origin, with their anchors up to 1e3 from w; lambda and mu in
+    1-8 or `dim`, on hyperplanes and affine sets through one point w up to
+    1e3 from the origin, with their anchors up to 1e3 from w; lambda and mu in
     (0, 2] and alpha in (0, 1].  Returns (ops, x0, sets, C, max_cycles), C
     the sets' exact intersection, w plus the common part of their linear
     parts."""
     rng = np.random.default_rng(seed)
-    d = int(rng.integers(1, 9))
+    d = int(rng.integers(1, 9)) if dim is None else dim
     w = rng.standard_normal(d) * 10.0 ** rng.uniform(-1.0, 3.0)
     sets, normals = [], [np.zeros((1, d))]
 
@@ -485,11 +506,18 @@ class TestRunByBlocks:
         assert traj.stop_reason == stop
         assert _same_bits(traj.points, pts) and _same_bits(traj.c_dist, cd)
 
-    @pytest.mark.parametrize("max_cycles, built", [(1, 1), (2, 1), (3, 1), (4, 2), (7, 4), (8, 4), (20, 8)])
+    @pytest.mark.parametrize("max_cycles, built, d", [
+        *(pytest.param(cycles, built, 2, id=f"{cycles}-{built}") for cycles, built in [
+            (1, 1), (2, 1), (3, 1), (4, 2), (7, 4), (8, 4), (20, 8), (100, 64), (1000, 256)]),
+        pytest.param(1000, 16, 32, id="1000-16-d32"),
+    ])
     def test_prefix_maps_are_built_as_the_rounds_need_them(self, monkeypatch, max_cycles,
-                                                           built):
+                                                           built, d):
         """A run that stops at cycle 1 builds one cycle's m maps; the
-        rounds of 1, 1, 2, 4 and 8 cycles double them when first needed."""
+        rounds of 1, 1, 2, 4, 8 and more cycles double them when first
+        needed, and a cut round doubles them too.  The rounds stop growing
+        at 1024 rows of maps (runner._BLOCK_ROWS): 256 cycles of 2 steps in
+        R^2, 16 in R^32."""
         sizes = []
 
         def counted(maps, cycles, done):
@@ -499,9 +527,30 @@ class TestRunByBlocks:
 
         prefixes = P.runner._cycle_prefixes
         monkeypatch.setattr(P.runner, "_cycle_prefixes", counted)
-        ops, x0, sets, inter, _, _ = EQUIVALENCE_CASES["relaxed_lam1_exact"]
+        ops, x0, sets, inter = (EQUIVALENCE_CASES["relaxed_lam1_exact"][:4] if d == 2
+                                else _planes_ap(d))
         traj = P.run(ops, x0, sets, inter, max_cycles=max_cycles, tol=1e-300)
         assert traj.n_cycles == max_cycles and max(sizes) == built * len(ops)
+
+    @pytest.mark.parametrize("d", [2, 8, 16, 32])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_long_rounds_match_the_reference(self, d, seed):
+        """A seeded cycle in R^d runs in rounds 1, 1, 2, ... up to its cap,
+        one more of the cap and a cut one.  `run` is handed a point off
+        the sets as its intersection, so no cycle end converges and both
+        runs take the whole budget; every row is within the bound, as
+        nothing underflows."""
+        ops, x0, sets, inter, _ = _affine_cycle(seed, d)
+        cap = max(8, 2 ** int(math.log2(P.runner._BLOCK_ROWS / (len(ops) * d))))
+        doubling = [1] + [2 ** i for i in range(int(math.log2(cap)) + 1)]
+        kw = {"max_cycles": 3 * cap + cap // 2, "tol": 1e-300}
+        assert list(P.runner._rounds(kw["max_cycles"], len(ops) * d)) == [
+            *doubling, cap, cap // 2]
+        off = P.FinitePointSet(inter.anchor[None, :] + 1.0)
+        assert not underflows(lambda: (P.run(ops, x0, sets, off, **kw),
+                                       _reference_run(ops, x0, sets, off, **kw)))
+        traj = _assert_run_matches_reference(ops, x0, sets, off, **kw)
+        assert traj.stop_reason == "Budget" and traj.n_cycles == kw["max_cycles"]
 
     def test_the_cycle_map_is_the_mth_prefix(self):
         """Block m of the stacked maps is the cycle's own map: its product
