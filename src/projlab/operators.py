@@ -63,7 +63,7 @@ def _cycle_prefixes(maps, cycles, built):
     Block m is the cycle's own map.  With `built` None the first cycle is
     that chain; `built`, this function's result for fewer cycles, is
     extended by doubling, c cycles to 2c: A_(cm+i) = A_i A_cm and
-    b_(cm+i) = A_i b_cm + b_i."""
+    b_(cm+i) = A_i b_cm + b_i, the last doubling only up to `cycles`."""
     if built is None:
         A, b = [maps[0][0]], [maps[0][1]]
         for M, c in maps[1:]:
@@ -71,9 +71,11 @@ def _cycle_prefixes(maps, cycles, built):
             b.append(M.dot(b[-1]) + c)
         built = np.concatenate(A), np.concatenate(b)
     A, b = built
-    d = A.shape[1]
-    while A.shape[0] < cycles * len(maps) * d:
-        A, b = np.concatenate([A, A.dot(A[-d:])]), np.concatenate([b, A.dot(b[-d:]) + b])
+    d, rows = A.shape[1], cycles * len(maps) * A.shape[1]
+    while A.shape[0] < rows:
+        r = min(A.shape[0], rows - A.shape[0])
+        A, b = (np.concatenate([A, A[:r].dot(A[-d:])]),
+                np.concatenate([b, A[:r].dot(b[-d:]) + b[:r]]))
     return A, b
 
 

@@ -17,10 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import CHECK_TOL, PropertyReport, _fejer_margins, margin_report
-from .errors import DomainError, InsufficientData, check_count, check_range, check_whole
+from .errors import (DimensionMismatch, DomainError, InsufficientData, check_count, check_range,
+                     check_whole)
 from .operators import CyclicTuple, _cycle_prefixes
 from .rates import RateCertificate, _fejer_pair
-from .sets import ClosedSet, _real_entries, as_vector, row_norms
+from .sets import ClosedSet, _real_array, _real_entries, as_vector, row_norms
+
+try:  # the compiled LAPACK gelsd loop that np.linalg.lstsq wraps
+    from numpy.linalg._umath_linalg import lstsq as _gelsd
+except ImportError:
+    _gelsd = None
+_EPS = float(np.finfo(float).eps)
 
 DIVERGENCE_NORM = 1e12
 ERROR_FLOOR = 1e-14
@@ -33,8 +40,16 @@ _TEST_BATCH = 8         # cycles of `run`'s longest round by steps, its shortest
 # round; at 1024 rows (AP and DR on two d/2-planes, d = 2..32, one core) no
 # run of 1 to 400 cycles took longer than with rounds of 8 cycles, beyond
 # timing noise, and a 186- or 373-cycle run at d <= 16 took 0.35 to 0.65
-# times as long.
+# times as long.  The first round reads at most _OPEN_ROWS rows, at least
+# one cycle: 16 cycles for two members in R^2, 4 in R^8, 1 in R^32.  Each
+# doubling of the opening saves a long run a round's fixed calls, some
+# 13 us, and costs a run that stops at cycle 1 one more doubling of the
+# stack, some 4 us.  Against a 1-cycle opening, 64 rows took 8 % off a
+# `trajectory` pass of the benchmark and made a run stopping by tol at
+# cycle 1 take up to 1.7 times as long (AP and DR on two d/2-planes, d =
+# 2..32, one core); 256 rows took 13 % off and up to 2.0 times as long.
 _BLOCK_ROWS = 1024
+_OPEN_ROWS = 64
 # The largest dimension in which `run` steps an affine cycle by blocks: at
 # d = 48 and 64 a 10-cycle run by blocks took up to 1.3 times as long as by
 # steps, at d <= 32 at most 1.03 times (AP and DR on two d/2-planes, one core).
@@ -100,53 +115,59 @@ def run(operators, x0, sets, intersection: ClosedSet,
 
     x0 is validated once, against the cycle's, the intersection's and every
     set's dimension.  The run goes in rounds of as many cycles as so far,
-    at least 1, up to a cap (`_rounds`): 1, 1, 2, 4, 8 and so on, the
-    last cut to max_cycles.  Each round's cycle ends are tested by one
-    `_nearest_many` call, and the first end at or below tol stops the run,
-    dropping the round's later cycles: at most min(c - 1, cap - 1) for a
-    stop at cycle c.  A round's rows come one of two ways:
+    at least an opening count k0, up to a cap (`_rounds`): k0, k0, 2 k0,
+    4 k0 and so on, the last cut to max_cycles.  Each round's cycle ends
+    are tested by one `_nearest_many` call, and the first end at or below
+    tol stops the run, dropping the round's later cycles: at most
+    max(k0, min(c, cap)) - 1 for a stop at cycle c.  A round's rows come
+    one of two ways:
 
     - where every member steps by an affine map (`_map`) and the dimension
       is at most _BLOCK_DIM, by one product from the round's start x,
       A x + b over the cycle's stacked prefix maps (`_cycle_prefixes`, built
-      as the rounds first need them).  The cap is a size: the largest
-      power of two of cycles whose k m d rows of maps are at most
-      _BLOCK_ROWS, and at least 8; for two members that is 16 cycles at
-      d = 32 and 128 at d = 4.  The rows differ from the per-step
-      chain of maps in their last bits: that product rounds the terms of
-      the chain in another order, so each is within gamma_K of the exact
-      value times the sum of its terms' magnitudes, K = j (d + 1) for the
-      j-th step of a round (the tests' `affine_block_bound` derives it);
+      as the rounds first need them).  The opening and the cap are
+      sizes: k0 is as many cycles as _OPEN_ROWS rows of maps hold, at
+      least 1, and the cap the largest power of two of cycles whose k m d
+      rows are at most _BLOCK_ROWS, and at least 8; for two members k0 is
+      16 cycles at d = 2 and 1 at d = 32, the cap 128 cycles at d = 4 and
+      16 at d = 32.  The rows differ from the per-step chain of maps in
+      their last bits: that product rounds the terms of the chain in
+      another order, so each is within gamma_K of the exact value times
+      the sum of its terms' magnitudes, K = j (d + 1) for the j-th step of
+      a round (the tests' `affine_block_bound` derives it);
     - everywhere else one member's `_rows` kernel a step on a (1, d) row,
       the call `apply` makes, so the iterates are `apply`'s bit for bit.
-      The cap is 8 cycles (_TEST_BATCH), so a stop at cycle c drops at
-      most min(c - 1, 7) computed cycles.  A step that raises ends the
-      round, and its exception is raised after the cycle ends before it
-      are tested, unless one of them converged.
+      k0 is 1 and the cap 8 cycles (_TEST_BATCH), so a stop at cycle c
+      drops at most min(c - 1, 7) computed cycles.  A step that raises
+      ends the round, and its exception is raised after the cycle ends
+      before it are tested, unless one of them converged.
 
     One rule ends a run on both paths: the first row whose norm, the BLAS
     dot of `row_norms`, exceeds 1e12 or is NaN is the last kept; its cycle
     ends before it are tested first, and then the run stops as Diverged,
     or raises DomainError on a NaN.  The intersection distance of every
-    point is then one `distance_many` call.  The run steps and measures
-    with numpy's overflow warning silenced: a norm that overflows reads
-    inf, and so does an entry of the distance table whose square overflows.
+    point is then one `_nearest_many` call; only the last point, where a
+    Diverged stop can leave an entry that overflowed, is checked for
+    finiteness again, so such a run raises the DomainError of
+    `distance_many`.  The run steps and measures with numpy's overflow
+    warning silenced: a norm that overflows reads inf, and so does an
+    entry of the distance table whose square overflows.
     The member sets are checked and kept; only `export_trajectory_csv`
     measures distances to them.
     """
     cycle = operators if isinstance(operators, CyclicTuple) else CyclicTuple(operators)
     members = cycle.members
     m = len(members)
-    x = as_vector(x0)
+    x = as_vector(x0, cycle.dim)
     sets = tuple(sets)
     max_cycles = check_whole("max_cycles", check_range("max_cycles", max_cycles, 1.0, np.inf))
     tol = check_range("tol", tol, *TOL_RANGE)
     seed = check_count("seed", seed, 0)
-    as_vector(x, cycle.dim)
     for s in (intersection, *sets):
         if not isinstance(s, ClosedSet):
             raise DomainError(f"run's sets must be ClosedSets, got {type(s).__name__}")
-        as_vector(x, s.dim)
+        if s.dim != x.size:
+            raise DimensionMismatch(f"expected dimension {s.dim}, got {x.size}")
     maps = [getattr(op, "_map", None) for op in members]
     block_rows = m * cycle.dim if cycle.dim <= _BLOCK_DIM and None not in maps else 0
 
@@ -183,23 +204,27 @@ def run(operators, x0, sets, intersection: ClosedSet,
                 break
         wall = time.perf_counter() - t0
         P = np.concatenate(points)
-        c_dist = intersection.distance_many(P)
-    return Trajectory(P, np.r_[-1, np.arange(P.shape[0] - 1) % m],
-                      c_dist, m, stop, tol, seed, wall, cycle, sets)
+        _real_array(P[-1], "points")  # the one row a Diverged stop can leave non-finite
+        c_dist = intersection._nearest_many(P)[1]
+    op_index = np.arange(-1, P.shape[0] - 1)
+    op_index[1:] %= m
+    return Trajectory(P, op_index, c_dist, m, stop, tol, seed, wall, cycle, sets)
 
 
 def _rounds(max_cycles, block_rows):
-    """The cycles of each round of `run`, in order: as many as so far (at
-    least 1) up to a cap, the last cut to `max_cycles`.  The cap is
-    _TEST_BATCH on the per-step path (`block_rows` 0); by blocks, with
-    `block_rows` the m d rows of stacked maps a cycle, it is the largest
-    power of two of cycles that read at most _BLOCK_ROWS rows, and at
-    least _TEST_BATCH."""
+    """The cycles of each round of `run`, in order: as many as so far, at
+    least an opening count, up to a cap, the last cut to `max_cycles`.  On
+    the per-step path (`block_rows` 0) the opening is 1 and the cap
+    _TEST_BATCH; by blocks, with `block_rows` the m d rows of stacked maps
+    a cycle, the opening is as many cycles as _OPEN_ROWS rows hold, at
+    least 1, and the cap the largest power of two of cycles that read at
+    most _BLOCK_ROWS rows, and at least _TEST_BATCH."""
     cap, tested = _TEST_BATCH, 0
     while block_rows and 2 * cap * block_rows <= _BLOCK_ROWS:
         cap *= 2
+    first = max(1, _OPEN_ROWS // block_rows) if block_rows else 1
     while tested < max_cycles:
-        k = min(max(tested, 1), cap, max_cycles - tested)
+        k = min(max(tested, first), cap, max_cycles - tested)
         yield k
         tested += k
 
@@ -256,31 +281,49 @@ def fit_rlinear(errors, tail_fraction=0.5, burn_in=10) -> RateFit:
         raise InsufficientData(f"need at least 10 error entries, got {e.size}")
     tail_fraction = check_range("tail_fraction", tail_fraction, *TAIL_FRACTION_RANGE)
     burn_in = check_whole("burn_in", check_range("burn_in", burn_in, 0.0, np.inf))
-    burn_in = min(burn_in, e.size)
-    idx = np.arange(e.size)[burn_in:]
-    tail = e[burn_in:]
-    start = idx.size - max(1, int(np.ceil(tail_fraction * idx.size)))
-    idx = idx[start:]
-    tail = tail[start:]
+    # the window: the last ceil(tail_fraction n) of the n entries after the
+    # burn-in, at least one where n > 0 as tail_fraction > 0
+    start = e.size - math.ceil(tail_fraction * max(e.size - burn_in, 0))
+    tail = e[start:]
     keep = tail > ERROR_FLOOR
-    censored = int(np.sum(~keep))
-    idx = idx[keep]
-    tail = tail[keep]
-    if idx.size < 5:
-        raise InsufficientData(
-            f"only {idx.size} points above the floor in the fit window")
+    n = int(np.count_nonzero(keep))
+    if n < 5:
+        raise InsufficientData(f"only {n} points above the floor in the fit window")
+    censored = tail.size - n
+    A = np.ones((n, 2))  # the design matrix [index, 1]
+    if censored:
+        A[:, 0] = np.flatnonzero(keep) + start
+        tail = tail[keep]
+    else:
+        A[:, 0] = np.arange(start, e.size)
     logs = np.log(tail)
-    A = np.column_stack([idx.astype(float), np.ones(idx.size)])
-    coef, *_ = np.linalg.lstsq(A, logs, rcond=None)
+    coef = _lstsq(A, logs)
     slope, intercept = coef
     pred = A @ coef
-    ss_res = float(np.sum((logs - pred) ** 2))
-    ss_tot = float(np.sum((logs - logs.mean()) ** 2))
+    ss_res = float(((logs - pred) ** 2).sum())
+    ss_tot = float(((logs - logs.sum() / n) ** 2).sum())  # the sum over n is logs.mean()
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     rho = float(np.exp(slope))
-    return RateFit(rho, float(np.exp(intercept)),
-                   (int(idx[0]), int(idx[-1]) + 1), int(idx.size), r2,
+    return RateFit(rho, float(np.exp(intercept)), (int(A[0, 0]), int(A[-1, 0]) + 1), n, r2,
                    censored, rho >= 1.0)
+
+
+def _lstsq(A, y):
+    """np.linalg.lstsq(A, y, rcond=None)[0] for a float (n, k) A, n >= k,
+    and a float (n,) y: the call of numpy's compiled gelsd loop that it
+    wraps, with its cut-off eps n and its error state, so a LAPACK failure
+    is the same LinAlgError, without its shape and type checks and its
+    copies, which cost about 4 us.  Where numpy has no such loop, the
+    function itself."""
+    if _gelsd is None:
+        return np.linalg.lstsq(A, y, rcond=None)[0]
+    with np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _gelsd(A, y[:, None], _EPS * A.shape[0], signature="ddd->ddid")[0][:, 0]
+
+
+def _svd_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +370,16 @@ def check_k_step_reduction(traj: Trajectory, k, rho_bound) -> PropertyReport:
     if traj.n_points - 1 < 2 * k:
         raise DomainError("trajectory must contain at least 2k applications")
     e = traj.c_dist
-    starts = np.arange(0, e.size - k, k)
-    live = starts[e[starts] > ERROR_FLOOR]
-    ratios = e[live + k] / e[live]
+    starts = e[:-k:k]  # d_C at the block starts 0, k, 2k, ...; e[k::k] at their ends
+    live = starts > ERROR_FLOOR
+    before, after = starts[live], e[k::k][live]
     return margin_report(
-        "k_step_reduction", rho_bound * e[live] - e[live + k],
-        lambda i: (int(live[i]), float(e[live[i]]), float(e[live[i] + k])),
+        "k_step_reduction", rho_bound * before - after,
+        lambda i: (k * int(np.flatnonzero(live)[i]), float(before[i]), float(after[i])),
         traj.seed, _K_STEP_TOL,
         {"k": k, "rho_bound": rho_bound,
-         "worst_ratio": float(np.max(ratios, initial=0.0))},
-        samples=int(starts.size), empty_margin=0.0)
+         "worst_ratio": float((after / before).max(initial=0.0))},
+        samples=starts.size, empty_margin=0.0)
 
 
 def check_fejer_trace(traj: Trajectory, constants, xbar) -> PropertyReport:

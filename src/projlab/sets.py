@@ -146,7 +146,7 @@ def _real_array(x, path):
     """The array rule: `x` as a float array of finite real numbers by
     `_real_entries`, else a DomainError naming `path`."""
     A = _real_entries(x, path)
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise DomainError(f"{path} entries must be finite")
     return A
 
@@ -850,6 +850,8 @@ class PolyhedralCone(_SingleValued):
         # the product keeps the strided G^T it has always used: a C-ordered
         # one takes another BLAS kernel, whose sums round differently
         G, A, nnls = self.generators.T, self._gt, _nnls()
+        if X.shape[0] == 1:  # a run's step: the loop's expression, without its scaffolding
+            return (G @ nnls(A, X[0])[0])[None, :]
         P = np.empty(X.shape)
         for i, x in enumerate(X):
             P[i] = G @ nnls(A, x)[0]

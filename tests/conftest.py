@@ -137,9 +137,9 @@ def affine_block_bound(operators, reference, block):
     """Bound on ||block[n] - reference[n]||_2 for each row n that two runs of
     a cycle of relaxed or generalized DR operators on affine sets share:
     `reference` steps by one map at a time (x_i = fl(M_i x_(i-1) + c_i), as
-    `apply` does), `block` by `run`'s rounds of stacked prefix maps, from
-    the rows 0, m, 2m, 4m, 8m and so on, the rounds `runner._rounds` gives
-    the block path.
+    `apply` does), `block` by `run`'s rounds of stacked prefix maps, each
+    from the row where it starts, the rounds `runner._rounds` gives the
+    block path.
 
     Take the computed (M_i, c_i) as exact and write T_i for x -> M_i x + c_i.
     Every value either run computes is a sum of products of entries of the

@@ -13,9 +13,10 @@ from hypothesis.extra.numpy import arrays
 
 import projlab as P
 from projlab import DimensionMismatch, DomainError, InsufficientData
+from projlab.errors import check_range, check_whole
 from projlab.operators import OPERATOR_TYPES, operator_type
-from projlab.runner import DIVERGENCE_NORM
-from projlab.sets import ProjectionResult
+from projlab.runner import DIVERGENCE_NORM, ERROR_FLOOR, TAIL_FRACTION_RANGE, RateFit
+from projlab.sets import ProjectionResult, _real_entries
 
 from conftest import (FormulaHyperplane, affine_block_bound, formula_counterpart, two_lines,
                       underflows)
@@ -211,7 +212,8 @@ def _walk(b, last=None, cycle_ends_at=None):
     return ops, np.array([1.0, 1.0]), (pa, pb, line), P.FinitePointSet(np.array([end]))
 
 
-STOP_CYCLES = (1, 2, 3, 5, 8, 9, 17)  # batch ends 1, 2, 8, 16 and the cycles between
+# round ends 1, 2, 8 and 16 by steps, 16 by blocks (two lines of R^2), and cycles between
+STOP_CYCLES = (1, 2, 3, 5, 8, 9, 16, 17)
 
 
 def _stop_at(cycles, counterpart=None):
@@ -368,6 +370,26 @@ class TestRunMatchesPerPointLoop:
         traj = _assert_run_matches_reference(ops, x0, sets, inter, **kw)
         assert traj.stop_reason == stop
 
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_CASES))
+    def test_distance_table_is_distance_many(self, name):
+        """`run` measures its points by the intersection's kernel, without
+        validating them again: the table is distance_many's, bit for bit."""
+        ops, x0, sets, inter, kw, _ = EQUIVALENCE_CASES[name]
+        traj = P.run(ops, x0, sets, inter, **kw)
+        assert _same_bits(traj.c_dist, inter.distance_many(traj.points))
+
+    @pytest.mark.parametrize("line", [P.Hyperplane, FormulaHyperplane], ids=["blocks", "formula"])
+    def test_an_overflowing_entry_raises_as_the_loop_did(self, line):
+        """The reflection in the point 6e307 of R^1 sends -1.7e308 to inf:
+        the run stops Diverged at its first step, and the distance table
+        refuses the point as distance_many does in the per-point loop."""
+        far = line(np.array([1.0]), 6e307)
+        ops = [P.RelaxedProjector(far, 2.0)]
+        for call in (P.run, _reference_run):
+            with np.errstate(over="ignore"), pytest.raises(
+                    DomainError, match="^points entries must be finite$"):
+                call(ops, np.array([-1.7e308]), [far], _origin(1))
+
     def test_cases_cover_every_family_stop_and_intersection(self):
         cases = EQUIVALENCE_CASES.values()
         ops = [op for case in cases for op in case[0]]
@@ -395,21 +417,24 @@ class TestRunMatchesPerPointLoop:
             assert P.run(ops, x0, sets, inter, **kw).n_cycles == cycles
 
     def test_each_cycle_end_is_tested_once_in_batches(self):
-        ops, x0, sets, inter, _, _ = EQUIVALENCE_CASES["relaxed_lam1_exact"]
-        counted = _CountingSet(inter)
-        traj = P.run(ops, x0, sets, counted, max_cycles=20, tol=1e-300)
-        # cycle ends 1, 2, 3-4, 5-8, 9-16, 17-20, then the table of every point
-        assert counted.batches == [1, 1, 2, 4, 8, 4, traj.n_points]
-        # by blocks a round keeps doubling up to 256 cycles, the 1024 rows
-        # of runner._BLOCK_ROWS at 2 steps in R^2; the last is cut to the budget
-        counted = _CountingSet(inter)
-        traj = P.run(ops, x0, sets, counted, max_cycles=1000, tol=1e-300)
-        assert counted.batches == [1, 1, 2, 4, 8, 16, 32, 64, 128, 256, 256, 232, traj.n_points]
-        # by steps the rounds stop at 8 cycles (runner._TEST_BATCH)
-        ops, x0, sets, inter, _, _ = EQUIVALENCE_CASES["relaxed_lam1_exact_formula"]
-        counted = _CountingSet(inter)
-        traj = P.run(ops, x0, sets, counted, max_cycles=1000, tol=1e-300)
-        assert counted.batches == [1, 1, 2, 4] + [8] * 124 + [traj.n_points]
+        def batches(case, max_cycles):
+            ops, x0, sets, inter, _, _ = EQUIVALENCE_CASES[case]
+            counted = _CountingSet(inter)
+            traj = P.run(ops, x0, sets, counted, max_cycles=max_cycles, tol=1e-300)
+            return counted.batches[:-1], counted.batches[-1] == traj.n_points
+
+        # by blocks the first round reads the 64 rows of runner._OPEN_ROWS,
+        # 16 cycles of 2 steps in R^2: cycle ends 1-16, 17-20, then the
+        # table of every point
+        assert batches("relaxed_lam1_exact", 20) == ([16, 4], True)
+        # then a round doubles up to 256 cycles, the 1024 rows of
+        # runner._BLOCK_ROWS; the last is cut to the budget
+        assert batches("relaxed_lam1_exact", 1000) == (
+            [16, 16, 32, 64, 128, 256, 256, 232], True)
+        # by steps the rounds open with 1 cycle and stop at 8 (runner._TEST_BATCH):
+        # cycle ends 1, 2, 3-4, 5-8, 9-16, 17-20
+        assert batches("relaxed_lam1_exact_formula", 20) == ([1, 1, 2, 4, 8, 4], True)
+        assert batches("relaxed_lam1_exact_formula", 1000) == ([1, 1, 2, 4] + [8] * 124, True)
 
     def test_member_sets_are_kept_but_not_measured(self, tmp_path):
         """`run` checks and keeps its sets but asks none of them for a
@@ -506,18 +531,25 @@ class TestRunByBlocks:
         assert traj.stop_reason == stop
         assert _same_bits(traj.points, pts) and _same_bits(traj.c_dist, cd)
 
-    @pytest.mark.parametrize("max_cycles, built, d", [
-        *(pytest.param(cycles, built, 2, id=f"{cycles}-{built}") for cycles, built in [
-            (1, 1), (2, 1), (3, 1), (4, 2), (7, 4), (8, 4), (20, 8), (100, 64), (1000, 256)]),
-        pytest.param(1000, 16, 32, id="1000-16-d32"),
+    @pytest.mark.parametrize("max_cycles, built, d, open_rows", [
+        *(pytest.param(cycles, built, 2, 1, id=f"{cycles}-{built}") for cycles, built in [
+            (1, 1), (2, 1), (3, 1), (4, 2), (7, 3), (8, 4), (20, 8), (100, 36), (1000, 256)]),
+        *(pytest.param(cycles, built, 2, None, id=f"{cycles}-{built}-open") for cycles, built in [
+            (1, 1), (2, 2), (20, 16), (50, 18), (1000, 256)]),
+        pytest.param(1000, 16, 32, None, id="1000-16-d32"),
     ])
     def test_prefix_maps_are_built_as_the_rounds_need_them(self, monkeypatch, max_cycles,
-                                                           built, d):
-        """A run that stops at cycle 1 builds one cycle's m maps; the
-        rounds of 1, 1, 2, 4, 8 and more cycles double them when first
-        needed, and a cut round doubles them too.  The rounds stop growing
-        at 1024 rows of maps (runner._BLOCK_ROWS): 256 cycles of 2 steps in
-        R^2, 16 in R^32."""
+                                                           built, d, open_rows):
+        """The first round builds as many cycles' maps as the 64 rows of
+        runner._OPEN_ROWS hold, at most max_cycles: 16 cycles of 2 steps in
+        R^2 (the `-open` ids), 1 where a cycle takes more rows, as in R^32;
+        the other ids give R^2 that 1-cycle opening by setting _OPEN_ROWS to
+        1.  Later rounds double the maps when first needed, and a round cut
+        to max_cycles builds only the maps it reads: a last round of 36
+        cycles builds 36, not 64.  The rounds stop growing at 1024 rows of
+        maps (runner._BLOCK_ROWS): 256 cycles of 2 steps in R^2, 16 in R^32."""
+        if open_rows is not None:
+            monkeypatch.setattr(P.runner, "_OPEN_ROWS", open_rows)
         sizes = []
 
         def counted(maps, cycles, done):
@@ -532,20 +564,25 @@ class TestRunByBlocks:
         traj = P.run(ops, x0, sets, inter, max_cycles=max_cycles, tol=1e-300)
         assert traj.n_cycles == max_cycles and max(sizes) == built * len(ops)
 
-    @pytest.mark.parametrize("d", [2, 8, 16, 32])
+    @pytest.mark.parametrize("d", [2, 8, 9, 16, 32])
     @pytest.mark.parametrize("seed", range(3))
     def test_long_rounds_match_the_reference(self, d, seed):
-        """A seeded cycle in R^d runs in rounds 1, 1, 2, ... up to its cap,
-        one more of the cap and a cut one.  `run` is handed a point off
-        the sets as its intersection, so no cycle end converges and both
-        runs take the whole budget; every row is within the bound, as
-        nothing underflows."""
+        """A seeded cycle of m steps in R^d opens with as many cycles as
+        runner._OPEN_ROWS // (m d), at least 1, then runs rounds of as many
+        cycles as so far up to its cap, one more of the cap and a cut one.
+        `run` is handed a point off the sets as its intersection, so no
+        cycle end converges and both runs take the whole budget; every row
+        is within the bound, as nothing underflows.  At d = 9 seeds 0 and 2
+        open with 3 cycles, so their maps come partly from cut doublings."""
         ops, x0, sets, inter, _ = _affine_cycle(seed, d)
-        cap = max(8, 2 ** int(math.log2(P.runner._BLOCK_ROWS / (len(ops) * d))))
-        doubling = [1] + [2 ** i for i in range(int(math.log2(cap)) + 1)]
-        kw = {"max_cycles": 3 * cap + cap // 2, "tol": 1e-300}
-        assert list(P.runner._rounds(kw["max_cycles"], len(ops) * d)) == [
-            *doubling, cap, cap // 2]
+        rows = len(ops) * d
+        cap = max(8, 2 ** int(math.log2(P.runner._BLOCK_ROWS / rows)))
+        rounds = [max(1, P.runner._OPEN_ROWS // rows)]
+        while sum(rounds) < cap:
+            rounds.append(sum(rounds))
+        rounds += [cap, cap, cap // 2]
+        kw = {"max_cycles": sum(rounds), "tol": 1e-300}
+        assert list(P.runner._rounds(kw["max_cycles"], rows)) == rounds
         off = P.FinitePointSet(inter.anchor[None, :] + 1.0)
         assert not underflows(lambda: (P.run(ops, x0, sets, off, **kw),
                                        _reference_run(ops, x0, sets, off, **kw)))
@@ -724,6 +761,62 @@ class TestDetectCycle:
         assert P.detect_cycle(traj, tol=0.0) is not None  # exact recurrence
 
 
+def _fit_rlinear_reference(errors, tail_fraction=0.5, burn_in=10) -> RateFit:
+    """`fit_rlinear` as written before it called numpy's lstsq loop
+    directly and trimmed its other calls, kept verbatim as its reference."""
+    e = _real_entries(errors, "errors")  # a bool or a string is not an error
+    if e.ndim != 1:
+        raise DomainError("errors must be a flat sequence")
+    if not np.all((e >= 0.0) & (e < np.inf)):  # NaN fails both
+        raise DomainError("errors must be finite and nonnegative")
+    if e.size < 10:
+        raise InsufficientData(f"need at least 10 error entries, got {e.size}")
+    tail_fraction = check_range("tail_fraction", tail_fraction, *TAIL_FRACTION_RANGE)
+    burn_in = check_whole("burn_in", check_range("burn_in", burn_in, 0.0, np.inf))
+    burn_in = min(burn_in, e.size)
+    idx = np.arange(e.size)[burn_in:]
+    tail = e[burn_in:]
+    start = idx.size - max(1, int(np.ceil(tail_fraction * idx.size)))
+    idx = idx[start:]
+    tail = tail[start:]
+    keep = tail > ERROR_FLOOR
+    censored = int(np.sum(~keep))
+    idx = idx[keep]
+    tail = tail[keep]
+    if idx.size < 5:
+        raise InsufficientData(
+            f"only {idx.size} points above the floor in the fit window")
+    logs = np.log(tail)
+    A = np.column_stack([idx.astype(float), np.ones(idx.size)])
+    coef, *_ = np.linalg.lstsq(A, logs, rcond=None)
+    slope, intercept = coef
+    pred = A @ coef
+    ss_res = float(np.sum((logs - pred) ** 2))
+    ss_tot = float(np.sum((logs - logs.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    rho = float(np.exp(slope))
+    return RateFit(rho, float(np.exp(intercept)),
+                   (int(idx[0]), int(idx[-1]) + 1), int(idx.size), r2,
+                   censored, rho >= 1.0)
+
+
+@st.composite
+def _error_sequences(draw):
+    """Noisy geometric error sequences of 0 to 80 entries, as a float array
+    or a list, with up to 5 entries replaced by a zero or a value at or near
+    the floor and, in about one draw of eight, one by a NaN, an infinity or
+    a negative value."""
+    n = draw(st.integers(0, 80))
+    noise = draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    e = draw(st.floats(1e-2, 1e2)) * draw(st.floats(0.6, 1.2)) ** np.arange(n) * np.exp(noise)
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=5)) if n else []:
+        e[i] = draw(st.sampled_from([0.0, -0.0, 1e-15, ERROR_FLOOR, 2e-14]))
+    bad = draw(st.sampled_from([None] * 21 + [math.nan, math.inf, -1.0]))
+    if n and bad is not None:
+        e[draw(st.integers(0, n - 1))] = bad
+    return e if draw(st.booleans()) else e.tolist()
+
+
 class TestFitRlinear:
     def test_exact_geometric(self):
         fit = P.fit_rlinear([0.5 ** n for n in range(40)])
@@ -796,6 +889,27 @@ class TestFitRlinear:
         errs = [1.0] * 20 + [0.5 ** n for n in range(30)]
         fit = P.fit_rlinear(errs, burn_in=25, tail_fraction=0.4)
         assert fit.rho == pytest.approx(0.5, rel=1e-9)
+
+    @settings(max_examples=400, deadline=None)
+    @given(errors=_error_sequences(),
+           tail_fraction=st.one_of(
+               st.floats(0.1, 1.0), st.floats(0.1, 1.0), st.floats(0.0, 1.0),
+               st.sampled_from([5e-324, 1e-300, 1e-3, 0.5, 1.0 - 2.0 ** -53, 1.0,
+                                0.0, -0.5, 1.5, math.nan, "0.5"])),
+           burn_in=st.one_of(st.integers(0, 15), st.integers(0, 15), st.integers(-2, 90),
+                             st.sampled_from([3.0, 2.5, math.inf, True])))
+    def test_fit_matches_its_reference_bit_for_bit(self, errors, tail_fraction, burn_in):
+        """The fit takes fewer calls than its reference but returns the same
+        RateFit, field for field and bit for bit, and rejects the same inputs
+        with the same exception and message."""
+        def outcome(fit):
+            try:
+                return dataclasses.astuple(fit(errors, tail_fraction, burn_in))
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        # a float's repr round-trips, and names np.float64 and np.int64
+        assert repr(outcome(P.fit_rlinear)) == repr(outcome(_fit_rlinear_reference))
 
 
 class TestKStepAndTraceChecks:
