@@ -12,8 +12,9 @@ semi-intrepid step, which is not affine, and operators on any other set
 keep the step formula, as `apply_with_trace` does.  `apply` is the one-row
 call of `_rows` and `apply_many` its call on every row of an (n, d) array;
 both validate their input once.  `CyclicTuple.apply` validates one point
-and then steps a (1, d) row through the members' kernels; a one-row form
-(the affine set's, and the map's by ndarray.dot) keeps a batch row's bits.
+and then steps a (1, d) row through the members' kernels; the affine
+set's and the map's products go through `sets._rowwise`, so that row keeps
+a batch row's bits.
 `runner.run` steps that way where a member has no map; where every member
 has one, it steps a round of cycles by one product over the cycle's
 stacked prefix maps (`_cycle_prefixes`, doubled as the rounds grow to as
@@ -47,11 +48,8 @@ def _relaxed_map(s: ClosedSet, lam):
 
 
 def _map_rows(affine_map, X):
-    """M x + c for each row x of a validated (n, d) array X: one row by
-    ndarray.dot, a batch by `_rowwise`, with the same bits."""
+    """M x + c for each row x of a validated (n, d) array X, by `_rowwise`."""
     M, c = affine_map
-    if X.shape[0] == 1:
-        return (M.dot(X[0]) + c)[None, :]
     return _rowwise(M, X) + c
 
 

@@ -23,12 +23,6 @@ from .operators import CyclicTuple, _cycle_prefixes
 from .rates import RateCertificate, _fejer_pair
 from .sets import ClosedSet, _real_array, _real_entries, as_vector, row_norms
 
-try:  # the compiled LAPACK gelsd loop that np.linalg.lstsq wraps
-    from numpy.linalg._umath_linalg import lstsq as _gelsd
-except ImportError:
-    _gelsd = None
-_EPS = float(np.finfo(float).eps)
-
 DIVERGENCE_NORM = 1e12
 ERROR_FLOOR = 1e-14
 _K_STEP_TOL = 1e-12     # slack of the k-step reduction
@@ -291,13 +285,9 @@ def fit_rlinear(errors, tail_fraction=0.5, burn_in=10) -> RateFit:
         raise InsufficientData(f"only {n} points above the floor in the fit window")
     censored = tail.size - n
     A = np.ones((n, 2))  # the design matrix [index, 1]
-    if censored:
-        A[:, 0] = np.flatnonzero(keep) + start
-        tail = tail[keep]
-    else:
-        A[:, 0] = np.arange(start, e.size)
-    logs = np.log(tail)
-    coef = _lstsq(A, logs)
+    A[:, 0] = np.flatnonzero(keep) + start
+    logs = np.log(tail[keep])
+    coef = np.linalg.lstsq(A, logs, rcond=None)[0]
     slope, intercept = coef
     pred = A @ coef
     ss_res = float(((logs - pred) ** 2).sum())
@@ -306,24 +296,6 @@ def fit_rlinear(errors, tail_fraction=0.5, burn_in=10) -> RateFit:
     rho = float(np.exp(slope))
     return RateFit(rho, float(np.exp(intercept)), (int(A[0, 0]), int(A[-1, 0]) + 1), n, r2,
                    censored, rho >= 1.0)
-
-
-def _lstsq(A, y):
-    """np.linalg.lstsq(A, y, rcond=None)[0] for a float (n, k) A, n >= k,
-    and a float (n,) y: the call of numpy's compiled gelsd loop that it
-    wraps, with its cut-off eps n and its error state, so a LAPACK failure
-    is the same LinAlgError, without its shape and type checks and its
-    copies, which cost about 4 us.  Where numpy has no such loop, the
-    function itself."""
-    if _gelsd is None:
-        return np.linalg.lstsq(A, y, rcond=None)[0]
-    with np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
-        return _gelsd(A, y[:, None], _EPS * A.shape[0], signature="ddd->ddid")[0][:, 0]
-
-
-def _svd_failed(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +358,14 @@ def check_fejer_trace(traj: Trajectory, constants, xbar) -> PropertyReport:
     """Verify the quasi-firm inequality along consecutive trajectory points.
 
     `constants` is one (gamma, beta) pair applied to every step, or a list of
-    per-phase pairs matching the cycle length; each pair is checked as
-    `check_quasi_firm_fejer` checks its constants.
+    per-phase pairs matching the cycle length; either may be an array, so
+    an array of two numbers is one pair and an (m, 2) array a table.  Each
+    pair is checked as `check_quasi_firm_fejer` checks its constants.
     """
     xbar = as_vector(xbar)
-    if isinstance(constants, (tuple, list)) and len(constants) == 2 \
+    if not np.iterable(constants):  # None, a bare number, a 0-d array
+        raise DomainError("constants must be a (gamma, beta) pair or one pair per cycle phase")
+    if isinstance(constants, (tuple, list, np.ndarray)) and len(constants) == 2 \
             and np.ndim(constants[0]) == 0:
         table = [_fejer_pair(*constants)] * traj.cycle_len
     else:

@@ -30,7 +30,8 @@ halfspace's two hooks read one face test; a translate forwards both) or
 raise UnsupportedSet.  `normal_generators` is the one-row call.  The
 hyperplane and the affine set also give their projection as an affine map
 in closed form, `_affine_map`: (P, q) with P_S(x) = P x + q; every other
-set gives None.
+set gives None.  The affine set's kernel and the operators' maps multiply
+by `_rowwise`, one gemv per row, so a one-row call keeps a batch row's bits.
 
 `convex` is True only where the set is known to be convex, and callers may
 then use what convexity gives exactly.  The single-valued sets are convex; a
@@ -177,9 +178,12 @@ def row_norms(D) -> np.ndarray:
 
 
 def _rowwise(M, X):
-    """M @ x for each row x of X by a stacked matmul, one gemv per row: row
-    i is np.dot(M, X[i]) bit for bit, the form the affine kernel takes on
-    one row.  A single matrix product would not give those bits."""
+    """M @ x for each row x of X by a stacked matmul, one gemv per row, so
+    row i is np.dot(M, X[i]) bit for bit; a single matrix product would not
+    give those bits.  One row, a run's step, takes M.dot(X[0]): the same
+    gemv without the stacked call's dispatch."""
+    if X.shape[0] == 1:
+        return M.dot(X[0])[None, :]
     return np.matmul(M, X[:, :, None])[:, :, 0]
 
 
@@ -570,11 +574,7 @@ class AffineSubspaceSet(_SingleValued):
     project = _one_row_project
 
     def _canonical_many(self, X):
-        """anchor + B^T B (x - anchor); one row by ndarray.dot, a batch row's
-        bits (np.dot's routine without its dispatch)."""
-        if X.shape[0] == 1:
-            x = X[0] - self.anchor
-            return (self.anchor + self._bt.dot(self.basis.dot(x)))[None, :]
+        """anchor + B^T B (x - anchor), each product by `_rowwise`."""
         coords = _rowwise(self.basis, X - self.anchor)
         return self.anchor + _rowwise(self._bt, coords)
 

@@ -351,9 +351,9 @@ def _scaled_rows(rng, n, d):
 
 @pytest.mark.parametrize("d", range(2, 17))
 def test_one_row_rowwise_is_the_stacked_product_bit_for_bit(d):
-    """np.dot on one row, which the affine kernel's one-row form takes,
-    gives row i of `_rowwise`'s stacked matmul bit for bit, with the
-    C-ordered basis and its F-ordered transpose."""
+    """`_rowwise` on a one-row slice, the call a run's step makes, gives
+    row i of its 20-row stacked matmul and np.dot(M, X[i]) bit for bit,
+    with the C-ordered basis and its F-ordered transpose."""
     rng = np.random.default_rng(d)
     for k in sorted({1, d // 2, d}):
         basis = _orthonormal_rows(d, d, k)
@@ -362,7 +362,10 @@ def test_one_row_rowwise_is_the_stacked_product_bit_for_bit(d):
             stacked = P.sets._rowwise(M, X)
             assert _same_bits(stacked, np.matmul(M, X[:, :, None])[:, :, 0])
             for i in range(X.shape[0]):
-                assert _same_bits(np.dot(M, X[i]), stacked[i])
+                one = P.sets._rowwise(M, X[i:i + 1])
+                assert one.shape == (1, M.shape[0])
+                assert _same_bits(one, stacked[i:i + 1])
+                assert _same_bits(one[0], np.dot(M, X[i]))
 
 
 @pytest.mark.parametrize("d", range(2, 17))
@@ -782,8 +785,9 @@ def _operator(kind, a, b, params):
 @st.composite
 def operator_case(draw):
     d = draw(st.integers(1, 4))
+    basis = _orthonormal_rows(draw(st.integers(0, 2**16)), d, draw(st.integers(0, d)))
     pool = [P.Ball(draw(vectors(d)), 1.0), P.Sphere(draw(vectors(d)), 1.5),
-            P.Hyperplane(draw(nonzero(d)), 0.5),
+            P.Hyperplane(draw(nonzero(d)), 0.5), P.AffineSubspaceSet(draw(vectors(d)), basis),
             P.Orthant(tuple(draw(st.lists(st.sampled_from([-1, 0, 1]),
                                           min_size=d, max_size=d))))]
     a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
@@ -819,14 +823,16 @@ def _apply_reference(op, x):
 def test_apply_many_matches_apply(kind, case):
     """Within 1e-12 of the scalar apply, and both bit for bit equal to
     `_apply_reference`.  A relaxed or DR operator whose sets are all
-    hyperplanes steps by its affine map: there a batch row equals the
-    scalar apply bit for bit, and both lie within `affine_step_bound` of
-    the reference wherever neither the map nor the reference underflows
-    (the bound's model); `apply_with_trace` keeps the reference's bits."""
+    hyperplanes and affine sets steps by its affine map: there a batch row
+    equals the scalar apply bit for bit, and both lie within
+    `affine_step_bound` of the reference wherever neither the map nor the
+    reference underflows (the bound's model); `apply_with_trace` keeps the
+    reference's bits."""
     a, b, params, X = case
     op = _operator(kind, a, b, params)
     mapped = kind != "semi_intrepid" and all(
-        isinstance(s, P.Hyperplane) for s in ((a,) if kind == "relaxed" else (a, b)))
+        isinstance(s, (P.Hyperplane, P.AffineSubspaceSet))
+        for s in ((a,) if kind == "relaxed" else (a, b)))
     Y = op.apply_many(X)
     assert Y.shape == X.shape
     for x, y in zip(X, Y):

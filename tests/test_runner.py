@@ -762,8 +762,8 @@ class TestDetectCycle:
 
 
 def _fit_rlinear_reference(errors, tail_fraction=0.5, burn_in=10) -> RateFit:
-    """`fit_rlinear` as written before it called numpy's lstsq loop
-    directly and trimmed its other calls, kept verbatim as its reference."""
+    """`fit_rlinear` as written before its calls were trimmed, kept verbatim
+    as its reference."""
     e = _real_entries(errors, "errors")  # a bool or a string is not an error
     if e.ndim != 1:
         raise DomainError("errors must be a flat sequence")
@@ -940,6 +940,25 @@ class TestKStepAndTraceChecks:
         traj = _two_lines_run(math.pi / 4)
         rep = P.check_fejer_trace(traj, [(1.0, 1.0), (1.0, 1.0)], np.zeros(2))
         assert rep.violations == 0
+
+    @pytest.mark.parametrize("pair, table", [
+        (np.array([1.0, 3.0]), [(1.0, 3.0), (1.0, 3.0)]),
+        ([np.float64(1.0), np.float64(1.0)], [(1.0, 1.0), (1.0, 1.0)]),
+        (np.array([[1.0, 1.0], [1.0, 3.0]]), [(1.0, 1.0), (1.0, 3.0)]),
+        (np.array([[1.0, 3.0], [1.0, 1.0]]), ((1.0, 3.0), (1.0, 1.0))),
+    ], ids=["array_pair", "list_of_numpy_scalars", "array_table", "array_table_rev"])
+    def test_fejer_trace_reads_an_array_as_a_pair_or_a_table(self, pair, table):
+        """An array of two numbers is one (gamma, beta) pair and an (m, 2)
+        array is a per-phase table: the report equals the list form's."""
+        traj = _two_lines_run(math.pi / 4)
+        got = P.check_fejer_trace(traj, pair, np.zeros(2))
+        assert repr(got) == repr(P.check_fejer_trace(traj, table, np.zeros(2)))
+
+    @pytest.mark.parametrize("bad", [None, 1.0, np.float64(1.0), 2, np.array(1.0)],
+                             ids=["none", "float", "numpy_scalar", "int", "zero_d_array"])
+    def test_fejer_trace_rejects_constants_that_are_no_pair(self, bad):
+        with pytest.raises(DomainError, match="constants"):
+            P.check_fejer_trace(_two_lines_run(math.pi / 4), bad, np.zeros(2))
 
     def test_rlinear_envelope(self):
         traj = _two_lines_run(math.pi / 4)
