@@ -15,10 +15,11 @@ both validate their input once.  `CyclicTuple.apply` validates one point
 and then steps a (1, d) row through the members' kernels; the affine
 set's and the map's products go through `sets._rowwise`, so that row keeps
 a batch row's bits.
-`runner.run` steps that way where a member has no map; where every member
-has one, it steps a round of cycles by one product over the cycle's
-stacked prefix maps (`_cycle_prefixes`, doubled as the rounds grow to as
-many cycles as 1024 rows of maps hold, and at least 8), which rounds
+`runner.run` steps that way where a member has no map.  Where every member
+has one and d is at most _BLOCK_DIM, the `CyclicTuple` builds its stacked
+prefix maps once, at construction, up to the longest round of `_rounds`
+(as many cycles as 1024 rows of maps hold, and at least 8), and `run`
+steps a round of cycles by one product over a slice of them, which rounds
 differently.
 """
 
@@ -53,27 +54,76 @@ def _map_rows(affine_map, X):
     return _rowwise(M, X) + c
 
 
-def _cycle_prefixes(maps, cycles, built):
-    """The stacked prefix maps of at least `cycles` cycles of the affine
-    steps `maps`, a list of (M_i, c_i), as (A, b): block j of d rows of A
-    and of b is the map x -> A_j x + b_j of the first j steps, A_j = M_j
-    A_(j-1) and b_j = M_j b_(j-1) + c_j, member j taken cyclically.
-    Block m is the cycle's own map.  With `built` None the first cycle is
-    that chain; `built`, this function's result for fewer cycles, is
-    extended by doubling, c cycles to 2c: A_(cm+i) = A_i A_cm and
-    b_(cm+i) = A_i b_cm + b_i, the last doubling only up to `cycles`."""
-    if built is None:
-        A, b = [maps[0][0]], [maps[0][1]]
-        for M, c in maps[1:]:
-            A.append(M.dot(A[-1]))
-            b.append(M.dot(b[-1]) + c)
-        built = np.concatenate(A), np.concatenate(b)
-    A, b = built
-    d, rows = A.shape[1], cycles * len(maps) * A.shape[1]
-    while A.shape[0] < rows:
-        r = min(A.shape[0], rows - A.shape[0])
+_TEST_BATCH = 8         # cycles of `run`'s longest round by steps, its shortest cap by blocks
+# The most rows k m d of stacked prefix maps that one round of `run` by
+# blocks reads, k cycles of m steps in R^d.  Building the stack costs about
+# k m d^3 and a round's product k m d^2, against some 15 us of fixed calls a
+# round; at 1024 rows (AP and DR on two d/2-planes, d = 2..32, one core) no
+# run of 1 to 400 cycles took longer than with rounds of 8 cycles, beyond
+# timing noise, and a 186- or 373-cycle run at d <= 16 took 0.35 to 0.65
+# times as long.  The first round reads at most _OPEN_ROWS rows, at least
+# one cycle: 16 cycles for two members in R^2, 4 in R^8, 1 in R^32.  Each
+# doubling of the opening saves a long run a round's fixed calls, some
+# 13 us; against a 1-cycle opening, 64 rows took 8 % off a `trajectory`
+# pass of the benchmark (AP and DR on two d/2-planes, d = 2..32, one core).
+# The opening costs a short run no build: the whole stack, to the cap, is
+# built when the cycle is, some 45 us for two members in R^2 and 75 us in
+# R^32, paid once by each `CyclicTuple()`, and so by a `run` handed a list.
+_BLOCK_ROWS, _OPEN_ROWS = 1024, 64
+# The largest dimension in which `run` steps an affine cycle by blocks: at
+# d = 48 and 64 a 10-cycle run by blocks took up to 1.3 times as long as by
+# steps, at d <= 32 at most 1.03 times (AP and DR on two d/2-planes, one core).
+_BLOCK_DIM = 32
+
+
+def _schedule(block_rows):
+    """(k0, cap), the opening and the cap of `_rounds` in cycles.  On the
+    per-step path (`block_rows` 0) the opening is 1 and the cap
+    _TEST_BATCH; by blocks, with `block_rows` the m d rows of stacked maps
+    a cycle, the opening is as many cycles as _OPEN_ROWS rows hold, at
+    least 1, and the cap the largest power of two of cycles that read at
+    most _BLOCK_ROWS rows, and at least _TEST_BATCH."""
+    cap = _TEST_BATCH
+    while block_rows and 2 * cap * block_rows <= _BLOCK_ROWS:
+        cap *= 2
+    return (max(1, _OPEN_ROWS // block_rows) if block_rows else 1), cap
+
+
+def _rounds(max_cycles, block_rows):
+    """The cycles of each round of `run`, in order: as many as so far, at
+    least the opening k0, up to the cap (`_schedule`), the last cut to
+    `max_cycles`: k0, k0, 2 k0, 4 k0 and so on."""
+    (first, cap), tested = _schedule(block_rows), 0
+    while tested < max_cycles:
+        k = min(max(tested, first), cap, max_cycles - tested)
+        yield k
+        tested += k
+
+
+def _cycle_prefixes(maps):
+    """The stacked prefix maps of the cycle of affine steps `maps`, a list
+    of (M_i, c_i), for the cycles of the longest round of `_rounds`, its
+    cap, as read-only (A, b): block j of d rows of A and of b is the map
+    x -> A_j x + b_j of the first j steps, A_j = M_j A_(j-1) and b_j =
+    M_j b_(j-1) + c_j, member j taken cyclically.  Block m is the cycle's
+    own map.  The first cycle is that chain; the stack then doubles, c
+    cycles to 2c: A_(cm+i) = A_i A_cm and b_(cm+i) = A_i b_cm + b_i,
+    through the sizes the rounds read, k0, 2 k0, 4 k0 and so on up to the
+    cap, each size's last doubling cut to it, so that an uncut round reads
+    the rows of a stack grown only as far as that round."""
+    A, b = [maps[0][0]], [maps[0][1]]
+    for M, c in maps[1:]:
+        A.append(M.dot(A[-1]))
+        b.append(M.dot(b[-1]) + c)
+    A, b = np.concatenate(A), np.concatenate(b)
+    d, cycle_rows = A.shape[1], A.shape[0]
+    k, cap = _schedule(cycle_rows)
+    while A.shape[0] < cap * cycle_rows:
+        k = min(2 * k, cap) if A.shape[0] == k * cycle_rows else k  # the next size
+        r = min(A.shape[0], k * cycle_rows - A.shape[0])
         A, b = (np.concatenate([A, A[:r].dot(A[-d:])]),
                 np.concatenate([b, A[:r].dot(b[-d:]) + b[:r]]))
+    A.flags.writeable = b.flags.writeable = False
     return A, b
 
 
@@ -215,7 +265,10 @@ class GeneralizedDR:
 @dataclass(frozen=True, eq=False)
 class CyclicTuple:
     """A flat, nonempty tuple of catalog operators of one dimension, applied
-    in order (one full cycle)."""
+    in order (one full cycle).  Where every member steps by an affine map
+    (`_map`) and the dimension is at most _BLOCK_DIM, it builds its stacked
+    prefix maps (`_cycle_prefixes`) once and keeps them as `_prefixes`;
+    elsewhere `_prefixes` is None."""
 
     members: tuple
 
@@ -226,6 +279,10 @@ class CyclicTuple:
                 raise DomainError(f"cyclic tuple members must be catalog operators, "
                                   f"got {type(m).__name__}")
         object.__setattr__(self, "members", _member_tuple(members, "cyclic tuple"))
+        maps = [getattr(op, "_map", None) for op in self.members]
+        block = None not in maps and self.dim <= _BLOCK_DIM  # every member affine, d small
+        # not a field: the stacked prefix maps, None off the block path
+        object.__setattr__(self, "_prefixes", _cycle_prefixes(maps) if block else None)
 
     @property
     def dim(self) -> int:

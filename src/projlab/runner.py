@@ -19,7 +19,7 @@ import numpy as np
 from .analysis import CHECK_TOL, PropertyReport, _fejer_margins, margin_report
 from .errors import (DimensionMismatch, DomainError, InsufficientData, check_count, check_range,
                      check_whole)
-from .operators import CyclicTuple, _cycle_prefixes
+from .operators import CyclicTuple, _rounds
 from .rates import RateCertificate, _fejer_pair
 from .sets import ClosedSet, _real_array, _real_entries, as_vector, row_norms
 
@@ -27,27 +27,6 @@ DIVERGENCE_NORM = 1e12
 ERROR_FLOOR = 1e-14
 _K_STEP_TOL = 1e-12     # slack of the k-step reduction
 _CYCLE_TOL = 1e-12      # default tolerance of detect_cycle
-_TEST_BATCH = 8         # cycles of `run`'s longest round by steps, its shortest cap by blocks
-# The most rows k m d of stacked prefix maps that one round of `run` by
-# blocks reads, k cycles of m steps in R^d.  Building the stack costs about
-# k m d^3 and a round's product k m d^2, against some 15 us of fixed calls a
-# round; at 1024 rows (AP and DR on two d/2-planes, d = 2..32, one core) no
-# run of 1 to 400 cycles took longer than with rounds of 8 cycles, beyond
-# timing noise, and a 186- or 373-cycle run at d <= 16 took 0.35 to 0.65
-# times as long.  The first round reads at most _OPEN_ROWS rows, at least
-# one cycle: 16 cycles for two members in R^2, 4 in R^8, 1 in R^32.  Each
-# doubling of the opening saves a long run a round's fixed calls, some
-# 13 us, and costs a run that stops at cycle 1 one more doubling of the
-# stack, some 4 us.  Against a 1-cycle opening, 64 rows took 8 % off a
-# `trajectory` pass of the benchmark and made a run stopping by tol at
-# cycle 1 take up to 1.7 times as long (AP and DR on two d/2-planes, d =
-# 2..32, one core); 256 rows took 13 % off and up to 2.0 times as long.
-_BLOCK_ROWS = 1024
-_OPEN_ROWS = 64
-# The largest dimension in which `run` steps an affine cycle by blocks: at
-# d = 48 and 64 a 10-cycle run by blocks took up to 1.3 times as long as by
-# steps, at d <= 32 at most 1.03 times (AP and DR on two d/2-planes, one core).
-_BLOCK_DIM = 32
 # The intervals of run's tolerance, fit_rlinear's tail fraction,
 # detect_cycle's tolerance, check_k_step_reduction's rho_bound and
 # compare_certificate's slack, as check_range's (lo, hi, lo_open, hi_open).
@@ -109,32 +88,30 @@ def run(operators, x0, sets, intersection: ClosedSet,
 
     x0 is validated once, against the cycle's, the intersection's and every
     set's dimension.  The run goes in rounds of as many cycles as so far,
-    at least an opening count k0, up to a cap (`_rounds`): k0, k0, 2 k0,
-    4 k0 and so on, the last cut to max_cycles.  Each round's cycle ends
-    are tested by one `_nearest_many` call, and the first end at or below
-    tol stops the run, dropping the round's later cycles: at most
+    at least an opening count k0, up to a cap (`operators._rounds`): k0,
+    k0, 2 k0, 4 k0 and so on, the last cut to max_cycles.  Each round's
+    cycle ends are tested by one `_nearest_many` call, and the first end at
+    or below tol stops the run, dropping the round's later cycles: at most
     max(k0, min(c, cap)) - 1 for a stop at cycle c.  A round's rows come
     one of two ways:
 
-    - where every member steps by an affine map (`_map`) and the dimension
-      is at most _BLOCK_DIM, by one product from the round's start x,
-      A x + b over the cycle's stacked prefix maps (`_cycle_prefixes`, built
-      as the rounds first need them).  The opening and the cap are
-      sizes: k0 is as many cycles as _OPEN_ROWS rows of maps hold, at
-      least 1, and the cap the largest power of two of cycles whose k m d
-      rows are at most _BLOCK_ROWS, and at least 8; for two members k0 is
-      16 cycles at d = 2 and 1 at d = 32, the cap 128 cycles at d = 4 and
-      16 at d = 32.  The rows differ from the per-step chain of maps in
-      their last bits: that product rounds the terms of the chain in
-      another order, so each is within gamma_K of the exact value times
-      the sum of its terms' magnitudes, K = j (d + 1) for the j-th step of
-      a round (the tests' `affine_block_bound` derives it);
+    - where the cycle holds stacked prefix maps (A, b) (every member steps
+      by an affine map, in at most 32 dimensions; built with the cycle, up
+      to the cap), by one product from the round's start x, A[:n] x + b[:n]
+      for the n rows of the round's cycles.  The opening and the cap are
+      sizes: for two members k0 is 16 cycles at d = 2 and 1 at d = 32,
+      the cap 128 cycles at d = 4 and 16 at d = 32.  The rows differ from
+      the per-step chain of maps in their last bits: that product rounds
+      the terms of the chain in another order, so each is within gamma_K
+      of the exact value times the sum of its terms' magnitudes, K = j (d
+      + 1) for the j-th step of a round (the tests' `affine_block_bound`
+      derives it);
     - everywhere else one member's `_rows` kernel a step on a (1, d) row,
       the call `apply` makes, so the iterates are `apply`'s bit for bit.
-      k0 is 1 and the cap 8 cycles (_TEST_BATCH), so a stop at cycle c
-      drops at most min(c - 1, 7) computed cycles.  A step that raises
-      ends the round, and its exception is raised after the cycle ends
-      before it are tested, unless one of them converged.
+      k0 is 1 and the cap 8 cycles, so a stop at cycle c drops at most
+      min(c - 1, 7) computed cycles.  A step that raises ends the round,
+      and its exception is raised after the cycle ends before it are
+      tested, unless one of them converged.
 
     One rule ends a run on both paths: the first row whose norm, the BLAS
     dot of `row_norms`, exceeds 1e12 or is NaN is the last kept; its cycle
@@ -150,8 +127,7 @@ def run(operators, x0, sets, intersection: ClosedSet,
     measures distances to them.
     """
     cycle = operators if isinstance(operators, CyclicTuple) else CyclicTuple(operators)
-    members = cycle.members
-    m = len(members)
+    m = len(cycle)
     x = as_vector(x0, cycle.dim)
     sets = tuple(sets)
     max_cycles = check_whole("max_cycles", check_range("max_cycles", max_cycles, 1.0, np.inf))
@@ -162,20 +138,18 @@ def run(operators, x0, sets, intersection: ClosedSet,
             raise DomainError(f"run's sets must be ClosedSets, got {type(s).__name__}")
         if s.dim != x.size:
             raise DimensionMismatch(f"expected dimension {s.dim}, got {x.size}")
-    maps = [getattr(op, "_map", None) for op in members]
-    block_rows = m * cycle.dim if cycle.dim <= _BLOCK_DIM and None not in maps else 0
+    A, b = cycle._prefixes or (None, None)  # the stacked prefix maps, if any
 
     t0 = time.perf_counter()
-    points, prefixes, stop = [x[None, :]], None, "Budget"
+    points, stop = [x[None, :]], "Budget"
     with np.errstate(over="ignore"):
-        for k in _rounds(max_cycles, block_rows):
-            if block_rows:
-                prefixes = _cycle_prefixes(maps, k, prefixes)
-                n = k * block_rows
-                rows = (prefixes[0][:n].dot(points[-1][-1]) + prefixes[1][:n]).reshape(k * m, -1)
+        for k in _rounds(max_cycles, 0 if A is None else m * x.size):
+            if A is not None:
+                n = k * m * x.size
+                rows = (A[:n].dot(points[-1][-1]) + b[:n]).reshape(k * m, -1)
                 norms, error = row_norms(rows), None
             else:
-                rows, norms, error = _steps(members, points[-1][-1], k * m)
+                rows, norms, error = _steps(cycle.members, points[-1][-1], k * m)
             keep = rows.shape[0]
             if not norms.max(initial=0.0) <= DIVERGENCE_NORM:  # NaN fails too
                 keep = int(np.argmax(~(norms <= DIVERGENCE_NORM)))
@@ -203,24 +177,6 @@ def run(operators, x0, sets, intersection: ClosedSet,
     op_index = np.arange(-1, P.shape[0] - 1)
     op_index[1:] %= m
     return Trajectory(P, op_index, c_dist, m, stop, tol, seed, wall, cycle, sets)
-
-
-def _rounds(max_cycles, block_rows):
-    """The cycles of each round of `run`, in order: as many as so far, at
-    least an opening count, up to a cap, the last cut to `max_cycles`.  On
-    the per-step path (`block_rows` 0) the opening is 1 and the cap
-    _TEST_BATCH; by blocks, with `block_rows` the m d rows of stacked maps
-    a cycle, the opening is as many cycles as _OPEN_ROWS rows hold, at
-    least 1, and the cap the largest power of two of cycles that read at
-    most _BLOCK_ROWS rows, and at least _TEST_BATCH."""
-    cap, tested = _TEST_BATCH, 0
-    while block_rows and 2 * cap * block_rows <= _BLOCK_ROWS:
-        cap *= 2
-    first = max(1, _OPEN_ROWS // block_rows) if block_rows else 1
-    while tested < max_cycles:
-        k = min(max(tested, first), cap, max_cycles - tested)
-        yield k
-        tested += k
 
 
 def _steps(members, x, n):
@@ -363,16 +319,14 @@ def check_fejer_trace(traj: Trajectory, constants, xbar) -> PropertyReport:
     pair is checked as `check_quasi_firm_fejer` checks its constants.
     """
     xbar = as_vector(xbar)
-    if not np.iterable(constants):  # None, a bare number, a 0-d array
+    pairs = (tuple, list, np.ndarray)
+    table = list(constants) if np.iterable(constants) else [constants]  # None, a number, 0-d
+    if isinstance(constants, pairs) and len(table) == 2 and np.ndim(table[0]) == 0:
+        table = [constants] * traj.cycle_len
+    if len(table) != traj.cycle_len or not all(
+            isinstance(c, pairs) and np.iterable(c) and len(c) == 2 for c in table):
         raise DomainError("constants must be a (gamma, beta) pair or one pair per cycle phase")
-    if isinstance(constants, (tuple, list, np.ndarray)) and len(constants) == 2 \
-            and np.ndim(constants[0]) == 0:
-        table = [_fejer_pair(*constants)] * traj.cycle_len
-    else:
-        table = [_fejer_pair(g, b) for g, b in constants]
-        if len(table) != traj.cycle_len:
-            raise DomainError("need one (gamma, beta) pair per cycle phase")
-    gammas, betas = np.array(table).T[:, traj.op_index[1:]]
+    gammas, betas = np.array([_fejer_pair(g, b) for g, b in table]).T[:, traj.op_index[1:]]
     x, xp = traj.points[:-1], traj.points[1:]
     return margin_report("fejer_trace", _fejer_margins(x, xp, xbar, gammas, betas),
                          lambda n: (n, x[n], xp[n]), traj.seed, CHECK_TOL, {})

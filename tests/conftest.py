@@ -138,7 +138,7 @@ def affine_block_bound(operators, reference, block):
     a cycle of relaxed or generalized DR operators on affine sets share:
     `reference` steps by one map at a time (x_i = fl(M_i x_(i-1) + c_i), as
     `apply` does), `block` by `run`'s rounds of stacked prefix maps, each
-    from the row where it starts, the rounds `runner._rounds` gives the
+    from the row where it starts, the rounds `operators._rounds` gives the
     block path.
 
     Take the computed (M_i, c_i) as exact and write T_i for x -> M_i x + c_i.
@@ -170,7 +170,7 @@ def affine_block_bound(operators, reference, block):
     bound = np.zeros(rows)
     start = 0
     # uncut: the rows the two runs share end where `run`'s last round does
-    rounds = P.runner._rounds(math.inf, m * d)
+    rounds = P.operators._rounds(math.inf, m * d)
     while start < rows - 1:
         k = next(rounds)
         carried, reference_gap, z = bound[start], 0.0, np.abs(block[start])

@@ -8,16 +8,22 @@ exported-CSV digest (`test_cli.CSV_DIGEST`) and the demos' digests
     PYTHONPATH=src:tests python tests/repin.py
     PYTHONPATH=src:tests python tests/repin.py --save DIR
     PYTHONPATH=src:tests python tests/repin.py --against DIR
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src:tests python tests/repin.py --fingerprints
 
 The first prints each pin, marked `moved` where it differs from the pinned
 value.  `--save` also writes the timing-stripped `verify` reports to DIR;
 `--against` lists each leaf of them that differs from DIR's, with its old
 value, its new value and the relative change.  To see what a change moves,
 save the reports with the parent commit's `src` first on PYTHONPATH, then
-list against them with the change's.
+list against them with the change's.  `--fingerprints` also prints the
+benchmark's fingerprint digests, which CI's log keeps: a sha256 over the
+non-timing output of every item of perfbench's workloads at pass seeds 3
+and 11, one per workload and one over all of them.  It reads `perfbench/`
+and writes nothing there.
 """
 
 import argparse
+import hashlib
 import json
 import sys
 import tempfile
@@ -56,10 +62,34 @@ def _report_file(root, seed):
     return Path(root) / f"verify_{'default' if seed is None else seed}.json"
 
 
+def fingerprint_lines():
+    """`<count> <workload> item fingerprints: <sha256>` for each workload of
+    perfbench, then `<count> perfbench item fingerprints at pass seeds 3
+    and 11: <sha256>` over all of them, each over the item fingerprints of
+    the passes built at seeds 3 and 11, in order."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    digest, count, lines = hashlib.sha256(), 0, []
+    for name, build in workloads.WORKLOADS.items():
+        own, own_count = hashlib.sha256(), 0
+        for seed in (3, 11):
+            for item in build(seed):
+                line = item.fingerprint(item.call()).encode()
+                digest.update(line)
+                own.update(line)
+                own_count += 1
+        count += own_count
+        lines.append(f"{own_count} {name} item fingerprints: {own.hexdigest()}")
+    return lines + [f"{count} perfbench item fingerprints at pass seeds 3 and 11: "
+                    f"{digest.hexdigest()}"]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--save", metavar="DIR", help="write the timing-stripped verify reports")
     parser.add_argument("--against", metavar="DIR", help="list the leaves that moved against DIR's")
+    parser.add_argument("--fingerprints", action="store_true",
+                        help="also print the benchmark items' fingerprint digests")
     args = parser.parse_args(argv)
 
     def pin(name, value, pinned):
@@ -79,6 +109,8 @@ def main(argv=None):
         pin("exported CSV", test_cli._csv_digest(Path(out)), test_cli.CSV_DIGEST)
     for path in test_demos.DEMOS:
         pin(f"demo {path.stem}", test_demos._demo_digest(path), test_demos.DIGESTS[path.stem])
+    if args.fingerprints:
+        print("\n".join(fingerprint_lines()))
 
 
 if __name__ == "__main__":

@@ -343,6 +343,47 @@ class TestVerifyCommand:
         assert repin.moved_leaves(old, new) == [
             'a.b[1]: 2.0 -> 2.5 (+2.5e-01)', 'a.c: "PASS" -> "FAIL"', 'd: 0.0 -> 1e-30', 'e: true -> 1']
 
+    def test_verify_text_lists_each_scenario(self, capsys):
+        """`verify`'s default format is one line a scenario, its verdict,
+        stop reason and count of checks and comparisons, then the totals."""
+        assert P.main(["verify"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "degenerate_three_halfspaces: [PASS] stop=Converged checks=5",
+            "dr_affine_blend: [PASS] stop=Converged checks=4",
+            "dr_affine_reflect: [PASS] stop=Budget checks=4",
+            "dr_two_lines: [PASS] stop=Converged checks=4",
+            "enlargement_injectability: [PASS] stop=Converged checks=5",
+            "qff_suite: [PASS] stop=Converged checks=16",
+            "reflection_projection_axes: [PASS] stop=Budget checks=4",
+            "reflection_projection_orthant: [PASS] stop=Converged checks=4",
+            "reflector_cycle_counterexample: [PASS] stop=Budget checks=3",
+            "semi_intrepid_circles: [PASS] stop=Converged checks=2",
+            "two_lines_angle_30: [PASS] stop=Converged checks=6",
+            "two_lines_angle_45: [PASS] stop=Converged checks=7",
+            "two_lines_angle_60: [PASS] stop=Converged checks=6",
+            "total: 13 scenarios, 0 failed",
+            "result: PASS",
+        ]
+
+    def test_verify_text_names_each_failure(self):
+        """A failed check and a failed comparison get a line each under
+        their scenario, and a scenario that raised its error in place of
+        the verdict line."""
+        failing = {"scenario": {"stop_reason": "Budget"}, "passed": False,
+                   "checks": [{"name": "inj", "kind": "injectable", "passed": False},
+                              {"name": "fit", "kind": "rate_fit", "passed": True}],
+                   "comparisons": [{"name": "cyclic", "ok": False}, {"name": "dr", "ok": True}]}
+        summary = {"suite": {"b": failing, "a": {"error": "ConfigError: x0: bad"}},
+                   "passed": False, "counts": {"scenarios": 2, "failed": 2}}
+        assert P.cli._format_suite_text(summary).splitlines() == [
+            "a: ERROR ConfigError: x0: bad",
+            "b: [FAIL] stop=Budget checks=4",
+            "  FAIL inj (injectable)",
+            "  FAIL compare cyclic",
+            "total: 2 scenarios, 2 failed",
+            "result: FAIL",
+        ]
+
     @pytest.mark.parametrize("seed", [-1, True, 2.5, "7"])
     def test_verify_suite_checks_its_seed_once(self, monkeypatch, seed):
         """A bad seed ran every scenario and returned one error report each."""
@@ -370,6 +411,21 @@ class TestReportChecks:
         assert report["scenario"]["stop_reason"] == "Converged"
         assert check["period"] is None and not check["passed"]
         assert not report["passed"]
+
+    @pytest.mark.parametrize("edit", [
+        lambda states: states.__setitem__(1, [0.0, -2.0]),
+        lambda states: states.pop(),
+    ], ids=["wrong_state", "wrong_count"])
+    def test_cycle_detect_fails_on_expected_states_that_do_not_match(self, edit):
+        """`reflection_projection_axes` finds its period-4 cycle; a listed
+        state off the cycle, or one state too few, fails the check."""
+        cfg = json.loads((resources.files("projlab.scenarios")
+                          / "reflection_projection_axes.json").read_text())
+        (check,) = [rec for rec in cfg["analyses"] if rec["kind"] == "cycle_detect"]
+        edit(check["expect_states"])
+        report = P.execute_scenario(P.scenario_from_config(cfg))
+        (entry,) = [c for c in report["checks"] if c["kind"] == "cycle_detect"]
+        assert entry["period"] == 4 and not entry["passed"] and not report["passed"]
 
     def test_cycle_detect_without_expectations_passes_on_no_cycle(self):
         cfg = minimal_config(analyses=[{"kind": "cycle_detect"}])

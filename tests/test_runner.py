@@ -138,7 +138,7 @@ def _by_blocks(ops):
     """Whether `run` steps this cycle by blocks: every member steps by an
     affine map, in a dimension up to the block limit."""
     return (all(getattr(op, "_map", None) is not None for op in ops)
-            and ops[0].dim <= P.runner._BLOCK_DIM)
+            and ops[0].dim <= P.operators._BLOCK_DIM)
 
 
 def _assert_run_matches_reference(ops, x0, sets, inter, **kw):
@@ -423,15 +423,15 @@ class TestRunMatchesPerPointLoop:
             traj = P.run(ops, x0, sets, counted, max_cycles=max_cycles, tol=1e-300)
             return counted.batches[:-1], counted.batches[-1] == traj.n_points
 
-        # by blocks the first round reads the 64 rows of runner._OPEN_ROWS,
+        # by blocks the first round reads the 64 rows of operators._OPEN_ROWS,
         # 16 cycles of 2 steps in R^2: cycle ends 1-16, 17-20, then the
         # table of every point
         assert batches("relaxed_lam1_exact", 20) == ([16, 4], True)
         # then a round doubles up to 256 cycles, the 1024 rows of
-        # runner._BLOCK_ROWS; the last is cut to the budget
+        # operators._BLOCK_ROWS; the last is cut to the budget
         assert batches("relaxed_lam1_exact", 1000) == (
             [16, 16, 32, 64, 128, 256, 256, 232], True)
-        # by steps the rounds open with 1 cycle and stop at 8 (runner._TEST_BATCH):
+        # by steps the rounds open with 1 cycle and stop at 8 (operators._TEST_BATCH):
         # cycle ends 1, 2, 3-4, 5-8, 9-16, 17-20
         assert batches("relaxed_lam1_exact_formula", 20) == ([1, 1, 2, 4, 8, 4], True)
         assert batches("relaxed_lam1_exact_formula", 1000) == ([1, 1, 2, 4] + [8] * 124, True)
@@ -492,6 +492,32 @@ def _affine_cycle(seed, dim=None):
     return ops, x0, sets, P.AffineSubspaceSet(w, vt[rank:]), int(rng.integers(1, 41))
 
 
+# The reference: `run` grew its stack with this builder, verbatim, round by
+# round as the rounds first read it, before the cycle built the stack whole.
+def _parent_cycle_prefixes(maps, cycles, built):
+    """The stacked prefix maps of at least `cycles` cycles of the affine
+    steps `maps`, a list of (M_i, c_i), as (A, b): block j of d rows of A
+    and of b is the map x -> A_j x + b_j of the first j steps, A_j = M_j
+    A_(j-1) and b_j = M_j b_(j-1) + c_j, member j taken cyclically.
+    Block m is the cycle's own map.  With `built` None the first cycle is
+    that chain; `built`, this function's result for fewer cycles, is
+    extended by doubling, c cycles to 2c: A_(cm+i) = A_i A_cm and
+    b_(cm+i) = A_i b_cm + b_i, the last doubling only up to `cycles`."""
+    if built is None:
+        A, b = [maps[0][0]], [maps[0][1]]
+        for M, c in maps[1:]:
+            A.append(M.dot(A[-1]))
+            b.append(M.dot(b[-1]) + c)
+        built = np.concatenate(A), np.concatenate(b)
+    A, b = built
+    d, rows = A.shape[1], cycles * len(maps) * A.shape[1]
+    while A.shape[0] < rows:
+        r = min(A.shape[0], rows - A.shape[0])
+        A, b = (np.concatenate([A, A[:r].dot(A[-d:])]),
+                np.concatenate([b, A[:r].dot(b[-d:]) + b[:r]]))
+    return A, b
+
+
 class TestRunByBlocks:
     """Where every member steps by an affine map, `run` steps a round of
     cycles by one product over the cycle's stacked prefix maps; the
@@ -520,7 +546,7 @@ class TestRunByBlocks:
         assert traj.final[1] == DIVERGENCE_NORM + 1.0
 
     def test_above_the_dimension_limit_the_steps_keep_their_bits(self):
-        d = P.runner._BLOCK_DIM + 1
+        d = P.operators._BLOCK_DIM + 1
         rng = np.random.default_rng(3)
         a, b = (P.Hyperplane(rng.standard_normal(d), 0.0) for _ in range(2))
         ops = [P.RelaxedProjector(a, 1.0), P.RelaxedProjector(b, 1.5)]
@@ -531,44 +557,57 @@ class TestRunByBlocks:
         assert traj.stop_reason == stop
         assert _same_bits(traj.points, pts) and _same_bits(traj.c_dist, cd)
 
-    @pytest.mark.parametrize("max_cycles, built, d, open_rows", [
-        *(pytest.param(cycles, built, 2, 1, id=f"{cycles}-{built}") for cycles, built in [
-            (1, 1), (2, 1), (3, 1), (4, 2), (7, 3), (8, 4), (20, 8), (100, 36), (1000, 256)]),
-        *(pytest.param(cycles, built, 2, None, id=f"{cycles}-{built}-open") for cycles, built in [
-            (1, 1), (2, 2), (20, 16), (50, 18), (1000, 256)]),
-        pytest.param(1000, 16, 32, None, id="1000-16-d32"),
-    ])
-    def test_prefix_maps_are_built_as_the_rounds_need_them(self, monkeypatch, max_cycles,
-                                                           built, d, open_rows):
-        """The first round builds as many cycles' maps as the 64 rows of
-        runner._OPEN_ROWS hold, at most max_cycles: 16 cycles of 2 steps in
-        R^2 (the `-open` ids), 1 where a cycle takes more rows, as in R^32;
-        the other ids give R^2 that 1-cycle opening by setting _OPEN_ROWS to
-        1.  Later rounds double the maps when first needed, and a round cut
-        to max_cycles builds only the maps it reads: a last round of 36
-        cycles builds 36, not 64.  The rounds stop growing at 1024 rows of
-        maps (runner._BLOCK_ROWS): 256 cycles of 2 steps in R^2, 16 in R^32."""
-        if open_rows is not None:
-            monkeypatch.setattr(P.runner, "_OPEN_ROWS", open_rows)
-        sizes = []
+    @pytest.mark.parametrize("d", [2, 3, 8, 9, 16, 32])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_the_stack_is_the_reference_grown_through_the_round_sizes(self, d, seed):
+        """A cycle's stacked prefix maps are, bit for bit, the per-round
+        growth `run` did before the cycle built them: one cycle, then
+        doublings through the sizes its rounds read, k0, 2 k0, 4 k0 and so
+        on up to the cap, each size's last doubling cut to it.  At d = 3
+        and 9, k0 is no power of two, so some doublings are cut."""
+        ops = _affine_cycle(seed, d)[0]
+        rows = len(ops) * d
+        size, cap = max(1, 64 // rows), max(8, 2 ** int(math.log2(1024 / rows)))
+        built = None
+        while built is None or size < cap:
+            size = size if built is None else min(2 * size, cap)
+            built = _parent_cycle_prefixes([op._map for op in ops], size, built)
+        A, b = P.CyclicTuple(ops)._prefixes
+        assert _same_bits(A, built[0]) and _same_bits(b, built[1])
+        assert A.shape == (cap * rows, d) and not (A.flags.writeable or b.flags.writeable)
 
-        def counted(maps, cycles, done):
-            A, b = prefixes(maps, cycles, done)
-            sizes.append(A.shape[0] // A.shape[1])
-            return A, b
+    @pytest.mark.parametrize("case", ["semi_intrepid", "cone", "d33"])
+    def test_off_the_block_path_the_cycle_holds_no_stack(self, case):
+        """A semi-intrepid member, a member on a set with no affine map, or a
+        dimension above operators._BLOCK_DIM leaves the stack None."""
+        d = 33 if case == "d33" else 2
+        line = P.Hyperplane(np.ones(d), 0.0)
+        other = {"semi_intrepid": P.SemiIntrepidProjector(line, 0.5, 1.0),
+                 "cone": P.RelaxedProjector(P.PolyhedralCone(np.eye(2)), 1.0),
+                 "d33": P.RelaxedProjector(P.Hyperplane(np.arange(1.0, d + 1), 0.0), 1.0)}[case]
+        ops = [P.RelaxedProjector(line, 1.0), other]
+        assert P.CyclicTuple(ops)._prefixes is None and not _by_blocks(ops)
 
-        prefixes = P.runner._cycle_prefixes
-        monkeypatch.setattr(P.runner, "_cycle_prefixes", counted)
-        ops, x0, sets, inter = (EQUIVALENCE_CASES["relaxed_lam1_exact"][:4] if d == 2
-                                else _planes_ap(d))
-        traj = P.run(ops, x0, sets, inter, max_cycles=max_cycles, tol=1e-300)
-        assert traj.n_cycles == max_cycles and max(sizes) == built * len(ops)
+    @pytest.mark.parametrize("d, m, cycles", [(2, 2, 256), (32, 2, 16), (32, 5, 8)])
+    def test_the_stack_holds_the_caps_rows(self, d, m, cycles):
+        """The stack holds the cap's cycles: as many as 1024 rows hold, a
+        power of two and at least 8, so max(1024, 8 m d) rows at most:
+        1024 rows of two members in R^2 and in R^32, 1280 of five in R^32.
+        A run of any length reads slices of it and leaves it as built."""
+        ops = [P.RelaxedProjector(P.Hyperplane(np.arange(1.0, d + 1) ** j, 0.0), 1.0)
+               for j in range(m)]
+        cycle = P.CyclicTuple(ops)
+        A, b = cycle._prefixes
+        assert A.shape == (cycles * m * d, d) and b.shape == (cycles * m * d,)
+        before = A.tobytes(), b.tobytes()
+        P.run(cycle, np.ones(d), [], _origin(d), max_cycles=3 * cycles + 1, tol=1e-300)
+        assert cycle._prefixes[0] is A and (A.tobytes(), b.tobytes()) == before
 
     @pytest.mark.parametrize("d", [2, 8, 9, 16, 32])
     @pytest.mark.parametrize("seed", range(3))
     def test_long_rounds_match_the_reference(self, d, seed):
         """A seeded cycle of m steps in R^d opens with as many cycles as
-        runner._OPEN_ROWS // (m d), at least 1, then runs rounds of as many
+        operators._OPEN_ROWS // (m d), at least 1, then runs rounds of as many
         cycles as so far up to its cap, one more of the cap and a cut one.
         `run` is handed a point off the sets as its intersection, so no
         cycle end converges and both runs take the whole budget; every row
@@ -576,13 +615,13 @@ class TestRunByBlocks:
         open with 3 cycles, so their maps come partly from cut doublings."""
         ops, x0, sets, inter, _ = _affine_cycle(seed, d)
         rows = len(ops) * d
-        cap = max(8, 2 ** int(math.log2(P.runner._BLOCK_ROWS / rows)))
-        rounds = [max(1, P.runner._OPEN_ROWS // rows)]
+        cap = max(8, 2 ** int(math.log2(P.operators._BLOCK_ROWS / rows)))
+        rounds = [max(1, P.operators._OPEN_ROWS // rows)]
         while sum(rounds) < cap:
             rounds.append(sum(rounds))
         rounds += [cap, cap, cap // 2]
         kw = {"max_cycles": sum(rounds), "tol": 1e-300}
-        assert list(P.runner._rounds(kw["max_cycles"], rows)) == rounds
+        assert list(P.operators._rounds(kw["max_cycles"], rows)) == rounds
         off = P.FinitePointSet(inter.anchor[None, :] + 1.0)
         assert not underflows(lambda: (P.run(ops, x0, sets, off, **kw),
                                        _reference_run(ops, x0, sets, off, **kw)))
@@ -593,10 +632,9 @@ class TestRunByBlocks:
         """Block m of the stacked maps is the cycle's own map: its product
         with x is one cycle of the members' maps, to rounding."""
         ops, x0, _, _, _, _ = EQUIVALENCE_CASES["affine_relaxed_lam1.5_d8"]
-        A, b = P.runner._cycle_prefixes([op._map for op in ops], 1, None)
+        A, b = P.CyclicTuple(ops)._prefixes
         d = len(x0)
-        assert A.shape == (2 * d, d) and b.shape == (2 * d,)
-        np.testing.assert_allclose(A[d:].dot(x0) + b[d:], P.CyclicTuple(ops).apply(x0),
+        np.testing.assert_allclose(A[d:2 * d].dot(x0) + b[d:2 * d], P.CyclicTuple(ops).apply(x0),
                                    rtol=1e-13, atol=1e-13)
 
     @pytest.mark.filterwarnings("error")
@@ -954,9 +992,15 @@ class TestKStepAndTraceChecks:
         got = P.check_fejer_trace(traj, pair, np.zeros(2))
         assert repr(got) == repr(P.check_fejer_trace(traj, table, np.zeros(2)))
 
-    @pytest.mark.parametrize("bad", [None, 1.0, np.float64(1.0), 2, np.array(1.0)],
-                             ids=["none", "float", "numpy_scalar", "int", "zero_d_array"])
+    @pytest.mark.parametrize("bad", [None, 1.0, np.float64(1.0), 2, np.array(1.0),
+                                     [1.0, 0.5, 0.3], [(1.0, 0.5), (1.0, 0.5, 0.2)],
+                                     [(1.0, 0.5)] * 3],
+                             ids=["none", "float", "numpy_scalar", "int", "zero_d_array",
+                                  "table_of_numbers", "table_entry_of_three",
+                                  "table_of_three_pairs"])
     def test_fejer_trace_rejects_constants_that_are_no_pair(self, bad):
+        """A table entry that is no pair raised TypeError or ValueError
+        from unpacking it; a table needs one pair per phase of the cycle."""
         with pytest.raises(DomainError, match="constants"):
             P.check_fejer_trace(_two_lines_run(math.pi / 4), bad, np.zeros(2))
 
