@@ -99,8 +99,6 @@ def _certificate(theorem, inputs, gamma_total, bracket, block_len,
     """Assemble a certificate from the clamped bracket value."""
     bracket = max(0.0, bracket)
     rho_block = math.sqrt(bracket)
-    if block_len < 1:
-        raise DomainError("certificate block length must be >= 1")
     rho_iter = rho_block ** (1.0 / block_len)
     applicable = rho_block < 1.0
     if applicable:

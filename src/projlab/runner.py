@@ -87,31 +87,32 @@ def run(operators, x0, sets, intersection: ClosedSet,
     exceeds 1e12 (stop_reason Diverged, never an exception).
 
     x0 is validated once, against the cycle's, the intersection's and every
-    set's dimension.  The run goes in rounds of as many cycles as so far,
-    at least an opening count k0, up to a cap (`operators._rounds`): k0,
-    k0, 2 k0, 4 k0 and so on, the last cut to max_cycles.  Each round's
-    cycle ends are tested by one `_nearest_many` call, and the first end at
-    or below tol stops the run, dropping the round's later cycles: at most
-    max(k0, min(c, cap)) - 1 for a stop at cycle c.  A round's rows come
-    one of two ways:
+    set's dimension.  The run goes in rounds of cycles, the last cut to
+    max_cycles (`operators._rounds`).  Each round's cycle ends are tested
+    by one `_nearest_many` call, and the first end at or below tol stops
+    the run, dropping the round's later cycles.  A round's rows come one of
+    two ways:
 
     - where the cycle holds stacked prefix maps (A, b) (every member steps
-      by an affine map, in at most 32 dimensions; built with the cycle, up
-      to the cap), by one product from the round's start x, A[:n] x + b[:n]
-      for the n rows of the round's cycles.  The opening and the cap are
-      sizes: for two members k0 is 16 cycles at d = 2 and 1 at d = 32,
-      the cap 128 cycles at d = 4 and 16 at d = 32.  The rows differ from
-      the per-step chain of maps in their last bits: that product rounds
-      the terms of the chain in another order, so each is within gamma_K
-      of the exact value times the sum of its terms' magnitudes, K = j (d
-      + 1) for the j-th step of a round (the tests' `affine_block_bound`
-      derives it);
+      by an affine map, in at most 32 dimensions; built with the cycle),
+      every round is the cap, the cycles the stack holds: as many as 1024
+      rows of maps hold, a power of two and at least 8, so for two members
+      256 cycles at d = 2 and 16 at d = 32.  A round from x is one product
+      over the whole stack, A x + b, or over its first n rows, A[:n] x +
+      b[:n], in a round cut by max_cycles, and a stop drops at most cap - 1
+      computed cycles.  The rows differ from the per-step chain of maps in
+      their last bits: that product rounds the terms of the chain in
+      another order, so each is within gamma_K of the exact value times the
+      sum of its terms' magnitudes, K = j (d + 1) for the j-th step of a
+      round (the tests' `affine_block_bound` derives it).  A cut round's
+      shorter product may round differently again, so its rows can differ
+      in their last bits from the same rows of a run with a larger budget;
     - everywhere else one member's `_rows` kernel a step on a (1, d) row,
       the call `apply` makes, so the iterates are `apply`'s bit for bit.
-      k0 is 1 and the cap 8 cycles, so a stop at cycle c drops at most
-      min(c - 1, 7) computed cycles.  A step that raises ends the round,
-      and its exception is raised after the cycle ends before it are
-      tested, unless one of them converged.
+      The rounds are 1, 1, 2, 4 and then 8 cycles, so a stop at cycle c
+      drops at most min(c - 1, 7) computed cycles.  A step that raises ends
+      the round, and its exception is raised after the cycle ends before it
+      are tested, unless one of them converged.
 
     One rule ends a run on both paths: the first row whose norm, the BLAS
     dot of `row_norms`, exceeds 1e12 or is NaN is the last kept; its cycle

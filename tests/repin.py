@@ -1,5 +1,5 @@
 """Print every pinned digest of the test suite afresh, and list the report
-leaves that moved against saved reports.
+leaves and demo lines that moved against saved ones.
 
 The pins are the two `verify` digests (`test_cli.VERIFY_DIGESTS`), the
 exported-CSV digest (`test_cli.CSV_DIGEST`) and the demos' digests
@@ -11,11 +11,13 @@ exported-CSV digest (`test_cli.CSV_DIGEST`) and the demos' digests
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src:tests python tests/repin.py --fingerprints
 
 The first prints each pin, marked `moved` where it differs from the pinned
-value.  `--save` also writes the timing-stripped `verify` reports to DIR;
-`--against` lists each leaf of them that differs from DIR's, with its old
-value, its new value and the relative change.  To see what a change moves,
-save the reports with the parent commit's `src` first on PYTHONPATH, then
-list against them with the change's.  `--fingerprints` also prints the
+value.  `--save` also writes the timing-stripped `verify` reports and each
+demo's stdout to DIR; `--against` lists each leaf of those reports that
+differs from DIR's, with its old value, its new value and the relative
+change, and each demo line that differs, with its line number, its old and
+new text and the largest relative change of its numbers.  To see what a
+change moves, save with the parent commit's `src` first on PYTHONPATH,
+then list against that with the change's.  `--fingerprints` also prints the
 benchmark's fingerprint digests, which CI's log keeps: a sha256 over the
 non-timing output of every item of perfbench's workloads at pass seeds 3
 and 11, one per workload and one over all of them.  It reads `perfbench/`
@@ -24,7 +26,9 @@ and writes nothing there.
 
 import argparse
 import hashlib
+import itertools
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -58,6 +62,25 @@ def moved_leaves(old, new):
     return lines
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def moved_lines(old, new):
+    """Lines `line n: old -> new` for each line of two texts that differs,
+    or that only one of them has; where both hold as many numbers, the
+    largest relative change among them follows."""
+    lines = []
+    for n, (a, b) in enumerate(itertools.zip_longest(
+            old.splitlines(), new.splitlines(), fillvalue="(absent)"), 1):
+        if a == b:
+            continue
+        x, y = ([float(v) for v in _NUMBER.findall(line)] for line in (a, b))
+        changes = [abs(v - u) / abs(u) for u, v in zip(x, y) if u != v and u != 0]
+        change = f" ({max(changes):.1e})" if len(x) == len(y) and changes else ""
+        lines.append(f"line {n}: {json.dumps(a)} -> {json.dumps(b)}{change}")
+    return lines
+
+
 def _report_file(root, seed):
     return Path(root) / f"verify_{'default' if seed is None else seed}.json"
 
@@ -86,8 +109,10 @@ def fingerprint_lines():
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--save", metavar="DIR", help="write the timing-stripped verify reports")
-    parser.add_argument("--against", metavar="DIR", help="list the leaves that moved against DIR's")
+    parser.add_argument("--save", metavar="DIR",
+                        help="write the timing-stripped verify reports and the demos' output")
+    parser.add_argument("--against", metavar="DIR",
+                        help="list the leaves and demo lines that moved against DIR's")
     parser.add_argument("--fingerprints", action="store_true",
                         help="also print the benchmark items' fingerprint digests")
     args = parser.parse_args(argv)
@@ -108,7 +133,15 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as out:
         pin("exported CSV", test_cli._csv_digest(Path(out)), test_cli.CSV_DIGEST)
     for path in test_demos.DEMOS:
-        pin(f"demo {path.stem}", test_demos._demo_digest(path), test_demos.DIGESTS[path.stem])
+        output = test_demos._demo_output(path)
+        pin(f"demo {path.stem}", hashlib.sha256(output.encode()).hexdigest(),
+            test_demos.DIGESTS[path.stem])
+        if args.save:
+            Path(args.save, f"demo_{path.stem}.txt").write_text(output)
+        if args.against:
+            old = Path(args.against, f"demo_{path.stem}.txt").read_text()
+            for line in moved_lines(old, output):
+                print(f"  {line}")
     if args.fingerprints:
         print("\n".join(fingerprint_lines()))
 

@@ -30,10 +30,10 @@ def _strip_timing(obj):
 # The pinned digests; `tests/repin.py` prints them afresh and lists the
 # report leaves that moved.
 VERIFY_DIGESTS = {
-    None: "30dd7b9837d04f77b132cc507395196ff8fec88a60f8c5eb45cde285d56a2937",
-    12345: "ec66823fbb1753b7552171d92362ba99f79ffe9133ccada245eb0bef4ccb6ad1",
+    None: "2314adc85e7111029c2e0676439730ca7c404810491287e5122a1f8771eba4d2",
+    12345: "edf05be605c4d9416ca949c428f2af6aaa0ec6c710980da445bb6c9e011cd463",
 }
-CSV_DIGEST = "8707d99a144bb2e3336075633c46fc608fd84a7584473138289025a26489e0ca"
+CSV_DIGEST = "a43b23ade19478db6909533330d665e0cb65c75c79b490596855ef734943ed7d"
 
 
 def _verify_report(seed):
@@ -221,6 +221,27 @@ class TestRunCommand:
         assert rc == 1
         assert "FAIL" in out
 
+    def test_text_report_prints_each_comparison(self, tmp_path, capsys):
+        """A comparison gets one text line with the fitted and certified
+        per-iterate rates the JSON report holds, and its verdict."""
+        path = str(resources.files("projlab.scenarios") / "two_lines_angle_45.json")
+        assert P.main(["run", path, "--out", str(tmp_path / "json"), "--format", "json"]) == 0
+        comparisons = json.loads(capsys.readouterr().out)["comparisons"]
+        assert P.main(["run", path, "--out", str(tmp_path / "text")]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if "compare" in line]
+        assert [c["name"] for c in comparisons] == ["vs_convex", "vs_proj", "vs_relaxed"]
+        assert lines == [f"  compare {c['name']}: fit={c['rho_fit_per_iterate']} "
+                         f"cert={c['rho_cert_per_iterate']} [PASS]" for c in comparisons]
+
+    def test_an_error_while_running_exits_one(self, tmp_path, capsys):
+        """A ProjlabError that is no config error, here a rate fit of a run
+        that stops at its first cycle end, fails the scenario: exit 1."""
+        cfg = minimal_config(tol=1e-300, analyses=[{"kind": "rate_fit"}])
+        rc = P.main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        assert captured.err == "scenario failed: need at least 10 error entries, got 2\n"
+
     def test_malformed_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{ not json }")
@@ -343,6 +364,18 @@ class TestVerifyCommand:
         assert repin.moved_leaves(old, new) == [
             'a.b[1]: 2.0 -> 2.5 (+2.5e-01)', 'a.c: "PASS" -> "FAIL"', 'd: 0.0 -> 1e-30', 'e: true -> 1']
 
+    def test_repin_lists_each_moved_demo_line(self):
+        """`tests/repin.py` names a moved demo line by its number, with its
+        old and new text and the largest relative change of its numbers
+        where both hold as many."""
+        import repin
+        old = "a 1.0 2.0\nsame\nb 4.0\nc 1.0\n"
+        new = "a 1.5 2.0\nsame\nb\nc 1.0\nd 0.0\n"
+        assert repin.moved_lines(old, old) == []
+        assert repin.moved_lines(old, new) == [
+            'line 1: "a 1.0 2.0" -> "a 1.5 2.0" (5.0e-01)', 'line 3: "b 4.0" -> "b"',
+            'line 5: "(absent)" -> "d 0.0"']
+
     def test_verify_text_lists_each_scenario(self, capsys):
         """`verify`'s default format is one line a scenario, its verdict,
         stop reason and count of checks and comparisons, then the totals."""
@@ -383,6 +416,26 @@ class TestVerifyCommand:
             "total: 2 scenarios, 2 failed",
             "result: FAIL",
         ]
+
+    def test_a_scenario_that_raises_is_an_error_record(self, monkeypatch):
+        """A bundled scenario whose load raises gets an error record in
+        place of its report and fails the suite; the others still run."""
+        def load(name):
+            if name == "broken":
+                raise P.DomainError("no such data")
+            return P.load_bundled(name)
+
+        monkeypatch.setattr(P.cli, "bundled_scenario_names", lambda: ["broken", "dr_two_lines"])
+        monkeypatch.setattr(P.cli, "load_bundled", load)
+        summary = P.cli.verify_suite()
+        assert summary["suite"]["broken"] == {
+            "scenario": {"name": "broken"}, "constants": {}, "certificates": {}, "fit": {},
+            "comparisons": [], "checks": [], "error": "DomainError: no such data",
+            "passed": False, "timing": {"wall_time_s": 0.0}}
+        assert summary["suite"]["dr_two_lines"]["passed"]
+        assert (summary["passed"], summary["counts"]) == (False, {"scenarios": 2, "failed": 1})
+        assert P.cli._format_suite_text(summary).splitlines()[0] == \
+            "broken: ERROR DomainError: no such data"
 
     @pytest.mark.parametrize("seed", [-1, True, 2.5, "7"])
     def test_verify_suite_checks_its_seed_once(self, monkeypatch, seed):

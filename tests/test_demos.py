@@ -17,17 +17,22 @@ DIGESTS = {
     "03_nonconvergent_cycles": "95fe0f6a3267d410c71949ea8ac84607a1350b1eddf9f6ec96c4124efdbe30bb",
     "04_two_line_rates": "ef53ecf30ec81533b947015f8e0b3704e42764cfaa370303bd5238500c9463a7",
     "05_regularity_estimates": "c347f940d463a3c2c92affbf4ad316deb617ac3d0c23b8a7ab7622581e4f7b02",
-    "06_affine_reduction": "b0e7a56e61f9ec64c8e3ad3168633a1f8fe5358a1fb65089c1a9dc9b9d045d50",
+    "06_affine_reduction": "f6c21b0641585af26f338b46d274d86d8c096881b0952f7f843a8be3a9f496aa",
 }
 
 
-def _demo_digest(path):
-    """sha256 of the demo's stdout, run in-process."""
+def _demo_output(path):
+    """The demo's stdout, run in-process."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(path), run_name="__main__")
     assert out.getvalue()
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return out.getvalue()
+
+
+def _demo_digest(path):
+    """sha256 of the demo's stdout, run in-process."""
+    return hashlib.sha256(_demo_output(path).encode()).hexdigest()
 
 
 def test_demos_found():
@@ -39,5 +44,5 @@ def test_demos_found():
 def test_demo_runs(path):
     """A demo prints the same bytes on every run.  A change meant to move a
     demo's output says which lines moved and re-pins with `tests/repin.py`,
-    which prints every demo's digest."""
+    which prints every demo's digest and lists the lines that moved."""
     assert _demo_digest(path) == DIGESTS[path.stem]

@@ -5,6 +5,7 @@ Frozen expectations were computed by hand from the closed-form definitions
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -394,3 +395,32 @@ class TestFiniteListsAndWholeCounts:
     def test_whole_floats_still_count(self):
         assert P.rate_cyclic_projections(3.0, 0.1, 2.0) == P.rate_cyclic_projections(3, 0.1, 2.0)
         assert P.rate_dist_qf([1.0, 1.0], [1.0], 1.0, 0.5, 2.0).inputs["j"] == 1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: P.rate_dist_qff([], [], 0.5, 2.0),
+     "gamma and beta lists must be nonempty and equally long"),
+    (lambda: P.rate_cyclic_dr([1.0, 1.0], [1.0], 0.5, 2.0),
+     "gamma and beta lists must be nonempty and equally long"),
+    (lambda: P.rate_dist_qf([1.0], [], 0, 0.5, 2.0), "need at least two operators"),
+    (lambda: P.rate_dist_qf([1.0, 1.0], [1.0], 2, 0.5, 2.0),
+     "index j must name one of the 2 operators"),
+    (lambda: P.rate_dist_qf([1.0, 1.0], [1.0, 1.0], 0, 0.5, 2.0),
+     "beta list must omit exactly the j-th operator"),
+    (lambda: P.rate_refined([1.0], [1.0], 2.0), "need matched lists with at least two operators"),
+    (lambda: P.rate_refined([1.0, 1.0], [1.0], 2.0),
+     "need matched lists with at least two operators"),
+    (lambda: P.rate_cyclic_relaxed([], 0.1, 2.0), "empty cycle"),
+    (lambda: P.rate_cyclic_relaxed([2.0], 0.1, 2.0),
+     "a pure reflector cycle admits no coercivity sum"),
+    (lambda: P.rate_cyclic_projections(1, 0.1, 2.0), "need at least two sets"),
+    (lambda: P.rate_cyclic_semi_intrepid([0.5], 0.1, 2.0), "need at least two operators"),
+], ids=["qff_empty", "qff_unequal", "dist_qf_one_operator", "dist_qf_j_out_of_range",
+        "dist_qf_beta_not_omitted", "refined_one_operator", "refined_unequal",
+        "cyclic_relaxed_empty", "cyclic_relaxed_pure_reflector", "cyclic_projections_one_set",
+        "cyclic_semi_intrepid_one_operator"])
+def test_cycle_shape_errors_name_what_is_wrong(call, message):
+    """Each check of a cycle's length and list shapes raises DomainError
+    with its whole message."""
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()

@@ -212,24 +212,27 @@ def _walk(b, last=None, cycle_ends_at=None):
     return ops, np.array([1.0, 1.0]), (pa, pb, line), P.FinitePointSet(np.array([end]))
 
 
-# round ends 1, 2, 8 and 16 by steps, 16 by blocks (two lines of R^2), and cycles between
-STOP_CYCLES = (1, 2, 3, 5, 8, 9, 16, 17)
+# round ends 1, 2, 4, 8 and 16 by steps and cycles between, all in the first
+# round by blocks, whose rounds are 256 cycles (two lines of R^2); 300 stops
+# in the second round by blocks and 600 in the third
+STOP_CYCLES = (1, 2, 3, 5, 8, 9, 16, 17, 300, 600)
 
 
 def _stop_at(cycles, counterpart=None):
     """Alternating projections on two lines whose tol is the intersection
-    distance after `cycles` cycles, where the run must stop.  With
-    `counterpart` None the lines are the catalog's, which `run` steps by
-    blocks, and the distance is `run`'s own; else they are the lines
-    `counterpart` gives and the distance is the per-point loop's."""
+    distance after `cycles` cycles, where the run must stop, with a budget
+    of 20 cycles, or of twice `cycles` past 20.  With `counterpart` None
+    the lines are the catalog's, which `run` steps by blocks, and the
+    distance is `run`'s own; else they are the lines `counterpart` gives
+    and the distance is the per-point loop's."""
     lines = (_line(0.0), _line(math.pi / 9))
     if counterpart is not None:
         lines = tuple(map(counterpart, lines))
     ops, x0 = [P.RelaxedProjector(s, 1.0) for s in lines], np.array([0.9, 0.35])
-    exact = _origin()
-    errors = (P.run(ops, x0, lines, exact, max_cycles=20, tol=1e-300).c_dist if counterpart is None
-              else _reference_run(ops, x0, lines, exact, max_cycles=20, tol=1e-300)[2])[::2]
-    return ops, x0, lines, exact, {"max_cycles": 20, "tol": errors[cycles]}, "Converged"
+    exact, kw = _origin(), {"max_cycles": 2 * cycles if cycles > 20 else 20, "tol": 1e-300}
+    errors = (P.run(ops, x0, lines, exact, **kw).c_dist if counterpart is None
+              else _reference_run(ops, x0, lines, exact, **kw)[2])[::2]
+    return ops, x0, lines, exact, dict(kw, tol=errors[cycles]), "Converged"
 
 
 def _planes_ap(d):
@@ -423,14 +426,11 @@ class TestRunMatchesPerPointLoop:
             traj = P.run(ops, x0, sets, counted, max_cycles=max_cycles, tol=1e-300)
             return counted.batches[:-1], counted.batches[-1] == traj.n_points
 
-        # by blocks the first round reads the 64 rows of operators._OPEN_ROWS,
-        # 16 cycles of 2 steps in R^2: cycle ends 1-16, 17-20, then the
-        # table of every point
-        assert batches("relaxed_lam1_exact", 20) == ([16, 4], True)
-        # then a round doubles up to 256 cycles, the 1024 rows of
-        # operators._BLOCK_ROWS; the last is cut to the budget
-        assert batches("relaxed_lam1_exact", 1000) == (
-            [16, 16, 32, 64, 128, 256, 256, 232], True)
+        # by blocks every round is the cap, 256 cycles of 2 steps in R^2,
+        # the 1024 rows of operators._BLOCK_ROWS, the last cut to the
+        # budget: cycle ends 1-20, then the table of every point
+        assert batches("relaxed_lam1_exact", 20) == ([20], True)
+        assert batches("relaxed_lam1_exact", 1000) == ([256, 256, 256, 232], True)
         # by steps the rounds open with 1 cycle and stop at 8 (operators._TEST_BATCH):
         # cycle ends 1, 2, 3-4, 5-8, 9-16, 17-20
         assert batches("relaxed_lam1_exact_formula", 20) == ([1, 1, 2, 4, 8, 4], True)
@@ -493,7 +493,8 @@ def _affine_cycle(seed, dim=None):
 
 
 # The reference: `run` grew its stack with this builder, verbatim, round by
-# round as the rounds first read it, before the cycle built the stack whole.
+# round as the rounds first read it, before the cycle built the stack whole;
+# asked for the cap's cycles at once, a power of two, it cuts no doubling.
 def _parent_cycle_prefixes(maps, cycles, built):
     """The stacked prefix maps of at least `cycles` cycles of the affine
     steps `maps`, a list of (M_i, c_i), as (A, b): block j of d rows of A
@@ -559,19 +560,14 @@ class TestRunByBlocks:
 
     @pytest.mark.parametrize("d", [2, 3, 8, 9, 16, 32])
     @pytest.mark.parametrize("seed", range(3))
-    def test_the_stack_is_the_reference_grown_through_the_round_sizes(self, d, seed):
-        """A cycle's stacked prefix maps are, bit for bit, the per-round
-        growth `run` did before the cycle built them: one cycle, then
-        doublings through the sizes its rounds read, k0, 2 k0, 4 k0 and so
-        on up to the cap, each size's last doubling cut to it.  At d = 3
-        and 9, k0 is no power of two, so some doublings are cut."""
+    def test_the_stack_is_the_reference_doubled_to_the_cap(self, d, seed):
+        """A cycle's stacked prefix maps are, bit for bit, the reference's
+        stack for the cap's cycles built from nothing: one cycle, then
+        doublings straight to the cap."""
         ops = _affine_cycle(seed, d)[0]
         rows = len(ops) * d
-        size, cap = max(1, 64 // rows), max(8, 2 ** int(math.log2(1024 / rows)))
-        built = None
-        while built is None or size < cap:
-            size = size if built is None else min(2 * size, cap)
-            built = _parent_cycle_prefixes([op._map for op in ops], size, built)
+        cap = max(8, 2 ** int(math.log2(1024 / rows)))
+        built = _parent_cycle_prefixes([op._map for op in ops], cap, None)
         A, b = P.CyclicTuple(ops)._prefixes
         assert _same_bits(A, built[0]) and _same_bits(b, built[1])
         assert A.shape == (cap * rows, d) and not (A.flags.writeable or b.flags.writeable)
@@ -606,20 +602,16 @@ class TestRunByBlocks:
     @pytest.mark.parametrize("d", [2, 8, 9, 16, 32])
     @pytest.mark.parametrize("seed", range(3))
     def test_long_rounds_match_the_reference(self, d, seed):
-        """A seeded cycle of m steps in R^d opens with as many cycles as
-        operators._OPEN_ROWS // (m d), at least 1, then runs rounds of as many
-        cycles as so far up to its cap, one more of the cap and a cut one.
-        `run` is handed a point off the sets as its intersection, so no
-        cycle end converges and both runs take the whole budget; every row
-        is within the bound, as nothing underflows.  At d = 9 seeds 0 and 2
-        open with 3 cycles, so their maps come partly from cut doublings."""
+        """A seeded cycle of m steps in R^d runs rounds of its cap, each
+        from the row where the last ended: three of the cap and a cut one
+        of half of it.  `run` is handed a point off the sets as its
+        intersection, so no cycle end converges and both runs take the
+        whole budget; every row is within the bound, as nothing
+        underflows."""
         ops, x0, sets, inter, _ = _affine_cycle(seed, d)
         rows = len(ops) * d
         cap = max(8, 2 ** int(math.log2(P.operators._BLOCK_ROWS / rows)))
-        rounds = [max(1, P.operators._OPEN_ROWS // rows)]
-        while sum(rounds) < cap:
-            rounds.append(sum(rounds))
-        rounds += [cap, cap, cap // 2]
+        rounds = [cap, cap, cap, cap // 2]
         kw = {"max_cycles": sum(rounds), "tol": 1e-300}
         assert list(P.operators._rounds(kw["max_cycles"], rows)) == rounds
         off = P.FinitePointSet(inter.anchor[None, :] + 1.0)

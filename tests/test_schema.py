@@ -509,6 +509,8 @@ class TestModifiersAndRequiredKeys:
         ({"kind": "k_step", "certificate": "@cert", "k": 2, "rho_bound": 0.5},
          "analyses[0].rho_bound: given with 'certificate'"),
         ({"kind": "k_step"}, "analyses[0]: need 'certificate' or 'rho_bound'"),
+        ({"kind": "certificate", "theorem": "rate_convex_cyclic", "args": [1.0, 2.0]},
+         "analyses[0].args: must be an object"),
     ])
     def test_rejected_at_parse_time(self, record, message):
         assert _error(minimal_config(analyses=[record])) == message
@@ -533,6 +535,50 @@ class TestModifiersAndRequiredKeys:
             {"kind": "quasi_firm_fejer", "operator": 0, "eps1": 0.1}]))
         with pytest.raises(ConfigError, match=r"analyses\[0\]\.eps1: not a constant of a relaxed"):
             P.execute_scenario(sc)
+
+
+class TestRejectedWhenRun:
+    """Values an analysis resolves when the scenario runs are checked there,
+    each a ConfigError at its key path."""
+
+    _CERT = {"kind": "certificate", "label": "cert", "theorem": "rate_cyclic_projections",
+             "args": {"m": 2, "eps": 0.0, "kappa": 2.0}}
+
+    @pytest.mark.parametrize("analyses, operators, message", [
+        ([{"kind": "k_step", "rho_bound": {"times": 2}}], None,
+         "analyses[0].rho_bound: need 'ref' or 'value'"),
+        ([{"kind": "certificate", "theorem": "rate_convex_cyclic",
+           "args": {"lambdas": [], "kappa": 2.0}}], None,
+         "analyses[0].args.lambdas: expected a nonempty list"),
+        ([_CERT, {"kind": "compare", "certificate": "cert"}], None,
+         "analyses[1].certificate: expected an '@label' reference"),
+        ([{"kind": "quasi_firm_fejer", "operator": 0, "refset": "target"}], [_DR],
+         "analyses[0].refset: operator has no single target"),
+        ([{"kind": "quasi_coercive", "operator": 0, "cset": 0}], [_DR],
+         "analyses[0].nu: 'lambda' needs a relaxed projector"),
+    ], ids=["arithmetic_without_base", "empty_list", "bare_label", "dr_target",
+            "dr_lambda_nu"])
+    def test_error_names_the_key_path(self, analyses, operators, message):
+        cfg = minimal_config(analyses=analyses)
+        if operators is not None:
+            cfg["operators"] = operators
+        sc = P.scenario_from_config(cfg)
+        with pytest.raises(ConfigError) as exc:
+            P.execute_scenario(sc)
+        assert str(exc.value) == message
+
+    def test_a_set_index_picks_that_set(self):
+        """A quasi_coercive `cset` given as an index checks against that
+        set: index 0, the projector's own set, gives the check of "target",
+        and index 1, a line across it, fails."""
+        def check(cset):
+            cfg = minimal_config(analyses=[{"kind": "quasi_coercive", "operator": 0,
+                                            "cset": cset}])
+            report = P.execute_scenario(P.scenario_from_config(cfg))["checks"][0]
+            return {k: v for k, v in report.items() if k != "timing"}
+
+        assert check(0) == check("target") and check(0)["passed"]
+        assert not check(1)["passed"]
 
 
 class TestSetLists:
