@@ -1,20 +1,23 @@
 """Projection-based fixed-point operators.
 
 Selections are inherited from the canonical projections of the set catalog,
-so repeated application replays exactly.  Each family writes its step once,
-in a private kernel `_rows` on validated (n, d) rows, and reports its `dim`.
-The kernels read points only: they call the catalog's `_canonical_many`, so
-no step computes a distance.  A relaxed or generalized DR operator whose
-sets all give their projection as an affine map (`_affine_map`: the
-hyperplane and the affine set) builds its own map x -> M x + c once, at
-construction, and its `_rows` is M x + c, calling no oracle; the
-semi-intrepid step, which is not affine, and operators on any other set
-keep the step formula, as `apply_with_trace` does.  `apply` is the one-row
-call of `_rows` and `apply_many` its call on every row of an (n, d) array;
-both validate their input once.  `CyclicTuple.apply` validates one point
-and then steps a (1, d) row through the members' kernels; the affine
-set's and the map's products go through `sets._rowwise`, so that row keeps
-a batch row's bits.
+so repeated application replays exactly.  Each family has two private
+kernels, `_rows` on validated (n, d) rows and `_step` on one validated 1-D
+point, with a `_rows` row's bits, and reports its `dim`.  The kernels read
+points only: `_rows` calls the catalog's `_canonical_many` and `_step` its
+one-point `_point`, so no step computes a distance.  A relaxed or
+generalized DR operator whose sets all give their projection as an affine
+map (`_affine_map`: the hyperplane and the affine set) builds its own map
+x -> M x + c once, at construction, and steps by it, calling no oracle;
+the semi-intrepid step, which is not affine, and operators on any other set
+keep the step formula, as `apply_with_trace` does.  The relaxation is one
+helper, `_relax`, that both kernels call.  A relaxed step with a map takes
+M.dot(x) + c on a point, and `sets._rowwise`, the same gemv, on each row.
+The semi-intrepid and DR steps are the one-row call of `_rows`: no workload
+steps them one point at a time.  `apply` is `_step` and `apply_many` is
+`_rows` on every row of an (n, d) array; both validate their input once.
+`CyclicTuple.apply` validates one point and then chains the members'
+`_step`s.
 `runner.run` steps that way where a member has no map.  Where every member
 has one and d is at most _BLOCK_DIM, the `CyclicTuple` builds its stacked
 prefix maps once, at construction, for the cycles of `run`'s longest round,
@@ -35,9 +38,10 @@ from .errors import ConfigError, DomainError, at_key, check_keys, check_range, t
 from .sets import ClosedSet, _member_tuple, _rowwise, as_points, as_vector, row_norms
 
 
-def _relax(s: ClosedSet, lam, X):
-    """x + lam (P_s(x) - x) for each row x of a validated (n, d) array X."""
-    return X + lam * (s._canonical_many(X) - X)
+def _relax(lam, X, P):
+    """x + lam (p - x), the relaxed step from x and its projection p: for
+    one point, or for each row of X and P alike, with the same bits."""
+    return X + lam * (P - X)
 
 
 def _relaxed_map(s: ClosedSet, lam):
@@ -116,9 +120,15 @@ def _cycle_prefixes(maps):
     return A, b
 
 
-def _one_row(self, x):
-    """The operator at one point: the one-row call of `_rows`, x validated once."""
-    return self._rows(as_vector(x, self.dim)[None, :])[0]
+def _one_point(self, x):
+    """The operator at one point: its `_step`, x validated once."""
+    return self._step(as_vector(x, self.dim))
+
+
+def _row_step(self, x):
+    """The step of one validated 1-D point x as the one-row call of `_rows`,
+    for a step with no one-point formula."""
+    return self._rows(x[None, :])[0]
 
 
 def _each_row(self, X):
@@ -137,7 +147,7 @@ class RelaxedProjector:
         object.__setattr__(self, "lam", check_range("lambda", self.lam, *rates.LAMBDA_RANGE))
         object.__setattr__(self, "_map", _relaxed_map(self.target, self.lam))  # not a field
 
-    apply = _one_row
+    apply = _one_point
     apply_many = _each_row
 
     @property
@@ -148,7 +158,15 @@ class RelaxedProjector:
         """The step of each row of a validated (n, d) array X."""
         if self._map is not None:
             return _map_rows(self._map, X)
-        return _relax(self.target, self.lam, X)
+        return _relax(self.lam, X, self.target._canonical_many(X))
+
+    def _step(self, x):
+        """The step of one validated 1-D point x, with a `_rows` row's bits:
+        M.dot(x) + c is the gemv `_rowwise` takes a row."""
+        if self._map is not None:
+            M, c = self._map
+            return M.dot(x) + c
+        return _relax(self.lam, x, self.target._point(x))
 
 
 def _semi_intrepid_domain(alpha, tau):
@@ -172,8 +190,9 @@ class SemiIntrepidProjector:
         for name, v in zip(("alpha", "tau"), _semi_intrepid_domain(self.alpha, self.tau)):
             object.__setattr__(self, name, v)
 
-    apply = _one_row
+    apply = _one_point
     apply_many = _each_row
+    _step = _row_step
 
     @property
     def dim(self) -> int:
@@ -224,7 +243,7 @@ class GeneralizedDR:
         `affine_step_bound` derives it)."""
         return tuple(Y[0] for Y in self._steps_many(as_vector(x, self.dim)[None, :]))
 
-    apply = _one_row
+    apply = _one_point
     apply_many = _each_row
 
     def _affine_map(self):
@@ -244,10 +263,12 @@ class GeneralizedDR:
             return _map_rows(self._map, X)
         return self._steps_many(X)[2]
 
+    _step = _row_step
+
     def _steps_many(self, X):
         """(R, S, out) for the rows of a validated (n, d) array X."""
-        R = _relax(self.set_a, self.lam, X)
-        S = _relax(self.set_b, self.mu, R)
+        R = _relax(self.lam, X, self.set_a._canonical_many(X))
+        S = _relax(self.mu, R, self.set_b._canonical_many(R))
         return R, S, (1.0 - self.alpha) * X + self.alpha * S
 
 
@@ -279,10 +300,10 @@ class CyclicTuple:
         return self.members[0].dim
 
     def apply(self, x):
-        X = as_vector(x, self.dim)[None, :]
+        x = as_vector(x, self.dim)
         for op in self.members:
-            X = op._rows(X)
-        return X[0]
+            x = op._step(x)
+        return x
 
     def __len__(self):
         return len(self.members)

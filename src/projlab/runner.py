@@ -107,8 +107,9 @@ def run(operators, x0, sets, intersection: ClosedSet,
       round (the tests' `affine_block_bound` derives it).  A cut round's
       shorter product may round differently again, so its rows can differ
       in their last bits from the same rows of a run with a larger budget;
-    - everywhere else one member's `_rows` kernel a step on a (1, d) row,
-      the call `apply` makes, so the iterates are `apply`'s bit for bit.
+    - everywhere else one member's one-point kernel `_step` a step on the
+      1-D iterate, the call `apply` makes, so the iterates are `apply`'s
+      bit for bit, and a `_rows` row's.
       The rounds are 1, 1, 2, 4 and then 8 cycles, so a stop at cycle c
       drops at most min(c - 1, 7) computed cycles.  A step that raises ends
       the round, and its exception is raised after the cycle ends before it
@@ -181,24 +182,23 @@ def run(operators, x0, sets, intersection: ClosedSet,
 
 
 def _steps(members, x, n):
-    """(rows, norms, error): the rows of n steps of the cycle from the point
-    x, one member's `_rows` a step on a (1, d) row, with each row's norm
-    math.sqrt(x.dot(x)), the BLAS dot of `row_norms` without np.dot's
-    dispatch.  The rows stop after the first whose norm exceeds 1e12 or is
-    NaN, or before a step that raises; `error` is its exception, or None."""
-    X, rows, norms, error = x[None, :], [], [], None
+    """(rows, norms, error): the rows of n steps of the cycle from the 1-D
+    point x, one member's `_step` a step on the point, stacked by np.array,
+    with each row's norm math.sqrt(x.dot(x)), the BLAS dot of `row_norms`
+    without np.dot's dispatch.  The rows stop after the first whose norm
+    exceeds 1e12 or is NaN, or before a step that raises; `error` is its
+    exception, or None."""
+    rows, norms, error = [], [], None
     try:
         for j in range(n):
-            X = members[j % len(members)]._rows(X)
-            rows.append(X)
-            x = X[0]
+            x = members[j % len(members)]._step(x)
+            rows.append(x)
             norms.append(math.sqrt(x.dot(x)))
             if not norms[-1] <= DIVERGENCE_NORM:
                 break
     except Exception as exc:  # raised after the cycle ends before it are tested
         error = exc
-    return (np.concatenate(rows) if rows else np.empty((0, x.size)),
-            np.array(norms), error)
+    return (np.array(rows) if rows else np.empty((0, x.size)), np.array(norms), error)
 
 
 # ---------------------------------------------------------------------------

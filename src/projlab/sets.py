@@ -180,8 +180,9 @@ def row_norms(D) -> np.ndarray:
 def _rowwise(M, X):
     """M @ x for each row x of X by a stacked matmul, one gemv per row, so
     row i is np.dot(M, X[i]) bit for bit; a single matrix product would not
-    give those bits.  One row, a run's step, takes M.dot(X[0]): the same
-    gemv without the stacked call's dispatch."""
+    give those bits.  One row, a one-row `project` or `distance` of an
+    affine set, takes M.dot(X[0]): the same gemv without the stacked call's
+    dispatch."""
     if X.shape[0] == 1:
         return M.dot(X[0])[None, :]
     return np.matmul(M, X[:, :, None])[:, :, 0]
@@ -370,6 +371,12 @@ class ClosedSet:
         """The canonical points of the rows of a validated X, for callers
         that read no distance: by default, `_nearest_many`'s points."""
         return self._nearest_many(X)[0]
+
+    def _point(self, x):
+        """The canonical point of one validated 1-D x, the per-step path's
+        call: by default the one-row call of `_canonical_many`, so a set
+        that writes its own keeps that row's bits."""
+        return self._canonical_many(x[None, :])[0]
 
     def contains(self, x, tol=MEMBERSHIP_TOL) -> bool:
         return self.distance(x) <= tol
@@ -778,7 +785,8 @@ class Orthant(_SingleValued):
 
 
 def _inequality_cone_generators(M):
-    """Generating unit rays of {v : M v <= 0}, including +/- lineality basis.
+    """Generating unit rays of {v : M v <= 0}, including +/- lineality basis,
+    for a (k, d) M with k >= 1, as a cone's validated generators are.
 
     Subset enumeration of active constraints; intended for desk-scale cones
     (dimension <= 4, a handful of rows).
@@ -786,12 +794,8 @@ def _inequality_cone_generators(M):
     tol = 1e-9
     M = np.asarray(M, dtype=float)
     d = M.shape[1]
-    # lineality space = null(M)
-    if M.shape[0]:
-        vt, rank = svd_rank(M, tol)
-        lin = vt[rank:]
-    else:
-        lin = np.eye(d)
+    vt, rank = svd_rank(M, tol)
+    lin = vt[rank:]  # the lineality space, null(M)
     rays = [row for b in lin for row in (b, -b)]
     if lin.shape[0] == d:
         return rays
@@ -848,14 +852,17 @@ class PolyhedralCone(_SingleValued):
 
     def _canonical_many(self, X):
         # the product keeps the strided G^T it has always used: a C-ordered
-        # one takes another BLAS kernel, whose sums round differently
+        # one takes another BLAS kernel, whose sums round differently.  The
+        # loop repeats `_point`'s expression, as a call a row costs more
         G, A, nnls = self.generators.T, self._gt, _nnls()
-        if X.shape[0] == 1:  # a run's step: the loop's expression, without its scaffolding
-            return (G @ nnls(A, X[0])[0])[None, :]
         P = np.empty(X.shape)
         for i, x in enumerate(X):
             P[i] = G @ nnls(A, x)[0]
         return P
+
+    def _point(self, x):
+        # G @ c, not G.dot(c): at d = 1 the two differ in the sign of a zero
+        return self.generators.T @ _nnls()(self._gt, x)[0]
 
     def normal_generators_many(self, P):
         """The normal cone at p is {v in polar(K) : <v, p> = 0}, the face of

@@ -18,10 +18,17 @@ change, and each demo line that differs, with its line number, its old and
 new text and the largest relative change of its numbers.  To see what a
 change moves, save with the parent commit's `src` first on PYTHONPATH,
 then list against that with the change's.  `--fingerprints` also prints the
-benchmark's fingerprint digests, which CI's log keeps: a sha256 over the
-non-timing output of every item of perfbench's workloads at pass seeds 3
-and 11, one per workload and one over all of them.  It reads `perfbench/`
-and writes nothing there.
+benchmark's fingerprint digests: a sha256 over the non-timing output of
+every item of perfbench's workloads at pass seeds 3 and 11, one per
+workload and one over all of them.  It reads `perfbench/` and writes
+nothing there.  `tests/fingerprints.txt` holds those digests on OpenBLAS's
+Haswell kernel, which CI pins because the digests differ by CPU kernel,
+and CI diffs them against it, so a change that moves a bit re-pins that
+file with the other pins:
+
+    OPENBLAS_CORETYPE=Haswell OPENBLAS_NUM_THREADS=1 PYTHONPATH=src:tests \
+        python -c "import repin; print(*repin.fingerprint_lines(), sep='\\n')" \
+        > tests/fingerprints.txt
 """
 
 import argparse

@@ -332,6 +332,43 @@ def test_project_matches_the_reference_bit_for_bit(tag, data):
         assert got.minimizers[0] is got.canonical
 
 
+def _assert_one_point_seam(s, X, lam):
+    """`_point(x)`, the one-point kernel of `run`'s per-step path, is the
+    one-row call of `_canonical_many` byte for byte, signed zeros included;
+    and `run` on relaxed projectors onto s and onto a ball, which it steps
+    point by point, gives the rows of chained `apply` calls."""
+    for x in X:
+        assert s._point(x).tobytes() == s._canonical_many(x[None, :])[0].tobytes()
+    ops = [P.RelaxedProjector(s, lam), P.RelaxedProjector(P.Ball(np.zeros(s.dim), 1.0), 1.0)]
+    far = P.FinitePointSet(np.full((1, s.dim), 100.0))  # never reached: 6 cycles
+    for x0 in X[:3]:
+        traj = P.run(ops, x0, [s], far, max_cycles=6)
+        assert traj.stop_reason == "Budget" and traj.n_points == 13
+        x = x0
+        for j, row in enumerate(traj.points[1:]):
+            x = ops[j % 2].apply(x)
+            assert row.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("tag", sorted(CASES) + ["custom"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_point_is_the_one_row_call_of_canonical_many(tag, data):
+    """For every set type and a custom subclass inside the wrapping types."""
+    s, X = data.draw(custom_case() if tag == "custom" else CASES[tag])
+    _assert_one_point_seam(s, X, data.draw(st.floats(0.01, 2.0)))
+
+
+def test_the_line_cone_keeps_the_apex_sign_on_the_one_point_path():
+    """The cone of R^1 spanned by -1 sends every x >= 0 to its apex, which
+    G @ c reads as 0.0 and G.dot(c) as -0.0: every path reads 0.0."""
+    cone = P.PolyhedralCone(np.array([[-1.0]]))
+    X = np.array([[0.0], [-0.0], [1.0], [-1.0]])
+    _assert_one_point_seam(cone, X, 1.0)
+    for x, want in zip(X, [0.0, 0.0, 0.0, -1.0]):
+        assert cone._point(x).tobytes() == np.array([want]).tobytes()
+
+
 @pytest.mark.parametrize("d", [1, 3])
 def test_box_takes_an_equal_bound_of_the_other_zero_sign(d):
     """A coordinate equal to a bound of the other zero sign goes to the

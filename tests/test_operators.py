@@ -194,7 +194,7 @@ class TestGeneralizedDR:
         with pytest.raises(DomainError):
             P.GeneralizedDR(a, b, 1.0, 1.0, 0.0)
         c = P.Hyperplane(np.array([1.0, 0.0, 0.0]), 0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^DR operator needs two sets of equal dimension$"):
             P.GeneralizedDR(a, c, 1.0, 1.0, 0.5)
 
     def test_fixed_point_on_intersection(self):
@@ -248,13 +248,13 @@ FAMILY_CASES = _family_cases()
 
 
 class TestLayout:
-    """Each family writes its step once, in `_rows`, and `apply` is its
-    one-row call."""
+    """Each family writes its step on rows, `_rows`, and on one point,
+    `_step`, which `apply` calls: its bits are the one-row call of `_rows`."""
 
     @pytest.mark.parametrize("tag", sorted(OPERATOR_TYPES))
     def test_each_family_defines_rows_and_dim(self, tag):
         cls = OPERATOR_TYPES[tag].cls
-        assert "_rows" in cls.__dict__ and "dim" in cls.__dict__
+        assert {"_rows", "_step", "dim"} <= set(cls.__dict__)
         assert FAMILY_CASES[tag].dim == 3
 
     @settings(max_examples=60, deadline=None)
@@ -308,6 +308,18 @@ class TestOperatorConfig:
         sets = [P.Ball(np.zeros(2), 1.0)]
         with pytest.raises(ConfigError, match=r"lambda must lie in \(0, 2\]"):
             P.operator_from_config({"type": "relaxed", "set": 0, "lambda": 3.0}, sets)
+
+    def test_only_catalog_operators_have_a_config_form(self):
+        sets = [P.Ball(np.zeros(2), 1.0)]
+        cycle = P.CyclicTuple((P.RelaxedProjector(sets[0], 1.0),))
+        with pytest.raises(ConfigError, match="^no config form for operator CyclicTuple$"):
+            P.operator_to_config(cycle, sets)
+
+    def test_a_set_outside_the_list_has_no_index(self):
+        op = P.RelaxedProjector(P.Ball(np.zeros(2), 1.0), 1.0)
+        with pytest.raises(ConfigError,
+                           match="^operator references a set outside the scenario list$"):
+            P.operator_to_config(op, [P.Ball(np.zeros(2), 1.0)])
 
 
 FAR = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)

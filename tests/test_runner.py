@@ -950,6 +950,12 @@ class TestKStepAndTraceChecks:
         rep = P.check_k_step_reduction(traj, cert.block_len, cert.rho_block)
         assert rep.violations == 0
 
+    def test_k_step_reduction_needs_two_blocks(self):
+        traj = _orthogonal_lines_run()  # one cycle: 2 applications
+        assert traj.n_points == 3
+        with pytest.raises(DomainError, match="^trajectory must contain at least 2k applications$"):
+            P.check_k_step_reduction(traj, 2, 0.5)
+
     def test_k_step_reduction_catches_overclaim(self):
         traj = _two_lines_run(math.pi / 3)
         rep = P.check_k_step_reduction(traj, 2, 0.1)
@@ -1007,6 +1013,13 @@ class TestKStepAndTraceChecks:
         assert rep.violations == 0
         assert rep.extra["xbar_quality"] <= 1e-9
 
+    def test_rlinear_envelope_needs_an_applicable_certificate(self):
+        weak = P.rate_cyclic_projections(2, 0.5, 1.0)
+        assert not weak.applicable
+        with pytest.raises(DomainError,
+                           match=r"^certificate is not applicable \(rho_block >= 1\)$"):
+            P.check_rlinear_envelope(_two_lines_run(math.pi / 4), weak)
+
 
 class TestCompareCertificate:
     def test_certificate_dominates_fit(self):
@@ -1035,6 +1048,16 @@ class TestCompareCertificate:
             rep = P.compare_certificate(traj, weak)
             assert rep["ok"]
             assert rep["vacuous"]
+
+    def test_a_short_run_above_tol_has_no_fit(self):
+        """A run that stops at its budget of 3 cycles above tol has 4 cycle
+        errors, too few to fit, and did not converge: the fit's
+        InsufficientData reaches the caller."""
+        traj = _two_lines_run(math.pi / 3, max_cycles=3)
+        assert traj.stop_reason == "Budget" and traj.c_dist[-1] > traj.tol
+        cert = P.rate_convex_cyclic([1.0, 1.0], 1.0 / math.sin(math.pi / 6))
+        with pytest.raises(InsufficientData, match="^need at least 10 error entries, got 4$"):
+            P.compare_certificate(traj, cert)
 
     def test_finite_convergence_is_trivially_ok(self):
         traj = _orthogonal_lines_run()

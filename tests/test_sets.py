@@ -6,6 +6,7 @@ scipy.optimize.nnls for cones) before the implementations were tested.
 
 import itertools
 import math
+import re
 import sys
 import warnings
 
@@ -193,6 +194,15 @@ class TestFrozenProjections:
         # inside the cone: fixed
         r = s.project(np.array([2.0, 1.0]))
         assert np.allclose(r.canonical, [2.0, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("gens, error, message", [
+        (np.zeros((0, 2)), P.DimensionMismatch, "generators must be a nonempty (k, d) array"),
+        (np.array([1.0, 0.0]), P.DimensionMismatch, "generators must be a nonempty (k, d) array"),
+        (np.array([[1.0, 0.0], [0.0, 0.0]]), P.DomainError, "zero generator ray"),
+    ], ids=["no_rows", "one_dimensional", "zero_ray"])
+    def test_polyhedral_cone_rejects_bad_generators(self, gens, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            P.PolyhedralCone(gens)
 
     def test_polyhedral_cone_against_nnls(self):
         """The NNLS projector agrees with an independent method, face
