@@ -13,8 +13,11 @@ Every projection is written once, batched, as each row's list of
 minimizers in `_minimizers_many`, and every catalog `project` is its
 one-row call.  The single-valued sets (halfspace, hyperplane, affine, ball,
 box, orthant, and the cone by one NNLS solve per row) write only their
-points, in `_canonical_many`.  The finite point set and the union also
-write `_nearest_many`, their cheaper canonical point.
+points, in `_canonical_many`, and the sphere, which lists one point a row,
+only `_nearest_many`; their lists derive from these.  The finite point set,
+the union and the enlargement also write `_nearest_many`, their canonical
+point in one pass over the rows, cheaper than the list; only the translate
+reads its points from the list.
 Operators and the oracle sweep read points only, through `_canonical_many`,
 and `distance` is the one-row call of `_nearest_many`.  A custom subclass
 needs only `project`.  No catalog projection shares memory with its input.
@@ -362,8 +365,9 @@ class ClosedSet:
 
     def _nearest_many(self, X):
         """(canonical points, distances) of the rows of a validated X: slot
-        0 of `_minimizers_many`.  Sets whose list costs more than their
-        canonical point write this kernel too."""
+        0 of `_minimizers_many`, which this default reads.  Every catalog
+        set but the translate writes or derives its own, which builds no
+        list."""
         M, _, _, dist = self._minimizers_many(X)
         return M[:, :1].reshape(X.shape), dist  # k is 0 on an empty batch
 
@@ -647,17 +651,23 @@ class Sphere(ClosedSet):
 
     project = _one_row_project
 
-    def _minimizers_many(self, X):
-        """Every sphere point is nearest to the center, which is multivalued
-        and lists its canonical point center + radius * e1 alone."""
+    def _nearest_many(self, X):
+        """The radial point of every row in one pass, the divisor 1 at a
+        center row, whose point is then center + radius * e1."""
         dist = row_norms(X - self.center)
         off = dist > TIE_TOL
-        P = np.empty_like(X)
-        P[off] = _radial(self, X[off], dist[off])
-        P[~off] = self.center
-        P[~off, 0] += self.radius
-        return (P[:, None, :], np.ones((X.shape[0], 1), bool), ~off,
-                np.where(off, row_norms(X - P), self.radius))
+        P = _radial(self, X, np.where(off, dist, 1.0))
+        if not off.all():  # the two gathers cost more than the rest on a few rows
+            P[~off] = self.center
+            P[~off, 0] += self.radius
+        return P, np.where(off, row_norms(X - P), self.radius)
+
+    def _minimizers_many(self, X):
+        """Every sphere point is nearest to the center, which is multivalued
+        and lists its canonical point alone."""
+        P, dist = self._nearest_many(X)
+        return (P[:, None, :], np.ones((X.shape[0], 1), bool),
+                row_norms(X - self.center) <= TIE_TOL, dist)
 
     def normal_generators_many(self, P):
         gap = as_points(P, self.dim) - self.center
@@ -916,6 +926,18 @@ class Enlargement(ClosedSet):
     project = _one_row_project
 
     convex, approximate = _inner_flag("convex"), _inner_flag("approximate")
+
+    def _nearest_many(self, X):
+        """The inner set's canonical point q moved by tau towards each row
+        x outside, in one pass over every row; a row inside, its own
+        nearest point, divides by tau, a ratio of 1, where a divisor of 1
+        could overflow tau (x - q)."""
+        Q, dist = self.inner._nearest_many(X)
+        if self.tau == 0.0:
+            return Q, dist
+        out = dist > self.tau
+        moved = Q + (self.tau / np.where(out, dist, self.tau))[:, None] * (X - Q)
+        return np.where(out[:, None], moved, X), np.where(out, dist - self.tau, 0.0)
 
     def _minimizers_many(self, X):
         """A row x outside moves each inner minimizer q by tau towards x,

@@ -10,21 +10,24 @@ exported-CSV digest (`test_cli.CSV_DIGEST`) and the demos' digests
     PYTHONPATH=src:tests python tests/repin.py --against DIR
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src:tests python tests/repin.py --fingerprints
 
-The first prints each pin, marked `moved` where it differs from the pinned
-value.  `--save` also writes the timing-stripped `verify` reports and each
-demo's stdout to DIR; `--against` lists each leaf of those reports that
-differs from DIR's, with its old value, its new value and the relative
-change, and each demo line that differs, with its line number, its old and
-new text and the largest relative change of its numbers.  To see what a
-change moves, save with the parent commit's `src` first on PYTHONPATH,
-then list against that with the change's.  `--fingerprints` also prints the
-benchmark's fingerprint digests: a sha256 over the non-timing output of
-every item of perfbench's workloads at pass seeds 3 and 11, one per
-workload and one over all of them.  It reads `perfbench/` and writes
-nothing there.  `tests/fingerprints.txt` holds those digests on OpenBLAS's
-Haswell kernel, which CI pins because the digests differ by CPU kernel,
-and CI diffs them against it, so a change that moves a bit re-pins that
-file with the other pins:
+The first prints the OpenBLAS kernel (`test_cli.blas_kernel`), then each
+pin, marked `moved` where it differs from the value pinned for that kernel.
+The `verify` and CSV digests and demos 05 and 06 are pinned per kernel, as
+their last bits differ by kernel; `OPENBLAS_CORETYPE=Haswell` prints the
+Haswell ones on any AVX2 CPU.  `--save` also writes the timing-stripped
+`verify` reports and each demo's stdout to DIR; `--against` lists each leaf
+of those reports that differs from DIR's, with its old value, its new value
+and the relative change, and each demo line that differs, with its line
+number, its old and new text and the largest relative change of its
+numbers.  To see what a change moves, save with the parent commit's `src`
+first on PYTHONPATH, then list against that with the change's.
+`--fingerprints` also prints the benchmark's fingerprint digests: a sha256
+over the non-timing output of every item of perfbench's workloads at pass
+seeds 3 and 11, one per workload and one over all of them.  It reads
+`perfbench/` and writes nothing there.  `tests/fingerprints.txt` holds those
+digests on OpenBLAS's Haswell kernel, which CI pins because the digests
+differ by CPU kernel, and CI diffs them against it, so a change that moves
+a bit re-pins that file with the other pins:
 
     OPENBLAS_CORETYPE=Haswell OPENBLAS_NUM_THREADS=1 PYTHONPATH=src:tests \
         python -c "import repin; print(*repin.fingerprint_lines(), sep='\\n')" \
@@ -124,7 +127,11 @@ def main(argv=None):
                         help="also print the benchmark items' fingerprint digests")
     args = parser.parse_args(argv)
 
-    def pin(name, value, pinned):
+    kernel = test_cli.blas_kernel()
+    print(f"OpenBLAS kernel: {kernel}")
+
+    def pin(name, value, pins):
+        pinned = pins if isinstance(pins, str) else pins.get(kernel, f"nothing for {kernel}")
         print(f"{name}: {value}" + ("" if value == pinned else f"  moved (pinned {pinned})"))
 
     for seed, pinned in test_cli.VERIFY_DIGESTS.items():

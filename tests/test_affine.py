@@ -49,9 +49,25 @@ class TestAffineHull:
             L.project(np.array([9.0, -9.0])).canonical, [1.0, 2.0]
         )
 
-    def test_ball_spans_everything(self):
-        L = P.affine_hull([P.Ball(np.array([1.0, 1.0]), 0.5)])
-        assert L.basis.shape == (2, 2)
+    @pytest.mark.parametrize("s, rank, member", [
+        (P.Ball(np.array([1.0, 1.0]), 0.5), 2, [9.0, -9.0]),
+        (P.Sphere(np.array([2.0]), 1.0), 1, [-7.0]),
+        (P.Sphere(np.array([1.0, 1.0]), 0.5), 2, [9.0, -9.0]),
+        (P.Sphere(np.zeros(3), 2.0), 3, [9.0, -9.0, 4.0]),
+        (P.Enlargement(P.AffineSubspaceSet(np.array([0.0, 1.0]), np.array([[1.0, 0.0]])), 0.0),
+         1, [5.0, 1.0]),
+        (P.Enlargement(P.AffineSubspaceSet(np.array([0.0, 1.0]), np.array([[1.0, 0.0]])), 0.5),
+         2, [9.0, -9.0]),
+        (P.Enlargement(P.FinitePointSet(np.array([[1.0, 2.0]])), 0.0), 0, [1.0, 2.0]),
+    ], ids=["ball", "sphere_d1", "sphere_d2", "sphere_d3", "enlargement_tau_0",
+            "enlargement_tau_positive", "enlarged_point_tau_0"])
+    def test_closed_form_hulls(self, s, rank, member):
+        """A ball, and a sphere in any dimension, span the whole space; an
+        enlargement spans its inner set's hull at tau = 0 and the whole
+        space for tau > 0."""
+        L = P.affine_hull([s])
+        assert L.basis.shape == (rank, s.dim)
+        assert L.distance(np.array(member)) <= 1e-12
 
     def test_degenerate_box_spans_a_line(self):
         box = P.Box(np.array([0.0, 0.0]), np.array([1.0, 0.0]))

@@ -596,6 +596,12 @@ class TestEpsOnSpheres:
             est = P.estimate_eps_regularity(s, np.array([0.0, t, 0.0]), delta)
             assert est.bound == "exact" and abs(est.value - on) <= 1e-8
 
+    def test_a_ball_that_misses_the_sphere_reads_zero(self):
+        """delta <= |r - t|: B(w, delta) holds no sphere point, so no pair of
+        members lies in it, and eps is exactly 0."""
+        est = P.estimate_eps_regularity(P.Sphere(np.zeros(2), 1.0), np.array([1.0 + 5e-9, 0.0]), 1e-9)
+        assert (est.value, est.bound) == (0.0, "exact")
+
     @pytest.mark.parametrize("r", [0.5, 1.0, 3.0])
     def test_a_ball_past_sqrt2_r_reaches_a_great_sphere(self, r):
         """From delta = sqrt(2) r the cap holds a great sphere, whose

@@ -1652,3 +1652,80 @@ class TestPointsOnlyKernels:
         self.assert_points_only(a, b)  # run keeps its sets but measures none
         P.export_trajectory_csv(traj, tmp_path / "trajectory.csv")
         assert a.calls["_nearest_many"] == b.calls["_nearest_many"] == 1  # the dC_j columns
+
+
+class _CountingPoints(P.FinitePointSet):
+    """A finite point set that counts the calls of its point kernel and of
+    its minimizer list."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "calls", {"_nearest_many": 0, "_minimizers_many": 0})
+
+    def _nearest_many(self, X):
+        self.calls["_nearest_many"] += 1
+        return super()._nearest_many(X)
+
+    def _minimizers_many(self, X):
+        self.calls["_minimizers_many"] += 1
+        return super()._minimizers_many(X)
+
+
+class _CountingSphere(P.Sphere):
+    """A sphere that counts the calls of its minimizer list."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "calls", {"_minimizers_many": 0})
+
+    def _minimizers_many(self, X):
+        self.calls["_minimizers_many"] += 1
+        return super()._minimizers_many(X)
+
+
+class TestNearestSkipsTheList:
+    """An enlargement's and a sphere's points and distances come from their
+    `_nearest_many`: an enlargement reads its inner set's points once, and
+    neither builds a minimizer list.  `project` still lists every minimizer."""
+
+    ONE = {"_nearest_many": 1, "_minimizers_many": 0}
+
+    def circles(self, tau):
+        """Two enlarged points of R^2, as in semi_intrepid_circles, each
+        over a counting inner set."""
+        return tuple(P.Enlargement(_CountingPoints(np.array([[c, 0.0]])), tau) for c in (-0.5, 0.5))
+
+    @pytest.mark.parametrize("tau", [0.0, 1.118033988749895])
+    @pytest.mark.parametrize("call", ["distance_many", "project_many", "contains"])
+    def test_one_inner_point_call(self, call, tau):
+        s, _ = self.circles(tau)
+        X = np.random.default_rng(6).normal(scale=2.0, size=(5, 2))
+        getattr(s, call)(X[0] if call == "contains" else X)
+        assert s.inner.calls == self.ONE
+
+    def test_oracle_sweep(self):
+        """Rows in the intersection stop after one sweep, so each member's
+        inner set is called once."""
+        a, b = self.circles(1.118033988749895)
+        P.IntersectionHandle((a, b)).project_many(np.array([[0.0, 0.0], [0.1, -0.3], [-0.2, 0.5]]))
+        assert a.inner.calls == b.inner.calls == self.ONE
+
+    def test_a_row_inside_a_wide_enlargement_is_its_own_point(self):
+        """A row inside divides by tau, a ratio of exactly 1: a divisor of 1
+        would overflow tau (x - q) here and warn."""
+        s = P.Enlargement(P.FinitePointSet(np.zeros((1, 2))), 1e300)
+        X = np.array([[1e10, -3.0]])
+        assert _same_bits(s.project_many(X), X) and s.distance_many(X)[0] == 0.0
+
+    def test_project_builds_the_list(self):
+        s, _ = self.circles(1.118033988749895)
+        result = s.project(np.array([3.0, 1.0]))
+        assert s.inner.calls == {"_nearest_many": 0, "_minimizers_many": 1}
+        assert not result.multivalued and len(result.minimizers) == 1
+
+    def test_a_sphere_lists_only_for_project(self):
+        s = _CountingSphere(np.zeros(3), 2.0)
+        X = np.vstack([np.zeros(3), np.random.default_rng(8).normal(size=(4, 3))])
+        s.distance_many(X), s.project_many(X), s.contains(X[1])
+        assert s.calls["_minimizers_many"] == 0
+        assert s.project(X[0]).multivalued and s.calls["_minimizers_many"] == 1

@@ -1,12 +1,16 @@
 """Command-line interface: exit codes, output layout, report shape."""
 
 import contextlib
+import ctypes
 import dataclasses
+import functools
+import glob
 import hashlib
 import io
 import json
 import math
 import os
+import sys
 from importlib import resources
 
 import numpy as np
@@ -27,13 +31,41 @@ def _strip_timing(obj):
     return obj
 
 
-# The pinned digests; `tests/repin.py` prints them afresh and lists the
-# report leaves that moved.
+@functools.cache
+def blas_kernel():
+    """The CPU kernel of the OpenBLAS that numpy's products run on, as its
+    `scipy_openblas_get_corename64_` names it ("SkylakeX", "Haswell", ...;
+    OPENBLAS_CORETYPE picks it), or "unknown" where numpy carries no such
+    library.  Its sums round differently by kernel."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    if not libs:
+        return "unknown"
+    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def kernel_pin(pins):
+    """The pin of this run's BLAS kernel from a {kernel: digest} table; a
+    kernel with no pin fails, naming it."""
+    kernel = blas_kernel()
+    if kernel not in pins:
+        pytest.fail(f"no pin for the OpenBLAS kernel {kernel} (pinned: {', '.join(pins)})")
+    return pins[kernel]
+
+
+# The pinned digests, by OpenBLAS kernel (`blas_kernel`): AVX-512 CPUs take
+# SkylakeX, AVX2 ones Haswell.  `tests/repin.py` prints them afresh and lists
+# the report leaves that moved.
 VERIFY_DIGESTS = {
-    None: "2314adc85e7111029c2e0676439730ca7c404810491287e5122a1f8771eba4d2",
-    12345: "edf05be605c4d9416ca949c428f2af6aaa0ec6c710980da445bb6c9e011cd463",
+    None: {"SkylakeX": "2314adc85e7111029c2e0676439730ca7c404810491287e5122a1f8771eba4d2",
+           "Haswell": "521a1f0e0550180f79c91fecb2087a52dc50b075beef545462801106375923bf"},
+    12345: {"SkylakeX": "edf05be605c4d9416ca949c428f2af6aaa0ec6c710980da445bb6c9e011cd463",
+            "Haswell": "ae011005b772671afb3eee43d4056ddcce9f47d1b89c8eccec5512f650f27d32"},
 }
-CSV_DIGEST = "a43b23ade19478db6909533330d665e0cb65c75c79b490596855ef734943ed7d"
+CSV_DIGEST = {"SkylakeX": "a43b23ade19478db6909533330d665e0cb65c75c79b490596855ef734943ed7d",
+              "Haswell": "1a216723931970900a19cdd9c5a049b6501318420e602e7feb265b01516dfc07"}
 
 
 def _verify_report(seed):
@@ -347,12 +379,24 @@ class TestVerifyCommand:
         change meant to move a reported number says which fields moved and
         re-pins with `tests/repin.py`, which prints the digests and lists
         the moved fields."""
-        assert _report_digest(_verify_report(seed)) == digest
+        assert _report_digest(_verify_report(seed)) == kernel_pin(digest)
 
     def test_exported_csv_bytes_are_pinned(self, tmp_path):
         """Both CSV writers keep every byte (`_csv_digest`; re-pinned with
         `tests/repin.py`)."""
-        assert _csv_digest(tmp_path) == CSV_DIGEST
+        assert _csv_digest(tmp_path) == kernel_pin(CSV_DIGEST)
+
+    def test_pins_are_kept_per_blas_kernel(self, monkeypatch):
+        """Every kernel-dependent pin has a digest for the kernel this run
+        takes; a kernel with no pin fails the check, naming the kernel."""
+        import test_demos
+        tables = [*VERIFY_DIGESTS.values(), CSV_DIGEST,
+                  *(pin for pin in test_demos.DIGESTS.values() if isinstance(pin, dict))]
+        assert len(tables) == 5
+        assert all(blas_kernel() in table for table in tables)
+        monkeypatch.setattr(sys.modules[__name__], "blas_kernel", lambda: "Zen")
+        with pytest.raises(pytest.fail.Exception, match=r"^no pin for the OpenBLAS kernel Zen "):
+            kernel_pin(CSV_DIGEST)
 
     def test_repin_lists_each_moved_leaf(self):
         """`tests/repin.py` names a moved report leaf by its path, with its

@@ -559,6 +559,28 @@ class TestMembershipAndConfig:
     def test_whole_float_signs_parse(self):
         assert P.Orthant((1.0, -1.0, 0.0)).signs == (1, -1, 0)
 
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: P.Box([0.0, 1.0], [1.0, 0.0]), P.DomainError,
+                     "box lower bound exceeds upper bound", id="box_bounds"),
+        pytest.param(lambda: P.Orthant((1, 2)), P.DomainError,
+                     "orthant signs must be -1, 0 or +1", id="orthant_signs"),
+        pytest.param(lambda: P.AffineSubspaceSet(np.zeros(2), np.ones((1, 3))), P.DimensionMismatch,
+                     "basis rows must match anchor dimension", id="affine_basis_shape"),
+        pytest.param(lambda: P.AffineSubspaceSet(np.zeros(2), np.ones((1, 2))), P.DomainError,
+                     "basis rows must be orthonormal", id="affine_basis_orthonormal"),
+        pytest.param(lambda: P.FinitePointSet(np.zeros((0, 2))), P.DimensionMismatch,
+                     "points must be a nonempty (n, d) array", id="finite_points_shape"),
+        pytest.param(lambda: P.proximal_normals(P.Ball(np.zeros(2), 1.0), [2.0, 0.0]),
+                     P.DomainError, "normal cone requested at a point outside the set",
+                     id="proximal_normals_off_the_set"),
+        pytest.param(lambda: P.is_obtuse_cone(P.Ball(np.zeros(2), 1.0)), P.UnsupportedSet,
+                     "obtuseness is defined for Orthant/PolyhedralCone variants",
+                     id="obtuse_ball"),
+    ])
+    def test_errors_name_what_is_wrong(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+
     def test_set_config_round_trip(self, catalog_set):
         cfg = catalog_set.to_config()
         rebuilt = P.set_from_config(cfg)
