@@ -20,10 +20,9 @@ steps them one point at a time.  `apply` is `_step` and `apply_many` is
 `_step`s.
 `runner.run` steps that way where a member has no map.  Where every member
 has one and d is at most _BLOCK_DIM, the `CyclicTuple` builds its stacked
-prefix maps once, at construction, for the cycles of `run`'s longest round,
-and `run` steps each round by one product over the whole stack, cut only
-by `max_cycles`, which rounds differently.  `_rounds` states the round
-sizes of both paths.
+prefix maps once, at construction, for the cap's cycles, and `run` steps
+each round by one product over the whole stack, keeping the rows its
+budget allows.
 """
 
 from __future__ import annotations
@@ -75,46 +74,23 @@ _BLOCK_ROWS = 1024
 _BLOCK_DIM = 32
 
 
-def _schedule(block_rows):
-    """(first, cap), the first and the longest round of `_rounds` in cycles.
-    On the per-step path (`block_rows` 0) they are 1 and _TEST_BATCH; by
-    blocks, with `block_rows` the m d rows of stacked maps a cycle, both are
-    the cap, the largest power of two of cycles that read at most
-    _BLOCK_ROWS rows, and at least _TEST_BATCH."""
-    cap = _TEST_BATCH
-    while block_rows and 2 * cap * block_rows <= _BLOCK_ROWS:
-        cap *= 2
-    return (cap if block_rows else 1), cap
-
-
-def _rounds(max_cycles, block_rows):
-    """The cycles of each round of `run`, in order: as many as so far, at
-    least the first round, up to the cap (`_schedule`), the last cut to
-    `max_cycles`.  By steps that is 1, 1, 2, 4, 8, 8 and so on; by blocks
-    every round is the cap, so each reads the cycle's whole stack."""
-    (first, cap), tested = _schedule(block_rows), 0
-    while tested < max_cycles:
-        k = min(max(tested, first), cap, max_cycles - tested)
-        yield k
-        tested += k
-
-
 def _cycle_prefixes(maps):
     """The stacked prefix maps of the cycle of affine steps `maps`, a list
-    of (M_i, c_i), for the cycles of a block-path round of `_rounds`, its
-    cap, as read-only (A, b): block j of d rows of A and of b is the map
-    x -> A_j x + b_j of the first j steps, A_j = M_j A_(j-1) and b_j =
-    M_j b_(j-1) + c_j, member j taken cyclically.  Block m is the cycle's
-    own map.  The first cycle is that chain; the stack then doubles, c
-    cycles to 2c, A_(cm+i) = A_i A_cm and b_(cm+i) = A_i b_cm + b_i, until
-    it holds the cap, a power of two of cycles."""
+    of (M_i, c_i), for the cap's cycles, the cycles of every block-path
+    round of `run`, as read-only (A, b): block j of d rows of A and of b is
+    the map x -> A_j x + b_j of the first j steps, A_j = M_j A_(j-1) and
+    b_j = M_j b_(j-1) + c_j, member j taken cyclically.  Block m is the
+    cycle's own map.  The first cycle is that chain; the stack then
+    doubles, c cycles to 2c, A_(cm+i) = A_i A_cm and b_(cm+i) = A_i b_cm +
+    b_i, until it holds the cap: the largest power of two of cycles within
+    _BLOCK_ROWS rows, and at least _TEST_BATCH."""
     A, b = [maps[0][0]], [maps[0][1]]
     for M, c in maps[1:]:
         A.append(M.dot(A[-1]))
         b.append(M.dot(b[-1]) + c)
     A, b = np.concatenate(A), np.concatenate(b)
-    d, rows = A.shape[1], _schedule(A.shape[0])[1] * A.shape[0]
-    while A.shape[0] < rows:
+    d, cycle_rows = A.shape[1], A.shape[0]
+    while A.shape[0] < _TEST_BATCH * cycle_rows or 2 * A.shape[0] <= _BLOCK_ROWS:
         A, b = np.concatenate([A, A.dot(A[-d:])]), np.concatenate([b, A.dot(b[-d:]) + b])
     A.flags.writeable = b.flags.writeable = False
     return A, b

@@ -19,7 +19,7 @@ import numpy as np
 from .analysis import CHECK_TOL, PropertyReport, _fejer_margins, margin_report
 from .errors import (DimensionMismatch, DomainError, InsufficientData, check_count, check_range,
                      check_whole)
-from .operators import CyclicTuple, _rounds
+from .operators import _TEST_BATCH, CyclicTuple
 from .rates import RateCertificate, _fejer_pair
 from .sets import ClosedSet, _real_array, _real_entries, as_vector, row_norms
 
@@ -88,25 +88,25 @@ def run(operators, x0, sets, intersection: ClosedSet,
 
     x0 is validated once, against the cycle's, the intersection's and every
     set's dimension.  The run goes in rounds of cycles, the last cut to
-    max_cycles (`operators._rounds`).  Each round's cycle ends are tested
-    by one `_nearest_many` call, and the first end at or below tol stops
-    the run, dropping the round's later cycles.  A round's rows come one of
-    two ways:
+    max_cycles: a round takes as many cycles as the run has so far, at
+    least the first round and at most the cap.  Each round's cycle ends are
+    tested by one `_nearest_many` call, and the first end at or below tol
+    stops the run, dropping the round's later cycles.  A round's rows come
+    one of two ways:
 
     - where the cycle holds stacked prefix maps (A, b) (every member steps
       by an affine map, in at most 32 dimensions; built with the cycle),
-      every round is the cap, the cycles the stack holds: as many as 1024
-      rows of maps hold, a power of two and at least 8, so for two members
-      256 cycles at d = 2 and 16 at d = 32.  A round from x is one product
-      over the whole stack, A x + b, or over its first n rows, A[:n] x +
-      b[:n], in a round cut by max_cycles, and a stop drops at most cap - 1
-      computed cycles.  The rows differ from the per-step chain of maps in
-      their last bits: that product rounds the terms of the chain in
-      another order, so each is within gamma_K of the exact value times the
-      sum of its terms' magnitudes, K = j (d + 1) for the j-th step of a
-      round (the tests' `affine_block_bound` derives it).  A cut round's
-      shorter product may round differently again, so its rows can differ
-      in their last bits from the same rows of a run with a larger budget;
+      the first round and the cap are the cycles the stack holds: as many
+      as 1024 rows of maps hold, a power of two and at least 8, so for two
+      members 256 cycles at d = 2 and 16 at d = 32.  A round from x is one
+      product over the whole stack, A x + b, whatever the budget, which
+      only cuts the rows kept, so a run's rows do not depend on
+      max_cycles; a stop or the budget drops at most cap - 1 computed
+      cycles.  The rows differ from the per-step chain of maps in their
+      last bits: that product rounds the terms of the chain in another
+      order, so each is within gamma_K of the exact value times the sum of
+      its terms' magnitudes, K = j (d + 1) for the j-th step of a round
+      (the tests' `affine_block_bound` derives it);
     - everywhere else one member's one-point kernel `_step` a step on the
       1-D iterate, the call `apply` makes, so the iterates are `apply`'s
       bit for bit, and a `_rows` row's.
@@ -141,14 +141,18 @@ def run(operators, x0, sets, intersection: ClosedSet,
         if s.dim != x.size:
             raise DimensionMismatch(f"expected dimension {s.dim}, got {x.size}")
     A, b = cycle._prefixes or (None, None)  # the stacked prefix maps, if any
+    # a round's cycles: as many as so far, at least the first round, at most
+    # the cap; by steps 1, 1, 2, 4, 8, 8, ..., by blocks every round the cap
+    first, cap = (1, _TEST_BATCH) if A is None else (len(A) // (m * x.size),) * 2
 
     t0 = time.perf_counter()
-    points, stop = [x[None, :]], "Budget"
+    points, stop, done = [x[None, :]], "Budget", 0
     with np.errstate(over="ignore"):
-        for k in _rounds(max_cycles, 0 if A is None else m * x.size):
-            if A is not None:
-                n = k * m * x.size
-                rows = (A[:n].dot(points[-1][-1]) + b[:n]).reshape(k * m, -1)
+        while done < max_cycles:
+            k = min(max(done, first), cap, max_cycles - done)
+            done += k
+            if A is not None:  # the whole stack's product, whatever the budget
+                rows = (A.dot(points[-1][-1]) + b).reshape(-1, x.size)[:k * m]
                 norms, error = row_norms(rows), None
             else:
                 rows, norms, error = _steps(cycle.members, points[-1][-1], k * m)

@@ -796,7 +796,8 @@ class Orthant(_SingleValued):
 
 def _inequality_cone_generators(M):
     """Generating unit rays of {v : M v <= 0}, including +/- lineality basis,
-    for a (k, d) M with k >= 1, as a cone's validated generators are.
+    for a (k, d) M whose longest row lies in [0.5, 1), as `polar_generators`
+    scales a cone's validated generators, so M has rank at least 1.
 
     Subset enumeration of active constraints; intended for desk-scale cones
     (dimension <= 4, a handful of rows).
@@ -807,8 +808,6 @@ def _inequality_cone_generators(M):
     vt, rank = svd_rank(M, tol)
     lin = vt[rank:]  # the lineality space, null(M)
     rays = [row for b in lin for row in (b, -b)]
-    if lin.shape[0] == d:
-        return rays
     # pointed part lives in the orthogonal complement of the lineality space
     Q = _orthonormal_complement(lin, d)
     dprime = Q.shape[0]
@@ -892,11 +891,15 @@ class PolyhedralCone(_SingleValued):
         The enumeration decides ranks and signs at fixed cut-offs, which
         near-dependent generators defeat, so every listed ray is checked
         against every unit generator: one that leaves the polar cone by more
-        than 1e-9 raises UnsupportedSet."""
+        than 1e-9 raises UnsupportedSet.  The cut-offs are absolute, so the
+        generators are first scaled by the power of two that brings the
+        longest into [0.5, 1), exactly where no entry underflows: a cone's
+        rays do not depend on its scale."""
         if self.dim > 4:
             raise UnsupportedSet("polar enumeration supports dimension <= 4")
-        rays = _inequality_cone_generators(self.generators)
-        units = self.generators / row_norms(self.generators)[:, None]
+        g = self.generators
+        rays = _inequality_cone_generators(np.ldexp(g, -np.frexp(row_norms(g).max())[1]))
+        units = g / row_norms(g)[:, None]
         if rays and np.max(np.array(rays) @ units.T) > 1e-9:
             raise UnsupportedSet("cone generators too close to dependent for the polar "
                                  "enumeration")

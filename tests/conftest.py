@@ -138,8 +138,8 @@ def affine_block_bound(operators, reference, block):
     a cycle of relaxed or generalized DR operators on affine sets share:
     `reference` steps by one map at a time (x_i = fl(M_i x_(i-1) + c_i), as
     `apply` does), `block` by `run`'s rounds of stacked prefix maps, each
-    from the row where it starts, the rounds `operators._rounds` gives the
-    block path.
+    from the row where it starts, every round the cap, the cycles the
+    stack `CyclicTuple._prefixes` holds.
 
     Take the computed (M_i, c_i) as exact and write T_i for x -> M_i x + c_i.
     Every value either run computes is a sum of products of entries of the
@@ -169,10 +169,8 @@ def affine_block_bound(operators, reference, block):
     sigma = max(1.0, *(np.linalg.norm(M, 2) for M, _ in maps)) * (1.0 + 1e-12)  # SVD's rounding
     bound = np.zeros(rows)
     start = 0
-    # uncut: the rows the two runs share end where `run`'s last round does
-    rounds = P.operators._rounds(math.inf, m * d)
+    k = len(P.CyclicTuple(operators)._prefixes[0]) // (m * d)  # the cap
     while start < rows - 1:
-        k = next(rounds)
         carried, reference_gap, z = bound[start], 0.0, np.abs(block[start])
         for j in range(1, min(k * m, rows - 1 - start) + 1):
             M, c = maps[(start + j - 1) % m]

@@ -41,6 +41,10 @@ class TestAffineHull:
             1.0, abs=1e-12
         )
 
+    def test_no_sets_span_no_hull(self):
+        with pytest.raises(DomainError, match="no points available to span a hull"):
+            P.affine_hull([])
+
     def test_single_point_has_empty_basis(self):
         s = P.FinitePointSet(np.array([[1.0, 2.0]]))
         L = P.affine_hull([s])
@@ -59,12 +63,19 @@ class TestAffineHull:
         (P.Enlargement(P.AffineSubspaceSet(np.array([0.0, 1.0]), np.array([[1.0, 0.0]])), 0.5),
          2, [9.0, -9.0]),
         (P.Enlargement(P.FinitePointSet(np.array([[1.0, 2.0]])), 0.0), 0, [1.0, 2.0]),
+        (P.Halfspace(np.array([1.0, 1.0]), 2.0), 2, [9.0, -9.0]),
+        (P.Ball(np.array([1.0, 2.0]), 0.0), 0, [1.0, 2.0]),
+        (P.Orthant((1, 0)), 2, [-9.0, 9.0]),
+        (P.PolyhedralCone(np.array([[1.0, 2.0]])), 1, [-3.0, -6.0]),
     ], ids=["ball", "sphere_d1", "sphere_d2", "sphere_d3", "enlargement_tau_0",
-            "enlargement_tau_positive", "enlarged_point_tau_0"])
+            "enlargement_tau_positive", "enlarged_point_tau_0", "halfspace", "ball_radius_0",
+            "orthant_free_coordinate", "cone_ray"])
     def test_closed_form_hulls(self, s, rank, member):
         """A ball, and a sphere in any dimension, span the whole space; an
         enlargement spans its inner set's hull at tau = 0 and the whole
-        space for tau > 0."""
+        space for tau > 0.  A halfspace spans the whole space, a ball of
+        radius 0 its center, an orthant with a free coordinate the whole
+        space and a cone its generators' span, here a line through 0."""
         L = P.affine_hull([s])
         assert L.basis.shape == (rank, s.dim)
         assert L.distance(np.array(member)) <= 1e-12
@@ -223,6 +234,16 @@ class TestShadowRun:
         wrong = P.AffineSubspaceSet(np.zeros(3), np.array([[0.0, 0.0, 1.0]]))
         with pytest.raises(ShadowRecursionViolated):
             P.shadow_run(traj, wrong)
+
+    def test_a_subspace_the_step_leaves_breaks_the_recursion(self):
+        """The blend halves the z coordinate, so it maps the plane z = 1
+        onto z = 0.5: the shadow of the next iterate, on z = 1, misses the
+        step of the shadow by 0.5."""
+        traj = _dr_run(1.0, 1.0, 0.5, max_cycles=30, tol=1e-12)
+        plane = P.AffineSubspaceSet(np.array([0.0, 0.0, 1.0]), np.eye(3)[:2])
+        with pytest.raises(ShadowRecursionViolated,
+                           match=r"^shadow recursion residual 5\.000e-01 exceeds 1\.0e-10$"):
+            P.shadow_run(traj, plane)
 
 
 class TestShadowCsv:

@@ -64,6 +64,15 @@ class TestQuasiFirmFejer:
         with pytest.raises(DomainError):
             P.check_quasi_firm_fejer(op, s, 1.0, -0.1, np.zeros(2), 1.0)
 
+    def test_a_refset_outside_the_ball_finds_no_members(self):
+        """The line y = 0 misses B((0, 5), 1): every one of the 391 chunks
+        of 256 draws projects outside it, and the pool gives up."""
+        s = P.Hyperplane(np.array([0.0, 1.0]), 0.0)
+        op = P.RelaxedProjector(s, 1.0)
+        with pytest.raises(P.SamplingFailure,
+                           match="^only 0 reference points found in 100096 attempts$"):
+            P.check_quasi_firm_fejer(op, s, 1.0, 1.0, np.array([0.0, 5.0]), 1.0, samples=800)
+
     def test_oracle_intersection_as_refset(self):
         """Reference points may come from the cyclic-projection fallback: two
         planes of R^3 sharing the z-axis, projector onto the first."""

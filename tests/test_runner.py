@@ -609,16 +609,33 @@ class TestRunByBlocks:
         whole budget; every row is within the bound, as nothing
         underflows."""
         ops, x0, sets, inter, _ = _affine_cycle(seed, d)
-        rows = len(ops) * d
-        cap = max(8, 2 ** int(math.log2(P.operators._BLOCK_ROWS / rows)))
+        cap = len(P.CyclicTuple(ops)._prefixes[0]) // (len(ops) * d)
         rounds = [cap, cap, cap, cap // 2]
         kw = {"max_cycles": sum(rounds), "tol": 1e-300}
-        assert list(P.operators._rounds(kw["max_cycles"], rows)) == rounds
-        off = P.FinitePointSet(inter.anchor[None, :] + 1.0)
+        off = _CountingSet(P.FinitePointSet(inter.anchor[None, :] + 1.0))
         assert not underflows(lambda: (P.run(ops, x0, sets, off, **kw),
                                        _reference_run(ops, x0, sets, off, **kw)))
+        assert off.batches[:len(rounds)] == rounds  # the run's cycle ends, round by round
         traj = _assert_run_matches_reference(ops, x0, sets, off, **kw)
         assert traj.stop_reason == "Budget" and traj.n_cycles == kw["max_cycles"]
+
+    @pytest.mark.parametrize("d", [9, 17, 31])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_do_not_depend_on_the_budget(self, d, seed):
+        """A round's product is over the whole stack whatever the budget,
+        which only cuts the rows kept: runs of 1, 3, cap/2 and cap + 5
+        cycles are, bit for bit, the first rows of a run of 2 cap cycles.
+        `run` is handed a point off the sets as its intersection, so every
+        run takes its whole budget."""
+        ops, x0, sets, inter, _ = _affine_cycle(seed, d)
+        cap = len(P.CyclicTuple(ops)._prefixes[0]) // (len(ops) * d)
+        off = P.FinitePointSet(inter.anchor[None, :] + 1.0)
+        whole = P.run(ops, x0, sets, off, max_cycles=2 * cap, tol=1e-300)
+        for budget in (1, 3, cap // 2, cap + 5):
+            traj = P.run(ops, x0, sets, off, max_cycles=budget, tol=1e-300)
+            assert traj.n_cycles == budget
+            assert _same_bits(traj.points, whole.points[:traj.n_points])
+            assert _same_bits(traj.c_dist, whole.c_dist[:traj.n_points])
 
     def test_the_cycle_map_is_the_mth_prefix(self):
         """Block m of the stacked maps is the cycle's own map: its product
@@ -894,6 +911,10 @@ class TestFitRlinear:
         errs[30] = bad
         with pytest.raises(DomainError, match="errors must be finite and nonnegative"):
             P.fit_rlinear(errs)
+
+    def test_a_table_of_errors_raises(self):
+        with pytest.raises(DomainError, match="^errors must be a flat sequence$"):
+            P.fit_rlinear(0.9 ** np.arange(40.0).reshape(20, 2))
 
     @pytest.mark.parametrize("errs, entry", [
         ([str(0.5 ** k) for k in range(20)], "errors[0] must be a real number, got '1.0'"),

@@ -240,6 +240,24 @@ class TestValidation:
             P.scenario_from_config([1, 2, 3])
 
 
+class TestReport:
+    def test_numpy_scalars_become_python_values(self):
+        got = P.scenario._jsonable({"a": np.float64(0.5), "b": [np.int64(3)], "c": np.bool_(True)})
+        assert got == {"a": 0.5, "b": [3], "c": True}
+        assert [type(v) for v in (got["a"], got["b"][0], got["c"])] == [float, int, bool]
+
+    def test_a_rate_fit_with_no_expectation_adds_no_check(self):
+        """Alternating projections on two lines at 30 degrees: the fit is
+        reported, rho = cos^2(30 deg), and no check is made of it."""
+        lines = [{"type": "hyperplane", "a": [0.0, 1.0], "b": 0.0},
+                 {"type": "hyperplane", "a": [-0.5, 0.75 ** 0.5], "b": 0.0}]
+        cfg = minimal_config(sets=lines, tol=1e-300, max_cycles=30,
+                             analyses=[{"kind": "rate_fit", "label": "fit"}])
+        report = P.execute_scenario(P.scenario_from_config(cfg))
+        assert report["fit"]["fit"]["rho"] == pytest.approx(0.75, rel=1e-12)
+        assert report["checks"] == [] and report["passed"]
+
+
 class TestRoundTrip:
     def test_normalized_config_is_idempotent(self):
         cfg = minimal_config()

@@ -392,6 +392,15 @@ class TestProximalNormals:
 # ---------------------------------------------------------------------------
 
 
+class TestBareClosedSet:
+    def test_project_is_left_to_subclasses(self):
+        class Bare(P.ClosedSet):
+            dim = 2
+
+        with pytest.raises(NotImplementedError):
+            Bare().project(np.zeros(2))
+
+
 class TestObtuseCone:
     def test_orthant_is_obtuse(self):
         out = P.is_obtuse_cone(P.Orthant((1, 1)))
@@ -461,6 +470,18 @@ class TestObtuseCone:
                      lambda: P.is_obtuse_cone(cone)):
             with pytest.raises(P.UnsupportedSet, match="too close to dependent"):
                 call()
+
+    @pytest.mark.parametrize("scale", [1e-10, 0.75, 1e10])
+    def test_polar_rays_do_not_depend_on_the_cone_scale(self, scale):
+        """The quadrant generated by scale e_1 and scale e_2 has the unit
+        quadrant's polar rays (0, -1) and (-1, 0), bit for bit, however
+        small its generators: the enumeration's absolute cut-offs read them
+        scaled to a longest generator in [0.5, 1)."""
+        cone = P.PolyhedralCone(scale * np.eye(2))
+        rays, unit = (np.array(c.polar_generators()) for c in (cone, P.PolyhedralCone(np.eye(2))))
+        assert rays.tobytes() == unit.tobytes() and np.array_equal(rays, [[0.0, -1.0], [-1.0, 0.0]])
+        assert np.array_equal(cone.normal_generators(np.array([0.0, 1.0])), [[-1.0, 0.0]])
+        assert P.is_obtuse_cone(cone)["obtuse"]
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda d: st.lists(
