@@ -15,6 +15,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
+from pathlib import Path
 
 from .errors import ConfigError, DomainError, ProjlabError, check_count
 from .operators import OPERATOR_TYPES
@@ -73,6 +74,18 @@ def _format_report_text(report) -> str:
     return "\n".join(lines)
 
 
+def _blocked(out_dirs) -> bool:
+    """Whether a file stands at one of `out_dirs` or at a parent of one, so
+    that no output directory can be made there; names it on stderr.  Checked
+    before any scenario runs, as a usage error."""
+    for out_dir in out_dirs:
+        for path in (Path(out_dir), *Path(out_dir).parents):
+            if path.exists() and not path.is_dir():
+                print(f"output path {path} exists and is not a directory", file=sys.stderr)
+                return True
+    return False
+
+
 def run_scenario(config_path, out_root, force, seed, fmt) -> int:
     """Load, execute, and report one scenario; returns the exit code."""
     try:
@@ -81,6 +94,8 @@ def run_scenario(config_path, out_root, force, seed, fmt) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = os.path.join(out_root, sc.name)
+    if _blocked([out_dir]):
+        return 2
     targets = [os.path.join(out_dir, f)
                for f in ("trajectory.csv", "report.json", "shadow.csv")]
     if any(os.path.exists(t) for t in targets) and not force:
@@ -243,6 +258,8 @@ def main(argv=None) -> int:
         return run_scenario(args.config, out_root=args.out, force=args.force,
                             seed=args.seed, fmt=args.format)
     if args.command == "verify":
+        if args.out and _blocked(os.path.join(args.out, n) for n in bundled_scenario_names()):
+            return 2
         if args.out and not args.force and os.path.isdir(args.out) \
                 and os.listdir(args.out):
             print(f"output in {args.out} exists; use --force to overwrite",

@@ -40,6 +40,15 @@ def given_draws(monkeypatch, points):
     monkeypatch.setattr(P.analysis, "uniform_ball", lambda rng, center, radius, n: points)
 
 
+def strip_timing(obj):
+    """A report with every `timing` key removed, at any depth."""
+    if isinstance(obj, dict):
+        return {k: strip_timing(v) for k, v in obj.items() if k != "timing"}
+    if isinstance(obj, list):
+        return [strip_timing(v) for v in obj]
+    return obj
+
+
 def sample_ball(rng, center, radius, n):
     """n points uniform in the ball B(center, radius)."""
     return P.uniform_ball(rng, np.asarray(center, dtype=float), radius, n)

@@ -1,36 +1,36 @@
-"""Print every pinned digest of the test suite afresh, and list the report
-leaves and demo lines that moved against saved ones.
+"""Check or rewrite the test suite's goldens, and print its CSV digest.
 
-The pins are the two `verify` digests (`test_cli.VERIFY_DIGESTS`), the
-exported-CSV digest (`test_cli.CSV_DIGEST`) and the demos' digests
-(`test_demos.DIGESTS`).  From the repository root:
+A golden is a committed output that tier-1 pins byte for byte:
+`tests/golden/<kernel>/verify_default.json` and `verify_12345.json`, the
+timing-stripped `verify` reports at the scenarios' own seeds and at
+`--seed 12345` (`test_cli.VERIFY_GOLDENS`), and `demo_<stem>.txt`, each
+demo's stdout.  `<kernel>` is the OpenBLAS kernel (`test_cli.blas_kernel`),
+as their last bits differ by kernel: AVX-512 CPUs take SkylakeX, AVX2 ones
+Haswell, and `OPENBLAS_CORETYPE=Haswell` picks Haswell on any AVX2 CPU.
+`check_golden` is the tests' one compare; on a mismatch it lists every
+moved report leaf (`moved_leaves`) or demo line (`moved_lines`).  The
+exported CSV stays a digest per kernel (`test_cli.CSV_DIGEST`).  From the
+repository root:
 
     PYTHONPATH=src:tests python tests/repin.py
-    PYTHONPATH=src:tests python tests/repin.py --save DIR
-    PYTHONPATH=src:tests python tests/repin.py --against DIR
+    PYTHONPATH=src:tests python tests/repin.py --write
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src:tests python tests/repin.py --fingerprints
 
-The first prints the OpenBLAS kernel (`test_cli.blas_kernel`), then each
-pin, marked `moved` where it differs from the value pinned for that kernel.
-The `verify` and CSV digests and demos 05 and 06 are pinned per kernel, as
-their last bits differ by kernel; `OPENBLAS_CORETYPE=Haswell` prints the
-Haswell ones on any AVX2 CPU.  `--save` also writes the timing-stripped
-`verify` reports and each demo's stdout to DIR; `--against` lists each leaf
-of those reports that differs from DIR's, with its old value, its new value
-and the relative change, and each demo line that differs, with its line
-number, its old and new text and the largest relative change of its
-numbers.  To see what a change moves, save with the parent commit's `src`
-first on PYTHONPATH, then list against that with the change's.
-`--fingerprints` also prints the benchmark's fingerprint digests: a sha256
-over the non-timing output of every item of perfbench's workloads at pass
-seeds 3 and 11, one per workload and one over all of them.  It reads
-`perfbench/` and writes nothing there.  `tests/fingerprints.txt` holds those
-digests on OpenBLAS's Haswell kernel, which CI pins because the digests
-differ by CPU kernel, and CI diffs them against it, so a change that moves
-a bit re-pins that file with the other pins:
+The first prints the kernel, then each golden, `kept` or with what moved,
+then the CSV digest, marked `moved` where it differs from its pin.
+`--write` rewrites the kernel's goldens instead; a change meant to move an
+output says what moved and writes them on each kernel, and pastes the
+printed CSV digest into `test_cli.CSV_DIGEST`.  `--fingerprints` also
+prints the benchmark's fingerprint digests: a sha256 over the non-timing
+output of every item of perfbench's workloads at pass seeds 3 and 11, one
+per workload and one over all of them.  It reads `perfbench/` and writes
+nothing there.  `tests/fingerprints.txt` holds those digests on OpenBLAS's
+Haswell kernel, which CI pins because the digests differ by CPU kernel,
+and CI diffs them against it, so a change that moves a bit re-pins that
+file with the other pins:
 
-    OPENBLAS_CORETYPE=Haswell OPENBLAS_NUM_THREADS=1 PYTHONPATH=src:tests \
-        python -c "import repin; print(*repin.fingerprint_lines(), sep='\\n')" \
+    OPENBLAS_CORETYPE=Haswell OPENBLAS_NUM_THREADS=1 PYTHONPATH=src:tests \\
+        python -c "import repin; print(*repin.fingerprint_lines(), sep='\\n')" \\
         > tests/fingerprints.txt
 """
 
@@ -43,8 +43,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-import test_cli
-import test_demos
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _leaves(obj, path=""):
@@ -58,13 +59,13 @@ def _leaves(obj, path=""):
 
 
 def moved_leaves(old, new):
-    """Lines `path: old -> new (relative change)` for each leaf that
-    differs, or that only one of the two documents has."""
+    """Lines `path: old -> new (relative change)` for each leaf whose JSON
+    text differs, or that only one of the two documents has."""
     old, new = _leaves(old), _leaves(new)
     lines = []
     for path in sorted(old.keys() | new.keys()):
         a, b = old.get(path, "(absent)"), new.get(path, "(absent)")
-        if a == b and type(a) is type(b):
+        if json.dumps(a) == json.dumps(b):
             continue
         numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
         change = f" ({(b - a) / abs(a):+.1e})" if numbers and a != 0 else ""
@@ -91,8 +92,20 @@ def moved_lines(old, new):
     return lines
 
 
-def _report_file(root, seed):
-    return Path(root) / f"verify_{'default' if seed is None else seed}.json"
+def check_golden(name, text, kernel):
+    """Fail unless `text` is byte for byte the golden `name` of `kernel`,
+    counting and listing what moved: each report leaf of a `.json` golden,
+    each line of any other.  A kernel with no golden fails, naming it."""
+    __tracebackhide__ = True
+    path = GOLDEN / kernel / name
+    if not path.is_file():
+        pytest.fail(f"no golden {name} for the OpenBLAS kernel {kernel} "
+                    f"(goldens: {', '.join(sorted(p.name for p in GOLDEN.iterdir()))})")
+    old = path.read_bytes().decode()
+    if old != text:
+        moved = (moved_leaves(json.loads(old), json.loads(text)) if name.endswith(".json")
+                 else moved_lines(old, text))
+        pytest.fail(f"{name} on {kernel}: {len(moved)} moved\n" + "\n".join(moved))
 
 
 def fingerprint_lines():
@@ -118,44 +131,34 @@ def fingerprint_lines():
 
 
 def main(argv=None):
+    import test_cli
+    import test_demos
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--save", metavar="DIR",
-                        help="write the timing-stripped verify reports and the demos' output")
-    parser.add_argument("--against", metavar="DIR",
-                        help="list the leaves and demo lines that moved against DIR's")
+    parser.add_argument("--write", action="store_true",
+                        help="rewrite this kernel's goldens in place of checking them")
     parser.add_argument("--fingerprints", action="store_true",
                         help="also print the benchmark items' fingerprint digests")
     args = parser.parse_args(argv)
 
     kernel = test_cli.blas_kernel()
     print(f"OpenBLAS kernel: {kernel}")
-
-    def pin(name, value, pins):
-        pinned = pins if isinstance(pins, str) else pins.get(kernel, f"nothing for {kernel}")
-        print(f"{name}: {value}" + ("" if value == pinned else f"  moved (pinned {pinned})"))
-
-    for seed, pinned in test_cli.VERIFY_DIGESTS.items():
-        report = test_cli._verify_report(seed)
-        pin(f"verify seed {seed}", test_cli._report_digest(report), pinned)
-        if args.save:
-            Path(args.save).mkdir(parents=True, exist_ok=True)
-            _report_file(args.save, seed).write_text(json.dumps(report, indent=2, sort_keys=True))
-        if args.against:
-            old = json.loads(_report_file(args.against, seed).read_text())
-            for line in moved_leaves(old, report):
-                print(f"  {line}")
+    outputs = {name: test_cli.verify_text(seed) for seed, name in test_cli.VERIFY_GOLDENS.items()}
+    outputs.update((f"demo_{path.stem}.txt", test_demos._demo_output(path))
+                   for path in test_demos.DEMOS)
+    for name, text in outputs.items():
+        if args.write:
+            (GOLDEN / kernel).mkdir(parents=True, exist_ok=True)
+            (GOLDEN / kernel / name).write_bytes(text.encode())
+            print(f"{name}: written")
+            continue
+        try:
+            check_golden(name, text, kernel)
+            print(f"{name}: kept")
+        except pytest.fail.Exception as exc:
+            print(exc.msg.replace("\n", "\n  "))
     with tempfile.TemporaryDirectory() as out:
-        pin("exported CSV", test_cli._csv_digest(Path(out)), test_cli.CSV_DIGEST)
-    for path in test_demos.DEMOS:
-        output = test_demos._demo_output(path)
-        pin(f"demo {path.stem}", hashlib.sha256(output.encode()).hexdigest(),
-            test_demos.DIGESTS[path.stem])
-        if args.save:
-            Path(args.save, f"demo_{path.stem}.txt").write_text(output)
-        if args.against:
-            old = Path(args.against, f"demo_{path.stem}.txt").read_text()
-            for line in moved_lines(old, output):
-                print(f"  {line}")
+        digest, pinned = test_cli._csv_digest(Path(out)), test_cli.CSV_DIGEST.get(kernel)
+        print(f"exported CSV: {digest}" + ("" if digest == pinned else f"  moved (pinned {pinned})"))
     if args.fingerprints:
         print("\n".join(fingerprint_lines()))
 

@@ -16,6 +16,8 @@ import pytest
 
 import projlab as P
 
+from conftest import strip_timing
+
 TWO_LINE_ANGLES = {
     "two_lines_angle_30": math.pi / 6,
     "two_lines_angle_45": math.pi / 4,
@@ -307,19 +309,11 @@ def test_criterion_8_strong_regularity_regression():
 # ---------------------------------------------------------------------------
 
 
-def _strip_timing(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_timing(v) for k, v in obj.items() if k != "timing"}
-    if isinstance(obj, list):
-        return [_strip_timing(v) for v in obj]
-    return obj
-
-
 def test_criterion_9_determinism():
     with criterion(9, "verify suite twice -> byte-identical JSON sans timing"):
         first = P.verify_suite(workers=4)
         second = P.verify_suite(workers=4)
         assert first["passed"] and second["passed"]
-        blob1 = json.dumps(_strip_timing(first), sort_keys=True)
-        blob2 = json.dumps(_strip_timing(second), sort_keys=True)
+        blob1 = json.dumps(strip_timing(first), sort_keys=True)
+        blob2 = json.dumps(strip_timing(second), sort_keys=True)
         assert blob1 == blob2

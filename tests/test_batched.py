@@ -687,12 +687,6 @@ def test_derived_normals_match_the_deleted_kernels(case, reference, data):
 
 
 @st.composite
-def one_point_case(draw):
-    d = draw(st.integers(1, 4))
-    return P.FinitePointSet(draw(vectors(d))[None, :]), draw(batches(d))
-
-
-@st.composite
 def hook_case(draw):
     """A set of any type or a one-point set, as it is, translated, or as an
     oracle alone or with a hyperplane, and the members of the drawn set."""

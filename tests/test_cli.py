@@ -18,17 +18,9 @@ import pytest
 
 import projlab as P
 
+import repin
+from conftest import strip_timing
 from test_scenario import minimal_config
-
-
-def _strip_timing(obj):
-    if isinstance(obj, dict):
-        return {
-            k: _strip_timing(v) for k, v in obj.items() if k != "timing"
-        }
-    if isinstance(obj, list):
-        return [_strip_timing(v) for v in obj]
-    return obj
 
 
 @functools.cache
@@ -55,32 +47,24 @@ def kernel_pin(pins):
     return pins[kernel]
 
 
-# The pinned digests, by OpenBLAS kernel (`blas_kernel`): AVX-512 CPUs take
-# SkylakeX, AVX2 ones Haswell.  `tests/repin.py` prints them afresh and lists
-# the report leaves that moved.
-VERIFY_DIGESTS = {
-    None: {"SkylakeX": "2314adc85e7111029c2e0676439730ca7c404810491287e5122a1f8771eba4d2",
-           "Haswell": "521a1f0e0550180f79c91fecb2087a52dc50b075beef545462801106375923bf"},
-    12345: {"SkylakeX": "edf05be605c4d9416ca949c428f2af6aaa0ec6c710980da445bb6c9e011cd463",
-            "Haswell": "ae011005b772671afb3eee43d4056ddcce9f47d1b89c8eccec5512f650f27d32"},
-}
+# The `verify` reports' goldens (`repin.check_golden`), by seed (None:
+# the scenarios' own), and the exported CSV's digest, by OpenBLAS kernel
+# (`blas_kernel`): AVX-512 CPUs take SkylakeX, AVX2 ones Haswell.
+# `tests/repin.py` checks and rewrites the goldens and prints the digest.
+VERIFY_GOLDENS = {None: "verify_default.json", 12345: "verify_12345.json"}
 CSV_DIGEST = {"SkylakeX": "a43b23ade19478db6909533330d665e0cb65c75c79b490596855ef734943ed7d",
               "Haswell": "1a216723931970900a19cdd9c5a049b6501318420e602e7feb265b01516dfc07"}
 
 
-def _verify_report(seed):
+def verify_text(seed):
     """The `verify --format json` report at `seed` (None: the scenarios'
-    own) with every `timing` key removed."""
+    own) with every `timing` key removed, dumped with indent=2 and sorted
+    keys, as its golden holds it."""
     argv = ["verify", "--format", "json"] + ([] if seed is None else ["--seed", str(seed)])
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert P.main(argv) == 0
-    return _strip_timing(json.loads(out.getvalue()))
-
-
-def _report_digest(report):
-    """sha256 of a report dumped with indent=2 and sorted keys."""
-    return hashlib.sha256(json.dumps(report, indent=2, sort_keys=True).encode()).hexdigest()
+    return json.dumps(strip_timing(json.loads(out.getvalue())), indent=2, sort_keys=True)
 
 
 def _csv_digest(out_root):
@@ -323,6 +307,18 @@ class TestRunCommand:
         assert "--force" in capsys.readouterr().err
         assert P.main(["run", path, "--out", out, "--force"]) == 0
 
+    @pytest.mark.parametrize("blocked", ["out", "out/unit"])
+    def test_refuses_a_file_where_the_output_goes(self, tmp_path, capsys, monkeypatch, blocked):
+        """A file at the output root or at the scenario's directory is a
+        usage error found before the scenario runs; with --force too."""
+        path = _write(tmp_path, minimal_config())
+        (tmp_path / blocked).parent.mkdir(exist_ok=True)
+        (tmp_path / blocked).write_text("x")
+        monkeypatch.setattr(P.cli, "execute_scenario", None)  # a run fails on the call
+        assert P.main(["run", path, "--out", str(tmp_path / "out"), "--force"]) == 2
+        assert capsys.readouterr().err == (
+            f"output path {tmp_path / blocked} exists and is not a directory\n")
+
     def test_seed_override_recorded(self, tmp_path):
         path = _write(tmp_path, minimal_config())
         rc = P.main(
@@ -344,8 +340,8 @@ class TestRunCommand:
             == 0
         )
         second = json.loads(capsys.readouterr().out)
-        assert json.dumps(_strip_timing(first), sort_keys=True) == json.dumps(
-            _strip_timing(second), sort_keys=True
+        assert json.dumps(strip_timing(first), sort_keys=True) == json.dumps(
+            strip_timing(second), sort_keys=True
         )
 
 
@@ -372,47 +368,53 @@ class TestVerifyCommand:
             assert (base / "trajectory.csv").is_file()
             assert (base / "report.json").is_file()
 
-    @pytest.mark.parametrize("seed, digest", VERIFY_DIGESTS.items(),
+    @pytest.mark.parametrize("seed, name", VERIFY_GOLDENS.items(),
                              ids=["seed_default", "seed_12345"])  # ids that a re-pin leaves alone
-    def test_verify_report_is_pinned(self, seed, digest):
+    def test_verify_report_is_pinned(self, seed, name):
         """The suite report stays byte-identical once `timing` is removed.  A
         change meant to move a reported number says which fields moved and
-        re-pins with `tests/repin.py`, which prints the digests and lists
-        the moved fields."""
-        assert _report_digest(_verify_report(seed)) == kernel_pin(digest)
+        rewrites the goldens with `tests/repin.py --write`; a moved field
+        fails here, listed by its path."""
+        repin.check_golden(name, verify_text(seed), blas_kernel())
 
     def test_exported_csv_bytes_are_pinned(self, tmp_path):
-        """Both CSV writers keep every byte (`_csv_digest`; re-pinned with
-        `tests/repin.py`)."""
+        """Both CSV writers keep every byte (`_csv_digest`; `tests/repin.py`
+        prints it afresh)."""
         assert _csv_digest(tmp_path) == kernel_pin(CSV_DIGEST)
 
     def test_pins_are_kept_per_blas_kernel(self, monkeypatch):
-        """Every kernel-dependent pin has a digest for the kernel this run
-        takes; a kernel with no pin fails the check, naming the kernel."""
+        """The kernels with goldens are the kernels with a CSV pin, this
+        run's among them, and each kernel's goldens are exactly the outputs
+        the checks read; a kernel with no pin or golden fails the check,
+        naming the kernel."""
         import test_demos
-        tables = [*VERIFY_DIGESTS.values(), CSV_DIGEST,
-                  *(pin for pin in test_demos.DIGESTS.values() if isinstance(pin, dict))]
-        assert len(tables) == 5
-        assert all(blas_kernel() in table for table in tables)
+        names = sorted([*VERIFY_GOLDENS.values(), *(f"demo_{p.stem}.txt" for p in test_demos.DEMOS)])
+        assert sorted(p.name for p in repin.GOLDEN.iterdir()) == sorted(CSV_DIGEST)
+        assert blas_kernel() in CSV_DIGEST
+        assert all(sorted(p.name for p in (repin.GOLDEN / kernel).iterdir()) == names
+                   for kernel in CSV_DIGEST)
         monkeypatch.setattr(sys.modules[__name__], "blas_kernel", lambda: "Zen")
         with pytest.raises(pytest.fail.Exception, match=r"^no pin for the OpenBLAS kernel Zen "):
             kernel_pin(CSV_DIGEST)
+        with pytest.raises(pytest.fail.Exception,
+                           match=r"^no golden verify_default.json for the OpenBLAS kernel Zen "):
+            repin.check_golden("verify_default.json", "{}", blas_kernel())
 
     def test_repin_lists_each_moved_leaf(self):
         """`tests/repin.py` names a moved report leaf by its path, with its
-        old and new value and the relative change."""
-        import repin
-        old = {"a": {"b": [1.0, 2.0], "c": "PASS"}, "d": 0.0, "e": True}
-        new = {"a": {"b": [1.0, 2.5], "c": "FAIL"}, "d": 1e-30, "e": 1}
+        old and new value and the relative change; a leaf moves when its
+        JSON text does, so a zero that changes sign moves."""
+        old = {"a": {"b": [1.0, 2.0], "c": "PASS"}, "d": 0.0, "e": True, "f": 0.0}
+        new = {"a": {"b": [1.0, 2.5], "c": "FAIL"}, "d": 1e-30, "e": 1, "f": -0.0}
         assert repin.moved_leaves(old, old) == []
         assert repin.moved_leaves(old, new) == [
-            'a.b[1]: 2.0 -> 2.5 (+2.5e-01)', 'a.c: "PASS" -> "FAIL"', 'd: 0.0 -> 1e-30', 'e: true -> 1']
+            'a.b[1]: 2.0 -> 2.5 (+2.5e-01)', 'a.c: "PASS" -> "FAIL"', 'd: 0.0 -> 1e-30', 'e: true -> 1',
+            'f: 0.0 -> -0.0']
 
     def test_repin_lists_each_moved_demo_line(self):
         """`tests/repin.py` names a moved demo line by its number, with its
         old and new text and the largest relative change of its numbers
         where both hold as many."""
-        import repin
         old = "a 1.0 2.0\nsame\nb 4.0\nc 1.0\n"
         new = "a 1.5 2.0\nsame\nb\nc 1.0\nd 0.0\n"
         assert repin.moved_lines(old, old) == []
@@ -497,6 +499,14 @@ class TestVerifyCommand:
         rc = P.main(["verify", "--out", str(out)])
         assert rc == 2
         assert "--force" in capsys.readouterr().err
+
+    def test_verify_refuses_a_file_as_out(self, tmp_path, capsys, monkeypatch):
+        """A file at --out is a usage error found before any scenario runs."""
+        out = tmp_path / "suite"
+        out.write_text("x")
+        monkeypatch.setattr(P.cli, "load_bundled", None)  # a run fails on the call
+        assert P.main(["verify", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"output path {out} exists and is not a directory\n"
 
 
 class TestReportChecks:
