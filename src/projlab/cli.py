@@ -21,6 +21,7 @@ from .errors import ConfigError, DomainError, ProjlabError, check_count
 from .operators import OPERATOR_TYPES
 from .scenario import (
     ANALYSES,
+    ARTIFACTS,
     THEOREMS,
     bundled_scenario_names,
     execute_scenario,
@@ -76,12 +77,17 @@ def _format_report_text(report) -> str:
 
 def _blocked(out_dirs) -> bool:
     """Whether a file stands at one of `out_dirs` or at a parent of one, so
-    that no output directory can be made there; names it on stderr.  Checked
-    before any scenario runs, as a usage error."""
+    that no output directory can be made there, or something not a file
+    stands at one of its `ARTIFACTS`, which no write can replace; names it on
+    stderr.  Checked before any scenario runs, as a usage error."""
     for out_dir in out_dirs:
         for path in (Path(out_dir), *Path(out_dir).parents):
             if path.exists() and not path.is_dir():
                 print(f"output path {path} exists and is not a directory", file=sys.stderr)
+                return True
+        for path in (Path(out_dir, name) for name in ARTIFACTS):
+            if path.exists() and not path.is_file():
+                print(f"output path {path} exists and is not a file", file=sys.stderr)
                 return True
     return False
 
@@ -96,8 +102,7 @@ def run_scenario(config_path, out_root, force, seed, fmt) -> int:
     out_dir = os.path.join(out_root, sc.name)
     if _blocked([out_dir]):
         return 2
-    targets = [os.path.join(out_dir, f)
-               for f in ("trajectory.csv", "report.json", "shadow.csv")]
+    targets = [os.path.join(out_dir, name) for name in ARTIFACTS]
     if any(os.path.exists(t) for t in targets) and not force:
         print(f"output in {out_dir} exists; use --force to overwrite",
               file=sys.stderr)

@@ -13,8 +13,10 @@ the semi-intrepid step, which is not affine, and operators on any other set
 keep the step formula, as `apply_with_trace` does.  The relaxation is one
 helper, `_relax`, that both kernels call.  A relaxed step with a map takes
 M.dot(x) + c on a point, and `sets._rowwise`, the same gemv, on each row.
-The semi-intrepid and DR steps are the one-row call of `_rows`: no workload
-steps them one point at a time.  `apply` is `_step` and `apply_many` is
+The semi-intrepid and DR steps have no one-point formula: their `_step` is
+`_row_step`, the one-row call of `_rows`, which `run` takes one point at a
+time for a member with no map, as every `suite` pass does for
+`semi_intrepid_circles`' two semi-intrepid members.  `apply` is `_step` and `apply_many` is
 `_rows` on every row of an (n, d) array; both validate their input once.
 `CyclicTuple.apply` validates one point and then chains the members'
 `_step`s.

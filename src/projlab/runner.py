@@ -419,8 +419,9 @@ def export_trajectory_csv(traj: Trajectory, path) -> None:
               + [f"x_{i + 1}" for i in range(traj.dim)]
               + [f"dC_{j + 1}" for j in range(len(traj.sets))]
               + ["dC"])
-    numbers = np.column_stack([traj.points, *(s.distance_many(traj.points) for s in traj.sets),
-                               traj.c_dist])
+    with np.errstate(over="ignore"):  # a distance whose square overflows reads inf, as in run
+        dists = [s.distance_many(traj.points) for s in traj.sets]
+    numbers = np.column_stack([traj.points, *dists, traj.c_dist])
     _write_csv(path, header, zip(enumerate(traj.op_index.tolist()), numbers))
 
 

@@ -220,23 +220,25 @@ def load_bundled(name: str) -> Scenario:
 
 
 def _jsonable(obj):
+    """`obj` as strict JSON data: containers and arrays as lists and dicts
+    with str keys, a numpy scalar as its Python value, and then a float that
+    is not finite as its repr ("inf", "-inf", "nan")."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.generic):  # a numpy scalar: its Python value
-        return obj.item()
-    if isinstance(obj, float) and not np.isfinite(obj):
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
 
 
 def _fields_dict(obj, drop=(), **more):
-    """A result dataclass as JSON-ready data, less the fields in `drop`."""
-    out = {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in drop}
-    return _jsonable({**out, **more})
+    """A result dataclass as a dict of its fields, less those in `drop`."""
+    return {**{f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in drop}, **more}
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +384,7 @@ class _Run:
     def __init__(self, sc: Scenario, traj):
         self.sc, self.traj, self.seed = sc, traj, traj.seed  # run checked the seed
         self.ctx = {}  # label -> estimate, certificate or fit, for '@label'
-        self.constants, self.certificates, self.fits = {}, {}, {}
+        self.derived = {}  # label -> a certificate's derived constants
         self.comparisons, self.checks = [], []
         self.shadow_points = None
         self._hull = None
@@ -398,10 +400,6 @@ class _Run:
 
     def delta(self, record):
         return float(record.get("delta", self.sc.delta))
-
-    def constant(self, label, est):
-        self.ctx[label] = est
-        self.constants[label] = _fields_dict(est, drop=("anchor",))
 
     def pick_target(self, op, value, path):
         """A set by index, "intersection", or "target" (the operator's set)."""
@@ -420,14 +418,13 @@ class _Run:
 
 def _estimate_eps(run, rec, path, label):
     s = run.sc.sets[rec["set"]]
-    run.constant(label, analysis_mod.estimate_eps_regularity(
-        s, run.sc.anchor, run.delta(rec), **run.sampling(rec)))
+    run.ctx[label] = analysis_mod.estimate_eps_regularity(
+        s, run.sc.anchor, run.delta(rec), **run.sampling(rec))
 
 
 def _estimate_kappa(run, rec, path, label):
-    run.constant(label, analysis_mod.estimate_linear_regularity(
-        run.sc.sets, run.sc.intersection, run.sc.anchor, run.delta(rec),
-        **run.sampling(rec)))
+    run.ctx[label] = analysis_mod.estimate_linear_regularity(
+        run.sc.sets, run.sc.intersection, run.sc.anchor, run.delta(rec), **run.sampling(rec))
 
 
 # The sets of an estimate_theta_bar record that gives none.
@@ -436,16 +433,14 @@ _THETA_PAIR = (0, 1)
 
 def _estimate_theta_bar(run, rec, path, label):
     a, b = (run.sc.sets[j] for j in rec.get("sets", _THETA_PAIR))
-    run.constant(label, analysis_mod.estimate_theta_bar(
-        a, b, run.sc.anchor, **run.sampling(rec)))
+    run.ctx[label] = analysis_mod.estimate_theta_bar(a, b, run.sc.anchor, **run.sampling(rec))
 
 
 def _strong_regularity(run, rec, path, label):
     idxs = rec.get("sets", list(range(len(run.sc.sets))))
     system = [run.sc.sets[j] for j in idxs]
-    est = analysis_mod.check_strong_regularity(
+    est = run.ctx[label] = analysis_mod.check_strong_regularity(
         system, run.sc.anchor, run.delta(rec), **run.sampling(rec))
-    run.constant(label, est)
     strong = est.extra["strong"]  # None: undetermined, which no expect accepts
     entry = {"sets": list(idxs), "value": est.value, "strong": strong}
     passed = {"fail": strong is False, "pass": strong is True, None: True}[rec.get("expect")]
@@ -469,7 +464,7 @@ def _quasi_firm_fejer(run, rec, path, label):
     rep = analysis_mod.check_quasi_firm_fejer(
         op, refset, consts.gamma, consts.beta, run.sc.anchor, run.delta(rec),
         **run.sampling(rec))
-    return rep, {"eps": _jsonable(eps[0] if len(eps) == 1 else tuple(eps)),
+    return rep, {"eps": eps[0] if len(eps) == 1 else eps,
                  "gamma": consts.gamma, "beta": consts.beta}
 
 
@@ -506,7 +501,7 @@ def _obtuse_cone(run, rec, path, label):
     s = run.sc.sets[rec["set"]]
     result = sets_mod.is_obtuse_cone(s, **run.sampling(rec))
     del result["name"]  # the check is named by its label
-    return None, {"passed": result["obtuse"] == rec.get("expect", True), **_jsonable(result)}
+    return None, {"passed": result["obtuse"] == rec.get("expect", True), **result}
 
 
 def _certificate(run, rec, path, label):
@@ -516,21 +511,15 @@ def _certificate(run, rec, path, label):
     values = [resolve(args[key], run.ctx, f"{path}.args.{key}") if key in args else default[0]
               for key, resolve, *default in theorem.args]
     if theorem.build is None:
-        cert, derived = getattr(rates_mod, name)(*values), {}
+        run.ctx[label] = getattr(rates_mod, name)(*values)
     else:
-        cert, derived = theorem.build(*values)
-    run.ctx[label] = cert
-    entry = _fields_dict(cert)
-    if derived:
-        entry["derived"] = _jsonable(derived)
-    run.certificates[label] = entry
+        run.ctx[label], run.derived[label] = theorem.build(*values)
 
 
 def _rate_fit(run, rec, path, label):
     fit = runner_mod.fit_rlinear(run.traj.cycle_errors(),
                                  **_given(rec, "tail_fraction", "burn_in"))
     run.ctx[label] = fit
-    run.fits[label] = _fields_dict(fit)
     if "expect_rho" not in rec and not rec.get("expect_non_convergent"):
         return None
     entry = {"rho": fit.rho, "passed": True}
@@ -559,7 +548,7 @@ def _compare(run, rec, path, label):
     cert = _reference(rec["certificate"], run.ctx, f"{path}.certificate")
     result = runner_mod.compare_certificate(run.traj, cert, **_given(rec, "slack"))
     result["name"] = label
-    run.comparisons.append(_jsonable(result))
+    run.comparisons.append(result)
 
 
 def _envelope(run, rec, path, label):
@@ -588,7 +577,7 @@ def _cycle_detect(run, rec, path, label):
         return None, {"passed": "expect_period" not in rec and "expect_states" not in rec,
                       "period": None}
     entry = {"period": found.period, "start_index": found.start_index,
-             "states": _jsonable(found.states),
+             "states": found.states,
              "max_deviation": found.max_deviation, "passed": True}
     if "expect_period" in rec:
         entry["expect_period"] = rec["expect_period"]
@@ -807,13 +796,24 @@ def check_analysis(record, path, dim, n_sets, n_ops):
 # ---------------------------------------------------------------------------
 # scenario execution
 
+# The report section of each labelled result type, and the fields its entry
+# leaves out.
+_SECTIONS = {analysis_mod.RegularityEstimate: ("constants", ("anchor",)),
+             RateCertificate: ("certificates", ()), runner_mod.RateFit: ("fit", ())}
+# The files execute_scenario writes in its out_dir; shadow.csv only after an
+# affine_reduction analysis.
+ARTIFACTS = ("trajectory.csv", "report.json", "shadow.csv")
+
 
 def execute_scenario(sc: Scenario, out_dir=None, seed_override=None) -> dict:
     """Run a scenario's trajectory and its requested analyses in order.
 
     Returns the report dict (top-level keys: scenario, constants,
-    certificates, fit, comparisons, checks, passed, timing).  If out_dir is
-    given, writes trajectory.csv / report.json / shadow.csv there.
+    certificates, fit, comparisons, checks, passed, timing).  The constants,
+    certificates and fit sections are built from the labelled results, by
+    `_SECTIONS`, once every analysis has run; then the whole report but its
+    timing is made strict JSON by `_jsonable`.  If out_dir is given, writes
+    the `ARTIFACTS` there.
     """
     t0 = time.perf_counter()
     traj = runner_mod.run(sc.operators, sc.x0, sc.sets, sc.intersection, max_cycles=sc.max_cycles,
@@ -834,37 +834,40 @@ def execute_scenario(sc: Scenario, out_dir=None, seed_override=None) -> dict:
             entry = {} if rep is None else _fields_dict(rep, ("witness",), passed=rep.passed)
             run.checks.append({**entry, "name": label, "kind": kind, **extra})
 
+    sections = {name: {} for name, _ in _SECTIONS.values()}
+    for label, result in run.ctx.items():
+        name, drop = _SECTIONS[type(result)]
+        entry = sections[name][label] = _fields_dict(result, drop)
+        if label in run.derived:
+            entry["derived"] = run.derived[label]
+
     passed = (all(c.get("passed", True) for c in run.checks)
               and all(c.get("ok", True) for c in run.comparisons))
-    report = {
+    report = _jsonable({
         "scenario": {
             "name": sc.name,
             "dimension": sc.dimension,
             "seed": traj.seed,
             "stop_reason": traj.stop_reason,
             "n_cycles": traj.n_cycles,
-            "final": _jsonable(traj.final),
-            "final_dC": float(traj.c_dist[-1]),
+            "final": traj.final,
+            "final_dC": traj.c_dist[-1],
             "tol": sc.tol,
         },
-        "constants": run.constants,
-        "certificates": run.certificates,
-        "fit": run.fits,
+        **sections,
         "comparisons": run.comparisons,
         "checks": run.checks,
         "passed": passed,
-        "timing": {
-            "wall_time_s": time.perf_counter() - t0,
-            "run_wall_time_s": traj.wall_time_s,
-        },
-    }
+    })
+    report["timing"] = {"wall_time_s": time.perf_counter() - t0,
+                        "run_wall_time_s": traj.wall_time_s}
     if out_dir is not None:
+        csv_path, report_path, shadow_path = (os.path.join(out_dir, n) for n in ARTIFACTS)
         os.makedirs(out_dir, exist_ok=True)
-        runner_mod.export_trajectory_csv(traj, os.path.join(out_dir, "trajectory.csv"))
+        runner_mod.export_trajectory_csv(traj, csv_path)
         if run.shadow_points is not None:
-            affine_mod.export_shadow_csv(traj, run.shadow_points,
-                                         os.path.join(out_dir, "shadow.csv"))
-        with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
+            affine_mod.export_shadow_csv(traj, run.shadow_points, shadow_path)
+        with open(report_path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return report

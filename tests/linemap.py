@@ -36,7 +36,7 @@ ALLOWED = {
     ("__main__.py", None),
     # the script guard; the tests that run cli.py as a script run a subprocess
     ("cli.py", "__main__"),
-    # only perfbench calls the oracle intersection (ROADMAP item 14)
+    # only perfbench calls the oracle intersection (ROADMAP item 15)
     ("intersection.py", "oracle"),
 }
 

@@ -319,6 +319,39 @@ class TestRunCommand:
         assert capsys.readouterr().err == (
             f"output path {tmp_path / blocked} exists and is not a directory\n")
 
+    @pytest.mark.parametrize("artifact", P.scenario.ARTIFACTS)
+    def test_refuses_a_directory_where_an_artifact_goes(self, tmp_path, capsys, monkeypatch,
+                                                        artifact):
+        """A directory at one of the files a run writes is a usage error
+        found before the scenario runs, with --force too: the write would
+        die in an IsADirectoryError after the run."""
+        path = _write(tmp_path, minimal_config())
+        blocked = tmp_path / "out" / "unit" / artifact
+        blocked.mkdir(parents=True)
+        monkeypatch.setattr(P.cli, "execute_scenario", None)  # a run fails on the call
+        assert P.main(["run", path, "--out", str(tmp_path / "out"), "--force"]) == 2
+        assert capsys.readouterr().err == f"output path {blocked} exists and is not a file\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_run_reports_strict_json(self, tmp_path, capsys):
+        """From x0 = (1e160, 1e160) the run diverges and final_dC, whose
+        square overflows, is inf: held as the string "inf" on stdout and in
+        report.json, which both parse as strict JSON, with no Infinity or
+        NaN."""
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        cfg = minimal_config(name="overflow", x0=[1e160, 1e160], sets=[
+            {"type": "hyperplane", "a": [0.0, 1.0], "b": 0.0},
+            {"type": "hyperplane", "a": [1.0, -1.0], "b": 0.0}])
+        rc = P.main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "out"),
+                     "--format", "json"])
+        texts = [capsys.readouterr().out, (tmp_path / "out" / "overflow" / "report.json").read_text()]
+        assert rc == 0
+        for text in texts:
+            scenario = json.loads(text, parse_constant=reject)["scenario"]
+            assert (scenario["stop_reason"], scenario["final_dC"]) == ("Diverged", "inf")
+
     def test_seed_override_recorded(self, tmp_path):
         path = _write(tmp_path, minimal_config())
         rc = P.main(
@@ -507,6 +540,16 @@ class TestVerifyCommand:
         monkeypatch.setattr(P.cli, "load_bundled", None)  # a run fails on the call
         assert P.main(["verify", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"output path {out} exists and is not a directory\n"
+
+    def test_verify_refuses_a_directory_where_an_artifact_goes(self, tmp_path, capsys,
+                                                               monkeypatch):
+        """A directory at a scenario's artifact path is a usage error found
+        before any scenario runs, with --force too."""
+        blocked = tmp_path / "suite" / "dr_two_lines" / "trajectory.csv"
+        blocked.mkdir(parents=True)
+        monkeypatch.setattr(P.cli, "load_bundled", None)  # a run fails on the call
+        assert P.main(["verify", "--out", str(tmp_path / "suite"), "--force"]) == 2
+        assert capsys.readouterr().err == f"output path {blocked} exists and is not a file\n"
 
 
 class TestReportChecks:

@@ -1108,3 +1108,16 @@ class TestTrajectoryCsv:
         row = body[k].split(",")
         assert float(row[2]) == traj.points[k][0]
         assert float(row[6]) == traj.c_dist[k]
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_distance_reads_inf_with_no_warning(self, tmp_path):
+        """The run of `test_an_overflowing_norm_reads_as_diverged`: a
+        per-set distance whose square overflows is written inf, as run
+        measures dC, and leaks no overflow warning."""
+        lines = (P.Hyperplane(np.array([0.0, 1.0]), 0.0), P.Hyperplane(np.array([1.0, -1.0]), 0.0))
+        traj = P.run([P.RelaxedProjector(s, 1.0) for s in lines], np.array([1e160, 1e160]),
+                     lines, _origin())
+        path = tmp_path / "trajectory.csv"
+        P.export_trajectory_csv(traj, path)
+        assert path.read_text().splitlines()[1:] == ["0,-1,1e+160,1e+160,inf,0,inf",
+                                                     "1,0,1e+160,0,0,inf,inf"]

@@ -246,6 +246,13 @@ class TestReport:
         assert got == {"a": 0.5, "b": [3], "c": True}
         assert [type(v) for v in (got["a"], got["b"][0], got["c"])] == [float, int, bool]
 
+    def test_a_number_that_is_not_finite_becomes_its_string(self):
+        """A numpy scalar becomes its Python value before the finiteness
+        test, so np.float64 inf is held as "inf" as a float inf is."""
+        values = [np.float64("inf"), -float("inf"), np.float32("nan"), float("nan"), np.float64(0.5)]
+        assert P.scenario._jsonable(values) == ["inf", "-inf", "nan", "nan", 0.5]
+        assert P.scenario._jsonable(np.float64("inf")) == "inf"
+
     def test_a_rate_fit_with_no_expectation_adds_no_check(self):
         """Alternating projections on two lines at 30 degrees: the fit is
         reported, rho = cos^2(30 deg), and no check is made of it."""
